@@ -883,25 +883,18 @@ func BenchmarkAdversarySearchGM(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming-engine benchmarks: a 10^8-slot lazily generated sparse workload
+// Streamed-arrival benchmarks: a 10^8-slot lazily generated sparse workload
 // per iteration through RunCIOQStream/RunCrossbarStream — a horizon whose
-// materialized form is hundreds of megabytes of Packet structs. The same
-// names measure both strategies: streaming by default, or generate-the-
-// whole-sequence-then-run with QSWITCH_MATERIALIZE=1 (BENCH_7.json holds
-// the materialized baseline, BENCH_7_post.json the streamed runs; record
-// with -benchtime 1x). B/op is half the story: the materialized side must
-// hold the full sequence, the streamed side runs in O(window) regardless
-// of the horizon.
+// materialized form is hundreds of megabytes of Packet structs, run in
+// O(window) memory (BENCH_7.json holds the generate-then-run baseline of
+// PR 7, BENCH_7_post.json the streamed runs; record with -benchtime 1x).
 // ---------------------------------------------------------------------------
-
-func streamMaterialized() bool { return os.Getenv("QSWITCH_MATERIALIZE") != "" }
 
 const streamBenchSlots = 100_000_000
 
 // streamBenchDiurnal is a day/night workload whose silent troughs span
-// tens of thousands of slots: the streaming engines ride the same idle
-// jumps as the materialized event-driven engine, answered from the stream
-// head instead of a slice cursor.
+// tens of thousands of slots: the idle jumps are answered from the
+// stream's one-packet look-ahead.
 func streamBenchDiurnal() packet.Generator {
 	return packet.Diurnal{Load: 0.005, Period: 50_000, Amplitude: 4,
 		Values: packet.UniformValues{Hi: 20}}
@@ -923,15 +916,8 @@ func benchStreamCIOQ(b *testing.B, gen packet.Generator, mk func() switchsim.CIO
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if streamMaterialized() {
-			seq := gen.Generate(rand.New(rand.NewSource(7)), n, n, streamBenchSlots)
-			_, err = switchsim.RunCIOQ(cfg, mk(), seq)
-		} else {
-			src := packet.StreamTraffic(gen, rand.New(rand.NewSource(7)), n, n, streamBenchSlots)
-			_, err = switchsim.RunCIOQStream(cfg, mk(), src)
-		}
-		if err != nil {
+		src := packet.StreamTraffic(gen, rand.New(rand.NewSource(7)), n, n, streamBenchSlots)
+		if _, err := switchsim.RunCIOQStream(cfg, mk(), src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -947,15 +933,8 @@ func benchStreamCrossbar(b *testing.B, gen packet.Generator, mk func() switchsim
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if streamMaterialized() {
-			seq := gen.Generate(rand.New(rand.NewSource(7)), n, n, streamBenchSlots)
-			_, err = switchsim.RunCrossbar(cfg, mk(), seq)
-		} else {
-			src := packet.StreamTraffic(gen, rand.New(rand.NewSource(7)), n, n, streamBenchSlots)
-			_, err = switchsim.RunCrossbarStream(cfg, mk(), src)
-		}
-		if err != nil {
+		src := packet.StreamTraffic(gen, rand.New(rand.NewSource(7)), n, n, streamBenchSlots)
+		if _, err := switchsim.RunCrossbarStream(cfg, mk(), src); err != nil {
 			b.Fatal(err)
 		}
 	}

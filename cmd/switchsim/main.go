@@ -38,7 +38,7 @@ func main() {
 		dense   = flag.Bool("dense", false, "opt out of the event-driven engine and simulate every slot (bit-identical metrics, much slower on sparse traces)")
 		seed    = flag.Int64("seed", 1, "RNG seed")
 		trace   = flag.String("trace", "", "binary trace file to replay instead of generating")
-		stream  = flag.Bool("stream", false, "consume arrivals through the streaming engines: bounded memory on huge traces/horizons, bit-identical metrics")
+		stream  = flag.Bool("stream", false, "pull arrivals lazily (generated or decoded on demand) instead of materializing the sequence: bounded memory on huge traces/horizons, bit-identical metrics")
 		ub      = flag.Bool("ub", false, "also compute the offline upper bound")
 		lat     = flag.Bool("latency", false, "record and print latency statistics")
 		compare = flag.Bool("compare", false, "run ALL policies of the model on the same workload and tabulate")

@@ -22,7 +22,7 @@
 // crosspoint matrix. For all five, -load sets the mean per-input
 // offered load.
 //
-// Flow-level traffic (the streaming engines' flagship workload):
+// Flow-level traffic (the flagship workload for streamed runs):
 //
 //	tracegen -o flows.qsw -n 16 -slots 100000 -traffic flowmix -load 0.7
 //

@@ -277,6 +277,33 @@ func TestQuiescentJumpZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestMicroRunAllocations pins the sequence entry points on the micro shape
+// the ratio experiments and the adversary hunts run by the million (2x2,
+// buffers 2/2/1, 6 slots): per run they allocate the switch, the policy's
+// scratch and the Result, and nothing for the arrival cursor: a heap
+// cursor or a SeqStream per run would show here first.
+func TestMicroRunAllocations(t *testing.T) {
+	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Slots: 6}
+	seq := packet.Bernoulli{Load: 1.5}.Generate(rand.New(rand.NewSource(3)), 2, 2, cfg.Slots)
+	if len(seq) == 0 {
+		t.Fatal("empty workload")
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := switchsim.RunCIOQ(cfg, &GM{}, seq); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 21 {
+		t.Errorf("RunCIOQ micro run: %v allocs, want <= 21", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := switchsim.RunCrossbar(cfg, &CGU{}, seq); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 25 {
+		t.Errorf("RunCrossbar micro run: %v allocs, want <= 25", allocs)
+	}
+}
+
 // TestNextArrivalZeroAllocs pins the no-allocation contract of the
 // next-arrival lookup the event-driven engines depend on.
 func TestNextArrivalZeroAllocs(t *testing.T) {

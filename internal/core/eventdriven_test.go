@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -242,6 +245,166 @@ func TestEventDrivenStepperIdleJump(t *testing.T) {
 	if !reflect.DeepEqual(jumped.M, stepped.M) || jumped.Slots != stepped.Slots {
 		t.Errorf("crossbar StepIdle diverged from per-slot stepping:\nstepped: %+v (%d slots)\njumped:  %+v (%d slots)",
 			stepped.M, stepped.Slots, jumped.M, jumped.Slots)
+	}
+}
+
+// slotStepper is what CIOQStepper and CrossbarStepper have in common.
+type slotStepper interface {
+	Slot() int
+	StepSlot(arrivals []packet.Packet) error
+	StepIdle(idleSlots int) error
+	Finish(maxDrain int) (*switchsim.Result, error)
+}
+
+// driveStepper feeds seq to a stepper the way an adaptive caller would —
+// StepSlot per arrival slot, StepIdle over every gap and over the tail up
+// to the horizon, then Finish — so the result is comparable to a run with
+// Config.Slots = slots.
+func driveStepper(st slotStepper, seq packet.Sequence, slots int) (*switchsim.Result, error) {
+	for k := 0; k < len(seq) && seq[k].Arrival < slots; {
+		at := seq[k].Arrival
+		if err := st.StepIdle(at - st.Slot()); err != nil {
+			return nil, err
+		}
+		j := k
+		for j < len(seq) && seq[j].Arrival == at {
+			j++
+		}
+		if err := st.StepSlot(seq[k:j]); err != nil {
+			return nil, err
+		}
+		k = j
+	}
+	if err := st.StepIdle(slots - st.Slot()); err != nil {
+		return nil, err
+	}
+	return st.Finish(0)
+}
+
+// frontEnds are the three ways into one architecture's slot loop.
+type frontEnds struct {
+	slice   func(switchsim.Config, packet.Sequence) (*switchsim.Result, error)
+	stream  func(switchsim.Config, packet.ArrivalStream) (*switchsim.Result, error)
+	stepper func(switchsim.Config) (slotStepper, error)
+}
+
+func cioqFrontEnds(mk func() switchsim.CIOQPolicy) frontEnds {
+	return frontEnds{
+		slice: func(cfg switchsim.Config, seq packet.Sequence) (*switchsim.Result, error) {
+			return switchsim.RunCIOQ(cfg, mk(), seq)
+		},
+		stream: func(cfg switchsim.Config, src packet.ArrivalStream) (*switchsim.Result, error) {
+			return switchsim.RunCIOQStream(cfg, mk(), src)
+		},
+		stepper: func(cfg switchsim.Config) (slotStepper, error) { return switchsim.NewCIOQStepper(cfg, mk()) },
+	}
+}
+
+func crossbarFrontEnds(mk func() switchsim.CrossbarPolicy) frontEnds {
+	return frontEnds{
+		slice: func(cfg switchsim.Config, seq packet.Sequence) (*switchsim.Result, error) {
+			return switchsim.RunCrossbar(cfg, mk(), seq)
+		},
+		stream: func(cfg switchsim.Config, src packet.ArrivalStream) (*switchsim.Result, error) {
+			return switchsim.RunCrossbarStream(cfg, mk(), src)
+		},
+		stepper: func(cfg switchsim.Config) (slotStepper, error) { return switchsim.NewCrossbarStepper(cfg, mk()) },
+	}
+}
+
+// TestFrontEndsAgree runs the same arrivals through every front end of the
+// one slot loop — the caller's slice, a SeqStream replay, the generator's
+// own lazy stream (a GenStream for the slot-major generators), a
+// TraceStream decoding a trace file, and a stepper driven with StepSlot /
+// StepIdle / Finish — for the paper's four algorithms on dense, sparse,
+// blocking-burst and crosspoint-drain traffic, event-driven and dense,
+// with the latency histogram and with the StreamMetrics sketch. Metrics
+// and Slots must be deeply equal across all five. This is a source
+// equivalence: all five share the loop body, so it cannot catch a wrong
+// slot — Config.Dense (TestEventDriven*MatchesDense), reference_test.go,
+// the fleet differentials and the golden E1-E4 CSVs are the independent
+// oracles for that.
+func TestFrontEndsAgree(t *testing.T) {
+	const genSlots, slots = 600, 700
+	policies := []struct {
+		name string
+		fe   frontEnds
+	}{
+		{"gm", cioqFrontEnds(func() switchsim.CIOQPolicy { return &GM{} })},
+		{"pg", cioqFrontEnds(func() switchsim.CIOQPolicy { return &PG{} })},
+		{"cgu", crossbarFrontEnds(func() switchsim.CrossbarPolicy { return &CGU{} })},
+		{"cpg", crossbarFrontEnds(func() switchsim.CrossbarPolicy { return &CPG{} })},
+	}
+	workloads := []packet.Generator{
+		packet.Bernoulli{Load: 0.9, Values: packet.UniformValues{Hi: 20}},
+		packet.Diurnal{Load: 0.15, Period: 64, Amplitude: 1.5, Values: packet.TwoValued{Alpha: 50, PHigh: 0.2}},
+		packet.BurstyBlocking{OffMean: 120, Burst: 6, Values: packet.UniformValues{Hi: 20}},
+		packet.CrossDrain{OffMean: 80, Depth: 2, Values: packet.UniformValues{Hi: 9}},
+	}
+	base := switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 3, OutputBuf: 8, CrossBuf: 2, Speedup: 2,
+		Slots: slots, Validate: true, RecordLatency: true}
+	dir := t.TempDir()
+	for gi, gen := range workloads {
+		seed := int64(41 + gi)
+		seq := gen.Generate(rand.New(rand.NewSource(seed)), base.Inputs, base.Outputs, genSlots)
+		if len(seq) == 0 {
+			t.Fatalf("%s: empty workload", gen.Name())
+		}
+		tracePath := filepath.Join(dir, fmt.Sprintf("w%d.trace", gi))
+		f, err := os.Create(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := (&packet.Trace{Inputs: base.Inputs, Outputs: base.Outputs, Packets: seq}).WriteBinary(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range policies {
+			for _, dense := range []bool{false, true} {
+				for _, sketch := range []bool{false, true} {
+					cfg := base
+					cfg.Dense, cfg.StreamMetrics = dense, sketch
+					cell := fmt.Sprintf("%s/%s/dense=%v/sketch=%v", pol.name, gen.Name(), dense, sketch)
+					want, err := pol.fe.slice(cfg, seq)
+					if err != nil {
+						t.Fatalf("%s slice: %v", cell, err)
+					}
+					if (want.M.LatencySketch != nil) != sketch || (want.M.LatencyHist != nil) == sketch {
+						t.Fatalf("%s: slice run ignored StreamMetrics", cell)
+					}
+					ts, err := packet.OpenTraceStream(tracePath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := map[string]*switchsim.Result{}
+					for name, src := range map[string]packet.ArrivalStream{
+						"seqstream":   packet.NewSeqStream(seq),
+						"lazy":        packet.StreamTraffic(gen, rand.New(rand.NewSource(seed)), cfg.Inputs, cfg.Outputs, genSlots),
+						"tracestream": ts,
+					} {
+						if got[name], err = pol.fe.stream(cfg, src); err != nil {
+							t.Fatalf("%s %s: %v", cell, name, err)
+						}
+					}
+					ts.Close()
+					st, err := pol.fe.stepper(cfg)
+					if err != nil {
+						t.Fatalf("%s stepper: %v", cell, err)
+					}
+					if got["stepper"], err = driveStepper(st, seq, slots); err != nil {
+						t.Fatalf("%s stepper: %v", cell, err)
+					}
+					for name, res := range got {
+						if !reflect.DeepEqual(want.M, res.M) || res.Slots != want.Slots {
+							t.Errorf("%s: %s diverged from slice:\nslice: %+v (%d slots)\n%s: %+v (%d slots)",
+								cell, name, want.M, want.Slots, name, res.M, res.Slots)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

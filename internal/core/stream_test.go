@@ -10,12 +10,20 @@ import (
 	"qswitch/internal/switchsim"
 )
 
-// Differential tests for the streaming engines: every shipped policy on
-// both switch architectures, over the same sparse workloads and configs as
-// the event-driven suite, must produce Metrics bit-identical to the
-// materialized engines — whether the stream replays a materialized
-// sequence (SeqStream) or synthesizes arrivals lazily (GenStream via
-// StreamTraffic).
+// Source-equivalence tests for the arrival front ends. RunCIOQ/RunCrossbar
+// and RunCIOQStream/RunCrossbarStream drive one slot loop per architecture
+// through one cursor (switchsim's arrivals), so what these tests pin is the
+// cursor: every shipped policy, over the same sparse workloads and configs
+// as the event-driven suite, must see the same arrivals, jump targets and
+// horizon — hence bit-identical Metrics — whether they come from the
+// caller's slice, a SeqStream replay or a lazily synthesized GenStream.
+// They cannot catch a wrong slot (both sides would be wrong together); the
+// independent oracles for the loop body are Config.Dense
+// (TestEventDriven*MatchesDense, FuzzEventDrivenEquivalence), the retained
+// full-scan policies of reference_test.go, the fleet differentials in
+// internal/fleet and the golden E1-E4 CSVs in internal/experiments.
+// TestFrontEndsAgree (eventdriven_test.go) adds TraceStream and the
+// steppers on the paper's four algorithms.
 
 func TestStreamCIOQMatchesMaterialized(t *testing.T) {
 	for name, mk := range eventDrivenCIOQPolicies() {
@@ -84,8 +92,8 @@ func streamWorkloads() []packet.Generator {
 }
 
 // TestStreamLazyGenerationMatchesMaterialized drives the full lazy
-// pipeline — generator → GenStream → streaming engine — against generate →
-// materialized engine, including latency sketches under StreamMetrics.
+// pipeline — generator → GenStream → pulled cursor — against generate →
+// slice cursor, including latency sketches under StreamMetrics.
 func TestStreamLazyGenerationMatchesMaterialized(t *testing.T) {
 	cfgs := []edConfig{
 		{"4x4", switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}},
@@ -189,38 +197,97 @@ func TestStreamSlotsCapBeatsStream(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsInvalidSequences: the incremental validator fires the
-// same classes of error the batch Sequence.Validate does.
+// TestStreamRejectsInvalidSequences: both entry points check arrivals with
+// the one packet.Validator, so a malformed sequence fails RunCIOQ/RunCrossbar
+// (up front) and RunCIOQStream/RunCrossbarStream (as the packet is pulled)
+// with byte-identical error text.
 func TestStreamRejectsInvalidSequences(t *testing.T) {
-	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2, Speedup: 1}
-	for name, seq := range map[string]packet.Sequence{
-		"arrival regression": {
+	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1}
+	good := packet.Packet{ID: 0, Arrival: 0, In: 0, Out: 0, Value: 1}
+	for _, tc := range []struct {
+		name string
+		seq  packet.Sequence
+		want string
+	}{
+		{"arrival regression", packet.Sequence{
 			{ID: 0, Arrival: 5, In: 0, Out: 0, Value: 1},
 			{ID: 1, Arrival: 4, In: 0, Out: 0, Value: 1},
-		},
-		"id not ascending": {
+		}, "switchsim: bad sequence: packet 1: arrival 4 before previous 5"},
+		{"id not ascending", packet.Sequence{
 			{ID: 3, Arrival: 0, In: 0, Out: 0, Value: 1},
 			{ID: 3, Arrival: 1, In: 0, Out: 0, Value: 1},
-		},
-		"port out of range": {
+		}, "switchsim: bad sequence: packet 1: id 3 not ascending (prev 3)"},
+		{"input out of range", packet.Sequence{
 			{ID: 0, Arrival: 0, In: 7, Out: 0, Value: 1},
-		},
-		"value below one": {
+		}, "switchsim: bad sequence: packet 0: input port 7 out of range [0,2)"},
+		{"output out of range", packet.Sequence{
+			good,
+			{ID: 1, Arrival: 0, In: 1, Out: -1, Value: 1},
+		}, "switchsim: bad sequence: packet 1: output port -1 out of range [0,2)"},
+		{"value below one", packet.Sequence{
 			{ID: 0, Arrival: 0, In: 0, Out: 0, Value: 0},
-		},
+		}, "switchsim: bad sequence: packet 0: value 0 < 1"},
+		{"negative arrival", packet.Sequence{
+			{ID: 0, Arrival: -1, In: 0, Out: 0, Value: 1},
+		}, "switchsim: bad sequence: packet 0: arrival -1 before previous 0"},
 	} {
-		if _, err := switchsim.RunCIOQStream(cfg, &GM{}, packet.NewSeqStream(seq)); err == nil {
-			t.Errorf("%s: stream engine accepted the sequence", name)
+		_, errSeq := switchsim.RunCIOQ(cfg, &GM{}, tc.seq)
+		_, errStream := switchsim.RunCIOQStream(cfg, &GM{}, packet.NewSeqStream(tc.seq))
+		_, errXSeq := switchsim.RunCrossbar(cfg, &CGU{}, tc.seq)
+		_, errXStream := switchsim.RunCrossbarStream(cfg, &CGU{}, packet.NewSeqStream(tc.seq))
+		for entry, err := range map[string]error{
+			"RunCIOQ": errSeq, "RunCIOQStream": errStream,
+			"RunCrossbar": errXSeq, "RunCrossbarStream": errXStream,
+		} {
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s: %s returned %v, want %q", tc.name, entry, err, tc.want)
+			}
 		}
-		if _, err := switchsim.RunCrossbarStream(cfg, &CGU{}, packet.NewSeqStream(seq)); err == nil {
-			t.Errorf("%s: crossbar stream engine accepted the sequence", name)
-		}
+	}
+
+	// The one intended difference: with a Slots cap, a sequence is checked
+	// whole before the run starts, while a stream is only ever pulled one
+	// packet past the horizon — so a malformed packet further out fails the
+	// sequence entry points and is never seen by the stream ones.
+	capped := cfg
+	capped.Slots = 3
+	seq := packet.Sequence{
+		good,
+		{ID: 1, Arrival: 5, In: 1, Out: 1, Value: 1}, // the look-ahead packet
+		{ID: 2, Arrival: 6, In: 9, Out: 0, Value: 1}, // malformed, never pulled
+	}
+	const want = "switchsim: bad sequence: packet 2: input port 9 out of range [0,2)"
+	if _, err := switchsim.RunCIOQ(capped, &GM{}, seq); err == nil || err.Error() != want {
+		t.Errorf("RunCIOQ beyond Slots: got %v, want %q", err, want)
+	}
+	if _, err := switchsim.RunCrossbar(capped, &CGU{}, seq); err == nil || err.Error() != want {
+		t.Errorf("RunCrossbar beyond Slots: got %v, want %q", err, want)
+	}
+	ref, err := switchsim.RunCIOQ(capped, &GM{}, seq[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := packet.NewSeqStream(seq)
+	got, err := switchsim.RunCIOQStream(capped, &GM{}, src)
+	if err != nil {
+		t.Fatalf("RunCIOQStream pulled past its look-ahead: %v", err)
+	}
+	if !reflect.DeepEqual(ref.M, got.M) || got.Slots != ref.Slots {
+		t.Errorf("capped stream diverged from the well-formed prefix: %+v vs %+v", got.M, ref.M)
+	}
+	if p, ok := src.Peek(); !ok || p.ID != 2 {
+		t.Errorf("stream left at %v (ok=%v), want the malformed packet still unpulled", p, ok)
+	}
+	if _, err := switchsim.RunCrossbarStream(capped, &CGU{}, packet.NewSeqStream(seq)); err != nil {
+		t.Errorf("RunCrossbarStream pulled past its look-ahead: %v", err)
 	}
 }
 
-// FuzzStreamEquivalence is FuzzEventDrivenEquivalence's streaming twin:
-// random sparse sequences through representative policies, stream engines
-// vs materialized engines, Validate on so every jump is cross-checked.
+// FuzzStreamEquivalence fuzzes the same source equivalence: random sparse
+// sequences through representative policies, slice cursor vs pulled
+// stream into the one loop, Validate on so the switch state after every
+// jump is cross-checked. FuzzEventDrivenEquivalence (against Config.Dense)
+// is the fuzzer with an independent oracle.
 func FuzzStreamEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, uint8(2), uint8(2), uint8(1), uint8(1))
 	f.Add([]byte{255, 1, 2, 90, 200, 0, 1, 3, 0, 1, 1, 60}, uint8(3), uint8(2), uint8(2), uint8(3))

@@ -56,16 +56,9 @@ type Options struct {
 	// ShardChunk is the seeds-per-chunk granularity handed to
 	// ratio.RunSharded when Shard is set (<= 0 selects the default).
 	ShardChunk int
-	// Stream routes the Monte-Carlo ratio estimations (E1-E4) through the
-	// streaming engines (switchsim.RunCIOQStream/RunCrossbarStream), with
-	// each seed's sequence replayed as an arrival stream. Estimates are
-	// byte-identical to every other backend; it exists to exercise the
-	// streaming engines across the whole experiment surface. Shard and
-	// Fleet take precedence.
-	Stream bool
 	// CITarget enables sequential stopping for the Monte-Carlo ratio
 	// estimations (E1-E4): seed chunks are issued through whichever
-	// backend the other levers select (scalar, stream, fleet or shard)
+	// backend the other levers select (scalar, fleet or shard)
 	// until the Student-t CI half-width on the mean ratio clears the
 	// target, capped at the experiment's usual seed budget. The stopped
 	// seed count depends only on (Seed, SeqChunk), never on the backend.
@@ -121,9 +114,6 @@ func (o Options) ratioCIOQ(cfg switchsim.Config, pol cioqPolicyRef,
 	if o.Fleet {
 		return ratio.RunFleet(o.ctx(), cfg, ratio.CIOQFleetAlg(pol.factory), judge.factory, gen, seed, runs, 1, fleetBatch)
 	}
-	if o.Stream {
-		return ratio.Run(o.ctx(), cfg, ratio.CIOQStreamAlg(pol.factory), judge.factory, gen, seed, runs)
-	}
 	return ratio.Run(o.ctx(), cfg, ratio.CIOQAlg(pol.factory), judge.factory, gen, seed, runs)
 }
 
@@ -138,9 +128,6 @@ func (o Options) cioqEvaluator(cfg switchsim.Config, pol cioqPolicyRef,
 	}
 	if o.Fleet {
 		return ratio.FleetChunks(cfg, ratio.CIOQFleetAlg(pol.factory), judge.factory, gen, seed, fleetBatch)
-	}
-	if o.Stream {
-		return ratio.ScalarChunks(cfg, ratio.CIOQStreamAlg(pol.factory), judge.factory, gen, seed)
 	}
 	return ratio.ScalarChunks(cfg, ratio.CIOQAlg(pol.factory), judge.factory, gen, seed)
 }
@@ -161,9 +148,6 @@ func (o Options) ratioCrossbar(cfg switchsim.Config, pol crossbarPolicyRef,
 	if o.Fleet {
 		return ratio.RunFleet(o.ctx(), cfg, ratio.CrossbarFleetAlg(pol.factory), judge.factory, gen, seed, runs, 1, fleetBatch)
 	}
-	if o.Stream {
-		return ratio.Run(o.ctx(), cfg, ratio.CrossbarStreamAlg(pol.factory), judge.factory, gen, seed, runs)
-	}
 	return ratio.Run(o.ctx(), cfg, ratio.CrossbarAlg(pol.factory), judge.factory, gen, seed, runs)
 }
 
@@ -177,9 +161,6 @@ func (o Options) crossbarEvaluator(cfg switchsim.Config, pol crossbarPolicyRef,
 	}
 	if o.Fleet {
 		return ratio.FleetChunks(cfg, ratio.CrossbarFleetAlg(pol.factory), judge.factory, gen, seed, fleetBatch)
-	}
-	if o.Stream {
-		return ratio.ScalarChunks(cfg, ratio.CrossbarStreamAlg(pol.factory), judge.factory, gen, seed)
 	}
 	return ratio.ScalarChunks(cfg, ratio.CrossbarAlg(pol.factory), judge.factory, gen, seed)
 }

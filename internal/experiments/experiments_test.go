@@ -131,33 +131,3 @@ func TestFleetOptionBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamOptionBitIdentical renders the ratio experiments with and
-// without Options.Stream and requires byte-identical tables: the streaming
-// engine backend must change the execution strategy only, never a number.
-func TestStreamOptionBitIdentical(t *testing.T) {
-	for _, id := range []string{"e1", "e3"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %s missing", id)
-		}
-		scalar, err := e.Run(Options{Quick: true, Seed: 5})
-		if err != nil {
-			t.Fatalf("%s scalar: %v", id, err)
-		}
-		stream, err := e.Run(Options{Quick: true, Seed: 5, Stream: true})
-		if err != nil {
-			t.Fatalf("%s stream: %v", id, err)
-		}
-		var bs, bt bytes.Buffer
-		for _, tb := range scalar {
-			tb.RenderCSV(&bs)
-		}
-		for _, tb := range stream {
-			tb.RenderCSV(&bt)
-		}
-		if bs.String() != bt.String() {
-			t.Errorf("%s: Stream option changed results:\nscalar:\n%s\nstream:\n%s", id, bs.String(), bt.String())
-		}
-	}
-}

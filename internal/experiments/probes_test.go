@@ -52,7 +52,6 @@ func TestProbesDecisionNeutral(t *testing.T) {
 	}{
 		{"scalar", func(t *testing.T) Options { return base }},
 		{"fleet", func(t *testing.T) Options { o := base; o.Fleet = true; return o }},
-		{"stream", func(t *testing.T) Options { o := base; o.Stream = true; return o }},
 		{"shard", func(t *testing.T) Options { o := base; o.Shard = localShard(t); return o }},
 		{"sequential", func(t *testing.T) Options {
 			o := base

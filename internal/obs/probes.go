@@ -37,9 +37,9 @@ const (
 	MetricSeqChunkSeconds = "qswitch_seq_chunk_seconds"
 )
 
-// EngineProbes is the scalar/stream engines' probe bundle: run counts and
+// EngineProbes is the scalar engines' probe bundle: run counts and
 // the dense-slot vs quiescent-jump breakdown. Engines accumulate in
-// function-local integers and flush once per run via RecordRun, so the
+// plain per-run integers and flush once per run via RecordRun, so the
 // per-slot overhead is zero. The zero and nil values are no-ops.
 type EngineProbes struct {
 	// Runs counts completed engine runs.

@@ -37,7 +37,7 @@
 //
 // # Streaming
 //
-// ArrivalStream is the pull interface the streaming engines consume:
+// ArrivalStream is the pull interface RunCIOQStream/RunCrossbarStream consume:
 // Peek/Next deliver packets in normalized order, and Err distinguishes a
 // clean end of stream from a decode failure. SeqStream adapts an
 // in-memory Sequence; GenStream drives any generator implementing

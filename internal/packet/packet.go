@@ -39,28 +39,63 @@ type Sequence []Packet
 // given port counts: sorted arrivals, unique ascending IDs, ports in range
 // and strictly positive values.
 func (s Sequence) Validate(inputs, outputs int) error {
-	var prevArrival int
-	var prevID int64 = -1
-	for k, p := range s {
-		if p.Arrival < prevArrival {
-			return fmt.Errorf("packet %d: arrival %d before previous %d", k, p.Arrival, prevArrival)
+	v := NewValidator(inputs, outputs)
+	for k := range s {
+		if !v.Accept(&s[k]) {
+			return v.Reject(&s[k])
 		}
-		if p.ID <= prevID {
-			return fmt.Errorf("packet %d: id %d not ascending (prev %d)", k, p.ID, prevID)
-		}
-		if p.In < 0 || p.In >= inputs {
-			return fmt.Errorf("packet %d: input port %d out of range [0,%d)", k, p.In, inputs)
-		}
-		if p.Out < 0 || p.Out >= outputs {
-			return fmt.Errorf("packet %d: output port %d out of range [0,%d)", k, p.Out, outputs)
-		}
-		if p.Value < 1 {
-			return fmt.Errorf("packet %d: value %d < 1", k, p.Value)
-		}
-		prevArrival, prevID = p.Arrival, p.ID
 	}
 	return nil
 }
+
+// Validator is Sequence.Validate in incremental form: it checks packets
+// one at a time as a consumer pulls them from a stream, so the batch and
+// the streamed check are one rule set with one set of error texts.
+type Validator struct {
+	inputs, outputs int
+	count           int64 // packets accepted so far
+	lastArrival     int
+	lastID          int64
+}
+
+// NewValidator returns a validator for the given port counts.
+func NewValidator(inputs, outputs int) Validator {
+	return Validator{inputs: inputs, outputs: outputs, lastID: -1}
+}
+
+// Accept reports whether p is a well-formed next packet of the sequence,
+// and counts it if so. It is the per-packet hot path and small enough to
+// inline; Reject words the refusal.
+func (v *Validator) Accept(p *Packet) bool {
+	ok := p.Arrival >= v.lastArrival && p.ID > v.lastID &&
+		p.In >= 0 && p.In < v.inputs && p.Out >= 0 && p.Out < v.outputs && p.Value >= 1
+	if ok {
+		v.lastArrival, v.lastID = p.Arrival, p.ID
+		v.count++
+	}
+	return ok
+}
+
+// Reject returns the error for a packet Accept just refused, naming the
+// packet by its position in the sequence.
+func (v Validator) Reject(p *Packet) error {
+	switch k := v.count; {
+	case p.Arrival < v.lastArrival:
+		return fmt.Errorf("packet %d: arrival %d before previous %d", k, p.Arrival, v.lastArrival)
+	case p.ID <= v.lastID:
+		return fmt.Errorf("packet %d: id %d not ascending (prev %d)", k, p.ID, v.lastID)
+	case p.In < 0 || p.In >= v.inputs:
+		return fmt.Errorf("packet %d: input port %d out of range [0,%d)", k, p.In, v.inputs)
+	case p.Out < 0 || p.Out >= v.outputs:
+		return fmt.Errorf("packet %d: output port %d out of range [0,%d)", k, p.Out, v.outputs)
+	default:
+		return fmt.Errorf("packet %d: value %d < 1", k, p.Value)
+	}
+}
+
+// Horizon is Sequence.Horizon of the packets accepted so far: last arrival
+// + 1 + their number, at least one slot.
+func (v *Validator) Horizon() int { return max(1, v.lastArrival+1+int(v.count)) }
 
 // TotalValue sums the values of all packets in the sequence.
 func (s Sequence) TotalValue() int64 {

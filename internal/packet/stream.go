@@ -8,12 +8,13 @@ import "math/rand"
 // window, per-flow counters) rather than the trace length. Streams honor
 // the same structural contract as a valid Sequence — packets arrive in
 // nondecreasing Arrival order with strictly ascending IDs — which consumers
-// (the streaming engines in internal/switchsim) verify incrementally.
+// (the stream-backed cursor in internal/switchsim) verify incrementally,
+// with Validator.
 //
 // Three producers cover the workload sources:
 //
-//   - SeqStream replays an in-memory Sequence (and is how materialized and
-//     streamed runs are pinned bit-identical in the differential suites);
+//   - SeqStream replays an in-memory Sequence (and is how the slice and
+//     stream front ends are pinned bit-identical in the differential suites);
 //   - GenStream synthesizes arrivals lazily from a SlotSource, a window of
 //     slots at a time (StreamTraffic builds one for any SlotStreamer
 //     generator);

@@ -18,7 +18,7 @@ const traceStreamWindow = 512
 // window at a time into a reusable buffer, and the CRC64 trailer is
 // verified when the last record has been consumed. Memory use is one
 // window regardless of the trace size, so traces far larger than RAM
-// replay through the streaming engines.
+// replay through RunCIOQStream/RunCrossbarStream.
 //
 // Every record passes the same checks a full ReadBinary load applies —
 // field range checks at decode time plus the sequence ordering invariants

@@ -97,34 +97,6 @@ func CrossbarAlg(factory func() switchsim.CrossbarPolicy) Alg {
 	}
 }
 
-// CIOQStreamAlg is CIOQAlg routed through the streaming engine: the
-// sequence is replayed via a SeqStream into RunCIOQStream. The judge side
-// of a ratio run needs the materialized sequence anyway, so this backend
-// is not about memory — it exists so experiments can exercise the
-// streaming engine inside the same harness, with results guaranteed
-// bit-identical to the materialized backend.
-func CIOQStreamAlg(factory func() switchsim.CIOQPolicy) Alg {
-	return func(cfg switchsim.Config, seq packet.Sequence) (int64, error) {
-		res, err := switchsim.RunCIOQStream(cfg, factory(), packet.NewSeqStream(seq))
-		if err != nil {
-			return 0, err
-		}
-		return res.M.Benefit, nil
-	}
-}
-
-// CrossbarStreamAlg is CrossbarAlg routed through the streaming engine;
-// see CIOQStreamAlg.
-func CrossbarStreamAlg(factory func() switchsim.CrossbarPolicy) Alg {
-	return func(cfg switchsim.Config, seq packet.Sequence) (int64, error) {
-		res, err := switchsim.RunCrossbarStream(cfg, factory(), packet.NewSeqStream(seq))
-		if err != nil {
-			return 0, err
-		}
-		return res.M.Benefit, nil
-	}
-}
-
 // Estimate aggregates ratio measurements over many runs.
 type Estimate struct {
 	Max       float64

@@ -12,7 +12,7 @@ import "sort"
 //
 // The sketch is fully deterministic: feeding two sketches the same
 // observations in the same order leaves them in identical states, so the
-// streaming engines' differential tests can compare sketches with
+// front-end differential tests can compare sketches with
 // reflect.DeepEqual the same way they compare every other metric.
 type QuantileSketch struct {
 	qs    []float64

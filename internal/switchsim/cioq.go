@@ -356,17 +356,129 @@ func (sw *CIOQ) quiesce(slot, k int) {
 	sw.M.slotsSampled += int64(k)
 }
 
-// idleJump returns how many upcoming slots the event-driven engine may
-// skip after finishing `slot` on an empty or quiescent switch: the number
-// of slots strictly between `slot` and the earlier of the next arrival
-// (seq[next], the first not-yet-admitted packet) and the horizon. The
-// sequence is sorted, so this is the O(1) next-arrival lookup.
-func idleJump(seq packet.Sequence, next, slot, slots int) int {
-	to := slots
-	if next < len(seq) && seq[next].Arrival < slots {
-		to = seq[next].Arrival
+// cioqEngine is the one CIOQ slot loop. RunCIOQ, RunCIOQStream and
+// CIOQStepper are front ends that differ only in where a slot's arrivals
+// come from; the set-up, the per-slot body and the quiescent jump are here.
+type cioqEngine struct {
+	pol CIOQPolicy
+	sw  *CIOQ
+	// idle is the policy's IdleAdvancer when quiescent stretches may be
+	// jumped; nil (Config.Dense, or a policy without the capability) makes
+	// every slot run densely.
+	idle IdleAdvancer
+
+	jumps, jumped int64 // quiescent jumps taken and slots they skipped
+}
+
+// newCIOQEngine builds the switch and resets the policy for a run on cfg,
+// which the caller has checked.
+func newCIOQEngine(cfg Config, pol CIOQPolicy) cioqEngine {
+	inDisc, outDisc := pol.Disciplines()
+	e := cioqEngine{pol: pol, sw: NewCIOQ(cfg, inDisc, outDisc)}
+	if cfg.RecordLatency && cfg.StreamMetrics {
+		e.sw.M.EnableLatencySketch()
 	}
-	return to - (slot + 1)
+	pol.Reset(cfg)
+	if !cfg.Dense {
+		e.idle, _ = pol.(IdleAdvancer)
+	}
+	return e
+}
+
+// step runs the rest of slot `slot` after its arrival phase: the speedup's
+// scheduling cycles, the transmission phase and the occupancy sample.
+func (e *cioqEngine) step(slot int) error {
+	sw := e.sw
+	for cycle := 0; cycle < sw.Cfg.Speedup; cycle++ {
+		if err := sw.executeTransfers(e.pol.Schedule(sw, slot, cycle)); err != nil {
+			return err
+		}
+	}
+	if sw.Cfg.RecordSeries {
+		growSeries(&sw.M, slot+1)
+	}
+	sw.transmit(slot)
+	sw.sampleOccupancy()
+	if sw.Cfg.Validate {
+		if err := sw.checkInvariants(); err != nil {
+			return fmt.Errorf("switchsim: slot %d: %w", slot, err)
+		}
+	}
+	return nil
+}
+
+// quiescent reports whether the slots until the next arrival may be jumped:
+// with no input-side packets no scheduling cycle can produce a transfer, so
+// that stretch is pure output drain (possibly none at all, a fully idle
+// gap).
+func (e *cioqEngine) quiescent() bool { return e.idle != nil && e.sw.inCount == 0 }
+
+// jump advances a quiescent switch across the k arrival-free slots after
+// `slot` in closed form.
+func (e *cioqEngine) jump(slot, k int) error {
+	sw := e.sw
+	if sw.Cfg.RecordSeries {
+		growSeries(&sw.M, slot+1+k)
+	}
+	sw.quiesce(slot, k)
+	e.idle.IdleAdvance(k)
+	e.jumps++
+	e.jumped += int64(k)
+	if sw.Cfg.Validate {
+		if err := sw.checkInvariants(); err != nil {
+			return fmt.Errorf("switchsim: after quiescent jump to slot %d: %w", slot+k, err)
+		}
+	}
+	return nil
+}
+
+// run simulates slots 0 .. horizon-1 with arrivals read from arr.
+func (e *cioqEngine) run(arr *arrivals) (*Result, error) {
+	sw := e.sw
+	if sw.Cfg.RecordSeries {
+		growSeries(&sw.M, arr.slots) // a fixed horizon sizes the series once
+	}
+	for slot := 0; !arr.done(slot); slot++ {
+		for p := arr.peek(); p != nil && p.Arrival == slot; p = arr.peek() {
+			if err := sw.admit(*p, e.pol.Admit(sw, *p)); err != nil {
+				return nil, err
+			}
+			if err := arr.advance(); err != nil {
+				return nil, err
+			}
+		}
+		if err := e.step(slot); err != nil {
+			return nil, err
+		}
+		if e.quiescent() {
+			if k := arr.jumpTarget() - (slot + 1); k > 0 {
+				if err := e.jump(slot, k); err != nil {
+					return nil, err
+				}
+				slot += k
+			}
+		}
+	}
+	slots := arr.horizon()
+	if sw.Cfg.RecordSeries {
+		growSeries(&sw.M, slots)
+	}
+	res, err := e.result(slots)
+	if err == nil {
+		engineProbes.Load().RecordRun(int64(slots), e.jumped, e.jumps)
+	}
+	return res, err
+}
+
+// result closes a run of `slots` slots.
+func (e *cioqEngine) result(slots int) (*Result, error) {
+	sw := e.sw
+	if sw.Cfg.Validate {
+		if err := sw.M.conservationCheck(sw.QueuedPackets()); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Policy: e.pol.Name(), Cfg: sw.Cfg, Slots: slots, M: sw.M}, nil
 }
 
 // RunCIOQ simulates the policy on the sequence and returns the result.
@@ -375,73 +487,29 @@ func RunCIOQ(cfg Config, pol CIOQPolicy, seq packet.Sequence) (*Result, error) {
 	if err := cfg.Check(false); err != nil {
 		return nil, err
 	}
-	if err := seq.Validate(cfg.Inputs, cfg.Outputs); err != nil {
-		return nil, fmt.Errorf("switchsim: bad sequence: %w", err)
+	// Validation streams the whole sequence through the cache, so it runs
+	// before the switch is built rather than evicting it.
+	arr, err := seqArrivals(cfg, seq)
+	if err != nil {
+		return nil, err
 	}
-	slots := cfg.HorizonFor(seq)
-	inDisc, outDisc := pol.Disciplines()
-	sw := NewCIOQ(cfg, inDisc, outDisc)
-	if cfg.RecordLatency && cfg.StreamMetrics {
-		sw.M.EnableLatencySketch()
+	e := newCIOQEngine(cfg, pol)
+	return e.run(&arr)
+}
+
+// RunCIOQStream is RunCIOQ on a pulled arrival stream: packets are
+// validated as they are pulled, with Sequence.Validate's error texts, and
+// memory is bounded by the producer's window. With Config.Slots == 0 the
+// horizon is last arrival + 1 + packet count, discovered when the stream
+// ends.
+func RunCIOQStream(cfg Config, pol CIOQPolicy, src packet.ArrivalStream) (*Result, error) {
+	if err := cfg.Check(false); err != nil {
+		return nil, err
 	}
-	if cfg.RecordSeries {
-		sw.M.SlotBenefit = make([]int64, slots)
+	arr, err := streamArrivals(cfg, src)
+	if err != nil {
+		return nil, err
 	}
-	pol.Reset(cfg)
-	// Idle and quiescent jumps require the policy's cooperation; without
-	// it every slot is simulated densely even with cfg.Dense unset.
-	var idle IdleAdvancer
-	if !cfg.Dense {
-		idle, _ = pol.(IdleAdvancer)
-	}
-	// The sequence is sorted by (Arrival, ID), so a cursor yields each
-	// slot's arrivals in admission order with no per-slot grouping.
-	var probeJumped, probeJumps int64
-	next := 0
-	for slot := 0; slot < slots; slot++ {
-		for next < len(seq) && seq[next].Arrival == slot {
-			p := seq[next]
-			next++
-			if err := sw.admit(p, pol.Admit(sw, p)); err != nil {
-				return nil, err
-			}
-		}
-		for cycle := 0; cycle < cfg.Speedup; cycle++ {
-			if err := sw.executeTransfers(pol.Schedule(sw, slot, cycle)); err != nil {
-				return nil, err
-			}
-		}
-		sw.transmit(slot)
-		sw.sampleOccupancy()
-		if cfg.Validate {
-			if err := sw.checkInvariants(); err != nil {
-				return nil, fmt.Errorf("switchsim: slot %d: %w", slot, err)
-			}
-		}
-		// Quiescent fast path: with no input-side packets no scheduling
-		// cycle can produce a transfer, so the stretch until the next
-		// arrival is pure output drain (possibly zero-length, i.e. a fully
-		// idle gap) and is advanced in closed form.
-		if idle != nil && sw.inCount == 0 {
-			if jump := idleJump(seq, next, slot, slots); jump > 0 {
-				sw.quiesce(slot, jump)
-				idle.IdleAdvance(jump)
-				slot += jump
-				probeJumps++
-				probeJumped += int64(jump)
-				if cfg.Validate {
-					if err := sw.checkInvariants(); err != nil {
-						return nil, fmt.Errorf("switchsim: after quiescent jump to slot %d: %w", slot, err)
-					}
-				}
-			}
-		}
-	}
-	if cfg.Validate {
-		if err := sw.M.conservationCheck(sw.QueuedPackets()); err != nil {
-			return nil, err
-		}
-	}
-	engineProbes.Load().RecordRun(int64(slots), probeJumped, probeJumps)
-	return &Result{Policy: pol.Name(), Cfg: cfg, Slots: slots, M: sw.M}, nil
+	e := newCIOQEngine(cfg, pol)
+	return e.run(&arr)
 }

@@ -57,8 +57,8 @@ type Config struct {
 	// quantile sketch (Metrics.LatencySketch), so RecordLatency stays
 	// bounded on unbounded streaming runs. It changes only the latency
 	// *representation* — sum, max and every other metric stay exact —
-	// and it is honored identically by the materialized and streaming
-	// engines, so differential runs still compare with DeepEqual.
+	// and it is honored identically by every front end (sequence, stream
+	// and stepper), so differential runs still compare with DeepEqual.
 	StreamMetrics bool
 }
 

@@ -407,77 +407,153 @@ func (sw *Crossbar) quiesce(slot, k int) {
 	sw.M.slotsSampled += int64(k)
 }
 
+// crossbarEngine is the one buffered-crossbar slot loop, shared by
+// RunCrossbar, RunCrossbarStream and CrossbarStepper; see cioqEngine.
+type crossbarEngine struct {
+	pol  CrossbarPolicy
+	sw   *Crossbar
+	idle IdleAdvancer // nil when every slot must run densely
+
+	jumps, jumped int64 // quiescent jumps taken and slots they skipped
+}
+
+func newCrossbarEngine(cfg Config, pol CrossbarPolicy) crossbarEngine {
+	inDisc, crossDisc, outDisc := pol.Disciplines()
+	e := crossbarEngine{pol: pol, sw: NewCrossbar(cfg, inDisc, crossDisc, outDisc)}
+	if cfg.RecordLatency && cfg.StreamMetrics {
+		e.sw.M.EnableLatencySketch()
+	}
+	pol.Reset(cfg)
+	if !cfg.Dense {
+		e.idle, _ = pol.(IdleAdvancer)
+	}
+	return e
+}
+
+// step runs the rest of slot `slot` after its arrival phase: the speedup's
+// scheduling cycles (input then output subphase), the transmission phase
+// and the occupancy sample.
+func (e *crossbarEngine) step(slot int) error {
+	sw := e.sw
+	for cycle := 0; cycle < sw.Cfg.Speedup; cycle++ {
+		if err := sw.executeInputSubphase(e.pol.InputSubphase(sw, slot, cycle)); err != nil {
+			return err
+		}
+		if err := sw.executeOutputSubphase(e.pol.OutputSubphase(sw, slot, cycle)); err != nil {
+			return err
+		}
+	}
+	if sw.Cfg.RecordSeries {
+		growSeries(&sw.M, slot+1)
+	}
+	sw.transmit(slot)
+	sw.sampleOccupancy()
+	if sw.Cfg.Validate {
+		if err := sw.checkInvariants(); err != nil {
+			return fmt.Errorf("switchsim: slot %d: %w", slot, err)
+		}
+	}
+	return nil
+}
+
+// quiescent reports whether the slots until the next arrival may be jumped:
+// with the input and crosspoint layers empty no subphase can produce a
+// transfer, so that stretch is pure output drain (or fully idle).
+func (e *crossbarEngine) quiescent() bool {
+	return e.idle != nil && e.sw.inCount == 0 && e.sw.crossCount == 0
+}
+
+// jump advances a quiescent switch across the k arrival-free slots after
+// `slot` in closed form.
+func (e *crossbarEngine) jump(slot, k int) error {
+	sw := e.sw
+	if sw.Cfg.RecordSeries {
+		growSeries(&sw.M, slot+1+k)
+	}
+	sw.quiesce(slot, k)
+	e.idle.IdleAdvance(k)
+	e.jumps++
+	e.jumped += int64(k)
+	if sw.Cfg.Validate {
+		if err := sw.checkInvariants(); err != nil {
+			return fmt.Errorf("switchsim: after quiescent jump to slot %d: %w", slot+k, err)
+		}
+	}
+	return nil
+}
+
+// run simulates slots 0 .. horizon-1 with arrivals read from arr.
+func (e *crossbarEngine) run(arr *arrivals) (*Result, error) {
+	sw := e.sw
+	if sw.Cfg.RecordSeries {
+		growSeries(&sw.M, arr.slots) // a fixed horizon sizes the series once
+	}
+	for slot := 0; !arr.done(slot); slot++ {
+		for p := arr.peek(); p != nil && p.Arrival == slot; p = arr.peek() {
+			if err := sw.admit(*p, e.pol.Admit(sw, *p)); err != nil {
+				return nil, err
+			}
+			if err := arr.advance(); err != nil {
+				return nil, err
+			}
+		}
+		if err := e.step(slot); err != nil {
+			return nil, err
+		}
+		if e.quiescent() {
+			if k := arr.jumpTarget() - (slot + 1); k > 0 {
+				if err := e.jump(slot, k); err != nil {
+					return nil, err
+				}
+				slot += k
+			}
+		}
+	}
+	slots := arr.horizon()
+	if sw.Cfg.RecordSeries {
+		growSeries(&sw.M, slots)
+	}
+	res, err := e.result(slots)
+	if err == nil {
+		engineProbes.Load().RecordRun(int64(slots), e.jumped, e.jumps)
+	}
+	return res, err
+}
+
+// result closes a run of `slots` slots.
+func (e *crossbarEngine) result(slots int) (*Result, error) {
+	sw := e.sw
+	if sw.Cfg.Validate {
+		if err := sw.M.conservationCheck(sw.QueuedPackets()); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Policy: e.pol.Name(), Cfg: sw.Cfg, Slots: slots, M: sw.M}, nil
+}
+
 // RunCrossbar simulates a crossbar policy on the sequence.
 func RunCrossbar(cfg Config, pol CrossbarPolicy, seq packet.Sequence) (*Result, error) {
 	if err := cfg.Check(true); err != nil {
 		return nil, err
 	}
-	if err := seq.Validate(cfg.Inputs, cfg.Outputs); err != nil {
-		return nil, fmt.Errorf("switchsim: bad sequence: %w", err)
+	arr, err := seqArrivals(cfg, seq)
+	if err != nil {
+		return nil, err
 	}
-	slots := cfg.HorizonFor(seq)
-	inDisc, crossDisc, outDisc := pol.Disciplines()
-	sw := NewCrossbar(cfg, inDisc, crossDisc, outDisc)
-	if cfg.RecordLatency && cfg.StreamMetrics {
-		sw.M.EnableLatencySketch()
+	e := newCrossbarEngine(cfg, pol)
+	return e.run(&arr)
+}
+
+// RunCrossbarStream is RunCrossbar on a pulled arrival stream; see
+// RunCIOQStream.
+func RunCrossbarStream(cfg Config, pol CrossbarPolicy, src packet.ArrivalStream) (*Result, error) {
+	if err := cfg.Check(true); err != nil {
+		return nil, err
 	}
-	if cfg.RecordSeries {
-		sw.M.SlotBenefit = make([]int64, slots)
+	arr, err := streamArrivals(cfg, src)
+	if err != nil {
+		return nil, err
 	}
-	pol.Reset(cfg)
-	var idle IdleAdvancer
-	if !cfg.Dense {
-		idle, _ = pol.(IdleAdvancer)
-	}
-	var probeJumped, probeJumps int64
-	next := 0
-	for slot := 0; slot < slots; slot++ {
-		for next < len(seq) && seq[next].Arrival == slot {
-			p := seq[next]
-			next++
-			if err := sw.admit(p, pol.Admit(sw, p)); err != nil {
-				return nil, err
-			}
-		}
-		for cycle := 0; cycle < cfg.Speedup; cycle++ {
-			if err := sw.executeInputSubphase(pol.InputSubphase(sw, slot, cycle)); err != nil {
-				return nil, err
-			}
-			if err := sw.executeOutputSubphase(pol.OutputSubphase(sw, slot, cycle)); err != nil {
-				return nil, err
-			}
-		}
-		sw.transmit(slot)
-		sw.sampleOccupancy()
-		if cfg.Validate {
-			if err := sw.checkInvariants(); err != nil {
-				return nil, fmt.Errorf("switchsim: slot %d: %w", slot, err)
-			}
-		}
-		// Quiescent fast path: with the input and crosspoint layers empty
-		// no subphase can produce a transfer, so the stretch until the
-		// next arrival is pure output drain (or fully idle) and is
-		// advanced in closed form.
-		if idle != nil && sw.inCount == 0 && sw.crossCount == 0 {
-			if jump := idleJump(seq, next, slot, slots); jump > 0 {
-				sw.quiesce(slot, jump)
-				idle.IdleAdvance(jump)
-				slot += jump
-				probeJumps++
-				probeJumped += int64(jump)
-				if cfg.Validate {
-					if err := sw.checkInvariants(); err != nil {
-						return nil, fmt.Errorf("switchsim: after quiescent jump to slot %d: %w", slot, err)
-					}
-				}
-			}
-		}
-	}
-	if cfg.Validate {
-		if err := sw.M.conservationCheck(sw.QueuedPackets()); err != nil {
-			return nil, err
-		}
-	}
-	engineProbes.Load().RecordRun(int64(slots), probeJumped, probeJumps)
-	return &Result{Policy: pol.Name(), Cfg: cfg, Slots: slots, M: sw.M}, nil
+	e := newCrossbarEngine(cfg, pol)
+	return e.run(&arr)
 }

@@ -41,8 +41,8 @@
 // O(1) from the incrementally-maintained packet counters:
 //
 //   - Empty: the switch holds no packets at the end of a slot. The
-//     remaining slots until the next arrival (the input sequence is
-//     sorted, so the lookup is O(1)) are skipped in a single jump.
+//     remaining slots until the next arrival (arrivals come in order, so
+//     the lookup is O(1)) are skipped in a single jump.
 //
 //   - Quiescent: the switch still holds a backlog, but no scheduling
 //     decision can move a packet — on a CIOQ switch all input-side
@@ -67,19 +67,37 @@
 // sequences, whose lower-bound constructions alternate bursts with long
 // draining gaps) simulate orders of magnitude faster this way.
 //
-// # Streaming arrivals
+// # One loop, three front ends
 //
-// RunCIOQStream and RunCrossbarStream run the same event-driven loop
-// against a packet.ArrivalStream instead of a materialized Sequence: a
-// streamCursor pulls arrivals on demand, validates ordering incrementally
-// (with exactly the error texts Sequence.Validate would produce), and
-// lets the idle/quiescent jumps peek at the next arrival epoch without
-// consuming it. Memory is bounded by the stream's window plus switch
-// state — independent of the horizon — and the resulting Metrics are
-// deeply equal to the materialized engines' output, asserted by the
-// differential, fuzz and allocation suites in internal/core. With
-// Config.StreamMetrics set, latency quantiles come from a constant-space
-// P² sketch (package internal/stats) instead of the per-packet
-// histogram; all engines honor the flag identically so sketch-mode runs
-// stay comparable across engines.
+// Each architecture has a single slot loop (cioqEngine, crossbarEngine):
+// a shared set-up, a per-slot body — scheduling cycles, transmission,
+// occupancy sample, Validate check — and a quiescent-jump helper. What
+// varies is only where a slot's arrivals come from:
+//
+//   - RunCIOQ and RunCrossbar take a materialized packet.Sequence. It is
+//     validated up front (so a malformed packet anywhere fails the run
+//     before the policy is consulted) and then read in place by index.
+//
+//   - RunCIOQStream and RunCrossbarStream take a packet.ArrivalStream.
+//     The cursor pulls exactly one packet ahead, checks each pulled packet
+//     with the same packet.Validator that Sequence.Validate loops over —
+//     so the error texts are one set — and answers the jumps' "when is the
+//     next arrival?" from that look-ahead. Memory is bounded by the
+//     producer's window plus switch state, independent of the horizon, and
+//     with a Slots cap nothing beyond the horizon is ever pulled. With
+//     Slots == 0 the horizon is last arrival + 1 + packet count, known
+//     when the stream ends. RecordSeries is the one O(slots) metric; for
+//     unbounded runs leave it off.
+//
+//   - CIOQStepper and CrossbarStepper are handed each slot's arrivals by
+//     their caller (StepSlot), which is what lets an adaptive adversary
+//     choose them after looking at the switch; StepIdle and Finish take
+//     the same quiescent jumps.
+//
+// All three produce deeply equal Metrics for the same arrivals, asserted
+// by the front-end tables, the fuzz target and the allocation pins in
+// internal/core. With Config.StreamMetrics set, latency quantiles come
+// from a constant-space P² sketch (package internal/stats) instead of the
+// per-packet histogram; every front end honors the flag identically, as
+// does the OQ engine, so sketch-mode runs stay comparable.
 package switchsim

@@ -15,9 +15,7 @@ import (
 // carry strictly increasing IDs and the current slot's index as Arrival.
 // Finish drains the backlog and returns the final result.
 type CIOQStepper struct {
-	cfg    Config
-	pol    CIOQPolicy
-	sw     *CIOQ
+	e      cioqEngine
 	slot   int
 	nextID int64
 	done   bool
@@ -33,10 +31,7 @@ func NewCIOQStepper(cfg Config, pol CIOQPolicy) (*CIOQStepper, error) {
 	if cfg.RecordSeries {
 		return nil, fmt.Errorf("switchsim: stepper does not support RecordSeries (unknown horizon)")
 	}
-	inDisc, outDisc := pol.Disciplines()
-	sw := NewCIOQ(cfg, inDisc, outDisc)
-	pol.Reset(cfg)
-	return &CIOQStepper{cfg: cfg, pol: pol, sw: sw}, nil
+	return &CIOQStepper{e: newCIOQEngine(cfg, pol)}, nil
 }
 
 // Slot returns the index of the next slot to be simulated.
@@ -44,7 +39,7 @@ func (st *CIOQStepper) Slot() int { return st.slot }
 
 // Switch exposes the live switch state (read-only use expected); adaptive
 // adversaries inspect queue occupancy through it.
-func (st *CIOQStepper) Switch() *CIOQ { return st.sw }
+func (st *CIOQStepper) Switch() *CIOQ { return st.e.sw }
 
 // StepSlot runs one full time slot: the given arrivals (ports and values
 // only need to be set; Arrival and ID are assigned by the stepper), the
@@ -53,31 +48,23 @@ func (st *CIOQStepper) StepSlot(arrivals []packet.Packet) error {
 	if st.done {
 		return fmt.Errorf("switchsim: stepper already finished")
 	}
+	cfg := &st.e.sw.Cfg
 	for _, p := range arrivals {
 		p.Arrival = st.slot
 		p.ID = st.nextID
 		st.nextID++
-		if p.In < 0 || p.In >= st.cfg.Inputs || p.Out < 0 || p.Out >= st.cfg.Outputs {
+		if p.In < 0 || p.In >= cfg.Inputs || p.Out < 0 || p.Out >= cfg.Outputs {
 			return fmt.Errorf("switchsim: stepper arrival %v out of range", p)
 		}
 		if p.Value < 1 {
 			return fmt.Errorf("switchsim: stepper arrival %v has value < 1", p)
 		}
-		if err := st.sw.admit(p, st.pol.Admit(st.sw, p)); err != nil {
+		if err := st.e.sw.admit(p, st.e.pol.Admit(st.e.sw, p)); err != nil {
 			return err
 		}
 	}
-	for cycle := 0; cycle < st.cfg.Speedup; cycle++ {
-		if err := st.sw.executeTransfers(st.pol.Schedule(st.sw, st.slot, cycle)); err != nil {
-			return err
-		}
-	}
-	st.sw.transmit(st.slot)
-	st.sw.sampleOccupancy()
-	if st.cfg.Validate {
-		if err := st.sw.checkInvariants(); err != nil {
-			return fmt.Errorf("switchsim: slot %d: %w", st.slot, err)
-		}
+	if err := st.e.step(st.slot); err != nil {
+		return err
 	}
 	st.slot++
 	return nil
@@ -97,26 +84,19 @@ func (st *CIOQStepper) StepIdle(idleSlots int) error {
 	if st.done {
 		return fmt.Errorf("switchsim: stepper already finished")
 	}
-	idle, canJump := st.pol.(IdleAdvancer)
-	canJump = canJump && !st.cfg.Dense
-	for idleSlots > 0 {
-		if canJump && st.sw.inCount == 0 {
-			// st.slot is the next slot to simulate, so the skipped
-			// transmissions land at st.slot .. st.slot+idleSlots-1.
-			st.sw.quiesce(st.slot-1, idleSlots)
-			idle.IdleAdvance(idleSlots)
-			st.slot += idleSlots
-			if st.cfg.Validate {
-				if err := st.sw.checkInvariants(); err != nil {
-					return fmt.Errorf("switchsim: after quiescent jump to slot %d: %w", st.slot, err)
-				}
+	for ; idleSlots > 0; idleSlots-- {
+		if st.e.quiescent() {
+			// st.slot is the next slot to simulate, so the jump starts
+			// after the slot before it.
+			if err := st.e.jump(st.slot-1, idleSlots); err != nil {
+				return err
 			}
+			st.slot += idleSlots
 			return nil
 		}
 		if err := st.StepSlot(nil); err != nil {
 			return err
 		}
-		idleSlots--
 	}
 	return nil
 }
@@ -129,33 +109,20 @@ func (st *CIOQStepper) Finish(maxDrain int) (*Result, error) {
 	if st.done {
 		return nil, fmt.Errorf("switchsim: stepper already finished")
 	}
-	_, canJump := st.pol.(IdleAdvancer)
-	canJump = canJump && !st.cfg.Dense
-	for d := 0; d < maxDrain && st.sw.QueuedPackets() > 0; {
-		if canJump && st.sw.inCount == 0 {
-			k := st.sw.OutputBacklog()
-			if k > maxDrain-d {
-				k = maxDrain - d
-			}
-			if err := st.StepIdle(k); err != nil {
-				return nil, err
-			}
-			d += k
-			continue
+	sw := st.e.sw
+	for d := 0; d < maxDrain && sw.QueuedPackets() > 0; {
+		k := 1
+		if st.e.quiescent() {
+			k = min(sw.OutputBacklog(), maxDrain-d)
 		}
-		if err := st.StepSlot(nil); err != nil {
+		if err := st.StepIdle(k); err != nil {
 			return nil, err
 		}
-		d++
+		d += k
 	}
 	st.done = true
-	if st.cfg.Validate {
-		if err := st.sw.M.conservationCheck(st.sw.QueuedPackets()); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Policy: st.pol.Name(), Cfg: st.cfg, Slots: st.slot, M: st.sw.M}, nil
+	return st.e.result(st.slot)
 }
 
 // Benefit returns the value transmitted so far.
-func (st *CIOQStepper) Benefit() int64 { return st.sw.M.Benefit }
+func (st *CIOQStepper) Benefit() int64 { return st.e.sw.M.Benefit }

@@ -10,9 +10,7 @@ import (
 // time, mirroring CIOQStepper: arrivals are supplied interactively and
 // adaptive adversaries may inspect the live switch between slots.
 type CrossbarStepper struct {
-	cfg    Config
-	pol    CrossbarPolicy
-	sw     *Crossbar
+	e      crossbarEngine
 	slot   int
 	nextID int64
 	done   bool
@@ -26,20 +24,17 @@ func NewCrossbarStepper(cfg Config, pol CrossbarPolicy) (*CrossbarStepper, error
 	if cfg.RecordSeries {
 		return nil, fmt.Errorf("switchsim: stepper does not support RecordSeries (unknown horizon)")
 	}
-	inDisc, crossDisc, outDisc := pol.Disciplines()
-	sw := NewCrossbar(cfg, inDisc, crossDisc, outDisc)
-	pol.Reset(cfg)
-	return &CrossbarStepper{cfg: cfg, pol: pol, sw: sw}, nil
+	return &CrossbarStepper{e: newCrossbarEngine(cfg, pol)}, nil
 }
 
 // Slot returns the index of the next slot to be simulated.
 func (st *CrossbarStepper) Slot() int { return st.slot }
 
 // Switch exposes the live switch state for adaptive callers.
-func (st *CrossbarStepper) Switch() *Crossbar { return st.sw }
+func (st *CrossbarStepper) Switch() *Crossbar { return st.e.sw }
 
 // Benefit returns the value transmitted so far.
-func (st *CrossbarStepper) Benefit() int64 { return st.sw.M.Benefit }
+func (st *CrossbarStepper) Benefit() int64 { return st.e.sw.M.Benefit }
 
 // StepSlot runs one full time slot with the given arrivals (ports and
 // values; Arrival and ID are assigned by the stepper).
@@ -47,34 +42,23 @@ func (st *CrossbarStepper) StepSlot(arrivals []packet.Packet) error {
 	if st.done {
 		return fmt.Errorf("switchsim: stepper already finished")
 	}
+	cfg := &st.e.sw.Cfg
 	for _, p := range arrivals {
 		p.Arrival = st.slot
 		p.ID = st.nextID
 		st.nextID++
-		if p.In < 0 || p.In >= st.cfg.Inputs || p.Out < 0 || p.Out >= st.cfg.Outputs {
+		if p.In < 0 || p.In >= cfg.Inputs || p.Out < 0 || p.Out >= cfg.Outputs {
 			return fmt.Errorf("switchsim: stepper arrival %v out of range", p)
 		}
 		if p.Value < 1 {
 			return fmt.Errorf("switchsim: stepper arrival %v has value < 1", p)
 		}
-		if err := st.sw.admit(p, st.pol.Admit(st.sw, p)); err != nil {
+		if err := st.e.sw.admit(p, st.e.pol.Admit(st.e.sw, p)); err != nil {
 			return err
 		}
 	}
-	for cycle := 0; cycle < st.cfg.Speedup; cycle++ {
-		if err := st.sw.executeInputSubphase(st.pol.InputSubphase(st.sw, st.slot, cycle)); err != nil {
-			return err
-		}
-		if err := st.sw.executeOutputSubphase(st.pol.OutputSubphase(st.sw, st.slot, cycle)); err != nil {
-			return err
-		}
-	}
-	st.sw.transmit(st.slot)
-	st.sw.sampleOccupancy()
-	if st.cfg.Validate {
-		if err := st.sw.checkInvariants(); err != nil {
-			return fmt.Errorf("switchsim: slot %d: %w", st.slot, err)
-		}
+	if err := st.e.step(st.slot); err != nil {
+		return err
 	}
 	st.slot++
 	return nil
@@ -89,24 +73,17 @@ func (st *CrossbarStepper) StepIdle(idleSlots int) error {
 	if st.done {
 		return fmt.Errorf("switchsim: stepper already finished")
 	}
-	idle, canJump := st.pol.(IdleAdvancer)
-	canJump = canJump && !st.cfg.Dense
-	for idleSlots > 0 {
-		if canJump && st.sw.inCount == 0 && st.sw.crossCount == 0 {
-			st.sw.quiesce(st.slot-1, idleSlots)
-			idle.IdleAdvance(idleSlots)
-			st.slot += idleSlots
-			if st.cfg.Validate {
-				if err := st.sw.checkInvariants(); err != nil {
-					return fmt.Errorf("switchsim: after quiescent jump to slot %d: %w", st.slot, err)
-				}
+	for ; idleSlots > 0; idleSlots-- {
+		if st.e.quiescent() {
+			if err := st.e.jump(st.slot-1, idleSlots); err != nil {
+				return err
 			}
+			st.slot += idleSlots
 			return nil
 		}
 		if err := st.StepSlot(nil); err != nil {
 			return err
 		}
-		idleSlots--
 	}
 	return nil
 }
@@ -118,30 +95,17 @@ func (st *CrossbarStepper) Finish(maxDrain int) (*Result, error) {
 	if st.done {
 		return nil, fmt.Errorf("switchsim: stepper already finished")
 	}
-	_, canJump := st.pol.(IdleAdvancer)
-	canJump = canJump && !st.cfg.Dense
-	for d := 0; d < maxDrain && st.sw.QueuedPackets() > 0; {
-		if canJump && st.sw.inCount == 0 && st.sw.crossCount == 0 {
-			k := st.sw.OutputBacklog()
-			if k > maxDrain-d {
-				k = maxDrain - d
-			}
-			if err := st.StepIdle(k); err != nil {
-				return nil, err
-			}
-			d += k
-			continue
+	sw := st.e.sw
+	for d := 0; d < maxDrain && sw.QueuedPackets() > 0; {
+		k := 1
+		if st.e.quiescent() {
+			k = min(sw.OutputBacklog(), maxDrain-d)
 		}
-		if err := st.StepSlot(nil); err != nil {
+		if err := st.StepIdle(k); err != nil {
 			return nil, err
 		}
-		d++
+		d += k
 	}
 	st.done = true
-	if st.cfg.Validate {
-		if err := st.sw.M.conservationCheck(st.sw.QueuedPackets()); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Policy: st.pol.Name(), Cfg: st.cfg, Slots: st.slot, M: st.sw.M}, nil
+	return st.e.result(st.slot)
 }

@@ -6,134 +6,128 @@ import (
 	"qswitch/internal/packet"
 )
 
-// Streaming engines. RunCIOQStream and RunCrossbarStream are the
-// event-driven engines' pull-based twins: instead of a materialized
-// Sequence they consume a packet.ArrivalStream, admitting arrivals as the
-// stream yields them and answering "when is the next arrival?" from the
-// stream's head. Everything else — the speedup cycles, the transmit and
-// occupancy sampling, the quiescent closed-form jumps, the IdleAdvancer
-// contract — is the exact machinery of RunCIOQ/RunCrossbar, so a
-// streaming run produces Metrics bit-identical to a materialized run of
-// the same arrivals while holding only the stream's read-ahead window in
-// memory.
+// arrivals is the cursor the slot loops (cioqEngine.run, crossbarEngine.run)
+// read their arrival phase from. It has two backings with one contract —
+// packets come out in (Arrival, ID) order, each validated before it is
+// admitted, and the slot of the next pending arrival is known without
+// consuming it:
 //
-// The sequence invariants a materialized run checks up front
-// (Sequence.Validate) are enforced incrementally as packets are pulled,
-// with identical error text, so an out-of-order or out-of-range stream
-// fails the same way a bad sequence does.
+//   - a Sequence (RunCIOQ, RunCrossbar): the caller's slice, validated up
+//     front and then read by index — no per-packet interface call, no copy
+//     beyond the one admission makes, no allocation;
+//   - an ArrivalStream (RunCIOQStream, RunCrossbarStream): pulled with
+//     exactly one packet of look-ahead and validated as pulled, so memory
+//     is the producer's window and nothing past the horizon is ever pulled.
 //
-// Horizon semantics match Config.HorizonFor: with Slots > 0 the run is
-// truncated there (unconsumed stream packets are simply never pulled);
-// with Slots == 0 the horizon is last arrival + 1 + packet count —
-// discovered when the stream ends — which drains any backlog completely.
-//
-// Bounded memory holds for every metric except one: RecordSeries retains
-// a per-slot series whose length is the horizon, so it is O(slots) by
-// definition. For unbounded runs leave it off and use StreamMetrics to
-// keep RecordLatency in constant memory too.
+// The steppers are the third front end and need no cursor: their caller
+// hands each slot's arrivals to StepSlot.
+type arrivals struct {
+	seq packet.Sequence
+	pos int // seq[pos] is the next pending packet
 
-// streamCursor is the streaming counterpart of the engines' sequence
-// cursor: it holds the stream's head packet and validates the sequence
-// invariants incrementally.
-type streamCursor struct {
-	src             packet.ArrivalStream
-	inputs, outputs int
+	src   packet.ArrivalStream // nil when sequence-backed
+	check packet.Validator
+	head  packet.Packet // the next pending packet of src
+	ok    bool          // head is valid; false once src is drained
 
-	head packet.Packet
-	ok   bool // head is valid; false after clean exhaustion
-
-	count       int64 // packets pulled so far
-	prevArrival int
-	prevID      int64
+	// slots is the fixed horizon (Config.HorizonFor). Zero — only possible
+	// stream-backed with Config.Slots == 0 — means last arrival + 1 + packet
+	// count, discovered when the stream ends.
+	slots int
 }
 
-func newStreamCursor(src packet.ArrivalStream, inputs, outputs int) (*streamCursor, error) {
-	c := &streamCursor{src: src, inputs: inputs, outputs: outputs, prevID: -1}
-	if err := c.pull(); err != nil {
-		return nil, err
+// seqArrivals validates seq and wraps it.
+func seqArrivals(cfg Config, seq packet.Sequence) (arrivals, error) {
+	if err := seq.Validate(cfg.Inputs, cfg.Outputs); err != nil {
+		return arrivals{}, fmt.Errorf("switchsim: bad sequence: %w", err)
 	}
-	return c, nil
+	return arrivals{seq: seq, slots: cfg.HorizonFor(seq)}, nil
 }
 
-// pull loads the next packet into head, applying the same checks (and
-// error text) as Sequence.Validate, indexed by the packet's position in
-// the stream. A clean end of stream clears ok; a stream error fails the
-// run.
-func (c *streamCursor) pull() error {
-	p, ok := c.src.Next()
-	if !ok {
-		c.ok = false
-		if err := c.src.Err(); err != nil {
+// streamArrivals wraps src and pulls its first packet.
+func streamArrivals(cfg Config, src packet.ArrivalStream) (arrivals, error) {
+	a := arrivals{src: src, check: packet.NewValidator(cfg.Inputs, cfg.Outputs), slots: cfg.Slots}
+	err := a.pull()
+	return a, err
+}
+
+// pull loads the stream's next packet into head. A clean end of stream
+// clears ok; a stream error or a malformed packet fails the run.
+func (a *arrivals) pull() error {
+	a.head, a.ok = a.src.Next()
+	if !a.ok {
+		if err := a.src.Err(); err != nil {
 			return fmt.Errorf("switchsim: arrival stream: %w", err)
 		}
 		return nil
 	}
-	k := c.count
-	switch {
-	case p.Arrival < c.prevArrival:
-		return fmt.Errorf("switchsim: bad sequence: packet %d: arrival %d before previous %d", k, p.Arrival, c.prevArrival)
-	case p.ID <= c.prevID:
-		return fmt.Errorf("switchsim: bad sequence: packet %d: id %d not ascending (prev %d)", k, p.ID, c.prevID)
-	case p.In < 0 || p.In >= c.inputs:
-		return fmt.Errorf("switchsim: bad sequence: packet %d: input port %d out of range [0,%d)", k, p.In, c.inputs)
-	case p.Out < 0 || p.Out >= c.outputs:
-		return fmt.Errorf("switchsim: bad sequence: packet %d: output port %d out of range [0,%d)", k, p.Out, c.outputs)
-	case p.Value < 1:
-		return fmt.Errorf("switchsim: bad sequence: packet %d: value %d < 1", k, p.Value)
+	if !a.check.Accept(&a.head) {
+		return fmt.Errorf("switchsim: bad sequence: %w", a.check.Reject(&a.head))
 	}
-	c.prevArrival, c.prevID = p.Arrival, p.ID
-	c.count++
-	c.head, c.ok = p, true
 	return nil
 }
 
-// finalHorizon is Sequence.Horizon computed from the cursor's running
-// tallies: last arrival + 1 + count, at least 1. Only meaningful once the
-// stream is exhausted.
-func (c *streamCursor) finalHorizon() int {
-	if c.count == 0 {
-		return 1
-	}
-	h := int64(c.prevArrival) + 1 + c.count
-	if h < 1 {
-		return 1
-	}
-	return int(h)
-}
-
-// jumpTarget mirrors idleJump's bound: the slot the engine may fast-
-// forward to after finishing `slot` — the earlier of the next arrival and
-// the horizon. With the stream alive the head packet *is* the next
-// arrival; exhausted, the target is the (now known, or configured)
-// horizon.
-func (c *streamCursor) jumpTarget(cfg Config) int {
-	if c.ok {
-		to := c.head.Arrival
-		if cfg.Slots > 0 && cfg.Slots < to {
-			to = cfg.Slots
+// peek returns the next not-yet-admitted packet, nil when none is left. The
+// pointer is into the backing (the caller's slice, or head) and is valid
+// until advance: handing the packet out by reference keeps the
+// sequence-backed arrival phase at the one copy admission makes.
+func (a *arrivals) peek() *packet.Packet {
+	if a.src != nil {
+		if a.ok {
+			return &a.head
 		}
-		return to
+		return nil
 	}
-	if cfg.Slots > 0 {
-		return cfg.Slots
+	if a.pos < len(a.seq) {
+		return &a.seq[a.pos]
 	}
-	return c.finalHorizon()
+	return nil
 }
 
-// atHorizon reports whether the run is complete after `slot` slots have
-// been simulated. With Slots == 0 and the stream still alive the answer
-// is always no: the eventual horizon exceeds every pending arrival.
-func (c *streamCursor) atHorizon(cfg Config, slot int) bool {
-	if cfg.Slots > 0 {
-		return slot >= cfg.Slots
+// advance consumes the pending packet.
+func (a *arrivals) advance() error {
+	if a.src != nil {
+		return a.pull()
 	}
-	return !c.ok && slot >= c.finalHorizon()
+	a.pos++
+	return nil
 }
 
-// growSeries extends the per-slot benefit series to n entries. The
-// streaming engines cannot size it up front (the horizon may be unknown),
-// so it grows as slots complete and is padded to the final horizon at the
-// end, leaving exactly the series a materialized run allocates.
+// horizon is the number of slots the run simulates; with slots == 0 it is
+// only meaningful once the stream is drained.
+func (a *arrivals) horizon() int {
+	if a.slots > 0 {
+		return a.slots
+	}
+	return a.check.Horizon()
+}
+
+// jumpTarget is the slot a quiescent switch may fast-forward to: the
+// earlier of the next arrival and the horizon.
+func (a *arrivals) jumpTarget() int {
+	p := a.peek()
+	if p == nil {
+		return a.horizon()
+	}
+	if a.slots > 0 && a.slots < p.Arrival {
+		return a.slots
+	}
+	return p.Arrival
+}
+
+// done reports whether the run is complete once `slot` slots have been
+// simulated. With an open horizon and the stream still alive the answer is
+// always no: the eventual horizon exceeds every pending arrival.
+func (a *arrivals) done(slot int) bool {
+	if a.slots > 0 {
+		return slot >= a.slots
+	}
+	return !a.ok && slot >= a.check.Horizon()
+}
+
+// growSeries extends the per-slot benefit series to n entries. A fixed
+// horizon sizes it once, up front; an open one grows it as slots complete
+// and pads it at the end, leaving the same series either way.
 func growSeries(m *Metrics, n int) {
 	if len(m.SlotBenefit) >= n {
 		return
@@ -145,180 +139,4 @@ func growSeries(m *Metrics, n int) {
 	grown := make([]int64, n, max(n, 2*cap(m.SlotBenefit)))
 	copy(grown, m.SlotBenefit)
 	m.SlotBenefit = grown
-}
-
-// RunCIOQStream simulates the policy on an arrival stream; see the
-// package comments above for the equivalence contract with RunCIOQ.
-func RunCIOQStream(cfg Config, pol CIOQPolicy, src packet.ArrivalStream) (*Result, error) {
-	if err := cfg.Check(false); err != nil {
-		return nil, err
-	}
-	cur, err := newStreamCursor(src, cfg.Inputs, cfg.Outputs)
-	if err != nil {
-		return nil, err
-	}
-	inDisc, outDisc := pol.Disciplines()
-	sw := NewCIOQ(cfg, inDisc, outDisc)
-	if cfg.RecordLatency && cfg.StreamMetrics {
-		sw.M.EnableLatencySketch()
-	}
-	pol.Reset(cfg)
-	var idle IdleAdvancer
-	if !cfg.Dense {
-		idle, _ = pol.(IdleAdvancer)
-	}
-	var probeJumped, probeJumps int64
-	slot := 0
-	for {
-		for cur.ok && cur.head.Arrival == slot {
-			p := cur.head
-			if err := cur.pull(); err != nil {
-				return nil, err
-			}
-			if err := sw.admit(p, pol.Admit(sw, p)); err != nil {
-				return nil, err
-			}
-		}
-		for cycle := 0; cycle < cfg.Speedup; cycle++ {
-			if err := sw.executeTransfers(pol.Schedule(sw, slot, cycle)); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.RecordSeries {
-			growSeries(&sw.M, slot+1)
-		}
-		sw.transmit(slot)
-		sw.sampleOccupancy()
-		if cfg.Validate {
-			if err := sw.checkInvariants(); err != nil {
-				return nil, fmt.Errorf("switchsim: slot %d: %w", slot, err)
-			}
-		}
-		if idle != nil && sw.inCount == 0 {
-			if to := cur.jumpTarget(cfg); to > slot+1 {
-				jump := to - (slot + 1)
-				if cfg.RecordSeries {
-					growSeries(&sw.M, to)
-				}
-				sw.quiesce(slot, jump)
-				idle.IdleAdvance(jump)
-				slot += jump
-				probeJumps++
-				probeJumped += int64(jump)
-				if cfg.Validate {
-					if err := sw.checkInvariants(); err != nil {
-						return nil, fmt.Errorf("switchsim: after quiescent jump to slot %d: %w", slot, err)
-					}
-				}
-			}
-		}
-		slot++
-		if cur.atHorizon(cfg, slot) {
-			break
-		}
-	}
-	if cfg.Validate {
-		if err := sw.M.conservationCheck(sw.QueuedPackets()); err != nil {
-			return nil, err
-		}
-	}
-	slots := cfg.Slots
-	if slots <= 0 {
-		slots = cur.finalHorizon()
-	}
-	if cfg.RecordSeries {
-		growSeries(&sw.M, slots)
-	}
-	engineProbes.Load().RecordRun(int64(slots), probeJumped, probeJumps)
-	return &Result{Policy: pol.Name(), Cfg: cfg, Slots: slots, M: sw.M}, nil
-}
-
-// RunCrossbarStream simulates a crossbar policy on an arrival stream; see
-// the package comments above for the equivalence contract with
-// RunCrossbar.
-func RunCrossbarStream(cfg Config, pol CrossbarPolicy, src packet.ArrivalStream) (*Result, error) {
-	if err := cfg.Check(true); err != nil {
-		return nil, err
-	}
-	cur, err := newStreamCursor(src, cfg.Inputs, cfg.Outputs)
-	if err != nil {
-		return nil, err
-	}
-	inDisc, crossDisc, outDisc := pol.Disciplines()
-	sw := NewCrossbar(cfg, inDisc, crossDisc, outDisc)
-	if cfg.RecordLatency && cfg.StreamMetrics {
-		sw.M.EnableLatencySketch()
-	}
-	pol.Reset(cfg)
-	var idle IdleAdvancer
-	if !cfg.Dense {
-		idle, _ = pol.(IdleAdvancer)
-	}
-	var probeJumped, probeJumps int64
-	slot := 0
-	for {
-		for cur.ok && cur.head.Arrival == slot {
-			p := cur.head
-			if err := cur.pull(); err != nil {
-				return nil, err
-			}
-			if err := sw.admit(p, pol.Admit(sw, p)); err != nil {
-				return nil, err
-			}
-		}
-		for cycle := 0; cycle < cfg.Speedup; cycle++ {
-			if err := sw.executeInputSubphase(pol.InputSubphase(sw, slot, cycle)); err != nil {
-				return nil, err
-			}
-			if err := sw.executeOutputSubphase(pol.OutputSubphase(sw, slot, cycle)); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.RecordSeries {
-			growSeries(&sw.M, slot+1)
-		}
-		sw.transmit(slot)
-		sw.sampleOccupancy()
-		if cfg.Validate {
-			if err := sw.checkInvariants(); err != nil {
-				return nil, fmt.Errorf("switchsim: slot %d: %w", slot, err)
-			}
-		}
-		if idle != nil && sw.inCount == 0 && sw.crossCount == 0 {
-			if to := cur.jumpTarget(cfg); to > slot+1 {
-				jump := to - (slot + 1)
-				if cfg.RecordSeries {
-					growSeries(&sw.M, to)
-				}
-				sw.quiesce(slot, jump)
-				idle.IdleAdvance(jump)
-				slot += jump
-				probeJumps++
-				probeJumped += int64(jump)
-				if cfg.Validate {
-					if err := sw.checkInvariants(); err != nil {
-						return nil, fmt.Errorf("switchsim: after quiescent jump to slot %d: %w", slot, err)
-					}
-				}
-			}
-		}
-		slot++
-		if cur.atHorizon(cfg, slot) {
-			break
-		}
-	}
-	if cfg.Validate {
-		if err := sw.M.conservationCheck(sw.QueuedPackets()); err != nil {
-			return nil, err
-		}
-	}
-	slots := cfg.Slots
-	if slots <= 0 {
-		slots = cur.finalHorizon()
-	}
-	if cfg.RecordSeries {
-		growSeries(&sw.M, slots)
-	}
-	engineProbes.Load().RecordRun(int64(slots), probeJumped, probeJumps)
-	return &Result{Policy: pol.Name(), Cfg: cfg, Slots: slots, M: sw.M}, nil
 }
