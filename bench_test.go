@@ -228,6 +228,49 @@ func BenchmarkExactUnitOPT(b *testing.B) {
 	}
 }
 
+// benchExactJudge solves one table row of an E1–E4 experiment per
+// iteration: the experiment's own shape and generator, seeds base..base+
+// runs-1, sequences generated outside the timed region. It reports µs a
+// seed, the unit of the suite's offline.exact_*_us_per_seed layer metrics.
+func benchExactJudge(b *testing.B, cfg switchsim.Config, gen packet.Generator, base int64, runs int,
+	judge func(switchsim.Config, packet.Sequence) (int64, error)) {
+	seqs := make([]packet.Sequence, runs)
+	for k := range seqs {
+		seqs[k] = gen.Generate(rand.New(rand.NewSource(base+int64(k))), cfg.Inputs, cfg.Outputs, cfg.Slots)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, seq := range seqs {
+			if _, err := judge(cfg, seq); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*runs), "us/seed")
+}
+
+// E3's heaviest row: CGU's judge at speedup 2, 2x2 crossbar, 6 slots of
+// Bernoulli 1.5.
+func BenchmarkExactUnitCrossbarE3(b *testing.B) {
+	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 2, Slots: 6}
+	benchExactJudge(b, cfg, packet.Bernoulli{Load: 1.5}, 1001, 100, offline.ExactUnitCrossbar)
+}
+
+// E1's heaviest row: GM's judge at speedup 2, 7 slots of Bernoulli 2.0.
+func BenchmarkExactUnitCIOQE1(b *testing.B) {
+	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 2, Slots: 7}
+	benchExactJudge(b, cfg, packet.Bernoulli{Load: 2.0}, 2101, 120, offline.ExactUnitCIOQ)
+}
+
+// E2b's row, solved once per beta: PG's judge at speedup 2 with a unit
+// output buffer, 4 slots of weighted hotspot traffic.
+func BenchmarkExactWeightedE2(b *testing.B) {
+	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 1, CrossBuf: 1, Speedup: 2, Slots: 4}
+	gen := packet.Hotspot{Load: 1.2, HotFrac: 0.8, Values: packet.GeometricValues{P: 0.35, Hi: 64}}
+	benchExactJudge(b, cfg, gen, 8, 60, offline.ExactWeightedCIOQ)
+}
+
 func BenchmarkOfflineUpperBound(b *testing.B) {
 	cfg := switchsim.Config{Inputs: 8, Outputs: 8, InputBuf: 4, OutputBuf: 4,
 		CrossBuf: 1, Speedup: 1}

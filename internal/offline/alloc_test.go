@@ -55,37 +55,40 @@ func TestUpperBoundSolverZeroAllocsSteadyState(t *testing.T) {
 }
 
 // TestExactUnitSolverWarmAllocsOnlyMemo pins the reusable-solver
-// treatment of the exact unit DPs: once a solver is warm, re-Solving
-// allocates only the retained memo key strings (one per memoized state)
-// plus the per-slot arrival partition — every recursion frame, state
-// buffer, edge list and matching flag is reused.
+// treatment of the exact DPs: the memo is a table the solver keeps (its
+// name dates from the map[string]int64 memo, whose key strings were the
+// one thing a warm solve allocated), the state is a word and the arrival
+// index is scratch, so once a solver is warm re-Solving allocates nothing
+// at all — on an instance that fills the first memo level several times
+// over, for both unit solvers and both weighted entry points.
 func TestExactUnitSolverWarmAllocsOnlyMemo(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 2, Outputs: 2,
-		InputBuf: 2, OutputBuf: 2, Speedup: 1, Validate: true}
-	rng := rand.New(rand.NewSource(3))
-	seq := packet.Bernoulli{Load: 1.2}.Generate(rng, 2, 2, 6)
+		InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}
+	unit := packet.Bernoulli{Load: 1.2}.Generate(rand.New(rand.NewSource(3)), 2, 2, 6)
+	weighted := weightedSeq(3, 4, 0.9, 10)
 
-	var s UnitCIOQSolver
-	if _, err := s.Solve(cfg, seq); err != nil {
-		t.Fatal(err)
-	}
-	warm := testing.AllocsPerRun(16, func() { s.Solve(cfg, seq) })
-	if budget := float64(len(s.memo) + 8); warm > budget {
-		t.Errorf("warm UnitCIOQSolver.Solve allocates %.1f, want <= %.0f (%d memo entries)",
-			warm, budget, len(s.memo))
-	}
-
-	xcfg := cfg
-	xcfg.CrossBuf = 1
-	xseq := packet.Bernoulli{Load: 1.2}.Generate(rand.New(rand.NewSource(3)), 2, 2, 5)
+	var su UnitCIOQSolver
 	var sx UnitCrossbarSolver
-	if _, err := sx.Solve(xcfg, xseq); err != nil {
-		t.Fatal(err)
-	}
-	warmX := testing.AllocsPerRun(16, func() { sx.Solve(xcfg, xseq) })
-	if budget := float64(len(sx.memo) + 8); warmX > budget {
-		t.Errorf("warm UnitCrossbarSolver.Solve allocates %.1f, want <= %.0f (%d memo entries)",
-			warmX, budget, len(sx.memo))
+	var sw WeightedSolver
+	for _, tc := range []struct {
+		name  string
+		memo  *wordMemo
+		solve func() (int64, error)
+	}{
+		{"UnitCIOQSolver.Solve", &su.memo, func() (int64, error) { return su.Solve(cfg, unit) }},
+		{"UnitCrossbarSolver.Solve", &sx.memo, func() (int64, error) { return sx.Solve(cfg, unit) }},
+		{"WeightedSolver.SolveCIOQ", &sw.memo, func() (int64, error) { return sw.SolveCIOQ(cfg, weighted) }},
+		{"WeightedSolver.SolveCrossbar", &sw.memo, func() (int64, error) { return sw.SolveCrossbar(cfg, weighted) }},
+	} {
+		if _, err := tc.solve(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.memo.used == 0 {
+			t.Errorf("%s: the instance memoised no state", tc.name)
+		}
+		if warm := testing.AllocsPerRun(16, func() { tc.solve() }); warm != 0 {
+			t.Errorf("warm %s allocates %.1f, want 0 (%d memo entries)", tc.name, warm, tc.memo.used)
+		}
 	}
 }
 

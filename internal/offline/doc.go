@@ -32,4 +32,12 @@
 // the differential suite and FuzzSingleQueueOPT. UpperBoundSolver carries
 // reusable scratch for all of it, so a reused judge allocates nothing in
 // steady state.
+//
+// The exact solvers keep a whole switch state in one machine word (queue
+// lengths as bit fields; for weighted instances, which queue holds each
+// packet), memoise in a reusable open-addressed table and stop a state's
+// enumeration once its best child meets the trivial per-output ceiling —
+// an exact cut (see unitDP, WeightedSolver). The byte-slice, string-memo
+// solvers they replaced live on in reference_test.go, pinned exact-equal
+// by the differential suite and FuzzExactEquivalence.
 package offline

@@ -3,6 +3,7 @@ package offline
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"qswitch/internal/packet"
@@ -40,220 +41,333 @@ func unitStateEstimate(cfg switchsim.Config, crossbar bool) float64 {
 	return est
 }
 
-// unitEdge is one eligible transfer edge of a scheduling cycle.
-type unitEdge struct{ i, j int32 }
+// The exact solvers keep a whole switch state in one uint64 and memoise
+// on (depth tag << tagShift | state): a unit state is at most 44 bits (see
+// unitDP), a weighted one 46 (see WeightedSolver), and the tag
+// slot*Speedup+cycle is below 640.
+const tagShift = 48
 
-// exactFrame is the per-recursion-depth scratch of the exact solvers.
-// Depths are derived from (slot, cycle), which strictly increases down
-// the recursion, so a frame's buffers stay live exactly for the subtree
-// rooted at its call and can be reused across sibling explorations and
-// across Solve calls.
-type exactFrame struct {
-	state   []byte
-	key     []byte
-	edges   []unitEdge
-	usedIn  []bool
-	usedOut []bool
+// wordMemo is the exact solvers' memo: an open-addressed, linearly probed
+// table from a state key to the exact optimum from that state on. Every
+// solve starts on the smallest level and moves up one level (twice the
+// slots) when half full, so clearing and probing cost what the solve
+// itself costs, however large an earlier solve on the same object was;
+// the levels are kept, so a warm solve allocates nothing. The solvers give
+// up at memoCap entries, so no level has more than 2*memoCap slots.
+type wordMemo struct {
+	levels [][]memoSlot // levels[k] has memoMinSlots<<k slots
+	tab    []memoSlot   // the level in use
+	shift  uint         // 64 - log2(len(tab)): the hash keeps the top bits
+	used   int
 }
 
-// exactScratch is the storage shared by the reusable solver objects:
-// frames indexed by recursion depth, the state-keyed memo (cleared but
-// not discarded between Solves, retaining its buckets), and the root
-// state buffer.
-type exactScratch struct {
-	memo   map[string]int64
-	frames []exactFrame
-	root   []byte
+// memoSlot holds one entry; stored keys carry memoLive, so key 0 is empty.
+type memoSlot struct {
+	key uint64
+	val int64
 }
 
-// frame returns the depth-d frame sized for the current instance.
-func (s *exactScratch) frame(d, stateLen, n, m int) *exactFrame {
-	for len(s.frames) <= d {
-		s.frames = append(s.frames, exactFrame{})
-	}
-	fr := &s.frames[d]
-	if cap(fr.state) < stateLen {
-		fr.state = make([]byte, stateLen)
-	}
-	fr.state = fr.state[:stateLen]
-	if cap(fr.usedIn) < n {
-		fr.usedIn = make([]bool, n)
-	}
-	fr.usedIn = fr.usedIn[:n]
-	if cap(fr.usedOut) < m {
-		fr.usedOut = make([]bool, m)
-	}
-	fr.usedOut = fr.usedOut[:m]
-	return fr
+const (
+	memoLive     = 1 << 63
+	memoMinSlots = 1 << 8
+)
+
+func (m *wordMemo) reset() {
+	m.used = 0
+	m.use(0)
 }
 
-// reset prepares the scratch for a new instance, keeping capacity.
-func (s *exactScratch) reset(stateLen int) []byte {
-	if s.memo == nil {
-		s.memo = make(map[string]int64, 1<<10)
+func (m *wordMemo) use(level int) {
+	if level == len(m.levels) {
+		m.levels = append(m.levels, make([]memoSlot, memoMinSlots<<level))
 	} else {
-		clear(s.memo)
+		clear(m.levels[level])
 	}
-	if cap(s.root) < stateLen {
-		s.root = make([]byte, stateLen)
-	}
-	root := s.root[:stateLen]
-	clear(root)
-	return root
+	m.tab = m.levels[level]
+	m.shift = uint(64 - bits.TrailingZeros(uint(len(m.tab))))
 }
 
-// UnitCIOQSolver is a reusable exact-DP solver for unit-value CIOQ
-// instances. The zero value is ready; Solve may be called repeatedly and
-// reuses the memo buckets, recursion frames and state buffers across
-// calls, so steady-state solving allocates only the retained memo
-// entries. Not safe for concurrent use; ExactUnitCIOQ wraps a pool of
-// these for the concurrent-judge case.
-type UnitCIOQSolver struct {
-	cfg      switchsim.Config
-	slots    int
-	arrivals [][]packet.Packet
-	exactScratch
+// slot returns key's slot, or the empty slot where it belongs.
+func (m *wordMemo) slot(key uint64) *memoSlot {
+	mask := uint64(len(m.tab) - 1)
+	for h := key * 0x9E3779B97F4A7C15 >> m.shift; ; h = (h + 1) & mask {
+		if s := &m.tab[h]; s.key == key || s.key == 0 {
+			return s
+		}
+	}
 }
 
-// Solve computes the exact offline optimum benefit (= number of
-// transmitted packets) for a unit-value CIOQ instance by dynamic
-// programming over queue-length states.
+func (m *wordMemo) get(key uint64) (int64, bool) {
+	s := m.slot(key | memoLive)
+	return s.val, s.key != 0
+}
+
+func (m *wordMemo) put(key uint64, val int64) {
+	if m.used++; 2*m.used > len(m.tab) && len(m.tab) < 2*memoCap {
+		old := m.tab
+		m.use(bits.TrailingZeros(uint(len(old)/memoMinSlots)) + 1)
+		for _, s := range old {
+			if s.key != 0 {
+				*m.slot(s.key) = s
+			}
+		}
+	}
+	*m.slot(key | memoLive) = memoSlot{key | memoLive, val}
+}
+
+// unitField locates one queue's length inside the state word.
+type unitField struct {
+	mask  uint64 // the field's bits: state&mask != 0 iff the queue is non-empty
+	full  uint64 // state&mask when the queue is at capacity
+	shift uint   // 1<<shift lengthens the queue by one packet
+}
+
+// unitMove is one transfer a scheduling stage may choose.
+type unitMove struct {
+	src   uint64 // source field mask
+	dst   uint64 // destination field mask
+	full  uint64 // destination field when at capacity
+	delta uint64 // added to the state (mod 2^64): destination +1, source -1
+	out   uint32 // CIOQ: the output port's bit, one transfer per cycle; crossbar: 0
+}
+
+// unitDP is the exact dynamic program over queue-length states shared by
+// UnitCIOQSolver and UnitCrossbarSolver.
 //
 // With unit values, packets in the same queue are interchangeable, so the
 // vector of queue lengths is a sufficient state. The paper's WLOG
-// reductions fix everything except the per-cycle matching choice: the
+// reductions fix everything except the per-cycle scheduling choice: the
 // optimum accepts whenever there is room, never preempts, and transmits
 // from every non-empty output queue. The DP therefore branches only over
-// all matchings (including non-maximal ones) of the eligibility graph in
-// every scheduling cycle.
+// the transfers of every scheduling cycle, non-maximal choices included.
 //
-// Returns ErrTooLarge for instances beyond the tractability guards.
-func (s *UnitCIOQSolver) Solve(cfg switchsim.Config, seq packet.Sequence) (int64, error) {
-	if err := cfg.Check(false); err != nil {
+// Packed state: each queue length is a bits.Len(capacity)-wide field of
+// one uint64 — input queues, then crosspoint queues, then output queues. A
+// field is at most twice log2(capacity+1) wide and the guard holds the
+// product of the (capacity+1)s to 2^22, so the word is at most 44 bits; a
+// transfer adds one field constant and subtracts another.
+//
+// A cycle is a run of stages, each choosing one of its eligible moves or
+// none: on a CIOQ switch stage i picks the output that input i feeds (a
+// matching: every output at most once); on a crossbar stages 0..N-1 are
+// the input subphase (input i feeds one of its crosspoints) and stages
+// N..N+M-1 the output subphase (output j drains one of its crosspoints).
+//
+// Exact cut: from slot t on, output j transmits at most slots-t packets
+// and at most those bound for it that are in the switch or yet to arrive.
+// No schedule beats the sum of these ceilings, so once a state's best
+// child reaches it the remaining siblings are skipped; the memo still
+// stores the exact optimum.
+type unitDP struct {
+	outputs, speedup, slots int
+	seq                     packet.Sequence
+	first                   []int32     // seq[first[t]:first[t+1]] arrives in slot t
+	future                  []int32     // future[t*outputs+j]: packets for j arriving after slot t
+	iq, oq                  []unitField // input queue (i,j) at i*outputs+j; output queue j
+	stages                  [][]unitMove
+	moves                   []unitMove // backing store of stages
+	memo                    wordMemo
+	cuts                    int  // states whose enumeration the cut ended early
+	tooLarge                bool // the memo outgrew memoCap: unwind
+}
+
+func (s *unitDP) solve(cfg switchsim.Config, seq packet.Sequence, crossbar bool, name string) (int64, error) {
+	if err := cfg.Check(crossbar); err != nil {
 		return 0, err
 	}
 	if !seq.IsUnit() {
-		return 0, fmt.Errorf("offline: ExactUnitCIOQ requires unit values")
+		return 0, fmt.Errorf("offline: %s requires unit values", name)
 	}
 	if err := seq.Validate(cfg.Inputs, cfg.Outputs); err != nil {
 		return 0, fmt.Errorf("offline: bad sequence: %w", err)
 	}
 	slots := cfg.HorizonFor(seq)
-	if cfg.InputBuf > maxExactBuf || cfg.OutputBuf > maxExactBuf ||
+	if cfg.InputBuf > maxExactBuf || cfg.OutputBuf > maxExactBuf || (crossbar && cfg.CrossBuf > maxExactBuf) ||
 		cfg.Speedup > maxExactSpeedup || slots > maxExactSlots ||
-		unitStateEstimate(cfg, false) > maxExactStates {
+		unitStateEstimate(cfg, crossbar) > maxExactStates {
 		return 0, ErrTooLarge
 	}
 	judgeProbes.Load().RecordExactSolve()
-	s.cfg, s.slots = cfg, slots
-	s.arrivals = seq.BySlot(slots)
-	n, m := cfg.Inputs, cfg.Outputs
-	root := s.reset(n*m + m) // iq lengths then oq lengths
-	return s.slot(0, root)
+	s.outputs, s.speedup, s.slots, s.seq = cfg.Outputs, cfg.Speedup, slots, seq
+	s.layout(cfg, crossbar)
+	s.index()
+	s.memo.reset()
+	s.cuts, s.tooLarge = 0, false
+	v := s.cycle(0, 0, s.arrive(0, 0))
+	if s.tooLarge {
+		return 0, ErrTooLarge
+	}
+	return v, nil
 }
 
-// slot applies slot t's arrival phase and descends into its cycles. The
-// caller owns state; it is copied into this depth's frame before any
-// mutation.
-func (s *UnitCIOQSolver) slot(t int, state []byte) (int64, error) {
-	if t == s.slots {
-		return 0, nil
+// layout assigns the fields and builds the stages for cfg's geometry.
+func (s *unitDP) layout(cfg switchsim.Config, crossbar bool) {
+	n, m := cfg.Inputs, cfg.Outputs
+	var width uint // of the state so far
+	fields := func(dst []unitField, count, capacity int) []unitField {
+		w := uint(bits.Len(uint(capacity)))
+		for k := 0; k < count; k++ {
+			dst = append(dst, unitField{mask: (1<<w - 1) << width,
+				full: uint64(capacity) << width, shift: width})
+			width += w
+		}
+		return dst
 	}
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	fr := s.frame(t*(s.cfg.Speedup+2), len(state), n, m)
-	st := fr.state
-	copy(st, state)
-	for _, p := range s.arrivals[t] {
-		idx := p.In*m + p.Out
-		if int(st[idx]) < s.cfg.InputBuf {
-			st[idx]++ // greedy accept is WLOG-optimal for unit values
+	s.iq = fields(s.iq[:0], n*m, cfg.InputBuf)
+	if crossbar {
+		s.iq = fields(s.iq, n*m, cfg.CrossBuf)
+	}
+	s.oq = fields(s.oq[:0], m, cfg.OutputBuf)
+	xq := s.iq[len(s.iq)-n*m:] // the crosspoint fields on a crossbar
+
+	move := func(src, dst unitField, out uint32) {
+		s.moves = append(s.moves, unitMove{src: src.mask, dst: dst.mask, full: dst.full,
+			delta: 1<<dst.shift - 1<<src.shift, out: out})
+	}
+	if cap(s.moves) < 2*n*m {
+		s.moves = make([]unitMove, 0, 2*n*m) // stages alias it: it must not move
+	}
+	s.moves, s.stages = s.moves[:0], s.stages[:0]
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			if crossbar {
+				move(s.iq[i*m+j], xq[i*m+j], 0)
+			} else {
+				move(s.iq[i*m+j], s.oq[j], 1<<j)
+			}
+		}
+		s.stages = append(s.stages, s.moves[i*m:])
+	}
+	for j := 0; crossbar && j < m; j++ {
+		for i := 0; i < n; i++ {
+			move(xq[i*m+j], s.oq[j], 0)
+		}
+		s.stages = append(s.stages, s.moves[n*m+j*n:])
+	}
+}
+
+// index builds first and future from the validated (arrival-sorted)
+// sequence; packets arriving at or beyond the horizon never enter.
+func (s *unitDP) index() {
+	m := s.outputs
+	if cap(s.first) <= s.slots {
+		s.first = make([]int32, s.slots+1)
+	}
+	if cap(s.future) < s.slots*m {
+		s.future = make([]int32, s.slots*m)
+	}
+	s.first, s.future = s.first[:s.slots+1], s.future[:s.slots*m]
+	k := 0
+	for t := range s.first {
+		for k < len(s.seq) && s.seq[k].Arrival < t {
+			k++
+		}
+		s.first[t] = int32(k)
+	}
+	clear(s.future[(s.slots-1)*m:])
+	for t := s.slots - 2; t >= 0; t-- {
+		row := s.future[t*m : (t+1)*m]
+		copy(row, s.future[(t+1)*m:])
+		for _, p := range s.seq[s.first[t+1]:s.first[t+2]] {
+			row[p.Out]++
 		}
 	}
-	return s.cycle(t, 0, st)
 }
 
-// cycle branches over all matchings for cycle c of slot t; after the last
-// cycle it applies the (work-conserving) transmission phase.
-func (s *UnitCIOQSolver) cycle(t, c int, state []byte) (int64, error) {
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	fr := s.frame(t*(s.cfg.Speedup+2)+1+c, len(state), n, m)
-	if c == s.cfg.Speedup {
-		// Transmission: one packet from every non-empty output queue.
-		st := fr.state
-		copy(st, state)
+// arrive applies slot t's arrival phase: accepting whenever there is room
+// is WLOG-optimal for unit values.
+func (s *unitDP) arrive(t int, st uint64) uint64 {
+	for _, p := range s.seq[s.first[t]:s.first[t+1]] {
+		if f := &s.iq[p.In*s.outputs+p.Out]; st&f.mask != f.full {
+			st += 1 << f.shift
+		}
+	}
+	return st
+}
+
+// ceiling is the cut's upper bound on the packets sent from slot t on.
+func (s *unitDP) ceiling(t int, st uint64) int64 {
+	m := s.outputs
+	var total int64
+	for j := 0; j < m; j++ {
+		have := uint64(s.future[t*m+j]) + st&s.oq[j].mask>>s.oq[j].shift
+		for q := j; q < len(s.iq); q += m { // input and crosspoint queues of output j
+			have += st & s.iq[q].mask >> s.iq[q].shift
+		}
+		total += min(int64(have), int64(s.slots-t))
+	}
+	return total
+}
+
+// cycle returns the optimum from the start of cycle c of slot t in state
+// st; after the last cycle it applies the (work-conserving) transmission
+// phase and the next slot's arrivals.
+func (s *unitDP) cycle(t, c int, st uint64) int64 {
+	if c == s.speedup {
 		var sent int64
-		for j := 0; j < m; j++ {
-			if st[n*m+j] > 0 {
-				st[n*m+j]--
+		for j := range s.oq {
+			if f := &s.oq[j]; st&f.mask != 0 {
+				st -= 1 << f.shift
 				sent++
 			}
 		}
-		rest, err := s.slot(t+1, st)
-		return sent + rest, err
-	}
-	// The string conversion in the index expression does not allocate;
-	// only a memo store copies the key onto the heap.
-	fr.key = append(append(fr.key[:0], byte(t), byte(c)), state...)
-	if v, ok := s.memo[string(fr.key)]; ok {
-		return v, nil
-	}
-	if len(s.memo) > memoCap {
-		return 0, ErrTooLarge
-	}
-	// Eligible transfer edges at the start of this cycle.
-	edges := fr.edges[:0]
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			if state[i*m+j] > 0 && int(state[n*m+j]) < s.cfg.OutputBuf {
-				edges = append(edges, unitEdge{int32(i), int32(j)})
-			}
+		if t+1 == s.slots {
+			return sent
 		}
+		return sent + s.cycle(t+1, 0, s.arrive(t+1, st))
 	}
-	fr.edges = edges
-	clear(fr.usedIn)
-	clear(fr.usedOut)
-	copy(fr.state, state)
-	best := int64(-1)
-	if err := s.explore(t, c, 0, fr, &best); err != nil {
-		return 0, err
+	key := uint64(t*s.speedup+c)<<tagShift | st
+	if v, ok := s.memo.get(key); ok {
+		return v
 	}
-	s.memo[string(fr.key)] = best
-	return best, nil
+	ceil := s.ceiling(t, st)
+	if ceil == 0 {
+		return 0
+	}
+	if s.memo.used > memoCap {
+		s.tooLarge = true
+		return 0
+	}
+	var best int64
+	if s.explore(t, c, 0, st, 0, ceil, &best) {
+		if s.tooLarge {
+			return 0
+		}
+		s.cuts++
+	}
+	s.memo.put(key, best)
+	return best
 }
 
-// explore enumerates matchings over fr.edges (skip or, endpoints free,
-// take each edge), recursing into the next cycle at each leaf.
-func (s *UnitCIOQSolver) explore(t, c, k int, fr *exactFrame, best *int64) error {
-	if k == len(fr.edges) {
-		v, err := s.cycle(t, c+1, fr.state)
-		if err != nil {
-			return err
-		}
-		if v > *best {
-			*best = v
-		}
-		return nil
+// explore enumerates the choices of stages k.. of the cycle, folding the
+// value of every completed cycle into *best. It reports true when the
+// enumeration should stop: *best reached the ceiling, or the memo is full.
+func (s *unitDP) explore(t, c, k int, st uint64, used uint32, ceil int64, best *int64) bool {
+	if k == len(s.stages) {
+		*best = max(*best, s.cycle(t, c+1, st))
+		return *best >= ceil || s.tooLarge
 	}
-	// Skip edge k.
-	if err := s.explore(t, c, k+1, fr, best); err != nil {
-		return err
-	}
-	e := fr.edges[k]
-	i, j := int(e.i), int(e.j)
-	if !fr.usedIn[i] && !fr.usedOut[j] {
-		n, m := s.cfg.Inputs, s.cfg.Outputs
-		fr.usedIn[i], fr.usedOut[j] = true, true
-		fr.state[i*m+j]--
-		fr.state[n*m+j]++
-		err := s.explore(t, c, k+1, fr, best)
-		fr.state[i*m+j]++
-		fr.state[n*m+j]--
-		fr.usedIn[i], fr.usedOut[j] = false, false
-		if err != nil {
-			return err
+	for _, mv := range s.stages[k] {
+		if st&mv.src != 0 && st&mv.dst != mv.full && used&mv.out == 0 &&
+			s.explore(t, c, k+1, st+mv.delta, used|mv.out, ceil, best) {
+			return true
 		}
 	}
-	return nil
+	return s.explore(t, c, k+1, st, used, ceil, best)
+}
+
+// UnitCIOQSolver is a reusable exact solver for unit-value CIOQ
+// instances; see unitDP. The zero value is ready; Solve may be called
+// repeatedly and reuses the memo table, the field layout and the arrival
+// index, so a warm solve allocates nothing. Not safe for concurrent use;
+// ExactUnitCIOQ wraps a pool of these for the concurrent-judge case.
+type UnitCIOQSolver struct{ unitDP }
+
+// Solve computes the exact offline optimum benefit (= number of
+// transmitted packets) of a unit-value CIOQ instance. Returns ErrTooLarge
+// for instances beyond the tractability guards.
+func (s *UnitCIOQSolver) Solve(cfg switchsim.Config, seq packet.Sequence) (int64, error) {
+	return s.solve(cfg, seq, false, "ExactUnitCIOQ")
 }
 
 var unitCIOQPool = sync.Pool{New: func() any { return new(UnitCIOQSolver) }}
@@ -270,153 +384,14 @@ func ExactUnitCIOQ(cfg switchsim.Config, seq packet.Sequence) (int64, error) {
 // UnitCIOQSolver: the crosspoint queue lengths join the state and each
 // cycle enumerates the two scheduling subphases. The zero value is
 // ready; not safe for concurrent use.
-type UnitCrossbarSolver struct {
-	cfg      switchsim.Config
-	slots    int
-	arrivals [][]packet.Packet
-	exactScratch
-}
+type UnitCrossbarSolver struct{ unitDP }
 
-// Solve computes the exact offline optimum for a unit-value buffered
-// crossbar instance, analogously to (*UnitCIOQSolver).Solve but with the
-// crosspoint queue lengths in the state and the two scheduling subphases
-// enumerated per cycle: the input subphase picks, for each input port,
-// one eligible queue (or none); the output subphase picks, for each
-// output port, one eligible crosspoint queue (or none).
+// Solve computes the exact offline optimum of a unit-value buffered
+// crossbar instance: the input subphase picks, for each input port, one
+// eligible queue (or none); the output subphase picks, for each output
+// port, one eligible crosspoint queue (or none).
 func (s *UnitCrossbarSolver) Solve(cfg switchsim.Config, seq packet.Sequence) (int64, error) {
-	if err := cfg.Check(true); err != nil {
-		return 0, err
-	}
-	if !seq.IsUnit() {
-		return 0, fmt.Errorf("offline: ExactUnitCrossbar requires unit values")
-	}
-	if err := seq.Validate(cfg.Inputs, cfg.Outputs); err != nil {
-		return 0, fmt.Errorf("offline: bad sequence: %w", err)
-	}
-	slots := cfg.HorizonFor(seq)
-	if cfg.InputBuf > maxExactBuf || cfg.OutputBuf > maxExactBuf || cfg.CrossBuf > maxExactBuf ||
-		cfg.Speedup > maxExactSpeedup || slots > maxExactSlots ||
-		unitStateEstimate(cfg, true) > maxExactStates {
-		return 0, ErrTooLarge
-	}
-	judgeProbes.Load().RecordExactSolve()
-	s.cfg, s.slots = cfg, slots
-	s.arrivals = seq.BySlot(slots)
-	n, m := cfg.Inputs, cfg.Outputs
-	// State layout: iq (n*m), xq (n*m), oq (m).
-	root := s.reset(2*n*m + m)
-	return s.slot(0, root)
-}
-
-func (s *UnitCrossbarSolver) slot(t int, state []byte) (int64, error) {
-	if t == s.slots {
-		return 0, nil
-	}
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	fr := s.frame(t*(s.cfg.Speedup+2), len(state), n, m)
-	st := fr.state
-	copy(st, state)
-	for _, p := range s.arrivals[t] {
-		idx := p.In*m + p.Out
-		if int(st[idx]) < s.cfg.InputBuf {
-			st[idx]++
-		}
-	}
-	return s.cycle(t, 0, st)
-}
-
-func (s *UnitCrossbarSolver) cycle(t, c int, state []byte) (int64, error) {
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	fr := s.frame(t*(s.cfg.Speedup+2)+1+c, len(state), n, m)
-	if c == s.cfg.Speedup {
-		st := fr.state
-		copy(st, state)
-		var sent int64
-		for j := 0; j < m; j++ {
-			if st[2*n*m+j] > 0 {
-				st[2*n*m+j]--
-				sent++
-			}
-		}
-		rest, err := s.slot(t+1, st)
-		return sent + rest, err
-	}
-	fr.key = append(append(fr.key[:0], byte(t), byte(c)), state...)
-	if v, ok := s.memo[string(fr.key)]; ok {
-		return v, nil
-	}
-	if len(s.memo) > memoCap {
-		return 0, ErrTooLarge
-	}
-	copy(fr.state, state)
-	best := int64(-1)
-	if err := s.inputRec(t, c, 0, fr, &best); err != nil {
-		return 0, err
-	}
-	s.memo[string(fr.key)] = best
-	return best, nil
-}
-
-// inputRec enumerates the input subphase: for each input, choose an
-// eligible crosspoint queue to feed, or none.
-func (s *UnitCrossbarSolver) inputRec(t, c, i int, fr *exactFrame, best *int64) error {
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	if i == n {
-		return s.outputRec(t, c, 0, fr, best)
-	}
-	// Choice: no transfer from input i.
-	if err := s.inputRec(t, c, i+1, fr, best); err != nil {
-		return err
-	}
-	for j := 0; j < m; j++ {
-		iq, xq := i*m+j, n*m+i*m+j
-		if fr.state[iq] > 0 && int(fr.state[xq]) < s.cfg.CrossBuf {
-			fr.state[iq]--
-			fr.state[xq]++
-			err := s.inputRec(t, c, i+1, fr, best)
-			fr.state[iq]++
-			fr.state[xq]--
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// outputRec enumerates the output subphase: for each output, choose an
-// eligible crosspoint queue to drain, or none.
-func (s *UnitCrossbarSolver) outputRec(t, c, j int, fr *exactFrame, best *int64) error {
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	if j == m {
-		v, err := s.cycle(t, c+1, fr.state)
-		if err != nil {
-			return err
-		}
-		if v > *best {
-			*best = v
-		}
-		return nil
-	}
-	if err := s.outputRec(t, c, j+1, fr, best); err != nil {
-		return err
-	}
-	if int(fr.state[2*n*m+j]) < s.cfg.OutputBuf {
-		for i := 0; i < n; i++ {
-			xq := n*m + i*m + j
-			if fr.state[xq] > 0 {
-				fr.state[xq]--
-				fr.state[2*n*m+j]++
-				err := s.outputRec(t, c, j+1, fr, best)
-				fr.state[xq]++
-				fr.state[2*n*m+j]--
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return s.solve(cfg, seq, true, "ExactUnitCrossbar")
 }
 
 var unitXbarPool = sync.Pool{New: func() any { return new(UnitCrossbarSolver) }}

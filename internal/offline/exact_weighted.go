@@ -1,9 +1,8 @@
 package offline
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
 
 	"qswitch/internal/packet"
@@ -20,82 +19,52 @@ const (
 	maxWPackets = 14
 )
 
-// vset is a value multiset kept sorted descending (index 0 = maximum).
-type vset []int64
+// The weighted state is three 14-bit planes of one word, one bit a packet:
+// the packets in input queues, in crosspoint queues and in output queues.
+// A packet in no plane has not arrived yet, or was rejected, preempted or
+// sent. Packets are numbered by descending value, so the head (maximum) of
+// a queue is the lowest set bit of plane & queue mask, its minimum the
+// highest, and its length the population count.
+const (
+	planeIn    = 0
+	planeCross = 16
+	planeOut   = 32
+	planeMask  = 1<<maxWPackets - 1
+)
 
-func (v vset) insert(x int64) vset {
-	pos := sort.Search(len(v), func(k int) bool { return v[k] < x })
-	out := make(vset, 0, len(v)+1)
-	out = append(out, v[:pos]...)
-	out = append(out, x)
-	out = append(out, v[pos:]...)
-	return out
-}
-
-func (v vset) popHead() (int64, vset) { return v[0], append(vset(nil), v[1:]...) }
-
-func (v vset) popTail() (int64, vset) {
-	return v[len(v)-1], append(vset(nil), v[:len(v)-1]...)
-}
-
-// wState is the full queue state: per-queue value multisets.
-type wState struct {
-	iq []vset // n*m
-	xq []vset // n*m (crossbar only, else nil)
-	oq []vset // m
-}
-
-func newWState(n, m int, crossbar bool) *wState {
-	st := &wState{iq: make([]vset, n*m), oq: make([]vset, m)}
-	if crossbar {
-		st.xq = make([]vset, n*m)
-	}
-	return st
-}
-
-func (st *wState) clone() *wState {
-	out := &wState{iq: append([]vset(nil), st.iq...), oq: append([]vset(nil), st.oq...)}
-	if st.xq != nil {
-		out.xq = append([]vset(nil), st.xq...)
-	}
-	return out
-}
-
-// appendKey encodes the state compactly onto buf: fixed 8-byte
-// little-endian values with 0xFF separators between queues.
-func (st *wState) appendKey(buf []byte) []byte {
-	var tmp [8]byte
-	app := func(sets []vset) {
-		for _, s := range sets {
-			for _, v := range s {
-				binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-				buf = append(buf, tmp[:]...)
-			}
-			buf = append(buf, 0xFF)
-		}
-	}
-	app(st.iq)
-	if st.xq != nil {
-		app(st.xq)
-	}
-	app(st.oq)
-	return buf
+// wMove is one transfer a scheduling stage may choose: the head of the
+// queue (from, src) joins the queue (to, dst) of capacity room, preempting
+// its minimum when full and strictly smaller.
+type wMove struct {
+	from, to uint   // plane shifts
+	src, dst uint64 // the packets whose route uses the queue
+	room     int
+	out      uint32 // CIOQ: the output port's bit, one transfer per cycle; crossbar: 0
 }
 
 // WeightedSolver is a reusable exact solver for micro weighted instances
 // (CIOQ or buffered crossbar). The zero value is ready; SolveCIOQ and
-// SolveCrossbar may be called repeatedly and reuse the memo buckets,
-// per-depth edge lists, used-port flags and key buffers across calls.
-// The multiset states themselves are still cloned along the search — at
-// these micro sizes they are small, and persistent sharing of the vset
-// spines keeps clones shallow. Not safe for concurrent use; the package
+// SolveCrossbar may be called repeatedly and reuse the memo table, so a
+// warm solve allocates nothing: every packet has a fixed input queue,
+// crosspoint and output, so the whole state is which of them holds it —
+// one word (see planeIn). Not safe for concurrent use; the package
 // functions wrap a pool of these.
 type WeightedSolver struct {
-	cfg      switchsim.Config
-	crossbar bool
-	slots    int
-	arrivals [][]packet.Packet
-	exactScratch
+	inputBuf, speedup, slots int
+	val                      [maxWPackets]int64            // value of packet p, descending in p
+	order                    [maxWPackets]uint8            // order[k]: the number of the sequence's k-th packet
+	queue                    [maxWPackets]uint8            // queue[p]: the input queue of packet p, an index into voq
+	first                    [maxWSlots + 1]int            // order[first[t]:first[t+1]] arrives in slot t
+	future                   [maxWSlots]uint64             // packets arriving after slot t
+	voq                      [maxWPorts * maxWPorts]uint64 // packets of input queue (i,j), at i*outputs+j
+	outs                     [maxWPorts]uint64             // packets bound for output j
+	nOut                     int
+	stages                   [][]wMove // one cycle's stages, slices of moves held in stageBuf
+	stageBuf                 [2 * maxWPorts][]wMove
+	moves                    [2 * maxWPorts * maxWPorts]wMove
+	memo                     wordMemo
+	cuts                     int  // states whose enumeration the cut ended early
+	tooLarge                 bool // the memo outgrew memoCap: unwind
 }
 
 // SolveCIOQ computes the exact offline optimum benefit of a micro
@@ -112,13 +81,22 @@ type WeightedSolver struct {
 //     of Q*_ij; matched edges always move the queue head (the maximum).
 //
 // Transmission is fixed: send the maximum of every non-empty output queue.
+// Among equal values the lower-numbered packet counts as the larger, which
+// leaves every multiset — and so the optimum — as it was.
+//
+// Exact cut: from slot t on, output j sends at most slots-t packets, all
+// among those bound for it that are in the switch or yet to arrive; once a
+// state's best child reaches the sum over outputs of the slots-t largest
+// such values, the remaining siblings are skipped. The memo still stores
+// the exact optimum.
+//
 // Returns ErrTooLarge when the instance exceeds the guards.
 func (s *WeightedSolver) SolveCIOQ(cfg switchsim.Config, seq packet.Sequence) (int64, error) {
 	return s.solve(cfg, seq, false)
 }
 
 // SolveCrossbar is the buffered-crossbar counterpart of SolveCIOQ: the
-// state additionally tracks crosspoint queue multisets, and each cycle
+// state additionally tracks the crosspoint queues, and each cycle
 // branches over the input subphase (per input: one eligible queue or
 // none) and the output subphase (per output: one eligible crosspoint
 // queue or none).
@@ -141,234 +119,187 @@ func (s *WeightedSolver) solve(cfg switchsim.Config, seq packet.Sequence, crossb
 		return 0, ErrTooLarge
 	}
 	judgeProbes.Load().RecordExactSolve()
-	s.cfg, s.crossbar, s.slots = cfg, crossbar, slots
-	s.arrivals = seq.BySlot(slots)
-	s.reset(0)
-	return s.slot(0, newWState(cfg.Inputs, cfg.Outputs, crossbar))
+	s.inputBuf, s.speedup, s.slots = cfg.InputBuf, cfg.Speedup, slots
+	s.index(cfg, seq)
+	s.layout(cfg, crossbar)
+	s.memo.reset()
+	s.cuts, s.tooLarge = 0, false
+	v := s.admit(0, 0, 0)
+	if s.tooLarge {
+		return 0, ErrTooLarge
+	}
+	return v, nil
 }
 
-// slot branches over admission decisions for slot t's arrivals, then
-// descends into the scheduling cycles.
-func (s *WeightedSolver) slot(t int, st *wState) (int64, error) {
-	if t == s.slots {
-		return 0, nil
+// index numbers the packets that arrive inside the horizon by descending
+// value (the validated sequence is sorted by arrival) and builds the
+// per-slot, per-queue and per-output packet masks.
+func (s *WeightedSolver) index(cfg switchsim.Config, seq packet.Sequence) {
+	for len(seq) > 0 && seq[len(seq)-1].Arrival >= s.slots {
+		seq = seq[:len(seq)-1]
 	}
-	return s.admit(t, 0, st)
+	// rank[r] is the sequence index of the r-th most valuable packet.
+	var rank [maxWPackets]uint8
+	for k := range seq {
+		r := k
+		for ; r > 0 && seq[rank[r-1]].Value < seq[k].Value; r-- {
+			rank[r] = rank[r-1]
+		}
+		rank[r] = uint8(k)
+	}
+	clear(s.voq[:])
+	clear(s.outs[:])
+	clear(s.future[:])
+	s.nOut = cfg.Outputs
+	for r, k := range rank[:len(seq)] {
+		p := seq[k]
+		s.val[r], s.order[k] = p.Value, uint8(r)
+		s.queue[r] = uint8(p.In*cfg.Outputs + p.Out)
+		s.voq[s.queue[r]] |= 1 << r
+		s.outs[p.Out] |= 1 << r
+		for t := 0; t < p.Arrival; t++ {
+			s.future[t] |= 1 << r
+		}
+	}
+	k := 0
+	for t := 0; t <= s.slots; t++ {
+		for k < len(seq) && seq[k].Arrival < t {
+			k++
+		}
+		s.first[t] = k
+	}
 }
 
-func (s *WeightedSolver) admit(t, k int, st *wState) (int64, error) {
-	if k == len(s.arrivals[t]) {
-		return s.cycle(t, 0, st)
+// layout builds the scheduling stages of one cycle, as in unitDP: stage i
+// of a CIOQ switch picks the output input i feeds; a crossbar has the
+// input subphase's stages, then the output subphase's.
+func (s *WeightedSolver) layout(cfg switchsim.Config, crossbar bool) {
+	n, m := cfg.Inputs, cfg.Outputs
+	moves, stages := s.moves[:0], s.stageBuf[:0]
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			q := s.voq[i*m+j]
+			if crossbar {
+				moves = append(moves, wMove{planeIn, planeCross, q, q, cfg.CrossBuf, 0})
+			} else {
+				moves = append(moves, wMove{planeIn, planeOut, q, s.outs[j], cfg.OutputBuf, 1 << j})
+			}
+		}
+		stages = append(stages, moves[i*m:])
 	}
-	p := s.arrivals[t][k]
-	m := s.cfg.Outputs
-	idx := p.In*m + p.Out
-	q := st.iq[idx]
-	if len(q) < s.cfg.InputBuf {
+	for j := 0; crossbar && j < m; j++ {
+		for i := 0; i < n; i++ {
+			moves = append(moves, wMove{planeCross, planeOut, s.voq[i*m+j], s.outs[j], cfg.OutputBuf, 0})
+		}
+		stages = append(stages, moves[n*m+j*n:])
+	}
+	s.stages = stages
+}
+
+// admit branches over the admission decisions for slot t's arrivals from
+// the k-th packet of the sequence on, then descends into the cycles.
+func (s *WeightedSolver) admit(t, k int, w uint64) int64 {
+	if k == s.first[t+1] {
+		return s.cycle(t, 0, w)
+	}
+	p := uint(s.order[k])
+	queue := w & s.voq[s.queue[p]]
+	if bits.OnesCount64(queue) < s.inputBuf {
 		// Room available: accepting weakly dominates rejecting (the
 		// packet can always be preempted later), so do not branch.
-		st2 := st.clone()
-		st2.iq[idx] = q.insert(p.Value)
-		return s.admit(t, k+1, st2)
+		return s.admit(t, k+1, w|1<<p)
 	}
 	// Full queue: branch between rejecting and, when profitable,
 	// preempting the minimum.
-	best, err := s.admit(t, k+1, st)
-	if err != nil {
-		return 0, err
+	best := s.admit(t, k+1, w)
+	if tail := uint(bits.Len64(queue)) - 1; s.val[tail] < s.val[p] {
+		best = max(best, s.admit(t, k+1, w&^(1<<tail)|1<<p))
 	}
-	if tail := q[len(q)-1]; tail < p.Value {
-		st2 := st.clone()
-		_, rest := q.popTail()
-		st2.iq[idx] = rest.insert(p.Value)
-		alt, err := s.admit(t, k+1, st2)
-		if err != nil {
-			return 0, err
-		}
-		if alt > best {
-			best = alt
-		}
-	}
-	return best, nil
+	return best
 }
 
-// cycle branches over the scheduling decisions of cycle c; after the last
-// cycle it applies the fixed transmission phase.
-func (s *WeightedSolver) cycle(t, c int, st *wState) (int64, error) {
-	if c == s.cfg.Speedup {
-		st2 := st.clone()
+// ceiling is the cut's upper bound on the value sent from slot t on.
+func (s *WeightedSolver) ceiling(t int, w uint64) int64 {
+	live := (w | w>>planeCross | w>>planeOut | s.future[t]) & planeMask
+	var total int64
+	for _, out := range s.outs[:s.nOut] {
+		left := s.slots - t
+		for c := live & out; c != 0 && left > 0; c &= c - 1 {
+			total += s.val[bits.TrailingZeros64(c)]
+			left--
+		}
+	}
+	return total
+}
+
+// cycle returns the optimum from the start of cycle c of slot t in state
+// w; after the last cycle it applies the fixed transmission phase and the
+// next slot's admissions.
+func (s *WeightedSolver) cycle(t, c int, w uint64) int64 {
+	if c == s.speedup {
 		var sent int64
-		for j := range st2.oq {
-			if len(st2.oq[j]) > 0 {
-				var v int64
-				v, st2.oq[j] = st2.oq[j].popHead()
-				sent += v
+		for _, out := range s.outs[:s.nOut] {
+			if q := w >> planeOut & out; q != 0 {
+				head := uint(bits.TrailingZeros64(q))
+				sent += s.val[head]
+				w &^= 1 << (head + planeOut)
 			}
 		}
-		rest, err := s.slot(t+1, st2)
-		return sent + rest, err
+		if t+1 == s.slots {
+			return sent
+		}
+		return sent + s.admit(t+1, s.first[t+1], w)
 	}
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	fr := s.frame(t*s.cfg.Speedup+c, 0, n, m)
-	fr.key = st.appendKey(append(fr.key[:0], byte(t), byte(c)))
-	if v, ok := s.memo[string(fr.key)]; ok {
-		return v, nil
+	key := uint64(t*s.speedup+c)<<tagShift | w
+	if v, ok := s.memo.get(key); ok {
+		return v
 	}
-	if len(s.memo) > memoCap {
-		return 0, ErrTooLarge
+	ceil := s.ceiling(t, w)
+	if ceil == 0 {
+		return 0
+	}
+	if s.memo.used > memoCap {
+		s.tooLarge = true
+		return 0
 	}
 	var best int64
-	var err error
-	if s.crossbar {
-		best, err = s.xbarCycle(t, c, st)
-	} else {
-		best, err = s.cioqCycle(t, c, fr, st)
+	if s.explore(t, c, 0, w, 0, ceil, &best) {
+		if s.tooLarge {
+			return 0
+		}
+		s.cuts++
 	}
-	if err != nil {
-		return 0, err
-	}
-	s.memo[string(fr.key)] = best
-	return best, nil
+	s.memo.put(key, best)
+	return best
 }
 
-// cioqCycle enumerates matchings over eligible (i,j) edges.
-func (s *WeightedSolver) cioqCycle(t, c int, fr *exactFrame, st *wState) (int64, error) {
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	edges := fr.edges[:0]
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			q := st.iq[i*m+j]
-			if len(q) == 0 {
+// explore enumerates the choices of stages k.. of the cycle, folding the
+// value of every completed cycle into *best. It reports true when the
+// enumeration should stop: *best reached the ceiling, or the memo is full.
+func (s *WeightedSolver) explore(t, c, k int, w uint64, used uint32, ceil int64, best *int64) bool {
+	if k == len(s.stages) {
+		*best = max(*best, s.cycle(t, c+1, w))
+		return *best >= ceil || s.tooLarge
+	}
+	for _, mv := range s.stages[k] {
+		src := w >> mv.from & mv.src
+		if src == 0 || used&mv.out != 0 {
+			continue
+		}
+		head, next := uint(bits.TrailingZeros64(src)), w
+		if dst := w >> mv.to & mv.dst; bits.OnesCount64(dst) == mv.room {
+			tail := uint(bits.Len64(dst)) - 1
+			if s.val[tail] >= s.val[head] {
 				continue
 			}
-			oq := st.oq[j]
-			if len(oq) < s.cfg.OutputBuf || oq[len(oq)-1] < q[0] {
-				edges = append(edges, unitEdge{int32(i), int32(j)})
-			}
+			next &^= 1 << (tail + mv.to) // preempt the minimum
+		}
+		next = next&^(1<<(head+mv.from)) | 1<<(head+mv.to)
+		if s.explore(t, c, k+1, next, used|mv.out, ceil, best) {
+			return true
 		}
 	}
-	fr.edges = edges
-	clear(fr.usedIn)
-	clear(fr.usedOut)
-	best := int64(-1)
-	if err := s.cioqRec(t, c, 0, fr, st, &best); err != nil {
-		return 0, err
-	}
-	return best, nil
-}
-
-func (s *WeightedSolver) cioqRec(t, c, k int, fr *exactFrame, cur *wState, best *int64) error {
-	if k == len(fr.edges) {
-		v, err := s.cycle(t, c+1, cur)
-		if err != nil {
-			return err
-		}
-		if v > *best {
-			*best = v
-		}
-		return nil
-	}
-	if err := s.cioqRec(t, c, k+1, fr, cur, best); err != nil {
-		return err
-	}
-	e := fr.edges[k]
-	i, j := int(e.i), int(e.j)
-	if fr.usedIn[i] || fr.usedOut[j] {
-		return nil
-	}
-	m := s.cfg.Outputs
-	fr.usedIn[i], fr.usedOut[j] = true, true
-	st2 := cur.clone()
-	var v int64
-	v, st2.iq[i*m+j] = st2.iq[i*m+j].popHead()
-	oq := st2.oq[j]
-	if len(oq) == s.cfg.OutputBuf {
-		_, oq = oq.popTail() // preempt the minimum
-	}
-	st2.oq[j] = oq.insert(v)
-	err := s.cioqRec(t, c, k+1, fr, st2, best)
-	fr.usedIn[i], fr.usedOut[j] = false, false
-	return err
-}
-
-// xbarCycle enumerates input-subphase and output-subphase choices.
-func (s *WeightedSolver) xbarCycle(t, c int, st *wState) (int64, error) {
-	best := int64(-1)
-	if err := s.xbarInputRec(t, c, 0, st, &best); err != nil {
-		return 0, err
-	}
-	return best, nil
-}
-
-func (s *WeightedSolver) xbarInputRec(t, c, i int, cur *wState, best *int64) error {
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	if i == n {
-		return s.xbarOutputRec(t, c, 0, cur, best)
-	}
-	if err := s.xbarInputRec(t, c, i+1, cur, best); err != nil {
-		return err
-	}
-	for j := 0; j < m; j++ {
-		q := cur.iq[i*m+j]
-		if len(q) == 0 {
-			continue
-		}
-		xq := cur.xq[i*m+j]
-		if len(xq) == s.cfg.CrossBuf && xq[len(xq)-1] >= q[0] {
-			continue
-		}
-		st2 := cur.clone()
-		var v int64
-		v, st2.iq[i*m+j] = st2.iq[i*m+j].popHead()
-		x2 := st2.xq[i*m+j]
-		if len(x2) == s.cfg.CrossBuf {
-			_, x2 = x2.popTail()
-		}
-		st2.xq[i*m+j] = x2.insert(v)
-		if err := s.xbarInputRec(t, c, i+1, st2, best); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *WeightedSolver) xbarOutputRec(t, c, j int, cur *wState, best *int64) error {
-	n, m := s.cfg.Inputs, s.cfg.Outputs
-	if j == m {
-		v, err := s.cycle(t, c+1, cur)
-		if err != nil {
-			return err
-		}
-		if v > *best {
-			*best = v
-		}
-		return nil
-	}
-	if err := s.xbarOutputRec(t, c, j+1, cur, best); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		q := cur.xq[i*m+j]
-		if len(q) == 0 {
-			continue
-		}
-		oq := cur.oq[j]
-		if len(oq) == s.cfg.OutputBuf && oq[len(oq)-1] >= q[0] {
-			continue
-		}
-		st2 := cur.clone()
-		var v int64
-		v, st2.xq[i*m+j] = st2.xq[i*m+j].popHead()
-		o2 := st2.oq[j]
-		if len(o2) == s.cfg.OutputBuf {
-			_, o2 = o2.popTail()
-		}
-		st2.oq[j] = o2.insert(v)
-		if err := s.xbarOutputRec(t, c, j+1, st2, best); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.explore(t, c, k+1, w, used, ceil, best)
 }
 
 var weightedPool = sync.Pool{New: func() any { return new(WeightedSolver) }}

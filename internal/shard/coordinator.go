@@ -205,7 +205,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	c.health = make([]*workerHealthState, len(opts.Workers))
 	for i, ws := range opts.Workers {
-		c.health[i] = &workerHealthState{h: WorkerHealth{Worker: i, State: "connecting"}}
+		c.health[i] = &workerHealthState{h: WorkerHealth{Worker: i, State: "connecting"}, settled: make(chan struct{})}
 		h := &workerHandle{c: c, spec: ws, idx: i, hs: c.health[i]}
 		if reg := opts.Metrics; reg != nil {
 			label := fmt.Sprintf(`{worker="%d"}`, i)
@@ -234,6 +234,25 @@ func (c *Coordinator) Health() []WorkerHealth {
 		out[i] = hs.snapshot()
 	}
 	return out
+}
+
+// WaitReady blocks until every configured worker slot has settled for the
+// first time — finished its handshake and is serving, or spent its respawn
+// budget and is excluded — so that the chunks submitted next are spread
+// over the whole fleet instead of racing the slower handshakes. It returns
+// ctx's error if ctx ends first and ErrClosed if the coordinator is closed
+// first; with no workers configured it returns at once.
+func (c *Coordinator) WaitReady(ctx context.Context) error {
+	for _, hs := range c.health {
+		select {
+		case <-hs.settled:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-c.done:
+			return ErrClosed
+		}
+	}
+	return nil
 }
 
 // Close stops supervision, tears down spawned workers and closes the

@@ -90,8 +90,10 @@ type WorkerHealth struct {
 // workerHealthState is the coordinator-side mutable slot behind one
 // WorkerHealth row.
 type workerHealthState struct {
-	mu sync.Mutex
-	h  WorkerHealth
+	mu      sync.Mutex
+	h       WorkerHealth
+	settle  sync.Once
+	settled chan struct{} // closed when the slot first leaves "connecting"
 }
 
 func (s *workerHealthState) setState(state string) {
@@ -101,6 +103,9 @@ func (s *workerHealthState) setState(state string) {
 	s.mu.Lock()
 	s.h.State = state
 	s.mu.Unlock()
+	if state != "connecting" {
+		s.settle.Do(func() { close(s.settled) })
+	}
 }
 
 func (s *workerHealthState) snapshot() WorkerHealth {

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -191,6 +194,11 @@ func TestCoordinatorHealthAndMetrics(t *testing.T) {
 		Workers: workerSpecs(t, "", ""),
 		Metrics: reg,
 	})
+	// Six micro-chunks can finish on one worker before the other's
+	// handshake does; the assertions below are about a settled fleet.
+	if err := c.WaitReady(context.Background()); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
 	if _, err := ratio.RunSharded(context.Background(), c, microReq(), runs, 4); err != nil {
 		t.Fatalf("RunSharded: %v", err)
 	}
@@ -232,5 +240,46 @@ func TestCoordinatorHealthAndMetrics(t *testing.T) {
 	}
 	if _, err := obs.ParsePrometheus(&buf); err != nil {
 		t.Fatalf("coordinator registry is not parseable: %v", err)
+	}
+}
+
+// TestWaitReady covers the readiness barrier's four ways out: nothing to
+// wait for, slots that settle by being excluded, a context that ends
+// first, and a coordinator closed first.
+func TestWaitReady(t *testing.T) {
+	if err := newTestCoordinator(t, CoordinatorOptions{}).WaitReady(context.Background()); err != nil {
+		t.Errorf("no workers: %v", err)
+	}
+
+	gone := newTestCoordinator(t, CoordinatorOptions{
+		Workers:     []WorkerSpec{{Cmd: []string{filepath.Join(t.TempDir(), "no-such-worker")}}},
+		MaxRespawns: 1,
+	})
+	if err := gone.WaitReady(context.Background()); err != nil {
+		t.Errorf("unreachable worker: %v", err)
+	}
+	if h := gone.Health(); h[0].State != "excluded" {
+		t.Errorf("unreachable worker settled as %q, want excluded", h[0].State)
+	}
+
+	// A peer that accepts and never answers the hello keeps its slot
+	// connecting for as long as the test cares to look.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	silent := newTestCoordinator(t, CoordinatorOptions{
+		Workers:          []WorkerSpec{{Addr: ln.Addr().String()}},
+		HeartbeatTimeout: time.Minute,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := silent.WaitReady(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: got %v, want context.Canceled", err)
+	}
+	silent.Close()
+	if err := silent.WaitReady(context.Background()); !errors.Is(err, ErrClosed) {
+		t.Errorf("closed coordinator: got %v, want ErrClosed", err)
 	}
 }
