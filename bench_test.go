@@ -785,11 +785,12 @@ func BenchmarkFleetRatioGM16B256(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Judge benchmarks: the offline upper-bound solves that dominate
 // exact-judged Monte-Carlo estimation. The same names measure both judge
-// generations: the combinatorial epoch solver by default, or the retained
+// generations: the forward sweep by default, or the retained
 // time-expanded min-cost-flow reference with QSWITCH_MCMF=1 (BENCH_5.json
-// holds the flow baseline, BENCH_5_post.json the epoch solver; record the
-// flow runs with -benchtime 1x — on million-slot traces one reference
-// solve takes minutes, which is precisely the point).
+// holds the flow baseline, BENCH_5_post.json the epoch-tree solver the
+// sweep replaced; record the flow runs with -benchtime 1x — on
+// million-slot traces one reference solve takes minutes, which is
+// precisely the point).
 // ---------------------------------------------------------------------------
 
 func judgeFlowReference() bool { return os.Getenv("QSWITCH_MCMF") != "" }
@@ -844,9 +845,9 @@ func BenchmarkJudgeQuiescentUB8(b *testing.B) {
 	benchJudgeUB(b, cfg, seq, true)
 }
 
-// BenchmarkJudgeDenseUB8 judges a dense weighted 2000-slot trace: here the
-// epoch axis is as long as the slot axis, so the win is the O(K log K)
-// greedy against per-packet shortest paths, not timeline compression.
+// BenchmarkJudgeDenseUB8 judges a dense weighted 2000-slot trace: every
+// slot has arrivals, so the cost is the per-packet heap work, not the
+// skipping of empty stretches.
 func BenchmarkJudgeDenseUB8(b *testing.B) {
 	cfg := switchsim.Config{Inputs: 8, Outputs: 8, InputBuf: 4, OutputBuf: 4,
 		Speedup: 1, Slots: 2000}

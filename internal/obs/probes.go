@@ -139,13 +139,14 @@ func (p *FleetProbes) RecordFallback(instances int64) {
 // and the epoch-compression sizes that explain why judging is
 // horizon-independent. The zero and nil values are no-ops.
 type JudgeProbes struct {
-	// Solves counts QueueOPTSolver.Solve calls (the per-port engine
-	// behind every upper-bound judge).
+	// Solves counts single-queue solves: one per relaxed port of every
+	// upper-bound judge call, one per QueueOPTSolver.Solve.
 	Solves *Counter
 	// Packets counts packets fed to those solves.
 	Packets *Counter
-	// Epochs counts distinct arrival epochs actually solved over — the
-	// compressed timeline; Epochs/Packets is the compression ratio.
+	// Epochs counts the distinct arrival slots of those solves — the only
+	// points of the timeline a solve touches; Epochs/Packets is the
+	// compression ratio.
 	Epochs *Counter
 	// ExactSolves counts exact DP judge solves (ExactUnit*/ExactWeighted*).
 	ExactSolves *Counter
@@ -162,13 +163,20 @@ func NewJudgeProbes(r *Registry) *JudgeProbes {
 	}
 }
 
-// RecordSolve flushes one epoch solve over `packets` packets compressed
-// to `epochs` distinct arrival slots. Safe on a nil receiver.
+// RecordSolve flushes one single-queue solve over `packets` packets
+// arriving in `epochs` distinct slots. Safe on a nil receiver.
 func (p *JudgeProbes) RecordSolve(packets, epochs int64) {
+	p.RecordSolves(1, packets, epochs)
+}
+
+// RecordSolves flushes the `solves` single-queue solves of one bound call
+// at once: their packets and distinct arrival slots, summed. Safe on a nil
+// receiver.
+func (p *JudgeProbes) RecordSolves(solves, packets, epochs int64) {
 	if p == nil {
 		return
 	}
-	p.Solves.Inc()
+	p.Solves.Add(solves)
 	p.Packets.Add(packets)
 	p.Epochs.Add(epochs)
 }

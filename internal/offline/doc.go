@@ -23,15 +23,20 @@
 //     CIOQ/crossbar schedule maps to a feasible schedule of the
 //     relaxation, so its optimum upper-bounds OPT.
 //
-// The single-queue relaxations are solved combinatorially on the
-// compressed timeline of arrival epochs (QueueOPTSolver): empty stretches
-// cost O(1), so judging a sparse million-slot trace costs what judging its
-// packets costs. The previous formulation — min-cost flow on the
-// time-expanded line graph, two nodes per slot — is retained as
-// SingleQueueOPTFlow / CombinedUpperBoundFlow and pinned exact-equal by
-// the differential suite and FuzzSingleQueueOPT. UpperBoundSolver carries
-// reusable scratch for all of it, so a reused judge allocates nothing in
-// steady state.
+// The single-queue relaxations are solved by one forward sweep over the
+// sequence (sweepQueue): a relaxed queue has no FIFO constraint, so keeping
+// the bufCap most valuable packets and sending the most valuable first is
+// exact, a packet costs O(log bufCap) — O(1) when values are equal — and an
+// empty stretch costs O(1), so judging a sparse million-slot trace costs
+// what judging its packets costs. UpperBoundSolver fuses validation and
+// both sides' queues into that one pass and keeps the per-port heaps, so a
+// reused judge allocates nothing in steady state. Two earlier formulations
+// are the oracles of the differential suite, FuzzSingleQueueOPT and
+// FuzzCombinedUpperBound, pinned exact-equal: min-cost flow on the
+// time-expanded line graph, two nodes per slot (SingleQueueOPTFlow /
+// CombinedUpperBoundFlow), and the value-ordered greedy on the compressed
+// arrival-epoch axis with two lazy segment trees (refQueueOPTSolver in
+// reference_test.go).
 //
 // The exact solvers keep a whole switch state in one machine word (queue
 // lengths as bit fields; for weighted instances, which queue holds each

@@ -49,28 +49,40 @@ func TestReusedJudgeIsHistoryIndependent(t *testing.T) {
 
 // TestReusedJudgeZeroAllocsSteadyState pins the Judge refactor's alloc
 // contract at the ratio layer: a worker-held upper-bound judge evaluating
-// sequence after sequence allocates nothing once warm.
+// sequence after sequence allocates nothing once warm — on a bursty
+// weighted stream, and on the fleet's gm16 chunk (256 seeded 16×16×64
+// unit-value sequences, BenchmarkJudgeMonteCarloUB16's shape).
 func TestReusedJudgeZeroAllocsSteadyState(t *testing.T) {
-	cfg := switchsim.Config{Inputs: 8, Outputs: 8, InputBuf: 2, OutputBuf: 4,
-		CrossBuf: 1, Speedup: 2, Slots: 400}
-	seqs := make([]packet.Sequence, 8)
-	for k := range seqs {
-		rng := rand.New(rand.NewSource(int64(k)))
-		seqs[k] = packet.PoissonBurst{OffMean: 30, BurstMean: 4,
-			Values: packet.UniformValues{Hi: 20}}.Generate(rng, 8, 8, cfg.Slots)
-	}
-	j := UpperBoundCIOQ()
-	k := 0
-	judge := func() {
-		if _, err := j.Judge(cfg, seqs[k%len(seqs)]); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		cfg  switchsim.Config
+		gen  packet.Generator
+		seqs int
+	}{
+		{"bursty8", switchsim.Config{Inputs: 8, Outputs: 8, InputBuf: 2, OutputBuf: 4,
+			CrossBuf: 1, Speedup: 2, Slots: 400},
+			packet.PoissonBurst{OffMean: 30, BurstMean: 4, Values: packet.UniformValues{Hi: 20}}, 8},
+		{"gm16", switchsim.Config{Inputs: 16, Outputs: 16, InputBuf: 2, OutputBuf: 2,
+			Speedup: 1, Slots: 64},
+			packet.Bernoulli{Load: 1.2}, 256},
+	} {
+		seqs := make([]packet.Sequence, tc.seqs)
+		for k := range seqs {
+			rng := rand.New(rand.NewSource(int64(k + 1)))
+			seqs[k] = tc.gen.Generate(rng, tc.cfg.Inputs, tc.cfg.Outputs, tc.cfg.Slots)
 		}
-		k++
-	}
-	for w := 0; w < 2*len(seqs); w++ {
-		judge()
-	}
-	if allocs := testing.AllocsPerRun(32, judge); allocs != 0 {
-		t.Errorf("reused judge allocates %.1f/sequence, want 0", allocs)
+		j := UpperBoundCIOQ()
+		pass := func() {
+			for _, seq := range seqs {
+				if _, err := j.Judge(tc.cfg, seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pass()
+		if allocs := testing.AllocsPerRun(4, pass); allocs != 0 {
+			t.Errorf("%s: reused judge allocates %.1f per pass over %d sequences, want 0",
+				tc.name, allocs, tc.seqs)
+		}
 	}
 }
