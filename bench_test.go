@@ -951,21 +951,21 @@ func streamBenchFlowMix() packet.Generator {
 	return packet.FlowMix{FlowRate: 0.0002, Values: packet.UniformValues{Hi: 20}}
 }
 
-func benchStreamCIOQ(b *testing.B, gen packet.Generator, mk func() switchsim.CIOQPolicy) {
+func benchStreamCIOQ(b *testing.B, gen packet.Generator, mk func() switchsim.CIOQPolicy, slots int) {
 	const n = 4
 	cfg := switchsim.Config{
 		Inputs: n, Outputs: n, InputBuf: 4, OutputBuf: 8,
-		Speedup: 2, Slots: streamBenchSlots,
+		Speedup: 2, Slots: slots,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := packet.StreamTraffic(gen, rand.New(rand.NewSource(7)), n, n, streamBenchSlots)
+		src := packet.StreamTraffic(gen, rand.New(rand.NewSource(7)), n, n, slots)
 		if _, err := switchsim.RunCIOQStream(cfg, mk(), src); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/streamBenchSlots, "ns/slot")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(slots), "ns/slot")
 }
 
 func benchStreamCrossbar(b *testing.B, gen packet.Generator, mk func() switchsim.CrossbarPolicy) {
@@ -986,13 +986,21 @@ func benchStreamCrossbar(b *testing.B, gen packet.Generator, mk func() switchsim
 }
 
 func BenchmarkStreamCIOQGMDiurnal4(b *testing.B) {
-	benchStreamCIOQ(b, streamBenchDiurnal(), func() switchsim.CIOQPolicy { return &core.GM{} })
+	benchStreamCIOQ(b, streamBenchDiurnal(), func() switchsim.CIOQPolicy { return &core.GM{} }, streamBenchSlots)
 }
 func BenchmarkStreamCIOQPGDiurnal4(b *testing.B) {
-	benchStreamCIOQ(b, streamBenchDiurnal(), func() switchsim.CIOQPolicy { return &core.PG{} })
+	benchStreamCIOQ(b, streamBenchDiurnal(), func() switchsim.CIOQPolicy { return &core.PG{} }, streamBenchSlots)
 }
 func BenchmarkStreamCIOQGMFlowMix4(b *testing.B) {
-	benchStreamCIOQ(b, streamBenchFlowMix(), func() switchsim.CIOQPolicy { return &core.GM{} })
+	benchStreamCIOQ(b, streamBenchFlowMix(), func() switchsim.CIOQPolicy { return &core.GM{} }, streamBenchSlots)
+}
+
+// BenchmarkStreamFlowMixSparse is the kernel of the suite's sparse_stream
+// flowmix_cioq_gm cell at a horizon short enough to iterate: the event-driven
+// arrival synthesis (GenStream jumping to the source's next busy slot) plus
+// the engine's idle jumps, A/B-able in-process without the suite.
+func BenchmarkStreamFlowMixSparse(b *testing.B) {
+	benchStreamCIOQ(b, streamBenchFlowMix(), func() switchsim.CIOQPolicy { return &core.GM{} }, 1_000_000)
 }
 func BenchmarkStreamCrossbarCGUDiurnal4(b *testing.B) {
 	benchStreamCrossbar(b, streamBenchDiurnal(), func() switchsim.CrossbarPolicy { return &core.CGU{} })

@@ -48,4 +48,14 @@
 // checking as ReadBinary. StreamTraffic picks the streaming path when
 // the generator supports it and falls back to materialize-then-stream
 // otherwise, so callers get identical packets either way.
+//
+// Arrival synthesis is event-driven. A SlotSource names its next busy slot
+// (NextBusy: the first slot at which AppendSlot can draw from the RNG,
+// change state or emit), and the one loop that drives sources — shared by
+// Generate and GenStream — calls AppendSlot only there: ascending slots,
+// every slot left out inside a stretch the source itself reported idle. No
+// RNG draw moves, so sequences are bit-identical to visiting every slot
+// (the every-slot driver survives as the test oracle in reference_test.go)
+// while the cost of a sparse FlowMix or a Diurnal trough is per event, not
+// per slot of the horizon.
 package packet

@@ -23,16 +23,23 @@ import (
 //
 // Flow openings per input follow a Bernoulli(rate) process per slot,
 // sampled by geometric inter-opening gaps when the stage rate is below 1
-// (one draw per opening instead of one per slot, so idle inputs on sparse
-// mixes cost nothing; gaps are redrawn at stage boundaries, which the
-// geometric's memorylessness makes exactly equivalent to slot-by-slot
-// sampling under the time-varying rate). Rates of 1 and above fall back
-// to one wholeArrivals draw per input per slot. Per opened flow the draw
-// order is a type draw (elephant with probability ElephantFrac) then a
-// destination draw; then one value draw per emitted packet, oldest flow
-// first. Flows beyond MaxActive are not opened (the arrival process is
-// load-shedding, not queued), which bounds both memory and the per-input
-// offered load.
+// (one draw per opening instead of one per slot; gaps are redrawn at stage
+// boundaries, which the geometric's memorylessness makes exactly equivalent
+// to slot-by-slot sampling under the time-varying rate). Rates of 1 and
+// above fall back to one wholeArrivals draw per input per slot. Per opened
+// flow the draw order is a type draw (elephant with probability
+// ElephantFrac) then a destination draw; then one value draw per emitted
+// packet, oldest flow first. Flows beyond MaxActive are not opened (the
+// arrival process is load-shedding, not queued), which bounds both memory
+// and the per-input offered load.
+//
+// Idle stretches on sparse mixes cost nothing, for the generator and for
+// its consumer: while no flow is open, NextBusy names the earliest pending
+// opening or the next stage boundary, whichever comes first, and the driver
+// jumps there. A stage boundary is always a busy slot, even into a silent
+// stage: the redraw sets the stage's rate and window and anchors every new
+// gap (one RNG draw each) at the slot it runs on, so it must run on exactly
+// the boundary slot for the sequence to match slot-by-slot sampling.
 type FlowMix struct {
 	// FlowRate is the mean number of new flows opened per input per slot
 	// at stage intensity 1. The mean per-input packet load is roughly
@@ -171,6 +178,7 @@ type flowMixSource struct {
 	elephant   int
 	efrac      float64
 	active     [][]flow // per input, in flow-open order
+	open       int      // flows open across all inputs
 
 	// Current stage window, cached so the per-slot cost is a comparison
 	// instead of two integer divisions (felt on 10⁸-slot streamed runs).
@@ -178,6 +186,24 @@ type flowMixSource struct {
 	stageEnd int     // first slot of the next stage window
 	perSlot  bool    // rate >= 1: one wholeArrivals draw per input per slot
 	nextOpen []int   // gap mode: per input, the next slot an opening fires
+}
+
+// NextBusy implements SlotSource. With a flow open every slot emits, in
+// per-slot mode every slot draws, and a due stage boundary must run on
+// slot t itself; otherwise nothing happens before the earliest pending
+// opening or the next boundary. AppendSlot leaves every nextOpen entry past
+// the slot it ran on, so the minimum is never behind t.
+func (s *flowMixSource) NextBusy(t int) int {
+	if s.perSlot || s.open > 0 || t >= s.stageEnd {
+		return t
+	}
+	next := s.stageEnd
+	for _, o := range s.nextOpen {
+		if o < next {
+			next = o
+		}
+	}
+	return next
 }
 
 func (s *flowMixSource) AppendSlot(dst Sequence, t int) Sequence {
@@ -220,6 +246,7 @@ func (s *flowMixSource) AppendSlot(dst Sequence, t int) Sequence {
 			}
 			f.out = s.rng.Intn(s.outputs)
 			s.active[i] = append(s.active[i], f)
+			s.open++
 		}
 		// Every open flow emits one packet this slot; finished flows are
 		// compacted out in place, preserving open order.
@@ -232,6 +259,7 @@ func (s *flowMixSource) AppendSlot(dst Sequence, t int) Sequence {
 				live = append(live, f)
 			}
 		}
+		s.open -= len(flows) - len(live)
 		s.active[i] = live
 	}
 	return dst

@@ -49,6 +49,9 @@ type bernoulliSource struct {
 	inputs, outputs int
 }
 
+// NextBusy implements SlotSource: every slot draws.
+func (s *bernoulliSource) NextBusy(t int) int { return t }
+
 func (s *bernoulliSource) AppendSlot(dst Sequence, t int) Sequence {
 	for i := 0; i < s.inputs; i++ {
 		n := wholeArrivals(s.rng, s.g.Load)
@@ -95,6 +98,9 @@ type hotspotSource struct {
 	inputs, outputs int
 }
 
+// NextBusy implements SlotSource: every slot draws.
+func (s *hotspotSource) NextBusy(t int) int { return t }
+
 func (s *hotspotSource) AppendSlot(dst Sequence, t int) Sequence {
 	for i := 0; i < s.inputs; i++ {
 		n := wholeArrivals(s.rng, s.g.Load)
@@ -140,6 +146,9 @@ type diagonalSource struct {
 	rng             *rand.Rand
 	inputs, outputs int
 }
+
+// NextBusy implements SlotSource: every slot draws.
+func (s *diagonalSource) NextBusy(t int) int { return t }
 
 func (s *diagonalSource) AppendSlot(dst Sequence, t int) Sequence {
 	for i := 0; i < s.inputs; i++ {
@@ -207,6 +216,9 @@ type burstySource struct {
 	dest    []int
 }
 
+// NextBusy implements SlotSource: every slot draws, ON or OFF.
+func (s *burstySource) NextBusy(t int) int { return t }
+
 func (s *burstySource) AppendSlot(dst Sequence, t int) Sequence {
 	for i := range s.on {
 		if s.on[i] {
@@ -264,6 +276,9 @@ type permutationSource struct {
 	inputs, outputs int
 	perm            []int
 }
+
+// NextBusy implements SlotSource: every slot draws.
+func (s *permutationSource) NextBusy(t int) int { return t }
 
 func (s *permutationSource) AppendSlot(dst Sequence, t int) Sequence {
 	for i := 0; i < s.inputs; i++ {

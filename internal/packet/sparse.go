@@ -80,7 +80,8 @@ func (g Diurnal) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
 
 // Source implements SlotStreamer: the sinusoidal load depends only on the
 // slot number, so the process is slot-major and streams with no lookahead.
-// Silent trough slots consume no RNG draws at all.
+// Silent trough slots consume no RNG draws at all, and NextBusy lets the
+// driver jump a whole trough in one step.
 func (g Diurnal) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
 	period := g.Period
 	if period < 2 {
@@ -94,11 +95,37 @@ func (g Diurnal) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
 	// either way — the table is a cache, not an approximation.
 	if period <= 1<<20 {
 		s.loads = make([]float64, period)
+		silent := false
 		for t := range s.loads {
 			s.loads[t] = s.loadAt(t)
+			silent = silent || s.loads[t] <= 0
+		}
+		if silent {
+			s.skip = troughSkips(s.loads)
 		}
 	}
 	return s
+}
+
+// troughSkips returns, per phase of the cycle, how many slots ahead the next
+// phase with a positive load lies (0 on a positive phase, wrapping around
+// the cycle), or -1 throughout when the whole cycle is silent.
+func troughSkips(loads []float64) []int32 {
+	n := len(loads)
+	skip := make([]int32, n)
+	d := int32(-1)
+	// Backwards over two cycles: the first carries the distance across the
+	// wrap-around, the second writes the final values.
+	for k := 2*n - 1; k >= 0; k-- {
+		switch {
+		case !(loads[k%n] <= 0): // the test AppendSlot applies, NaN included
+			d = 0
+		case d >= 0:
+			d++
+		}
+		skip[k%n] = d
+	}
+	return skip
 }
 
 type diurnalSource struct {
@@ -108,10 +135,25 @@ type diurnalSource struct {
 	inputs, outputs int
 	period          int
 	loads           []float64 // load per t mod period; nil for huge periods
+	skip            []int32   // slots to the next positive load per t mod period; nil if none is silent
 }
 
 func (s *diurnalSource) loadAt(t int) float64 {
 	return s.g.Load * (1 + s.g.Amplitude*math.Sin(2*math.Pi*float64(t%s.period)/float64(s.period)))
+}
+
+// NextBusy implements SlotSource: a slot whose load is not positive draws
+// nothing, so the troughs are skipped from the table. Without one (no
+// silent phase, or a period too large to tabulate) every slot is offered.
+func (s *diurnalSource) NextBusy(t int) int {
+	if s.skip == nil {
+		return t
+	}
+	d := s.skip[t%s.period]
+	if d < 0 {
+		return math.MaxInt
+	}
+	return t + int(d)
 }
 
 func (s *diurnalSource) AppendSlot(dst Sequence, t int) Sequence {

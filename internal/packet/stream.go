@@ -16,8 +16,8 @@ import "math/rand"
 //   - SeqStream replays an in-memory Sequence (and is how the slice and
 //     stream front ends are pinned bit-identical in the differential suites);
 //   - GenStream synthesizes arrivals lazily from a SlotSource, a window of
-//     slots at a time (StreamTraffic builds one for any SlotStreamer
-//     generator);
+//     slots at a time and only at the slots the source reports busy
+//     (StreamTraffic builds one for any SlotStreamer generator);
 //   - TraceStream (tracestream.go) decodes the CRC-framed binary trace
 //     format with windowed read-ahead.
 
@@ -36,16 +36,26 @@ type ArrivalStream interface {
 	Err() error
 }
 
-// SlotSource is the incremental form of a slot-major generator: AppendSlot
-// appends slot t's arrivals to dst — in admission order, with Arrival, In,
-// Out and Value set — and returns the extended slice. Callers must invoke
-// it for consecutive slots t = 0, 1, 2, ... exactly once each; the caller
-// assigns packet IDs in append order, so sources leave ID zero. A source
-// owns its RNG and per-flow state, which is what makes a windowed consumer
-// equivalent to a full materialization: the draws happen in the same order
-// either way.
+// SlotSource is the incremental, event-driven form of a slot-major
+// generator. AppendSlot appends slot t's arrivals to dst — in admission
+// order, with Arrival, In, Out and Value set — and returns the extended
+// slice; the caller assigns packet IDs in append order, so sources leave ID
+// zero. NextBusy(t) names the first slot >= t whose AppendSlot call can draw
+// from the RNG, change the source's state or emit a packet: every slot in
+// [t, NextBusy(t)) is a no-op the driver may leave out. It draws nothing and
+// changes nothing itself, may answer early (a source that draws every slot
+// returns t) but never late, and returns math.MaxInt when no busy slot
+// remains.
+//
+// Callers invoke AppendSlot for ascending slots, each at most once, and
+// every slot they leave out lies in some [t, NextBusy(t)) they asked about
+// — the loop in synthesize. A source owns its RNG and per-flow state, which
+// is what makes a windowed consumer equivalent to a full materialization,
+// and a jumping driver equivalent to an every-slot one: the draws happen in
+// the same order either way.
 type SlotSource interface {
 	AppendSlot(dst Sequence, t int) Sequence
+	NextBusy(t int) int
 }
 
 // SlotStreamer is implemented by generators whose arrival process is
@@ -64,22 +74,31 @@ type SlotStreamer interface {
 	Source(rng *rand.Rand, inputs, outputs int) SlotSource
 }
 
-// generateFromSource implements Generator.Generate for SlotStreamer
-// generators: drive the source across every slot, assigning IDs in append
-// order. Slot-major append order is already sorted by (Arrival, ID), so the
-// closing Normalize is the identity and exists purely as insurance on the
-// documented contract.
-func generateFromSource(src SlotSource, slots int) Sequence {
-	var seq Sequence
-	var id int64
-	for t := 0; t < slots; t++ {
-		n := len(seq)
-		seq = src.AppendSlot(seq, t)
-		for k := n; k < len(seq); k++ {
-			seq[k].ID = id
+// synthesize is the one loop that drives a SlotSource: it appends the
+// arrivals of the source's busy slots in [from, end) to dst, numbering IDs
+// from id in append order, and jumps every stretch the source reports idle.
+// It returns the extended slice, the next ID and the first busy slot >= end,
+// where the next call resumes.
+func synthesize(dst Sequence, src SlotSource, from, end int, id int64) (Sequence, int64, int) {
+	t := src.NextBusy(from)
+	for ; t < end; t = src.NextBusy(t + 1) {
+		n := len(dst)
+		dst = src.AppendSlot(dst, t)
+		for k := n; k < len(dst); k++ {
+			dst[k].ID = id
 			id++
 		}
 	}
+	return dst, id, t
+}
+
+// generateFromSource implements Generator.Generate for SlotStreamer
+// generators: drive the source across the horizon's busy slots, assigning
+// IDs in append order. Slot-major append order is already sorted by
+// (Arrival, ID), so the closing Normalize is the identity and exists purely
+// as insurance on the documented contract.
+func generateFromSource(src SlotSource, slots int) Sequence {
+	seq, _, _ := synthesize(nil, src, 0, slots, 0)
 	return seq.Normalize()
 }
 
@@ -126,7 +145,9 @@ func (s *SeqStream) Next() (Packet, bool) {
 // Err implements ArrivalStream; replay cannot fail.
 func (s *SeqStream) Err() error { return nil }
 
-// streamWindow is the number of slots a GenStream synthesizes per refill.
+// streamWindow is the number of slots a GenStream covers per refill,
+// counted from the first busy slot at or after its position: the idle
+// stretch in front of a window costs one NextBusy call, not a window each.
 // Steady-state memory is one window's worth of arrivals regardless of the
 // horizon; the value trades refill frequency against buffer size and is
 // deliberately small enough that even line-rate traffic on wide switches
@@ -136,12 +157,13 @@ const streamWindow = 256
 // GenStream adapts a SlotSource to an ArrivalStream by synthesizing a
 // window of slots at a time into a reusable buffer. Output is
 // bit-identical to materializing the whole horizon via generateFromSource:
-// the source consumes its RNG in the same per-slot order, and IDs are
-// assigned in the same global append order.
+// both run the synthesize loop, so the source sees the same busy slots in
+// the same order and IDs are assigned in the same global append order. Work
+// is per busy slot, not per slot of the horizon.
 type GenStream struct {
 	src   SlotSource
 	slots int
-	t     int // next slot to synthesize
+	t     int // synthesis resumes at the first busy slot >= t
 	id    int64
 	buf   Sequence
 	pos   int
@@ -153,24 +175,18 @@ func NewGenStream(src SlotSource, slots int) *GenStream {
 }
 
 // fill refills the window buffer until it holds at least one unconsumed
-// packet or the horizon is exhausted. Empty windows (idle stretches) are
-// skipped in a loop, so sparse traffic never returns a false end-of-stream.
+// packet or the horizon is exhausted. Windows that come up empty (busy
+// slots that emit nothing, such as stage boundaries) are skipped in a loop,
+// so sparse traffic never returns a false end-of-stream.
 func (g *GenStream) fill() {
 	for g.pos >= len(g.buf) && g.t < g.slots {
-		g.buf = g.buf[:0]
 		g.pos = 0
-		end := g.t + streamWindow
-		if end > g.slots {
-			end = g.slots
+		first := g.src.NextBusy(g.t)
+		end := g.slots
+		if end-first > streamWindow {
+			end = first + streamWindow
 		}
-		for ; g.t < end; g.t++ {
-			n := len(g.buf)
-			g.buf = g.src.AppendSlot(g.buf, g.t)
-			for k := n; k < len(g.buf); k++ {
-				g.buf[k].ID = g.id
-				g.id++
-			}
-		}
+		g.buf, g.id, g.t = synthesize(g.buf[:0], g.src, first, end, g.id)
 	}
 }
 

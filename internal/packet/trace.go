@@ -26,7 +26,10 @@ import (
 // is self-describing and convenient for hand-editing small adversarial
 // sequences.
 
-const traceMagic = "QSWTRC01"
+const (
+	traceMagic     = "QSWTRC01"
+	traceRecordLen = 32 // bytes per record on the wire
+)
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
@@ -60,7 +63,7 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint64(len(tr.Packets))); err != nil {
 		return err
 	}
-	var rec [32]byte
+	var rec [traceRecordLen]byte
 	for _, p := range tr.Packets {
 		binary.LittleEndian.PutUint64(rec[0:], uint64(p.Arrival))
 		binary.LittleEndian.PutUint32(rec[8:], uint32(p.In))
@@ -118,7 +121,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		capHint = 1 << 20
 	}
 	tr := &Trace{Inputs: int(inputs), Outputs: int(outputs), Packets: make(Sequence, 0, capHint)}
-	var rec [32]byte
+	var rec [traceRecordLen]byte
 	for k := uint64(0); k < count; k++ {
 		if _, err := io.ReadFull(nr, rec[:]); err != nil {
 			return nil, fmt.Errorf("trace: reading record %d of %d at byte offset %d: %w", k, count, nr.off, err)
@@ -270,16 +273,24 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// fold advances the sum over the held-back tail plus p, less the newest 8
+// bytes, in place: a read of 8 bytes or more retires the whole old tail and
+// keeps its own last 8; shorter reads are stitched to the tail in a small
+// stack buffer.
 func (c *crcReader) fold(p []byte) {
-	buf := make([]byte, 0, c.ntail+len(p))
-	buf = append(buf, c.tail[:c.ntail]...)
-	buf = append(buf, p...)
-	if len(buf) > 8 {
-		c.sum = crc64.Update(c.sum, crcTable, buf[:len(buf)-8])
-		copy(c.tail[:], buf[len(buf)-8:])
-		c.ntail = 8
+	if len(p) >= 8 {
+		c.sum = crc64.Update(c.sum, crcTable, c.tail[:c.ntail])
+		c.sum = crc64.Update(c.sum, crcTable, p[:len(p)-8])
+		c.ntail = copy(c.tail[:], p[len(p)-8:])
+		return
+	}
+	var buf [16]byte
+	n := copy(buf[:], c.tail[:c.ntail])
+	n += copy(buf[n:], p)
+	if n > 8 {
+		c.sum = crc64.Update(c.sum, crcTable, buf[:n-8])
+		c.ntail = copy(c.tail[:], buf[n-8:n])
 	} else {
-		copy(c.tail[:], buf)
-		c.ntail = len(buf)
+		c.ntail = copy(c.tail[:], buf[:n])
 	}
 }

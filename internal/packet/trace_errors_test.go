@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -133,5 +134,54 @@ func TestLoadTraceWrapsPath(t *testing.T) {
 	}
 	if _, err := LoadTrace(filepath.Join(dir, "missing.qsw")); err == nil {
 		t.Error("missing file loaded")
+	}
+}
+
+// TestTraceStreamTruncationMatchesReadBinary: the stream reads a window of
+// records at a time, ReadBinary one record at a time; wherever a file is
+// cut — inside a record, on a record boundary, on a window boundary, before
+// or inside the trailer — both must report the same record, byte offset and
+// cause, and the stream must first hand out every window in front of the
+// one that failed.
+func TestTraceStreamTruncationMatchesReadBinary(t *testing.T) {
+	tr := sampleTrace(7, 600)
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	const headerLen = 8 + 4 + 4 + 8
+	count := len(tr.Packets)
+	if count <= 2*traceStreamWindow {
+		t.Fatalf("sample trace has %d records; need more than two windows", count)
+	}
+	for _, cut := range []int{
+		headerLen,
+		headerLen + 3*traceRecordLen + 10,
+		headerLen + 3*traceRecordLen,
+		headerLen + traceStreamWindow*traceRecordLen,
+		headerLen + traceStreamWindow*traceRecordLen + 1,
+		headerLen + (traceStreamWindow+188)*traceRecordLen + 31,
+		headerLen + 2*traceStreamWindow*traceRecordLen,
+		headerLen + count*traceRecordLen,
+		headerLen + count*traceRecordLen + 4,
+	} {
+		_, want := ReadBinary(bytes.NewReader(data[:cut]))
+		if want == nil {
+			t.Fatalf("cut %d: ReadBinary parsed a truncated trace", cut)
+		}
+		ts, err := newTraceStream(bytes.NewReader(data[:cut]))
+		if err != nil {
+			t.Fatalf("cut %d: header parse: %v", cut, err)
+		}
+		got := drain(t, ts)
+		if serr := ts.Err(); serr == nil || serr.Error() != want.Error() {
+			t.Errorf("cut %d: stream err %q, ReadBinary err %q", cut, serr, want)
+		}
+		whole := (cut - headerLen) / traceRecordLen // records in front of the cut
+		handed := min(whole, count-1) / traceStreamWindow * traceStreamWindow
+		if len(got) != handed || !reflect.DeepEqual(got, tr.Packets[:handed]) && handed > 0 {
+			t.Errorf("cut %d: stream handed out %d records before failing, want the first %d", cut, len(got), handed)
+		}
 	}
 }

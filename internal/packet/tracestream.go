@@ -9,9 +9,13 @@ import (
 )
 
 // traceStreamWindow is how many records a TraceStream decodes per refill.
-// 512 records is 16 KiB of wire data — one buffered read — and bounds the
-// stream's steady-state memory regardless of trace length.
-const traceStreamWindow = 512
+// 512 records is 16 KiB of wire data — one read out of the 64 KiB file
+// buffer — and bounds the stream's steady-state memory regardless of trace
+// length.
+const (
+	traceStreamWindow = 512
+	traceReadBuffer   = 64 << 10
+)
 
 // TraceStream reads a binary trace (the QSWTRC01 format of trace.go)
 // incrementally: the header is parsed on open, records are decoded a
@@ -38,6 +42,7 @@ type TraceStream struct {
 	count uint64 // records per the header
 	read  uint64 // records decoded so far
 
+	raw []byte // one window of wire records, reused across refills
 	buf Sequence
 	pos int
 
@@ -69,7 +74,7 @@ func OpenTraceStream(path string) (*TraceStream, error) {
 // newTraceStream parses the header from r and readies the record cursor.
 func newTraceStream(r io.Reader) (*TraceStream, error) {
 	cr := &crcReader{r: r}
-	nr := &countingReader{r: bufio.NewReader(cr)}
+	nr := &countingReader{r: bufio.NewReaderSize(cr, traceReadBuffer)}
 	magic := make([]byte, len(traceMagic))
 	if _, err := io.ReadFull(nr, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic at byte offset %d: %w", nr.off, err)
@@ -94,44 +99,61 @@ func newTraceStream(r io.Reader) (*TraceStream, error) {
 	return &TraceStream{
 		Inputs: int(inputs), Outputs: int(outputs),
 		cr: cr, nr: nr, count: count,
+		raw:    make([]byte, traceStreamWindow*traceRecordLen),
 		buf:    make(Sequence, 0, traceStreamWindow),
 		prevID: -1,
 	}, nil
 }
 
-// fill decodes the next window of records, validating each against the
-// trace geometry and the sequence ordering invariants. When the final
-// record has been decoded it reads and verifies the CRC trailer.
+// fill reads the next window of records with one read and decodes them,
+// validating each against the trace geometry and the sequence ordering
+// invariants. When the final record has been decoded it reads and verifies
+// the CRC trailer. Errors name the record and the byte offset a
+// record-at-a-time reader would stand at: the end of a record that fails a
+// check, the cut itself in a truncated file.
 func (t *TraceStream) fill() {
 	if t.err != nil || t.done || t.pos < len(t.buf) {
 		return
 	}
 	t.buf = t.buf[:0]
 	t.pos = 0
-	var rec [32]byte
-	for n := 0; n < traceStreamWindow && t.read < t.count; n++ {
-		if _, err := io.ReadFull(t.nr, rec[:]); err != nil {
-			t.err = fmt.Errorf("trace: reading record %d of %d at byte offset %d: %w", t.read, t.count, t.nr.off, err)
-			return
-		}
-		p, err := decodeRecord(rec[:], t.Inputs, t.Outputs)
+	want := t.count - t.read
+	if want > traceStreamWindow {
+		want = traceStreamWindow
+	}
+	base := t.nr.off
+	n, rerr := io.ReadFull(t.nr, t.raw[:want*traceRecordLen])
+	// A short read still decodes the whole records in front of the cut, so
+	// a bad record there is reported before the truncation behind it.
+	for lo := 0; lo+traceRecordLen <= n; lo += traceRecordLen {
+		off := base + int64(lo+traceRecordLen)
+		p, err := decodeRecord(t.raw[lo:lo+traceRecordLen], t.Inputs, t.Outputs)
 		if err != nil {
-			t.err = fmt.Errorf("trace: reading record %d of %d at byte offset %d: %w", t.read, t.count, t.nr.off, err)
+			t.err = fmt.Errorf("trace: reading record %d of %d at byte offset %d: %w", t.read, t.count, off, err)
 			return
 		}
 		if p.Arrival < t.prevArrival {
 			t.err = fmt.Errorf("trace: record %d at byte offset %d: arrival %d before previous %d",
-				t.read, t.nr.off, p.Arrival, t.prevArrival)
+				t.read, off, p.Arrival, t.prevArrival)
 			return
 		}
 		if p.ID <= t.prevID {
 			t.err = fmt.Errorf("trace: record %d at byte offset %d: id %d not ascending (prev %d)",
-				t.read, t.nr.off, p.ID, t.prevID)
+				t.read, off, p.ID, t.prevID)
 			return
 		}
 		t.prevArrival, t.prevID = p.Arrival, p.ID
 		t.buf = append(t.buf, p)
 		t.read++
+	}
+	if rerr != nil {
+		// A file cut on a record boundary ends cleanly for the record that
+		// is missing; only a cut inside a record is an unexpected EOF.
+		if rerr == io.ErrUnexpectedEOF && n%traceRecordLen == 0 {
+			rerr = io.EOF
+		}
+		t.err = fmt.Errorf("trace: reading record %d of %d at byte offset %d: %w", t.read, t.count, t.nr.off, rerr)
+		return
 	}
 	if t.read == t.count {
 		t.finish()
