@@ -33,16 +33,34 @@ func renderCSVs(t *testing.T, id string, opts Options) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenExperimentCSVs pins the E1-E4 CSV output (quick mode, fixed
-// seed) against checked-in goldens, so changes to table shape — column
-// order, CI annotations, formatting — are always explicit. Regenerate
-// with:
+// goldenIDs is every experiment whose quick-mode CSVs reproduce byte for
+// byte: all of them except the two wall-clock tables, E5 (timed matching
+// costs) and E9 (its sim_ns_per_slot column).
+func goldenIDs() []string {
+	var ids []string
+	for _, e := range All() {
+		if e.ID != "e5" && e.ID != "e9" {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
+}
+
+// goldenPath is the checked-in golden for one experiment.
+func goldenPath(id string) string {
+	return filepath.Join("testdata", "golden", id+".csv")
+}
+
+// TestGoldenExperimentCSVs pins the CSV output of every deterministic
+// experiment (quick mode, fixed seed) against checked-in goldens, so any
+// change to a number or to table shape — column order, CI annotations,
+// formatting — is always explicit. Regenerate with:
 //
 //	go test ./internal/experiments -run TestGoldenExperimentCSVs -update
 func TestGoldenExperimentCSVs(t *testing.T) {
-	for _, id := range []string{"e1", "e2", "e3", "e4"} {
+	for _, id := range goldenIDs() {
 		got := renderCSVs(t, id, Options{Quick: true, Seed: 5})
-		path := filepath.Join("testdata", "golden", id+".csv")
+		path := goldenPath(id)
 		if *update {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
@@ -59,6 +77,32 @@ func TestGoldenExperimentCSVs(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: CSV output diverged from golden %s (regenerate with -update if intended):\n got:\n%s\nwant:\n%s",
 				id, path, got, want)
+		}
+	}
+}
+
+// TestGoldenIdentityUnderLevers renders every golden experiment with the
+// fleet backend and with the event-driven fast path off: both are
+// wall-clock levers only, so each must reproduce the golden byte for byte.
+func TestGoldenIdentityUnderLevers(t *testing.T) {
+	if *update {
+		t.Skip("goldens are being rewritten")
+	}
+	for _, lever := range []struct {
+		name string
+		opts Options
+	}{
+		{"fleet", Options{Quick: true, Seed: 5, Fleet: true}},
+		{"dense", Options{Quick: true, Seed: 5, Dense: true}},
+	} {
+		for _, id := range goldenIDs() {
+			want, err := os.ReadFile(goldenPath(id))
+			if err != nil {
+				t.Fatalf("%s: reading golden: %v", id, err)
+			}
+			if got := renderCSVs(t, id, lever.opts); !bytes.Equal(got, want) {
+				t.Errorf("%s under %s: CSV output diverged from golden:\n got:\n%s\nwant:\n%s", id, lever.name, got, want)
+			}
 		}
 	}
 }
