@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"qswitch/internal/adversary"
@@ -24,7 +23,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// One benchmark per experiment (E1-E12). Each iteration regenerates the
+// One benchmark per experiment (E1-E16). Each iteration regenerates the
 // experiment's tables in quick mode; `go test -bench .` therefore exercises
 // the entire reproduction pipeline and reports how expensive each
 // table/figure is to produce.
@@ -304,14 +303,8 @@ func BenchmarkTraceEncodeDecode(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Sparse-trace benchmarks: long-horizon, low-load workloads where most
-// slots are idle — the regime the event-driven fast path targets. The
-// same benchmark names measure both engines: the fast path is the
-// default, set QSWITCH_DENSE=1 to measure the dense baseline
-// (BENCH_2.json / BENCH_3.json hold dense baselines, the _post files the
-// event-driven runs).
+// slots are idle — the regime the event-driven fast path targets.
 // ---------------------------------------------------------------------------
-
-func benchDense() bool { return os.Getenv("QSWITCH_DENSE") != "" }
 
 const sparseBenchSlots = 1_000_000
 
@@ -334,7 +327,6 @@ func benchSparseCIOQ(b *testing.B, n int, mk func() switchsim.CIOQPolicy) {
 	cfg := switchsim.Config{
 		Inputs: n, Outputs: n, InputBuf: 4, OutputBuf: 4,
 		Speedup: 1, Slots: sparseBenchSlots,
-		Dense: benchDense(),
 	}
 	seq := sparseBenchSeq(n)
 	b.ReportAllocs()
@@ -351,7 +343,6 @@ func benchSparseCrossbar(b *testing.B, n int, mk func() switchsim.CrossbarPolicy
 	cfg := switchsim.Config{
 		Inputs: n, Outputs: n, InputBuf: 4, OutputBuf: 4, CrossBuf: 2,
 		Speedup: 1, Slots: sparseBenchSlots,
-		Dense: benchDense(),
 	}
 	seq := sparseBenchSeq(n)
 	b.ReportAllocs()
@@ -386,10 +377,7 @@ func BenchmarkSparseCrossbarCPG16(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Quiescent/adversarial-trace benchmarks: converging bursts at speedup 2
 // park deep backlogs in the output queues, so most non-idle slots are
-// backlogged-but-quiescent — the regime the quiescent drain jump targets
-// (the pre-PR fast path only skipped fully-empty stretches). The same
-// names measure both engines: set QSWITCH_DENSE=1 for the dense baseline
-// (BENCH_3.json), default for the fast path (BENCH_3_post.json).
+// backlogged-but-quiescent — the regime the quiescent drain jump targets.
 // ---------------------------------------------------------------------------
 
 const quiescentBenchSlots = 1_000_000
@@ -434,7 +422,6 @@ func quiescentBenchCfg(n int) switchsim.Config {
 	return switchsim.Config{
 		Inputs: n, Outputs: n, InputBuf: 8, OutputBuf: 128, CrossBuf: 2,
 		Speedup: 2, Slots: quiescentBenchSlots,
-		Dense: benchDense(),
 	}
 }
 
@@ -492,7 +479,6 @@ func benchCrossDrainCrossbar(b *testing.B, n int, mk func() switchsim.CrossbarPo
 	cfg := switchsim.Config{
 		Inputs: n, Outputs: n, InputBuf: 4, OutputBuf: 4, CrossBuf: 2,
 		Speedup: 1, Slots: slots,
-		Dense: benchDense(),
 	}
 	rng := rand.New(rand.NewSource(4))
 	seq := packet.CrossDrain{OffMean: 200, Depth: 2, Values: packet.UniformValues{Hi: 20}}.
@@ -523,14 +509,9 @@ func BenchmarkAdversarialCIOQPG16(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Fleet benchmarks: Monte-Carlo batches of B independent seeded instances
-// of one small switch, the ratio-harness regime. The same names measure
-// both backends: the columnar batched engine (internal/fleet) by default,
-// or a loop of per-instance scalar runs with QSWITCH_NOFLEET=1
-// (BENCH_4.json holds the looped-scalar baseline, BENCH_4_post.json the
-// fleet runs). ns/slot is aggregate: elapsed / (B × slots).
+// of one small switch on the columnar batched engine (internal/fleet), the
+// ratio-harness regime. ns/slot is aggregate: elapsed / (B × slots).
 // ---------------------------------------------------------------------------
-
-func fleetLoopedScalar() bool { return os.Getenv("QSWITCH_NOFLEET") != "" }
 
 func fleetBenchSeqs(batch, n, slots int) []packet.Sequence {
 	seqs := make([]packet.Sequence, batch)
@@ -543,8 +524,7 @@ func fleetBenchSeqs(batch, n, slots int) []packet.Sequence {
 
 // fleetBenchSlots is the per-instance horizon: short seeded runs are the
 // Monte-Carlo regime the fleet engine exists for (ratio estimations run
-// 16-80-slot instances), and the looped-scalar baseline pays its per-run
-// switch construction at the same amortization the ratio harness does.
+// 16-80-slot instances).
 const fleetBenchSlots = 16
 
 func benchFleetCIOQ(b *testing.B, batch int, mk func() switchsim.CIOQPolicy) {
@@ -555,32 +535,21 @@ func benchFleetCIOQ(b *testing.B, batch int, mk func() switchsim.CIOQPolicy) {
 	}
 	seqs := fleetBenchSeqs(batch, n, slots)
 	b.ReportAllocs()
-	if fleetLoopedScalar() {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, seq := range seqs {
-				if _, err := switchsim.RunCIOQ(cfg, mk(), seq); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	} else {
-		// The fleet's storage amortizes across batches (the ratio harness
-		// shape): construct once, Reset per batch.
-		fl, err := fleet.NewCIOQFleet(cfg, mk, batch)
-		if err != nil {
+	// The fleet's storage amortizes across batches (the ratio harness
+	// shape): construct once, Reset per batch.
+	fl, err := fleet.NewCIOQFleet(cfg, mk, batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fl.Reset(seqs); err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := fl.Reset(seqs); err != nil {
-				b.Fatal(err)
-			}
-			for fl.Step() {
-			}
-			if _, err := fl.Results(); err != nil {
-				b.Fatal(err)
-			}
+		for fl.Step() {
+		}
+		if _, err := fl.Results(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*slots), "ns/slot")
@@ -594,30 +563,19 @@ func benchFleetCrossbar(b *testing.B, batch int, mk func() switchsim.CrossbarPol
 	}
 	seqs := fleetBenchSeqs(batch, n, slots)
 	b.ReportAllocs()
-	if fleetLoopedScalar() {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, seq := range seqs {
-				if _, err := switchsim.RunCrossbar(cfg, mk(), seq); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	} else {
-		fl, err := fleet.NewCrossbarFleet(cfg, mk, batch)
-		if err != nil {
+	fl, err := fleet.NewCrossbarFleet(cfg, mk, batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fl.Reset(seqs); err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := fl.Reset(seqs); err != nil {
-				b.Fatal(err)
-			}
-			for fl.Step() {
-			}
-			if _, err := fl.Results(); err != nil {
-				b.Fatal(err)
-			}
+		for fl.Step() {
+		}
+		if _, err := fl.Results(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*slots), "ns/slot")
@@ -649,14 +607,11 @@ func BenchmarkFleetCrossbarCGU16B256(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Weighted and wide fleet benchmarks: the full-coverage columnar engine —
-// weighted kernels (PG/CPG/KRMWM, ByValue rings, preemptive transfers) at
-// n=64, and the multi-word wide engine at n=256 (occupancy rows spanning
-// four words, batched counting-sort matching). Same convention as above:
-// QSWITCH_NOFLEET=1 measures the looped-scalar baseline (BENCH_9.json),
-// default measures the fleet (BENCH_9_post.json). Run the KRMWM pair
-// with -benchtime 1x: the Hungarian oracle is cubic in ports on both
-// backends.
+// Weighted and wide fleet benchmarks: the weighted kernels (PG/CPG/KRMWM,
+// ByValue rings, preemptive transfers) at n=64, and the multi-word wide PG
+// engine at n=256 (occupancy rows spanning four words, batched
+// counting-sort matching). Run KRMWM with -benchtime 1x: its Hungarian
+// matching is cubic in ports.
 // ---------------------------------------------------------------------------
 
 func fleetWeightedBenchSeqs(batch, n, slots int) []packet.Sequence {
@@ -677,24 +632,13 @@ func benchFleetWeightedCIOQ(b *testing.B, n, batch int, mk func() switchsim.CIOQ
 	}
 	seqs := fleetWeightedBenchSeqs(batch, n, slots)
 	b.ReportAllocs()
-	if fleetLoopedScalar() {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, seq := range seqs {
-				if _, err := switchsim.RunCIOQ(cfg, mk(), seq); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	} else {
-		// The runner dispatches to the narrow engine at n <= 64 and the
-		// wide engine beyond, reusing the fleet across iterations.
-		r := fleet.NewCIOQRunner(mk)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Run(cfg, seqs); err != nil {
-				b.Fatal(err)
-			}
+	// The runner dispatches to the narrow engine at n <= 64 and the wide
+	// engine beyond, reusing the fleet across iterations.
+	r := fleet.NewCIOQRunner(mk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(cfg, seqs); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*slots), "ns/slot")
@@ -708,22 +652,11 @@ func benchFleetWeightedCrossbar(b *testing.B, n, batch int, mk func() switchsim.
 	}
 	seqs := fleetWeightedBenchSeqs(batch, n, slots)
 	b.ReportAllocs()
-	if fleetLoopedScalar() {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, seq := range seqs {
-				if _, err := switchsim.RunCrossbar(cfg, mk(), seq); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	} else {
-		r := fleet.NewCrossbarRunner(mk)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Run(cfg, seqs); err != nil {
-				b.Fatal(err)
-			}
+	r := fleet.NewCrossbarRunner(mk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(cfg, seqs); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*slots), "ns/slot")
@@ -741,22 +674,10 @@ func BenchmarkFleetWeightedCPG64B64(b *testing.B) {
 func BenchmarkFleetWidePG256B16(b *testing.B) {
 	benchFleetWeightedCIOQ(b, 256, 16, func() switchsim.CIOQPolicy { return &core.PG{} })
 }
-func BenchmarkFleetWideKRMWM256B4(b *testing.B) {
-	benchFleetWeightedCIOQ(b, 256, 4, func() switchsim.CIOQPolicy { return &core.KRMWM{} })
-}
-func BenchmarkFleetWideGM256B16(b *testing.B) {
-	benchFleetWeightedCIOQ(b, 256, 16, func() switchsim.CIOQPolicy { return &core.GM{} })
-}
-func BenchmarkFleetWideCPG256B16(b *testing.B) {
-	benchFleetWeightedCrossbar(b, 256, 16, func() switchsim.CrossbarPolicy { return &core.CPG{} })
-}
 
-// BenchmarkFleetRatioGM16B256 times the wired path end to end: RunFleet
-// vs RunParallel(workers=1) on the same seeded ratio estimation, upper
-// bound judged (the exact DP would dominate). QSWITCH_NOFLEET=1 selects
-// the scalar backend; QSWITCH_MCMF=1 selects the retained min-cost-flow
-// judge (the pre-refactor reference; BENCH_5.json holds that baseline,
-// BENCH_5_post.json the combinatorial judge).
+// BenchmarkFleetRatioGM16B256 times the wired path end to end: a RunFleet
+// seeded ratio estimation, upper bound judged (the exact DP would
+// dominate).
 func BenchmarkFleetRatioGM16B256(b *testing.B) {
 	cfg := switchsim.Config{
 		Inputs: 16, Outputs: 16, InputBuf: 2, OutputBuf: 2,
@@ -764,18 +685,9 @@ func BenchmarkFleetRatioGM16B256(b *testing.B) {
 	}
 	gen := packet.Bernoulli{Load: 1.2}
 	factory := func() switchsim.CIOQPolicy { return &core.GM{} }
-	judge := ratio.JudgeFactory(ratio.UpperBoundCIOQ)
-	if judgeFlowReference() {
-		judge = flowReferenceJudge(false)
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if fleetLoopedScalar() {
-			_, err = ratio.RunParallel(context.Background(), cfg, ratio.CIOQAlg(factory), judge, gen, 1, 256, 1)
-		} else {
-			_, err = ratio.RunFleet(context.Background(), cfg, ratio.CIOQFleetAlg(factory), judge, gen, 1, 256, 1, 256)
-		}
+		_, err := ratio.RunFleet(context.Background(), cfg, ratio.CIOQFleetAlg(factory), ratio.UpperBoundCIOQ, gen, 1, 256, 1, 256)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -784,47 +696,22 @@ func BenchmarkFleetRatioGM16B256(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Judge benchmarks: the offline upper-bound solves that dominate
-// exact-judged Monte-Carlo estimation. The same names measure both judge
-// generations: the forward sweep by default, or the retained
-// time-expanded min-cost-flow reference with QSWITCH_MCMF=1 (BENCH_5.json
-// holds the flow baseline, BENCH_5_post.json the epoch-tree solver the
-// sweep replaced; record the flow runs with -benchtime 1x — on
-// million-slot traces one reference solve takes minutes, which is
-// precisely the point).
+// exact-judged Monte-Carlo estimation.
 // ---------------------------------------------------------------------------
-
-func judgeFlowReference() bool { return os.Getenv("QSWITCH_MCMF") != "" }
-
-// flowReferenceJudge adapts the retained MCMF bound to a ratio judge
-// factory for the before/after comparison.
-func flowReferenceJudge(crossbar bool) ratio.JudgeFactory {
-	return func() ratio.Judge {
-		return ratio.JudgeFunc(func(cfg switchsim.Config, seq packet.Sequence) (int64, error) {
-			return offline.CombinedUpperBoundFlow(cfg, seq, crossbar)
-		})
-	}
-}
 
 func benchJudgeUB(b *testing.B, cfg switchsim.Config, seq packet.Sequence, crossbar bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if judgeFlowReference() {
-			_, err = offline.CombinedUpperBoundFlow(cfg, seq, crossbar)
-		} else {
-			_, err = offline.CombinedUpperBound(cfg, seq, crossbar)
-		}
-		if err != nil {
+		if _, err := offline.CombinedUpperBound(cfg, seq, crossbar); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkJudgeSparseUB8 judges one 10^6-slot sparse trace (n=8,
-// PoissonBurst, ~16 packets per input): the regime PR 2–3 made cheap to
-// simulate and the flow judge could not touch — its time-expanded graph
-// costs 2·10^6 nodes per port regardless of how few packets arrive.
+// PoissonBurst, ~16 packets per input): the sweep's cost follows the
+// packets, not the horizon.
 func BenchmarkJudgeSparseUB8(b *testing.B) {
 	cfg := switchsim.Config{Inputs: 8, Outputs: 8, InputBuf: 4, OutputBuf: 4,
 		Speedup: 1, Slots: sparseBenchSlots}
@@ -868,11 +755,7 @@ func BenchmarkJudgeMonteCarloUB16(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(k + 1)))
 		seqs[k] = packet.Bernoulli{Load: 1.2}.Generate(rng, 16, 16, 64)
 	}
-	judge := ratio.JudgeFactory(ratio.UpperBoundCIOQ)
-	if judgeFlowReference() {
-		judge = flowReferenceJudge(false)
-	}
-	j := judge()
+	j := ratio.UpperBoundCIOQ()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -887,10 +770,9 @@ func BenchmarkJudgeMonteCarloUB16(b *testing.B) {
 // BenchmarkAdversaryAdaptiveGM64 times the fully adaptive anti-greedy
 // loop (stepper-driven, observing the policy's queues every slot): its
 // per-phase drain and catch-up stretch now rides the quiescent StepIdle
-// jump. QSWITCH_DENSE=1 disables stepper jumps for the baseline.
+// jump.
 func BenchmarkAdversaryAdaptiveGM64(b *testing.B) {
 	cfg := adversary.IQLowerBoundCfg(64)
-	cfg.Dense = benchDense()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := adversary.AdaptiveAntiGreedy(cfg, &core.GM{}, 48); err != nil {
@@ -906,7 +788,7 @@ func BenchmarkAdversaryAdaptiveGM64(b *testing.B) {
 func BenchmarkAdversarySearchGM(b *testing.B) {
 	cfg := switchsim.Config{
 		Inputs: 2, Outputs: 2, InputBuf: 1, OutputBuf: 4, CrossBuf: 1,
-		Speedup: 2, Dense: benchDense(),
+		Speedup: 2,
 	}
 	eval := func(seq packet.Sequence) (float64, bool) {
 		r, ok, err := ratio.Single(cfg,
@@ -930,8 +812,7 @@ func BenchmarkAdversarySearchGM(b *testing.B) {
 // Streamed-arrival benchmarks: a 10^8-slot lazily generated sparse workload
 // per iteration through RunCIOQStream/RunCrossbarStream — a horizon whose
 // materialized form is hundreds of megabytes of Packet structs, run in
-// O(window) memory (BENCH_7.json holds the generate-then-run baseline of
-// PR 7, BENCH_7_post.json the streamed runs; record with -benchtime 1x).
+// O(window) memory (run with -benchtime 1x).
 // ---------------------------------------------------------------------------
 
 const streamBenchSlots = 100_000_000
@@ -1010,19 +891,13 @@ func BenchmarkStreamCrossbarCPGFlowMix4(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_8: paired fleets vs independent sampling. Both arms drive the same
+// Paired fleets vs independent sampling. Both arms drive the same
 // policy-vs-policy comparison (GM vs PG on a 4x4 CIOQ switch) to the same
 // CI half-width target on the mean ratio difference, and report how many
 // switch-slots of simulation they spent getting there. The paired arm
 // shares workloads and judge calls across policies (common random
 // numbers); the independent arm gives each policy its own seed stream and
-// pays the full between-workload variance. Regenerate the JSON records
-// with:
-//
-//	go test -run xxx -bench 'PairedDiffCIOQIndependent' -benchmem -benchtime 1x . \
-//	  | go run ./cmd/benchjson -label independent-sampling > BENCH_8.json
-//	go test -run xxx -bench 'PairedDiffCIOQ$' -benchmem -benchtime 1x . \
-//	  | go run ./cmd/benchjson -label paired-fleet > BENCH_8_post.json
+// pays the full between-workload variance. Run with -benchtime 1x.
 // ---------------------------------------------------------------------------
 
 const (

@@ -1,6 +1,6 @@
 // Command switchbench runs the paper-reproduction experiment suite
-// (E1–E12, see DESIGN.md) and renders each experiment's tables as ASCII
-// and, optionally, CSV files.
+// (E1–E16; -list names each with the paper claim it tests) and renders
+// each experiment's tables as ASCII and, optionally, CSV files.
 //
 // Usage:
 //

@@ -15,6 +15,24 @@ import (
 // making this a strict metamorphic test of the whole pipeline.
 const scaleFactor = 8
 
+// scaleValues returns a copy of seq with every value multiplied by factor.
+func scaleValues(seq packet.Sequence, factor int64) packet.Sequence {
+	out := seq.Clone()
+	for i := range out {
+		out[i].Value *= factor
+	}
+	return out
+}
+
+// withUnitValues returns a copy of seq with every value set to 1.
+func withUnitValues(seq packet.Sequence) packet.Sequence {
+	out := seq.Clone()
+	for i := range out {
+		out[i].Value = 1
+	}
+	return out
+}
+
 func TestPGScaleInvariance(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 3, Outputs: 3, InputBuf: 2, OutputBuf: 1,
 		CrossBuf: 1, Speedup: 2, Validate: true, Slots: 30}
@@ -23,7 +41,7 @@ func TestPGScaleInvariance(t *testing.T) {
 		seq := packet.Hotspot{Load: 1.6, HotFrac: 0.7, Values: packet.UniformValues{Hi: 40}}.
 			Generate(rng, 3, 3, 20)
 		base := mustRunCIOQ(t, cfg, &PG{}, seq)
-		scaled := mustRunCIOQ(t, cfg, &PG{}, seq.ScaleValues(scaleFactor))
+		scaled := mustRunCIOQ(t, cfg, &PG{}, scaleValues(seq, scaleFactor))
 		if scaled.M.Benefit != scaleFactor*base.M.Benefit {
 			t.Errorf("seed %d: scaled benefit %d != %d * base %d",
 				seed, scaled.M.Benefit, scaleFactor, base.M.Benefit)
@@ -46,7 +64,7 @@ func TestCPGScaleInvariance(t *testing.T) {
 		seq := packet.Bursty{OnLoad: 1.0, POnOff: 0.3, POffOn: 0.3,
 			Values: packet.ZipfValues{Hi: 100, S: 1.1}}.Generate(rng, 3, 3, 20)
 		base := mustRunXbar(t, cfg, &CPG{}, seq)
-		scaled := mustRunXbar(t, cfg, &CPG{}, seq.ScaleValues(scaleFactor))
+		scaled := mustRunXbar(t, cfg, &CPG{}, scaleValues(seq, scaleFactor))
 		if scaled.M.Benefit != scaleFactor*base.M.Benefit {
 			t.Errorf("seed %d: scaled benefit %d != %d * base %d",
 				seed, scaled.M.Benefit, scaleFactor, base.M.Benefit)
@@ -65,7 +83,7 @@ func TestKRMWMScaleInvariance(t *testing.T) {
 		seq := packet.Bernoulli{Load: 1.4, Values: packet.UniformValues{Hi: 25}}.
 			Generate(rng, 2, 2, 14)
 		base := mustRunCIOQ(t, cfg, &KRMWM{}, seq)
-		scaled := mustRunCIOQ(t, cfg, &KRMWM{}, seq.ScaleValues(scaleFactor))
+		scaled := mustRunCIOQ(t, cfg, &KRMWM{}, scaleValues(seq, scaleFactor))
 		if scaled.M.Benefit != scaleFactor*base.M.Benefit {
 			t.Errorf("seed %d: scaled benefit %d != %d * base %d",
 				seed, scaled.M.Benefit, scaleFactor, base.M.Benefit)
@@ -83,7 +101,7 @@ func TestGMValueBlindness(t *testing.T) {
 		seq := packet.Hotspot{Load: 1.5, HotFrac: 0.6, Values: packet.UniformValues{Hi: 30}}.
 			Generate(rng, 3, 3, 20)
 		weighted := mustRunCIOQ(t, cfg, &GM{}, seq)
-		unit := mustRunCIOQ(t, cfg, &GM{}, seq.WithUnitValues())
+		unit := mustRunCIOQ(t, cfg, &GM{}, withUnitValues(seq))
 		if weighted.M.Sent != unit.M.Sent {
 			t.Errorf("seed %d: GM sent %d weighted vs %d unit — value leakage",
 				seed, weighted.M.Sent, unit.M.Sent)

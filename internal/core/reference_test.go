@@ -208,7 +208,8 @@ func (k *refKRMWM) Schedule(sw *switchsim.CIOQ, slot, cycle int) []switchsim.Tra
 			}
 		}
 	}
-	return refEdgesToTransfers(matching.MaxWeightMatching(n, m, k.edges), true)
+	var h matching.HungarianSolver // fresh per call: no scratch carried over
+	return refEdgesToTransfers(h.MaxWeightMatching(n, m, k.edges), true)
 }
 
 // refRandomizedGM is the full-scan randomized GM; it must consume its RNG

@@ -1,9 +1,11 @@
 // Package experiments implements the paper-reproduction experiment suite
-// E1–E12 defined in DESIGN.md. Each experiment regenerates one table or
-// figure's worth of data: competitive-ratio measurements against exact
-// offline optima (E1–E4, E8), scheduling-cost comparisons backing the
-// paper's efficiency claim (E5, E9, E12), and throughput studies across
-// speedup, buffers, traffic and value distributions (E6, E7, E10, E11).
+// E1–E16 (All lists them, each with the paper claim it tests). Each
+// experiment regenerates one table or figure's worth of data:
+// competitive-ratio measurements against exact offline optima (E1–E4, E8),
+// scheduling-cost comparisons backing the paper's efficiency claim (E5,
+// E9, E12), throughput studies across speedup, buffers, traffic and value
+// distributions (E6, E7, E10, E11), and the ablations and model probes of
+// E13–E16.
 //
 // Experiments are pure functions from Options to stats.Tables so the same
 // code serves the switchbench CLI, the test suite (quick mode) and the

@@ -162,38 +162,22 @@ func TestFleetWeightedStepZeroAllocsWithProbes(t *testing.T) {
 	}
 }
 
-// TestFleetWideStepZeroAllocs pins the wide engine's batched Step at zero
-// allocations in steady state — multi-word mask scans, the batched
+// TestFleetWideStepZeroAllocs pins the wide PG engine's batched Step at
+// zero allocations in steady state — multi-word mask scans, the batched
 // matcher's counting buckets and the ByValue rings all run on storage
 // owned by the fleet.
 func TestFleetWideStepZeroAllocs(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 80, Outputs: 80, InputBuf: 2, OutputBuf: 2, Speedup: 1, RecordLatency: true}
 	const batch, slots = 4, 8000
-	for name, mk := range fleetCIOQPolicies() {
-		if name == "krmwm" {
-			// The Hungarian oracle's augmenting-path scratch grows with the
-			// live edge set; it is pinned at 16 ports by the narrow test.
-			continue
-		}
+	for name, mk := range map[string]func() switchsim.CIOQPolicy{
+		"pg":       func() switchsim.CIOQPolicy { return &core.PG{} },
+		"pg-beta3": func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} },
+	} {
 		f, err := newWideCIOQFleet(cfg, mk, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Reset(allocSeqs(cfg, batch, slots)); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := measureStepAllocs(t, f.Step); allocs != 0 {
-			t.Errorf("wide %s: %v allocs per batched step in steady state, want 0", name, allocs)
-		}
-	}
-	xcfg := cfg
-	xcfg.CrossBuf = 2
-	for name, mk := range fleetCrossbarPolicies() {
-		f, err := newWideCrossbarFleet(xcfg, mk, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Reset(allocSeqs(xcfg, batch, slots)); err != nil {
 			t.Fatal(err)
 		}
 		if allocs := measureStepAllocs(t, f.Step); allocs != 0 {

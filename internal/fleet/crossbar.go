@@ -770,6 +770,3 @@ func (f *CrossbarFleet) Results() ([]*switchsim.Result, error) {
 	}
 	return f.results[:f.cur], nil
 }
-
-func (f *CrossbarFleet) batchCap() int { return f.batch }
-func (f *CrossbarFleet) passes() int64 { return f.passCount }

@@ -23,12 +23,13 @@
 // for the unit, weighted and wide engines alike.
 //
 // Two engine widths share this design. The narrow engines (Inputs,
-// Outputs ≤ 64) keep every occupancy row in a single word. The wide
-// engines (65 ≤ ports ≤ 512) store each row as a multi-word
-// internal/bitset span behind row-accessor views, iterate them word by
-// word, and batch the weighted matchings through a counting-sort
-// bucketing shared across the batch; the narrow 1-word layout is
-// untouched. The runner picks the width per configuration.
+// Outputs ≤ 64) keep every occupancy row in a single word and serve every
+// ported policy family. The wide engine is weighted CIOQ PG at
+// 65 ≤ ports ≤ 512: it stores each row as a multi-word internal/bitset
+// span, iterates it word by word, and batches the greedy weighted matching
+// through a counting-sort bucketing shared across the batch. Everything
+// else above 64 ports falls back to scalar runs. The runner picks the
+// engine per configuration.
 //
 // # Lockstep windows and the active list
 //
@@ -61,16 +62,16 @@
 // matchings (greedy for PG/CPG, Hungarian for KRMWM), whose quiescent
 // drains are value-ordered but still policy-independent.
 //
-// Coverage matrix (policy × geometry; every ✓ is a batched kernel in
-// both the narrow ≤ 64-port and the wide 65–512-port engine):
+// Coverage matrix (policy × geometry; ✓ is a batched kernel, — the
+// scalar fallback):
 //
-//	policy                    CIOQ   crossbar
-//	GM (all four edge orders)  ✓        —
-//	RoundRobin, NaiveFIFO      ✓        —
-//	PG (incl. custom beta)     ✓        —
-//	KRMWM (maximum-weight)     ✓        —
-//	CGU (plain and rotating)   —        ✓
-//	CPG (incl. custom α/β)     —        ✓
+//	policy                     CIOQ ≤ 64   CIOQ 65–512   crossbar ≤ 64
+//	GM (all four edge orders)     ✓            —              —
+//	RoundRobin, NaiveFIFO         ✓            —              —
+//	PG (incl. custom beta)        ✓            ✓              —
+//	KRMWM (maximum-weight)        ✓            —              —
+//	CGU (plain and rotating)      —            —              ✓
+//	CPG (incl. custom α/β)        —            —              ✓
 //
 // Every kernel reproduces its scalar policy's decisions exactly —
 // eligibility is read from the same pre-cycle state the scalar engine
@@ -82,7 +83,8 @@
 // eventdriven_test.go gated PR 1–3.
 //
 // Policies without a kernel (randomized GM, the FIFO-discipline
-// variants, ...) and geometries beyond 512 ports fall back to
-// per-instance scalar runs behind the same RunCIOQ/RunCrossbar entry
-// points, so callers need not special-case batchability.
+// variants, ...), every family but PG above 64 ports, and every geometry
+// beyond 512 ports fall back to per-instance scalar runs behind the same
+// RunCIOQ/RunCrossbar entry points, so callers need not special-case
+// batchability.
 package fleet

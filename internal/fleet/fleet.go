@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"qswitch/internal/core"
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
 )
@@ -14,26 +15,31 @@ import (
 // runs instead of surfacing it.
 var ErrUnsupported = errors.New("fleet: not batchable")
 
-// maxPorts is the single-word engine's port limit: its occupancy rows are
-// single uint64 words. Geometries up to maxWidePorts ride the multi-word
-// wide engine instead of falling back to scalar.
+// maxPorts is the single-word engines' port limit: their occupancy rows
+// are single uint64 words. Above it only PG rides a columnar engine (the
+// multi-word wide engine, up to maxWidePorts).
 const maxPorts = 64
 
 // BatchableCIOQ reports whether the policy produced by factory rides a
-// columnar engine for this configuration (it has a batched kernel and the
-// geometry fits the wide engine's rows). The narrow and wide kernel
-// tables cover the same policy families, so one predicate serves both.
+// columnar engine for this configuration: any policy with a batched kernel
+// up to maxPorts, and PG alone up to maxWidePorts.
 func BatchableCIOQ(cfg switchsim.Config, factory func() switchsim.CIOQPolicy) bool {
-	return cioqKernelFor(factory()) != nil && cfg.Inputs <= maxWidePorts && cfg.Outputs <= maxWidePorts
+	pol := factory()
+	if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
+		return cioqKernelFor(pol) != nil
+	}
+	_, pg := pol.(*core.PG)
+	return pg && cfg.Inputs <= maxWidePorts && cfg.Outputs <= maxWidePorts
 }
 
-// BatchableCrossbar is BatchableCIOQ for crossbar policies.
+// BatchableCrossbar is BatchableCIOQ for crossbar policies, which batch
+// only up to maxPorts.
 func BatchableCrossbar(cfg switchsim.Config, factory func() switchsim.CrossbarPolicy) bool {
-	return crossbarKernelFor(factory()) != nil && cfg.Inputs <= maxWidePorts && cfg.Outputs <= maxWidePorts
+	return crossbarKernelFor(factory()) != nil && cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts
 }
 
 // fleetEngine is the runner-facing surface shared by the single-word and
-// wide engines of each switch type.
+// wide CIOQ engines.
 type fleetEngine interface {
 	Reset(seqs []packet.Sequence) error
 	Step() bool
@@ -133,7 +139,7 @@ func (r *CIOQRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switc
 type CrossbarRunner struct {
 	factory func() switchsim.CrossbarPolicy
 	cfg     switchsim.Config
-	f       fleetEngine
+	f       *CrossbarFleet
 }
 
 // NewCrossbarRunner creates a runner for the policy family produced by
@@ -161,14 +167,8 @@ func (r *CrossbarRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*s
 		fleetProbes.Load().RecordFallback(int64(len(seqs)))
 		return out, nil
 	}
-	if r.f == nil || r.cfg != cfg || r.f.batchCap() < len(seqs) {
-		var f fleetEngine
-		var err error
-		if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
-			f, err = NewCrossbarFleet(cfg, r.factory, len(seqs))
-		} else {
-			f, err = newWideCrossbarFleet(cfg, r.factory, len(seqs))
-		}
+	if r.f == nil || r.cfg != cfg || r.f.batch < len(seqs) {
+		f, err := NewCrossbarFleet(cfg, r.factory, len(seqs))
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +177,7 @@ func (r *CrossbarRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*s
 	if err := r.f.Reset(seqs); err != nil {
 		return nil, err
 	}
-	passBefore := r.f.passes()
+	passBefore := r.f.passCount
 	for r.f.Step() {
 	}
 	out, err := r.f.Results()
@@ -189,7 +189,7 @@ func (r *CrossbarRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*s
 		for _, res := range out {
 			slots += int64(res.Slots)
 		}
-		p.RecordKernel(int64(len(seqs)), slots, r.f.passes()-passBefore)
+		p.RecordKernel(int64(len(seqs)), slots, r.f.passCount-passBefore)
 	}
 	return out, nil
 }

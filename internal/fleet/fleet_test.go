@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qswitch/internal/core"
+	"qswitch/internal/obs"
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
 )
@@ -223,11 +224,11 @@ func TestFleetFallbackUnportedPolicy(t *testing.T) {
 }
 
 // TestFleetGeometryFallback checks that geometries beyond the wide
-// engine's limit take the scalar path rather than erroring.
+// engine's limit take the scalar path rather than erroring, even for PG.
 func TestFleetGeometryFallback(t *testing.T) {
 	const ports = maxWidePorts + 1
 	cfg := switchsim.Config{Inputs: ports, Outputs: ports, InputBuf: 1, OutputBuf: 1, Speedup: 1}
-	mk := func() switchsim.CIOQPolicy { return &core.GM{} }
+	mk := func() switchsim.CIOQPolicy { return &core.PG{} }
 	if BatchableCIOQ(cfg, mk) {
 		t.Fatalf("%dx%d unexpectedly batchable", ports, ports)
 	}
@@ -246,9 +247,10 @@ func TestFleetGeometryFallback(t *testing.T) {
 	}
 }
 
-// wideFleetConfigs are geometries past the single-word limit, so they
-// exercise the multi-word wide engine (including a non-square case whose
-// input- and output-indexed rows have different word counts).
+// wideFleetConfigs are geometries past the single-word limit (including a
+// non-square case whose input- and output-indexed rows have different
+// word counts). PG rides the multi-word wide engine there; every other
+// policy family takes the scalar fallback.
 func wideFleetConfigs() []fleetConfig {
 	return []fleetConfig{
 		{"65x65", switchsim.Config{Inputs: 65, Outputs: 65, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}},
@@ -256,9 +258,45 @@ func wideFleetConfigs() []fleetConfig {
 	}
 }
 
-// TestFleetWideMatchesScalar is the differential suite for the wide
-// engine: every ported policy family, on >64-port geometries, must stay
-// bit-identical to per-instance scalar runs.
+// checkFleetPath runs one batch through a fleet runner with probes
+// installed and requires every result to be DeepEqual to a looped scalar
+// run. The batch must take the kernel path when kernel is set, and
+// otherwise the scalar fallback, which RecordFallback must count.
+func checkFleetPath(t *testing.T, label string, kernel bool, seqs []packet.Sequence,
+	run func() ([]*switchsim.Result, error), scalar func(packet.Sequence) (*switchsim.Result, error)) {
+	t.Helper()
+	p := obs.NewFleetProbes(obs.NewRegistry())
+	SetProbes(p)
+	defer SetProbes(nil)
+	rs, err := run()
+	if err != nil {
+		t.Fatalf("%s fleet: %v", label, err)
+	}
+	for k, seq := range seqs {
+		want, err := scalar(seq)
+		if err != nil {
+			t.Fatalf("%s scalar[%d]: %v", label, k, err)
+		}
+		if !reflect.DeepEqual(want.M, rs[k].M) {
+			t.Errorf("%s instance %d: fleet diverged from scalar:\nscalar: %+v\nfleet:  %+v", label, k, want.M, rs[k].M)
+		}
+	}
+	wantKernel, wantFallback := int64(0), int64(len(seqs))
+	if kernel {
+		wantKernel, wantFallback = wantFallback, wantKernel
+	}
+	if got := p.KernelInstances.Value(); got != wantKernel {
+		t.Errorf("%s: %d kernel instances, want %d", label, got, wantKernel)
+	}
+	if got := p.FallbackInstances.Value(); got != wantFallback {
+		t.Errorf("%s: %d fallback instances, want %d", label, got, wantFallback)
+	}
+}
+
+// TestFleetWideMatchesScalar is the differential suite above 64 ports:
+// every ported policy family must stay bit-identical to per-instance
+// scalar runs, PG through the wide engine and the rest through the
+// fallback.
 func TestFleetWideMatchesScalar(t *testing.T) {
 	const batch = 3
 	gens := []packet.Generator{
@@ -266,59 +304,38 @@ func TestFleetWideMatchesScalar(t *testing.T) {
 		packet.PoissonBurst{OffMean: 40, BurstMean: 3, Values: packet.ZipfValues{Hi: 50, S: 1.3}},
 	}
 	for name, mk := range fleetCIOQPolicies() {
+		_, pg := mk().(*core.PG)
 		for _, rc := range wideFleetConfigs() {
-			if !BatchableCIOQ(rc.cfg, mk) {
-				t.Fatalf("%s/%s: expected a batched wide kernel", name, rc.name)
+			if got := BatchableCIOQ(rc.cfg, mk); got != pg {
+				t.Fatalf("%s/%s: BatchableCIOQ = %v, want %v", name, rc.name, got, pg)
 			}
 			for gi, gen := range gens {
 				seqs := fleetSeqs(rc.cfg, gen, 7+int64(gi), batch, 150)
-				fleetRes, err := RunCIOQ(rc.cfg, mk, seqs)
-				if err != nil {
-					t.Fatalf("%s/%s/%s fleet: %v", name, rc.name, gen.Name(), err)
-				}
-				for k, seq := range seqs {
-					scalar, err := switchsim.RunCIOQ(rc.cfg, mk(), seq)
-					if err != nil {
-						t.Fatalf("%s/%s/%s scalar[%d]: %v", name, rc.name, gen.Name(), k, err)
-					}
-					if !reflect.DeepEqual(scalar.M, fleetRes[k].M) {
-						t.Errorf("%s/%s/%s instance %d: wide fleet diverged from scalar:\nscalar: %+v\nfleet:  %+v",
-							name, rc.name, gen.Name(), k, scalar.M, fleetRes[k].M)
-					}
-				}
+				checkFleetPath(t, name+"/"+rc.name+"/"+gen.Name(), pg, seqs,
+					func() ([]*switchsim.Result, error) { return RunCIOQ(rc.cfg, mk, seqs) },
+					func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(rc.cfg, mk(), seq) })
 			}
 		}
 	}
 	for name, mk := range fleetCrossbarPolicies() {
 		for _, rc := range wideFleetConfigs() {
-			if !BatchableCrossbar(rc.cfg, mk) {
-				t.Fatalf("%s/%s: expected a batched wide kernel", name, rc.name)
+			if BatchableCrossbar(rc.cfg, mk) {
+				t.Fatalf("%s/%s: unexpectedly batchable", name, rc.name)
 			}
 			for gi, gen := range gens {
 				seqs := fleetSeqs(rc.cfg, gen, 19+int64(gi), batch, 150)
-				fleetRes, err := RunCrossbar(rc.cfg, mk, seqs)
-				if err != nil {
-					t.Fatalf("%s/%s/%s fleet: %v", name, rc.name, gen.Name(), err)
-				}
-				for k, seq := range seqs {
-					scalar, err := switchsim.RunCrossbar(rc.cfg, mk(), seq)
-					if err != nil {
-						t.Fatalf("%s/%s/%s scalar[%d]: %v", name, rc.name, gen.Name(), k, err)
-					}
-					if !reflect.DeepEqual(scalar.M, fleetRes[k].M) {
-						t.Errorf("%s/%s/%s instance %d: wide fleet diverged from scalar:\nscalar: %+v\nfleet:  %+v",
-							name, rc.name, gen.Name(), k, scalar.M, fleetRes[k].M)
-					}
-				}
+				checkFleetPath(t, name+"/"+rc.name+"/"+gen.Name(), false, seqs,
+					func() ([]*switchsim.Result, error) { return RunCrossbar(rc.cfg, mk, seqs) },
+					func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(rc.cfg, mk(), seq) })
 			}
 		}
 	}
 }
 
 // TestFleetWide256MatchesScalar spot-checks the batched-matching regime
-// (n = 256: four-word rows, counting-sort weight buckets) against scalar.
-// The Hungarian policy is left to the 65–96-port tier above: its scalar
-// oracle is cubic in ports.
+// (n = 256: four-word rows, counting-sort weight buckets) and the fallback
+// families at the same size against scalar. The Hungarian policy is left
+// to the 65–96-port tier above: its scalar run is cubic in ports.
 func TestFleetWide256MatchesScalar(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 256, Outputs: 256, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}
 	gen := packet.Bernoulli{Load: 0.6, Values: packet.UniformValues{Hi: 30}}
@@ -328,37 +345,17 @@ func TestFleetWide256MatchesScalar(t *testing.T) {
 		"roundrobin":      func() switchsim.CIOQPolicy { return &core.RoundRobin{} },
 		"pg":              func() switchsim.CIOQPolicy { return &core.PG{} },
 	} {
-		fleetRes, err := RunCIOQ(cfg, mk, seqs)
-		if err != nil {
-			t.Fatalf("%s fleet: %v", name, err)
-		}
-		for k, seq := range seqs {
-			scalar, err := switchsim.RunCIOQ(cfg, mk(), seq)
-			if err != nil {
-				t.Fatalf("%s scalar[%d]: %v", name, k, err)
-			}
-			if !reflect.DeepEqual(scalar.M, fleetRes[k].M) {
-				t.Errorf("%s instance %d: 256-port fleet diverged from scalar", name, k)
-			}
-		}
+		checkFleetPath(t, name, name == "pg", seqs,
+			func() ([]*switchsim.Result, error) { return RunCIOQ(cfg, mk, seqs) },
+			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(cfg, mk(), seq) })
 	}
 	for name, mk := range map[string]func() switchsim.CrossbarPolicy{
 		"cgu": func() switchsim.CrossbarPolicy { return &core.CGU{} },
 		"cpg": func() switchsim.CrossbarPolicy { return &core.CPG{} },
 	} {
-		fleetRes, err := RunCrossbar(cfg, mk, seqs)
-		if err != nil {
-			t.Fatalf("%s fleet: %v", name, err)
-		}
-		for k, seq := range seqs {
-			scalar, err := switchsim.RunCrossbar(cfg, mk(), seq)
-			if err != nil {
-				t.Fatalf("%s scalar[%d]: %v", name, k, err)
-			}
-			if !reflect.DeepEqual(scalar.M, fleetRes[k].M) {
-				t.Errorf("%s instance %d: 256-port fleet diverged from scalar", name, k)
-			}
-		}
+		checkFleetPath(t, name, false, seqs,
+			func() ([]*switchsim.Result, error) { return RunCrossbar(cfg, mk, seqs) },
+			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(cfg, mk(), seq) })
 	}
 }
 

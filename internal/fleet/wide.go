@@ -5,17 +5,19 @@ import (
 	"math/bits"
 
 	"qswitch/internal/bitset"
+	"qswitch/internal/core"
 	"qswitch/internal/matching"
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
 )
 
-// The wide engine lifts the columnar fleet beyond 64 ports: occupancy
-// rows become bitset.Mask-backed multi-word rows behind the same
-// word-count-generic layout, while the ≤64-port fleets keep their
-// specialized single-uint64 kernels (and their pass-through transmit
-// path) byte-for-byte. Both variants sit behind the runner dispatch in
-// fleet.go; results are bit-identical to the scalar engines either way.
+// The wide engine lifts weighted CIOQ PG beyond 64 ports: occupancy rows
+// become bitset.Mask-backed multi-word rows, while the ≤64-port fleets keep
+// their specialized single-uint64 kernels (and their pass-through transmit
+// path) byte-for-byte. PG is the one policy family it batches; every other
+// family above 64 ports runs on the scalar fallback. Both engines sit
+// behind the runner dispatch in fleet.go; results are bit-identical to the
+// scalar engine either way.
 
 // maxWidePorts is the wide engine's port limit. It bounds the occupancy
 // rows at 8 words; beyond it the runners fall back to scalar runs.
@@ -24,42 +26,41 @@ const maxWidePorts = 512
 // wideCtr is the per-instance layer-occupancy counters of a wide
 // instance (the multi-word masks live in their own flat arrays).
 type wideCtr struct {
-	in, cross, out int32
+	in, out int32
 }
 
 // wideCIOQFleet is CIOQFleet with multi-word occupancy rows: B CIOQ
-// instances with 64 < ports <= maxWidePorts in columnar layout. The slot
-// loop is the same admission / kernel-cycles / transmission / quiescent
-// jump pipeline; masks are bitset.Mask rows instead of single words, and
-// transfers always do the ring store (no pass-through buffer, so
-// passCount stays zero).
+// instances under PG with 64 < ports <= maxWidePorts in columnar layout.
+// The slot loop is the same admission / scheduling-cycles / transmission /
+// quiescent jump pipeline; masks are bitset.Mask rows instead of single
+// words, and transfers always do the ring store (no pass-through buffer,
+// so passCount stays zero).
 type wideCIOQFleet struct {
 	cfg    switchsim.Config
 	policy string
-	kern   wideCIOQKernel
+	beta   float64 // PG's resolved preemption factor
 	batch  int
 	cur    int
 	n, m   int
 	nm     int
-	wn, wm int // words per input-indexed row (wn) and output-indexed row (wm)
+	wm     int // words per output-indexed row
 	icap   int
 	ocap   int
 	inBuf  int32
 	outBuf int32
 
 	// Columnar switch state: per-instance blocks inside flat arrays.
-	voq      bitset.Mask // [(k*n+i)*wm + w]: outputs j with IQ(k,i,j) non-empty
-	voqByOut bitset.Mask // [(k*m+j)*wn + w]: inputs i with IQ(k,i,j) non-empty
-	outFree  bitset.Mask // [k*wm + w]
-	outBusy  bitset.Mask // [k*wm + w]
-	st       []wideCtr   // [k]
-	iq       []pkt
-	iqHdr    []qhdr
-	oq       []pkt
-	oqHdr    []qhdr
-	hot      []hotCtr
+	voq     bitset.Mask // [(k*n+i)*wm + w]: outputs j with IQ(k,i,j) non-empty
+	outFree bitset.Mask // [k*wm + w]
+	outBusy bitset.Mask // [k*wm + w]
+	st      []wideCtr   // [k]
+	iq      []pkt
+	iqHdr   []qhdr
+	oq      []pkt
+	oqHdr   []qhdr
+	hot     []hotCtr
 
-	// ID lanes (weighted kernels only); see CIOQFleet.
+	// ID lanes; see CIOQFleet.
 	iqID []int64
 	oqID []int64
 
@@ -80,48 +81,37 @@ type wideCIOQFleet struct {
 
 	view wideCIOQView
 
-	// Kernel state and scratch.
-	rrGrant  []int32     // [k*m+j]
-	rrAccept []int32     // [k*n+i]
-	grants   bitset.Mask // [i*wm + w] grant rows, one cycle's scratch
-	availIn  bitset.Mask // [wn] scratch
-	availOut bitset.Mask // [wm] scratch
-	edges    []matching.Edge
-	sched    matching.WeightedScheduler
-	hung     matching.HungarianSolver
-	matcher  wideMatcher
+	// Matching scratch.
+	edges   []matching.Edge
+	sched   matching.WeightedScheduler
+	matcher wideMatcher
 }
 
 // wideCIOQView is the per-instance working set of a wide CIOQ instance;
 // see cioqView.
 type wideCIOQView struct {
-	f        *wideCIOQFleet
-	k        int
-	st       *wideCtr
-	hm       *hotCtr
-	lat      *switchsim.Metrics
-	voq      bitset.Mask
-	voqByOut bitset.Mask
-	outFree  bitset.Mask
-	outBusy  bitset.Mask
-	iqHdr    []qhdr
-	iq       []pkt
-	oqHdr    []qhdr
-	oq       []pkt
-	iqID     []int64
-	oqID     []int64
-	series   []int64
-	rrG, rrA []int32
+	f       *wideCIOQFleet
+	st      *wideCtr
+	hm      *hotCtr
+	lat     *switchsim.Metrics
+	voq     bitset.Mask
+	outFree bitset.Mask
+	outBusy bitset.Mask
+	iqHdr   []qhdr
+	iq      []pkt
+	oqHdr   []qhdr
+	oq      []pkt
+	iqID    []int64
+	oqID    []int64
+	series  []int64
 
 	n, m, nm       int
-	wn, wm         int
+	wm             int
 	icapM, ocapM   int32
 	icap, ocap     int
 	inBuf, outBuf  int32
 	speedup        int
 	recLat, recSer bool
-	wantByOut      bool
-	weighted       bool
 }
 
 // voqRow returns input i's occupancy row (outputs with queued packets).
@@ -129,19 +119,12 @@ func (v *wideCIOQView) voqRow(i int) bitset.Mask {
 	return v.voq[i*v.wm : (i+1)*v.wm]
 }
 
-// voqByOutRow returns output j's transposed occupancy row.
-func (v *wideCIOQView) voqByOutRow(j int) bitset.Mask {
-	return v.voqByOut[j*v.wn : (j+1)*v.wn]
-}
-
 func (v *wideCIOQView) bind(f *wideCIOQFleet, k int) {
 	v.f = f
-	v.k = k
 	v.st = &f.st[k]
 	v.hm = &f.hot[k]
 	v.lat = &f.ms[k]
 	v.voq = f.voq[k*f.n*f.wm : (k+1)*f.n*f.wm]
-	v.voqByOut = f.voqByOut[k*f.m*f.wn : (k+1)*f.m*f.wn]
 	v.outFree = f.outFree[k*f.wm : (k+1)*f.wm]
 	v.outBusy = f.outBusy[k*f.wm : (k+1)*f.wm]
 	v.iqHdr = f.iqHdr[k*f.nm : (k+1)*f.nm]
@@ -151,17 +134,11 @@ func (v *wideCIOQView) bind(f *wideCIOQFleet, k int) {
 	if f.cfg.RecordSeries {
 		v.series = f.series[k]
 	}
-	if f.rrGrant != nil {
-		v.rrG = f.rrGrant[k*f.m : (k+1)*f.m]
-		v.rrA = f.rrAccept[k*f.n : (k+1)*f.n]
-	}
-	if f.iqID != nil {
-		v.iqID = f.iqID[k*f.nm*f.icap : (k+1)*f.nm*f.icap]
-		v.oqID = f.oqID[k*f.m*f.ocap : (k+1)*f.m*f.ocap]
-	}
+	v.iqID = f.iqID[k*f.nm*f.icap : (k+1)*f.nm*f.icap]
+	v.oqID = f.oqID[k*f.m*f.ocap : (k+1)*f.m*f.ocap]
 }
 
-// newWideCIOQFleet sizes a wide fleet of `batch` instances; see
+// newWideCIOQFleet sizes a wide PG fleet of `batch` instances; see
 // NewCIOQFleet. It serves geometries with maxPorts < ports <=
 // maxWidePorts (smaller ones take the specialized single-word fleet).
 func newWideCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, batch int) (*wideCIOQFleet, error) {
@@ -172,8 +149,7 @@ func newWideCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy,
 		return nil, fmt.Errorf("fleet: batch size %d < 1", batch)
 	}
 	pol := factory()
-	kern := wideCIOQKernelFor(pol)
-	if kern == nil {
+	if _, ok := pol.(*core.PG); !ok {
 		return nil, fmt.Errorf("fleet: policy %q: %w", pol.Name(), ErrUnsupported)
 	}
 	if cfg.Inputs > maxWidePorts || cfg.Outputs > maxWidePorts {
@@ -181,20 +157,21 @@ func newWideCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy,
 	}
 	n, m := cfg.Inputs, cfg.Outputs
 	f := &wideCIOQFleet{
-		cfg: cfg, policy: pol.Name(), kern: kern, batch: batch, cur: batch,
-		n: n, m: m, nm: n * m,
-		wn: bitset.Words(n), wm: bitset.Words(m),
+		cfg: cfg, policy: pol.Name(), beta: cioqKernelFor(pol).(*pgKernel).beta,
+		batch: batch, cur: batch,
+		n: n, m: m, nm: n * m, wm: bitset.Words(m),
 		icap: ceilPow2(cfg.InputBuf), ocap: ceilPow2(cfg.OutputBuf),
 		inBuf: int32(cfg.InputBuf), outBuf: int32(cfg.OutputBuf),
 	}
 	f.voq = make(bitset.Mask, batch*n*f.wm)
-	f.voqByOut = make(bitset.Mask, batch*m*f.wn)
 	f.outFree = make(bitset.Mask, batch*f.wm)
 	f.outBusy = make(bitset.Mask, batch*f.wm)
 	f.st = make([]wideCtr, batch)
 	f.iq = make([]pkt, batch*f.nm*f.icap)
+	f.iqID = make([]int64, batch*f.nm*f.icap)
 	f.iqHdr = make([]qhdr, batch*f.nm)
 	f.oq = make([]pkt, batch*m*f.ocap)
+	f.oqID = make([]int64, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
 	f.hot = make([]hotCtr, batch)
 	f.ms = make([]switchsim.Metrics, batch)
@@ -205,23 +182,15 @@ func newWideCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy,
 	f.at = make([]int, batch)
 	f.active = make([]int32, 0, batch)
 	f.sleep = make([]sleeper, 0, batch)
-	f.availIn = make(bitset.Mask, f.wn)
-	f.availOut = make(bitset.Mask, f.wm)
+	f.edges = make([]matching.Edge, 0, f.nm)
 	v := &f.view
 	v.n, v.m, v.nm = n, m, f.nm
-	v.wn, v.wm = f.wn, f.wm
+	v.wm = f.wm
 	v.icap, v.ocap = f.icap, f.ocap
 	v.icapM, v.ocapM = int32(f.icap-1), int32(f.ocap-1)
 	v.inBuf, v.outBuf = f.inBuf, f.outBuf
 	v.speedup = cfg.Speedup
 	v.recLat, v.recSer = cfg.RecordLatency, cfg.RecordSeries
-	v.wantByOut = kern.wantsVOQByOut() || cfg.Validate
-	if kern.weighted() {
-		v.weighted = true
-		f.iqID = make([]int64, batch*f.nm*f.icap)
-		f.oqID = make([]int64, batch*m*f.ocap)
-	}
-	kern.reset(f)
 	return f, nil
 }
 
@@ -235,7 +204,6 @@ func (f *wideCIOQFleet) Reset(seqs []packet.Sequence) error {
 	}
 	f.cur = len(seqs)
 	f.voq.Zero()
-	f.voqByOut.Zero()
 	f.outBusy.Zero()
 	clear(f.iqHdr)
 	clear(f.oqHdr)
@@ -271,7 +239,6 @@ func (f *wideCIOQFleet) Reset(seqs []packet.Sequence) error {
 		f.results[k] = nil
 		f.series[k] = nil
 	}
-	f.kern.reset(f)
 	return nil
 }
 
@@ -346,45 +313,32 @@ func (f *wideCIOQFleet) runWindow(k int32, end int) instStatus {
 			aArrV += p.Value
 			q := p.In*v.m + p.Out
 			h := &v.iqHdr[q]
-			if v.weighted {
-				// ByValue preemptive admission; see (*CIOQFleet).runWindow.
-				if h.n >= v.inBuf {
-					ti := q*v.icap + int((h.head+h.n-1)&v.icapM)
-					tv := v.iq[ti].v
-					if tv >= p.Value {
-						aRej++
-						aRejV += p.Value
-						continue
-					}
-					h.n--
-					ringInsert(v.iq, v.iqID, h, q*v.icap, v.icapM, pkt{v: p.Value, a: int32(p.Arrival)}, p.ID)
-					aAcc++
-					aAccV += p.Value
-					aPre++
-					aPreV += tv
-					continue
-				}
-				ringInsert(v.iq, v.iqID, h, q*v.icap, v.icapM, pkt{v: p.Value, a: int32(p.Arrival)}, p.ID)
-			} else {
-				if h.n >= v.inBuf {
+			// ByValue preemptive admission; see (*CIOQFleet).runWindow.
+			if h.n >= v.inBuf {
+				ti := q*v.icap + int((h.head+h.n-1)&v.icapM)
+				tv := v.iq[ti].v
+				if tv >= p.Value {
 					aRej++
 					aRejV += p.Value
 					continue
 				}
-				v.iq[q*v.icap+int((h.head+h.n)&v.icapM)] = pkt{v: p.Value, a: int32(p.Arrival)}
-				h.n++
+				h.n--
+				ringInsert(v.iq, v.iqID, h, q*v.icap, v.icapM, pkt{v: p.Value, a: int32(p.Arrival)}, p.ID)
+				aAcc++
+				aAccV += p.Value
+				aPre++
+				aPreV += tv
+				continue
 			}
+			ringInsert(v.iq, v.iqID, h, q*v.icap, v.icapM, pkt{v: p.Value, a: int32(p.Arrival)}, p.ID)
 			v.voqRow(p.In).Set(p.Out)
-			if v.wantByOut {
-				v.voqByOutRow(p.Out).Set(p.In)
-			}
 			st.in++
 			aAcc++
 			aAccV += p.Value
 		}
 
 		for c := 0; c < v.speedup; c++ {
-			f.kern.cycle(v, T, c)
+			v.cycle(f.beta)
 		}
 		if f.err != nil {
 			return instErr
@@ -463,35 +417,43 @@ func (f *wideCIOQFleet) runWindow(k int32, end int) instStatus {
 	}
 }
 
-// transfer moves the head packet of IQ(i,j) to OQ(j); see
-// (*cioqView).transfer. The wide engine always does the ring store.
-func (v *wideCIOQView) transfer(i, j int) {
-	q := i*v.m + j
-	h := &v.iqHdr[q]
-	p := v.iq[q*v.icap+int(h.head)]
-	h.head = (h.head + 1) & v.icapM
-	h.n--
-	if h.n == 0 {
-		v.voqRow(i).Clear(j)
-		if v.wantByOut {
-			v.voqByOutRow(j).Clear(i)
+// cycle is one PG scheduling cycle on the bound instance; see pgKernel.
+// Eligible VOQ-head edges (destination open, or the head beats beta times
+// the destination's least valuable packet) are enumerated (input, output)
+// ascending, matched greedily by weight through the batched matcher, and
+// each match is executed with output-side preemption.
+func (v *wideCIOQView) cycle(beta float64) {
+	f := v.f
+	edges := f.edges[:0]
+	for i := 0; i < v.n; i++ {
+		row := v.voqRow(i)
+		for wdx, word := range row {
+			of := v.outFree[wdx]
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				j := wdx<<6 + b
+				q := i*v.m + j
+				hv := v.iq[q*v.icap+int(v.iqHdr[q].head)].v
+				if of&(1<<uint(b)) == 0 {
+					ho := &v.oqHdr[j]
+					tv := v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v
+					if float64(hv) <= beta*float64(tv) {
+						continue
+					}
+				}
+				edges = append(edges, matching.Edge{U: i, V: j, W: hv})
+			}
 		}
 	}
-	ho := &v.oqHdr[j]
-	v.oq[j*v.ocap+int((ho.head+ho.n)&v.ocapM)] = p
-	ho.n++
-	st := v.st
-	st.in--
-	v.outBusy.Set(j)
-	if ho.n >= v.outBuf {
-		v.outFree.Clear(j)
+	f.edges = edges
+	for _, e := range f.matcher.match(v.n, v.m, edges, &f.sched) {
+		v.wtransfer(e.U, e.V)
 	}
-	st.out++
-	v.hm.transferred++
 }
 
-// wtransfer is the weighted counterpart of transfer; see
-// (*cioqView).wtransfer.
+// wtransfer moves the head packet of IQ(i,j) into OQ(j) in ByValue order,
+// preempting the OQ minimum when it is full; see (*cioqView).wtransfer.
 func (v *wideCIOQView) wtransfer(i, j int) {
 	q := i*v.m + j
 	h := &v.iqHdr[q]
@@ -502,9 +464,6 @@ func (v *wideCIOQView) wtransfer(i, j int) {
 	h.n--
 	if h.n == 0 {
 		v.voqRow(i).Clear(j)
-		if v.wantByOut {
-			v.voqByOutRow(j).Clear(i)
-		}
 	}
 	st := v.st
 	st.in--
@@ -619,10 +578,7 @@ func (f *wideCIOQFleet) validate(k, T int) error {
 			if got, want := row.Test(j), l > 0; got != want {
 				return fmt.Errorf("fleet: slot %d instance %d: VOQ[%d] bit %d = %v, len=%d", T, k, i, j, got, l)
 			}
-			if got, want := f.voqByOut[(k*f.m+j)*f.wn:].Test(i), l > 0; got != want {
-				return fmt.Errorf("fleet: slot %d instance %d: VOQByOut[%d] bit %d = %v, len=%d", T, k, j, i, got, l)
-			}
-			if f.iqID != nil && !ringOrdered(f.iq, f.iqID, f.iqHdr[q], q*f.icap, int32(f.icap-1)) {
+			if !ringOrdered(f.iq, f.iqID, f.iqHdr[q], q*f.icap, int32(f.icap-1)) {
 				return fmt.Errorf("fleet: slot %d instance %d: IQ[%d][%d] not in ByValue order", T, k, i, j)
 			}
 		}
@@ -639,7 +595,7 @@ func (f *wideCIOQFleet) validate(k, T int) error {
 		if got, want := outBusy.Test(j), l > 0; got != want {
 			return fmt.Errorf("fleet: slot %d instance %d: OutBusy bit %d = %v, len=%d", T, k, j, got, l)
 		}
-		if f.oqID != nil && !ringOrdered(f.oq, f.oqID, f.oqHdr[k*f.m+j], (k*f.m+j)*f.ocap, int32(f.ocap-1)) {
+		if !ringOrdered(f.oq, f.oqID, f.oqHdr[k*f.m+j], (k*f.m+j)*f.ocap, int32(f.ocap-1)) {
 			return fmt.Errorf("fleet: slot %d instance %d: OQ[%d] not in ByValue order", T, k, j)
 		}
 	}

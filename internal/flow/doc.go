@@ -1,13 +1,14 @@
-// Package flow implements the network-flow solvers backing the offline
-// optimum bounds: Dinic's maximum-flow algorithm and a successive-
-// shortest-path min-cost max-flow with Johnson potentials. Both operate on
-// integer capacities and costs, so the offline benchmarks are exact.
+// Package flow implements the min-cost max-flow solver behind the exact
+// input-queued optimum of internal/iq: successive shortest augmenting
+// paths with Johnson potentials, on integer capacities and costs, so the
+// optimum is exact. (internal/offline's flow references for its judges
+// live in that package's tests and share this solver.)
 //
-// Both engines are solver objects in the style of matching.HKMatcher and
+// The engine is a solver object in the style of matching.HKMatcher and
 // matching.HungarianSolver: the zero value is ready to use, Reset rewinds
 // the graph while keeping every internal array, and the solve scratch
-// (levels, potentials, the Dijkstra heap) survives across solves. A judge
-// that rebuilds and solves a similarly-sized graph per sequence therefore
-// allocates nothing in steady state; NewDinic and NewMCMF remain as
-// one-shot constructors for callers that build a single graph.
+// (potentials, distances, the Dijkstra heap) survives across solves. A
+// caller that rebuilds and solves a similarly-sized graph per sequence
+// therefore allocates nothing in steady state; NewMCMF remains as a
+// one-shot constructor for callers that build a single graph.
 package flow

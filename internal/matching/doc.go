@@ -9,11 +9,11 @@
 //
 //   - GreedyMaximal / GreedyMaximalWeighted — the paper's engines,
 //   - HopcroftKarp — maximum-cardinality matching (Kesselman–Rosén style),
-//   - Hungarian — maximum-weight matching (for the 6-competitive baseline),
-//   - Kuhn — a simple augmenting-path maximum matching used as a test
-//     cross-check,
-//   - BruteForceMax / BruteForceMaxWeight — exponential verifiers for
-//     property tests on small graphs.
+//   - Hungarian — maximum-weight matching (for the 6-competitive baseline).
+//
+// The tests hold these engines to independent oracles kept in
+// oracle_test.go: Kuhn's augmenting-path maximum matching, exhaustive
+// brute-force maxima, and matching/maximality checkers.
 //
 // The scheduling policies in internal/core no longer hand this package a
 // full Inputs×Outputs edge scan: they enumerate candidate edges from the

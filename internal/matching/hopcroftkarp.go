@@ -97,45 +97,6 @@ func (h *HKMatcher) dfs(u int) bool {
 	return false
 }
 
-// Kuhn computes a maximum-cardinality matching with the simple O(V*E)
-// augmenting-path algorithm. It exists as an independent implementation to
-// cross-check HopcroftKarp in tests.
-func Kuhn(nU, nV int, adj [][]int) (matchU []int, size int) {
-	matchU = make([]int, nU)
-	matchV := make([]int, nV)
-	for i := range matchU {
-		matchU[i] = -1
-	}
-	for i := range matchV {
-		matchV[i] = -1
-	}
-	seen := make([]bool, nV)
-	var try func(u int) bool
-	try = func(u int) bool {
-		for _, v := range adj[u] {
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			if matchV[v] == -1 || try(matchV[v]) {
-				matchU[u] = v
-				matchV[v] = u
-				return true
-			}
-		}
-		return false
-	}
-	for u := 0; u < nU; u++ {
-		for i := range seen {
-			seen[i] = false
-		}
-		if try(u) {
-			size++
-		}
-	}
-	return matchU, size
-}
-
 // AdjFromEdges converts an edge list to the adjacency-list form consumed by
 // the maximum-matching engines, preserving edge order per vertex.
 func AdjFromEdges(nU int, edges []Edge) [][]int {

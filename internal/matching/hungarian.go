@@ -169,13 +169,6 @@ func Hungarian(w [][]int64) []Edge {
 	return h.Solve(w)
 }
 
-// MaxWeightMatching is the one-shot convenience wrapper around
-// HungarianSolver.MaxWeightMatching.
-func MaxWeightMatching(nU, nV int, edges []Edge) []Edge {
-	var h HungarianSolver
-	return h.MaxWeightMatching(nU, nV, edges)
-}
-
 // growMatrix returns a rows x cols matrix reusing prior backing storage
 // when large enough. Contents are unspecified; callers overwrite.
 func growMatrix(m [][]int64, backing []int64, rows, cols int) ([][]int64, []int64) {

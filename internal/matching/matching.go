@@ -1,9 +1,6 @@
 package matching
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Edge is a candidate pairing between left vertex U and right vertex V with
 // weight W. Unit-value engines ignore W.
@@ -245,44 +242,6 @@ func (e edgesByWeight) Less(a, b int) bool {
 	return e[a].V < e[b].V
 }
 func (e edgesByWeight) Swap(a, b int) { e[a], e[b] = e[b], e[a] }
-
-// IsMatching verifies the matching property: no two edges share a left or
-// right endpoint and all endpoints are in range.
-func IsMatching(nU, nV int, edges []Edge) error {
-	usedU := make([]bool, nU)
-	usedV := make([]bool, nV)
-	for _, e := range edges {
-		if e.U < 0 || e.U >= nU || e.V < 0 || e.V >= nV {
-			return fmt.Errorf("matching: edge (%d,%d) out of range %dx%d", e.U, e.V, nU, nV)
-		}
-		if usedU[e.U] {
-			return fmt.Errorf("matching: left vertex %d matched twice", e.U)
-		}
-		if usedV[e.V] {
-			return fmt.Errorf("matching: right vertex %d matched twice", e.V)
-		}
-		usedU[e.U] = true
-		usedV[e.V] = true
-	}
-	return nil
-}
-
-// IsMaximal reports whether m is maximal with respect to the candidate
-// edge set: no candidate edge has both endpoints unmatched.
-func IsMaximal(nU, nV int, candidates, m []Edge) bool {
-	usedU := make([]bool, nU)
-	usedV := make([]bool, nV)
-	for _, e := range m {
-		usedU[e.U] = true
-		usedV[e.V] = true
-	}
-	for _, e := range candidates {
-		if !usedU[e.U] && !usedV[e.V] {
-			return false
-		}
-	}
-	return true
-}
 
 // Weight sums the edge weights of a matching.
 func Weight(m []Edge) int64 {

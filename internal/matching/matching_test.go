@@ -30,10 +30,10 @@ func TestGreedyMaximalBasics(t *testing.T) {
 	if len(m) != 2 {
 		t.Fatalf("greedy found %d edges, want 2", len(m))
 	}
-	if err := IsMatching(2, 2, m); err != nil {
+	if err := isMatching(2, 2, m); err != nil {
 		t.Fatal(err)
 	}
-	if !IsMaximal(2, 2, edges, m) {
+	if !isMaximal(2, 2, edges, m) {
 		t.Error("greedy result not maximal")
 	}
 	// First edge in scan order must be taken.
@@ -54,7 +54,7 @@ func TestGreedyMaximalIsAlwaysMaximalAndValid(t *testing.T) {
 		nU, nV := rng.Intn(6)+1, rng.Intn(6)+1
 		edges := randGraph(rng, nU, nV, 14, 1)
 		m := GreedyMaximal(nU, nV, edges)
-		return IsMatching(nU, nV, m) == nil && IsMaximal(nU, nV, edges, m)
+		return isMatching(nU, nV, m) == nil && isMaximal(nU, nV, edges, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -69,7 +69,7 @@ func TestGreedyMaximalAtLeastHalfOfMaximum(t *testing.T) {
 		nU, nV := rng.Intn(5)+1, rng.Intn(5)+1
 		edges := randGraph(rng, nU, nV, 12, 1)
 		m := GreedyMaximal(nU, nV, edges)
-		maxSize := BruteForceMax(nU, nV, edges)
+		maxSize := bruteForceMax(nU, nV, edges)
 		return 2*len(m) >= maxSize
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -116,7 +116,7 @@ func TestGreedyWeightedAtLeastHalfOptimal(t *testing.T) {
 		nU, nV := rng.Intn(5)+1, rng.Intn(5)+1
 		edges := randGraph(rng, nU, nV, 12, 50)
 		m := GreedyMaximalWeighted(nU, nV, edges)
-		opt := BruteForceMaxWeight(nU, nV, edges)
+		opt := bruteForceMaxWeight(nU, nV, edges)
 		return 2*Weight(m) >= opt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -125,13 +125,13 @@ func TestGreedyWeightedAtLeastHalfOptimal(t *testing.T) {
 }
 
 func TestIsMatchingRejects(t *testing.T) {
-	if err := IsMatching(2, 2, []Edge{{U: 0, V: 0}, {U: 0, V: 1}}); err == nil {
+	if err := isMatching(2, 2, []Edge{{U: 0, V: 0}, {U: 0, V: 1}}); err == nil {
 		t.Error("duplicate left endpoint accepted")
 	}
-	if err := IsMatching(2, 2, []Edge{{U: 0, V: 1}, {U: 1, V: 1}}); err == nil {
+	if err := isMatching(2, 2, []Edge{{U: 0, V: 1}, {U: 1, V: 1}}); err == nil {
 		t.Error("duplicate right endpoint accepted")
 	}
-	if err := IsMatching(2, 2, []Edge{{U: 5, V: 0}}); err == nil {
+	if err := isMatching(2, 2, []Edge{{U: 5, V: 0}}); err == nil {
 		t.Error("out-of-range vertex accepted")
 	}
 }
@@ -167,8 +167,8 @@ func TestHopcroftKarpMatchesKuhnAndBruteForce(t *testing.T) {
 		edges := randGraph(rng, nU, nV, 14, 1)
 		adj := AdjFromEdges(nU, edges)
 		matchU, hk := HopcroftKarp(nU, nV, adj)
-		_, kuhn := Kuhn(nU, nV, adj)
-		bf := BruteForceMax(nU, nV, edges)
+		_, kuhn := kuhn(nU, nV, adj)
+		bf := bruteForceMax(nU, nV, edges)
 		// Also verify matchU is a consistent matching.
 		seen := map[int]bool{}
 		count := 0
@@ -208,7 +208,7 @@ func TestHungarianKnownCases(t *testing.T) {
 			if Weight(m) != tc.want {
 				t.Errorf("Hungarian weight %d, want %d (%v)", Weight(m), tc.want, m)
 			}
-			if err := IsMatching(len(tc.w), len(tc.w[0]), m); err != nil {
+			if err := isMatching(len(tc.w), len(tc.w[0]), m); err != nil {
 				t.Error(err)
 			}
 		})
@@ -220,11 +220,11 @@ func TestMaxWeightMatchingMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nU, nV := rng.Intn(5)+1, rng.Intn(5)+1
 		edges := randGraph(rng, nU, nV, 12, 40)
-		m := MaxWeightMatching(nU, nV, edges)
-		if IsMatching(nU, nV, m) != nil {
+		m := maxWeightMatching(nU, nV, edges)
+		if isMatching(nU, nV, m) != nil {
 			return false
 		}
-		return Weight(m) == BruteForceMaxWeight(nU, nV, edges)
+		return Weight(m) == bruteForceMaxWeight(nU, nV, edges)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -232,7 +232,7 @@ func TestMaxWeightMatchingMatchesBruteForce(t *testing.T) {
 }
 
 func TestMaxWeightMatchingEmpty(t *testing.T) {
-	if m := MaxWeightMatching(3, 3, nil); len(m) != 0 {
+	if m := maxWeightMatching(3, 3, nil); len(m) != 0 {
 		t.Errorf("empty graph produced %v", m)
 	}
 }
@@ -285,7 +285,7 @@ func TestHungarianSolverReuseMatchesOneShot(t *testing.T) {
 		nV := rng.Intn(6) + 1
 		edges := randGraph(rng, nU, nV, nU*nV, 40)
 		got := h.MaxWeightMatching(nU, nV, edges)
-		want := MaxWeightMatching(nU, nV, edges)
+		want := maxWeightMatching(nU, nV, edges)
 		if len(got) != len(want) {
 			t.Fatalf("iter %d (%dx%d): reused solver found %d edges, one-shot %d", k, nU, nV, len(got), len(want))
 		}

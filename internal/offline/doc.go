@@ -31,12 +31,13 @@
 // what judging its packets costs. UpperBoundSolver fuses validation and
 // both sides' queues into that one pass and keeps the per-port heaps, so a
 // reused judge allocates nothing in steady state. Two earlier formulations
-// are the oracles of the differential suite, FuzzSingleQueueOPT and
-// FuzzCombinedUpperBound, pinned exact-equal: min-cost flow on the
-// time-expanded line graph, two nodes per slot (SingleQueueOPTFlow /
-// CombinedUpperBoundFlow), and the value-ordered greedy on the compressed
-// arrival-epoch axis with two lazy segment trees (refQueueOPTSolver in
-// reference_test.go).
+// live in reference_test.go as the oracles of the differential suite,
+// FuzzSingleQueueOPT and FuzzCombinedUpperBound, pinned exact-equal:
+// min-cost flow on the time-expanded line graph, two nodes per slot
+// (SingleQueueOPTFlow / CombinedUpperBoundFlow over internal/flow), and
+// the value-ordered greedy on the compressed arrival-epoch axis with two
+// lazy segment trees (refQueueOPTSolver). The production package does not
+// depend on internal/flow.
 //
 // The exact solvers keep a whole switch state in one machine word (queue
 // lengths as bit fields; for weighted instances, which queue holds each

@@ -138,6 +138,39 @@ func TestNextBusyContract(t *testing.T) {
 	}
 }
 
+// TestFlowMixNextBusyPastStageEnd asks a FlowMix source that sits before a
+// stage boundary, with no flow open, for its next busy slot from beyond
+// that boundary. The jumping drivers never ask from there (they run every
+// boundary slot), so only this test pins the due-boundary clause of
+// NextBusy: the answer must not be behind the question, and stepping the
+// slot it names must do something the every-slot oracle would see — emit,
+// draw from the RNG or move to a new stage.
+func TestFlowMixNextBusyPastStageEnd(t *testing.T) {
+	gen := FlowMix{FlowRate: 1e-6, StageSlots: 100}
+	// enter returns a source that has run slot 0 only: the first stage is
+	// entered, every opening is parked on its end, and no flow is open.
+	enter := func() *flowMixSource {
+		src := gen.Source(rand.New(rand.NewSource(1)), 2, 2).(*flowMixSource)
+		src.AppendSlot(nil, 0)
+		if src.open != 0 || src.stageEnd != 100 {
+			t.Fatalf("setup: %d flows open, stage ends at %d; want 0 and 100", src.open, src.stageEnd)
+		}
+		return src
+	}
+	for _, q := range []int{101, 137, 503} {
+		nb := enter().NextBusy(q)
+		if nb < q {
+			t.Fatalf("NextBusy(%d) = %d, behind the question", q, nb)
+		}
+		idle, stepped := enter(), enter()
+		emitted := stepped.AppendSlot(nil, nb)
+		drew := stepped.rng.Int63() != idle.rng.Int63()
+		if len(emitted) == 0 && !drew && stepped.stageEnd == idle.stageEnd {
+			t.Errorf("NextBusy(%d) = %d, but slot %d emits, draws and changes nothing", q, nb, nb)
+		}
+	}
+}
+
 // fuzzSlotStreamer decodes a generator family and its parameters from fuzz
 // input. Parameters are kept in ranges where the every-slot oracle stays
 // cheap (bounded per-slot arrivals) but every mode is reachable: loads

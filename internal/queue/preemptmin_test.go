@@ -109,7 +109,7 @@ func TestPushPreemptMinKeepsInvariants(t *testing.T) {
 				case 1:
 					q.PopHead()
 				default:
-					q.PopTail()
+					popTail(q)
 				}
 				if err := q.CheckInvariants(); err != nil {
 					return false

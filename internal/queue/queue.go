@@ -13,7 +13,7 @@
 //
 // Storage is a power-of-two ring buffer indexed from a moving head, so the
 // simulator's hot operations — PopHead in the transfer and transmission
-// phases, Push/PopTail at the extremes — are O(1) with no data movement,
+// phases, tail preemption in PushPreempt — are O(1) with no data movement,
 // and a priority insertion shifts whichever side of the ring is shorter.
 // Queues never allocate after reaching their high-water occupancy.
 package queue
@@ -220,16 +220,6 @@ func (q *Queue) PopHead() (packet.Packet, bool) {
 	return p, true
 }
 
-// PopTail removes and returns the tail packet (used for preemption).
-func (q *Queue) PopTail() (packet.Packet, bool) {
-	if q.n == 0 {
-		return packet.Packet{}, false
-	}
-	p := q.buf[q.idx(q.n-1)]
-	q.n--
-	return p, true
-}
-
 // TotalValue returns the sum of values of all stored packets.
 func (q *Queue) TotalValue() int64 {
 	var t int64
@@ -237,16 +227,6 @@ func (q *Queue) TotalValue() int64 {
 		t += q.buf[q.idx(k)].Value
 	}
 	return t
-}
-
-// Snapshot returns a copy of the queue contents in queue order
-// (head first). It is intended for tests and invariant checking.
-func (q *Queue) Snapshot() []packet.Packet {
-	out := make([]packet.Packet, q.n)
-	for k := range out {
-		out[k] = q.buf[q.idx(k)]
-	}
-	return out
 }
 
 // Reset empties the queue.

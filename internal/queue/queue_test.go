@@ -106,21 +106,23 @@ func TestPushPreemptSemantics(t *testing.T) {
 	}
 }
 
-func TestPopTail(t *testing.T) {
-	q := New(3, ByValue)
-	q.Push(pkt(0, 5))
-	q.Push(pkt(1, 8))
-	p, ok := q.PopTail()
-	if !ok || p.Value != 5 {
-		t.Fatalf("PopTail = %v, want value 5", p)
+// popTail removes and returns the tail packet: PushPreempt's preemption
+// step on its own, one operation of the randomized mixes.
+func popTail(q *Queue) (packet.Packet, bool) {
+	p, ok := q.Tail()
+	if ok {
+		q.n--
 	}
-	p, ok = q.PopTail()
-	if !ok || p.Value != 8 {
-		t.Fatalf("PopTail = %v, want value 8", p)
+	return p, ok
+}
+
+// contents returns a copy of the queue in queue order (head first).
+func contents(q *Queue) []packet.Packet {
+	out := make([]packet.Packet, q.Len())
+	for k := range out {
+		out[k] = q.At(k)
 	}
-	if _, ok := q.PopTail(); ok {
-		t.Error("PopTail on empty queue succeeded")
-	}
+	return out
 }
 
 func TestAccessors(t *testing.T) {
@@ -138,11 +140,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if q.At(0).ID != 0 || q.At(1).ID != 1 {
 		t.Error("At returned wrong packets")
-	}
-	snap := q.Snapshot()
-	snap[0].Value = 99
-	if q.At(0).Value == 99 {
-		t.Error("Snapshot aliases internal storage")
 	}
 	q.Reset()
 	if !q.Empty() {
@@ -211,7 +208,7 @@ func TestByValueMatchesReferenceModel(t *testing.T) {
 					ref = ref[1:]
 				}
 			case 2: // PopTail
-				p, ok := q.PopTail()
+				p, ok := popTail(q)
 				if len(ref) == 0 {
 					if ok {
 						return false

@@ -157,7 +157,7 @@ func TestRingMatchesSliceSemantics(t *testing.T) {
 						t.Fatalf("%v cap=%d step %d: PopHead (%v,%v) want (%v,%v)", disc, capacity, step, gp, gok, wp, wok)
 					}
 				case 5:
-					gp, gok := q.PopTail()
+					gp, gok := popTail(q)
 					wp, wok := m.popTail()
 					if gp != wp || gok != wok {
 						t.Fatalf("%v cap=%d step %d: PopTail (%v,%v) want (%v,%v)", disc, capacity, step, gp, gok, wp, wok)
@@ -166,7 +166,7 @@ func TestRingMatchesSliceSemantics(t *testing.T) {
 				if q.Len() != len(m.items) {
 					t.Fatalf("%v cap=%d step %d: Len=%d want %d", disc, capacity, step, q.Len(), len(m.items))
 				}
-				snap := q.Snapshot()
+				snap := contents(q)
 				if len(snap) == 0 && len(m.items) == 0 {
 					// reflect.DeepEqual distinguishes nil from empty.
 				} else if !reflect.DeepEqual(snap, m.items) {
@@ -221,7 +221,7 @@ func TestRingSteadyStateAllocs(t *testing.T) {
 			q.PopHead()
 			q.PushPreemptMin(packet.Packet{ID: id, Value: id%7 + 1})
 			id++
-			q.PopTail()
+			popTail(q)
 			q.Push(packet.Packet{ID: id, Value: id%5 + 1})
 			id++
 		})

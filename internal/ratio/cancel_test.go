@@ -69,10 +69,6 @@ func TestPreCancelledContext(t *testing.T) {
 			_, err := RunSharded(ctx, gmFleetSvc(nil), req, 8, 4)
 			return err
 		},
-		"Sweep": func() error {
-			_, err := Sweep(ctx, cfg, map[string]Alg{"gm": alg}, ExactUnitCIOQ, gen, 1, 8, 2)
-			return err
-		},
 	}
 	for name, run := range backends {
 		if err := run(); !errors.Is(err, context.Canceled) {

@@ -47,7 +47,8 @@
 // optimum is solved once and shared. Per-seed ratio differences cancel
 // the between-workload variance, so the CI on a policy-vs-policy
 // difference shrinks far faster than with independent seed streams
-// (≥5× fewer switch-slots to the same target on the BENCH_8 workload).
+// (≥5× fewer switch-slots to the same target on the workload of the root
+// BenchmarkPairedDiffCIOQ pair).
 // Marginal estimates stay byte-identical to an independent Run of each
 // policy over the same seeds; skip decisions depend only on the judge,
 // so the per-seed sample streams of all k policies stay aligned and

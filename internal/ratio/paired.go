@@ -109,7 +109,8 @@ type PairedEstimate struct {
 	// SlotsSimulated is the switch-slot accounting of the policy side:
 	// the arrival span of every (policy, sequence) simulation, summed.
 	// Identical accounting over an independent design (each policy on its
-	// own seed stream) is what BENCH_8 compares against.
+	// own seed stream) is what the paired-vs-independent benchmark pair
+	// compares against.
 	SlotsSimulated int64
 	// JudgeCalls counts offline-optimum solves — one per seed, shared by
 	// all k policies (an independent design pays k per seed).
@@ -128,8 +129,8 @@ func seqSpan(seq packet.Sequence) int64 {
 // WorkloadSlots sums the arrival spans of the workloads seeds [0, runs)
 // draw from gen — the switch-slot accounting an independent design
 // spends simulating ONE policy over that seed stream. It lets callers
-// (the BENCH_8 harness) charge independent sampling in exactly the units
-// PairedEstimate.SlotsSimulated uses.
+// (the paired-vs-independent benchmark) charge independent sampling in
+// exactly the units PairedEstimate.SlotsSimulated uses.
 func WorkloadSlots(cfg switchsim.Config, gen packet.Generator, baseSeed int64, runs int) int64 {
 	var total int64
 	for k := 0; k < runs; k++ {

@@ -130,7 +130,7 @@ func TestPairedJudgeOncePerSeed(t *testing.T) {
 
 // TestPairedSlotsAccounting: SlotsSimulated equals k policies times the
 // summed workload spans WorkloadSlots reports — the shared accounting
-// unit the BENCH_8 paired-vs-independent comparison relies on.
+// unit the paired-vs-independent benchmark pair relies on.
 func TestPairedSlotsAccounting(t *testing.T) {
 	cfg := microCfg()
 	cfg.Slots = 4

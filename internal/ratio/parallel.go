@@ -2,10 +2,7 @@ package ratio
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -119,81 +116,4 @@ func parallelOutcomes(ctx context.Context, cfg switchsim.Config, alg Alg, judge 
 	close(seedCh)
 	wg.Wait()
 	return results, nil
-}
-
-// Sweep evaluates a family of parameterized policies over the same seeded
-// workloads in parallel, one Estimate per parameter point. It is the
-// engine behind parameter-sweep figures (e.g. ratio vs beta): all points
-// see identical sequences, so curves are directly comparable.
-//
-// The caller's worker budget bounds the total per-seed concurrency: up to
-// `workers` parameter points run at once, and each point's RunParallel
-// spreads its seeds over the share of the budget the point concurrency
-// leaves free, so a sweep of few points over many seeds parallelizes just
-// as well as one of many points.
-//
-// The first failing point cancels the points still running (their
-// in-flight seeds wind down promptly); the reported error is the
-// alphabetically first failed point's, so attribution is deterministic
-// regardless of which point's failure was observed first.
-func Sweep(ctx context.Context, cfg switchsim.Config, algs map[string]Alg, judge JudgeFactory, gen packet.Generator,
-	baseSeed int64, runs, workers int) (map[string]Estimate, error) {
-	names := make([]string, 0, len(algs))
-	for name := range algs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	workers = max(1, workers)
-	points := min(workers, max(1, len(names)))
-	perPoint := max(1, workers/points)
-	out := make(map[string]Estimate, len(algs))
-	errs := make(map[string]error, len(algs))
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, points)
-	for _, name := range names {
-		name := name
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			est, err := RunParallel(sctx, cfg, algs[name], judge, gen, baseSeed, runs, perPoint)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[name] = err
-				cancel()
-				return
-			}
-			out[name] = est
-		}()
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		// Deterministic attribution: prefer the alphabetically first point
-		// that failed on its own (not via the cancellation its sibling's
-		// failure triggered); fall back to the first failure of any kind.
-		var firstAny, firstReal string
-		for _, name := range names {
-			err, ok := errs[name]
-			if !ok {
-				continue
-			}
-			if firstAny == "" {
-				firstAny = name
-			}
-			if firstReal == "" && !errors.Is(err, context.Canceled) {
-				firstReal = name
-			}
-		}
-		name := firstReal
-		if name == "" {
-			name = firstAny
-		}
-		return nil, fmt.Errorf("sweep %q: %w", name, errs[name])
-	}
-	return out, nil
 }

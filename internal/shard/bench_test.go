@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"os"
 	"testing"
 
 	"qswitch/internal/packet"
@@ -12,11 +11,9 @@ import (
 )
 
 // The BenchmarkShardedRatio* family measures what the service tier costs:
-// the same upper-bound-judged Monte-Carlo ratio estimation run through a
-// coordinator with N live qswitchd-style worker processes versus the
-// in-process ratio.RunFleet path at the same parallelism. QSWITCH_SHARD_LOCAL=1
-// selects the in-process baseline (BENCH_6.json); unset, chunks travel the
-// full encode -> stdio -> worker -> decode -> merge loop (BENCH_6_post.json).
+// an upper-bound-judged Monte-Carlo ratio estimation run through a
+// coordinator with N live qswitchd-style worker processes, every chunk
+// travelling the full encode -> stdio -> worker -> decode -> merge loop.
 // Worker processes are spawned once per benchmark, outside the timed
 // region, so the numbers are steady-state dispatch + serialization +
 // compute, not process startup.
@@ -37,37 +34,19 @@ const (
 	benchChunk = 4
 )
 
-func benchShardLocal() bool { return os.Getenv("QSWITCH_SHARD_LOCAL") == "1" }
-
 func benchmarkShardedRatio(b *testing.B, workers int) {
 	req := ratio.ChunkRequest{
 		Cfg: benchCfg, Policy: "gm", Judge: "upperbound",
 		Gen: benchGen, BaseSeed: 1,
 	}
 	ctx := context.Background()
-	var estimate func(baseSeed int64) (ratio.Estimate, error)
-	if benchShardLocal() {
-		_, fleet, err := ResolvePolicy(req.Policy, req.Crossbar)
-		if err != nil {
-			b.Fatal(err)
-		}
-		judge, err := ResolveJudge(req.Judge, req.Crossbar)
-		if err != nil {
-			b.Fatal(err)
-		}
-		estimate = func(baseSeed int64) (ratio.Estimate, error) {
-			return ratio.RunFleet(ctx, benchCfg, fleet, judge, benchGen,
-				baseSeed, benchRuns, workers, benchChunk)
-		}
-	} else {
-		c := newTestCoordinator(b, CoordinatorOptions{
-			Workers: workerSpecs(b, make([]string, workers)...),
-		})
-		estimate = func(baseSeed int64) (ratio.Estimate, error) {
-			r := req
-			r.BaseSeed = baseSeed
-			return ratio.RunSharded(ctx, c, r, benchRuns, benchChunk)
-		}
+	c := newTestCoordinator(b, CoordinatorOptions{
+		Workers: workerSpecs(b, make([]string, workers)...),
+	})
+	estimate := func(baseSeed int64) (ratio.Estimate, error) {
+		r := req
+		r.BaseSeed = baseSeed
+		return ratio.RunSharded(ctx, c, r, benchRuns, benchChunk)
 	}
 	// Warm the workers (and the fleet storage) before timing.
 	if _, err := estimate(1); err != nil {

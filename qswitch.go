@@ -456,7 +456,8 @@ func MeasureRatioCIOQSequential(cfg Config, policyName string, gen Generator, ex
 // differences against policyNames[0] get their own Student-t CIs. The
 // marginal estimates are byte-identical to MeasureRatioCIOQ per policy on
 // the same seeds; the paired differences reach a target half-width with
-// far fewer switch-slots than independent sampling (see BENCH_8). A
+// far fewer switch-slots than independent sampling (see the root
+// BenchmarkPairedDiffCIOQ pair). A
 // non-zero target stops early once every difference CI clears it.
 func CompareRatioCIOQPaired(cfg Config, policyNames []string, gen Generator, exact bool,
 	seed int64, target PrecisionTarget, maxRuns int) (PairedEstimate, error) {
