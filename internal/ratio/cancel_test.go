@@ -193,6 +193,30 @@ func TestRunShardedSingleFailureAttribution(t *testing.T) {
 	}
 }
 
+// shortChunkService answers every chunk with one outcome too few.
+type shortChunkService struct{}
+
+func (shortChunkService) RatioChunk(_ context.Context, req ChunkRequest) ([]SeedOutcome, error) {
+	return make([]SeedOutcome, req.K1-req.K0-1), nil
+}
+
+// TestShortChunkServiceFails: a chunk service that answers 4 seeds with 3
+// outcomes fails the estimation with the count in the error, attributed to
+// its chunk when RunSharded reports it.
+func TestShortChunkServiceFails(t *testing.T) {
+	req := ChunkRequest{Cfg: microCfg(), Gen: packet.Bernoulli{Load: 1.0}, BaseSeed: 1}
+	const want = "chunk service returned 3 outcomes for 4 seeds"
+	_, err := RunSharded(context.Background(), shortChunkService{}, req, 4, 4)
+	if err == nil || err.Error() != "shard chunk 0: "+want {
+		t.Errorf("RunSharded error = %v, want %q", err, "shard chunk 0: "+want)
+	}
+	_, _, err = RunSequential(context.Background(), ShardedChunks(shortChunkService{}, req),
+		SequentialOptions{Chunk: 4, MaxRuns: 4})
+	if err == nil || err.Error() != want {
+		t.Errorf("RunSequential error = %v, want %q", err, want)
+	}
+}
+
 // TestRunShardedMatchesRunInProcess pins the sharded merge against the
 // sequential baseline using an in-process chunk service, across chunk
 // sizes that do and do not divide the run count.

@@ -1,8 +1,14 @@
 package qswitch
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"qswitch/internal/core"
+	"qswitch/internal/ratio"
 )
 
 func testCfg() Config {
@@ -173,6 +179,93 @@ func TestMeasureRatioCrossbarEndToEnd(t *testing.T) {
 	}
 	if _, err := MeasureRatioCrossbar(cfg, "bogus", UniformTraffic(1), true, 1, 1); err == nil {
 		t.Error("bogus policy accepted")
+	}
+}
+
+// TestMeasureRatioEntryPointsAgree: every facade ratio entry point gives
+// the same estimate for the same seeds, on an exact-judged and an
+// upper-bound-judged shape, and an unknown policy name fails each of them
+// with its resolver's error text.
+func TestMeasureRatioEntryPointsAgree(t *testing.T) {
+	shapes := []struct {
+		name  string
+		cfg   Config
+		gen   Generator
+		exact bool
+	}{
+		{"2x2-exact", Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2,
+			CrossBuf: 1, Speedup: 1, Validate: true, Slots: 5}, UniformTraffic(1.5), true},
+		{"4x4-upper-bound", Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 2,
+			CrossBuf: 2, Speedup: 1, Validate: true, Slots: 20}, UniformTraffic(1.2), false},
+	}
+	const seed, runs = 11, 12
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			want, err := MeasureRatioCIOQ(sh.cfg, "gm", sh.gen, sh.exact, seed, runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Runs == 0 {
+				t.Fatal("no runs measured")
+			}
+			check := func(label string, got RatioEstimate, err error) {
+				t.Helper()
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s differs from MeasureRatioCIOQ:\n got %+v\nwant %+v", label, got, want)
+				}
+			}
+			for _, workers := range []int{1, 3} {
+				got, err := MeasureRatioCIOQParallel(sh.cfg, "gm", sh.gen, sh.exact, seed, runs, workers)
+				check(fmt.Sprintf("MeasureRatioCIOQParallel(workers=%d)", workers), got, err)
+			}
+			for _, chunk := range []int{1, 5} {
+				got, _, err := MeasureRatioCIOQSequential(sh.cfg, "gm", sh.gen, sh.exact, seed, PrecisionTarget{}, chunk, runs)
+				check(fmt.Sprintf("MeasureRatioCIOQSequential(chunk=%d)", chunk), got, err)
+			}
+			pe, err := CompareRatioCIOQPaired(sh.cfg, []string{"gm"}, sh.gen, sh.exact, seed, PrecisionTarget{}, runs)
+			if err == nil && len(pe.Marginals) != 1 {
+				t.Fatalf("CompareRatioCIOQPaired: %d marginals, want 1", len(pe.Marginals))
+			}
+			if err != nil {
+				t.Errorf("CompareRatioCIOQPaired: %v", err)
+			} else {
+				check("CompareRatioCIOQPaired", pe.Marginals[0], nil)
+			}
+
+			judge := ratio.JudgeFactory(ratio.UpperBoundCrossbar)
+			if sh.exact {
+				judge = exactJudge(true)
+			}
+			wantX, err := ratio.Run(context.Background(), sh.cfg,
+				ratio.CrossbarAlg(func() CrossbarPolicy { return &core.CGU{} }), judge, sh.gen, seed, runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotX, err := MeasureRatioCrossbar(sh.cfg, "cgu", sh.gen, sh.exact, seed, runs)
+			if err != nil || !reflect.DeepEqual(gotX, wantX) {
+				t.Errorf("MeasureRatioCrossbar = %+v, %v; want ratio.Run's %+v", gotX, err, wantX)
+			}
+		})
+	}
+
+	const bad = "no-such-policy"
+	cfg, gen := shapes[0].cfg, shapes[0].gen
+	_, cioqErr := NewCIOQPolicy(bad)
+	_, xbarErr := NewCrossbarPolicy(bad)
+	errs := map[string]error{}
+	_, errs["MeasureRatioCIOQ"] = MeasureRatioCIOQ(cfg, bad, gen, true, seed, runs)
+	_, errs["MeasureRatioCIOQParallel"] = MeasureRatioCIOQParallel(cfg, bad, gen, true, seed, runs, 2)
+	_, _, errs["MeasureRatioCIOQSequential"] = MeasureRatioCIOQSequential(cfg, bad, gen, true, seed, PrecisionTarget{}, 4, runs)
+	_, errs["CompareRatioCIOQPaired"] = CompareRatioCIOQPaired(cfg, []string{"gm", bad}, gen, true, seed, PrecisionTarget{}, runs)
+	for name, err := range errs {
+		if err == nil || err.Error() != cioqErr.Error() {
+			t.Errorf("%s(%q) error = %v, want %q", name, bad, err, cioqErr)
+		}
+	}
+	if _, err := MeasureRatioCrossbar(cfg, bad, gen, true, seed, runs); err == nil || err.Error() != xbarErr.Error() {
+		t.Errorf("MeasureRatioCrossbar(%q) error = %v, want %q", bad, err, xbarErr)
 	}
 }
 
