@@ -25,7 +25,13 @@ import (
 	"qswitch/internal/switchsim"
 )
 
-// Options controls experiment scale.
+// Options controls experiment scale and the backend the Monte-Carlo
+// ratio estimations (E1-E4) run on. The backend levers never change a
+// table — every estimate is byte-identical on each backend — and they
+// resolve in one order: Shard, when set, wins over Fleet, and Fleet over
+// the scalar engine; CITarget adds sequential stopping on whichever of
+// the three is chosen; Paired reroutes only the E2b beta sweep, and only
+// when Shard is unset.
 type Options struct {
 	// Quick shrinks workloads by roughly an order of magnitude so every
 	// experiment finishes in well under a second (used by tests and
@@ -41,31 +47,24 @@ type Options struct {
 	// accelerates. Results are bit-identical either way; it is purely a
 	// wall-clock lever.
 	Dense bool
-	// Fleet routes the Monte-Carlo ratio estimations (E1-E4) through the
-	// columnar batched engine (ratio.RunFleet over internal/fleet):
-	// batchable policy families amortize one policy loop across a whole
-	// batch of seeded instances, everything else falls back to scalar
-	// runs. Estimates are byte-identical either way; like Dense, it is
-	// purely a wall-clock lever.
+	// Fleet routes the ratio estimations through the columnar batched
+	// engine (ratio.FleetChunks over internal/fleet): batchable policy
+	// families amortize one policy loop across a whole batch of seeded
+	// instances, everything else falls back to scalar runs.
 	Fleet bool
-	// Shard routes the Monte-Carlo ratio estimations (E1-E4) through an
-	// out-of-process chunk service — typically a shard.Coordinator
-	// fanning seed-range chunks over qswitchd worker processes with
-	// retries and checkpointing. Estimates are byte-identical to every
-	// in-process backend; like Dense and Fleet, it is purely an
-	// operational lever. Takes precedence over Fleet.
+	// Shard routes the ratio estimations through an out-of-process chunk
+	// service — typically a shard.Coordinator fanning seed-range chunks
+	// over qswitchd worker processes with retries and checkpointing.
 	Shard ratio.ChunkService
 	// ShardChunk is the seeds-per-chunk granularity handed to
 	// ratio.RunSharded when Shard is set (<= 0 selects the default).
 	ShardChunk int
-	// CITarget enables sequential stopping for the Monte-Carlo ratio
-	// estimations (E1-E4): seed chunks are issued through whichever
-	// backend the other levers select (scalar, fleet or shard)
-	// until the Student-t CI half-width on the mean ratio clears the
-	// target, capped at the experiment's usual seed budget. The stopped
-	// seed count depends only on (Seed, SeqChunk), never on the backend.
-	// A disabled (zero) target reproduces the fixed-N estimates
-	// byte-identically.
+	// CITarget enables sequential stopping for the ratio estimations:
+	// seed chunks are issued until the Student-t CI half-width on the
+	// mean ratio clears the target, capped at the experiment's usual seed
+	// budget. The stopped seed count depends only on (Seed, SeqChunk),
+	// never on the backend. A disabled (zero) target reproduces the
+	// fixed-N estimates byte-identically.
 	CITarget stats.Target
 	// SeqChunk is the seeds-per-stopping-decision granularity when
 	// CITarget is enabled (<= 0 selects the ratio package default).
@@ -75,9 +74,8 @@ type Options struct {
 	// ONE offline-optimum solve per seed (instead of one per beta), and
 	// the sweep's paired-difference columns come from the same
 	// ratio.PairedDiff fold either way — so the table is byte-identical
-	// to the independent path and, like Fleet, this is purely a
-	// wall-clock/sample-efficiency lever. Shard takes precedence (paired
-	// mode is in-process).
+	// to the independent path and this is purely a
+	// wall-clock/sample-efficiency lever.
 	Paired bool
 	// Probes, when set, is the observability registry the process's
 	// probe bundles flush into (see internal/obs/wire.Up). Experiments
@@ -94,77 +92,34 @@ type Options struct {
 // experiment.
 func (o Options) ProbeSnapshot() map[string]float64 { return o.Probes.Snapshot() }
 
-// fleetBatch is the batch size Options.Fleet hands to ratio.RunFleet.
+// fleetBatch is the batch size Options.Fleet hands to ratio.FleetChunks.
 const fleetBatch = 64
 
-// ratioCIOQ measures OPT/ALG for a CIOQ policy family over seeded
-// workloads, honoring Options.Shard and Options.Fleet. The policy and
-// judge carry both an in-process constructor and the registry spec string
-// shard workers resolve; results are byte-identical across backends.
-func (o Options) ratioCIOQ(cfg switchsim.Config, pol cioqPolicyRef,
-	judge judgeRef, gen packet.Generator, seed int64, runs int) (ratio.Estimate, error) {
-	if o.CITarget.Enabled() {
-		est, _, err := ratio.RunSequential(o.ctx(), o.cioqEvaluator(cfg, pol, judge, gen, seed),
-			ratio.SequentialOptions{Target: o.CITarget, Chunk: o.SeqChunk, MaxRuns: runs})
-		return est, err
+// estimate measures OPT/ALG for one policy family over `runs` seeded
+// workloads on the backend the options select (see Options). A fixed
+// budget on the scalar or fleet engine is one chunk on the caller's
+// goroutine — ratio.Run's plan, and ratio.RunFleet's at one worker — and a
+// fixed budget on a shard puts every chunk in flight at once.
+func (o Options) estimate(cfg switchsim.Config, pol policyRef, judge judgeRef, gen packet.Generator,
+	seed int64, runs int) (ratio.Estimate, error) {
+	req := ratio.ChunkRequest{Cfg: cfg, Crossbar: pol.crossbar, Policy: pol.spec, Judge: judge.spec, Gen: gen, BaseSeed: seed}
+	var eval ratio.ChunkEvaluator
+	switch {
+	case o.Shard != nil && !o.CITarget.Enabled():
+		return ratio.RunSharded(o.ctx(), o.Shard, req, runs, o.ShardChunk)
+	case o.Shard != nil:
+		eval = ratio.ShardedChunks(o.Shard, req)
+	case o.Fleet:
+		eval = ratio.FleetChunks(cfg, pol.fleet, judge.factory, gen, seed, fleetBatch)
+	default:
+		eval = ratio.ScalarChunks(cfg, pol.alg, judge.factory, gen, seed)
 	}
-	if o.Shard != nil {
-		return ratio.RunSharded(o.ctx(), o.Shard, ratio.ChunkRequest{
-			Cfg: cfg, Policy: pol.spec, Judge: judge.spec, Gen: gen, BaseSeed: seed,
-		}, runs, o.ShardChunk)
+	seq := ratio.SequentialOptions{Target: o.CITarget, Chunk: o.SeqChunk, MaxRuns: runs}
+	if !o.CITarget.Enabled() {
+		seq.Chunk = runs // a fixed budget is one chunk
 	}
-	if o.Fleet {
-		return ratio.RunFleet(o.ctx(), cfg, ratio.CIOQFleetAlg(pol.factory), judge.factory, gen, seed, runs, 1, fleetBatch)
-	}
-	return ratio.Run(o.ctx(), cfg, ratio.CIOQAlg(pol.factory), judge.factory, gen, seed, runs)
-}
-
-// cioqEvaluator adapts the backend the options select to the sequential
-// driver's chunk interface, honoring the same precedence as ratioCIOQ.
-func (o Options) cioqEvaluator(cfg switchsim.Config, pol cioqPolicyRef,
-	judge judgeRef, gen packet.Generator, seed int64) ratio.ChunkEvaluator {
-	if o.Shard != nil {
-		return ratio.ShardedChunks(o.Shard, ratio.ChunkRequest{
-			Cfg: cfg, Policy: pol.spec, Judge: judge.spec, Gen: gen, BaseSeed: seed,
-		})
-	}
-	if o.Fleet {
-		return ratio.FleetChunks(cfg, ratio.CIOQFleetAlg(pol.factory), judge.factory, gen, seed, fleetBatch)
-	}
-	return ratio.ScalarChunks(cfg, ratio.CIOQAlg(pol.factory), judge.factory, gen, seed)
-}
-
-// ratioCrossbar is ratioCIOQ for crossbar policy families.
-func (o Options) ratioCrossbar(cfg switchsim.Config, pol crossbarPolicyRef,
-	judge judgeRef, gen packet.Generator, seed int64, runs int) (ratio.Estimate, error) {
-	if o.CITarget.Enabled() {
-		est, _, err := ratio.RunSequential(o.ctx(), o.crossbarEvaluator(cfg, pol, judge, gen, seed),
-			ratio.SequentialOptions{Target: o.CITarget, Chunk: o.SeqChunk, MaxRuns: runs})
-		return est, err
-	}
-	if o.Shard != nil {
-		return ratio.RunSharded(o.ctx(), o.Shard, ratio.ChunkRequest{
-			Cfg: cfg, Crossbar: true, Policy: pol.spec, Judge: judge.spec, Gen: gen, BaseSeed: seed,
-		}, runs, o.ShardChunk)
-	}
-	if o.Fleet {
-		return ratio.RunFleet(o.ctx(), cfg, ratio.CrossbarFleetAlg(pol.factory), judge.factory, gen, seed, runs, 1, fleetBatch)
-	}
-	return ratio.Run(o.ctx(), cfg, ratio.CrossbarAlg(pol.factory), judge.factory, gen, seed, runs)
-}
-
-// crossbarEvaluator is cioqEvaluator for crossbar policy families.
-func (o Options) crossbarEvaluator(cfg switchsim.Config, pol crossbarPolicyRef,
-	judge judgeRef, gen packet.Generator, seed int64) ratio.ChunkEvaluator {
-	if o.Shard != nil {
-		return ratio.ShardedChunks(o.Shard, ratio.ChunkRequest{
-			Cfg: cfg, Crossbar: true, Policy: pol.spec, Judge: judge.spec, Gen: gen, BaseSeed: seed,
-		})
-	}
-	if o.Fleet {
-		return ratio.FleetChunks(cfg, ratio.CrossbarFleetAlg(pol.factory), judge.factory, gen, seed, fleetBatch)
-	}
-	return ratio.ScalarChunks(cfg, ratio.CrossbarAlg(pol.factory), judge.factory, gen, seed)
+	est, _, err := ratio.RunSequential(o.ctx(), eval, seq)
+	return est, err
 }
 
 // ctx is the context experiment runs execute under; experiments are
@@ -175,17 +130,23 @@ func (o Options) ctx() context.Context { return context.Background() }
 // the CITarget's level, 0.95 when no target is set.
 func (o Options) confidence() float64 { return o.CITarget.ConfidenceLevel() }
 
-// cioqPolicyRef couples a CIOQ policy family's in-process factory with
-// the registry spec string a shard worker resolves to the same family.
-type cioqPolicyRef struct {
-	spec    string
-	factory func() switchsim.CIOQPolicy
+// policyRef couples a policy family's in-process engines with the
+// registry spec string a shard worker resolves to the same family.
+type policyRef struct {
+	spec     string
+	crossbar bool
+	alg      ratio.Alg
+	fleet    ratio.FleetAlgFactory
 }
 
-// crossbarPolicyRef is cioqPolicyRef for crossbar families.
-type crossbarPolicyRef struct {
-	spec    string
-	factory func() switchsim.CrossbarPolicy
+// cioqRef is the policyRef of a CIOQ policy family.
+func cioqRef(spec string, f func() switchsim.CIOQPolicy) policyRef {
+	return policyRef{spec: spec, alg: ratio.CIOQAlg(f), fleet: ratio.CIOQFleetAlg(f)}
+}
+
+// crossbarRef is the policyRef of a buffered-crossbar policy family.
+func crossbarRef(spec string, f func() switchsim.CrossbarPolicy) policyRef {
+	return policyRef{spec: spec, crossbar: true, alg: ratio.CrossbarAlg(f), fleet: ratio.CrossbarFleetAlg(f)}
 }
 
 // judgeRef couples a judge factory with its registry spec string.

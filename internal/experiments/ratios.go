@@ -26,7 +26,7 @@ func E1GMRatio(opts Options) ([]*stats.Table, error) {
 		packet.Hotspot{Load: 1.5, HotFrac: 0.8},
 		packet.Bursty{OnLoad: 1.0, POnOff: 0.4, POffOn: 0.4},
 	}
-	alg := cioqPolicyRef{"gm", func() switchsim.CIOQPolicy { return &core.GM{} }}
+	alg := cioqRef("gm", func() switchsim.CIOQPolicy { return &core.GM{} })
 	cfgs := []switchsim.Config{microCfg(opts, slots)}
 	{
 		c := microCfg(opts, slots)
@@ -38,7 +38,7 @@ func E1GMRatio(opts Options) ([]*stats.Table, error) {
 	}
 	for ci, cfg := range cfgs {
 		for gi, gen := range gens {
-			est, err := opts.ratioCIOQ(cfg, alg, judgeRef{"exactunit", ratio.ExactUnitCIOQ}, gen,
+			est, err := opts.estimate(cfg, alg, judgeRef{"exactunit", ratio.ExactUnitCIOQ}, gen,
 				opts.Seed+int64(1000*ci+100*gi), runs)
 			if err != nil {
 				return nil, fmt.Errorf("e1: %w", err)
@@ -68,9 +68,9 @@ func E2PGRatio(opts Options) ([]*stats.Table, error) {
 		packet.Bursty{OnLoad: 0.8, POnOff: 0.3, POffOn: 0.3, Values: packet.ZipfValues{Hi: 100, S: 1.2}},
 	}
 	cfg := microCfg(opts, slots)
-	alg := cioqPolicyRef{"pg", func() switchsim.CIOQPolicy { return &core.PG{} }}
+	alg := cioqRef("pg", func() switchsim.CIOQPolicy { return &core.PG{} })
 	for gi, gen := range gens {
-		est, err := opts.ratioCIOQ(cfg, alg, judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gen,
+		est, err := opts.estimate(cfg, alg, judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gen,
 			opts.Seed+int64(100*gi), runs)
 		if err != nil {
 			return nil, fmt.Errorf("e2a: %w", err)
@@ -97,11 +97,11 @@ func E2PGRatio(opts Options) ([]*stats.Table, error) {
 	cfgB.OutputBuf = 1
 	betas := []float64{1.0, 1.2, 1.5, 1.8, 2.1, 1 + math.Sqrt2, 2.8, 3.2, 4.0, 6.0}
 	gen := packet.Hotspot{Load: 1.2, HotFrac: 0.8, Values: packet.GeometricValues{P: 0.35, Hi: 64}}
-	pols := make([]cioqPolicyRef, len(betas))
+	pols := make([]policyRef, len(betas))
 	for i, beta := range betas {
 		b := beta
-		pols[i] = cioqPolicyRef{fmt.Sprintf("pg(beta=%s)", fmtParam(b)),
-			func() switchsim.CIOQPolicy { return &core.PG{Beta: b} }}
+		pols[i] = cioqRef(fmt.Sprintf("pg(beta=%s)", fmtParam(b)),
+			func() switchsim.CIOQPolicy { return &core.PG{Beta: b} })
 	}
 	ests, err := opts.betaSweepEstimates(cfgB, pols, gen, opts.Seed+7, runs)
 	if err != nil {
@@ -123,16 +123,16 @@ func E2PGRatio(opts Options) ([]*stats.Table, error) {
 }
 
 // betaSweepEstimates measures every point of a policy family over the
-// same seed stream: independently through ratioCIOQ, or — with
+// same seed stream: independently through estimate, or — with
 // Options.Paired and no shard — through ratio.RunPaired, which steps all
 // points on shared sequences with one judge call per seed. Marginal
 // estimates are byte-identical either way.
-func (o Options) betaSweepEstimates(cfg switchsim.Config, pols []cioqPolicyRef,
+func (o Options) betaSweepEstimates(cfg switchsim.Config, pols []policyRef,
 	gen packet.Generator, seed int64, runs int) ([]ratio.Estimate, error) {
 	if o.Paired && o.Shard == nil {
 		ppols := make([]ratio.PairedPolicy, len(pols))
 		for i, p := range pols {
-			ppols[i] = ratio.PairedPolicy{Name: p.spec, Alg: ratio.CIOQFleetAlg(p.factory)}
+			ppols[i] = ratio.PairedPolicy{Name: p.spec, Alg: p.fleet}
 		}
 		pe, err := ratio.RunPaired(o.ctx(), cfg, ppols, ratio.ExactWeightedCIOQ, gen, seed,
 			ratio.PairedOptions{Batch: fleetBatch, Chunk: o.SeqChunk, Target: o.CITarget, MaxRuns: runs})
@@ -143,7 +143,7 @@ func (o Options) betaSweepEstimates(cfg switchsim.Config, pols []cioqPolicyRef,
 	}
 	ests := make([]ratio.Estimate, len(pols))
 	for i, pol := range pols {
-		est, err := o.ratioCIOQ(cfg, pol, judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gen, seed, runs)
+		est, err := o.estimate(cfg, pol, judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gen, seed, runs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pol.spec, err)
 		}
@@ -181,7 +181,7 @@ func E3CGURatio(opts Options) ([]*stats.Table, error) {
 		packet.Hotspot{Load: 1.5, HotFrac: 0.8},
 		packet.Bursty{OnLoad: 1.0, POnOff: 0.4, POffOn: 0.4},
 	}
-	alg := crossbarPolicyRef{"cgu", func() switchsim.CrossbarPolicy { return &core.CGU{} }}
+	alg := crossbarRef("cgu", func() switchsim.CrossbarPolicy { return &core.CGU{} })
 	cfgs := []switchsim.Config{microCfg(opts, slots)}
 	{
 		c := microCfg(opts, slots)
@@ -190,7 +190,7 @@ func E3CGURatio(opts Options) ([]*stats.Table, error) {
 	}
 	for ci, cfg := range cfgs {
 		for gi, gen := range gens {
-			est, err := opts.ratioCrossbar(cfg, alg, judgeRef{"exactunit", ratio.ExactUnitCrossbar}, gen,
+			est, err := opts.estimate(cfg, alg, judgeRef{"exactunit", ratio.ExactUnitCrossbar}, gen,
 				opts.Seed+int64(1000*ci+100*gi), runs)
 			if err != nil {
 				return nil, fmt.Errorf("e3: %w", err)
@@ -235,19 +235,19 @@ func E4CPGParams(opts Options) ([]*stats.Table, error) {
 		"variant", "runs", "max_ratio", "mean_ratio", "ci_hw", "bound", "within")
 	variants := []struct {
 		name  string
-		pol   crossbarPolicyRef
+		pol   policyRef
 		bound float64
 	}{
 		{"cpg (beta*, alpha*)",
-			crossbarPolicyRef{"cpg", func() switchsim.CrossbarPolicy { return &core.CPG{} }},
+			crossbarRef("cpg", func() switchsim.CrossbarPolicy { return &core.CPG{} }),
 			core.CPGRatioClosedForm()},
 		{"cpg (beta=alpha)",
-			crossbarPolicyRef{fmt.Sprintf("cpg(beta=%s,alpha=%s)", fmtParam(bEq), fmtParam(bEq)),
-				func() switchsim.CrossbarPolicy { return core.CPGEqualParams() }},
+			crossbarRef(fmt.Sprintf("cpg(beta=%s,alpha=%s)", fmtParam(bEq), fmtParam(bEq)),
+				func() switchsim.CrossbarPolicy { return core.CPGEqualParams() }),
 			rEq},
 	}
 	for vi, v := range variants {
-		est, err := opts.ratioCrossbar(cfg, v.pol, judgeRef{"exactweighted", ratio.ExactWeightedCrossbar},
+		est, err := opts.estimate(cfg, v.pol, judgeRef{"exactweighted", ratio.ExactWeightedCrossbar},
 			gen, opts.Seed+int64(100*vi), runs)
 		if err != nil {
 			return nil, fmt.Errorf("e4c: %w", err)

@@ -26,7 +26,7 @@ const (
 	MetricJudgeEpochs      = "qswitch_judge_epochs_total"
 	MetricJudgeExactSolves = "qswitch_judge_exact_solves_total"
 
-	// Sequential-estimation probes (ratio.RunSequential).
+	// Ratio-estimation probes (every ratio.Run* entry point).
 	MetricSeqRuns         = "qswitch_seq_runs_total"
 	MetricSeqChunks       = "qswitch_seq_chunks_total"
 	MetricSeqSeedsTotal   = "qswitch_seq_seeds_total"
@@ -190,12 +190,12 @@ func (p *JudgeProbes) RecordExactSolve() {
 	p.ExactSolves.Inc()
 }
 
-// SeqProbes is the sequential-estimation probe bundle: chunk latencies
-// and the half-width trajectory RunSequential walks toward its precision
-// target, plus the seed counters the progress tracker derives rates and
+// SeqProbes is the ratio-estimation probe bundle: chunk latencies and
+// the half-width trajectory every estimation walks toward its precision
+// target (or its fixed budget), plus the seed counters the progress tracker derives rates and
 // ETA from. The zero and nil values are no-ops.
 type SeqProbes struct {
-	// Runs counts RunSequential invocations.
+	// Runs counts estimation runs.
 	Runs *Counter
 	// Chunks counts evaluated seed chunks.
 	Chunks *Counter
@@ -214,7 +214,7 @@ type SeqProbes struct {
 	ChunkSeconds *Histogram
 }
 
-// NewSeqProbes registers the sequential-estimation metrics in r (nil r
+// NewSeqProbes registers the ratio-estimation metrics in r (nil r
 // yields a fully disabled bundle).
 func NewSeqProbes(r *Registry) *SeqProbes {
 	return &SeqProbes{
@@ -230,7 +230,7 @@ func NewSeqProbes(r *Registry) *SeqProbes {
 	}
 }
 
-// StartRun flushes a sequential run's start: its seed budget and
+// StartRun flushes an estimation run's start: its seed budget and
 // absolute half-width target. Safe on a nil receiver.
 func (p *SeqProbes) StartRun(budget int64, target float64) {
 	if p == nil {

@@ -22,7 +22,7 @@ import (
 
 // Up installs probe bundles registered in reg into every instrumented
 // in-process layer (switchsim engines, fleet runners, offline judges,
-// sequential estimation). Passing a nil registry installs no-op bundles,
+// ratio estimation). Passing a nil registry installs no-op bundles,
 // which is equivalent to Down.
 func Up(reg *obs.Registry) {
 	switchsim.SetProbes(obs.NewEngineProbes(reg))

@@ -3,8 +3,8 @@
 // serialization.
 //
 // Time is discrete: packets carry the index of the time slot in which they
-// arrive at the switch. Values are positive integers so that offline optima
-// computed with integral min-cost flows are exact and all simulations are
+// arrive at the switch. Values are positive integers so that the offline
+// optima and bounds are exact integer sums and all simulations are
 // bit-for-bit deterministic.
 //
 // # Invariants

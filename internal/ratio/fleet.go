@@ -2,9 +2,6 @@ package ratio
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"qswitch/internal/fleet"
 	"qswitch/internal/packet"
@@ -65,112 +62,17 @@ func CrossbarFleetAlg(factory func() switchsim.CrossbarPolicy) FleetAlgFactory {
 	}
 }
 
-// RunFleet is RunParallel with the policy side of the measurements routed
-// through a batched FleetAlg: seeds are dealt into contiguous batches of
-// `batch` sequences (<= 0 selects 64) and batches fan out over `workers`
-// goroutines (<= 0 selects GOMAXPROCS). Each worker mints one FleetAlg
-// and one Judge up front — the fleet storage and the judge scratch are
-// reused across the worker's whole chunk stream — and evaluates each
-// chunk via EvalChunk, which overlaps judging with fleet stepping and
-// attributes errors to their exact seed. Results are merged
-// deterministically in seed order, so the output is byte-identical to Run
-// and RunParallel for the same inputs, regardless of workers or batch
-// size.
-//
-// Cancellation mirrors RunParallel at chunk granularity: a failed chunk
-// stops siblings from starting chunks beyond it (chunks below the failure
-// still run, keeping attribution exact), and a cancelled ctx abandons all
-// remaining chunks.
+// RunFleet is RunParallel with the policy side batched: seeds are dealt in
+// chunks of `batch` sequences (<= 0 selects 64) to `workers` workers (<= 0
+// selects GOMAXPROCS), each evaluating through its own FleetChunks — one
+// FleetAlg and one Judge per worker. The estimate is byte-identical to
+// Run's for the same inputs, regardless of workers or batch size.
 func RunFleet(ctx context.Context, cfg switchsim.Config, alg FleetAlgFactory, judge JudgeFactory, gen packet.Generator,
 	baseSeed int64, runs, workers, batch int) (Estimate, error) {
-	if runs <= 0 {
-		return Estimate{}, nil
-	}
 	if batch <= 0 {
 		batch = 64
 	}
-	if batch > runs {
-		batch = runs
-	}
-	nChunks := (runs + batch - 1) / batch
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nChunks {
-		workers = nChunks
-	}
-
-	results := make([]SeedOutcome, runs)
-	// errChunk is the smallest chunk index containing a failed seed;
-	// chunks above it cannot affect the merged result and are skipped.
-	errChunk := int64(nChunks)
-	var errMu sync.Mutex
-	loadErrChunk := func() int64 {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return errChunk
-	}
-	var cancelled atomic.Bool
-	// worker drains chunk indices, holding one reusable fleet alg, one
-	// reusable judge and one outcome scratch buffer for its whole stream.
-	worker := func(chunks <-chan int) {
-		a := alg()
-		j := judge()
-		var outs []SeedOutcome
-		for c := range chunks {
-			k0 := c * batch
-			k1 := min(runs, k0+batch)
-			if cancelled.Load() || ctx.Err() != nil {
-				cancelled.Store(true)
-				for k := k0; k < k1; k++ {
-					results[k] = SeedOutcome{Seed: baseSeed + int64(k), NotRun: true}
-				}
-				continue
-			}
-			if int64(c) > loadErrChunk() {
-				for k := k0; k < k1; k++ {
-					results[k] = SeedOutcome{Seed: baseSeed + int64(k), NotRun: true}
-				}
-				continue
-			}
-			outs = EvalChunk(cfg, a, j, gen, baseSeed, k0, k1, outs)
-			failed := false
-			for i, o := range outs {
-				results[k0+i] = o
-				failed = failed || o.Err != nil
-			}
-			if failed {
-				errMu.Lock()
-				if int64(c) < errChunk {
-					errChunk = int64(c)
-				}
-				errMu.Unlock()
-			}
-		}
-	}
-
-	if workers <= 1 {
-		chunkCh := make(chan int, nChunks)
-		for c := 0; c < nChunks; c++ {
-			chunkCh <- c
-		}
-		close(chunkCh)
-		worker(chunkCh)
-	} else {
-		chunkCh := make(chan int, nChunks)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker(chunkCh)
-			}()
-		}
-		for c := 0; c < nChunks; c++ {
-			chunkCh <- c
-		}
-		close(chunkCh)
-		wg.Wait()
-	}
-	return MergeOutcomes(ctx, results)
+	est, _, err := merged(ctx, plan{runs: runs, chunk: batch, workers: workers,
+		mint: func() ChunkEvaluator { return FleetChunks(cfg, alg, judge, gen, baseSeed, batch) }})
+	return est, err
 }

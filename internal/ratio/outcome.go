@@ -3,6 +3,7 @@ package ratio
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"qswitch/internal/packet"
 	"qswitch/internal/stats"
@@ -70,7 +71,7 @@ func MergeOutcomes(ctx context.Context, outs []SeedOutcome) (Estimate, error) {
 }
 
 // evalSeed measures one seed with a scalar Alg, producing the outcome
-// Run/RunParallel merge. The error text matches EvalChunk's for the same
+// ScalarChunks yields. The error text matches EvalChunk's for the same
 // seed, so attribution is identical across backends.
 func evalSeed(cfg switchsim.Config, alg Alg, j Judge, gen packet.Generator, seed int64) SeedOutcome {
 	seq := generateSeq(cfg, gen, seed)
@@ -99,83 +100,101 @@ func generateSeq(cfg switchsim.Config, gen packet.Generator, seed int64) packet.
 // attributed to the chunk's first eligible seed.
 func EvalChunk(cfg switchsim.Config, a FleetAlg, j Judge, gen packet.Generator,
 	baseSeed int64, k0, k1 int, out []SeedOutcome) []SeedOutcome {
+	return evalArms(cfg, []FleetAlg{a}, j, gen, baseSeed, k0, k1, out, &armScratch{})
+}
+
+// armScratch is the buffers evalArms reuses, plus what it has done: the
+// summed arrival spans of the sequences it generated and its judge calls.
+type armScratch struct {
+	seqs          []packet.Sequence
+	optVals       []int64
+	spans, judged int64
+}
+
+// evalArms is EvalChunk over k arms sharing one generated sequence and one
+// judge call per seed: out holds k outcomes per seed, seed-major, and arm
+// a's outcomes are exactly EvalChunk's with that arm alone. The arms step
+// one after another on the side goroutine.
+func evalArms(cfg switchsim.Config, arms []FleetAlg, j Judge, gen packet.Generator,
+	baseSeed int64, k0, k1 int, out []SeedOutcome, sc *armScratch) []SeedOutcome {
 	out = out[:0]
-	n := k1 - k0
+	n, k := k1-k0, len(arms)
 	if n <= 0 {
 		return out
 	}
-	seqs := make([]packet.Sequence, 0, n)
-	for k := k0; k < k1; k++ {
-		seqs = append(seqs, generateSeq(cfg, gen, baseSeed+int64(k)))
+	sc.seqs = sc.seqs[:0]
+	for s := k0; s < k1; s++ {
+		seq := generateSeq(cfg, gen, baseSeed+int64(s))
+		sc.seqs = append(sc.seqs, seq)
+		sc.spans += seqSpan(seq)
 	}
-	// Policy side first, on its own goroutine: the fleet steps the whole
+	seqs := sc.seqs
+	// Policy side first, on its own goroutine: the fleets step the whole
 	// batch while this goroutine judges it.
-	type algOut struct {
-		benefits []int64
-		err      error
-	}
-	algCh := make(chan algOut, 1)
+	benefits, errs := make([][]int64, k), make([]error, k)
+	done := make(chan struct{})
 	go func() {
-		benefits, err := a(cfg, seqs)
-		if err == nil && len(benefits) != len(seqs) {
-			err = fmt.Errorf("fleet alg returned %d benefits for %d sequences", len(benefits), len(seqs))
+		for a, alg := range arms {
+			benefits[a], errs[a] = alg(cfg, seqs)
+			if errs[a] == nil && len(benefits[a]) != len(seqs) {
+				errs[a] = fmt.Errorf("fleet alg returned %d benefits for %d sequences", len(benefits[a]), len(seqs))
+			}
 		}
-		algCh <- algOut{benefits, err}
+		close(done)
 	}()
 
-	optVals := make([]int64, n)
+	sc.optVals = slices.Grow(sc.optVals[:0], n)[:n]
+	sc.judged += int64(n)
 	firstElig := -1
 	for i := 0; i < n; i++ {
-		seed := baseSeed + int64(k0+i)
+		o := SeedOutcome{Seed: baseSeed + int64(k0+i)}
 		optVal, err := j.Judge(cfg, seqs[i])
 		switch {
 		case err != nil:
-			out = append(out, SeedOutcome{Seed: seed, Err: fmt.Errorf("offline optimum: %w", err)})
+			o.Err = fmt.Errorf("offline optimum: %w", err)
 		case optVal == 0:
-			out = append(out, SeedOutcome{Seed: seed, Skipped: true})
+			o.Skipped = true
 		default:
 			if firstElig < 0 {
 				firstElig = i
 			}
-			optVals[i] = optVal
-			out = append(out, SeedOutcome{Seed: seed})
+			sc.optVals[i] = optVal
+		}
+		for range arms {
+			out = append(out, o)
 		}
 	}
-	res := <-algCh
-	if res.err != nil {
-		// The batched call failed; locate the failing seed(s) by re-running
-		// each judged-eligible sequence individually. Per-seed evaluations
-		// are deterministic, so this reproduces exactly the error the
-		// scalar backends would attribute to that seed.
+	<-done
+	for a := range arms {
 		witnessed := false
 		for i := 0; i < n; i++ {
-			if out[i].Err != nil || out[i].Skipped {
+			o := &out[i*k+a]
+			if o.Err != nil || o.Skipped {
 				continue
 			}
-			benefits, err := a(cfg, seqs[i:i+1])
+			if errs[a] == nil {
+				fillOutcome(o, sc.optVals[i], benefits[a][i])
+				continue
+			}
+			// The batched call failed: re-run each judged-eligible sequence
+			// alone. Per-seed evaluations are deterministic, so this
+			// reproduces exactly the error the scalar backends would
+			// attribute to that seed.
+			bs, err := arms[a](cfg, seqs[i:i+1])
+			if err == nil && len(bs) != 1 {
+				err = fmt.Errorf("fleet alg returned %d benefits for 1 sequence", len(bs))
+			}
 			if err != nil {
-				out[i].Err = fmt.Errorf("policy run: %w", err)
+				o.Err = fmt.Errorf("policy run: %w", err)
 				witnessed = true
 				continue
 			}
-			if len(benefits) != 1 {
-				out[i].Err = fmt.Errorf("policy run: fleet alg returned %d benefits for 1 sequence", len(benefits))
-				witnessed = true
-				continue
-			}
-			fillOutcome(&out[i], optVals[i], benefits[0])
+			fillOutcome(o, sc.optVals[i], bs[0])
 		}
-		if !witnessed && firstElig >= 0 {
-			out[firstElig] = SeedOutcome{Seed: out[firstElig].Seed,
-				Err: fmt.Errorf("policy run: %w", res.err)}
+		if errs[a] != nil && !witnessed && firstElig >= 0 {
+			out[firstElig*k+a] = SeedOutcome{Seed: baseSeed + int64(k0+firstElig),
+				Err: fmt.Errorf("policy run: %w", errs[a])}
 		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if out[i].Err != nil || out[i].Skipped {
-			continue
-		}
-		fillOutcome(&out[i], optVals[i], res.benefits[i])
 	}
 	return out
 }

@@ -161,104 +161,49 @@ func RunPaired(ctx context.Context, cfg switchsim.Config, pols []PairedPolicy, j
 	if len(pols) == 0 {
 		return pe, fmt.Errorf("paired: no policies")
 	}
-	for _, p := range pols {
+	k := len(pols)
+	algs := make([]FleetAlg, k)
+	for i, p := range pols {
 		pe.Names = append(pe.Names, p.Name)
+		algs[i] = p.Alg()
 	}
+	pe.Marginals = make([]Estimate, k)
 	if opts.MaxRuns <= 0 {
-		pe.Marginals = make([]Estimate, len(pols))
-		pe.Diffs = make([]DiffEstimate, max(0, len(pols)-1))
+		pe.Diffs = make([]DiffEstimate, k-1)
 		return pe, nil
-	}
-	chunk := opts.Chunk
-	if chunk <= 0 {
-		chunk = 16
 	}
 	batch := opts.Batch
 	if batch <= 0 {
 		batch = 32
 	}
-	algs := make([]FleetAlg, len(pols))
-	for i, p := range pols {
-		algs[i] = p.Alg()
+	var sc armScratch
+	eval := armChunks(cfg, algs, judge(), gen, baseSeed, batch, &sc)
+	outs, rep, err := drive(ctx, plan{runs: opts.MaxRuns, chunk: opts.Chunk, workers: 1, arms: k,
+		target: opts.Target, mint: func() ChunkEvaluator { return eval }})
+	if err != nil {
+		return pe, err
 	}
-	j := judge()
-	conf := opts.Target.ConfidenceLevel()
+	pe.Seeds, pe.TargetMet = rep.Seeds, rep.TargetMet
+	pe.SlotsSimulated, pe.JudgeCalls = int64(k)*sc.spans, sc.judged
 
-	outs := make([][]SeedOutcome, len(pols))
-	// diffAccs streams the stopping statistics; the final Diffs are
-	// recomputed by PairedDiff over the merged marginals (same fold).
-	diffAccs := make([]stats.Estimator, max(1, len(pols)-1))
-	var marginalAcc stats.Estimator // single-policy stopping
-	var scratch pairedScratch
-	failed := false
-	for k0 := 0; k0 < opts.MaxRuns && !failed; k0 += chunk {
-		if err := ctx.Err(); err != nil {
-			return pe, err
-		}
-		k1 := min(opts.MaxRuns, k0+chunk)
-		for b0 := k0; b0 < k1 && !failed; b0 += batch {
-			b1 := min(k1, b0+batch)
-			failed = evalPairedBatch(cfg, algs, j, gen, baseSeed, b0, b1, &pe, outs, &scratch)
-		}
-		pe.Seeds = min(pe.Seeds, opts.MaxRuns) // evalPairedBatch counts issued seeds
-		if failed {
-			break
-		}
-		// Fold the chunk's eligible paired samples into the stopping
-		// statistics, in seed order.
-		n0 := len(outs[0]) - (k1 - k0)
-		for i := n0; i < len(outs[0]); i++ {
-			if outs[0][i].Skipped {
-				continue
-			}
-			if len(pols) == 1 {
-				marginalAcc.Add(outs[0][i].Ratio)
-				continue
-			}
-			for p := 1; p < len(pols); p++ {
-				diffAccs[p-1].Add(outs[p][i].Ratio - outs[0][i].Ratio)
-			}
-		}
-		if opts.Target.Enabled() {
-			met := true
-			if len(pols) == 1 {
-				met = opts.Target.Met(&marginalAcc)
-			} else {
-				for i := range diffAccs {
-					if !opts.Target.Met(&diffAccs[i]) {
-						met = false
-						break
-					}
-				}
-			}
-			if met {
-				pe.TargetMet = true
-				break
-			}
-		}
-	}
-
-	// Merge marginals; the first error (lowest seed, then lowest policy
-	// index) aborts with deterministic attribution.
-	pe.Marginals = make([]Estimate, len(pols))
-	var firstErr error
-	firstSeedIdx, firstPol := -1, -1
+	// Merge each arm in seed order. Outcomes are seed-major, so the first
+	// failed one is the lowest seed's, then the lowest policy index's.
+	errs := make([]error, k)
+	arm := make([]SeedOutcome, 0, rep.Seeds)
 	for p := range pols {
-		est, err := MergeOutcomes(ctx, outs[p])
-		if err != nil {
-			idx := erroredIndex(outs[p])
-			if firstErr == nil || idx < firstSeedIdx || (idx == firstSeedIdx && p < firstPol) {
-				firstErr, firstSeedIdx, firstPol = err, idx, p
-			}
-			continue
+		arm = arm[:0]
+		for i := p; i < len(outs); i += k {
+			arm = append(arm, outs[i])
 		}
-		pe.Marginals[p] = est
+		pe.Marginals[p], errs[p] = MergeOutcomes(ctx, arm)
 	}
-	if firstErr != nil {
-		return pe, fmt.Errorf("paired policy %q: %w", pols[firstPol].Name, firstErr)
+	for i, o := range outs {
+		if o.Err != nil || o.NotRun {
+			return pe, fmt.Errorf("paired policy %q: %w", pols[i%k].Name, errs[i%k])
+		}
 	}
-	for p := 1; p < len(pols); p++ {
-		d, err := PairedDiff(pe.Marginals[0], pe.Marginals[p], conf)
+	for p := 1; p < k; p++ {
+		d, err := PairedDiff(pe.Marginals[0], pe.Marginals[p], rep.Confidence)
 		if err != nil {
 			return pe, fmt.Errorf("paired policy %q: %w", pols[p].Name, err)
 		}
@@ -266,123 +211,4 @@ func RunPaired(ctx context.Context, cfg switchsim.Config, pols []PairedPolicy, j
 		pe.Diffs = append(pe.Diffs, d)
 	}
 	return pe, nil
-}
-
-// erroredIndex returns the index of the first outcome carrying an error
-// (or NotRun), len(outs) if none.
-func erroredIndex(outs []SeedOutcome) int {
-	for i, o := range outs {
-		if o.Err != nil || o.NotRun {
-			return i
-		}
-	}
-	return len(outs)
-}
-
-// pairedScratch holds the per-batch buffers evalPairedBatch reuses.
-type pairedScratch struct {
-	seqs    []packet.Sequence
-	optVals []int64
-}
-
-// evalPairedBatch evaluates seeds [k0, k1) for every policy on shared
-// sequences: each sequence is generated once, judged once, then run
-// through all k fleet algs. Per-policy outcomes are appended to outs with
-// error semantics identical to EvalChunk (judge errors at their own seed,
-// batched policy failures located by per-sequence re-runs, zero-benefit
-// surfaced with Single's text), so merged marginals match an independent
-// Run of each policy over the same seeds. Returns true when any outcome
-// carries an error.
-func evalPairedBatch(cfg switchsim.Config, algs []FleetAlg, j Judge, gen packet.Generator,
-	baseSeed int64, k0, k1 int, pe *PairedEstimate, outs [][]SeedOutcome, sc *pairedScratch) bool {
-	n := k1 - k0
-	sc.seqs = sc.seqs[:0]
-	sc.optVals = append(sc.optVals[:0], make([]int64, n)...)
-	for k := k0; k < k1; k++ {
-		sc.seqs = append(sc.seqs, generateSeq(cfg, gen, baseSeed+int64(k)))
-	}
-	pe.Seeds += n
-
-	// Judge once per sequence; the verdicts are shared by every policy.
-	type seedState struct {
-		skipped bool
-		err     error
-	}
-	states := make([]seedState, n)
-	firstElig := -1
-	for i := 0; i < n; i++ {
-		optVal, err := j.Judge(cfg, sc.seqs[i])
-		pe.JudgeCalls++
-		switch {
-		case err != nil:
-			states[i].err = fmt.Errorf("offline optimum: %w", err)
-		case optVal == 0:
-			states[i].skipped = true
-		default:
-			if firstElig < 0 {
-				firstElig = i
-			}
-			sc.optVals[i] = optVal
-		}
-	}
-
-	anyErr := false
-	for p, a := range algs {
-		base := len(outs[p])
-		for i := 0; i < n; i++ {
-			o := SeedOutcome{Seed: baseSeed + int64(k0+i), Skipped: states[i].skipped}
-			if states[i].err != nil {
-				o.Err = states[i].err
-			}
-			outs[p] = append(outs[p], o)
-		}
-		benefits, err := a(cfg, sc.seqs)
-		if err == nil && len(benefits) != len(sc.seqs) {
-			err = fmt.Errorf("fleet alg returned %d benefits for %d sequences", len(benefits), len(sc.seqs))
-		}
-		if err != nil {
-			// Locate the failing seed(s) by re-running each judged-eligible
-			// sequence individually, exactly like EvalChunk.
-			witnessed := false
-			for i := 0; i < n; i++ {
-				o := &outs[p][base+i]
-				if o.Err != nil || o.Skipped {
-					continue
-				}
-				pe.SlotsSimulated += seqSpan(sc.seqs[i])
-				bs, rerr := a(cfg, sc.seqs[i:i+1])
-				if rerr != nil {
-					o.Err = fmt.Errorf("policy run: %w", rerr)
-					witnessed = true
-					continue
-				}
-				if len(bs) != 1 {
-					o.Err = fmt.Errorf("policy run: fleet alg returned %d benefits for 1 sequence", len(bs))
-					witnessed = true
-					continue
-				}
-				fillOutcome(o, sc.optVals[i], bs[0])
-			}
-			if !witnessed && firstElig >= 0 {
-				outs[p][base+firstElig] = SeedOutcome{Seed: outs[p][base+firstElig].Seed,
-					Err: fmt.Errorf("policy run: %w", err)}
-			}
-			anyErr = true
-			continue
-		}
-		for i := 0; i < n; i++ {
-			pe.SlotsSimulated += seqSpan(sc.seqs[i])
-			o := &outs[p][base+i]
-			if o.Err != nil || o.Skipped {
-				continue
-			}
-			fillOutcome(o, sc.optVals[i], benefits[i])
-		}
-		for i := 0; i < n; i++ {
-			if outs[p][base+i].Err != nil {
-				anyErr = true
-			}
-		}
-	}
-	return anyErr
 }

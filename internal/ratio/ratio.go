@@ -22,9 +22,9 @@ type Judge interface {
 	Judge(cfg switchsim.Config, seq packet.Sequence) (int64, error)
 }
 
-// JudgeFactory mints independent judges. Run holds one judge for its whole
-// seed stream; RunParallel and RunFleet call the factory once per worker,
-// so each worker's judge reuses its scratch across everything that worker
+// JudgeFactory mints independent judges. Every evaluator mints one for
+// its whole seed stream and the driver mints one evaluator per worker, so
+// each worker's judge reuses its scratch across everything that worker
 // measures.
 type JudgeFactory func() Judge
 
@@ -134,27 +134,27 @@ func (e Estimate) TailQuantiles(qs ...float64) []float64 {
 	return stats.Quantiles(e.Samples, qs...)
 }
 
-// Run measures OPT/ALG over `runs` seeded workloads drawn from gen, with
-// one judge minted up front and reused across the whole stream. Sequences
-// where OPT = 0 are skipped (the ratio is vacuous); an ALG of 0 with
-// positive OPT is a genuine unbounded ratio, surfaced as an error, since
-// none of the paper's algorithms can score zero against a positive
-// optimum. Cancelling ctx stops the seed stream between evaluations and
-// returns the context's error.
+// Run measures OPT/ALG over `runs` seeded workloads drawn from gen, as one
+// chunk of ScalarChunks on the caller's goroutine: one judge serves the
+// whole stream. Sequences where OPT = 0 are skipped; an ALG of 0 with
+// positive OPT is an error (see the package invariants). Cancelling ctx
+// stops the stream between seeds and returns the context's error.
 func Run(ctx context.Context, cfg switchsim.Config, alg Alg, judge JudgeFactory, gen packet.Generator, baseSeed int64, runs int) (Estimate, error) {
-	j := judge()
-	outs := make([]SeedOutcome, 0, runs)
-	for k := 0; k < runs; k++ {
-		if err := ctx.Err(); err != nil {
-			return Estimate{}, err
-		}
-		o := evalSeed(cfg, alg, j, gen, baseSeed+int64(k))
-		outs = append(outs, o)
-		if o.Err != nil {
-			break // merge reports it; later seeds can't change the outcome
-		}
-	}
-	return MergeOutcomes(ctx, outs)
+	est, _, err := merged(ctx, plan{runs: runs, chunk: runs, workers: 1,
+		mint: func() ChunkEvaluator { return ScalarChunks(cfg, alg, judge, gen, baseSeed) }})
+	return est, err
+}
+
+// RunParallel is Run with the seeds dealt one at a time to `workers`
+// workers (<= 0 selects GOMAXPROCS), each evaluating through its own
+// ScalarChunks and so its own judge. The estimate, and the (seed, error)
+// pair of a failure, are bit-identical to Run's; cancelling ctx abandons
+// the remaining seeds and returns ctx's error.
+func RunParallel(ctx context.Context, cfg switchsim.Config, alg Alg, judge JudgeFactory, gen packet.Generator,
+	baseSeed int64, runs, workers int) (Estimate, error) {
+	est, _, err := merged(ctx, plan{runs: runs, chunk: 1, workers: workers,
+		mint: func() ChunkEvaluator { return ScalarChunks(cfg, alg, judge, gen, baseSeed) }})
+	return est, err
 }
 
 // newSeedRand is the one way seeds become RNGs: every backend derives a

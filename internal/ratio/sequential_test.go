@@ -20,9 +20,8 @@ func seqBackends(cfg switchsim.Config, gen packet.Generator, baseSeed int64) map
 	alg := CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
 	fleet := CIOQFleetAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
 	return map[string]func() ChunkEvaluator{
-		"scalar":   func() ChunkEvaluator { return ScalarChunks(cfg, alg, ExactUnitCIOQ, gen, baseSeed) },
-		"parallel": func() ChunkEvaluator { return ParallelChunks(cfg, alg, ExactUnitCIOQ, gen, baseSeed, 3) },
-		"fleet":    func() ChunkEvaluator { return FleetChunks(cfg, fleet, ExactUnitCIOQ, gen, baseSeed, 5) },
+		"scalar": func() ChunkEvaluator { return ScalarChunks(cfg, alg, ExactUnitCIOQ, gen, baseSeed) },
+		"fleet":  func() ChunkEvaluator { return FleetChunks(cfg, fleet, ExactUnitCIOQ, gen, baseSeed, 5) },
 		"sharded": func() ChunkEvaluator {
 			return ShardedChunks(gmFleetSvc(nil), ChunkRequest{Cfg: cfg, Gen: gen, BaseSeed: baseSeed})
 		},
@@ -205,7 +204,9 @@ func FuzzSequentialMergeIdentity(f *testing.F) {
 // with SeqProbes installed the estimate and stopping report stay
 // byte-identical (the per-chunk half-width telemetry is observational
 // only), while the registry records the run's chunks, seeds and final
-// half-width. It is also the probed estimation CI's race job runs.
+// half-width. The fixed-N entry points share the driver and its probes:
+// Run flushes its one chunk, RunFleet and RunSharded one per chunk. It is
+// also the probed estimation CI's race job runs.
 func TestSequentialProbed(t *testing.T) {
 	cfg := microCfg()
 	cfg.Slots = 4
@@ -250,5 +251,55 @@ func TestSequentialProbed(t *testing.T) {
 	}
 	if snap[obs.MetricSeqChunkSeconds+"_count"] != wantChunks {
 		t.Errorf("chunk latency histogram count = %v, want %v", snap[obs.MetricSeqChunkSeconds+"_count"], wantChunks)
+	}
+
+	SetProbes(nil)
+
+	alg := CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
+	fleet := CIOQFleetAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
+	gen = packet.Bernoulli{Load: 2.0} // ratios vary, so the half-width is positive
+	req := ChunkRequest{Cfg: cfg, Gen: gen, BaseSeed: baseSeed}
+	for _, b := range []struct {
+		name  string
+		chunk int // seeds per chunk the driver folds
+		run   func() (Estimate, error)
+	}{
+		{"Run", budget, func() (Estimate, error) { return Run(ctx, cfg, alg, ExactUnitCIOQ, gen, baseSeed, budget) }},
+		{"RunFleet", chunk, func() (Estimate, error) {
+			return RunFleet(ctx, cfg, fleet, ExactUnitCIOQ, gen, baseSeed, budget, 2, chunk)
+		}},
+		{"RunSharded", chunk, func() (Estimate, error) { return RunSharded(ctx, gmFleetSvc(nil), req, budget, chunk) }},
+	} {
+		want, err := b.run()
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		reg := obs.NewRegistry()
+		SetProbes(obs.NewSeqProbes(reg))
+		got, err := b.run()
+		SetProbes(nil)
+		if err != nil {
+			t.Fatalf("%s probed: %v", b.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: probes changed the estimate:\n got %+v\nwant %+v", b.name, got, want)
+		}
+		snap := reg.Snapshot()
+		chunks := float64((budget + b.chunk - 1) / b.chunk)
+		for metric, want := range map[string]float64{
+			obs.MetricSeqRuns:                    1,
+			obs.MetricSeqChunks:                  chunks,
+			obs.MetricSeqChunkSeconds + "_count": chunks,
+			obs.MetricSeqSeedsTotal:              budget,
+			obs.MetricSeqSeeds:                   budget,
+			obs.MetricSeqBudget:                  budget,
+		} {
+			if snap[metric] != want {
+				t.Errorf("%s: %s = %v, want %v", b.name, metric, snap[metric], want)
+			}
+		}
+		if hw := snap[obs.MetricSeqHalfWidth]; hw <= 0 {
+			t.Errorf("%s: half-width gauge = %v, want the final CI half-width", b.name, hw)
+		}
 	}
 }

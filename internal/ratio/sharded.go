@@ -2,9 +2,7 @@ package ratio
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
@@ -46,79 +44,17 @@ type ChunkService interface {
 	RatioChunk(ctx context.Context, req ChunkRequest) ([]SeedOutcome, error)
 }
 
-// RunSharded is Run with the seed stream sharded into chunks of `chunk`
-// seeds (<= 0 selects 16) executed by svc — out-of-process workers when
-// svc is a shard coordinator. Chunk outcomes are merged deterministically
-// in seed order, so the Estimate is byte-identical to Run, RunParallel
-// and RunFleet for the same inputs, regardless of chunk size, worker
-// count, worker failures or checkpoint resumption. req.K0/K1 are ignored
-// and overwritten per chunk.
-//
-// The first chunk that fails at the infrastructure level cancels the
-// remaining chunks; the reported infrastructure error is the lowest such
-// chunk's, so attribution is deterministic.
+// RunSharded is Run with the seeds cut into chunks of `chunk` seeds (<= 0
+// selects 16), all in flight at once through ShardedChunks — on
+// out-of-process workers when svc is a shard coordinator. The Estimate is
+// byte-identical to Run's regardless of chunk size, worker failures or
+// checkpoint resumption; req.K0/K1 are overwritten per chunk. A chunk the
+// service fails cancels the rest, and the lowest such chunk's error is
+// reported prefixed "shard chunk N:".
 func RunSharded(ctx context.Context, svc ChunkService, req ChunkRequest, runs, chunk int) (Estimate, error) {
-	if runs <= 0 {
-		return Estimate{}, nil
-	}
-	if chunk <= 0 {
-		chunk = 16
-	}
-	if chunk > runs {
-		chunk = runs
-	}
-	nChunks := (runs + chunk - 1) / chunk
-	outs := make([][]SeedOutcome, nChunks)
-	errs := make([]error, nChunks)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			creq := req
-			creq.K0 = c * chunk
-			creq.K1 = min(runs, creq.K0+chunk)
-			res, err := svc.RatioChunk(cctx, creq)
-			if err != nil {
-				errs[c] = err
-				cancel()
-				return
-			}
-			if len(res) != creq.K1-creq.K0 {
-				errs[c] = fmt.Errorf("chunk service returned %d outcomes for %d seeds", len(res), creq.K1-creq.K0)
-				cancel()
-				return
-			}
-			outs[c] = res
-		}()
-	}
-	wg.Wait()
-	// Deterministic attribution of infrastructure failures: the lowest
-	// chunk that failed on its own, before any cancellation-induced errors.
-	var firstAny error
-	for c, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstAny == nil {
-			firstAny = fmt.Errorf("shard chunk %d: %w", c, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			return Estimate{}, fmt.Errorf("shard chunk %d: %w", c, err)
-		}
-	}
-	if firstAny != nil {
-		if err := ctx.Err(); err != nil {
-			return Estimate{}, err
-		}
-		return Estimate{}, firstAny
-	}
-	flat := make([]SeedOutcome, 0, runs)
-	for _, o := range outs {
-		flat = append(flat, o...)
-	}
-	return MergeOutcomes(ctx, flat)
+	eval := ShardedChunks(svc, req)
+	est, _, err := merged(ctx, plan{runs: runs, chunk: chunk, workers: max(runs, 1),
+		mint: func() ChunkEvaluator { return eval },
+		wrap: func(c int, err error) error { return fmt.Errorf("shard chunk %d: %w", c, err) }})
+	return est, err
 }

@@ -27,9 +27,9 @@
 //     with metrics bit-identical to a materialized run
 //     (Config.StreamMetrics swaps latency quantiles for a constant-space
 //     P² sketch);
-//   - offline optima: exact solvers for small instances and a min-cost
-//     flow upper bound for arbitrary ones, enabling empirical
-//     competitive-ratio measurement.
+//   - offline optima: exact solvers for small instances and a
+//     polynomial upper bound for arbitrary ones (one forward sweep per
+//     relaxed port), enabling empirical competitive-ratio measurement.
 //
 // # Quick start
 //
@@ -348,8 +348,9 @@ func BurstyBlockingTraffic(offMean float64, burst, fanin int, dist ValueDist) Ge
 }
 
 // OfflineUpperBound computes a proven upper bound on the benefit of ANY
-// schedule (online or offline) for the instance, via a per-output
-// time-expanded min-cost-flow relaxation. Set crossbar=true to include
+// schedule (online or offline) for the instance: the optimum of the
+// relaxation to one bounded-buffer queue per output, solved exactly by a
+// forward sweep over the arrivals. Set crossbar=true to include
 // crosspoint buffer capacity.
 func OfflineUpperBound(cfg Config, seq Sequence, crossbar bool) (int64, error) {
 	return offline.OQUpperBound(cfg, seq, crossbar)
@@ -374,53 +375,53 @@ func ExactOptimum(cfg Config, seq Sequence, crossbar bool) (int64, error) {
 
 // MeasureRatioCIOQ estimates the empirical competitive ratio of a named
 // CIOQ policy over `runs` seeded workloads, judged by the exact offline
-// optimum when tractable (exact=true) or the flow upper bound otherwise.
+// optimum when tractable (exact=true) or by the combined output- and
+// input-side upper bound otherwise.
 func MeasureRatioCIOQ(cfg Config, policyName string, gen Generator, exact bool, seed int64, runs int) (RatioEstimate, error) {
-	alg := ratio.CIOQAlg(func() CIOQPolicy {
-		p, err := NewCIOQPolicy(policyName)
-		if err != nil {
-			panic(err) // name validated below before first use
-		}
-		return p
-	})
-	if _, err := NewCIOQPolicy(policyName); err != nil {
+	pol, err := byName(policyName, NewCIOQPolicy)
+	if err != nil {
 		return RatioEstimate{}, err
 	}
-	judge := ratio.JudgeFactory(ratio.UpperBoundCIOQ)
-	if exact {
-		judge = exactJudge(false)
-	}
-	return ratio.Run(context.Background(), cfg, alg, judge, gen, seed, runs)
+	return ratio.Run(context.Background(), cfg, ratio.CIOQAlg(pol), ratioJudge(exact, false), gen, seed, runs)
 }
 
-// exactJudge adapts ExactOptimum to the ratio judge factory contract.
-func exactJudge(crossbar bool) ratio.JudgeFactory {
-	return func() ratio.Judge {
-		return ratio.JudgeFunc(func(cfg Config, seq Sequence) (int64, error) {
-			return ExactOptimum(cfg, seq, crossbar)
-		})
+// byName validates a policy name once and returns a constructor for it,
+// so every evaluation gets a fresh policy instance.
+func byName[P any](name string, newPolicy func(string) (P, error)) (func() P, error) {
+	if _, err := newPolicy(name); err != nil {
+		return nil, err
 	}
+	return func() P {
+		p, _ := newPolicy(name) // the name resolved above, and resolving is pure
+		return p
+	}, nil
+}
+
+// ratioJudge picks the ratio judge: the exact optimum (ExactOptimum) or
+// the combined upper bound of the model crossbar selects.
+func ratioJudge(exact, crossbar bool) ratio.JudgeFactory {
+	switch {
+	case exact:
+		return func() ratio.Judge {
+			return ratio.JudgeFunc(func(cfg Config, seq Sequence) (int64, error) {
+				return ExactOptimum(cfg, seq, crossbar)
+			})
+		}
+	case crossbar:
+		return ratio.UpperBoundCrossbar
+	}
+	return ratio.UpperBoundCIOQ
 }
 
 // MeasureRatioCIOQParallel is MeasureRatioCIOQ with the per-seed
 // measurements spread over a worker pool (workers <= 0 selects
 // GOMAXPROCS). Results are bit-identical to the sequential version.
 func MeasureRatioCIOQParallel(cfg Config, policyName string, gen Generator, exact bool, seed int64, runs, workers int) (RatioEstimate, error) {
-	if _, err := NewCIOQPolicy(policyName); err != nil {
+	pol, err := byName(policyName, NewCIOQPolicy)
+	if err != nil {
 		return RatioEstimate{}, err
 	}
-	alg := ratio.CIOQAlg(func() CIOQPolicy {
-		p, err := NewCIOQPolicy(policyName)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	})
-	judge := ratio.JudgeFactory(ratio.UpperBoundCIOQ)
-	if exact {
-		judge = exactJudge(false)
-	}
-	return ratio.RunParallel(context.Background(), cfg, alg, judge, gen, seed, runs, workers)
+	return ratio.RunParallel(context.Background(), cfg, ratio.CIOQAlg(pol), ratioJudge(exact, false), gen, seed, runs, workers)
 }
 
 // MeasureRatioCIOQSequential is MeasureRatioCIOQ with sequential
@@ -431,22 +432,12 @@ func MeasureRatioCIOQParallel(cfg Config, policyName string, gen Generator, exac
 // target the stopped seed count depends only on (seed, chunk).
 func MeasureRatioCIOQSequential(cfg Config, policyName string, gen Generator, exact bool,
 	seed int64, target PrecisionTarget, chunk, maxRuns int) (RatioEstimate, RatioReport, error) {
-	if _, err := NewCIOQPolicy(policyName); err != nil {
+	pol, err := byName(policyName, NewCIOQPolicy)
+	if err != nil {
 		return RatioEstimate{}, RatioReport{}, err
 	}
-	alg := ratio.CIOQAlg(func() CIOQPolicy {
-		p, err := NewCIOQPolicy(policyName)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	})
-	judge := ratio.JudgeFactory(ratio.UpperBoundCIOQ)
-	if exact {
-		judge = exactJudge(false)
-	}
 	return ratio.RunSequential(context.Background(),
-		ratio.ScalarChunks(cfg, alg, judge, gen, seed),
+		ratio.ScalarChunks(cfg, ratio.CIOQAlg(pol), ratioJudge(exact, false), gen, seed),
 		ratio.SequentialOptions{Target: target, Chunk: chunk, MaxRuns: maxRuns})
 }
 
@@ -463,44 +454,24 @@ func CompareRatioCIOQPaired(cfg Config, policyNames []string, gen Generator, exa
 	seed int64, target PrecisionTarget, maxRuns int) (PairedEstimate, error) {
 	pols := make([]ratio.PairedPolicy, len(policyNames))
 	for i, name := range policyNames {
-		name := name
-		if _, err := NewCIOQPolicy(name); err != nil {
+		pol, err := byName(name, NewCIOQPolicy)
+		if err != nil {
 			return PairedEstimate{}, err
 		}
-		pols[i] = ratio.PairedPolicy{Name: name, Alg: ratio.CIOQFleetAlg(func() CIOQPolicy {
-			p, err := NewCIOQPolicy(name)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		})}
+		pols[i] = ratio.PairedPolicy{Name: name, Alg: ratio.CIOQFleetAlg(pol)}
 	}
-	judge := ratio.JudgeFactory(ratio.UpperBoundCIOQ)
-	if exact {
-		judge = exactJudge(false)
-	}
-	return ratio.RunPaired(context.Background(), cfg, pols, judge, gen, seed,
+	return ratio.RunPaired(context.Background(), cfg, pols, ratioJudge(exact, false), gen, seed,
 		ratio.PairedOptions{Target: target, MaxRuns: maxRuns})
 }
 
 // MeasureRatioCrossbar is the buffered-crossbar analogue of
 // MeasureRatioCIOQ.
 func MeasureRatioCrossbar(cfg Config, policyName string, gen Generator, exact bool, seed int64, runs int) (RatioEstimate, error) {
-	alg := ratio.CrossbarAlg(func() CrossbarPolicy {
-		p, err := NewCrossbarPolicy(policyName)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	})
-	if _, err := NewCrossbarPolicy(policyName); err != nil {
+	pol, err := byName(policyName, NewCrossbarPolicy)
+	if err != nil {
 		return RatioEstimate{}, err
 	}
-	judge := ratio.JudgeFactory(ratio.UpperBoundCrossbar)
-	if exact {
-		judge = exactJudge(true)
-	}
-	return ratio.Run(context.Background(), cfg, alg, judge, gen, seed, runs)
+	return ratio.Run(context.Background(), cfg, ratio.CrossbarAlg(pol), ratioJudge(exact, true), gen, seed, runs)
 }
 
 // DefaultBetaPG returns β = 1+√2, PG's optimal parameter (Theorem 2).

@@ -236,7 +236,7 @@ func TestMeasureRatioEntryPointsAgree(t *testing.T) {
 
 			judge := ratio.JudgeFactory(ratio.UpperBoundCrossbar)
 			if sh.exact {
-				judge = exactJudge(true)
+				judge = ratio.ExactUnitCrossbar // unit traffic: what ExactOptimum dispatches to
 			}
 			wantX, err := ratio.Run(context.Background(), sh.cfg,
 				ratio.CrossbarAlg(func() CrossbarPolicy { return &core.CGU{} }), judge, sh.gen, seed, runs)
