@@ -35,22 +35,21 @@ func AdaptiveAntiGreedy(cfg switchsim.Config, pol switchsim.CIOQPolicy, phases i
 	if err != nil {
 		return nil, 0, err
 	}
-	var seq packet.Sequence
-	var id int64
-	record := func(slot, out int) packet.Packet {
-		p := packet.Packet{ID: id, Arrival: slot, In: 0, Out: out, Value: 1}
-		id++
-		seq = append(seq, p)
-		return p
+	// seq is built in (slot, ID) order with IDs 0, 1, 2, …, so it is already
+	// normalized. It is sized once for the most a phase adds — m burst
+	// packets and m-1 refills — and each slot's arrivals are handed to the
+	// stepper as its tail, which the stepper copies.
+	seq := make(packet.Sequence, 0, max(phases, 0)*(2*m-1))
+	record := func(slot, out int) {
+		seq = append(seq, packet.Packet{ID: int64(len(seq)), Arrival: slot, Out: out, Value: 1})
 	}
 	for ph := 0; ph < phases; ph++ {
 		// Burst: one packet per queue.
-		burst := make([]packet.Packet, 0, m)
-		slot := st.Slot()
+		first, slot := len(seq), st.Slot()
 		for j := 0; j < m; j++ {
-			burst = append(burst, record(slot, j))
+			record(slot, j)
 		}
-		if err := st.StepSlot(burst); err != nil {
+		if err := st.StepSlot(seq[first:]); err != nil {
 			return nil, 0, err
 		}
 		// Refill phase: while some queue is still occupied, target the
@@ -68,8 +67,8 @@ func AdaptiveAntiGreedy(cfg switchsim.Config, pol switchsim.CIOQPolicy, phases i
 			if target < 0 {
 				break
 			}
-			p := record(st.Slot(), target)
-			if err := st.StepSlot([]packet.Packet{p}); err != nil {
+			record(st.Slot(), target)
+			if err := st.StepSlot(seq[len(seq)-1:]); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -92,5 +91,5 @@ func AdaptiveAntiGreedy(cfg switchsim.Config, pol switchsim.CIOQPolicy, phases i
 	if err != nil {
 		return nil, 0, err
 	}
-	return seq.Normalize(), res.M.Benefit, nil
+	return seq, res.M.Benefit, nil
 }

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"qswitch/internal/core"
@@ -61,6 +63,37 @@ func TestAdaptiveAntiGreedyRejectsMultiInput(t *testing.T) {
 	cfg.Inputs = 2
 	if _, _, err := AdaptiveAntiGreedy(cfg, &core.GM{}, 1); err == nil {
 		t.Error("multi-input config accepted")
+	}
+}
+
+// TestAdaptiveAntiGreedyAllocations pins what a run at the benchmark's size
+// allocates — the sequence once at its final capacity, nothing per phase or
+// per refill — and that the sequence it returns without sorting is already
+// normalized.
+func TestAdaptiveAntiGreedyAllocations(t *testing.T) {
+	cfg := IQLowerBoundCfg(64)
+	const phases, runs = 48, 5
+	seq, _, err := AdaptiveAntiGreedy(cfg, &core.GM{}, phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, seq.Clone().Normalize()) {
+		t.Error("the sequence is not in (slot, ID) order with IDs 0..n-1")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, _, err := AdaptiveAntiGreedy(cfg, &core.GM{}, phases); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 320_000 {
+		t.Errorf("a run allocated %d bytes, want <= 320 KB", b)
+	}
+	if n := (after.Mallocs - before.Mallocs) / runs; n > 30 {
+		t.Errorf("a run made %d allocations, want <= 30", n)
 	}
 }
 

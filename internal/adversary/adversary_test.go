@@ -176,3 +176,15 @@ func TestSearchWeighted(t *testing.T) {
 		t.Errorf("ratio %.4f below 1", res.Ratio)
 	}
 }
+
+// TestSearchTriedCountsEveryRestart: Tried is every mutation tried,
+// Restarts × Iterations, whichever restart wins.
+func TestSearchTriedCountsEveryRestart(t *testing.T) {
+	for _, restarts := range []int{1, 2, 3, 5} {
+		opts := huntOpts()
+		opts.Restarts = restarts
+		if got, want := Search(opts, huntEval).Tried, restarts*opts.Iterations; got != want {
+			t.Errorf("Restarts %d: Tried = %d, want %d", restarts, got, want)
+		}
+	}
+}

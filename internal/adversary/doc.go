@@ -17,6 +17,12 @@
 //   - The fuzzer treats its Ratio evaluator as a black box and discards
 //     invalid mutants; it never exceeds a proven upper bound on a correct
 //     implementation — E8 uses exactly this as a squeeze test.
+//   - Memo, which every hunt evaluates through (shard.HuntEval, E8b),
+//     answers a sequence its evaluator has already judged from a bounded
+//     table keyed on the sequence's full content. The fuzzer still asks for
+//     every candidate in order, so a hunt through Memo keeps the bare
+//     evaluator's witness, Accepted and Tried; this rests on every Ratio
+//     being a pure function of the sequence.
 //
 // Adversarial sequences are bursts separated by draining gaps — the shape
 // the simulator's event-driven fast path collapses — so Search and

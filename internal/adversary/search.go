@@ -12,7 +12,10 @@ func newDetRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Ratio evaluates OPT(seq)/ALG(seq) for the Search fuzzer. Implementations
 // must return the achieved ratio and whether the sequence was even valid
-// for the target configuration (invalid mutants are discarded).
+// for the target configuration (invalid mutants are discarded). An
+// evaluator must be a pure function of the sequence's content — the same
+// packets give the same answer on every call — because Memo answers
+// repeats from a table.
 type Ratio func(seq packet.Sequence) (float64, bool)
 
 // SearchOptions tunes the local-search fuzzer.
@@ -33,7 +36,7 @@ type SearchResult struct {
 	Seq      packet.Sequence
 	Ratio    float64
 	Accepted int // improving mutations accepted
-	Tried    int
+	Tried    int // mutations tried, over every restart
 }
 
 // Search hill-climbs over arrival sequences to maximize the competitive
@@ -52,13 +55,15 @@ func Search(opts SearchOptions, eval Ratio) SearchResult {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var best SearchResult
+	tried := 0
 	for r := 0; r < opts.Restarts; r++ {
 		res := searchOnce(opts, eval, rng)
+		tried += res.Tried
 		if res.Ratio > best.Ratio {
 			best = res
 		}
-		best.Tried += res.Tried
 	}
+	best.Tried = tried
 	return best
 }
 

@@ -61,7 +61,7 @@ func E8Adversarial(opts Options) ([]*stats.Table, error) {
 	cfg := opts.cfg(switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 1, OutputBuf: 1,
 		CrossBuf: 1, Speedup: 1})
 	gmJudge := ratio.ExactUnitCIOQ()
-	gmEval := func(seq packet.Sequence) (float64, bool) {
+	gmEval := adversary.Memo(func(seq packet.Sequence) (float64, bool) {
 		r, ok, err := ratio.Single(cfg,
 			ratio.CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} }),
 			gmJudge, seq)
@@ -69,7 +69,7 @@ func E8Adversarial(opts Options) ([]*stats.Table, error) {
 			return 0, false
 		}
 		return r, ok
-	}
+	})
 	resGM := adversary.Search(adversary.SearchOptions{
 		Inputs: 2, Outputs: 2, MaxSlots: 5, MaxPackets: 8,
 		MaxValue: 1, Iterations: iters, Seed: opts.Seed, Restarts: 2,
@@ -79,7 +79,7 @@ func E8Adversarial(opts Options) ([]*stats.Table, error) {
 		boolMark(resGM.Ratio <= 3.0+1e-9))
 
 	pgJudge := ratio.ExactWeightedCIOQ()
-	pgEval := func(seq packet.Sequence) (float64, bool) {
+	pgEval := adversary.Memo(func(seq packet.Sequence) (float64, bool) {
 		r, ok, err := ratio.Single(cfg,
 			ratio.CIOQAlg(func() switchsim.CIOQPolicy { return &core.PG{} }),
 			pgJudge, seq)
@@ -87,7 +87,7 @@ func E8Adversarial(opts Options) ([]*stats.Table, error) {
 			return 0, false
 		}
 		return r, ok
-	}
+	})
 	resPG := adversary.Search(adversary.SearchOptions{
 		Inputs: 2, Outputs: 2, MaxSlots: 4, MaxPackets: 7,
 		MaxValue: 16, Iterations: iters / 2, Seed: opts.Seed + 1, Restarts: 2,

@@ -108,10 +108,11 @@ func (e *Executor) judge(spec string, crossbar bool) (ratio.Judge, error) {
 
 // HuntEval builds the adversary fitness function for a (cfg, policy,
 // judge) triple: OPT/ALG on valid sequences, with invalid or failing
-// candidates discarded. Every hunt backend — adversary.Hunt in process,
-// chunked hunts on workers — evaluates candidates through exactly this
-// closure, which is what makes sharded hunts byte-identical to local
-// ones.
+// candidates discarded, behind an adversary.Memo so that a candidate the
+// closure has already judged is not judged again. Every hunt backend —
+// adversary.Hunt in process, chunked hunts on workers — evaluates
+// candidates through exactly this closure, which is what makes sharded
+// hunts byte-identical to local ones.
 func HuntEval(cfg switchsim.Config, crossbar bool, policy, judge string) (adversary.Ratio, error) {
 	alg, _, err := ResolvePolicy(policy, crossbar)
 	if err != nil {
@@ -122,7 +123,7 @@ func HuntEval(cfg switchsim.Config, crossbar bool, policy, judge string) (advers
 		return nil, err
 	}
 	j := factory()
-	return func(seq packet.Sequence) (float64, bool) {
+	return adversary.Memo(func(seq packet.Sequence) (float64, bool) {
 		if err := seq.Validate(cfg.Inputs, cfg.Outputs); err != nil {
 			return 0, false
 		}
@@ -131,5 +132,5 @@ func HuntEval(cfg switchsim.Config, crossbar bool, policy, judge string) (advers
 			return 0, false
 		}
 		return r, ok
-	}, nil
+	}), nil
 }
