@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qswitch/internal/core"
@@ -496,5 +498,132 @@ func TestFleetBatchSizeInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFleetErrorsAndRecovery drives every engine through its error paths —
+// an unsorted sequence, an out-of-range port, a Reset with no sequences or
+// more than the batch holds, Results read before the fleet drains — and
+// requires each error to leave the fleet reusable: the next Reset on good
+// sequences must reproduce per-instance scalar runs exactly.
+func TestFleetErrorsAndRecovery(t *testing.T) {
+	type engine interface {
+		Reset(seqs []packet.Sequence) error
+		Step() bool
+		Results() ([]*switchsim.Result, error)
+	}
+	narrow := switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 3, CrossBuf: 1, Speedup: 2, Slots: 70, Validate: true, RecordLatency: true}
+	wide := switchsim.Config{Inputs: 80, Outputs: 80, InputBuf: 2, OutputBuf: 2, Speedup: 1, Slots: 70, Validate: true}
+	gm := func() switchsim.CIOQPolicy { return &core.GM{} }
+	pg := func() switchsim.CIOQPolicy { return &core.PG{} }
+	cgu := func() switchsim.CrossbarPolicy { return &core.CGU{} }
+	cpg := func() switchsim.CrossbarPolicy { return &core.CPG{} }
+	const batch = 3
+	for _, ec := range []struct {
+		name   string
+		cfg    switchsim.Config
+		build  func() (engine, error)
+		scalar func(packet.Sequence) (*switchsim.Result, error)
+	}{
+		{"narrow-gm", narrow,
+			func() (engine, error) { return NewCIOQFleet(narrow, gm, batch) },
+			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(narrow, gm(), seq) }},
+		{"narrow-pg", narrow,
+			func() (engine, error) { return NewCIOQFleet(narrow, pg, batch) },
+			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(narrow, pg(), seq) }},
+		{"crossbar-cgu", narrow,
+			func() (engine, error) { return NewCrossbarFleet(narrow, cgu, batch) },
+			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(narrow, cgu(), seq) }},
+		{"crossbar-cpg", narrow,
+			func() (engine, error) { return NewCrossbarFleet(narrow, cpg, batch) },
+			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(narrow, cpg(), seq) }},
+		{"wide-pg", wide,
+			func() (engine, error) { return newWideCIOQFleet(wide, pg, batch) },
+			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(wide, pg(), seq) }},
+	} {
+		gen := packet.Bernoulli{Load: 0.9, Values: packet.UniformValues{Hi: 20}}
+		good := fleetSeqs(ec.cfg, gen, 41, batch, 50)
+		// An extra packet due at slot 0 after the last arrival: the
+		// cursor passes it by, so retirement must flag the ordering.
+		unsorted := append([]packet.Sequence(nil), good...)
+		last := good[1][len(good[1])-1]
+		unsorted[1] = append(append(packet.Sequence(nil), good[1]...),
+			packet.Packet{ID: last.ID + 1, Arrival: 0, In: 0, Out: 0, Value: 1})
+		badPort := append([]packet.Sequence(nil), good...)
+		badPort[2] = append(packet.Sequence(nil), good[2]...)
+		badPort[2][0].In = ec.cfg.Inputs
+
+		f, err := ec.build()
+		if err != nil {
+			t.Fatalf("%s: %v", ec.name, err)
+		}
+		// recoverGood resets f onto the good batch, drains it and requires
+		// scalar-identical results.
+		recoverGood := func(after string) {
+			t.Helper()
+			if err := f.Reset(good); err != nil {
+				t.Fatalf("%s after %s: Reset: %v", ec.name, after, err)
+			}
+			for f.Step() {
+			}
+			rs, err := f.Results()
+			if err != nil {
+				t.Fatalf("%s after %s: Results: %v", ec.name, after, err)
+			}
+			if len(rs) != len(good) {
+				t.Fatalf("%s after %s: %d results for %d sequences", ec.name, after, len(rs), len(good))
+			}
+			for k, seq := range good {
+				want, err := ec.scalar(seq)
+				if err != nil {
+					t.Fatalf("%s scalar[%d]: %v", ec.name, k, err)
+				}
+				if !reflect.DeepEqual(want, rs[k]) {
+					t.Errorf("%s after %s: instance %d diverged from scalar:\nscalar: %+v\nfleet:  %+v", ec.name, after, k, want, rs[k])
+				}
+			}
+		}
+		wantErr := func(label string, err error, want string) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %s: error %v, want one containing %q", ec.name, label, err, want)
+			}
+		}
+		for _, bad := range []struct {
+			label string
+			seqs  []packet.Sequence
+			want  string
+		}{
+			{"unsorted", unsorted, "not sorted by arrival"},
+			{"bad port", badPort, "bad packet"},
+		} {
+			if err := f.Reset(bad.seqs); err != nil {
+				t.Fatalf("%s %s: Reset: %v", ec.name, bad.label, err)
+			}
+			for f.Step() {
+			}
+			_, err := f.Results()
+			wantErr(bad.label, err, bad.want)
+			recoverGood(bad.label)
+		}
+		for _, n := range []int{0, batch + 1} {
+			seqs := make([]packet.Sequence, n)
+			for k := range seqs {
+				seqs[k] = good[k%len(good)]
+			}
+			if err := f.Reset(seqs); err == nil {
+				t.Errorf("%s: Reset with %d sequences for a batch of %d succeeded", ec.name, n, batch)
+			}
+			recoverGood(fmt.Sprintf("Reset(%d)", n))
+		}
+		if err := f.Reset(good); err != nil {
+			t.Fatalf("%s: %v", ec.name, err)
+		}
+		_, err = f.Results()
+		wantErr("Results before any Step", err, "still live")
+		f.Step()
+		_, err = f.Results()
+		wantErr("Results after one Step", err, "still live")
+		recoverGood("early Results")
 	}
 }
