@@ -163,8 +163,8 @@ func TestFleetWeightedStepZeroAllocsWithProbes(t *testing.T) {
 }
 
 // TestFleetWideStepZeroAllocs pins the wide PG engine's batched Step at
-// zero allocations in steady state — multi-word mask scans, the batched
-// matcher's counting buckets and the ByValue rings all run on storage
+// zero allocations in steady state — multi-word mask scans, the weighted
+// scheduler's counting buckets and the ByValue rings all run on storage
 // owned by the fleet.
 func TestFleetWideStepZeroAllocs(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 80, Outputs: 80, InputBuf: 2, OutputBuf: 2, Speedup: 1, RecordLatency: true}

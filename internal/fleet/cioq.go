@@ -9,16 +9,6 @@ import (
 	"qswitch/internal/switchsim"
 )
 
-// windowSlots is the lockstep quantum: one Step advances the global clock
-// by up to this many slots, each active instance simulating its share of
-// the window in one visit. Windowing is what makes the columnar layout
-// cache-dense at large batch sizes — an instance's working set (rings,
-// headers, masks, counters) is pulled into cache once per window instead
-// of once per slot, while the skew between instances stays bounded by the
-// window length. Results are independent of the window size; instances
-// never read each other's state.
-const windowSlots = 32
-
 // pkt is a queued packet: transmission value and arrival slot (the only
 // per-packet fields the unit-family policies and the metrics observe).
 // One 16-byte entry keeps every queue operation on a single cache line.
@@ -42,34 +32,14 @@ type ports struct {
 	_                             int32
 }
 
-// hotCtr is the per-instance block of metric accumulators updated in the
-// per-slot loop, folded into switchsim.Metrics at retirement. The crossbar
-// fields stay zero for CIOQ fleets; the preempt fields stay zero for the
-// unit-value kernels, whose admission and transfers never evict.
-type hotCtr struct {
-	arrived, arrivedVal               int64
-	accepted, acceptedVal             int64
-	rejected, rejectedVal             int64
-	transferred, transferredCross     int64
-	sent, benefit                     int64
-	inOccup, crossOccup, outOccup     int64
-	sampled                           int64
-	preemptedIn, preemptedInVal       int64
-	preemptedCross, preemptedCrossVal int64
-	preemptedOut, preemptedOutVal     int64
-}
-
 // CIOQFleet is a batch of B independent CIOQ switch instances sharing one
 // configuration and one policy kernel, stepped in lockstep windows over a
 // global slot clock. All switch state is columnar (see the package
 // documentation); storage is sized once at construction and reused across
 // Reset, so steady-state stepping never allocates.
 type CIOQFleet struct {
-	cfg    switchsim.Config
-	policy string
+	lockstep
 	kern   cioqKernel
-	batch  int // storage capacity (construction batch size)
-	cur    int // instances loaded by the last Reset
 	n, m   int
 	nm     int
 	icap   int // input-queue ring size (power of two)
@@ -77,11 +47,6 @@ type CIOQFleet struct {
 	inBuf  int32
 	outBuf int32
 	allIn  uint64 // mask of all n input ports
-
-	// passCount tallies pass-through deliveries (pend-buffer parks)
-	// across the fleet's lifetime; the runner diffs it around each batch
-	// to flush the fleet probes.
-	passCount int64
 
 	// Columnar switch state: per-instance blocks inside flat arrays.
 	voq      []uint64 // [k*n+i]: outputs j with IQ(k,i,j) non-empty
@@ -91,7 +56,6 @@ type CIOQFleet struct {
 	iqHdr    []qhdr   // [k*nm + i*m + j]
 	oq       []pkt    // [(k*m + j)*ocap + pos]
 	oqHdr    []qhdr   // [k*m + j]
-	hot      []hotCtr // [k]
 
 	// ID lanes, allocated only for weighted kernels: the ByValue queue
 	// discipline breaks value ties on packet ID, so weighted rings carry
@@ -105,22 +69,6 @@ type CIOQFleet struct {
 	// pair on that path. Entries are refreshed wherever the ring head
 	// changes and are read only under a set voq bit.
 	iqHV []int64
-
-	ms      []switchsim.Metrics
-	series  [][]int64
-	results []*switchsim.Result
-
-	seqs    []packet.Sequence
-	next    []int
-	horizon []int
-	at      []int // per-instance next slot to simulate
-
-	// Lockstep scheduling state.
-	active []int32
-	sleep  []sleeper
-	slot   int // current window start
-	live   int
-	err    error
 
 	view cioqView
 
@@ -146,7 +94,7 @@ type cioqView struct {
 	k        int
 	st       *ports
 	hm       *hotCtr
-	lat      *switchsim.Metrics
+	lat      *switchsim.Metrics // nil unless RecordLatency
 	voq      []uint64
 	voqByOut []uint64
 	iqHdr    []qhdr
@@ -188,7 +136,9 @@ func (v *cioqView) bind(f *CIOQFleet, k int) {
 	v.k = k
 	v.st = &f.st[k]
 	v.hm = &f.hot[k]
-	v.lat = &f.ms[k]
+	if f.cfg.RecordLatency {
+		v.lat = &f.ms[k]
+	}
 	v.voq = f.voq[k*f.n : (k+1)*f.n]
 	v.voqByOut = f.voqByOut[k*f.m : (k+1)*f.m]
 	v.iqHdr = f.iqHdr[k*f.nm : (k+1)*f.nm]
@@ -213,7 +163,7 @@ func (v *cioqView) bind(f *CIOQFleet, k int) {
 // and policy family produced by factory. It returns ErrUnsupported
 // (possibly wrapped) when the policy has no batched kernel or the
 // geometry exceeds the columnar engine's 64-port limit; callers wanting
-// transparent fallback use RunCIOQ instead.
+// transparent fallback use a CIOQRunner instead.
 func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, batch int) (*CIOQFleet, error) {
 	if err := cfg.Check(false); err != nil {
 		return nil, err
@@ -231,12 +181,12 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 	}
 	n, m := cfg.Inputs, cfg.Outputs
 	f := &CIOQFleet{
-		cfg: cfg, policy: pol.Name(), kern: kern, batch: batch, cur: batch,
-		n: n, m: m, nm: n * m,
+		kern: kern, n: n, m: m, nm: n * m,
 		icap: ceilPow2(cfg.InputBuf), ocap: ceilPow2(cfg.OutputBuf),
 		inBuf: int32(cfg.InputBuf), outBuf: int32(cfg.OutputBuf),
 		allIn: allOnes(n),
 	}
+	f.lockstep = newLockstep(cfg, pol.Name(), batch, f)
 	f.voq = make([]uint64, batch*n)
 	f.voqByOut = make([]uint64, batch*m)
 	f.st = make([]ports, batch)
@@ -244,15 +194,6 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 	f.iqHdr = make([]qhdr, batch*f.nm)
 	f.oq = make([]pkt, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
-	f.hot = make([]hotCtr, batch)
-	f.ms = make([]switchsim.Metrics, batch)
-	f.series = make([][]int64, batch)
-	f.results = make([]*switchsim.Result, batch)
-	f.next = make([]int, batch)
-	f.horizon = make([]int, batch)
-	f.at = make([]int, batch)
-	f.active = make([]int32, 0, batch)
-	f.sleep = make([]sleeper, 0, batch)
 	v := &f.view
 	v.n, v.m, v.nm = n, m, f.nm
 	v.icap, v.ocap = f.icap, f.ocap
@@ -273,9 +214,6 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 	return f, nil
 }
 
-// Policy returns the name of the batched policy family.
-func (f *CIOQFleet) Policy() string { return f.policy }
-
 // Reset loads a new batch of arrival sequences (one per instance; the
 // slice length may be anything up to the construction batch size, so one
 // fleet serves a chunk stream whose final chunk runs short) and rewinds
@@ -288,97 +226,20 @@ func (f *CIOQFleet) Policy() string { return f.policy }
 // never observes — is the caller's responsibility, as with every
 // generator-produced sequence.
 func (f *CIOQFleet) Reset(seqs []packet.Sequence) error {
-	if len(seqs) < 1 || len(seqs) > f.batch {
-		return fmt.Errorf("fleet: got %d sequences for a batch of %d", len(seqs), f.batch)
+	if err := f.load(seqs); err != nil {
+		return err
 	}
-	f.cur = len(seqs)
 	clear(f.voq)
 	clear(f.voqByOut)
 	clear(f.iqHdr)
 	clear(f.oqHdr)
 	for k := range f.st {
 		f.st[k] = ports{outFree: allOnes(f.m)}
-		f.hot[k] = hotCtr{}
 	}
-	f.seqs = seqs
-	f.active = f.active[:0]
-	f.sleep = f.sleep[:0]
-	f.slot = 0
-	f.live = f.cur
-	f.err = nil
 	f.view.direct = 0
-	for k := 0; k < f.cur; k++ {
-		f.ms[k] = switchsim.Metrics{}
-		if f.cfg.RecordLatency && f.cfg.StreamMetrics {
-			f.ms[k].EnableLatencySketch()
-		}
-		f.results[k] = nil
-		f.next[k] = 0
-		f.at[k] = 0
-		f.horizon[k] = f.cfg.HorizonFor(seqs[k])
-		if f.cfg.RecordSeries {
-			f.series[k] = make([]int64, f.horizon[k])
-		} else {
-			f.series[k] = nil
-		}
-		f.active = append(f.active, int32(k))
-	}
-	// Drop any tail a previous larger batch left behind, so a runner
-	// idling on a short final chunk does not pin old Results and their
-	// latency/series storage.
-	for k := f.cur; k < f.batch; k++ {
-		f.ms[k] = switchsim.Metrics{}
-		f.results[k] = nil
-		f.series[k] = nil
-	}
 	f.kern.reset(f)
 	return nil
 }
-
-// Step advances the global clock by one window (up to windowSlots slots),
-// simulating every active instance's share of the window and waking
-// sleepers due within it. It returns false once all instances have
-// retired or an error is pending; see Results.
-func (f *CIOQFleet) Step() bool {
-	if f.err != nil || f.live == 0 {
-		return false
-	}
-	if len(f.active) == 0 {
-		// Everyone sleeps: jump the clock to the earliest wake.
-		f.slot = f.sleep[0].wake
-	}
-	end := f.slot + windowSlots
-	for len(f.sleep) > 0 && f.sleep[0].wake < end {
-		var s sleeper
-		f.sleep, s = sleepPop(f.sleep)
-		f.at[s.k] = s.wake
-		f.active = append(f.active, s.k)
-	}
-	for idx := 0; idx < len(f.active); idx++ {
-		k := f.active[idx]
-		switch f.runWindow(k, end) {
-		case instActive:
-		case instErr:
-			return false
-		default: // instSleep, instRetired: swap-remove from the dense set
-			last := len(f.active) - 1
-			f.active[idx] = f.active[last]
-			f.active = f.active[:last]
-			idx--
-		}
-	}
-	f.slot = end
-	return f.live > 0 && f.err == nil
-}
-
-type instStatus int
-
-const (
-	instActive instStatus = iota
-	instSleep
-	instRetired
-	instErr
-)
 
 // runWindow simulates instance k from its current slot up to the window
 // end: admissions, Speedup kernel cycles, transmission, occupancy
@@ -559,7 +420,7 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 		if T >= horizon {
 			flush()
 			f.next[kk] = nx
-			return f.retire(k)
+			return f.retire(k, int64(st.inCount)+int64(st.outCount))
 		}
 		if T >= end {
 			flush()
@@ -772,74 +633,18 @@ func (v *cioqView) wtransfer(i, j int) {
 
 // quiesce advances the bound instance across `jump` arrival-free
 // drain-only slots in closed form, mirroring (*switchsim.CIOQ).quiesce:
-// each non-empty output queue transmits one head packet per slot until it
-// empties, and the occupancy integral gains Σ_{x=1..min(jump,L)} (L-x)
-// per queue.
+// each non-empty output queue drains its head packets (see drain).
 func (v *cioqView) quiesce(T, jump int) {
 	st := v.st
-	hm := v.hm
-	w := st.outBusy
-	for w != 0 {
+	for w := st.outBusy; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros64(w)
-		w &= w - 1
 		h := &v.oqHdr[j]
-		l := int(h.n)
-		d := min(l, jump)
-		for x := 1; x <= d; x++ {
-			p := v.oq[j*v.ocap+int(h.head)]
-			h.head = (h.head + 1) & v.ocapM
-			h.n--
-			hm.sent++
-			hm.benefit += p.v
-			if v.recLat {
-				v.lat.RecordLatency(T + x - int(p.a))
-			}
-			if v.recSer {
-				v.series[T+x] += p.v
-			}
-		}
-		st.outCount -= int32(d)
-		hm.outOccup += int64(d)*int64(l) - int64(d)*int64(d+1)/2
+		st.outCount -= drain(v.oq[j*v.ocap:], h, v.ocapM, v.hm, v.lat, v.series, T, jump)
 		if h.n == 0 {
 			st.outBusy &^= 1 << uint(j)
 		}
 	}
-	hm.sampled += int64(jump)
-}
-
-// retire folds instance k's metric accumulators into its Metrics and
-// records the final Result.
-func (f *CIOQFleet) retire(k int32) instStatus {
-	if err := checkResidual(int(k), f.seqs[k], f.next[k], f.horizon[k]); err != nil {
-		f.err = err
-		return instErr
-	}
-	hm := &f.hot[k]
-	m := &f.ms[k]
-	m.Arrived, m.ArrivedValue = hm.arrived, hm.arrivedVal
-	m.Accepted, m.AcceptedValue = hm.accepted, hm.acceptedVal
-	m.Rejected, m.RejectedValue = hm.rejected, hm.rejectedVal
-	m.Transferred = hm.transferred
-	m.Sent, m.Benefit = hm.sent, hm.benefit
-	m.PreemptedInput, m.PreemptedInputValue = hm.preemptedIn, hm.preemptedInVal
-	m.PreemptedOutput, m.PreemptedOutputValue = hm.preemptedOut, hm.preemptedOutVal
-	m.InputOccupSum, m.OutputOccupSum = hm.inOccup, hm.outOccup
-	m.AddSlotSamples(hm.sampled)
-	if f.cfg.RecordSeries {
-		m.SlotBenefit = f.series[k]
-	}
-	if f.cfg.Validate {
-		residual := int64(f.st[k].inCount) + int64(f.st[k].outCount)
-		preempted := m.PreemptedInput + m.PreemptedOutput
-		if m.Accepted != m.Sent+preempted+residual {
-			f.err = fmt.Errorf("fleet: instance %d: conservation violated: accepted=%d sent=%d preempted=%d residual=%d",
-				k, m.Accepted, m.Sent, preempted, residual)
-			return instErr
-		}
-	}
-	f.results[k] = &switchsim.Result{Policy: f.policy, Cfg: f.cfg, Slots: f.horizon[k], M: *m}
-	f.live--
-	return instRetired
+	v.hm.sampled += int64(jump)
 }
 
 // validate cross-checks instance k's occupancy index and counters against
@@ -901,20 +706,3 @@ func ringOrdered(buf []pkt, ids []int64, h qhdr, base int, capM int32) bool {
 	}
 	return true
 }
-
-// Results returns one Result per loaded instance (in input order) once
-// every instance has retired. It errors if the fleet is still running or a
-// stepping error is pending. The backing array is reused by the next
-// Reset, so callers keeping Results across batches must copy.
-func (f *CIOQFleet) Results() ([]*switchsim.Result, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	if f.live > 0 {
-		return nil, fmt.Errorf("fleet: %d instances still live", f.live)
-	}
-	return f.results[:f.cur], nil
-}
-
-func (f *CIOQFleet) batchCap() int { return f.batch }
-func (f *CIOQFleet) passes() int64 { return f.passCount }

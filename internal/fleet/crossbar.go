@@ -15,11 +15,8 @@ import (
 // packets the output subphase still makes policy-specific choices, so
 // those slots run densely, exactly as in the scalar engine.
 type CrossbarFleet struct {
-	cfg      switchsim.Config
-	policy   string
+	lockstep
 	kern     crossbarKernel
-	batch    int // storage capacity (construction batch size)
-	cur      int // instances loaded by the last Reset
 	n, m     int
 	nm       int
 	icap     int
@@ -28,11 +25,6 @@ type CrossbarFleet struct {
 	inBuf    int32
 	crossBuf int32
 	outBuf   int32
-
-	// passCount tallies pass-through deliveries (pend-buffer parks)
-	// across the fleet's lifetime; the runner diffs it around each batch
-	// to flush the fleet probes.
-	passCount int64
 
 	// Columnar switch state: per-instance blocks inside flat arrays.
 	voq        []uint64 // [k*n+i]: outputs j with IQ(k,i,j) non-empty
@@ -45,7 +37,6 @@ type CrossbarFleet struct {
 	xqHdr      []qhdr
 	oq         []pkt
 	oqHdr      []qhdr
-	hot        []hotCtr
 
 	// ID lanes, allocated only for weighted kernels; see CIOQFleet.
 	iqID []int64
@@ -62,21 +53,6 @@ type CrossbarFleet struct {
 	iqHV []int64
 	xqHV []int64
 
-	ms      []switchsim.Metrics
-	series  [][]int64
-	results []*switchsim.Result
-
-	seqs    []packet.Sequence
-	next    []int
-	horizon []int
-	at      []int
-
-	active []int32
-	sleep  []sleeper
-	slot   int
-	live   int
-	err    error
-
 	view crossbarView
 }
 
@@ -87,7 +63,7 @@ type crossbarView struct {
 	k          int
 	st         *ports
 	hm         *hotCtr
-	lat        *switchsim.Metrics
+	lat        *switchsim.Metrics // nil unless RecordLatency
 	voq        []uint64
 	xFree      []uint64
 	xBusyByOut []uint64
@@ -128,7 +104,9 @@ func (v *crossbarView) bind(f *CrossbarFleet, k int) {
 	v.k = k
 	v.st = &f.st[k]
 	v.hm = &f.hot[k]
-	v.lat = &f.ms[k]
+	if f.cfg.RecordLatency {
+		v.lat = &f.ms[k]
+	}
 	v.voq = f.voq[k*f.n : (k+1)*f.n]
 	v.xFree = f.xFree[k*f.n : (k+1)*f.n]
 	v.xBusyByOut = f.xBusyByOut[k*f.m : (k+1)*f.m]
@@ -171,11 +149,11 @@ func NewCrossbarFleet(cfg switchsim.Config, factory func() switchsim.CrossbarPol
 	}
 	n, m := cfg.Inputs, cfg.Outputs
 	f := &CrossbarFleet{
-		cfg: cfg, policy: pol.Name(), kern: kern, batch: batch, cur: batch,
-		n: n, m: m, nm: n * m,
+		kern: kern, n: n, m: m, nm: n * m,
 		icap: ceilPow2(cfg.InputBuf), xcap: ceilPow2(cfg.CrossBuf), ocap: ceilPow2(cfg.OutputBuf),
 		inBuf: int32(cfg.InputBuf), crossBuf: int32(cfg.CrossBuf), outBuf: int32(cfg.OutputBuf),
 	}
+	f.lockstep = newLockstep(cfg, pol.Name(), batch, f)
 	f.voq = make([]uint64, batch*n)
 	f.xFree = make([]uint64, batch*n)
 	f.xBusyByOut = make([]uint64, batch*m)
@@ -186,15 +164,6 @@ func NewCrossbarFleet(cfg switchsim.Config, factory func() switchsim.CrossbarPol
 	f.xqHdr = make([]qhdr, batch*f.nm)
 	f.oq = make([]pkt, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
-	f.hot = make([]hotCtr, batch)
-	f.ms = make([]switchsim.Metrics, batch)
-	f.series = make([][]int64, batch)
-	f.results = make([]*switchsim.Result, batch)
-	f.next = make([]int, batch)
-	f.horizon = make([]int, batch)
-	f.at = make([]int, batch)
-	f.active = make([]int32, 0, batch)
-	f.sleep = make([]sleeper, 0, batch)
 	v := &f.view
 	v.n, v.m, v.nm = n, m, f.nm
 	v.icap, v.xcap, v.ocap = f.icap, f.xcap, f.ocap
@@ -214,93 +183,27 @@ func NewCrossbarFleet(cfg switchsim.Config, factory func() switchsim.CrossbarPol
 	return f, nil
 }
 
-// Policy returns the name of the batched policy family.
-func (f *CrossbarFleet) Policy() string { return f.policy }
-
 // Reset loads a new batch of arrival sequences (up to the construction
 // batch size) and rewinds every loaded instance to slot 0, reusing the
 // fleet's storage. Sequences are validated lazily; see (*CIOQFleet).Reset.
 func (f *CrossbarFleet) Reset(seqs []packet.Sequence) error {
-	if len(seqs) < 1 || len(seqs) > f.batch {
-		return fmt.Errorf("fleet: got %d sequences for a batch of %d", len(seqs), f.batch)
+	if err := f.load(seqs); err != nil {
+		return err
 	}
-	f.cur = len(seqs)
 	clear(f.voq)
 	clear(f.xBusyByOut)
 	clear(f.iqHdr)
 	clear(f.xqHdr)
 	clear(f.oqHdr)
-	xAll := allOnes(f.m)
+	allOut := allOnes(f.m)
 	for x := range f.xFree {
-		f.xFree[x] = xAll
+		f.xFree[x] = allOut
 	}
 	for k := range f.st {
-		f.st[k] = ports{outFree: allOnes(f.m)}
-		f.hot[k] = hotCtr{}
+		f.st[k] = ports{outFree: allOut}
 	}
-	f.seqs = seqs
-	f.active = f.active[:0]
-	f.sleep = f.sleep[:0]
-	f.slot = 0
-	f.live = f.cur
-	f.err = nil
 	f.view.direct = 0
-	for k := 0; k < f.cur; k++ {
-		f.ms[k] = switchsim.Metrics{}
-		if f.cfg.RecordLatency && f.cfg.StreamMetrics {
-			f.ms[k].EnableLatencySketch()
-		}
-		f.results[k] = nil
-		f.next[k] = 0
-		f.at[k] = 0
-		f.horizon[k] = f.cfg.HorizonFor(seqs[k])
-		if f.cfg.RecordSeries {
-			f.series[k] = make([]int64, f.horizon[k])
-		} else {
-			f.series[k] = nil
-		}
-		f.active = append(f.active, int32(k))
-	}
-	// Drop any tail a previous larger batch left behind; see
-	// (*CIOQFleet).Reset.
-	for k := f.cur; k < f.batch; k++ {
-		f.ms[k] = switchsim.Metrics{}
-		f.results[k] = nil
-		f.series[k] = nil
-	}
 	return nil
-}
-
-// Step advances the global clock by one window; see (*CIOQFleet).Step.
-func (f *CrossbarFleet) Step() bool {
-	if f.err != nil || f.live == 0 {
-		return false
-	}
-	if len(f.active) == 0 {
-		f.slot = f.sleep[0].wake
-	}
-	end := f.slot + windowSlots
-	for len(f.sleep) > 0 && f.sleep[0].wake < end {
-		var s sleeper
-		f.sleep, s = sleepPop(f.sleep)
-		f.at[s.k] = s.wake
-		f.active = append(f.active, s.k)
-	}
-	for idx := 0; idx < len(f.active); idx++ {
-		k := f.active[idx]
-		switch f.runWindow(k, end) {
-		case instActive:
-		case instErr:
-			return false
-		default:
-			last := len(f.active) - 1
-			f.active[idx] = f.active[last]
-			f.active = f.active[:last]
-			idx--
-		}
-	}
-	f.slot = end
-	return f.live > 0 && f.err == nil
 }
 
 func (f *CrossbarFleet) runWindow(k int32, end int) instStatus {
@@ -463,7 +366,7 @@ func (f *CrossbarFleet) runWindow(k int32, end int) instStatus {
 		if T >= horizon {
 			flush()
 			f.next[kk] = nx
-			return f.retire(k)
+			return f.retire(k, int64(st.inCount)+int64(st.crossCount)+int64(st.outCount))
 		}
 		if T >= end {
 			flush()
@@ -640,68 +543,15 @@ func (v *crossbarView) wOutputTransfer(i, j int) {
 // drain-only slots in closed form; see (*cioqView).quiesce.
 func (v *crossbarView) quiesce(T, jump int) {
 	st := v.st
-	hm := v.hm
-	w := st.outBusy
-	for w != 0 {
+	for w := st.outBusy; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros64(w)
-		w &= w - 1
 		h := &v.oqHdr[j]
-		l := int(h.n)
-		d := min(l, jump)
-		for x := 1; x <= d; x++ {
-			p := v.oq[j*v.ocap+int(h.head)]
-			h.head = (h.head + 1) & v.ocapM
-			h.n--
-			hm.sent++
-			hm.benefit += p.v
-			if v.recLat {
-				v.lat.RecordLatency(T + x - int(p.a))
-			}
-			if v.recSer {
-				v.series[T+x] += p.v
-			}
-		}
-		st.outCount -= int32(d)
-		hm.outOccup += int64(d)*int64(l) - int64(d)*int64(d+1)/2
+		st.outCount -= drain(v.oq[j*v.ocap:], h, v.ocapM, v.hm, v.lat, v.series, T, jump)
 		if h.n == 0 {
 			st.outBusy &^= 1 << uint(j)
 		}
 	}
-	hm.sampled += int64(jump)
-}
-
-func (f *CrossbarFleet) retire(k int32) instStatus {
-	if err := checkResidual(int(k), f.seqs[k], f.next[k], f.horizon[k]); err != nil {
-		f.err = err
-		return instErr
-	}
-	hm := &f.hot[k]
-	m := &f.ms[k]
-	m.Arrived, m.ArrivedValue = hm.arrived, hm.arrivedVal
-	m.Accepted, m.AcceptedValue = hm.accepted, hm.acceptedVal
-	m.Rejected, m.RejectedValue = hm.rejected, hm.rejectedVal
-	m.Transferred, m.TransferredCross = hm.transferred, hm.transferredCross
-	m.Sent, m.Benefit = hm.sent, hm.benefit
-	m.PreemptedInput, m.PreemptedInputValue = hm.preemptedIn, hm.preemptedInVal
-	m.PreemptedCross, m.PreemptedCrossValue = hm.preemptedCross, hm.preemptedCrossVal
-	m.PreemptedOutput, m.PreemptedOutputValue = hm.preemptedOut, hm.preemptedOutVal
-	m.InputOccupSum, m.CrossOccupSum, m.OutputOccupSum = hm.inOccup, hm.crossOccup, hm.outOccup
-	m.AddSlotSamples(hm.sampled)
-	if f.cfg.RecordSeries {
-		m.SlotBenefit = f.series[k]
-	}
-	if f.cfg.Validate {
-		residual := int64(f.st[k].inCount) + int64(f.st[k].crossCount) + int64(f.st[k].outCount)
-		preempted := m.PreemptedInput + m.PreemptedCross + m.PreemptedOutput
-		if m.Accepted != m.Sent+preempted+residual {
-			f.err = fmt.Errorf("fleet: instance %d: conservation violated: accepted=%d sent=%d preempted=%d residual=%d",
-				k, m.Accepted, m.Sent, preempted, residual)
-			return instErr
-		}
-	}
-	f.results[k] = &switchsim.Result{Policy: f.policy, Cfg: f.cfg, Slots: f.horizon[k], M: *m}
-	f.live--
-	return instRetired
+	v.hm.sampled += int64(jump)
 }
 
 func (f *CrossbarFleet) validate(k, T int) error {
@@ -756,17 +606,4 @@ func (f *CrossbarFleet) validate(k, T int) error {
 			T, k, st.inCount, st.crossCount, st.outCount, in, cross, out)
 	}
 	return nil
-}
-
-// Results returns one Result per loaded instance once every instance
-// retired. The backing array is reused by the next Reset; see
-// (*CIOQFleet).Results.
-func (f *CrossbarFleet) Results() ([]*switchsim.Result, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	if f.live > 0 {
-		return nil, fmt.Errorf("fleet: %d instances still live", f.live)
-	}
-	return f.results[:f.cur], nil
 }

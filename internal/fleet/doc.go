@@ -26,10 +26,17 @@
 // Outputs ≤ 64) keep every occupancy row in a single word and serve every
 // ported policy family. The wide engine is weighted CIOQ PG at
 // 65 ≤ ports ≤ 512: it stores each row as a multi-word internal/bitset
-// span, iterates it word by word, and batches the greedy weighted matching
-// through a counting-sort bucketing shared across the batch. Everything
-// else above 64 ports falls back to scalar runs. The runner picks the
-// engine per configuration.
+// span, iterates it word by word, and enumerates its eligible edges in
+// (input, output) order for matching.WeightedScheduler's counting-sort
+// path, one scheduler shared across the batch. Everything else above 64
+// ports falls back to scalar runs. The runner picks the engine per
+// configuration.
+//
+// All three engines embed one lockstep core (lockstep.go): the batch
+// bookkeeping, Step's window loop, retirement into switchsim.Metrics, and
+// Results. Each engine supplies only its columns, its Reset of them, and
+// runWindow — the per-slot body of admissions, kernel cycles,
+// transmission and quiescent drain over its own layout.
 //
 // # Lockstep windows and the active list
 //
@@ -85,6 +92,6 @@
 // Policies without a kernel (randomized GM, the FIFO-discipline
 // variants, ...), every family but PG above 64 ports, and every geometry
 // beyond 512 ports fall back to per-instance scalar runs behind the same
-// RunCIOQ/RunCrossbar entry points, so callers need not special-case
-// batchability.
+// CIOQRunner/CrossbarRunner entry points, so callers need not
+// special-case batchability.
 package fleet

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
 	"math/bits"
 
 	"qswitch/internal/core"
@@ -11,8 +10,8 @@ import (
 )
 
 // ErrUnsupported marks a policy family or geometry the columnar engine
-// cannot batch; RunCIOQ and RunCrossbar fall back to per-instance scalar
-// runs instead of surfacing it.
+// cannot batch; CIOQRunner and CrossbarRunner fall back to per-instance
+// scalar runs instead of surfacing it.
 var ErrUnsupported = errors.New("fleet: not batchable")
 
 // maxPorts is the single-word engines' port limit: their occupancy rows
@@ -38,8 +37,8 @@ func BatchableCrossbar(cfg switchsim.Config, factory func() switchsim.CrossbarPo
 	return crossbarKernelFor(factory()) != nil && cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts
 }
 
-// fleetEngine is the runner-facing surface shared by the single-word and
-// wide CIOQ engines.
+// fleetEngine is the runner-facing surface of the three engines; all but
+// Reset come from the embedded lockstep.
 type fleetEngine interface {
 	Reset(seqs []packet.Sequence) error
 	Step() bool
@@ -48,52 +47,27 @@ type fleetEngine interface {
 	passes() int64
 }
 
-// RunCIOQ simulates the policy family produced by factory on every
-// sequence and returns one Result per sequence, in order. Batchable
-// policies run on the columnar engine (one construction and one policy
-// loop amortized across the whole batch); everything else falls back to
-// per-instance switchsim.RunCIOQ with a fresh policy per run. Results are
-// bit-identical between the two paths. Callers with a stream of batches
-// should hold a CIOQRunner instead, which reuses one fleet across calls.
-func RunCIOQ(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, seqs []packet.Sequence) ([]*switchsim.Result, error) {
-	return NewCIOQRunner(factory).Run(cfg, seqs)
+// runner is the state both runners share: the columnar fleet reused
+// across calls and the configuration it was built for.
+type runner struct {
+	cfg switchsim.Config
+	f   fleetEngine
 }
 
-// RunCrossbar is RunCIOQ for buffered-crossbar policies.
-func RunCrossbar(cfg switchsim.Config, factory func() switchsim.CrossbarPolicy, seqs []packet.Sequence) ([]*switchsim.Result, error) {
-	return NewCrossbarRunner(factory).Run(cfg, seqs)
-}
-
-// CIOQRunner runs batch after batch of one CIOQ policy family, reusing a
-// single columnar fleet across calls — the ratio-harness chunk-stream
-// shape, where constructing a fleet per chunk wastes the construction.
-// The fleet is (re)built only when the configuration changes or a batch
-// outgrows the current storage; shrinking batches (a chunk stream's short
-// final chunk) reuse it. Runners are not safe for concurrent use; results
-// are bit-identical to RunCIOQ.
-type CIOQRunner struct {
-	factory func() switchsim.CIOQPolicy
-	cfg     switchsim.Config
-	f       fleetEngine
-}
-
-// NewCIOQRunner creates a runner for the policy family produced by
-// factory. No storage is sized until the first batchable Run.
-func NewCIOQRunner(factory func() switchsim.CIOQPolicy) *CIOQRunner {
-	return &CIOQRunner{factory: factory}
-}
-
-// Run simulates every sequence under cfg and returns one Result per
-// sequence, in order, exactly as RunCIOQ. The returned slice and Results
-// are valid until the next Run.
-func (r *CIOQRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switchsim.Result, error) {
+// run simulates every sequence under cfg and returns one Result per
+// sequence, in order. Batchable families run on the fleet, which build
+// constructs only when the configuration changes or a batch outgrows the
+// current storage; everything else loops scalar over the sequences with a
+// fresh policy per run. Results are bit-identical between the two paths.
+func (r *runner) run(cfg switchsim.Config, seqs []packet.Sequence, batchable bool,
+	build func(batch int) (fleetEngine, error), scalar func(packet.Sequence) (*switchsim.Result, error)) ([]*switchsim.Result, error) {
 	if len(seqs) == 0 {
 		return nil, nil
 	}
-	if !BatchableCIOQ(cfg, r.factory) {
+	if !batchable {
 		out := make([]*switchsim.Result, len(seqs))
 		for k, seq := range seqs {
-			res, err := switchsim.RunCIOQ(cfg, r.factory(), seq)
+			res, err := scalar(seq)
 			if err != nil {
 				return nil, err
 			}
@@ -103,13 +77,7 @@ func (r *CIOQRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switc
 		return out, nil
 	}
 	if r.f == nil || r.cfg != cfg || r.f.batchCap() < len(seqs) {
-		var f fleetEngine
-		var err error
-		if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
-			f, err = NewCIOQFleet(cfg, r.factory, len(seqs))
-		} else {
-			f, err = newWideCIOQFleet(cfg, r.factory, len(seqs))
-		}
+		f, err := build(len(seqs))
 		if err != nil {
 			return nil, err
 		}
@@ -135,11 +103,44 @@ func (r *CIOQRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switc
 	return out, nil
 }
 
+// CIOQRunner runs batch after batch of one CIOQ policy family, reusing a
+// single columnar fleet across calls — the ratio-harness chunk-stream
+// shape, where constructing a fleet per chunk wastes the construction.
+// The fleet is (re)built only when the configuration changes or a batch
+// outgrows the current storage; shrinking batches (a chunk stream's short
+// final chunk) reuse it. Policies without a batched kernel, and
+// geometries beyond the columnar engines, run per-instance
+// switchsim.RunCIOQ instead, bit-identically. Runners are not safe for
+// concurrent use.
+type CIOQRunner struct {
+	factory func() switchsim.CIOQPolicy
+	runner
+}
+
+// NewCIOQRunner creates a runner for the policy family produced by
+// factory. No storage is sized until the first batchable Run.
+func NewCIOQRunner(factory func() switchsim.CIOQPolicy) *CIOQRunner {
+	return &CIOQRunner{factory: factory}
+}
+
+// Run simulates every sequence under cfg and returns one Result per
+// sequence, in order. The returned slice and Results are valid until the
+// next Run.
+func (r *CIOQRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switchsim.Result, error) {
+	return r.run(cfg, seqs, BatchableCIOQ(cfg, r.factory),
+		func(batch int) (fleetEngine, error) {
+			if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
+				return NewCIOQFleet(cfg, r.factory, batch)
+			}
+			return newWideCIOQFleet(cfg, r.factory, batch)
+		},
+		func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(cfg, r.factory(), seq) })
+}
+
 // CrossbarRunner is CIOQRunner for buffered-crossbar policy families.
 type CrossbarRunner struct {
 	factory func() switchsim.CrossbarPolicy
-	cfg     switchsim.Config
-	f       *CrossbarFleet
+	runner
 }
 
 // NewCrossbarRunner creates a runner for the policy family produced by
@@ -149,109 +150,13 @@ func NewCrossbarRunner(factory func() switchsim.CrossbarPolicy) *CrossbarRunner 
 }
 
 // Run simulates every sequence under cfg and returns one Result per
-// sequence, in order, exactly as RunCrossbar. The returned slice and
-// Results are valid until the next Run.
+// sequence, in order, as (*CIOQRunner).Run does.
 func (r *CrossbarRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switchsim.Result, error) {
-	if len(seqs) == 0 {
-		return nil, nil
-	}
-	if !BatchableCrossbar(cfg, r.factory) {
-		out := make([]*switchsim.Result, len(seqs))
-		for k, seq := range seqs {
-			res, err := switchsim.RunCrossbar(cfg, r.factory(), seq)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = res
-		}
-		fleetProbes.Load().RecordFallback(int64(len(seqs)))
-		return out, nil
-	}
-	if r.f == nil || r.cfg != cfg || r.f.batch < len(seqs) {
-		f, err := NewCrossbarFleet(cfg, r.factory, len(seqs))
-		if err != nil {
-			return nil, err
-		}
-		r.f, r.cfg = f, cfg
-	}
-	if err := r.f.Reset(seqs); err != nil {
-		return nil, err
-	}
-	passBefore := r.f.passCount
-	for r.f.Step() {
-	}
-	out, err := r.f.Results()
-	if err != nil {
-		return nil, err
-	}
-	if p := fleetProbes.Load(); p != nil {
-		var slots int64
-		for _, res := range out {
-			slots += int64(res.Slots)
-		}
-		p.RecordKernel(int64(len(seqs)), slots, r.f.passCount-passBefore)
-	}
-	return out, nil
-}
-
-// checkResidual detects malformed sequences at retirement: once an
-// instance reaches its horizon, every unconsumed packet must be due at or
-// beyond it — a remaining packet due earlier means the sequence was not
-// sorted by arrival (the cursor skipped it), which the streaming
-// admission loop cannot see up front without a separate validation pass.
-func checkResidual(k int, seq packet.Sequence, next, horizon int) error {
-	for x := next; x < len(seq); x++ {
-		if seq[x].Arrival < horizon {
-			return fmt.Errorf("fleet: instance %d: packet %d due at slot %d was never admitted: sequence not sorted by arrival", k, x, seq[x].Arrival)
-		}
-	}
-	return nil
-}
-
-// sleeper is one quiescent instance waiting for its next arrival slot.
-type sleeper struct {
-	wake int
-	k    int32
-}
-
-// sleepPush adds s to the min-heap (ordered by wake slot) in place.
-func sleepPush(h []sleeper, s sleeper) []sleeper {
-	h = append(h, s)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].wake <= h[i].wake {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-// sleepPop removes and returns the earliest-waking sleeper.
-func sleepPop(h []sleeper) ([]sleeper, sleeper) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h) && h[l].wake < h[s].wake {
-			s = l
-		}
-		if r < len(h) && h[r].wake < h[s].wake {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	return h, top
+	return r.run(cfg, seqs, BatchableCrossbar(cfg, r.factory),
+		func(batch int) (fleetEngine, error) { return NewCrossbarFleet(cfg, r.factory, batch) },
+		func(seq packet.Sequence) (*switchsim.Result, error) {
+			return switchsim.RunCrossbar(cfg, r.factory(), seq)
+		})
 }
 
 // firstFrom returns the smallest set bit of w in rotated order starting

@@ -99,7 +99,7 @@ func TestFleetCIOQMatchesScalar(t *testing.T) {
 			for gi, gen := range fleetWorkloads() {
 				for seed := int64(1); seed <= 2; seed++ {
 					seqs := fleetSeqs(rc.cfg, gen, seed*31+int64(gi), batch, 400)
-					fleetRes, err := RunCIOQ(rc.cfg, mk, seqs)
+					fleetRes, err := NewCIOQRunner(mk).Run(rc.cfg, seqs)
 					if err != nil {
 						t.Fatalf("%s/%s/%s seed %d fleet: %v", name, rc.name, gen.Name(), seed, err)
 					}
@@ -136,7 +136,7 @@ func TestFleetCrossbarMatchesScalar(t *testing.T) {
 			for gi, gen := range fleetWorkloads() {
 				for seed := int64(1); seed <= 2; seed++ {
 					seqs := fleetSeqs(rc.cfg, gen, seed*17+int64(gi), batch, 400)
-					fleetRes, err := RunCrossbar(rc.cfg, mk, seqs)
+					fleetRes, err := NewCrossbarRunner(mk).Run(rc.cfg, seqs)
 					if err != nil {
 						t.Fatalf("%s/%s/%s seed %d fleet: %v", name, rc.name, gen.Name(), seed, err)
 					}
@@ -163,13 +163,13 @@ func TestFleetDenseMatchesJumping(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 8, Speedup: 2, Validate: true, RecordLatency: true}
 	gen := packet.BurstyBlocking{OffMean: 120, Burst: 5, Values: packet.UniformValues{Hi: 10}}
 	seqs := fleetSeqs(cfg, gen, 9, 4, 1200)
-	fast, err := RunCIOQ(cfg, func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} }, seqs)
+	fast, err := NewCIOQRunner(func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} }).Run(cfg, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	denseCfg := cfg
 	denseCfg.Dense = true
-	dense, err := RunCIOQ(denseCfg, func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} }, seqs)
+	dense, err := NewCIOQRunner(func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} }).Run(denseCfg, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestFleetFallbackUnportedPolicy(t *testing.T) {
 	}
 	gen := packet.Bernoulli{Load: 1.0, Values: packet.UniformValues{Hi: 20}}
 	seqs := fleetSeqs(cfg, gen, 3, 3, 60)
-	rs, err := RunCIOQ(cfg, mk, seqs)
+	rs, err := NewCIOQRunner(mk).Run(cfg, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestFleetFallbackUnportedPolicy(t *testing.T) {
 	if BatchableCrossbar(cfg, mkX) {
 		t.Fatal("CrossbarNaive unexpectedly reported batchable")
 	}
-	rsX, err := RunCrossbar(cfg, mkX, seqs)
+	rsX, err := NewCrossbarRunner(mkX).Run(cfg, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestFleetGeometryFallback(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	seqs := []packet.Sequence{packet.Bernoulli{Load: 0.1}.Generate(rng, ports, ports, 10)}
-	rs, err := RunCIOQ(cfg, mk, seqs)
+	rs, err := NewCIOQRunner(mk).Run(cfg, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestFleetWideMatchesScalar(t *testing.T) {
 			for gi, gen := range gens {
 				seqs := fleetSeqs(rc.cfg, gen, 7+int64(gi), batch, 150)
 				checkFleetPath(t, name+"/"+rc.name+"/"+gen.Name(), pg, seqs,
-					func() ([]*switchsim.Result, error) { return RunCIOQ(rc.cfg, mk, seqs) },
+					func() ([]*switchsim.Result, error) { return NewCIOQRunner(mk).Run(rc.cfg, seqs) },
 					func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(rc.cfg, mk(), seq) })
 			}
 		}
@@ -327,7 +327,7 @@ func TestFleetWideMatchesScalar(t *testing.T) {
 			for gi, gen := range gens {
 				seqs := fleetSeqs(rc.cfg, gen, 19+int64(gi), batch, 150)
 				checkFleetPath(t, name+"/"+rc.name+"/"+gen.Name(), false, seqs,
-					func() ([]*switchsim.Result, error) { return RunCrossbar(rc.cfg, mk, seqs) },
+					func() ([]*switchsim.Result, error) { return NewCrossbarRunner(mk).Run(rc.cfg, seqs) },
 					func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(rc.cfg, mk(), seq) })
 			}
 		}
@@ -348,7 +348,7 @@ func TestFleetWide256MatchesScalar(t *testing.T) {
 		"pg":              func() switchsim.CIOQPolicy { return &core.PG{} },
 	} {
 		checkFleetPath(t, name, name == "pg", seqs,
-			func() ([]*switchsim.Result, error) { return RunCIOQ(cfg, mk, seqs) },
+			func() ([]*switchsim.Result, error) { return NewCIOQRunner(mk).Run(cfg, seqs) },
 			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(cfg, mk(), seq) })
 	}
 	for name, mk := range map[string]func() switchsim.CrossbarPolicy{
@@ -356,7 +356,7 @@ func TestFleetWide256MatchesScalar(t *testing.T) {
 		"cpg": func() switchsim.CrossbarPolicy { return &core.CPG{} },
 	} {
 		checkFleetPath(t, name, false, seqs,
-			func() ([]*switchsim.Result, error) { return RunCrossbar(cfg, mk, seqs) },
+			func() ([]*switchsim.Result, error) { return NewCrossbarRunner(mk).Run(cfg, seqs) },
 			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(cfg, mk(), seq) })
 	}
 }
@@ -482,13 +482,13 @@ func TestFleetBatchSizeInvariance(t *testing.T) {
 	mk := func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} }
 	gen := packet.PoissonBurst{OffMean: 50, BurstMean: 5, Values: packet.UniformValues{Hi: 9}}
 	seqs := fleetSeqs(cfg, gen, 21, 16, 600)
-	whole, err := RunCIOQ(cfg, mk, seqs)
+	whole, err := NewCIOQRunner(mk).Run(cfg, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 3, 16} {
 		for at := 0; at+batch <= len(seqs); at += batch {
-			part, err := RunCIOQ(cfg, mk, seqs[at:at+batch])
+			part, err := NewCIOQRunner(mk).Run(cfg, seqs[at:at+batch])
 			if err != nil {
 				t.Fatal(err)
 			}

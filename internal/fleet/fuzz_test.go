@@ -93,7 +93,7 @@ func FuzzFleetEquivalence(f *testing.F) {
 			"roundrobin":  func() switchsim.CIOQPolicy { return &core.RoundRobin{} },
 			"pg":          func() switchsim.CIOQPolicy { return &core.PG{} },
 		} {
-			rs, err := RunCIOQ(cfg, mk, seqs)
+			rs, err := NewCIOQRunner(mk).Run(cfg, seqs)
 			if err != nil {
 				t.Fatalf("fleet cioq %s: %v", name, err)
 			}
@@ -111,7 +111,7 @@ func FuzzFleetEquivalence(f *testing.F) {
 			"cgu-rotating": func() switchsim.CrossbarPolicy { return &core.CGU{RotatePick: true} },
 			"cpg":          func() switchsim.CrossbarPolicy { return &core.CPG{} },
 		} {
-			rsX, err := RunCrossbar(cfg, mkX, seqs)
+			rsX, err := NewCrossbarRunner(mkX).Run(cfg, seqs)
 			if err != nil {
 				t.Fatalf("fleet crossbar %s: %v", name, err)
 			}

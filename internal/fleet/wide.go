@@ -33,14 +33,12 @@ type wideCtr struct {
 // instances under PG with 64 < ports <= maxWidePorts in columnar layout.
 // The slot loop is the same admission / scheduling-cycles / transmission /
 // quiescent jump pipeline; masks are bitset.Mask rows instead of single
-// words, and transfers always do the ring store (no pass-through buffer,
-// so passCount stays zero).
+// words, transfers always do the ring store (no pass-through buffer, so
+// passCount stays zero), and the greedy weighted matching is the shared
+// matching.WeightedScheduler.
 type wideCIOQFleet struct {
-	cfg    switchsim.Config
-	policy string
+	lockstep
 	beta   float64 // PG's resolved preemption factor
-	batch  int
-	cur    int
 	n, m   int
 	nm     int
 	wm     int // words per output-indexed row
@@ -58,33 +56,16 @@ type wideCIOQFleet struct {
 	iqHdr   []qhdr
 	oq      []pkt
 	oqHdr   []qhdr
-	hot     []hotCtr
 
 	// ID lanes; see CIOQFleet.
 	iqID []int64
 	oqID []int64
 
-	ms      []switchsim.Metrics
-	series  [][]int64
-	results []*switchsim.Result
-
-	seqs    []packet.Sequence
-	next    []int
-	horizon []int
-	at      []int
-
-	active []int32
-	sleep  []sleeper
-	slot   int
-	live   int
-	err    error
-
 	view wideCIOQView
 
 	// Matching scratch.
-	edges   []matching.Edge
-	sched   matching.WeightedScheduler
-	matcher wideMatcher
+	edges []matching.Edge
+	sched matching.WeightedScheduler
 }
 
 // wideCIOQView is the per-instance working set of a wide CIOQ instance;
@@ -93,7 +74,7 @@ type wideCIOQView struct {
 	f       *wideCIOQFleet
 	st      *wideCtr
 	hm      *hotCtr
-	lat     *switchsim.Metrics
+	lat     *switchsim.Metrics // nil unless RecordLatency
 	voq     bitset.Mask
 	outFree bitset.Mask
 	outBusy bitset.Mask
@@ -123,7 +104,9 @@ func (v *wideCIOQView) bind(f *wideCIOQFleet, k int) {
 	v.f = f
 	v.st = &f.st[k]
 	v.hm = &f.hot[k]
-	v.lat = &f.ms[k]
+	if f.cfg.RecordLatency {
+		v.lat = &f.ms[k]
+	}
 	v.voq = f.voq[k*f.n*f.wm : (k+1)*f.n*f.wm]
 	v.outFree = f.outFree[k*f.wm : (k+1)*f.wm]
 	v.outBusy = f.outBusy[k*f.wm : (k+1)*f.wm]
@@ -157,12 +140,11 @@ func newWideCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy,
 	}
 	n, m := cfg.Inputs, cfg.Outputs
 	f := &wideCIOQFleet{
-		cfg: cfg, policy: pol.Name(), beta: cioqKernelFor(pol).(*pgKernel).beta,
-		batch: batch, cur: batch,
-		n: n, m: m, nm: n * m, wm: bitset.Words(m),
+		beta: cioqKernelFor(pol).(*pgKernel).beta, n: n, m: m, nm: n * m, wm: bitset.Words(m),
 		icap: ceilPow2(cfg.InputBuf), ocap: ceilPow2(cfg.OutputBuf),
 		inBuf: int32(cfg.InputBuf), outBuf: int32(cfg.OutputBuf),
 	}
+	f.lockstep = newLockstep(cfg, pol.Name(), batch, f)
 	f.voq = make(bitset.Mask, batch*n*f.wm)
 	f.outFree = make(bitset.Mask, batch*f.wm)
 	f.outBusy = make(bitset.Mask, batch*f.wm)
@@ -173,15 +155,6 @@ func newWideCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy,
 	f.oq = make([]pkt, batch*m*f.ocap)
 	f.oqID = make([]int64, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
-	f.hot = make([]hotCtr, batch)
-	f.ms = make([]switchsim.Metrics, batch)
-	f.series = make([][]int64, batch)
-	f.results = make([]*switchsim.Result, batch)
-	f.next = make([]int, batch)
-	f.horizon = make([]int, batch)
-	f.at = make([]int, batch)
-	f.active = make([]int32, 0, batch)
-	f.sleep = make([]sleeper, 0, batch)
 	f.edges = make([]matching.Edge, 0, f.nm)
 	v := &f.view
 	v.n, v.m, v.nm = n, m, f.nm
@@ -194,84 +167,20 @@ func newWideCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy,
 	return f, nil
 }
 
-func (f *wideCIOQFleet) batchCap() int { return f.batch }
-func (f *wideCIOQFleet) passes() int64 { return 0 }
-
 // Reset loads a new batch of sequences; see (*CIOQFleet).Reset.
 func (f *wideCIOQFleet) Reset(seqs []packet.Sequence) error {
-	if len(seqs) < 1 || len(seqs) > f.batch {
-		return fmt.Errorf("fleet: got %d sequences for a batch of %d", len(seqs), f.batch)
+	if err := f.load(seqs); err != nil {
+		return err
 	}
-	f.cur = len(seqs)
 	f.voq.Zero()
 	f.outBusy.Zero()
 	clear(f.iqHdr)
 	clear(f.oqHdr)
+	clear(f.st)
 	for k := 0; k < f.batch; k++ {
 		f.outFree[k*f.wm : (k+1)*f.wm].Fill(f.m)
-		f.st[k] = wideCtr{}
-		f.hot[k] = hotCtr{}
-	}
-	f.seqs = seqs
-	f.active = f.active[:0]
-	f.sleep = f.sleep[:0]
-	f.slot = 0
-	f.live = f.cur
-	f.err = nil
-	for k := 0; k < f.cur; k++ {
-		f.ms[k] = switchsim.Metrics{}
-		if f.cfg.RecordLatency && f.cfg.StreamMetrics {
-			f.ms[k].EnableLatencySketch()
-		}
-		f.results[k] = nil
-		f.next[k] = 0
-		f.at[k] = 0
-		f.horizon[k] = f.cfg.HorizonFor(seqs[k])
-		if f.cfg.RecordSeries {
-			f.series[k] = make([]int64, f.horizon[k])
-		} else {
-			f.series[k] = nil
-		}
-		f.active = append(f.active, int32(k))
-	}
-	for k := f.cur; k < f.batch; k++ {
-		f.ms[k] = switchsim.Metrics{}
-		f.results[k] = nil
-		f.series[k] = nil
 	}
 	return nil
-}
-
-// Step advances the global clock by one window; see (*CIOQFleet).Step.
-func (f *wideCIOQFleet) Step() bool {
-	if f.err != nil || f.live == 0 {
-		return false
-	}
-	if len(f.active) == 0 {
-		f.slot = f.sleep[0].wake
-	}
-	end := f.slot + windowSlots
-	for len(f.sleep) > 0 && f.sleep[0].wake < end {
-		var s sleeper
-		f.sleep, s = sleepPop(f.sleep)
-		f.at[s.k] = s.wake
-		f.active = append(f.active, s.k)
-	}
-	for idx := 0; idx < len(f.active); idx++ {
-		k := f.active[idx]
-		switch f.runWindow(k, end) {
-		case instActive:
-		case instErr:
-			return false
-		default:
-			last := len(f.active) - 1
-			f.active[idx] = f.active[last]
-			f.active = f.active[:last]
-			idx--
-		}
-	}
-	f.slot = end
-	return f.live > 0 && f.err == nil
 }
 
 func (f *wideCIOQFleet) runWindow(k int32, end int) instStatus {
@@ -402,7 +311,7 @@ func (f *wideCIOQFleet) runWindow(k int32, end int) instStatus {
 		if T >= horizon {
 			flush()
 			f.next[kk] = nx
-			return f.retire(k)
+			return f.retire(k, int64(st.in)+int64(st.out))
 		}
 		if T >= end {
 			flush()
@@ -420,8 +329,9 @@ func (f *wideCIOQFleet) runWindow(k int32, end int) instStatus {
 // cycle is one PG scheduling cycle on the bound instance; see pgKernel.
 // Eligible VOQ-head edges (destination open, or the head beats beta times
 // the destination's least valuable packet) are enumerated (input, output)
-// ascending, matched greedily by weight through the batched matcher, and
-// each match is executed with output-side preemption.
+// ascending — the order the scheduler's counting-sort path requires —
+// matched greedily by weight, and each match is executed with output-side
+// preemption.
 func (v *wideCIOQView) cycle(beta float64) {
 	f := v.f
 	edges := f.edges[:0]
@@ -447,7 +357,7 @@ func (v *wideCIOQView) cycle(beta float64) {
 		}
 	}
 	f.edges = edges
-	for _, e := range f.matcher.match(v.n, v.m, edges, &f.sched) {
+	for _, e := range f.sched.GreedyMaximalWeighted(v.n, v.m, edges) {
 		v.wtransfer(e.U, e.V)
 	}
 }
@@ -495,70 +405,19 @@ func (v *wideCIOQView) wtransfer(i, j int) {
 // closed form; see (*cioqView).quiesce.
 func (v *wideCIOQView) quiesce(T, jump int) {
 	st := v.st
-	hm := v.hm
 	ob := v.outBusy
 	for wdx, word := range ob {
-		for word != 0 {
+		for ; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
-			word &= word - 1
 			j := wdx<<6 + b
 			h := &v.oqHdr[j]
-			l := int(h.n)
-			d := min(l, jump)
-			for x := 1; x <= d; x++ {
-				p := v.oq[j*v.ocap+int(h.head)]
-				h.head = (h.head + 1) & v.ocapM
-				h.n--
-				hm.sent++
-				hm.benefit += p.v
-				if v.recLat {
-					v.lat.RecordLatency(T + x - int(p.a))
-				}
-				if v.recSer {
-					v.series[T+x] += p.v
-				}
-			}
-			st.out -= int32(d)
-			hm.outOccup += int64(d)*int64(l) - int64(d)*int64(d+1)/2
+			st.out -= drain(v.oq[j*v.ocap:], h, v.ocapM, v.hm, v.lat, v.series, T, jump)
 			if h.n == 0 {
 				ob[wdx] &^= 1 << uint(b)
 			}
 		}
 	}
-	hm.sampled += int64(jump)
-}
-
-func (f *wideCIOQFleet) retire(k int32) instStatus {
-	if err := checkResidual(int(k), f.seqs[k], f.next[k], f.horizon[k]); err != nil {
-		f.err = err
-		return instErr
-	}
-	hm := &f.hot[k]
-	m := &f.ms[k]
-	m.Arrived, m.ArrivedValue = hm.arrived, hm.arrivedVal
-	m.Accepted, m.AcceptedValue = hm.accepted, hm.acceptedVal
-	m.Rejected, m.RejectedValue = hm.rejected, hm.rejectedVal
-	m.Transferred = hm.transferred
-	m.Sent, m.Benefit = hm.sent, hm.benefit
-	m.PreemptedInput, m.PreemptedInputValue = hm.preemptedIn, hm.preemptedInVal
-	m.PreemptedOutput, m.PreemptedOutputValue = hm.preemptedOut, hm.preemptedOutVal
-	m.InputOccupSum, m.OutputOccupSum = hm.inOccup, hm.outOccup
-	m.AddSlotSamples(hm.sampled)
-	if f.cfg.RecordSeries {
-		m.SlotBenefit = f.series[k]
-	}
-	if f.cfg.Validate {
-		residual := int64(f.st[k].in) + int64(f.st[k].out)
-		preempted := m.PreemptedInput + m.PreemptedOutput
-		if m.Accepted != m.Sent+preempted+residual {
-			f.err = fmt.Errorf("fleet: instance %d: conservation violated: accepted=%d sent=%d preempted=%d residual=%d",
-				k, m.Accepted, m.Sent, preempted, residual)
-			return instErr
-		}
-	}
-	f.results[k] = &switchsim.Result{Policy: f.policy, Cfg: f.cfg, Slots: f.horizon[k], M: *m}
-	f.live--
-	return instRetired
+	v.hm.sampled += int64(jump)
 }
 
 func (f *wideCIOQFleet) validate(k, T int) error {
@@ -604,101 +463,4 @@ func (f *wideCIOQFleet) validate(k, T int) error {
 			T, k, st.in, st.out, in, out)
 	}
 	return nil
-}
-
-// Results returns one Result per loaded instance; see
-// (*CIOQFleet).Results.
-func (f *wideCIOQFleet) Results() ([]*switchsim.Result, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	if f.live > 0 {
-		return nil, fmt.Errorf("fleet: %d instances still live", f.live)
-	}
-	return f.results[:f.cur], nil
-}
-
-// wideMatcher is the wide-switch batched matcher: a stable counting-sort
-// bucket pass by weight — preserving the kernels' (U,V)-ascending
-// enumeration order within each bucket, which is exactly the canonical
-// order of matching.GreedyMaximalWeighted (weight desc, ties U asc then
-// V asc) — followed by a greedy acceptance sweep over multi-word
-// endpoint-availability masks. All scratch (buckets, sorted buffer,
-// masks) is owned by the fleet, so it is shared across the batch
-// dimension and across cycles. Inputs outside the bucket range delegate
-// to the general scheduler, which produces the identical matching via
-// its sorting paths.
-type wideMatcher struct {
-	count  []int32
-	sorted []matching.Edge
-	usedU  bitset.Mask
-	usedV  bitset.Mask
-	out    []matching.Edge
-}
-
-// wideMatchMaxW bounds the counting buckets, mirroring the scheduler's
-// counting-sort fast path.
-const wideMatchMaxW = 2048
-
-// match returns the greedy maximal weighted matching of edges, which
-// must be enumerated in (U, V)-ascending order. The result aliases
-// internal scratch valid until the next call.
-func (wm *wideMatcher) match(nU, nV int, edges []matching.Edge, sched *matching.WeightedScheduler) []matching.Edge {
-	if len(edges) == 0 {
-		return nil
-	}
-	var maxW int64
-	for _, e := range edges {
-		if e.W < 0 || e.W > wideMatchMaxW {
-			return sched.GreedyMaximalWeighted(nU, nV, edges)
-		}
-		if e.W > maxW {
-			maxW = e.W
-		}
-	}
-	if cap(wm.count) < int(maxW)+1 {
-		wm.count = make([]int32, maxW+1)
-	}
-	cnt := wm.count[:maxW+1]
-	clear(cnt)
-	for _, e := range edges {
-		cnt[e.W]++
-	}
-	// Bucket offsets by descending weight: the scatter below is stable,
-	// so equal-weight edges keep their (U, V)-ascending input order.
-	var pos int32
-	for w := maxW; w >= 0; w-- {
-		c := cnt[w]
-		cnt[w] = pos
-		pos += c
-	}
-	if cap(wm.sorted) < len(edges) {
-		wm.sorted = make([]matching.Edge, len(edges))
-	}
-	srt := wm.sorted[:len(edges)]
-	for _, e := range edges {
-		srt[cnt[e.W]] = e
-		cnt[e.W]++
-	}
-	wU, wV := bitset.Words(nU), bitset.Words(nV)
-	if cap(wm.usedU) < wU {
-		wm.usedU = make(bitset.Mask, wU)
-	}
-	if cap(wm.usedV) < wV {
-		wm.usedV = make(bitset.Mask, wV)
-	}
-	uu, vv := wm.usedU[:wU], wm.usedV[:wV]
-	uu.Zero()
-	vv.Zero()
-	out := wm.out[:0]
-	for _, e := range srt {
-		if uu.Test(e.U) || vv.Test(e.V) {
-			continue
-		}
-		uu.Set(e.U)
-		vv.Set(e.V)
-		out = append(out, e)
-	}
-	wm.out = out
-	return out
 }
