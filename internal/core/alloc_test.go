@@ -281,7 +281,8 @@ func TestQuiescentJumpZeroAllocs(t *testing.T) {
 // the ratio experiments and the adversary hunts run by the million (2x2,
 // buffers 2/2/1, 6 slots): per run they allocate the switch, the policy's
 // scratch and the Result, and nothing for the arrival cursor: a heap
-// cursor or a SeqStream per run would show here first.
+// cursor or a SeqStream per run would show here first. PG and CPG are
+// pinned too: the E2/E4 micro shapes run them.
 func TestMicroRunAllocations(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Slots: 6}
 	seq := packet.Bernoulli{Load: 1.5}.Generate(rand.New(rand.NewSource(3)), 2, 2, cfg.Slots)
@@ -301,6 +302,20 @@ func TestMicroRunAllocations(t *testing.T) {
 		}
 	}); allocs > 25 {
 		t.Errorf("RunCrossbar micro run: %v allocs, want <= 25", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := switchsim.RunCIOQ(cfg, &PG{}, seq); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 31 {
+		t.Errorf("RunCIOQ PG micro run: %v allocs, want <= 31", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := switchsim.RunCrossbar(cfg, &CPG{}, seq); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 25 {
+		t.Errorf("RunCrossbar CPG micro run: %v allocs, want <= 25", allocs)
 	}
 }
 

@@ -675,6 +675,33 @@ func equivalenceConfigs() []refConfig {
 	}
 }
 
+// boundaryCell is a reference-suite cell with its own workload.
+type boundaryCell struct {
+	refConfig
+	gen          packet.Generator
+	arrivalSlots int
+}
+
+// boundaryCells are the edges of the engines' head-value index, run with
+// Validate on and few slots: a 64x64 switch, the widest geometry whose
+// port masks fit one word, and a value mix straddling 2048, the largest
+// head value the index holds, so a run moves between the indexed and the
+// full-scan scheduling path and back.
+func boundaryCells() []boundaryCell {
+	return []boundaryCell{
+		{refConfig{"64x64", switchsim.Config{Inputs: 64, Outputs: 64, InputBuf: 2, OutputBuf: 2,
+			CrossBuf: 1, Speedup: 1, Validate: true, Slots: 16}},
+			packet.Hotspot{Load: 1.5, HotFrac: 0.6, Values: packet.UniformValues{Hi: 40}}, 10},
+		{refConfig{"above2048", switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 2,
+			CrossBuf: 1, Speedup: 1, Validate: true, Slots: 60}},
+			packet.Hotspot{Load: 1.5, HotFrac: 0.6, Values: packet.BimodalValues{LowHi: 40, HighLo: 2000, HighHi: 2100, PHigh: 0.08}}, 40},
+	}
+}
+
+func (c boundaryCell) seq(seed int64) packet.Sequence {
+	return c.gen.Generate(rand.New(rand.NewSource(seed)), c.cfg.Inputs, c.cfg.Outputs, c.arrivalSlots)
+}
+
 func equivalenceSeq(t *testing.T, cfg switchsim.Config, seed int64) packet.Sequence {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -716,6 +743,17 @@ func TestCIOQPoliciesMatchFullScanReference(t *testing.T) {
 				}
 			}
 		}
+		for _, bc := range boundaryCells() {
+			for seed := int64(1); seed <= 3; seed++ {
+				seq := bc.seq(seed)
+				fast := mustRunCIOQ(t, bc.cfg, pc.fast(), seq)
+				ref := mustRunCIOQ(t, bc.cfg, pc.ref(), seq)
+				if !reflect.DeepEqual(fast.M, ref.M) {
+					t.Errorf("%s/%s seed %d: bitset policy diverged from full-scan reference:\nfast: %+v\nref:  %+v",
+						pc.name, bc.name, seed, fast.M, ref.M)
+				}
+			}
+		}
 	}
 }
 
@@ -742,6 +780,17 @@ func TestCrossbarPoliciesMatchFullScanReference(t *testing.T) {
 				if !reflect.DeepEqual(fast.M, ref.M) {
 					t.Errorf("%s/%s seed %d: bitset policy diverged from full-scan reference:\nfast: %+v\nref:  %+v",
 						pc.name, rc.name, seed, fast.M, ref.M)
+				}
+			}
+		}
+		for _, bc := range boundaryCells() {
+			for seed := int64(1); seed <= 3; seed++ {
+				seq := bc.seq(seed)
+				fast := mustRunXbar(t, bc.cfg, pc.fast(), seq)
+				ref := mustRunXbar(t, bc.cfg, pc.ref(), seq)
+				if !reflect.DeepEqual(fast.M, ref.M) {
+					t.Errorf("%s/%s seed %d: bitset policy diverged from full-scan reference:\nfast: %+v\nref:  %+v",
+						pc.name, bc.name, seed, fast.M, ref.M)
 				}
 			}
 		}
