@@ -54,16 +54,9 @@ func AdaptiveAntiGreedy(cfg switchsim.Config, pol switchsim.CIOQPolicy, phases i
 		}
 		// Refill phase: while some queue is still occupied, target the
 		// highest-index occupied queue (any occupied queue works; the
-		// policy must drop the refill).
+		// policy must drop the refill), read off the occupancy mask.
 		for k := 0; k < m-1; k++ {
-			target := -1
-			sw := st.Switch()
-			for j := m - 1; j >= 0; j-- {
-				if !sw.IQ[0][j].Empty() {
-					target = j
-					break
-				}
-			}
+			target := st.Switch().VOQ.Row(0).Last()
 			if target < 0 {
 				break
 			}

@@ -80,6 +80,16 @@ func (m Mask) First() int {
 	return -1
 }
 
+// Last returns the largest element, or -1 if the set is empty.
+func (m Mask) Last() int {
+	for k := len(m) - 1; k >= 0; k-- {
+		if w := m[k]; w != 0 {
+			return k<<6 + 63 - bits.LeadingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // FirstAnd returns the smallest element of m ∩ b, or -1 if the
 // intersection is empty. The masks must have equal width.
 func (m Mask) FirstAnd(b Mask) int {

@@ -17,6 +17,15 @@ func (r reference) first() int {
 	return -1
 }
 
+func (r reference) last() int {
+	for i := len(r) - 1; i >= 0; i-- {
+		if r[i] {
+			return i
+		}
+	}
+	return -1
+}
+
 func (r reference) firstFrom(start int) int {
 	n := len(r)
 	for d := 0; d < n; d++ {
@@ -38,7 +47,7 @@ func (r reference) and(b reference) reference {
 func TestMaskBasics(t *testing.T) {
 	for _, n := range []int{1, 7, 63, 64, 65, 128, 200} {
 		m := New(n)
-		if !m.Empty() || m.Count() != 0 || m.First() != -1 {
+		if !m.Empty() || m.Count() != 0 || m.First() != -1 || m.Last() != -1 {
 			t.Fatalf("n=%d: new mask not empty", n)
 		}
 		m.Fill(n)
@@ -55,7 +64,7 @@ func TestMaskBasics(t *testing.T) {
 			t.Fatalf("n=%d: Zero left bits set", n)
 		}
 		m.Set(n - 1)
-		if m.First() != n-1 || m.Count() != 1 {
+		if m.First() != n-1 || m.Last() != n-1 || m.Count() != 1 {
 			t.Fatalf("n=%d: Set(n-1) misbehaved", n)
 		}
 		m.SetTo(n-1, false)
@@ -93,6 +102,9 @@ func TestMaskVsReference(t *testing.T) {
 			}
 			if got, want := m.First(), rm.first(); got != want {
 				t.Fatalf("n=%d step %d: First=%d want %d", n, step, got, want)
+			}
+			if got, want := m.Last(), rm.last(); got != want {
+				t.Fatalf("n=%d step %d: Last=%d want %d", n, step, got, want)
 			}
 			if got, want := m.FirstAnd(b), rm.and(rb).first(); got != want {
 				t.Fatalf("n=%d step %d: FirstAnd=%d want %d", n, step, got, want)

@@ -282,7 +282,8 @@ func TestQuiescentJumpZeroAllocs(t *testing.T) {
 // buffers 2/2/1, 6 slots): per run they allocate the switch, the policy's
 // scratch and the Result, and nothing for the arrival cursor: a heap
 // cursor or a SeqStream per run would show here first. PG and CPG are
-// pinned too: the E2/E4 micro shapes run them.
+// pinned too (the E2/E4 micro shapes run them); each also allocates its
+// switch's head-value lane and value index.
 func TestMicroRunAllocations(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Slots: 6}
 	seq := packet.Bernoulli{Load: 1.5}.Generate(rand.New(rand.NewSource(3)), 2, 2, cfg.Slots)
@@ -307,15 +308,15 @@ func TestMicroRunAllocations(t *testing.T) {
 		if _, err := switchsim.RunCIOQ(cfg, &PG{}, seq); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 31 {
-		t.Errorf("RunCIOQ PG micro run: %v allocs, want <= 31", allocs)
+	}); allocs > 33 {
+		t.Errorf("RunCIOQ PG micro run: %v allocs, want <= 33", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		if _, err := switchsim.RunCrossbar(cfg, &CPG{}, seq); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 25 {
-		t.Errorf("RunCrossbar CPG micro run: %v allocs, want <= 25", allocs)
+	}); allocs > 27 {
+		t.Errorf("RunCrossbar CPG micro run: %v allocs, want <= 27", allocs)
 	}
 }
 

@@ -36,6 +36,10 @@ type CPG struct {
 	beta      float64
 	alpha     float64
 	transfers []switchsim.Transfer
+	// Output-subphase picks on an indexed switch: output j takes input
+	// pick[j]'s crosspoint for every j in picked.
+	picked uint64
+	pick   [64]uint8
 }
 
 // CPGEqualParams returns the β=α parameterization of CPG — the algorithm
@@ -82,25 +86,29 @@ func (c *CPG) Admit(_ *switchsim.Crossbar, _ packet.Packet) switchsim.AdmitActio
 }
 
 // InputSubphase implements switchsim.CrossbarPolicy. Candidates are
-// enumerated from the non-empty-VOQ bitmask; crosspoints with room
-// (XFree bit set) skip the β-threshold value comparison.
+// enumerated from the non-empty-VOQ bitmask and valued from the switch's
+// head-value lane. A head worth less than the best so far is skipped
+// before its eligibility is tested, crosspoints with room (XFree bit set)
+// skip the β-threshold comparison, and head packet IDs are read only to
+// break a tie in value.
 func (c *CPG) InputSubphase(sw *switchsim.Crossbar, slot, cycle int) []switchsim.Transfer {
-	n := c.cfg.Inputs
+	n, m := c.cfg.Inputs, c.cfg.Outputs
 	c.transfers = c.transfers[:0]
 	for i := 0; i < n; i++ {
-		bestJ := -1
-		var best packet.Packet
-		row := sw.VOQ.Row(i)
+		heads := sw.IQHead[i*m : (i+1)*m]
 		xfree := sw.XFree.Row(i)
-		for w, word := range row {
+		bestJ := -1
+		var bestV int64
+		for w, word := range sw.VOQ.Row(i) {
 			for word != 0 {
 				j := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				head, _ := sw.IQ[i][j].Head()
-				if xfree.Test(j) || eligibleOutput(sw.XQ[i][j], head.Value, c.beta) {
-					if bestJ < 0 || packet.Less(head, best) {
-						bestJ, best = j, head
-					}
+				v := heads[j]
+				if v < bestV || !xfree.Test(j) && !eligibleOutput(sw.XQ[i][j], v, c.beta) {
+					continue
+				}
+				if v > bestV || headID(sw.IQ[i][j]) < headID(sw.IQ[i][bestJ]) {
+					bestJ, bestV = j, v
 				}
 			}
 		}
@@ -111,32 +119,92 @@ func (c *CPG) InputSubphase(sw *switchsim.Crossbar, slot, cycle int) []switchsim
 	return c.transfers
 }
 
-// OutputSubphase implements switchsim.CrossbarPolicy.
+// OutputSubphase implements switchsim.CrossbarPolicy: each output picks
+// its crosspoint with the most valuable head (ties to the lower packet
+// ID), then transfers it if the output queue has room or the head beats
+// α times the output's least valuable packet. The picks come from the
+// switch's per-output value buckets when its crosspoint index is ready,
+// and from a scan of the output's busy crosspoints in the head-value lane
+// otherwise.
 func (c *CPG) OutputSubphase(sw *switchsim.Crossbar, slot, cycle int) []switchsim.Transfer {
-	m := c.cfg.Outputs
+	if sw.XIndex.Ready() {
+		return c.outputIndexed(sw)
+	}
+	return c.outputScan(sw)
+}
+
+// outputIndexed is OutputSubphase on the crosspoint index.
+func (c *CPG) outputIndexed(sw *switchsim.Crossbar) []switchsim.Transfer {
 	c.transfers = c.transfers[:0]
-	for j := 0; j < m; j++ {
+	c.pickIndexed(sw)
+	for w := c.picked; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros64(w)
+		c.emitOutput(sw, int(c.pick[j]), j)
+	}
+	return c.transfers
+}
+
+// outputScan is OutputSubphase on the head-value lane alone.
+func (c *CPG) outputScan(sw *switchsim.Crossbar) []switchsim.Transfer {
+	c.transfers = c.transfers[:0]
+	n := c.cfg.Inputs
+	for j := 0; j < c.cfg.Outputs; j++ {
+		heads := sw.XHead[j*n : (j+1)*n]
 		bestI := -1
-		var best packet.Packet
+		var bestV int64
 		for w, word := range sw.XBusyByOut.Row(j) {
 			for word != 0 {
 				i := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				head, _ := sw.XQ[i][j].Head()
-				if bestI < 0 || packet.Less(head, best) {
-					bestI, best = i, head
+				v := heads[i]
+				if v > bestV || v == bestV && headID(sw.XQ[i][j]) < headID(sw.XQ[bestI][j]) {
+					bestI, bestV = i, v
 				}
 			}
 		}
-		if bestI < 0 {
-			continue
-		}
-		// The choice of crosspoint queue ignores the output queue's
-		// state; the transfer condition is evaluated afterwards, per
-		// the paper's two-step formulation.
-		if sw.OutFree.Test(j) || eligibleOutput(sw.OQ[j], best.Value, c.alpha) {
-			c.transfers = append(c.transfers, switchsim.Transfer{In: bestI, Out: j, PreemptIfFull: true})
+		if bestI >= 0 {
+			c.emitOutput(sw, bestI, j)
 		}
 	}
 	return c.transfers
+}
+
+// pickIndexed walks the crosspoint index's head values in descending order
+// and gives each output with a busy crosspoint the first value at which it
+// appears: c.picked is the set of such outputs, c.pick[j] the input whose
+// crosspoint output j takes.
+func (c *CPG) pickIndexed(sw *switchsim.Crossbar) {
+	x := &sw.XIndex
+	c.picked = x.Live()
+	pending := c.picked
+	for v := x.Top(); v > 0 && pending != 0; v = x.Below(v) {
+		for outs := x.Rows(v) & pending; outs != 0; outs &= outs - 1 {
+			j := bits.TrailingZeros64(outs)
+			cands := x.Cols(v, j)
+			i := bits.TrailingZeros64(cands)
+			for rest := cands & (cands - 1); rest != 0; rest &= rest - 1 {
+				if k := bits.TrailingZeros64(rest); headID(sw.XQ[k][j]) < headID(sw.XQ[i][j]) {
+					i = k
+				}
+			}
+			c.pick[j] = uint8(i)
+			pending &^= 1 << uint(j)
+		}
+	}
+}
+
+// emitOutput appends the transfer C_ij -> Q_j when Q_j has room or C_ij's
+// head beats α·v(l_j). The choice of crosspoint queue ignores the output
+// queue's state; the transfer condition is evaluated afterwards, per the
+// paper's two-step formulation.
+func (c *CPG) emitOutput(sw *switchsim.Crossbar, i, j int) {
+	if sw.OutFree.Test(j) || eligibleOutput(sw.OQ[j], sw.XHead[j*c.cfg.Inputs+i], c.alpha) {
+		c.transfers = append(c.transfers, switchsim.Transfer{In: i, Out: j, PreemptIfFull: true})
+	}
+}
+
+// headID returns the ID of a non-empty queue's head packet.
+func headID(q *queue.Queue) int64 {
+	h, _ := q.Head()
+	return h.ID
 }

@@ -25,7 +25,12 @@ import (
 //   - Transmission: send the most valuable packet of each output queue.
 //
 // Unlike the 6-competitive predecessor (see KRMWM), PG's matching is
-// maximal rather than maximum — O(E log E) instead of O(n³) per cycle.
+// maximal rather than maximum. On switches of up to 64×64 ports whose
+// queued head values all lie in [1, switchsim.MaxIndexedValue], a cycle
+// reads the engine's head-value index and costs O(d + k) word operations
+// for d distinct head values and k matched pairs, independent of the
+// number of non-empty queues; otherwise it enumerates every non-empty
+// queue and sorts the edges, O(E) with the counting sort.
 type PG struct {
 	// Beta is the preemption threshold β ≥ 1; DefaultBetaPG() if zero.
 	Beta float64
@@ -79,11 +84,20 @@ func (g *PG) Admit(_ *switchsim.CIOQ, _ packet.Packet) switchsim.AdmitAction {
 }
 
 // Schedule implements switchsim.CIOQPolicy: greedy maximal weighted
-// matching over the β-eligibility graph. Candidate edges are enumerated
-// from the switch's non-empty-VOQ bitmasks; an output that is not full
-// (OutFree bit set) is eligible without touching its queue, and only
-// full outputs pay the β-threshold value comparison.
+// matching over the β-eligibility graph, read off the switch's head-value
+// index when it is ready and built edge by edge otherwise.
 func (g *PG) Schedule(sw *switchsim.CIOQ, slot, cycle int) []switchsim.Transfer {
+	if sw.IQIndex.Ready() {
+		return g.scheduleIndexed(sw)
+	}
+	return g.scheduleEdges(sw)
+}
+
+// scheduleEdges enumerates the candidate edges from the switch's
+// non-empty-VOQ bitmasks and hands them to the greedy matcher. An output
+// that is not full (OutFree bit set) is eligible without touching its
+// queue; only full outputs pay the β-threshold value comparison.
+func (g *PG) scheduleEdges(sw *switchsim.CIOQ) []switchsim.Transfer {
 	g.edges = g.edges[:0]
 	n, m := g.cfg.Inputs, g.cfg.Outputs
 	for i := 0; i < n; i++ {
@@ -100,6 +114,50 @@ func (g *PG) Schedule(sw *switchsim.CIOQ, slot, cycle int) []switchsim.Transfer 
 		}
 	}
 	g.transfers = appendTransfers(g.transfers[:0], g.sched.GreedyMaximalWeighted(n, m, g.edges), true)
+	return g.transfers
+}
+
+// scheduleIndexed is Schedule's greedy matching walked directly on the
+// head-value index: head values in descending order; within a value, the
+// unmatched inputs in ascending order, each taking its lowest unmatched
+// output that is eligible at that value. That is the (weight desc, input
+// asc, output asc) order of matching.WeightedScheduler, so the transfers
+// are the same and come in the same order. A full output that rejects
+// value v rejects every lower value too, so it is dropped for the rest of
+// the walk, which ends once every input with a queued packet or every
+// output is matched.
+func (g *PG) scheduleIndexed(sw *switchsim.CIOQ) []switchsim.Transfer {
+	x := &sw.IQIndex
+	g.transfers = g.transfers[:0]
+	in := x.Live()
+	avail := ^uint64(0) >> uint(64-g.cfg.Outputs)
+	free := sw.OutFree[0]
+	for v := x.Top(); v > 0 && in != 0 && avail != 0; v = x.Below(v) {
+		before := avail
+		for rows := x.Rows(v) & in; rows != 0; rows &= rows - 1 {
+			i := bits.TrailingZeros64(rows)
+			for cand := x.Cols(v, i) & avail; cand != 0; cand &= cand - 1 {
+				j := bits.TrailingZeros64(cand)
+				if free&(1<<uint(j)) == 0 && !eligibleOutput(sw.OQ[j], v, g.beta) {
+					avail &^= 1 << uint(j)
+					continue
+				}
+				g.transfers = append(g.transfers, switchsim.Transfer{In: i, Out: j, PreemptIfFull: true})
+				in &^= 1 << uint(i)
+				avail &^= 1 << uint(j)
+				break
+			}
+		}
+		if avail != before && bits.OnesCount64(avail) <= 8 {
+			// Few outputs are left: drop the inputs with no queue to any
+			// of them, which would keep the walk going to the bottom.
+			var reach uint64
+			for w := avail; w != 0; w &= w - 1 {
+				reach |= sw.VOQByOut.Row(bits.TrailingZeros64(w))[0]
+			}
+			in &= reach
+		}
+	}
 	return g.transfers
 }
 
@@ -157,19 +215,20 @@ func (k *KRMWM) Admit(_ *switchsim.CIOQ, _ packet.Packet) switchsim.AdmitAction 
 	return switchsim.AcceptPreempt
 }
 
-// Schedule implements switchsim.CIOQPolicy via the Hungarian algorithm.
+// Schedule implements switchsim.CIOQPolicy via the Hungarian algorithm;
+// edge weights come from the switch's head-value lane.
 func (k *KRMWM) Schedule(sw *switchsim.CIOQ, slot, cycle int) []switchsim.Transfer {
 	k.edges = k.edges[:0]
 	n, m := k.cfg.Inputs, k.cfg.Outputs
 	for i := 0; i < n; i++ {
 		row := sw.VOQ.Row(i)
+		heads := sw.IQHead[i*m : (i+1)*m]
 		for w, word := range row {
 			for word != 0 {
 				j := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				head, _ := sw.IQ[i][j].Head()
-				if sw.OutFree.Test(j) || eligibleOutput(sw.OQ[j], head.Value, k.beta) {
-					k.edges = append(k.edges, matching.Edge{U: i, V: j, W: head.Value})
+				if v := heads[j]; sw.OutFree.Test(j) || eligibleOutput(sw.OQ[j], v, k.beta) {
+					k.edges = append(k.edges, matching.Edge{U: i, V: j, W: v})
 				}
 			}
 		}

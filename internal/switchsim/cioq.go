@@ -40,7 +40,10 @@ type CIOQPolicy interface {
 // pop and preemption — that lets policies enumerate the eligible edges
 // {(i,j) : Q_ij non-empty, Q_j not full} in time proportional to the
 // number of occupied queues instead of scanning all Inputs×Outputs pairs.
-// Policies must treat the index as read-only.
+// When the input queues are value-ordered (queue.ByValue) it also keeps
+// their head values in a flat lane and, for up to 64×64 ports, files the
+// queues by head value (IQIndex). Policies must treat the index as
+// read-only.
 type CIOQ struct {
 	Cfg Config
 	// IQ[i][j] is the input queue at port i holding packets for output j.
@@ -57,6 +60,12 @@ type CIOQ struct {
 	OutFree bitset.Mask
 	// OutBusy is the mask over outputs j with OQ[j] non-empty.
 	OutBusy bitset.Mask
+	// IQHead[i*Outputs+j] is the value of IQ[i][j]'s head packet, 0 when
+	// the queue is empty; nil unless the input queues are ByValue.
+	IQHead []int64
+	// IQIndex files IQ[i][j] under the value IQHead[i*Outputs+j], row i,
+	// column j; kept when IQHead is and both port counts are at most 64.
+	IQIndex HeadIndex
 
 	inCount  int64 // packets across all input queues
 	outCount int64 // packets across all output queues
@@ -93,6 +102,12 @@ func NewCIOQ(cfg Config, inDisc, outDisc queue.Discipline) *CIOQ {
 	sw.OutBusy = bitset.New(cfg.Outputs)
 	sw.usedIn = make([]int, cfg.Inputs)
 	sw.usedOut = make([]int, cfg.Outputs)
+	if inDisc == queue.ByValue {
+		sw.IQHead = make([]int64, n*m)
+		if indexable(n, m) {
+			sw.IQIndex.init(n)
+		}
+	}
 	return sw
 }
 
@@ -160,7 +175,13 @@ func (sw *CIOQ) checkIndex() error {
 	if in != sw.inCount || out != sw.outCount {
 		return fmt.Errorf("index: counters (in=%d,out=%d) but queues hold (%d,%d)", sw.inCount, sw.outCount, in, out)
 	}
-	return nil
+	if sw.IQHead == nil {
+		return nil
+	}
+	return sw.IQIndex.checkLane("IQ", sw.IQHead, sw.Cfg.Inputs, sw.Cfg.Outputs, false, func(i, j int) int64 {
+		h, _ := sw.IQ[i][j].Head()
+		return h.Value
+	})
 }
 
 // admit executes an admission decision, updating metrics and the index.
@@ -178,6 +199,9 @@ func (sw *CIOQ) admit(p packet.Packet, action AdmitAction) error {
 			return fmt.Errorf("switchsim: policy accepted %v into full IQ[%d][%d]", p, p.In, p.Out)
 		}
 		sw.noteIQPush(p.In, p.Out)
+		if sw.IQHead != nil {
+			sw.noteIQHead(p.In, p.Out)
+		}
 		sw.M.Accepted++
 		sw.M.AcceptedValue += p.Value
 		return nil
@@ -203,6 +227,9 @@ func (sw *CIOQ) admit(p packet.Packet, action AdmitAction) error {
 		} else {
 			sw.noteIQPush(p.In, p.Out)
 		}
+		if sw.IQHead != nil {
+			sw.noteIQHead(p.In, p.Out)
+		}
 		return nil
 	default:
 		return fmt.Errorf("switchsim: unknown admit action %d", action)
@@ -223,6 +250,18 @@ func (sw *CIOQ) noteIQPop(i, j int) {
 		sw.VOQByOut.Row(j).Clear(i)
 	}
 	sw.inCount--
+}
+
+// noteIQHead refreshes IQ[i][j]'s entry in the head-value lane and index
+// after the queue changed. Only ByValue grids keep them, so callers test
+// IQHead first and FIFO runs pay one predictable branch.
+func (sw *CIOQ) noteIQHead(i, j int) {
+	h, _ := sw.IQ[i][j].Head()
+	k := i*sw.Cfg.Outputs + j
+	if old := sw.IQHead[k]; old != h.Value {
+		sw.IQHead[k] = h.Value
+		sw.IQIndex.move(i, j, old, h.Value)
+	}
 }
 
 // executeTransfers applies one scheduling cycle's matching, enforcing the
@@ -249,6 +288,9 @@ func (sw *CIOQ) executeTransfers(ts []Transfer) error {
 			return fmt.Errorf("switchsim: transfer from empty IQ[%d][%d]", t.In, t.Out)
 		}
 		sw.noteIQPop(t.In, t.Out)
+		if sw.IQHead != nil {
+			sw.noteIQHead(t.In, t.Out)
+		}
 		if (t.PreemptIfFull || t.PreemptMinIfFull) && dst.Full() {
 			var victim packet.Packet
 			var preempted, accepted bool

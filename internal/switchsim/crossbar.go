@@ -38,7 +38,9 @@ type CrossbarPolicy interface {
 //
 // Like CIOQ it maintains an incrementally-updated occupancy index over
 // its three queue layers, so subphase policies touch only occupied
-// queues. Policies must treat the index as read-only.
+// queues. Value-ordered input and crosspoint queues also get head-value
+// lanes, and for up to 64×64 ports the crosspoints are filed by head
+// value per output (XIndex). Policies must treat the index as read-only.
 type Crossbar struct {
 	Cfg Config
 	// IQ[i][j]: input queue at port i for output j.
@@ -59,6 +61,16 @@ type Crossbar struct {
 	OutFree bitset.Mask
 	// OutBusy is the mask over outputs j with OQ[j] non-empty.
 	OutBusy bitset.Mask
+	// IQHead[i*Outputs+j] is the value of IQ[i][j]'s head packet, 0 when
+	// the queue is empty; nil unless the input queues are ByValue.
+	IQHead []int64
+	// XHead[j*Inputs+i] is the value of XQ[i][j]'s head packet, stored
+	// transposed so that one output's crosspoints are adjacent; 0 when
+	// empty, nil unless the crosspoint queues are ByValue.
+	XHead []int64
+	// XIndex files XQ[i][j] under the value XHead[j*Inputs+i], row j,
+	// column i; kept when XHead is and both port counts are at most 64.
+	XIndex HeadIndex
 
 	inCount    int64 // packets across all input queues
 	crossCount int64 // packets across all crosspoint queues
@@ -102,6 +114,19 @@ func NewCrossbar(cfg Config, inDisc, crossDisc, outDisc queue.Discipline) *Cross
 	sw.OutBusy = bitset.New(cfg.Outputs)
 	sw.usedIn = make([]int, cfg.Inputs)
 	sw.usedOut = make([]int, cfg.Outputs)
+	var lanes []int64
+	if inDisc == queue.ByValue || crossDisc == queue.ByValue {
+		lanes = make([]int64, 2*n*m) // one allocation for both lanes
+	}
+	if inDisc == queue.ByValue {
+		sw.IQHead = lanes[: n*m : n*m]
+	}
+	if crossDisc == queue.ByValue {
+		sw.XHead = lanes[n*m:]
+		if indexable(m, n) {
+			sw.XIndex.init(m)
+		}
+	}
 	return sw
 }
 
@@ -181,6 +206,22 @@ func (sw *Crossbar) checkIndex() error {
 		return fmt.Errorf("index: counters (in=%d,cross=%d,out=%d) but queues hold (%d,%d,%d)",
 			sw.inCount, sw.crossCount, sw.outCount, in, cross, out)
 	}
+	n, m := sw.Cfg.Inputs, sw.Cfg.Outputs
+	if sw.IQHead != nil {
+		var none HeadIndex // the input grid has a lane but no value index
+		if err := none.checkLane("IQ", sw.IQHead, n, m, false, func(i, j int) int64 {
+			h, _ := sw.IQ[i][j].Head()
+			return h.Value
+		}); err != nil {
+			return err
+		}
+	}
+	if sw.XHead != nil {
+		return sw.XIndex.checkLane("XQ", sw.XHead, m, n, true, func(j, i int) int64 {
+			h, _ := sw.XQ[i][j].Head()
+			return h.Value
+		})
+	}
 	return nil
 }
 
@@ -199,6 +240,7 @@ func (sw *Crossbar) admit(p packet.Packet, action AdmitAction) error {
 		}
 		sw.VOQ.Row(p.In).Set(p.Out)
 		sw.inCount++
+		sw.noteIQHead(p.In, p.Out)
 		sw.M.Accepted++
 		sw.M.AcceptedValue += p.Value
 		return nil
@@ -225,9 +267,31 @@ func (sw *Crossbar) admit(p packet.Packet, action AdmitAction) error {
 			sw.VOQ.Row(p.In).Set(p.Out)
 			sw.inCount++
 		}
+		sw.noteIQHead(p.In, p.Out)
 		return nil
 	default:
 		return fmt.Errorf("switchsim: unknown admit action %d", action)
+	}
+}
+
+// noteIQHead refreshes IQ[i][j]'s head-value lane entry after the queue
+// changed; FIFO input queues keep no lane.
+func (sw *Crossbar) noteIQHead(i, j int) {
+	if sw.IQHead != nil {
+		h, _ := sw.IQ[i][j].Head()
+		sw.IQHead[i*sw.Cfg.Outputs+j] = h.Value
+	}
+}
+
+// noteXHead refreshes XQ[i][j]'s entry in the head-value lane and index
+// after the queue changed. Only ByValue crosspoints keep them; callers
+// test XHead first.
+func (sw *Crossbar) noteXHead(i, j int) {
+	h, _ := sw.XQ[i][j].Head()
+	k := j*sw.Cfg.Inputs + i
+	if old := sw.XHead[k]; old != h.Value {
+		sw.XHead[k] = h.Value
+		sw.XIndex.move(j, i, old, h.Value)
 	}
 }
 
@@ -255,6 +319,7 @@ func (sw *Crossbar) executeInputSubphase(ts []Transfer) error {
 			sw.VOQ.Row(t.In).Clear(t.Out)
 		}
 		sw.inCount--
+		sw.noteIQHead(t.In, t.Out)
 		if (t.PreemptIfFull || t.PreemptMinIfFull) && dst.Full() {
 			var victim packet.Packet
 			var preempted, accepted bool
@@ -279,6 +344,9 @@ func (sw *Crossbar) executeInputSubphase(ts []Transfer) error {
 				sw.XFree.Row(t.In).Clear(t.Out)
 			}
 			sw.crossCount++
+		}
+		if sw.XHead != nil {
+			sw.noteXHead(t.In, t.Out)
 		}
 		sw.M.Transferred++
 	}
@@ -310,6 +378,9 @@ func (sw *Crossbar) executeOutputSubphase(ts []Transfer) error {
 		}
 		sw.XFree.Row(t.In).Set(t.Out)
 		sw.crossCount--
+		if sw.XHead != nil {
+			sw.noteXHead(t.In, t.Out)
+		}
 		if (t.PreemptIfFull || t.PreemptMinIfFull) && dst.Full() {
 			var victim packet.Packet
 			var preempted, accepted bool
