@@ -28,6 +28,13 @@
 // only non-empty outputs. In validation mode the engine re-derives the
 // index from the queues each slot and fails loudly on any divergence.
 //
+// Value-ordered queue grids also keep their head values: a flat lane per
+// grid (IQHead; the crossbar's XHead, transposed by output) and, for up
+// to 64×64 ports, a HeadIndex that files each queue under its head value
+// in [1, MaxIndexedValue], so a weighted policy can walk the head values
+// in descending order instead of reading every queue. FIFO grids keep
+// neither.
+//
 // The engine never retains a policy's []Transfer slice across calls, so
 // policies return reusable scratch buffers; together with the
 // epoch-stamped matching-validation marks this keeps the steady-state
