@@ -24,10 +24,11 @@ const maxIndexedPorts = 64
 // queues of that row whose head is worth v), a mask of the rows with a
 // non-empty column mask, and a presence bit, so the present values can be
 // walked in descending order at a word scan per 64 values. Value buckets
-// are allocated lazily, doubling up to the largest value seen.
+// are allocated lazily, as far as the largest value seen: a larger value
+// at least doubles them.
 type HeadIndex struct {
 	rows int // 0: the grid is not indexed
-	vcap int // values 1..vcap have buckets; a multiple of 64
+	vcap int // values 1..vcap have buckets; a multiple of 16
 	over int // heads outside [1, MaxIndexedValue]
 	live uint64
 
@@ -90,18 +91,16 @@ func indexable(rows, cols int) bool {
 	return rows <= maxIndexedPorts && cols <= maxIndexedPorts
 }
 
-// init prepares an empty index over `rows` rows.
-func (x *HeadIndex) init(rows int) {
-	*x = HeadIndex{rows: rows}
-	x.resize(64)
-}
+// init prepares an empty index over `rows` rows; nothing is allocated
+// until a head is filed.
+func (x *HeadIndex) init(rows int) { *x = HeadIndex{rows: rows} }
 
 // resize re-lays the buffer for values 1..vcap, keeping what is filed.
 func (x *HeadIndex) resize(vcap int) {
-	r := x.rows
-	buf := make([]uint64, r+vcap>>6+vcap+vcap*r)
+	r, pw := x.rows, (vcap+63)>>6
+	buf := make([]uint64, r+pw+vcap+vcap*r)
 	count, rest := buf[:r:r], buf[r:]
-	present, rest := rest[:vcap>>6:vcap>>6], rest[vcap>>6:]
+	present, rest := rest[:pw:pw], rest[pw:]
 	byVal, cols := rest[:vcap:vcap], rest[vcap:]
 	copy(count, x.count)
 	copy(present, x.present)
@@ -132,7 +131,7 @@ func (x *HeadIndex) move(r, c int, old, now int64) {
 	}
 	if filedNow {
 		if int(now) > x.vcap {
-			x.resize(min(max(2*x.vcap, int(now+63)&^63), MaxIndexedValue))
+			x.resize(min(max(2*x.vcap, int(now+15)&^15), MaxIndexedValue))
 		}
 		k := int(now - 1)
 		p := &x.cols[k*x.rows+r]
@@ -155,6 +154,14 @@ func (x *HeadIndex) move(r, c int, old, now int64) {
 			x.live &^= 1 << uint(r)
 		}
 	}
+}
+
+// rowCount returns the number of heads filed in row r.
+func (x *HeadIndex) rowCount(r int) uint64 {
+	if x.count == nil {
+		return 0
+	}
+	return x.count[r]
 }
 
 // checkLane compares a head-value lane with the queue heads it mirrors
@@ -196,8 +203,8 @@ func (x *HeadIndex) checkLane(grid string, lane []int64, rows, cols int, transpo
 				n++
 			}
 		}
-		if x.count[r] != n {
-			return fmt.Errorf("index: %s value index counts %d heads in row %d, lane %d", grid, x.count[r], r, n)
+		if got := x.rowCount(r); got != n {
+			return fmt.Errorf("index: %s value index counts %d heads in row %d, lane %d", grid, got, r, n)
 		}
 		if n > 0 {
 			live |= 1 << uint(r)

@@ -114,10 +114,14 @@ func TestHeadIndexPreemptsSingleSlotQueue(t *testing.T) {
 func TestHeadIndexGrowsLazily(t *testing.T) {
 	var x HeadIndex
 	x.init(2)
-	if x.vcap != 64 {
-		t.Fatalf("initial value capacity %d, want 64", x.vcap)
+	if x.vcap != 0 || x.cols != nil || x.Top() != 0 {
+		t.Fatalf("empty index holds buckets for %d values", x.vcap)
 	}
-	x.move(0, 0, 0, 64)
+	x.move(0, 0, 0, 50)
+	if x.vcap != 64 {
+		t.Errorf("value 50: capacity %d, want 64 (rounded up to 16)", x.vcap)
+	}
+	x.move(0, 0, 50, 64)
 	if x.vcap != 64 {
 		t.Errorf("value 64 grew the index to %d", x.vcap)
 	}
@@ -126,8 +130,8 @@ func TestHeadIndexGrowsLazily(t *testing.T) {
 		t.Errorf("value 65: capacity %d, want 128 (doubling)", x.vcap)
 	}
 	x.move(1, 3, 0, 1000)
-	if x.vcap != 1024 {
-		t.Errorf("value 1000: capacity %d, want 1024 (rounded up past doubling)", x.vcap)
+	if x.vcap != 1008 {
+		t.Errorf("value 1000: capacity %d, want 1008 (rounded up past doubling)", x.vcap)
 	}
 	x.move(1, 3, 1000, MaxIndexedValue)
 	if x.vcap != MaxIndexedValue || !x.Ready() {
@@ -220,7 +224,7 @@ func TestCorruptHeadLaneFailsValidate(t *testing.T) {
 	}{
 		{"lane", func(sw *CIOQ) { sw.IQHead[1*3+2]++ }, "head lane for IQ[1][2] = 9, queue head value 8"},
 		{"index", func(sw *CIOQ) { sw.IQIndex.cols[(8-1)*2+1] = 0 }, "value index misses IQ[1][2] under head value 8"},
-		{"stray", func(sw *CIOQ) { sw.IQIndex.cols[(40-1)*2+0] |= 1 << 2 }, "value index files IQ[0][2] under head value 40"},
+		{"stray", func(sw *CIOQ) { sw.IQIndex.cols[(12-1)*2+0] |= 1 << 2 }, "value index files IQ[0][2] under head value 12"},
 	} {
 		pol := &passPolicy{inDisc: queue.ByValue, outDisc: queue.ByValue, sched: func(sw *CIOQ, slot, cycle int) []Transfer {
 			if slot == 1 {
