@@ -133,7 +133,6 @@ func (g *PG) scheduleIndexed(sw *switchsim.CIOQ) []switchsim.Transfer {
 	avail := ^uint64(0) >> uint(64-g.cfg.Outputs)
 	free := sw.OutFree[0]
 	for v := x.Top(); v > 0 && in != 0 && avail != 0; v = x.Below(v) {
-		before := avail
 		for rows := x.Rows(v) & in; rows != 0; rows &= rows - 1 {
 			i := bits.TrailingZeros64(rows)
 			for cand := x.Cols(v, i) & avail; cand != 0; cand &= cand - 1 {
@@ -147,15 +146,6 @@ func (g *PG) scheduleIndexed(sw *switchsim.CIOQ) []switchsim.Transfer {
 				avail &^= 1 << uint(j)
 				break
 			}
-		}
-		if avail != before && bits.OnesCount64(avail) <= 8 {
-			// Few outputs are left: drop the inputs with no queue to any
-			// of them, which would keep the walk going to the bottom.
-			var reach uint64
-			for w := avail; w != 0; w &= w - 1 {
-				reach |= sw.VOQByOut.Row(bits.TrailingZeros64(w))[0]
-			}
-			in &= reach
 		}
 	}
 	return g.transfers

@@ -178,10 +178,14 @@ func (sw *CIOQ) checkIndex() error {
 	if sw.IQHead == nil {
 		return nil
 	}
-	return sw.IQIndex.checkLane("IQ", sw.IQHead, sw.Cfg.Inputs, sw.Cfg.Outputs, false, func(i, j int) int64 {
+	n, m := sw.Cfg.Inputs, sw.Cfg.Outputs
+	if err := checkHeadLane("IQ", sw.IQHead, n, m, false, func(i, j int) int64 {
 		h, _ := sw.IQ[i][j].Head()
 		return h.Value
-	})
+	}); err != nil {
+		return err
+	}
+	return sw.IQIndex.check("IQ", sw.IQHead, n, m, false)
 }
 
 // admit executes an admission decision, updating metrics and the index.

@@ -208,21 +208,23 @@ func (sw *Crossbar) checkIndex() error {
 	}
 	n, m := sw.Cfg.Inputs, sw.Cfg.Outputs
 	if sw.IQHead != nil {
-		var none HeadIndex // the input grid has a lane but no value index
-		if err := none.checkLane("IQ", sw.IQHead, n, m, false, func(i, j int) int64 {
+		if err := checkHeadLane("IQ", sw.IQHead, n, m, false, func(i, j int) int64 {
 			h, _ := sw.IQ[i][j].Head()
 			return h.Value
 		}); err != nil {
 			return err
 		}
 	}
-	if sw.XHead != nil {
-		return sw.XIndex.checkLane("XQ", sw.XHead, m, n, true, func(j, i int) int64 {
-			h, _ := sw.XQ[i][j].Head()
-			return h.Value
-		})
+	if sw.XHead == nil {
+		return nil
 	}
-	return nil
+	if err := checkHeadLane("XQ", sw.XHead, m, n, true, func(j, i int) int64 {
+		h, _ := sw.XQ[i][j].Head()
+		return h.Value
+	}); err != nil {
+		return err
+	}
+	return sw.XIndex.check("XQ", sw.XHead, m, n, true)
 }
 
 func (sw *Crossbar) admit(p packet.Packet, action AdmitAction) error {

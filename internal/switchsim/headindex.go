@@ -134,14 +134,9 @@ func (x *HeadIndex) move(r, c int, old, now int64) {
 			x.resize(min(max(2*x.vcap, int(now+15)&^15), MaxIndexedValue))
 		}
 		k := int(now - 1)
-		p := &x.cols[k*x.rows+r]
-		if *p == 0 {
-			if x.byVal[k] == 0 {
-				x.present[k>>6] |= 1 << uint(k&63)
-			}
-			x.byVal[k] |= 1 << uint(r)
-		}
-		*p |= 1 << uint(c)
+		x.cols[k*x.rows+r] |= 1 << uint(c)
+		x.byVal[k] |= 1 << uint(r)
+		x.present[k>>6] |= 1 << uint(k&63)
 	} else if now != 0 {
 		x.over++
 	}
@@ -164,26 +159,33 @@ func (x *HeadIndex) rowCount(r int) uint64 {
 	return x.count[r]
 }
 
-// checkLane compares a head-value lane with the queue heads it mirrors
-// and, when the grid is indexed, the index with the lane (full rescan;
-// validation mode only). lane[r*cols+c] belongs to the queue at (r, c),
-// which the error texts name as grid[i][j] with (i, j) = (r, c), or
-// (c, r) for a lane stored transposed.
-func (x *HeadIndex) checkLane(grid string, lane []int64, rows, cols int, transposed bool, head func(r, c int) int64) error {
-	at := func(r, c int) (int, int) {
-		if transposed {
-			return c, r
-		}
-		return r, c
-	}
+// checkHeadLane compares a head-value lane with the queue heads it
+// mirrors (full rescan; validation mode only). lane[r*cols+c] belongs to
+// the queue at (r, c), which the error texts name as grid[i][j] with
+// (i, j) = (r, c), or (c, r) for a lane stored transposed.
+func checkHeadLane(grid string, lane []int64, rows, cols int, transposed bool, head func(r, c int) int64) error {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if got, want := lane[r*cols+c], head(r, c); got != want {
-				i, j := at(r, c)
+				i, j := queueAt(r, c, transposed)
 				return fmt.Errorf("index: head lane for %s[%d][%d] = %d, queue head value %d", grid, i, j, got, want)
 			}
 		}
 	}
+	return nil
+}
+
+func queueAt(r, c int, transposed bool) (i, j int) {
+	if transposed {
+		return c, r
+	}
+	return r, c
+}
+
+// check compares an index with the lane it files (full rescan;
+// validation mode only); see checkHeadLane for the lane's layout. It is a
+// no-op on a grid that is not indexed.
+func (x *HeadIndex) check(grid string, lane []int64, rows, cols int, transposed bool) error {
 	if x.rows == 0 {
 		return nil
 	}
@@ -197,7 +199,7 @@ func (x *HeadIndex) checkLane(grid string, lane []int64, rows, cols int, transpo
 			case v < 1 || v > MaxIndexedValue:
 				over++
 			case x.Cols(v, r)&(1<<uint(c)) == 0:
-				i, j := at(r, c)
+				i, j := queueAt(r, c, transposed)
 				return fmt.Errorf("index: value index misses %s[%d][%d] under head value %d", grid, i, j, v)
 			default:
 				n++
@@ -219,7 +221,7 @@ func (x *HeadIndex) checkLane(grid string, lane []int64, rows, cols int, transpo
 			for w := x.cols[k*x.rows+r]; w != 0; w &= w - 1 {
 				c := bits.TrailingZeros64(w)
 				if c >= cols || lane[r*cols+c] != int64(k+1) {
-					i, j := at(r, c)
+					i, j := queueAt(r, c, transposed)
 					return fmt.Errorf("index: value index files %s[%d][%d] under head value %d", grid, i, j, k+1)
 				}
 				rowsAt |= 1 << uint(r)
