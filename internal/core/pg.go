@@ -25,12 +25,13 @@ import (
 //   - Transmission: send the most valuable packet of each output queue.
 //
 // Unlike the 6-competitive predecessor (see KRMWM), PG's matching is
-// maximal rather than maximum. On switches of up to 64×64 ports whose
-// queued head values all lie in [1, switchsim.MaxIndexedValue], a cycle
-// reads the engine's head-value index and costs O(d + k) word operations
-// for d distinct head values and k matched pairs, independent of the
-// number of non-empty queues; otherwise it enumerates every non-empty
-// queue and sorts the edges, O(E) with the counting sort.
+// maximal rather than maximum, and greedy. On switches of up to 64×64
+// ports whose queued head values all lie in [1, switchsim.MaxIndexedValue],
+// a cycle walks the engine's head-value index: O(d + r) word operations
+// for d distinct head values and r pairs of a value and a still-unmatched
+// input holding a head of that value, with no sort and no queue read but
+// a full output's tail. Otherwise it enumerates all E non-empty queues
+// and sorts them, O(E) with the counting sort.
 type PG struct {
 	// Beta is the preemption threshold β ≥ 1; DefaultBetaPG() if zero.
 	Beta float64
