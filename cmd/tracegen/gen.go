@@ -1,12 +1,6 @@
 package main
 
-import (
-	"math/rand"
-
-	"qswitch/internal/packet"
-)
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+import "qswitch/internal/packet"
 
 // buildGenerator resolves the shared traffic/value names; the mapping
 // lives in internal/packet so tracegen and switchsim always agree.

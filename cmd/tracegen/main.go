@@ -39,6 +39,7 @@ import (
 	"os"
 
 	"qswitch/internal/packet"
+	"qswitch/internal/rng"
 )
 
 func main() {
@@ -83,8 +84,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		rng := newRand(*seed)
-		seq := gen.Generate(rng, *n, *m, *slots)
+		seq := gen.Generate(rng.New(*seed), *n, *m, *slots)
 		tr := &packet.Trace{Inputs: *n, Outputs: *m, Packets: seq}
 		f, err := os.Create(*out)
 		if err != nil {

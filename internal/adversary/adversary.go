@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"qswitch/internal/packet"
+	"qswitch/internal/rng"
 	"qswitch/internal/switchsim"
 )
 
@@ -56,13 +57,13 @@ func HotspotBursts(n, burst, period, rounds int, value packet.ValueDist) packet.
 	if value == nil {
 		value = packet.UnitValues{}
 	}
-	rng := newDetRand(12345)
+	src := rng.New(12345)
 	for r := 0; r < rounds; r++ {
 		t := r * period
 		for i := 0; i < n; i++ {
 			for b := 0; b < burst; b++ {
 				seq = append(seq, packet.Packet{
-					ID: id, Arrival: t, In: i, Out: 0, Value: value.Sample(rng),
+					ID: id, Arrival: t, In: i, Out: 0, Value: value.Sample(src),
 				})
 				id++
 			}

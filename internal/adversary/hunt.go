@@ -2,9 +2,9 @@ package adversary
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qswitch/internal/packet"
+	"qswitch/internal/rng"
 	"qswitch/internal/stats"
 )
 
@@ -48,8 +48,7 @@ func HuntRange(opts SearchOptions, eval Ratio, r0, r1 int) HuntResult {
 	}
 	best := emptyHunt()
 	for r := r0; r < r1; r++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(r)))
-		res := searchOnce(opts, eval, rng)
+		res := searchOnce(opts, eval, rng.New(opts.Seed+int64(r)))
 		best = MergeHunts(best, HuntResult{
 			Seq: res.Seq, Ratio: res.Ratio, Restart: r,
 			Accepted: res.Accepted, Tried: res.Tried,

@@ -4,11 +4,8 @@ import (
 	"math/rand"
 
 	"qswitch/internal/packet"
+	"qswitch/internal/rng"
 )
-
-// newDetRand returns a deterministic rand.Rand for internal use by
-// constructions that need arbitrary-but-fixed choices.
-func newDetRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Ratio evaluates OPT(seq)/ALG(seq) for the Search fuzzer. Implementations
 // must return the achieved ratio and whether the sequence was even valid
@@ -53,11 +50,11 @@ func Search(opts SearchOptions, eval Ratio) SearchResult {
 	if opts.MaxValue < 1 {
 		opts.MaxValue = 1
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	src := rng.New(opts.Seed)
 	var best SearchResult
 	tried := 0
 	for r := 0; r < opts.Restarts; r++ {
-		res := searchOnce(opts, eval, rng)
+		res := searchOnce(opts, eval, src)
 		tried += res.Tried
 		if res.Ratio > best.Ratio {
 			best = res

@@ -8,6 +8,7 @@ import (
 	"qswitch/internal/matching"
 	"qswitch/internal/packet"
 	"qswitch/internal/queue"
+	"qswitch/internal/rng"
 	"qswitch/internal/switchsim"
 )
 
@@ -45,7 +46,7 @@ func (g *RandomizedGM) Reset(cfg switchsim.Config) {
 	if seed == 0 {
 		seed = 1
 	}
-	g.rng = rand.New(rand.NewSource(seed))
+	g.rng = rng.New(seed)
 	g.edges = g.edges[:0]
 	g.transfers = g.transfers[:0]
 }

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 
 	"qswitch/internal/adversary"
 	"qswitch/internal/iq"
 	"qswitch/internal/packet"
+	"qswitch/internal/rng"
 	"qswitch/internal/stats"
 )
 
@@ -78,9 +78,8 @@ func E16IQModel(opts Options) ([]*stats.Table, error) {
 				go func() {
 					defer wg.Done()
 					defer func() { <-sem }()
-					rng := rand.New(rand.NewSource(opts.Seed + int64(r)))
 					seq := packet.Bernoulli{Load: 1.8, Values: valueClass.values}.
-						Generate(rng, 1, m, slots)
+						Generate(rng.New(opts.Seed+int64(r)), 1, m, slots)
 					opt, err := iq.ExactOPT(m, b, seq, horizon)
 					samples[r] = sample{seq, opt, err}
 				}()

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qswitch/internal/adversary"
 	"qswitch/internal/core"
 	"qswitch/internal/offline"
 	"qswitch/internal/packet"
+	"qswitch/internal/rng"
 	"qswitch/internal/stats"
 	"qswitch/internal/switchsim"
 )
@@ -44,8 +44,7 @@ func E13EdgeOrder(opts Options) ([]*stats.Table, error) {
 		for _, ord := range orders {
 			var thr, loss stats.Acc
 			for s := 0; s < seeds; s++ {
-				rng := rand.New(rand.NewSource(opts.Seed + int64(100*gi+s)))
-				seq := gen.Generate(rng, n, n, slots*3/4)
+				seq := gen.Generate(rng.New(opts.Seed+int64(100*gi+s)), n, n, slots*3/4)
 				res, err := switchsim.RunCIOQ(cfg, ord.mk(), seq)
 				if err != nil {
 					return nil, fmt.Errorf("e13: %w", err)
@@ -170,8 +169,7 @@ func E15FIFOComparison(opts Options) ([]*stats.Table, error) {
 		for _, pol := range policies {
 			var ben, frac, lat stats.Acc
 			for s := 0; s < seeds; s++ {
-				rng := rand.New(rand.NewSource(opts.Seed + int64(100*gi+s)))
-				seq := gen.Generate(rng, n, n, slots/2)
+				seq := gen.Generate(rng.New(opts.Seed+int64(100*gi+s)), n, n, slots/2)
 				ub, err := offline.OQUpperBound(cfg, seq, false)
 				if err != nil {
 					return nil, fmt.Errorf("e15: %w", err)
@@ -205,8 +203,7 @@ func E15FIFOComparison(opts Options) ([]*stats.Table, error) {
 		for _, pol := range xbarPolicies {
 			var ben, frac, lat stats.Acc
 			for s := 0; s < seeds; s++ {
-				rng := rand.New(rand.NewSource(opts.Seed + int64(100*gi+s)))
-				seq := gen.Generate(rng, n, n, slots/2)
+				seq := gen.Generate(rng.New(opts.Seed+int64(100*gi+s)), n, n, slots/2)
 				ub, err := offline.OQUpperBound(cfg, seq, true)
 				if err != nil {
 					return nil, fmt.Errorf("e15b: %w", err)

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qswitch/internal/adversary"
 	"qswitch/internal/core"
 	"qswitch/internal/offline"
 	"qswitch/internal/packet"
 	"qswitch/internal/ratio"
+	"qswitch/internal/rng"
 	"qswitch/internal/stats"
 	"qswitch/internal/switchsim"
 )
@@ -166,8 +166,7 @@ func E10ValueDists(opts Options) ([]*stats.Table, error) {
 	cfg := opts.cfg(switchsim.Config{Inputs: n, Outputs: n, InputBuf: 2, OutputBuf: 2,
 		CrossBuf: 2, Speedup: 1, Slots: slots})
 	for di, dist := range dists {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(di)))
-		seq := packet.Hotspot{Load: 1.4, HotFrac: 0.5, Values: dist}.Generate(rng, n, n, slots/2)
+		seq := packet.Hotspot{Load: 1.4, HotFrac: 0.5, Values: dist}.Generate(rng.New(opts.Seed+int64(di)), n, n, slots/2)
 		ub, err := offline.OQUpperBound(cfg, seq, false)
 		if err != nil {
 			return nil, fmt.Errorf("e10a: %w", err)
@@ -212,8 +211,7 @@ func E10ValueDists(opts Options) ([]*stats.Table, error) {
 	}
 	betas := []float64{1.0, 1.5, core.DefaultBetaPG(), 4.0, 8.0, 32.0}
 	for mi, mix := range mixes {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(100+mi)))
-		seq := mix.gen.Generate(rng, n, n, slots/2)
+		seq := mix.gen.Generate(rng.New(opts.Seed+int64(100+mi)), n, n, slots/2)
 		for _, b := range betas {
 			res, err := switchsim.RunCIOQ(cfgB, &core.PG{Beta: b}, seq)
 			if err != nil {
@@ -238,9 +236,8 @@ func E11Rect(opts Options) ([]*stats.Table, error) {
 		n, m := g[0], g[1]
 		cfg := opts.cfg(switchsim.Config{Inputs: n, Outputs: m, InputBuf: 2, OutputBuf: 2,
 			CrossBuf: 2, Speedup: 1, Slots: slots})
-		rng := rand.New(rand.NewSource(opts.Seed + int64(gi)))
 		seq := packet.Bernoulli{Load: 1.0, Values: packet.UniformValues{Hi: 10}}.
-			Generate(rng, n, m, slots/2)
+			Generate(rng.New(opts.Seed+int64(gi)), n, m, slots/2)
 		ub, err := offline.OQUpperBound(cfg, seq, false)
 		if err != nil {
 			return nil, fmt.Errorf("e11: %w", err)
@@ -286,8 +283,7 @@ func E12MaximalVsMaximum(opts Options) ([]*stats.Table, error) {
 	for gi, gen := range gens {
 		var accGM, accPG stats.Acc
 		for s := 0; s < seeds; s++ {
-			rng := rand.New(rand.NewSource(opts.Seed + int64(1000*gi+s)))
-			seq := gen.Generate(rng, n, n, slots/2)
+			seq := gen.Generate(rng.New(opts.Seed+int64(1000*gi+s)), n, n, slots/2)
 			unit := seq.Clone()
 			for k := range unit {
 				unit[k].Value = 1

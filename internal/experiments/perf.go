@@ -8,6 +8,7 @@ import (
 	"qswitch/internal/core"
 	"qswitch/internal/matching"
 	"qswitch/internal/packet"
+	"qswitch/internal/rng"
 	"qswitch/internal/stats"
 	"qswitch/internal/switchsim"
 )
@@ -26,12 +27,12 @@ func E5MatchingCost(opts Options) ([]*stats.Table, error) {
 	tb := stats.NewTable("E5: scheduling cost per cycle (ns; figure: cost vs N)",
 		"N", "edges", "greedy_ns", "greedy_weighted_ns", "hopcroft_karp_ns", "hungarian_ns",
 		"hk_vs_greedy", "hungarian_vs_greedyw")
-	rng := rand.New(rand.NewSource(opts.Seed))
+	r := rng.New(opts.Seed)
 	for _, n := range sizes {
 		// Scale repetitions inversely with size so small-N timings are
 		// not dominated by timer noise.
 		reps := baseReps * 256 / n
-		edges := denseEligibility(rng, n, 0.5)
+		edges := denseEligibility(r, n, 0.5)
 		adj := matching.AdjFromEdges(n, edges)
 		w := make([][]int64, n)
 		for i := range w {
@@ -99,8 +100,7 @@ func E6Speedup(opts Options) ([]*stats.Table, error) {
 				Inputs: n, Outputs: n, InputBuf: 4, OutputBuf: 4, CrossBuf: 2,
 				Speedup: speedup, Slots: slots,
 			})
-			rng := rand.New(rand.NewSource(opts.Seed + int64(gi)))
-			seq := gen.Generate(rng, n, n, slots*3/4)
+			seq := gen.Generate(rng.New(opts.Seed+int64(gi)), n, n, slots*3/4)
 			for _, pol := range []switchsim.CIOQPolicy{&core.GM{}, &core.PG{}} {
 				res, err := switchsim.RunCIOQ(cfg, pol, seq)
 				if err != nil {
@@ -140,8 +140,7 @@ func E7Buffers(opts Options) ([]*stats.Table, error) {
 			Inputs: n, Outputs: n, InputBuf: b, OutputBuf: b, CrossBuf: b,
 			Speedup: 1, Slots: slots, RecordLatency: true,
 		})
-		rng := rand.New(rand.NewSource(opts.Seed))
-		seq := gen.Generate(rng, n, n, slots*3/4)
+		seq := gen.Generate(rng.New(opts.Seed), n, n, slots*3/4)
 		for _, pol := range []switchsim.CIOQPolicy{&core.GM{}, &core.PG{}} {
 			res, err := switchsim.RunCIOQ(cfg, pol, seq)
 			if err != nil {
@@ -179,8 +178,7 @@ func E9CIOQvsCrossbar(opts Options) ([]*stats.Table, error) {
 			Inputs: n, Outputs: n, InputBuf: 4, OutputBuf: 4, CrossBuf: 2,
 			Speedup: 1, Slots: slots,
 		})
-		rng := rand.New(rand.NewSource(opts.Seed + int64(n)))
-		seq := gen.Generate(rng, n, n, slots*3/4)
+		seq := gen.Generate(rng.New(opts.Seed+int64(n)), n, n, slots*3/4)
 		type runner struct {
 			name, model string
 			run         func() (*switchsim.Result, error)

@@ -25,17 +25,17 @@ import (
 type ChunkEvaluator func(ctx context.Context, k0, k1 int) ([]SeedOutcome, error)
 
 // ScalarChunks adapts the sequential scalar engine (one policy run and
-// one judge call per seed) to the ChunkEvaluator interface. One judge is
-// minted up front and reused across all chunks.
+// one judge call per seed) to the ChunkEvaluator interface. One judge and
+// one seed generator are minted up front and reused across all chunks.
 func ScalarChunks(cfg switchsim.Config, alg Alg, judge JudgeFactory, gen packet.Generator, baseSeed int64) ChunkEvaluator {
-	j := judge()
+	j, r := judge(), newSeedRand()
 	return func(ctx context.Context, k0, k1 int) ([]SeedOutcome, error) {
 		out := make([]SeedOutcome, 0, k1-k0)
 		for k := k0; k < k1; k++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			o := evalSeed(cfg, alg, j, gen, baseSeed+int64(k))
+			o := evalSeed(cfg, alg, j, gen, r, baseSeed+int64(k))
 			out = append(out, o)
 			if o.Err != nil {
 				break // the merge reports it; later seeds are moot

@@ -3,6 +3,7 @@ package ratio
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"qswitch/internal/packet"
@@ -73,17 +74,18 @@ func MergeOutcomes(ctx context.Context, outs []SeedOutcome) (Estimate, error) {
 // evalSeed measures one seed with a scalar Alg, producing the outcome
 // ScalarChunks yields. The error text matches EvalChunk's for the same
 // seed, so attribution is identical across backends.
-func evalSeed(cfg switchsim.Config, alg Alg, j Judge, gen packet.Generator, seed int64) SeedOutcome {
-	seq := generateSeq(cfg, gen, seed)
-	r, ok, err := Single(cfg, alg, j, seq)
-	return SeedOutcome{Seed: seed, Ratio: r, Skipped: !ok && err == nil, Err: err}
+func evalSeed(cfg switchsim.Config, alg Alg, j Judge, gen packet.Generator, r *rand.Rand, seed int64) SeedOutcome {
+	seq := generateSeq(cfg, gen, r, seed)
+	ratio, ok, err := Single(cfg, alg, j, seq)
+	return SeedOutcome{Seed: seed, Ratio: ratio, Skipped: !ok && err == nil, Err: err}
 }
 
-// generateSeq draws seed's workload; every backend calls exactly this, so
-// a seed names the same sequence everywhere (including remote workers).
-func generateSeq(cfg switchsim.Config, gen packet.Generator, seed int64) packet.Sequence {
-	rng := newSeedRand(seed)
-	return gen.Generate(rng, cfg.Inputs, cfg.Outputs, pickSlots(cfg))
+// generateSeq draws seed's workload with r (a newSeedRand generator),
+// reseeded to seed; every backend calls exactly this, so a seed names the
+// same sequence everywhere (including remote workers).
+func generateSeq(cfg switchsim.Config, gen packet.Generator, r *rand.Rand, seed int64) packet.Sequence {
+	r.Seed(seed)
+	return gen.Generate(r, cfg.Inputs, cfg.Outputs, pickSlots(cfg))
 }
 
 // EvalChunk evaluates seeds [k0, k1) with a batched FleetAlg and a minted
@@ -103,9 +105,11 @@ func EvalChunk(cfg switchsim.Config, a FleetAlg, j Judge, gen packet.Generator,
 	return evalArms(cfg, []FleetAlg{a}, j, gen, baseSeed, k0, k1, out, &armScratch{})
 }
 
-// armScratch is the buffers evalArms reuses, plus what it has done: the
-// summed arrival spans of the sequences it generated and its judge calls.
+// armScratch is the buffers and the seed generator evalArms reuses, plus
+// what it has done: the summed arrival spans of the sequences it
+// generated and its judge calls.
 type armScratch struct {
+	rng           *rand.Rand
 	seqs          []packet.Sequence
 	optVals       []int64
 	spans, judged int64
@@ -122,9 +126,12 @@ func evalArms(cfg switchsim.Config, arms []FleetAlg, j Judge, gen packet.Generat
 	if n <= 0 {
 		return out
 	}
+	if sc.rng == nil {
+		sc.rng = newSeedRand()
+	}
 	sc.seqs = sc.seqs[:0]
 	for s := k0; s < k1; s++ {
-		seq := generateSeq(cfg, gen, baseSeed+int64(s))
+		seq := generateSeq(cfg, gen, sc.rng, baseSeed+int64(s))
 		sc.seqs = append(sc.seqs, seq)
 		sc.spans += seqSpan(seq)
 	}

@@ -133,8 +133,9 @@ func seqSpan(seq packet.Sequence) int64 {
 // exactly the units PairedEstimate.SlotsSimulated uses.
 func WorkloadSlots(cfg switchsim.Config, gen packet.Generator, baseSeed int64, runs int) int64 {
 	var total int64
+	r := newSeedRand()
 	for k := 0; k < runs; k++ {
-		total += seqSpan(generateSeq(cfg, gen, baseSeed+int64(k)))
+		total += seqSpan(generateSeq(cfg, gen, r, baseSeed+int64(k)))
 	}
 	return total
 }

@@ -7,6 +7,7 @@ import (
 
 	"qswitch/internal/offline"
 	"qswitch/internal/packet"
+	"qswitch/internal/rng"
 	"qswitch/internal/stats"
 	"qswitch/internal/switchsim"
 )
@@ -157,9 +158,11 @@ func RunParallel(ctx context.Context, cfg switchsim.Config, alg Alg, judge Judge
 	return est, err
 }
 
-// newSeedRand is the one way seeds become RNGs: every backend derives a
-// seed's workload from exactly this stream.
-func newSeedRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// newSeedRand is the one way seeds become RNGs: each worker holds one
+// rng.New generator and generateSeq reseeds it in place for every seed,
+// so every backend derives a seed's workload from exactly
+// rand.New(rand.NewSource(seed))'s stream without a per-seed allocation.
+func newSeedRand() *rand.Rand { return rng.New(0) }
 
 // Single measures OPT/ALG on one sequence with an already-minted judge
 // (hot loops hold one judge across many Single calls). ok=false when OPT

@@ -11,11 +11,12 @@ package faultinject
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"qswitch/internal/rng"
 )
 
 // Action is the fault chosen for one request.
@@ -160,18 +161,18 @@ func (in *Injector) planAt(n int64) Plan {
 	// Mix the request index into the seed (splitmix-style odd constant) so
 	// consecutive requests draw decorrelated streams.
 	mix := int64(uint64(n+1) * 0x9e3779b97f4a7c15)
-	rng := rand.New(rand.NewSource(in.seed ^ mix))
-	u := rng.Float64()
+	r := rng.New(in.seed ^ mix)
+	u := r.Float64()
 	switch {
 	case u < in.pKill:
 		return Plan{Action: Kill}
 	case u < in.pKill+in.pHang:
 		return Plan{Action: Hang}
 	case u < in.pKill+in.pHang+in.pDelay:
-		d := time.Duration(rng.Int63n(int64(in.maxDelay) + 1))
+		d := time.Duration(r.Int63n(int64(in.maxDelay) + 1))
 		return Plan{Action: Delay, Delay: d}
 	case u < in.pKill+in.pHang+in.pDelay+in.pCorrupt:
-		return Plan{Action: Corrupt, CorruptBit: rng.Intn(1 << 30)}
+		return Plan{Action: Corrupt, CorruptBit: r.Intn(1 << 30)}
 	default:
 		return Plan{}
 	}

@@ -45,7 +45,6 @@ package qswitch
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"qswitch/internal/core"
@@ -54,6 +53,7 @@ import (
 	"qswitch/internal/offline"
 	"qswitch/internal/packet"
 	"qswitch/internal/ratio"
+	"qswitch/internal/rng"
 	"qswitch/internal/stats"
 	"qswitch/internal/switchsim"
 )
@@ -268,8 +268,7 @@ func SimulateCrossbarStream(cfg Config, policy interface{}, src ArrivalStream) (
 // lazily in O(window) memory; the per-input renewal generators are
 // materialized once and replayed.
 func StreamTraffic(gen Generator, cfg Config, slots int, seed int64) ArrivalStream {
-	rng := rand.New(rand.NewSource(seed))
-	return packet.StreamTraffic(gen, rng, cfg.Inputs, cfg.Outputs, slots)
+	return packet.StreamTraffic(gen, rng.New(seed), cfg.Inputs, cfg.Outputs, slots)
 }
 
 // OpenTraceStream opens a binary trace file for incremental replay
@@ -283,8 +282,7 @@ func OpenTraceStream(path string) (*TraceStream, error) {
 // GenerateTraffic draws a reproducible sequence from a generator for the
 // given geometry: `slots` arrival slots seeded by `seed`.
 func GenerateTraffic(gen Generator, cfg Config, slots int, seed int64) Sequence {
-	rng := rand.New(rand.NewSource(seed))
-	return gen.Generate(rng, cfg.Inputs, cfg.Outputs, slots)
+	return gen.Generate(rng.New(seed), cfg.Inputs, cfg.Outputs, slots)
 }
 
 // UniformTraffic is Bernoulli i.i.d. unit-value traffic at the given
