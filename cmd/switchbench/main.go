@@ -16,6 +16,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -42,7 +43,7 @@ func main() {
 		seed   = flag.Int64("seed", 1, "base RNG seed")
 		csv    = flag.String("csv", "", "directory to write per-table CSV files into")
 		figs   = flag.Bool("figures", true, "render ASCII charts for figure-type experiments")
-		par    = flag.Int("parallel", 1, "run up to this many experiments concurrently (output stays ordered)")
+		par    = flag.Int("parallel", 1, "run up to this many experiments concurrently (output stays ordered); the ratio estimations inside an experiment already use every core (GOMAXPROCS)")
 		events = flag.String("events", "", "append structured JSONL run events to this file")
 	)
 	obsCLI := wire.Flags(flag.CommandLine, true, "trace")
@@ -88,7 +89,8 @@ func main() {
 		}
 		defer f.Close()
 		runLog = &obsLog{l: obs.NewRunLog(f)}
-		runLog.l.Info("run start", "args", strings.Join(os.Args[1:], " "))
+		// gomaxprocs is the number of workers each ratio estimation runs on.
+		runLog.l.Info("run start", "args", strings.Join(os.Args[1:], " "), "gomaxprocs", runtime.GOMAXPROCS(0))
 	}
 
 	opts := experiments.Options{

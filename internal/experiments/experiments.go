@@ -15,6 +15,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 
@@ -96,29 +97,37 @@ func (o Options) ProbeSnapshot() map[string]float64 { return o.Probes.Snapshot()
 const fleetBatch = 64
 
 // estimate measures OPT/ALG for one policy family over `runs` seeded
-// workloads on the backend the options select (see Options). A fixed
-// budget on the scalar or fleet engine is one chunk on the caller's
-// goroutine — ratio.Run's plan, and ratio.RunFleet's at one worker — and a
-// fixed budget on a shard puts every chunk in flight at once.
+// workloads on the backend the options select (see Options). On the scalar
+// and fleet engines it runs on GOMAXPROCS workers, each with its own
+// evaluator — its own judge, seed generator and fleet storage — so
+// GOMAXPROCS=1 is one worker on the caller's goroutine. A fixed budget is
+// cut into about four chunks a worker on the scalar engine and into fleet
+// batches on the fleet; a CI target decides at every SeqChunk seeds. A
+// fixed budget on a shard puts every chunk in flight at once, and a target
+// on a shard issues its chunks one at a time. The seed-ordered merge makes
+// every estimate byte-identical at any worker count and chunk size.
 func (o Options) estimate(cfg switchsim.Config, pol policyRef, judge judgeRef, gen packet.Generator,
 	seed int64, runs int) (ratio.Estimate, error) {
 	req := ratio.ChunkRequest{Cfg: cfg, Crossbar: pol.crossbar, Policy: pol.spec, Judge: judge.spec, Gen: gen, BaseSeed: seed}
-	var eval ratio.ChunkEvaluator
+	seq := ratio.SequentialOptions{Target: o.CITarget, Chunk: o.SeqChunk, MaxRuns: runs}
+	mint := func() ratio.ChunkEvaluator { return ratio.ScalarChunks(cfg, pol.alg, judge.factory, gen, seed) }
+	chunk := max(1, runs/(4*runtime.GOMAXPROCS(0)))
 	switch {
 	case o.Shard != nil && !o.CITarget.Enabled():
 		return ratio.RunSharded(o.ctx(), o.Shard, req, runs, o.ShardChunk)
 	case o.Shard != nil:
-		eval = ratio.ShardedChunks(o.Shard, req)
+		est, _, err := ratio.RunSequential(o.ctx(), ratio.ShardedChunks(o.Shard, req), seq)
+		return est, err
 	case o.Fleet:
-		eval = ratio.FleetChunks(cfg, pol.fleet, judge.factory, gen, seed, fleetBatch)
-	default:
-		eval = ratio.ScalarChunks(cfg, pol.alg, judge.factory, gen, seed)
+		mint = func() ratio.ChunkEvaluator {
+			return ratio.FleetChunks(cfg, pol.fleet, judge.factory, gen, seed, fleetBatch)
+		}
+		chunk = fleetBatch
 	}
-	seq := ratio.SequentialOptions{Target: o.CITarget, Chunk: o.SeqChunk, MaxRuns: runs}
 	if !o.CITarget.Enabled() {
-		seq.Chunk = runs // a fixed budget is one chunk
+		seq.Chunk = chunk
 	}
-	est, _, err := ratio.RunSequential(o.ctx(), eval, seq)
+	est, _, err := ratio.RunSequentialPool(o.ctx(), mint, seq)
 	return est, err
 }
 

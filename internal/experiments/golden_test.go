@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"qswitch/internal/stats"
@@ -158,4 +159,52 @@ func TestSequentialTargetStopsEarly(t *testing.T) {
 	if bytes.Contains(bs.Bytes(), []byte("VIOLATED")) {
 		t.Errorf("sequential run reports a bound violation:\n%s", bs.String())
 	}
+}
+
+// TestEstimatesIdenticalAcrossWorkerCounts runs E1-E4 on 1, 2 and 4
+// estimation workers (GOMAXPROCS), on the scalar and the fleet engine: each
+// must reproduce the golden byte for byte, as must an unreachable CI
+// target, and a reachable target must stop every estimation where one
+// worker stops it. A one-core runner never takes the pooled path without
+// this test.
+func TestEstimatesIdenticalAcrossWorkerCounts(t *testing.T) {
+	if *update {
+		t.Skip("goldens are being rewritten")
+	}
+	reachable := Options{Quick: true, Seed: 5, CITarget: stats.Target{AbsWidth: 0.6, MinSamples: 2}, SeqChunk: 2}
+	stopped := map[string][]byte{}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, id := range []string{"e1", "e2", "e3", "e4"} {
+		stopped[id] = renderCSVs(t, id, reachable)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, id := range []string{"e1", "e2", "e3", "e4"} {
+			want, err := os.ReadFile(goldenPath(id))
+			if err != nil {
+				t.Fatalf("%s: reading golden: %v", id, err)
+			}
+			for _, lever := range []struct {
+				name string
+				opts Options
+				want []byte
+			}{
+				{"scalar", Options{Quick: true, Seed: 5}, want},
+				{"fleet", Options{Quick: true, Seed: 5, Fleet: true}, want},
+				{"unreachable target", Options{Quick: true, Seed: 5, CITarget: stats.Target{AbsWidth: 1e-12}, SeqChunk: 3}, want},
+				{"reachable target", reachable, stopped[id]},
+				{"reachable target, fleet", withFleet(reachable), stopped[id]},
+			} {
+				if got := renderCSVs(t, id, lever.opts); !bytes.Equal(got, lever.want) {
+					t.Errorf("%s, %s, %d workers: CSV output diverged:\n got:\n%s\nwant:\n%s", id, lever.name, procs, got, lever.want)
+				}
+			}
+		}
+	}
+}
+
+// withFleet returns o on the fleet engine.
+func withFleet(o Options) Options {
+	o.Fleet = true
+	return o
 }

@@ -12,14 +12,16 @@
 // per-seed SeedOutcomes in seed order. It stops issuing chunks past the
 // lowest chunk with a failed seed, past a cancelled context or an
 // evaluator error, and past the first seed-ordered prefix that meets a
-// precision target; chunks evaluated past the stop are discarded. One
-// worker runs on the caller's goroutine.
+// precision target; chunks evaluated past the stop are discarded. The
+// caller's goroutine is always one of the workers.
 //
 //   - Run: ScalarChunks, all seeds in one chunk, one worker.
 //   - RunParallel: ScalarChunks, one seed per chunk, a worker pool.
 //   - RunFleet: FleetChunks, one fleet batch per chunk, a worker pool.
 //   - RunSharded: ShardedChunks, every chunk in flight at once.
 //   - RunSequential: the caller's evaluator and target, one worker.
+//   - RunSequentialPool: RunSequential on GOMAXPROCS workers, one
+//     evaluator minted per worker.
 //   - RunPaired: k fleets per chunk sharing each seed's sequence and
 //     judge call, one worker; the target binds the paired differences.
 //

@@ -135,10 +135,23 @@ type SeqReport struct {
 // count with a byte-identical Estimate, and a disabled target reproduces
 // the fixed-N entry points at any chunk size.
 func RunSequential(ctx context.Context, eval ChunkEvaluator, opts SequentialOptions) (Estimate, SeqReport, error) {
-	est, rep, err := merged(ctx, plan{runs: opts.MaxRuns, chunk: opts.Chunk, workers: 1, target: opts.Target,
-		mint: func() ChunkEvaluator { return eval }})
-	// The half-width costs a t-quantile inversion, so only the entry point
-	// that reports it computes it, over the samples the driver folded.
+	return sequential(ctx, plan{workers: 1, mint: func() ChunkEvaluator { return eval }}, opts)
+}
+
+// RunSequentialPool is RunSequential on GOMAXPROCS workers, each
+// evaluating through its own evaluator from mint. The Estimate, the
+// SeqReport and the (seed, error) pair of a failure are byte-identical to
+// RunSequential's over one minted evaluator, at any worker count.
+func RunSequentialPool(ctx context.Context, mint func() ChunkEvaluator, opts SequentialOptions) (Estimate, SeqReport, error) {
+	return sequential(ctx, plan{mint: mint}, opts)
+}
+
+// sequential runs p under opts and reports the final half-width.
+func sequential(ctx context.Context, p plan, opts SequentialOptions) (Estimate, SeqReport, error) {
+	p.runs, p.chunk, p.target = opts.MaxRuns, opts.Chunk, opts.Target
+	est, rep, err := merged(ctx, p)
+	// The half-width costs a t-quantile inversion, so only the entry points
+	// that report it compute it, over the samples the driver folded.
 	rep.HalfWidth = est.HalfWidth(rep.Confidence)
 	return est, rep, err
 }
@@ -148,8 +161,8 @@ type plan struct {
 	// runs is the seed budget, cut into chunks of `chunk` seeds (<= 0
 	// selects 16).
 	runs, chunk int
-	// workers is the number of evaluators (<= 0 selects GOMAXPROCS); one
-	// worker runs on the caller's goroutine.
+	// workers is the number of evaluators (<= 0 selects GOMAXPROCS); the
+	// caller's goroutine is one of them.
 	workers int
 	// arms is the number of outcomes per seed, seed-major: one for a
 	// marginal estimate, k for a paired comparison of k policies.
@@ -234,13 +247,14 @@ func drive(ctx context.Context, p plan) ([]SeedOutcome, SeqReport, error) {
 	} else {
 		var mu sync.Mutex
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := 1; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				work(&mu)
 			}()
 		}
+		work(&mu)
 		wg.Wait()
 	}
 

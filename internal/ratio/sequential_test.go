@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"qswitch/internal/core"
 	"qswitch/internal/obs"
+	"qswitch/internal/offline"
 	"qswitch/internal/packet"
 	"qswitch/internal/stats"
 	"qswitch/internal/switchsim"
@@ -165,27 +167,42 @@ func TestSequentialPreCancelled(t *testing.T) {
 	}
 }
 
-// FuzzSequentialMergeIdentity fuzzes the disabled-target identity: for
-// any (baseSeed, chunk, runs, load) the sequential driver over the scalar
-// backend must reproduce Run byte-for-byte.
+// FuzzSequentialMergeIdentity fuzzes the driver's merge identity over the
+// scalar backend: for any (baseSeed, chunk, runs, load) a disabled target
+// must reproduce Run byte-for-byte, and for any worker count (1-4) and
+// optional target the pooled RunSequentialPool must return the Estimate,
+// SeqReport and error text of the one-worker RunSequential.
 func FuzzSequentialMergeIdentity(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(6), uint8(10))
-	f.Add(int64(30), uint8(3), uint8(12), uint8(10))
-	f.Add(int64(7), uint8(16), uint8(9), uint8(4))
-	f.Add(int64(-5), uint8(5), uint8(20), uint8(15))
-	f.Fuzz(func(t *testing.T, baseSeed int64, chunk, runs, load uint8) {
+	f.Add(int64(1), uint8(1), uint8(6), uint8(10), uint8(1), uint8(0))
+	f.Add(int64(30), uint8(3), uint8(12), uint8(10), uint8(3), uint8(0))
+	f.Add(int64(7), uint8(16), uint8(9), uint8(4), uint8(0), uint8(40))
+	f.Add(int64(-5), uint8(5), uint8(20), uint8(15), uint8(2), uint8(9))
+	f.Fuzz(func(t *testing.T, baseSeed int64, chunk, runs, load, workers, tgt uint8) {
 		cfg := microCfg()
 		cfg.Slots = 4
 		nRuns := int(runs%24) + 1
 		gen := packet.Bernoulli{Load: float64(load%20+1) / 10}
 		alg := CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
+		mint := func() ChunkEvaluator { return ScalarChunks(cfg, alg, ExactUnitCIOQ, gen, baseSeed) }
+		opts := SequentialOptions{Chunk: int(chunk % 40), MaxRuns: nRuns}
+		if tgt != 0 {
+			opts.Target = stats.Target{AbsWidth: float64(tgt) / 128, MinSamples: 2}
+		}
 		ctx := context.Background()
+		got, rep, gotErr := RunSequential(ctx, mint(), opts)
+		var pooled Estimate
+		var pooledRep SeqReport
+		var pooledErr error
+		withProcs(int(workers%4)+1, func() { pooled, pooledRep, pooledErr = RunSequentialPool(ctx, mint, opts) })
+		if !sameErr(gotErr, pooledErr) || !reflect.DeepEqual(pooled, got) || pooledRep != rep {
+			t.Fatalf("workers=%d: pooled run differs from one worker:\n got (%+v, %+v, %v)\nwant (%+v, %+v, %v)",
+				workers%4+1, pooled, pooledRep, pooledErr, got, rep, gotErr)
+		}
+		if opts.Target.Enabled() {
+			return
+		}
 		want, wantErr := Run(ctx, cfg, alg, ExactUnitCIOQ, gen, baseSeed, nRuns)
-		got, rep, gotErr := RunSequential(ctx,
-			ScalarChunks(cfg, alg, ExactUnitCIOQ, gen, baseSeed),
-			SequentialOptions{Chunk: int(chunk % 40), MaxRuns: nRuns})
-		if (wantErr == nil) != (gotErr == nil) ||
-			(wantErr != nil && wantErr.Error() != gotErr.Error()) {
+		if !sameErr(wantErr, gotErr) {
 			t.Fatalf("error mismatch: Run=%v sequential=%v", wantErr, gotErr)
 		}
 		if wantErr != nil {
@@ -198,6 +215,56 @@ func FuzzSequentialMergeIdentity(f *testing.F) {
 			t.Fatalf("report = %+v, want %d seeds, target unmet", rep, nRuns)
 		}
 	})
+}
+
+// sameErr reports whether two errors are both nil or carry the same text.
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+}
+
+// withProcs runs f with GOMAXPROCS set to n, the worker count of
+// RunSequentialPool, and restores the old setting.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestSequentialPoolJudgeErrorIdentity: a judge failing on two seeds
+// fails a pooled run at the lower one, with the text one worker reports,
+// however the chunks are dealt to 1 or 4 workers.
+func TestSequentialPoolJudgeErrorIdentity(t *testing.T) {
+	cfg := microCfg()
+	cfg.Slots = 4
+	gen := packet.Bernoulli{Load: 1.0}
+	const baseSeed, runs = 50, 20
+	judge := func() Judge {
+		return JudgeFunc(func(c switchsim.Config, seq packet.Sequence) (int64, error) {
+			for _, k := range []int64{5, 13} {
+				if fingerprintSeedMatch(c, gen, baseSeed+k, seq) {
+					return 0, fmt.Errorf("boom at %d", k)
+				}
+			}
+			return offline.ExactUnitCIOQ(c, seq)
+		})
+	}
+	alg := CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
+	mint := func() ChunkEvaluator { return ScalarChunks(cfg, alg, judge, gen, baseSeed) }
+	want := fmt.Sprintf("ratio: seed %d: offline optimum: boom at 5", baseSeed+5)
+	for _, chunk := range []int{1, 3, 6, runs} {
+		_, wantRep, err := RunSequential(context.Background(), mint(), SequentialOptions{Chunk: chunk, MaxRuns: runs})
+		if err == nil || err.Error() != want {
+			t.Fatalf("chunk=%d: one-worker error = %v, want %q", chunk, err, want)
+		}
+		for _, procs := range []int{1, 4} {
+			var rep SeqReport
+			withProcs(procs, func() {
+				_, rep, err = RunSequentialPool(context.Background(), mint, SequentialOptions{Chunk: chunk, MaxRuns: runs})
+			})
+			if err == nil || err.Error() != want || rep != wantRep {
+				t.Errorf("chunk=%d workers=%d: (%v, %+v), want (%q, %+v)", chunk, procs, err, rep, want, wantRep)
+			}
+		}
+	}
 }
 
 // TestSequentialProbed pins the probe contract on the sequential engine:
