@@ -218,7 +218,8 @@ func drive(ctx context.Context, p plan) ([]SeedOutcome, SeqReport, error) {
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	work := func(mu sync.Locker) {
+	var mu sync.Mutex
+	work := func() {
 		eval := p.mint()
 		for {
 			mu.Lock()
@@ -242,21 +243,16 @@ func drive(ctx context.Context, p plan) ([]SeedOutcome, SeqReport, error) {
 			mu.Unlock()
 		}
 	}
-	if workers = min(workers, n); workers == 1 {
-		work(noLock{})
-	} else {
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work(&mu)
-			}()
-		}
-		work(&mu)
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
+	work()
+	wg.Wait()
 
 	if d.err != nil && !(d.errCancelled && ctx.Err() != nil) {
 		if p.wrap != nil {
@@ -269,12 +265,6 @@ func drive(ctx context.Context, p plan) ([]SeedOutcome, SeqReport, error) {
 	}
 	return d.outs, d.rep, nil
 }
-
-// noLock is the one-worker driver's stand-in for a mutex.
-type noLock struct{}
-
-func (noLock) Lock()   {}
-func (noLock) Unlock() {}
 
 // pending is an evaluated chunk waiting for every chunk below it.
 type pending struct {

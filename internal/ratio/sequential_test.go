@@ -184,35 +184,33 @@ func FuzzSequentialMergeIdentity(f *testing.F) {
 		gen := packet.Bernoulli{Load: float64(load%20+1) / 10}
 		alg := CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
 		mint := func() ChunkEvaluator { return ScalarChunks(cfg, alg, ExactUnitCIOQ, gen, baseSeed) }
-		opts := SequentialOptions{Chunk: int(chunk % 40), MaxRuns: nRuns}
+		ctx := context.Background()
+
+		fixed := SequentialOptions{Chunk: int(chunk % 40), MaxRuns: nRuns}
+		want, wantErr := Run(ctx, cfg, alg, ExactUnitCIOQ, gen, baseSeed, nRuns)
+		got, rep, gotErr := RunSequential(ctx, mint(), fixed)
+		if !sameErr(wantErr, gotErr) {
+			t.Fatalf("error mismatch: Run=%v sequential=%v", wantErr, gotErr)
+		}
+		if wantErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("estimate mismatch:\n got %+v\nwant %+v", got, want)
+		}
+		if wantErr == nil && (rep.Seeds != nRuns || rep.TargetMet) {
+			t.Fatalf("report = %+v, want %d seeds, target unmet", rep, nRuns)
+		}
+
+		opts := fixed
 		if tgt != 0 {
 			opts.Target = stats.Target{AbsWidth: float64(tgt) / 128, MinSamples: 2}
 		}
-		ctx := context.Background()
-		got, rep, gotErr := RunSequential(ctx, mint(), opts)
+		one, oneRep, oneErr := RunSequential(ctx, mint(), opts)
 		var pooled Estimate
 		var pooledRep SeqReport
 		var pooledErr error
 		withProcs(int(workers%4)+1, func() { pooled, pooledRep, pooledErr = RunSequentialPool(ctx, mint, opts) })
-		if !sameErr(gotErr, pooledErr) || !reflect.DeepEqual(pooled, got) || pooledRep != rep {
+		if !sameErr(oneErr, pooledErr) || !reflect.DeepEqual(pooled, one) || pooledRep != oneRep {
 			t.Fatalf("workers=%d: pooled run differs from one worker:\n got (%+v, %+v, %v)\nwant (%+v, %+v, %v)",
-				workers%4+1, pooled, pooledRep, pooledErr, got, rep, gotErr)
-		}
-		if opts.Target.Enabled() {
-			return
-		}
-		want, wantErr := Run(ctx, cfg, alg, ExactUnitCIOQ, gen, baseSeed, nRuns)
-		if !sameErr(wantErr, gotErr) {
-			t.Fatalf("error mismatch: Run=%v sequential=%v", wantErr, gotErr)
-		}
-		if wantErr != nil {
-			return
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("estimate mismatch:\n got %+v\nwant %+v", got, want)
-		}
-		if rep.Seeds != nRuns || rep.TargetMet {
-			t.Fatalf("report = %+v, want %d seeds, target unmet", rep, nRuns)
+				workers%4+1, pooled, pooledRep, pooledErr, one, oneRep, oneErr)
 		}
 	})
 }
