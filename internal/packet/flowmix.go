@@ -147,7 +147,7 @@ func FlowMixForLoad(load float64, dist ValueDist) FlowMix {
 
 // Generate implements Generator.
 func (g FlowMix) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
-	return generateFromSource(g.Source(rng, inputs, outputs), slots)
+	return GenerateInto(nil, g, rng, inputs, outputs, slots)
 }
 
 // flow is one open flow's residual state.

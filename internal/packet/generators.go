@@ -34,7 +34,7 @@ func (g Bernoulli) Name() string {
 
 // Generate implements Generator.
 func (g Bernoulli) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
-	return generateFromSource(g.Source(rng, inputs, outputs), slots)
+	return GenerateInto(nil, g, rng, inputs, outputs, slots)
 }
 
 // Source implements SlotStreamer.
@@ -83,7 +83,7 @@ func (g Hotspot) Name() string {
 
 // Generate implements Generator.
 func (g Hotspot) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
-	return generateFromSource(g.Source(rng, inputs, outputs), slots)
+	return GenerateInto(nil, g, rng, inputs, outputs, slots)
 }
 
 // Source implements SlotStreamer.
@@ -132,7 +132,7 @@ func (g Diagonal) Name() string {
 
 // Generate implements Generator.
 func (g Diagonal) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
-	return generateFromSource(g.Source(rng, inputs, outputs), slots)
+	return GenerateInto(nil, g, rng, inputs, outputs, slots)
 }
 
 // Source implements SlotStreamer.
@@ -186,7 +186,7 @@ func (g Bursty) Name() string {
 
 // Generate implements Generator.
 func (g Bursty) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
-	return generateFromSource(g.Source(rng, inputs, outputs), slots)
+	return GenerateInto(nil, g, rng, inputs, outputs, slots)
 }
 
 // Source implements SlotStreamer. The per-input Markov chains start in
@@ -259,7 +259,7 @@ func (g Permutation) Name() string {
 
 // Generate implements Generator.
 func (g Permutation) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
-	return generateFromSource(g.Source(rng, inputs, outputs), slots)
+	return GenerateInto(nil, g, rng, inputs, outputs, slots)
 }
 
 // Source implements SlotStreamer. The permutation is drawn up front, as a

@@ -186,14 +186,22 @@ func (s Sequence) bySlotUnsorted(slots int) [][]Packet {
 
 // Normalize sorts the sequence by (Arrival, ID) and reassigns IDs to be the
 // ascending sequence 0..len-1 in that order. It is used by generators that
-// assemble traffic from independent sub-streams.
+// assemble traffic from independent sub-streams. One pass first checks for
+// strictly ascending (Arrival, ID) order, which every slot-major source
+// emits; only a violation (an inversion, or two packets with equal Arrival
+// and ID) pays for the sort.
 func (s Sequence) Normalize() Sequence {
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].Arrival != s[b].Arrival {
-			return s[a].Arrival < s[b].Arrival
+	for i := 1; i < len(s); i++ {
+		if p, q := s[i-1], s[i]; p.Arrival > q.Arrival || p.Arrival == q.Arrival && p.ID >= q.ID {
+			sort.Slice(s, func(a, b int) bool {
+				if s[a].Arrival != s[b].Arrival {
+					return s[a].Arrival < s[b].Arrival
+				}
+				return s[a].ID < s[b].ID
+			})
+			break
 		}
-		return s[a].ID < s[b].ID
-	})
+	}
 	for i := range s {
 		s[i].ID = int64(i)
 	}

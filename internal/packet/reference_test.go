@@ -79,7 +79,7 @@ func checkSkipEquivalence(t *testing.T, gen SlotStreamer, inputs, outputs, slots
 	want := refGenerateEverySlot(gen.Source(refRNG, inputs, outputs), slots)
 
 	genRNG := rand.New(rand.NewSource(seed))
-	got := generateFromSource(gen.Source(genRNG, inputs, outputs), slots)
+	got := GenerateInto(nil, gen, genRNG, inputs, outputs, slots)
 
 	streamRNG := rand.New(rand.NewSource(seed))
 	streamed := drain(t, NewGenStream(gen.Source(streamRNG, inputs, outputs), slots))
@@ -88,14 +88,14 @@ func checkSkipEquivalence(t *testing.T, gen SlotStreamer, inputs, outputs, slots
 	for _, c := range []struct {
 		name string
 		seq  Sequence
-	}{{"generateFromSource", got}, {"GenStream", streamed}} {
+	}{{"GenerateInto", got}, {"GenStream", streamed}} {
 		if len(c.seq) != len(want) || (len(want) > 0 && !reflect.DeepEqual(c.seq, want)) {
 			t.Errorf("%s: %s diverged from the every-slot oracle (%d vs %d packets)", label, c.name, len(c.seq), len(want))
 		}
 	}
 	next := refRNG.Int63()
 	if g := genRNG.Int63(); g != next {
-		t.Errorf("%s: generateFromSource left the RNG in a different state than the every-slot oracle", label)
+		t.Errorf("%s: GenerateInto left the RNG in a different state than the every-slot oracle", label)
 	}
 	if g := streamRNG.Int63(); g != next {
 		t.Errorf("%s: GenStream left the RNG in a different state than the every-slot oracle", label)

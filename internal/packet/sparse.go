@@ -75,7 +75,7 @@ func (g Diurnal) Name() string {
 
 // Generate implements Generator.
 func (g Diurnal) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
-	return generateFromSource(g.Source(rng, inputs, outputs), slots)
+	return GenerateInto(nil, g, rng, inputs, outputs, slots)
 }
 
 // Source implements SlotStreamer: the sinusoidal load depends only on the

@@ -92,13 +92,24 @@ func synthesize(dst Sequence, src SlotSource, from, end int, id int64) (Sequence
 	return dst, id, t
 }
 
-// generateFromSource implements Generator.Generate for SlotStreamer
-// generators: drive the source across the horizon's busy slots, assigning
-// IDs in append order. Slot-major append order is already sorted by
-// (Arrival, ID), so the closing Normalize is the identity and exists purely
-// as insurance on the documented contract.
-func generateFromSource(src SlotSource, slots int) Sequence {
-	seq, _, _ := synthesize(nil, src, 0, slots, 0)
+// GenerateInto is gen.Generate(rng, inputs, outputs, slots) drawn into
+// dst's storage: the result is bit-identical to Generate's and leaves rng
+// in the same state, whatever dst held. For a SlotStreamer it drives the
+// source across the horizon's busy slots into dst[:0], assigning IDs in
+// append order, so a caller that hands back the previous result draws a
+// whole seed stream without growing a slice per seed. Any other generator
+// falls back to gen.Generate and ignores dst. Every SlotStreamer's
+// Generate is GenerateInto(nil, ...).
+//
+// Slot-major append order is already sorted by (Arrival, ID), so the
+// closing Normalize only checks that order in one pass and renumbers; it
+// sorts only if a source broke the SlotSource contract.
+func GenerateInto(dst Sequence, gen Generator, rng *rand.Rand, inputs, outputs, slots int) Sequence {
+	ss, ok := gen.(SlotStreamer)
+	if !ok {
+		return gen.Generate(rng, inputs, outputs, slots)
+	}
+	seq, _, _ := synthesize(dst[:0], ss.Source(rng, inputs, outputs), 0, slots, 0)
 	return seq.Normalize()
 }
 
@@ -156,7 +167,7 @@ const streamWindow = 256
 
 // GenStream adapts a SlotSource to an ArrivalStream by synthesizing a
 // window of slots at a time into a reusable buffer. Output is
-// bit-identical to materializing the whole horizon via generateFromSource:
+// bit-identical to materializing the whole horizon via GenerateInto:
 // both run the synthesize loop, so the source sees the same busy slots in
 // the same order and IDs are assigned in the same global append order. Work
 // is per busy slot, not per slot of the horizon.

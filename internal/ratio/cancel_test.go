@@ -134,7 +134,7 @@ func TestSeedErrorAttributionDeterministic(t *testing.T) {
 // fingerprintSeedMatch reports whether seq is exactly the workload seed
 // draws for cfg — the hook the failing test algs key on.
 func fingerprintSeedMatch(cfg switchsim.Config, gen packet.Generator, seed int64, seq packet.Sequence) bool {
-	want := generateSeq(cfg, gen, newSeedRand(), seed)
+	want := generateSeq(cfg, gen, newSeedRand(), seed, nil)
 	if len(want) != len(seq) {
 		return false
 	}

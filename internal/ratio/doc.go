@@ -44,6 +44,10 @@
 //     regardless of call history), so scratch reuse — and EvalChunk
 //     overlapping judging with fleet stepping — never changes an
 //     Estimate, only wall-clock.
+//   - A sequence passed to a Judge, an Alg or a FleetAlg is valid only
+//     for that call. Evaluators draw every seed into storage they keep
+//     (packet.GenerateInto), so the next seed overwrites it: an
+//     implementation that needs packets after it returns must copy them.
 //   - The simulation engine is whatever the caller's switchsim.Config
 //     selects — event-driven by default, dense via Config.Dense — and the
 //     measured ratios are identical either way.

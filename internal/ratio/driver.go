@@ -21,21 +21,30 @@ import (
 // seed, any evaluator yields identical outcomes for the same indices.
 // Evaluators may hold reusable scratch (judges, fleet storage) across
 // calls and are not safe for concurrent use; the driver mints one per
-// worker.
+// worker. The in-process evaluators draw each seed's sequence into storage
+// they keep, so a sequence they pass to a Judge, an Alg or a FleetAlg is
+// valid only for that call.
 type ChunkEvaluator func(ctx context.Context, k0, k1 int) ([]SeedOutcome, error)
 
 // ScalarChunks adapts the sequential scalar engine (one policy run and
-// one judge call per seed) to the ChunkEvaluator interface. One judge and
-// one seed generator are minted up front and reused across all chunks.
+// one judge call per seed) to the ChunkEvaluator interface. One judge, one
+// seed generator and one sequence buffer are minted up front and reused
+// across all chunks: every seed is drawn into the same storage. A seed's
+// error text matches EvalChunk's, so attribution is identical across
+// backends.
 func ScalarChunks(cfg switchsim.Config, alg Alg, judge JudgeFactory, gen packet.Generator, baseSeed int64) ChunkEvaluator {
 	j, r := judge(), newSeedRand()
+	var buf packet.Sequence
 	return func(ctx context.Context, k0, k1 int) ([]SeedOutcome, error) {
 		out := make([]SeedOutcome, 0, k1-k0)
 		for k := k0; k < k1; k++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			o := evalSeed(cfg, alg, j, gen, r, baseSeed+int64(k))
+			seed := baseSeed + int64(k)
+			buf = generateSeq(cfg, gen, r, seed, buf)
+			ratio, ok, err := Single(cfg, alg, j, buf)
+			o := SeedOutcome{Seed: seed, Ratio: ratio, Skipped: !ok && err == nil, Err: err}
 			out = append(out, o)
 			if o.Err != nil {
 				break // the merge reports it; later seeds are moot
@@ -61,15 +70,13 @@ func armChunks(cfg switchsim.Config, arms []FleetAlg, j Judge, gen packet.Genera
 	if batch <= 0 {
 		batch = 64
 	}
-	var scratch []SeedOutcome
 	return func(ctx context.Context, k0, k1 int) ([]SeedOutcome, error) {
 		out := make([]SeedOutcome, 0, (k1-k0)*len(arms))
 		for b0 := k0; b0 < k1; b0 += batch {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			scratch = evalArms(cfg, arms, j, gen, baseSeed, b0, min(k1, b0+batch), scratch, sc)
-			out = append(out, scratch...)
+			out = evalArms(cfg, arms, j, gen, baseSeed, b0, min(k1, b0+batch), out, sc)
 		}
 		return out, nil
 	}

@@ -14,7 +14,8 @@ import (
 // (and one switch construction) across the batch, and is bit-identical to
 // the scalar engines, so estimates built on it are byte-identical to
 // Run/RunParallel's. A FleetAlg may hold reusable state (a fleet.Runner)
-// across calls and is not safe for concurrent use.
+// across calls and is not safe for concurrent use. The sequences are valid
+// only for the call: evaluators overwrite them with the next batch.
 type FleetAlg func(cfg switchsim.Config, seqs []packet.Sequence) ([]int64, error)
 
 // FleetAlgFactory mints independent FleetAlgs — RunFleet calls it once per

@@ -71,21 +71,14 @@ func MergeOutcomes(ctx context.Context, outs []SeedOutcome) (Estimate, error) {
 	return est, nil
 }
 
-// evalSeed measures one seed with a scalar Alg, producing the outcome
-// ScalarChunks yields. The error text matches EvalChunk's for the same
-// seed, so attribution is identical across backends.
-func evalSeed(cfg switchsim.Config, alg Alg, j Judge, gen packet.Generator, r *rand.Rand, seed int64) SeedOutcome {
-	seq := generateSeq(cfg, gen, r, seed)
-	ratio, ok, err := Single(cfg, alg, j, seq)
-	return SeedOutcome{Seed: seed, Ratio: ratio, Skipped: !ok && err == nil, Err: err}
-}
-
 // generateSeq draws seed's workload with r (a newSeedRand generator),
-// reseeded to seed; every backend calls exactly this, so a seed names the
-// same sequence everywhere (including remote workers).
-func generateSeq(cfg switchsim.Config, gen packet.Generator, r *rand.Rand, seed int64) packet.Sequence {
+// reseeded to seed, into dst's storage (packet.GenerateInto); every backend
+// calls exactly this, so a seed names the same sequence everywhere
+// (including remote workers). The result overwrites dst, so it is valid
+// only until the caller draws the next seed into the same storage.
+func generateSeq(cfg switchsim.Config, gen packet.Generator, r *rand.Rand, seed int64, dst packet.Sequence) packet.Sequence {
 	r.Seed(seed)
-	return gen.Generate(r, cfg.Inputs, cfg.Outputs, pickSlots(cfg))
+	return packet.GenerateInto(dst, gen, r, cfg.Inputs, cfg.Outputs, pickSlots(cfg))
 }
 
 // EvalChunk evaluates seeds [k0, k1) with a batched FleetAlg and a minted
@@ -102,12 +95,13 @@ func generateSeq(cfg switchsim.Config, gen packet.Generator, r *rand.Rand, seed 
 // attributed to the chunk's first eligible seed.
 func EvalChunk(cfg switchsim.Config, a FleetAlg, j Judge, gen packet.Generator,
 	baseSeed int64, k0, k1 int, out []SeedOutcome) []SeedOutcome {
-	return evalArms(cfg, []FleetAlg{a}, j, gen, baseSeed, k0, k1, out, &armScratch{})
+	return evalArms(cfg, []FleetAlg{a}, j, gen, baseSeed, k0, k1, out[:0], &armScratch{})
 }
 
 // armScratch is the buffers and the seed generator evalArms reuses, plus
 // what it has done: the summed arrival spans of the sequences it
-// generated and its judge calls.
+// generated and its judge calls. seqs[i] keeps the storage batch position
+// i was drawn into, so a warm evaluator draws every seed in place.
 type armScratch struct {
 	rng           *rand.Rand
 	seqs          []packet.Sequence
@@ -115,27 +109,42 @@ type armScratch struct {
 	spans, judged int64
 }
 
+// draw generates seeds [k0, k1) into the kept storage and returns them. A
+// position that has no storage yet gets room for its predecessor's length
+// plus an eighth, so a cold batch does not grow a slice per seed either.
+func (sc *armScratch) draw(cfg switchsim.Config, gen packet.Generator, baseSeed int64, k0, k1 int) []packet.Sequence {
+	if sc.rng == nil {
+		sc.rng = newSeedRand()
+	}
+	n := k1 - k0
+	if len(sc.seqs) < n {
+		sc.seqs = slices.Grow(sc.seqs, n-len(sc.seqs))[:n]
+	}
+	seqs := sc.seqs[:n]
+	for i := range seqs {
+		if i > 0 && cap(seqs[i]) == 0 {
+			m := len(seqs[i-1])
+			seqs[i] = make(packet.Sequence, 0, m+m/8)
+		}
+		seqs[i] = generateSeq(cfg, gen, sc.rng, baseSeed+int64(k0+i), seqs[i])
+		sc.spans += seqSpan(seqs[i])
+	}
+	return seqs
+}
+
 // evalArms is EvalChunk over k arms sharing one generated sequence and one
-// judge call per seed: out holds k outcomes per seed, seed-major, and arm
-// a's outcomes are exactly EvalChunk's with that arm alone. The arms step
-// one after another on the side goroutine.
+// judge call per seed: it appends k outcomes per seed to out, seed-major,
+// and arm a's outcomes are exactly EvalChunk's with that arm alone. The
+// arms step one after another on the side goroutine. The sequences live in
+// sc and are overwritten by the next call.
 func evalArms(cfg switchsim.Config, arms []FleetAlg, j Judge, gen packet.Generator,
 	baseSeed int64, k0, k1 int, out []SeedOutcome, sc *armScratch) []SeedOutcome {
-	out = out[:0]
 	n, k := k1-k0, len(arms)
 	if n <= 0 {
 		return out
 	}
-	if sc.rng == nil {
-		sc.rng = newSeedRand()
-	}
-	sc.seqs = sc.seqs[:0]
-	for s := k0; s < k1; s++ {
-		seq := generateSeq(cfg, gen, sc.rng, baseSeed+int64(s))
-		sc.seqs = append(sc.seqs, seq)
-		sc.spans += seqSpan(seq)
-	}
-	seqs := sc.seqs
+	seqs := sc.draw(cfg, gen, baseSeed, k0, k1)
+	base := len(out)
 	// Policy side first, on its own goroutine: the fleets step the whole
 	// batch while this goroutine judges it.
 	benefits, errs := make([][]int64, k), make([]error, k)
@@ -175,7 +184,7 @@ func evalArms(cfg switchsim.Config, arms []FleetAlg, j Judge, gen packet.Generat
 	for a := range arms {
 		witnessed := false
 		for i := 0; i < n; i++ {
-			o := &out[i*k+a]
+			o := &out[base+i*k+a]
 			if o.Err != nil || o.Skipped {
 				continue
 			}
@@ -199,7 +208,7 @@ func evalArms(cfg switchsim.Config, arms []FleetAlg, j Judge, gen packet.Generat
 			fillOutcome(o, sc.optVals[i], bs[0])
 		}
 		if errs[a] != nil && !witnessed && firstElig >= 0 {
-			out[firstElig*k+a] = SeedOutcome{Seed: baseSeed + int64(k0+firstElig),
+			out[base+firstElig*k+a] = SeedOutcome{Seed: baseSeed + int64(k0+firstElig),
 				Err: fmt.Errorf("policy run: %w", errs[a])}
 		}
 	}

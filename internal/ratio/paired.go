@@ -133,9 +133,11 @@ func seqSpan(seq packet.Sequence) int64 {
 // exactly the units PairedEstimate.SlotsSimulated uses.
 func WorkloadSlots(cfg switchsim.Config, gen packet.Generator, baseSeed int64, runs int) int64 {
 	var total int64
+	var buf packet.Sequence
 	r := newSeedRand()
 	for k := 0; k < runs; k++ {
-		total += seqSpan(generateSeq(cfg, gen, r, baseSeed+int64(k)))
+		buf = generateSeq(cfg, gen, r, baseSeed+int64(k), buf)
+		total += seqSpan(buf)
 	}
 	return total
 }

@@ -18,7 +18,8 @@ import (
 // and partition buckets warm across a whole seed stream — and therefore
 // need not be safe for concurrent use; mint one per goroutine via a
 // JudgeFactory. Judging is deterministic: every judge returns the same
-// value for the same (cfg, seq) regardless of call history.
+// value for the same (cfg, seq) regardless of call history. seq is valid
+// only for the call: evaluators overwrite it with the next seed.
 type Judge interface {
 	Judge(cfg switchsim.Config, seq packet.Sequence) (int64, error)
 }
@@ -71,7 +72,8 @@ func (b *boundJudge) Judge(cfg switchsim.Config, seq packet.Sequence) (int64, er
 	return b.s.CombinedUpperBound(cfg, seq, b.crossbar)
 }
 
-// Alg runs a policy on a sequence and returns its benefit.
+// Alg runs a policy on a sequence and returns its benefit. The sequence is
+// valid only for the call: evaluators overwrite it with the next seed.
 type Alg func(cfg switchsim.Config, seq packet.Sequence) (int64, error)
 
 // CIOQAlg adapts a CIOQ policy factory to the Alg signature. A factory is
