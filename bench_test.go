@@ -746,7 +746,7 @@ func BenchmarkJudgeDenseUB8(b *testing.B) {
 
 // BenchmarkJudgeMonteCarloUB16 is the FleetRatio judging shape in
 // isolation: 256 seeded 64-slot 16x16 sequences through one reused judge,
-// the per-chunk work a RunFleet worker overlaps with fleet stepping.
+// the judging a RunFleet worker's two lanes split between them.
 func BenchmarkJudgeMonteCarloUB16(b *testing.B) {
 	cfg := switchsim.Config{Inputs: 16, Outputs: 16, InputBuf: 2, OutputBuf: 2,
 		Speedup: 1, Slots: 64}

@@ -86,7 +86,9 @@ func TestFleetChunksAllocsIndependentOfLoad(t *testing.T) {
 		chunk()
 		return testing.AllocsPerRun(10, chunk)
 	}
-	if lo, hi := perChunk(1.2), perChunk(2.4); hi != lo {
+	lo, hi := perChunk(1.2), perChunk(2.4)
+	t.Logf("objects a warm chunk: %.1f at load 1.2, %.1f at load 2.4", lo, hi)
+	if hi != lo {
 		t.Fatalf("a warm FleetChunks chunk allocates %.1f objects at load 1.2 and %.1f at load 2.4", lo, hi)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qswitch/internal/core"
+	"qswitch/internal/offline"
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
 )
@@ -29,7 +30,7 @@ func (s *fakeChunkService) RatioChunk(ctx context.Context, req ChunkRequest) ([]
 	if err, ok := s.failK0[req.K0]; ok {
 		return nil, err
 	}
-	return EvalChunk(req.Cfg, s.alg(), s.judge(), req.Gen, req.BaseSeed, req.K0, req.K1, nil), nil
+	return EvalChunk(req.Cfg, NewLanes(s.judge, s.alg), req.Gen, req.BaseSeed, req.K0, req.K1, nil), nil
 }
 
 func gmFleetSvc(fail map[int]error) *fakeChunkService {
@@ -239,6 +240,74 @@ func TestRunShardedMatchesRunInProcess(t *testing.T) {
 		if got.Max != want.Max || got.Mean != want.Mean || got.CI95 != want.CI95 ||
 			got.Runs != want.Runs || got.Skipped != want.Skipped || got.WorstSeed != want.WorstSeed {
 			t.Errorf("chunk=%d: sharded %+v != sequential %+v", chunk, got, want)
+		}
+	}
+}
+
+// TestBatchFaultAttribution pins where a batch-level policy fault lands
+// when no single sequence reproduces it. The FleetAlg fails every call on
+// more than one sequence and no call on one, so the per-seed re-runs find
+// no witness; the fault then lands on the chunk's first seed the judge
+// finds eligible, and every other seed keeps its scalar outcome. Skipped
+// seeds move that first eligible seed into the batch's upper half, whose
+// own call may not fail at all.
+func TestBatchFaultAttribution(t *testing.T) {
+	cfg := microCfg()
+	cfg.Slots = 4
+	gen := packet.Bernoulli{Load: 1.0}
+	const baseSeed = 50
+	fault := errors.New("batch fault")
+	gm := func() switchsim.CIOQPolicy { return &core.GM{} }
+	fleet := func() FleetAlg {
+		inner := CIOQFleetAlg(gm)()
+		return func(c switchsim.Config, seqs []packet.Sequence) ([]int64, error) {
+			if len(seqs) > 1 {
+				return nil, fault
+			}
+			return inner(c, seqs)
+		}
+	}
+	// skipping judges score the seeds at the given indices 0, so those
+	// seeds are skipped.
+	skipping := func(skip ...int) JudgeFactory {
+		return func() Judge {
+			return JudgeFunc(func(c switchsim.Config, seq packet.Sequence) (int64, error) {
+				for _, k := range skip {
+					if fingerprintSeedMatch(c, gen, baseSeed+int64(k), seq) {
+						return 0, nil
+					}
+				}
+				return offline.ExactUnitCIOQ(c, seq)
+			})
+		}
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		skip   []int
+		k1     int
+		failAt int
+	}{
+		{[]int{0}, 8, 1},
+		{[]int{0, 1}, 3, 2},
+		{[]int{0, 1}, 4, 2},
+		{nil, 5, 0},
+	} {
+		judge := skipping(tc.skip...)
+		want, err := ScalarChunks(cfg, CIOQAlg(gm), judge, gen, baseSeed)(ctx, 0, tc.k1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[tc.failAt] = SeedOutcome{Seed: baseSeed + int64(tc.failAt), Err: fmt.Errorf("policy run: %w", fault)}
+		got := EvalChunk(cfg, NewLanes(judge, fleet), gen, baseSeed, 0, tc.k1, nil)
+		if g, w := fmt.Sprint(got), fmt.Sprint(want); g != w {
+			t.Errorf("skip %v, seeds [0, %d): outcomes\n got %s\nwant %s", tc.skip, tc.k1, g, w)
+		}
+	}
+	want := fmt.Sprintf("ratio: seed %d: policy run: batch fault", baseSeed+1)
+	for _, batch := range []int{3, 4, 8} {
+		_, err := RunFleet(ctx, cfg, fleet, skipping(0), gen, baseSeed, 10, 2, batch)
+		if err == nil || err.Error() != want {
+			t.Errorf("RunFleet(batch=%d) error = %v, want %q", batch, err, want)
 		}
 	}
 }

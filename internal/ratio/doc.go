@@ -22,7 +22,7 @@
 //   - RunSequential: the caller's evaluator and target, one worker.
 //   - RunSequentialPool: RunSequential on GOMAXPROCS workers, one
 //     evaluator minted per worker.
-//   - RunPaired: k fleets per chunk sharing each seed's sequence and
+//   - RunPaired: k fleets per lane sharing each seed's sequence and
 //     judge call, one worker; the target binds the paired differences.
 //
 // # Invariants
@@ -39,11 +39,13 @@
 //   - Policy instances are created per evaluation through the Alg
 //     factory, never shared, so concurrent or repeated evaluations cannot
 //     leak mutable policy state.
-//   - Each evaluator holds one judge (and one fleet) for its whole seed
-//     stream: judging is deterministic (same value for the same sequence
-//     regardless of call history), so scratch reuse — and EvalChunk
-//     overlapping judging with fleet stepping — never changes an
-//     Estimate, only wall-clock.
+//   - Each evaluator holds its judges (and fleets) for its whole seed
+//     stream — one of each for ScalarChunks, one per lane for a fleet
+//     evaluator, whose two lanes draw, step and judge the two halves of
+//     every batch concurrently. Judging is deterministic (same value for
+//     the same sequence regardless of call history), and a lane's
+//     outcomes join the other's in seed order, so scratch reuse and the
+//     lane split never change an Estimate, only wall-clock.
 //   - A sequence passed to a Judge, an Alg or a FleetAlg is valid only
 //     for that call. Evaluators draw every seed into storage they keep
 //     (packet.GenerateInto), so the next seed overwrites it: an

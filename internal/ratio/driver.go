@@ -54,29 +54,31 @@ func ScalarChunks(cfg switchsim.Config, alg Alg, judge JudgeFactory, gen packet.
 	}
 }
 
-// FleetChunks adapts the columnar fleet engine: one FleetAlg and one
-// judge are minted up front and reused across all chunks (fleet storage
-// and judge scratch stay warm for the whole run), and each chunk is
-// evaluated in sub-batches of `batch` sequences (<= 0 selects 64) via
-// EvalChunk, which overlaps judging with fleet stepping.
+// FleetChunks adapts the columnar fleet engine: one pair of lanes
+// (NewLanes), each with its own FleetAlg and judge, is minted up front and
+// reused across all chunks (fleet storage, judge scratch and sequence
+// buffers stay warm for the whole run), and each chunk is evaluated in
+// sub-batches of `batch` sequences (<= 0 selects 64) via EvalChunk, which
+// splits every batch between the two lanes.
 func FleetChunks(cfg switchsim.Config, alg FleetAlgFactory, judge JudgeFactory, gen packet.Generator, baseSeed int64, batch int) ChunkEvaluator {
-	return armChunks(cfg, []FleetAlg{alg()}, judge(), gen, baseSeed, batch, &armScratch{})
+	return armChunks(cfg, NewLanes(judge, alg), gen, baseSeed, batch)
 }
 
-// armChunks is FleetChunks over k arms that share every generated
+// armChunks is FleetChunks over lanes of k arms that share every generated
 // sequence and judge call: each chunk's outcomes are seed-major, k per
 // seed. batch <= 0 selects 64.
-func armChunks(cfg switchsim.Config, arms []FleetAlg, j Judge, gen packet.Generator, baseSeed int64, batch int, sc *armScratch) ChunkEvaluator {
+func armChunks(cfg switchsim.Config, l *Lanes, gen packet.Generator, baseSeed int64, batch int) ChunkEvaluator {
 	if batch <= 0 {
 		batch = 64
 	}
+	k := len(l.lane[0].arms)
 	return func(ctx context.Context, k0, k1 int) ([]SeedOutcome, error) {
-		out := make([]SeedOutcome, 0, (k1-k0)*len(arms))
+		out := make([]SeedOutcome, 0, (k1-k0)*k)
 		for b0 := k0; b0 < k1; b0 += batch {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out = evalArms(cfg, arms, j, gen, baseSeed, b0, min(k1, b0+batch), out, sc)
+			out = l.eval(cfg, gen, baseSeed, b0, min(k1, b0+batch), out)
 		}
 		return out, nil
 	}

@@ -15,12 +15,14 @@ import (
 // the scalar engines, so estimates built on it are byte-identical to
 // Run/RunParallel's. A FleetAlg may hold reusable state (a fleet.Runner)
 // across calls and is not safe for concurrent use. The sequences are valid
-// only for the call: evaluators overwrite them with the next batch.
+// only for the call: evaluators overwrite them with the next batch. The
+// returned benefits may likewise live in storage the FleetAlg keeps, valid
+// until its next call.
 type FleetAlg func(cfg switchsim.Config, seqs []packet.Sequence) ([]int64, error)
 
-// FleetAlgFactory mints independent FleetAlgs — RunFleet calls it once per
-// worker, so each worker's fleet storage is constructed once and reused
-// across its whole chunk stream.
+// FleetAlgFactory mints independent FleetAlgs — a fleet evaluator calls it
+// once per lane (NewLanes), so each lane's fleet storage is constructed
+// once and reused across its whole chunk stream.
 type FleetAlgFactory func() FleetAlg
 
 // CIOQFleetAlg adapts a CIOQ policy factory to the FleetAlgFactory
@@ -28,46 +30,44 @@ type FleetAlgFactory func() FleetAlg
 // the family is batchable, per-instance scalar otherwise — either way
 // bit-identical to CIOQAlg) whose storage survives across batches.
 func CIOQFleetAlg(factory func() switchsim.CIOQPolicy) FleetAlgFactory {
-	return func() FleetAlg {
-		r := fleet.NewCIOQRunner(factory)
-		return func(cfg switchsim.Config, seqs []packet.Sequence) ([]int64, error) {
-			rs, err := r.Run(cfg, seqs)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]int64, len(rs))
-			for k, res := range rs {
-				out[k] = res.M.Benefit
-			}
-			return out, nil
-		}
-	}
+	return func() FleetAlg { return runnerAlg(fleet.NewCIOQRunner(factory)) }
 }
 
 // CrossbarFleetAlg adapts a crossbar policy factory to the
 // FleetAlgFactory signature via fleet.CrossbarRunner.
 func CrossbarFleetAlg(factory func() switchsim.CrossbarPolicy) FleetAlgFactory {
-	return func() FleetAlg {
-		r := fleet.NewCrossbarRunner(factory)
-		return func(cfg switchsim.Config, seqs []packet.Sequence) ([]int64, error) {
-			rs, err := r.Run(cfg, seqs)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]int64, len(rs))
-			for k, res := range rs {
-				out[k] = res.M.Benefit
-			}
-			return out, nil
+	return func() FleetAlg { return runnerAlg(fleet.NewCrossbarRunner(factory)) }
+}
+
+// batchRunner is the batch call fleet.CIOQRunner and fleet.CrossbarRunner
+// share.
+type batchRunner interface {
+	Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switchsim.Result, error)
+}
+
+// runnerAlg is both adapters' one body: it runs a batch on r and reports
+// each result's benefit in a slice it keeps across calls.
+func runnerAlg(r batchRunner) FleetAlg {
+	var out []int64
+	return func(cfg switchsim.Config, seqs []packet.Sequence) ([]int64, error) {
+		rs, err := r.Run(cfg, seqs)
+		if err != nil {
+			return nil, err
 		}
+		out = out[:0]
+		for _, res := range rs {
+			out = append(out, res.M.Benefit)
+		}
+		return out, nil
 	}
 }
 
 // RunFleet is RunParallel with the policy side batched: seeds are dealt in
 // chunks of `batch` sequences (<= 0 selects 64) to `workers` workers (<= 0
-// selects GOMAXPROCS), each evaluating through its own FleetChunks — one
-// FleetAlg and one Judge per worker. The estimate is byte-identical to
-// Run's for the same inputs, regardless of workers or batch size.
+// selects GOMAXPROCS), each evaluating through its own FleetChunks — two
+// lanes per worker, each with its own FleetAlg and Judge, that split every
+// batch between them. The estimate is byte-identical to Run's for the same
+// inputs, regardless of workers or batch size.
 func RunFleet(ctx context.Context, cfg switchsim.Config, alg FleetAlgFactory, judge JudgeFactory, gen packet.Generator,
 	baseSeed int64, runs, workers, batch int) (Estimate, error) {
 	if batch <= 0 {

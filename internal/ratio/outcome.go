@@ -81,31 +81,137 @@ func generateSeq(cfg switchsim.Config, gen packet.Generator, r *rand.Rand, seed 
 	return packet.GenerateInto(dst, gen, r, cfg.Inputs, cfg.Outputs, pickSlots(cfg))
 }
 
-// EvalChunk evaluates seeds [k0, k1) with a batched FleetAlg and a minted
-// Judge, appending one outcome per seed to out (which is reset first).
-// The batch's policy runs step on a side goroutine while the judge scores
-// the batch's sequences, so judging overlaps fleet stepping.
+// EvalChunk evaluates seeds [k0, k1) as one batch through l's two lanes,
+// appending k outcomes per seed (one per arm of l, seed-major) to out,
+// which is reset first. The batch splits at k0 + ⌈n/2⌉: the upper half
+// runs on a side goroutine through lane 1 while the caller's goroutine
+// runs the lower half through lane 0, and the halves' outcomes join in
+// seed order.
 //
 // Error attribution matches the scalar backends exactly: judge errors are
-// recorded at their own seed, and when the batched policy call fails the
-// chunk falls back to single-sequence policy runs to locate which seeds
+// recorded at their own seed, and when a lane's batched policy call fails
+// that lane re-runs each eligible sequence alone to locate the seeds that
 // actually fail (per-seed results are deterministic, so the re-run
-// reproduces the error at its true seed). Only if no individual run fails
-// — a batch-level fault with no per-seed witness — is the batch error
-// attributed to the chunk's first eligible seed.
-func EvalChunk(cfg switchsim.Config, a FleetAlg, j Judge, gen packet.Generator,
+// reproduces the error at its true seed). Only if no seed of the batch
+// fails alone — a batch-level fault with no per-seed witness — is the
+// fault attributed to the batch's first eligible seed. That is decided
+// once both lanes have returned, over the whole batch, with lane 0's
+// error if its call failed and lane 1's otherwise. A lane calls each
+// FleetAlg on its half, so a fault that needs more sequences than a half
+// holds does not occur.
+func EvalChunk(cfg switchsim.Config, l *Lanes, gen packet.Generator,
 	baseSeed int64, k0, k1 int, out []SeedOutcome) []SeedOutcome {
-	return evalArms(cfg, []FleetAlg{a}, j, gen, baseSeed, k0, k1, out[:0], &armScratch{})
+	return l.eval(cfg, gen, baseSeed, k0, k1, out[:0])
 }
 
-// armScratch is the buffers and the seed generator evalArms reuses, plus
-// what it has done: the summed arrival spans of the sequences it
-// generated and its judge calls. seqs[i] keeps the storage batch position
-// i was drawn into, so a warm evaluator draws every seed in place.
+// Lanes is one fleet evaluator's two lanes. Each lane holds its own arms
+// (one FleetAlg per policy), its own judge and the storage it draws seeds
+// into, all kept across batches, so a warm evaluator allocates nothing
+// that scales with the workload. A Lanes is not safe for concurrent use.
+type Lanes struct {
+	lane [2]lane
+}
+
+// NewLanes mints the two lanes of one evaluator: each lane gets its own
+// judge and one FleetAlg from each factory, its arms in factory order.
+func NewLanes(judge JudgeFactory, algs ...FleetAlgFactory) *Lanes {
+	l, k := &Lanes{}, len(algs)
+	for i := range l.lane {
+		ln := &l.lane[i]
+		for _, a := range algs {
+			ln.arms = append(ln.arms, a())
+		}
+		ln.j = judge()
+		ln.sc.benefits, ln.sc.errs, ln.sc.witnessed = make([][]int64, k), make([]error, k), make([]bool, k)
+	}
+	return l
+}
+
+// tally sums what both lanes have done: the arrival spans of the
+// sequences they drew and their judge calls.
+func (l *Lanes) tally() (spans, judged int64) {
+	for i := range l.lane {
+		spans += l.lane[i].sc.spans
+		judged += l.lane[i].sc.judged
+	}
+	return spans, judged
+}
+
+// eval is EvalChunk without the reset: it appends the batch [b0, b1)'s
+// outcomes to out.
+func (l *Lanes) eval(cfg switchsim.Config, gen packet.Generator, baseSeed int64, b0, b1 int, out []SeedOutcome) []SeedOutcome {
+	n := b1 - b0
+	if n <= 0 {
+		return out
+	}
+	mid := b0 + (n+1)/2
+	ran := l.lane[:1]
+	var done chan struct{}
+	if mid < b1 {
+		ran = l.lane[:2]
+		l1 := &l.lane[1]
+		done = make(chan struct{})
+		go func() {
+			l1.sc.out = l1.eval(cfg, gen, baseSeed, mid, b1, l1.sc.out[:0])
+			close(done)
+		}()
+	}
+	base := len(out)
+	out = l.lane[0].eval(cfg, gen, baseSeed, b0, mid, out)
+	if done != nil {
+		<-done
+		out = append(out, l.lane[1].sc.out...)
+	}
+	// A batch-level fault no seed witnessed lands on the batch's first
+	// eligible seed, searched across both halves.
+	k := len(l.lane[0].arms)
+	for a := 0; a < k; a++ {
+		var err error
+		first, witnessed := -1, false
+		for i := range ran {
+			sc := &ran[i].sc
+			if err == nil {
+				err = sc.errs[a]
+			}
+			witnessed = witnessed || sc.witnessed[a]
+			if first < 0 && sc.firstElig >= 0 {
+				first = i*(mid-b0) + sc.firstElig
+			}
+		}
+		if err != nil && !witnessed && first >= 0 {
+			out[base+first*k+a] = SeedOutcome{Seed: baseSeed + int64(b0+first),
+				Err: fmt.Errorf("policy run: %w", err)}
+		}
+	}
+	return out
+}
+
+// lane is one half of an evaluator: its arms, its judge and its scratch.
+type lane struct {
+	arms []FleetAlg
+	j    Judge
+	sc   armScratch
+}
+
+// armScratch is the buffers and the seed generator a lane reuses, what
+// its last batch left for the pair to decide, and what it has done: the
+// summed arrival spans of the sequences it generated and its judge calls.
+// seqs[i] keeps the storage batch position i was drawn into, so a warm
+// lane draws every seed in place.
 type armScratch struct {
-	rng           *rand.Rand
-	seqs          []packet.Sequence
-	optVals       []int64
+	rng      *rand.Rand
+	seqs     []packet.Sequence
+	optVals  []int64
+	benefits [][]int64
+	// errs[a] is arm a's batched call error in the last batch, and
+	// witnessed[a] reports whether a seed's own re-run failed in it.
+	errs      []error
+	witnessed []bool
+	// firstElig is the last batch's first seed the judge found eligible,
+	// relative to the batch, or -1.
+	firstElig int
+	// out holds lane 1's outcomes until they join lane 0's.
+	out           []SeedOutcome
 	spans, judged int64
 }
 
@@ -132,84 +238,71 @@ func (sc *armScratch) draw(cfg switchsim.Config, gen packet.Generator, baseSeed 
 	return seqs
 }
 
-// evalArms is EvalChunk over k arms sharing one generated sequence and one
-// judge call per seed: it appends k outcomes per seed to out, seed-major,
-// and arm a's outcomes are exactly EvalChunk's with that arm alone. The
-// arms step one after another on the side goroutine. The sequences live in
-// sc and are overwritten by the next call.
-func evalArms(cfg switchsim.Config, arms []FleetAlg, j Judge, gen packet.Generator,
-	baseSeed int64, k0, k1 int, out []SeedOutcome, sc *armScratch) []SeedOutcome {
-	n, k := k1-k0, len(arms)
-	if n <= 0 {
-		return out
-	}
+// eval is a lane's serial body over seeds [k0, k1): it draws them, steps
+// them on every arm's fleet, judges them, and appends k outcomes per seed
+// to out, seed-major, arm a's being exactly what that arm alone would
+// get. An arm whose batched call failed re-runs each eligible sequence
+// alone; whether the fault lands on a seed no re-run failed on is the
+// pair's decision (Lanes.eval), so the lane only records it in sc. The
+// sequences live in sc and are overwritten by the next call.
+func (ln *lane) eval(cfg switchsim.Config, gen packet.Generator, baseSeed int64, k0, k1 int, out []SeedOutcome) []SeedOutcome {
+	sc, k := &ln.sc, len(ln.arms)
 	seqs := sc.draw(cfg, gen, baseSeed, k0, k1)
-	base := len(out)
-	// Policy side first, on its own goroutine: the fleets step the whole
-	// batch while this goroutine judges it.
-	benefits, errs := make([][]int64, k), make([]error, k)
-	done := make(chan struct{})
-	go func() {
-		for a, alg := range arms {
-			benefits[a], errs[a] = alg(cfg, seqs)
-			if errs[a] == nil && len(benefits[a]) != len(seqs) {
-				errs[a] = fmt.Errorf("fleet alg returned %d benefits for %d sequences", len(benefits[a]), len(seqs))
-			}
+	n := len(seqs)
+	for a, alg := range ln.arms {
+		sc.benefits[a], sc.errs[a] = alg(cfg, seqs)
+		if sc.errs[a] == nil && len(sc.benefits[a]) != n {
+			sc.errs[a] = fmt.Errorf("fleet alg returned %d benefits for %d sequences", len(sc.benefits[a]), n)
 		}
-		close(done)
-	}()
+		sc.witnessed[a] = false
+	}
 
 	sc.optVals = slices.Grow(sc.optVals[:0], n)[:n]
 	sc.judged += int64(n)
-	firstElig := -1
-	for i := 0; i < n; i++ {
+	sc.firstElig = -1
+	base := len(out)
+	for i, seq := range seqs {
 		o := SeedOutcome{Seed: baseSeed + int64(k0+i)}
-		optVal, err := j.Judge(cfg, seqs[i])
+		optVal, err := ln.j.Judge(cfg, seq)
 		switch {
 		case err != nil:
 			o.Err = fmt.Errorf("offline optimum: %w", err)
 		case optVal == 0:
 			o.Skipped = true
 		default:
-			if firstElig < 0 {
-				firstElig = i
+			if sc.firstElig < 0 {
+				sc.firstElig = i
 			}
 			sc.optVals[i] = optVal
 		}
-		for range arms {
+		for range ln.arms {
 			out = append(out, o)
 		}
 	}
-	<-done
-	for a := range arms {
-		witnessed := false
+	for a, alg := range ln.arms {
 		for i := 0; i < n; i++ {
 			o := &out[base+i*k+a]
 			if o.Err != nil || o.Skipped {
 				continue
 			}
-			if errs[a] == nil {
-				fillOutcome(o, sc.optVals[i], benefits[a][i])
+			if sc.errs[a] == nil {
+				fillOutcome(o, sc.optVals[i], sc.benefits[a][i])
 				continue
 			}
 			// The batched call failed: re-run each judged-eligible sequence
 			// alone. Per-seed evaluations are deterministic, so this
 			// reproduces exactly the error the scalar backends would
 			// attribute to that seed.
-			bs, err := arms[a](cfg, seqs[i:i+1])
+			bs, err := alg(cfg, seqs[i:i+1])
 			if err == nil && len(bs) != 1 {
 				err = fmt.Errorf("fleet alg returned %d benefits for 1 sequence", len(bs))
 			}
 			if err != nil {
 				o.Err = fmt.Errorf("policy run: %w", err)
-				witnessed = true
+				sc.witnessed[a] = true
 				continue
 			}
 			fillOutcome(o, sc.optVals[i], bs[0])
-		}
-		if errs[a] != nil && !witnessed && firstElig >= 0 {
-			out[base+firstElig*k+a] = SeedOutcome{Seed: baseSeed + int64(k0+firstElig),
-				Err: fmt.Errorf("policy run: %w", errs[a])}
 		}
 	}
 	return out

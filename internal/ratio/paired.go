@@ -13,8 +13,9 @@ import (
 type PairedPolicy struct {
 	// Name labels the policy in reports and error messages.
 	Name string
-	// Alg is the policy's batched evaluator; RunPaired mints it once and
-	// reuses its fleet storage across the whole run.
+	// Alg is the policy's batched evaluator; RunPaired mints it once per
+	// lane (two in all) and reuses their fleet storage across the whole
+	// run.
 	Alg FleetAlgFactory
 }
 
@@ -165,10 +166,10 @@ func RunPaired(ctx context.Context, cfg switchsim.Config, pols []PairedPolicy, j
 		return pe, fmt.Errorf("paired: no policies")
 	}
 	k := len(pols)
-	algs := make([]FleetAlg, k)
+	algs := make([]FleetAlgFactory, k)
 	for i, p := range pols {
 		pe.Names = append(pe.Names, p.Name)
-		algs[i] = p.Alg()
+		algs[i] = p.Alg
 	}
 	pe.Marginals = make([]Estimate, k)
 	if opts.MaxRuns <= 0 {
@@ -179,15 +180,16 @@ func RunPaired(ctx context.Context, cfg switchsim.Config, pols []PairedPolicy, j
 	if batch <= 0 {
 		batch = 32
 	}
-	var sc armScratch
-	eval := armChunks(cfg, algs, judge(), gen, baseSeed, batch, &sc)
+	l := NewLanes(judge, algs...)
+	eval := armChunks(cfg, l, gen, baseSeed, batch)
 	outs, rep, err := drive(ctx, plan{runs: opts.MaxRuns, chunk: opts.Chunk, workers: 1, arms: k,
 		target: opts.Target, mint: func() ChunkEvaluator { return eval }})
 	if err != nil {
 		return pe, err
 	}
 	pe.Seeds, pe.TargetMet = rep.Seeds, rep.TargetMet
-	pe.SlotsSimulated, pe.JudgeCalls = int64(k)*sc.spans, sc.judged
+	spans, judged := l.tally()
+	pe.SlotsSimulated, pe.JudgeCalls = int64(k)*spans, judged
 
 	// Merge each arm in seed order. Outcomes are seed-major, so the first
 	// failed one is the lowest seed's, then the lowest policy index's.

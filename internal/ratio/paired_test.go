@@ -266,3 +266,31 @@ func TestPairedTailQuantiles(t *testing.T) {
 		}
 	}
 }
+
+// TestPairedAccountingFixed pins RunPaired's accounting on a sparse
+// workload whose spans vary by seed, batches of 5 within chunks of 7: a
+// fixed budget and a run its target stops early must report the switch
+// slots and judge calls the one-goroutine evaluator reported, however the
+// lanes split the batches.
+func TestPairedAccountingFixed(t *testing.T) {
+	cfg := microCfg()
+	cfg.Slots = 9
+	gen := packet.Bernoulli{Load: 0.3}
+	for _, tc := range []struct {
+		opts          PairedOptions
+		seeds         int
+		slots, judged int64
+	}{
+		{PairedOptions{Batch: 5, Chunk: 7, MaxRuns: 40}, 40, 636, 40},
+		{PairedOptions{Batch: 5, Chunk: 7, MaxRuns: 400, Target: stats.Target{AbsWidth: 0.05}}, 14, 216, 14},
+	} {
+		pe, err := RunPaired(context.Background(), cfg, gmPair(), ExactUnitCIOQ, gen, 17, tc.opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.opts, err)
+		}
+		if pe.Seeds != tc.seeds || pe.SlotsSimulated != tc.slots || pe.JudgeCalls != tc.judged {
+			t.Errorf("%+v: seeds %d, slots %d, judge calls %d; want %d, %d, %d",
+				tc.opts, pe.Seeds, pe.SlotsSimulated, pe.JudgeCalls, tc.seeds, tc.slots, tc.judged)
+		}
+	}
+}

@@ -12,27 +12,24 @@ import (
 // Executor evaluates decoded chunk specs. It is the one execution engine
 // behind both qswitchd workers and the coordinator's in-process fallback,
 // so "execute remotely" and "execute locally" are the same code path fed
-// the same decoded spec. Resolved policy fleets and judges are cached per
-// spec — the PR 5 reuse discipline — so a worker's storage stays warm
-// across its whole chunk stream. An Executor is not safe for concurrent
-// use; callers serialize (workers handle one chunk at a time).
+// the same decoded spec. One pair of evaluator lanes (ratio.NewLanes) is
+// cached per (policy, judge, architecture), so a worker's fleet storage,
+// judge scratch and sequence buffers stay warm across its whole chunk
+// stream. An Executor is not safe for concurrent use; callers serialize
+// (workers handle one chunk at a time).
 type Executor struct {
-	algs   map[execKey]ratio.FleetAlg
-	judges map[execKey]ratio.Judge
-	outs   []ratio.SeedOutcome
+	lanes map[laneKey]*ratio.Lanes
+	outs  []ratio.SeedOutcome
 }
 
-type execKey struct {
-	spec     string
-	crossbar bool
+type laneKey struct {
+	policy, judge string
+	crossbar      bool
 }
 
 // NewExecutor builds an empty executor.
 func NewExecutor() *Executor {
-	return &Executor{
-		algs:   map[execKey]ratio.FleetAlg{},
-		judges: map[execKey]ratio.Judge{},
-	}
+	return &Executor{lanes: map[laneKey]*ratio.Lanes{}}
 }
 
 // RatioChunk evaluates the seeds [K0, K1) named by the spec. Per-seed
@@ -40,11 +37,7 @@ func NewExecutor() *Executor {
 // spec-resolution failures, which are deterministic and must not be
 // retried.
 func (e *Executor) RatioChunk(msg *ratioChunkMsg) (*ratioResultMsg, error) {
-	a, err := e.alg(msg.Policy, msg.Crossbar)
-	if err != nil {
-		return nil, err
-	}
-	j, err := e.judge(msg.Judge, msg.Crossbar)
+	l, err := e.lanesFor(msg.Policy, msg.Judge, msg.Crossbar)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +48,7 @@ func (e *Executor) RatioChunk(msg *ratioChunkMsg) (*ratioResultMsg, error) {
 	if msg.K0 < 0 || msg.K1 < msg.K0 {
 		return nil, fmt.Errorf("shard: bad seed range [%d, %d)", msg.K0, msg.K1)
 	}
-	e.outs = ratio.EvalChunk(msg.Cfg, a, j, gen, msg.BaseSeed, msg.K0, msg.K1, e.outs)
+	e.outs = ratio.EvalChunk(msg.Cfg, l, gen, msg.BaseSeed, msg.K0, msg.K1, e.outs)
 	return encodeOutcomes(e.outs), nil
 }
 
@@ -76,34 +69,24 @@ func (e *Executor) HuntChunk(msg *huntChunkMsg) (*huntResultMsg, error) {
 	}, nil
 }
 
-// alg resolves and caches a policy spec's fleet alg.
-func (e *Executor) alg(spec string, crossbar bool) (ratio.FleetAlg, error) {
-	k := execKey{spec, crossbar}
-	if a, ok := e.algs[k]; ok {
-		return a, nil
+// lanesFor resolves a policy and a judge spec and caches the lanes they
+// mint.
+func (e *Executor) lanesFor(policy, judge string, crossbar bool) (*ratio.Lanes, error) {
+	k := laneKey{policy, judge, crossbar}
+	if l, ok := e.lanes[k]; ok {
+		return l, nil
 	}
-	_, fleet, err := ResolvePolicy(spec, crossbar)
+	_, fleet, err := ResolvePolicy(policy, crossbar)
 	if err != nil {
 		return nil, err
 	}
-	a := fleet()
-	e.algs[k] = a
-	return a, nil
-}
-
-// judge resolves and caches a judge spec's judge.
-func (e *Executor) judge(spec string, crossbar bool) (ratio.Judge, error) {
-	k := execKey{spec, crossbar}
-	if j, ok := e.judges[k]; ok {
-		return j, nil
-	}
-	factory, err := ResolveJudge(spec, crossbar)
+	j, err := ResolveJudge(judge, crossbar)
 	if err != nil {
 		return nil, err
 	}
-	j := factory()
-	e.judges[k] = j
-	return j, nil
+	l := ratio.NewLanes(j, fleet)
+	e.lanes[k] = l
+	return l, nil
 }
 
 // HuntEval builds the adversary fitness function for a (cfg, policy,

@@ -84,7 +84,7 @@ func TestServeAnswersRatioChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ratio.EvalChunk(microCfg, fleet(), judge(), microGen, 1, 0, 4, nil)
+	want := ratio.EvalChunk(microCfg, ratio.NewLanes(judge, fleet), microGen, 1, 0, 4, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("served outcomes differ from direct EvalChunk:\n got  %+v\n want %+v", got, want)
 	}
