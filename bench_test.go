@@ -214,6 +214,16 @@ func BenchmarkMatchingHungarian64(b *testing.B) {
 	})
 }
 
+// BenchmarkMatchingHungarianSolver64 is BenchmarkMatchingHungarian64 on one
+// reused solver, as KR-MWM calls it every scheduling cycle: the solve
+// alone, without its scratch allocation.
+func BenchmarkMatchingHungarianSolver64(b *testing.B) {
+	var h matching.HungarianSolver
+	benchMatchingEngine(b, 64, func(_ []matching.Edge, _ [][]int, w [][]int64) {
+		h.Solve(w)
+	})
+}
+
 func BenchmarkExactUnitOPT(b *testing.B) {
 	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2,
 		CrossBuf: 1, Speedup: 1}
@@ -282,6 +292,25 @@ func BenchmarkOfflineUpperBound(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkOfflineUpperBoundUnit16 is the combined bound on one unit
+// sequence of the fleet's gm16 shape (16x16, 64 slots, Bernoulli load
+// 1.2) through a reused solver: the counter form of the relaxed queues.
+// It reports ns a packet.
+func BenchmarkOfflineUpperBoundUnit16(b *testing.B) {
+	cfg := switchsim.Config{Inputs: 16, Outputs: 16, InputBuf: 2, OutputBuf: 2,
+		CrossBuf: 1, Speedup: 1, Slots: 64}
+	seq := packet.Bernoulli{Load: 1.2}.Generate(rand.New(rand.NewSource(4)), 16, 16, 64)
+	var s offline.UpperBoundSolver
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.CombinedUpperBound(cfg, seq, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(seq)), "ns/pkt")
 }
 
 func BenchmarkTraceEncodeDecode(b *testing.B) {

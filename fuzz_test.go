@@ -15,7 +15,9 @@ import (
 // 3+2*sqrt(2)-competitive (Theorem 2), CGU 3-competitive (Theorem 3, unit
 // values) and CPG at its default parameters ~14.83-competitive (Theorem
 // 4) — and on which no registered policy, paper's or baseline, delivers
-// more than the optimum. It runs as a 30s CI smoke.
+// more than the optimum, nor the optimum more than the combined relaxation
+// bound (offline.CombinedUpperBound) that judges every instance too large
+// for the exact solvers. It runs as a 30s CI smoke.
 func FuzzPaperBounds(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0x15), uint8(0), uint8(8), uint8(3), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(3), uint8(0x00), uint8(1), uint8(12), uint8(2), uint8(5), uint8(4))
@@ -54,7 +56,17 @@ func FuzzPaperBounds(f *testing.F) {
 			}
 			return 0
 		}
+		sound := func(crossbar bool, opt int64) {
+			ub, err := offline.CombinedUpperBound(cfg, seq, crossbar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt > ub {
+				t.Fatalf("crossbar=%v: the optimum %d exceeds the relaxation bound %d\ncfg=%+v seq=%v", crossbar, opt, ub, cfg, seq)
+			}
+		}
 		if opt, err := ExactOptimum(cfg, seq, false); err == nil {
+			sound(false, opt)
 			bounds := map[string]float64{"gm": unitOnly(3), "pg": core.PGRatio(DefaultBetaPG())}
 			for _, name := range CIOQPolicyNames() {
 				res, err := SimulateCIOQ(cfg, name, seq)
@@ -67,6 +79,7 @@ func FuzzPaperBounds(f *testing.F) {
 			t.Fatal(err)
 		}
 		if opt, err := ExactOptimum(cfg, seq, true); err == nil {
+			sound(true, opt)
 			bounds := map[string]float64{"cgu": unitOnly(3), "cpg": core.CPGRatioClosedForm()}
 			for _, name := range CrossbarPolicyNames() {
 				res, err := SimulateCrossbar(cfg, name, seq)

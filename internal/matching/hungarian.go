@@ -9,11 +9,15 @@ import "qswitch/internal/scratch"
 // the solver, valid until the next call — callers that retain results
 // must copy them (the simulation engines consume transfers before the
 // next policy call, so policies hand the slice straight through).
+//
+// Within a row's augmentation, minv is offset lazily by the row's dual
+// steps and cols lists the free columns in ascending order; Solve says
+// why that leaves every step's choice as the textbook form makes it.
 type HungarianSolver struct {
 	u, v   []int64 // potentials
-	minv   []int64
+	minv   []int64 // per-column minima, offset by the row's dual steps
 	p, way []int
-	used   []bool
+	cols   []int     // columns 1..m: the free ones ascending, then the used ones
 	w      [][]int64 // dense weight scratch (MaxWeightMatching)
 	wrows  []int64   // backing storage for w
 	wt     [][]int64 // transposed-input scratch
@@ -30,6 +34,16 @@ type HungarianSolver struct {
 // the 6-competitive predecessor of PG). Complexity O(n^2 m) with the
 // classical potentials formulation (Jonker–Volgenant style row-by-row
 // augmentation, adapted to maximization by negating weights).
+//
+// Each step of a row's augmentation scans the free columns once. The
+// textbook form then subtracts the step's delta from every free column's
+// minimum and adds it to the used columns' potentials, a second pass over
+// all m columns; here the row keeps the sum of its deltas in off, stores
+// every free minimum plus off, and settles the used columns' potentials
+// when the row ends, by what off gained since each joined. Every
+// comparison is the textbook one shifted by the same off, and the free
+// columns are scanned in ascending order with a strict <, so each step
+// picks the same column, ties included, and the same edges come out.
 func (h *HungarianSolver) Solve(w [][]int64) []Edge {
 	nU := len(w)
 	if nU == 0 {
@@ -61,8 +75,8 @@ func (h *HungarianSolver) Solve(w [][]int64) []Edge {
 	h.minv = scratch.Grow(h.minv, m+1)
 	h.p = scratch.Grow(h.p, m+1)
 	h.way = scratch.Grow(h.way, m+1)
-	h.used = scratch.Grow(h.used, m+1)
-	u, v, p, way := h.u, h.v, h.p, h.way
+	h.cols = scratch.Grow(h.cols, m)
+	u, v, minv, p, way, cols := h.u, h.v, h.minv, h.p, h.way, h.cols
 	for j := 0; j <= m; j++ {
 		v[j] = 0
 		p[j] = 0
@@ -74,43 +88,50 @@ func (h *HungarianSolver) Solve(w [][]int64) []Edge {
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv, used := h.minv, h.used
-		for j := 0; j <= m; j++ {
-			minv[j] = inf
-			used[j] = false
+		minv[0] = 0 // column 0 is used from the start, when off is 0
+		for k := range cols {
+			cols[k] = k + 1
+			minv[k+1] = inf
 		}
+		free := m     // cols[:free] are the free columns, ascending
+		var off int64 // the row's dual steps so far
 		for {
-			used[j0] = true
 			i0 := p[j0]
-			var delta int64 = inf
-			j1 := 0
-			for j := 1; j <= m; j++ {
-				if used[j] {
-					continue
-				}
-				// cost(i0, j) = -w[i0-1][j-1]; maximization via negation.
-				cur := -w[i0-1][j-1] - u[i0] - v[j]
+			row := w[i0-1]
+			// cost(i0, j) = -w[i0-1][j-1]; maximization via negation.
+			base := off - u[i0]
+			low, j1, at := inf, 0, 0
+			for k, j := range cols[:free] {
+				cur := base - row[j-1] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
 				}
-				if minv[j] < delta {
-					delta = minv[j]
+				if minv[j] < low {
+					low = minv[j]
 					j1 = j
+					at = k
 				}
 			}
-			for j := 0; j <= m; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
+			// The step's delta is low - off, so off becomes low — which
+			// is also minv[j1], the offset at which j1 joins the used.
+			off = low
 			j0 = j1
 			if p[j0] == 0 {
 				break
 			}
+			copy(cols[at:free], cols[at+1:free])
+			free--
+			cols[free] = j0
+		}
+		// Each used column j is owed every delta since it joined.
+		d := off - minv[0]
+		u[p[0]] += d
+		v[0] -= d
+		for _, j := range cols[free:] {
+			d := off - minv[j]
+			u[p[j]] += d
+			v[j] -= d
 		}
 		for {
 			j1 := way[j0]

@@ -45,17 +45,26 @@ func TestQueueOPTSolverZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestUpperBoundSolverZeroAllocsSteadyState pins a warm solver at zero
+// allocations on a weighted sequence (the heap pass), on a unit one (the
+// counter pass) and on a unit one whose last due packet is valued (the
+// counter pass, then the heap pass from scratch).
 func TestUpperBoundSolverZeroAllocsSteadyState(t *testing.T) {
-	cfg, seq := allocSeq(600)
-	var s UpperBoundSolver
-	judge := func() {
-		if _, err := s.CombinedUpperBound(cfg, seq, true); err != nil {
-			t.Fatal(err)
+	cfg, weighted := allocSeq(600)
+	unit := packet.Bernoulli{Load: 1.2}.Generate(rand.New(rand.NewSource(9)), 8, 8, 600)
+	restart := slices.Clone(unit)
+	restart[len(restart)-1].Value = 3
+	for name, seq := range map[string]packet.Sequence{"weighted": weighted, "unit": unit, "restart": restart} {
+		var s UpperBoundSolver
+		judge := func() {
+			if _, err := s.CombinedUpperBound(cfg, seq, true); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	judge() // warm-up: the per-port heaps reach high-water size
-	if allocs := testing.AllocsPerRun(32, judge); allocs != 0 {
-		t.Errorf("reused UpperBoundSolver allocates %.1f/judge, want 0", allocs)
+		judge() // warm-up: the per-port heaps reach high-water size
+		if allocs := testing.AllocsPerRun(32, judge); allocs != 0 {
+			t.Errorf("reused UpperBoundSolver allocates %.1f/judge on the %s sequence, want 0", allocs, name)
+		}
 	}
 }
 

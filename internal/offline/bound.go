@@ -44,6 +44,12 @@ func CombinedUpperBound(cfg switchsim.Config, seq packet.Sequence, crossbar bool
 // state. The zero value is ready to use. Solvers are not safe for
 // concurrent use; the package functions (OQUpperBound, InputUpperBound,
 // CombinedUpperBound) are one-shot sweeps on a fresh solver.
+//
+// The pass starts with every queue in counter form and stays there while
+// each packet due before the horizon has value 1, as every unit workload
+// does. At the first due packet of another value it starts over from the
+// first packet with every queue on its heap, so either way the bound, the
+// validation error and the probe record are those of the heap sweep.
 type UpperBoundSolver struct {
 	out []sweepQueue // per output: outCap, one send a slot
 	in  []sweepQueue // per input: inCap, Speedup sends a slot
@@ -93,9 +99,10 @@ func (s *UpperBoundSolver) CombinedUpperBound(cfg switchsim.Config, seq packet.S
 }
 
 // sweep validates the sequence and feeds every packet due before the
-// horizon to its output's and/or its input's relaxed queue, in one pass,
-// then settles every queue at the horizon and returns the per-side sums.
-// The probes see one solve per relaxed queue, flushed once per call.
+// horizon to its output's and/or its input's relaxed queue, in one pass
+// (two when a valued packet ends the counter pass), then settles every
+// queue at the horizon and returns the per-side sums. The probes see one
+// solve per relaxed queue, flushed once per call.
 func (s *UpperBoundSolver) sweep(cfg switchsim.Config, seq packet.Sequence, crossbar, outSide, inSide bool) (out, in int64, _ error) {
 	if err := cfg.Check(crossbar); err != nil {
 		return 0, 0, err
@@ -103,22 +110,45 @@ func (s *UpperBoundSolver) sweep(cfg switchsim.Config, seq packet.Sequence, cros
 	slots := cfg.HorizonFor(seq)
 	outCap, inCap := relaxedCaps(cfg, crossbar)
 	speedup := int64(cfg.Speedup)
-	s.out, s.in = s.out[:0], s.in[:0]
-	var sides int64
-	if outSide {
-		s.out = growQueues(s.out, cfg.Outputs)
-		sides++
+	sides := s.reset(cfg, outSide, inSide)
+	due, unit, err := s.feedUnit(cfg, seq, slots, outCap, inCap, speedup, outSide, inSide)
+	if err == nil && !unit {
+		s.reset(cfg, outSide, inSide)
+		due, err = s.feed(cfg, seq, slots, outCap, inCap, speedup, outSide, inSide)
 	}
-	if inSide {
-		s.in = growQueues(s.in, cfg.Inputs)
-		sides++
+	if err != nil {
+		return 0, 0, err
 	}
-	var due int64
+	var epochs int64
+	for k := range s.out {
+		if unit {
+			out += s.out[k].settleUnit(slots, 1)
+		} else {
+			out += s.out[k].settle(slots, 1)
+		}
+		epochs += s.out[k].epochs
+	}
+	for k := range s.in {
+		if unit {
+			in += s.in[k].settleUnit(slots, speedup)
+		} else {
+			in += s.in[k].settle(slots, speedup)
+		}
+		epochs += s.in[k].epochs
+	}
+	judgeProbes.Load().RecordSolves(int64(len(s.out)+len(s.in)), due*sides, epochs)
+	return out, in, nil
+}
+
+// feed runs sweep's pass over seq on the relaxed queues' heaps, returning
+// the number of packets due before the horizon.
+func (s *UpperBoundSolver) feed(cfg switchsim.Config, seq packet.Sequence, slots int, outCap, inCap, speedup int64,
+	outSide, inSide bool) (due int64, _ error) {
 	v := packet.NewValidator(cfg.Inputs, cfg.Outputs)
 	for k := range seq {
 		p := &seq[k]
 		if !v.Accept(p) {
-			return 0, 0, fmt.Errorf("offline: bad sequence: %w", v.Reject(p))
+			return 0, fmt.Errorf("offline: bad sequence: %w", v.Reject(p))
 		}
 		if p.Arrival >= slots {
 			continue
@@ -131,17 +161,49 @@ func (s *UpperBoundSolver) sweep(cfg switchsim.Config, seq packet.Sequence, cros
 			s.in[p.In].arrive(p.Arrival, p.Value, inCap, speedup)
 		}
 	}
-	var epochs int64
-	for k := range s.out {
-		out += s.out[k].settle(slots, 1)
-		epochs += s.out[k].epochs
+	return due, nil
+}
+
+// feedUnit is feed on counter-form queues. It gives up (unit false) at
+// the first packet due before the horizon whose value is not 1.
+func (s *UpperBoundSolver) feedUnit(cfg switchsim.Config, seq packet.Sequence, slots int, outCap, inCap, speedup int64,
+	outSide, inSide bool) (due int64, unit bool, _ error) {
+	v := packet.NewValidator(cfg.Inputs, cfg.Outputs)
+	for k := range seq {
+		p := &seq[k]
+		if !v.Accept(p) {
+			return 0, true, fmt.Errorf("offline: bad sequence: %w", v.Reject(p))
+		}
+		if p.Arrival >= slots {
+			continue
+		}
+		if p.Value != 1 {
+			return 0, false, nil
+		}
+		due++
+		if outSide {
+			s.out[p.Out].arriveUnit(p.Arrival, outCap, 1)
+		}
+		if inSide {
+			s.in[p.In].arriveUnit(p.Arrival, inCap, speedup)
+		}
 	}
-	for k := range s.in {
-		in += s.in[k].settle(slots, speedup)
-		epochs += s.in[k].epochs
+	return due, true, nil
+}
+
+// reset empties one relaxed queue per port of each requested side, leaves
+// the other side without queues, and returns the number of sides.
+func (s *UpperBoundSolver) reset(cfg switchsim.Config, outSide, inSide bool) (sides int64) {
+	s.out, s.in = s.out[:0], s.in[:0]
+	if outSide {
+		s.out = growQueues(s.out, cfg.Outputs)
+		sides++
 	}
-	judgeProbes.Load().RecordSolves(int64(len(s.out)+len(s.in)), due*sides, epochs)
-	return out, in, nil
+	if inSide {
+		s.in = growQueues(s.in, cfg.Inputs)
+		sides++
+	}
+	return sides
 }
 
 // SingleQueueOPT computes the exact offline optimum of the bounded-buffer

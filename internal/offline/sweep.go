@@ -25,16 +25,51 @@ import (
 // comparison is strict, so nothing moves), and O(1) for any empty stretch:
 // a gap between arrivals settles min(buffered, sendCap·gap) sends, never a
 // slot at a time, so a 10^6-slot sparse trace costs what its packets cost.
+//
+// A queue that only ever sees value-1 packets needs no heap at all: which
+// packet is kept or sent cannot matter, so it runs as a plain counter
+// (arriveUnit, settleUnit) — its buffered count beside the same clock,
+// benefit and epochs — and returns the integers the heap would. A queue is
+// fed one way or the other from its reset on, never both; UpperBoundSolver
+// restarts its whole sweep on the heaps when a valued packet turns up.
 type sweepQueue struct {
 	clock   int        // first slot whose sends are not yet settled
 	benefit int64      // value sent in slots before clock
 	epochs  int64      // distinct arrival slots seen (the probes' epochs)
+	count   int64      // value-1 packets buffered (counter form only)
 	buf     minMaxHeap // values buffered at the start of slot clock's sends
 }
 
 // reset empties the queue, keeping the heap's storage.
 func (q *sweepQueue) reset() {
-	q.clock, q.benefit, q.epochs, q.buf = -1, 0, 0, q.buf[:0]
+	q.clock, q.benefit, q.epochs, q.count, q.buf = -1, 0, 0, 0, q.buf[:0]
+}
+
+// arriveUnit is arrive for a value-1 packet on a counter-form queue.
+func (q *sweepQueue) arriveUnit(t int, bufCap, sendCap int64) {
+	if t > q.clock {
+		q.epochs++
+		q.settleUnit(t, sendCap)
+	}
+	if q.count < bufCap {
+		q.count++
+	}
+}
+
+// settleUnit is settle on a counter-form queue.
+func (q *sweepQueue) settleUnit(t int, sendCap int64) int64 {
+	if n, gap := q.count, int64(t-q.clock); n > 0 {
+		// As in settle: both factors are below n when multiplied.
+		if gap >= n || sendCap >= n || sendCap*gap >= n {
+			q.benefit += n
+			q.count = 0
+		} else {
+			q.benefit += sendCap * gap
+			q.count -= sendCap * gap
+		}
+	}
+	q.clock = t
+	return q.benefit
 }
 
 // arrive admits a packet of value v arriving at slot t >= clock.
