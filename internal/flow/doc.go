@@ -1,8 +1,9 @@
-// Package flow implements the min-cost max-flow solver behind the exact
-// input-queued optimum of internal/iq: successive shortest augmenting
-// paths with Johnson potentials, on integer capacities and costs, so the
-// optimum is exact. (internal/offline's flow references for its judges
-// live in that package's tests and share this solver.)
+// Package flow implements a min-cost max-flow solver: successive shortest
+// augmenting paths with Johnson potentials, on integer capacities and
+// costs, so the optimum is exact. It is a test-only reference oracle that
+// no production package imports (TestFlowIsTestOnly): internal/iq's tests
+// solve the input-queued optimum as one flow to check iq.ExactOPT's greedy,
+// and internal/offline's tests build the flow references for its judges.
 //
 // The engine is a solver object in the style of matching.HKMatcher and
 // matching.HungarianSolver: the zero value is ready to use, Reset rewinds

@@ -7,17 +7,19 @@
 // algorithms of Azar–Richter [6] and the Transmit-Largest-Head algorithm
 // [5], and that every IQ lower bound carries over to CIOQ and buffered
 // crossbar switches. This package makes those statements executable: it
-// provides the IQ algorithms, an EXACT offline optimum (the IQ model has
-// no matching coupling, so a single min-cost flow solves it at any
-// scale), and cross-model equivalence checks against the CIOQ simulator.
+// provides the IQ algorithms, an EXACT offline optimum (a greedy by value
+// that is exact at any scale, since the IQ model has no matching coupling),
+// and cross-model equivalence checks against the CIOQ simulator.
 //
 // Packets use their Out field as the queue index; In is ignored.
 package iq
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 
-	"qswitch/internal/flow"
 	"qswitch/internal/packet"
 	"qswitch/internal/queue"
 )
@@ -124,12 +126,11 @@ func Run(m, b int, pol Policy, seq packet.Sequence, slots int) (*Result, error) 
 	return res, nil
 }
 
-// ExactOPT computes the exact offline optimum for the IQ model by a
-// single min-cost max-flow on the time-expanded network: each queue is a
-// capacity-b chain of slot nodes, all feeding a per-slot service node of
-// capacity one. Unlike the CIOQ/crossbar optima, there is no matching
-// coupling, so this is exact at ANY scale (m, b, packets) — which is what
-// makes the IQ model the reference point for lower bounds.
+// ExactOPT computes the exact offline optimum for the IQ model. The packet
+// sets an IQ switch can deliver form a matroid, so taking packets by value,
+// highest first, and keeping each that leaves the kept set deliverable is
+// exact. With no matching coupling this holds at ANY scale (m, b, packets),
+// which makes the IQ model the reference point for lower bounds.
 func ExactOPT(m, b int, seq packet.Sequence, slots int) (int64, error) {
 	if m < 1 || b < 1 {
 		return 0, fmt.Errorf("iq: need m >= 1 queues of capacity >= 1, got m=%d b=%d", m, b)
@@ -140,33 +141,73 @@ func ExactOPT(m, b int, seq packet.Sequence, slots int) (int64, error) {
 	if slots <= 0 {
 		slots = seq.Horizon()
 	}
-	// Node layout: 0 = source, 1 = sink, per (queue, slot) an in/out
-	// pair, per slot a service node, then one node per packet.
-	base := 2
-	qIn := func(j, t int) int { return base + 2*(j*slots+t) }
-	qOut := func(j, t int) int { return base + 2*(j*slots+t) + 1 }
-	svcBase := base + 2*m*slots
-	svc := func(t int) int { return svcBase + t }
-	pktBase := svcBase + slots
-	n := pktBase + len(seq)
-	mcmf := flow.NewMCMF(n)
-	for t := 0; t < slots; t++ {
-		mcmf.AddEdge(svc(t), 1, 1, 0)
-		for j := 0; j < m; j++ {
-			mcmf.AddEdge(qIn(j, t), qOut(j, t), int64(b), 0)
-			mcmf.AddEdge(qOut(j, t), svc(t), 1, 0)
-			if t+1 < slots {
-				mcmf.AddEdge(qOut(j, t), qIn(j, t+1), int64(b), 0)
-			}
+	// A valid sequence is sorted by arrival; its tail from `slots` on never enters.
+	n := sort.Search(len(seq), func(k int) bool { return seq[k].Arrival >= slots })
+	e := edf{seq: seq[:n], b: b, arr: make([][]int, m), seen: make([]int, m), due: make([]int, slots)}
+	byValue := slices.Clone(e.seq)
+	slices.SortFunc(byValue, func(x, y packet.Packet) int { return cmp.Compare(y.Value, x.Value) })
+	var opt int64
+	for _, p := range byValue {
+		at := sort.SearchInts(e.arr[p.Out], p.Arrival+1)
+		if e.arr[p.Out] = slices.Insert(e.arr[p.Out], at, p.Arrival); e.deliverable() {
+			opt += p.Value
+		} else {
+			e.arr[p.Out] = slices.Delete(e.arr[p.Out], at, at+1)
 		}
 	}
-	for k, p := range seq {
-		if p.Arrival >= slots {
+	return opt, nil
+}
+
+// edf decides whether the kept packets are deliverable. Serving each queue
+// FIFO loses nothing, so a queue's k-th kept packet must leave before the
+// (k+b)-th arrives: a unit job on the one output with release a_k and
+// deadline min(a_{k+b}, slots) − 1, which earliest-deadline-first meets
+// whenever any schedule does.
+type edf struct {
+	seq  packet.Sequence // the packets arriving before the horizon
+	b    int
+	arr  [][]int // per queue, the kept packets' arrival slots, ascending
+	seen []int   // per queue, kept packets released so far in this sweep
+	due  []int   // pending jobs by deadline slot
+}
+
+// deliverable sweeps the slots once, releasing each kept packet at its
+// arrival and serving the pending job with the earliest deadline.
+func (e *edf) deliverable() bool {
+	clear(e.seen)
+	clear(e.due)
+	slots := len(e.due)
+	pending, lo, k := 0, slots, 0
+	for t := range slots {
+		for ; k < len(e.seq) && e.seq[k].Arrival == t; k++ {
+			j := e.seq[k].Out
+			q, i := e.arr[j], e.seen[j]
+			if i == len(q) || q[i] != t {
+				continue // queue j keeps no more packets of slot t
+			}
+			d := slots
+			if i+e.b < len(q) {
+				d = q[i+e.b]
+			}
+			if d <= t {
+				return false
+			}
+			e.seen[j]++
+			e.due[d-1]++
+			pending++
+			lo = min(lo, d-1)
+		}
+		if pending == 0 {
 			continue
 		}
-		mcmf.AddEdge(0, pktBase+k, 1, -p.Value)
-		mcmf.AddEdge(pktBase+k, qIn(p.Out, p.Arrival), 1, 0)
+		for e.due[lo] == 0 {
+			lo++
+		}
+		if lo < t {
+			return false
+		}
+		e.due[lo]--
+		pending--
 	}
-	_, benefit := mcmf.MaxBenefit(0, 1)
-	return benefit, nil
+	return pending == 0
 }

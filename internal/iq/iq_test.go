@@ -78,25 +78,40 @@ func TestExactOPTKnownCases(t *testing.T) {
 	})
 }
 
-// TestExactOPTAgainstCIOQDP cross-checks the IQ flow optimum against the
-// CIOQ unit-value DP on the reduction geometry (1 input, speedup 1):
-// two completely independent exact solvers must agree.
+// TestExactOPTAgainstCIOQDP cross-checks the IQ optimum against the CIOQ
+// exact DPs on the reduction geometry (1 input, speedup 1): two completely
+// independent exact solvers must agree, on unit values and on values up
+// to 10. The weighted DP takes at most two outputs and refuses B = 2
+// reductions, and some 6-slot ones, as too large, so its pass runs m = 2
+// over 5 slots, and both passes stay at B = 1.
 func TestExactOPTAgainstCIOQDP(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		m := 2 + int(seed%2)
-		seq := iqSeq(seed, m, 6, 1.5, 1)
-		iqOPT, err := ExactOPT(m, 1, seq, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := switchsim.Config{Inputs: 1, Outputs: m, InputBuf: 1, OutputBuf: 1,
-			CrossBuf: 1, Speedup: 1}
-		cioqOPT, err := offline.ExactUnitCIOQ(cfg, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iqOPT != cioqOPT {
-			t.Errorf("seed %d: IQ flow OPT %d != CIOQ DP OPT %d", seed, iqOPT, cioqOPT)
+	for _, pass := range []struct {
+		name  string
+		seeds int64
+		ms    int64 // m cycles through 2 .. 1+ms
+		slots int
+		hi    int64
+		exact func(switchsim.Config, packet.Sequence) (int64, error)
+	}{
+		{"unit", 20, 2, 6, 1, offline.ExactUnitCIOQ},
+		{"weighted", 30, 1, 5, 10, offline.ExactWeightedCIOQ},
+	} {
+		for seed := int64(0); seed < pass.seeds; seed++ {
+			m := 2 + int(seed%pass.ms)
+			seq := iqSeq(seed, m, pass.slots, 1.5, pass.hi)
+			iqOPT, err := ExactOPT(m, 1, seq, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := switchsim.Config{Inputs: 1, Outputs: m, InputBuf: 1, OutputBuf: 1,
+				CrossBuf: 1, Speedup: 1}
+			cioqOPT, err := pass.exact(cfg, seq)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", pass.name, seed, err)
+			}
+			if iqOPT != cioqOPT {
+				t.Errorf("%s seed %d: IQ OPT %d != CIOQ DP OPT %d", pass.name, seed, iqOPT, cioqOPT)
+			}
 		}
 	}
 }
