@@ -2,8 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"qswitch/internal/core"
+	"qswitch/internal/ratio"
+	"qswitch/internal/shard"
+	"qswitch/internal/stats"
+	"qswitch/internal/switchsim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -102,32 +111,84 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetOptionBitIdentical renders the ratio experiments with and
-// without Options.Fleet and requires byte-identical tables: the columnar
-// batched backend must change wall-clock only, never a number.
+// refChunks is a ratio.ChunkService that evaluates E1–E4's chunks on the
+// scalar backend with every policy wrapped (struct{ *core.GM }). The
+// wrapper hides the concrete type switchsim's kernel lookup matches on,
+// so each run takes the reference slot loop, not the columnar kernel this
+// test binary links in. It knows the four families E1–E4 estimate.
+type refChunks struct{ calls *atomic.Int64 }
+
+func (s refChunks) RatioChunk(ctx context.Context, req ratio.ChunkRequest) ([]ratio.SeedOutcome, error) {
+	name, p, err := shard.ParsePolicySpec(req.Policy)
+	if err != nil {
+		return nil, err
+	}
+	var alg ratio.Alg
+	switch name {
+	case "gm":
+		alg = ratio.CIOQAlg(func() switchsim.CIOQPolicy { return struct{ *core.GM }{&core.GM{}} })
+	case "pg":
+		alg = ratio.CIOQAlg(func() switchsim.CIOQPolicy { return struct{ *core.PG }{&core.PG{Beta: p["beta"]}} })
+	case "cgu":
+		alg = ratio.CrossbarAlg(func() switchsim.CrossbarPolicy { return struct{ *core.CGU }{&core.CGU{}} })
+	case "cpg":
+		alg = ratio.CrossbarAlg(func() switchsim.CrossbarPolicy {
+			return struct{ *core.CPG }{&core.CPG{Beta: p["beta"], Alpha: p["alpha"]}}
+		})
+	default:
+		return nil, fmt.Errorf("refChunks: no reference for policy %q", req.Policy)
+	}
+	judge, err := shard.ResolveJudge(req.Judge, req.Crossbar)
+	if err != nil {
+		return nil, err
+	}
+	s.calls.Add(1)
+	return ratio.ScalarChunks(req.Cfg, alg, judge, req.Gen, req.BaseSeed)(ctx, req.K0, req.K1)
+}
+
+// TestFleetOptionBitIdentical renders the ratio experiments on the
+// reference slot loop (through refChunks), on the default scalar backend
+// and with Options.Fleet, and requires byte-identical tables: the
+// columnar kernels, at batch one under switchsim.RunCIOQ/RunCrossbar and
+// batched in the fleet, change wall-clock only, never a number. Full mode
+// (about 0.1 s for all three) because quick E2's and E4's tables do not
+// change when the seeds shift or PG's beta moves by one.
 func TestFleetOptionBitIdentical(t *testing.T) {
+	render := func(tables []*stats.Table) string {
+		var b bytes.Buffer
+		for _, tb := range tables {
+			tb.RenderCSV(&b)
+		}
+		return b.String()
+	}
 	for _, id := range []string{"e1", "e2", "e3", "e4"} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %s missing", id)
 		}
-		scalar, err := e.Run(Options{Quick: true, Seed: 5})
+		var calls atomic.Int64
+		ref, err := e.Run(Options{Seed: 5, Shard: refChunks{&calls}})
 		if err != nil {
-			t.Fatalf("%s scalar: %v", id, err)
+			t.Fatalf("%s reference: %v", id, err)
 		}
-		fleet, err := e.Run(Options{Quick: true, Seed: 5, Fleet: true})
-		if err != nil {
-			t.Fatalf("%s fleet: %v", id, err)
+		if calls.Load() == 0 {
+			t.Fatalf("%s: no estimate ran on the reference loop", id)
 		}
-		var bs, bf bytes.Buffer
-		for _, tb := range scalar {
-			tb.RenderCSV(&bs)
-		}
-		for _, tb := range fleet {
-			tb.RenderCSV(&bf)
-		}
-		if bs.String() != bf.String() {
-			t.Errorf("%s: Fleet option changed results:\nscalar:\n%s\nfleet:\n%s", id, bs.String(), bf.String())
+		want := render(ref)
+		for _, o := range []struct {
+			name string
+			opts Options
+		}{
+			{"scalar", Options{Seed: 5}},
+			{"fleet", Options{Seed: 5, Fleet: true}},
+		} {
+			tables, err := e.Run(o.opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", id, o.name, err)
+			}
+			if got := render(tables); got != want {
+				t.Errorf("%s: the %s backend changed results:\nreference loop:\n%s\n%s:\n%s", id, o.name, want, o.name, got)
+			}
 		}
 	}
 }

@@ -164,6 +164,12 @@ func E7Buffers(opts Options) ([]*stats.Table, error) {
 // motivation for buffered crossbars: per-port greedy subphases avoid even
 // the greedy matching computation, cutting scheduling overhead while
 // matching (or beating) CIOQ throughput on contended traffic.
+//
+// sim_ns_per_slot times whichever engine RunCIOQ or RunCrossbar picks:
+// gm, cgu and cpg run on the columnar fleet kernels, pg on them up to 16
+// ports, and kr-maxmatch and pg at 32 on the reference slot loop. So the
+// column compares engines as well as policies, and kr-maxmatch's gap to
+// gm is wider than the policies alone would make it.
 func E9CIOQvsCrossbar(opts Options) ([]*stats.Table, error) {
 	sizes := []int{4, 8}
 	if !opts.Quick {

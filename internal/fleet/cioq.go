@@ -70,15 +70,15 @@ type CIOQFleet struct {
 	// changes and are read only under a set voq bit.
 	iqHV []int64
 
-	view cioqView
+	wantByOut bool  // the kernel reads voqByOut, or Validate checks it
+	weighted  bool  // ByValue rings with ID lanes and preemption
+	pend      []pkt // the view's pass-through buffer, [j]
 
 	// Kernel state and scratch.
 	rrGrant  []int32 // [k*m+j]: RoundRobin per-output grant pointer
 	rrAccept []int32 // [k*n+i]: RoundRobin per-input accept pointer
 	grants   []uint64
 	edges    []matching.Edge
-	sched    matching.WeightedScheduler
-	hung     matching.HungarianSolver
 	wkeys    []uint32 // packed (w<<12|i<<6|j) eligible edges, (i,j)-ascending
 	wsorted  []uint32 // counting-scatter output, weight-descending
 	wcnt     []int32  // per-weight bucket counts/offsets
@@ -88,7 +88,9 @@ type CIOQFleet struct {
 // cioqView is the per-instance working set bound once per window: small
 // slices over the instance's blocks plus copies of the loop constants, so
 // the slot body and the kernels index tiny slices instead of recomputing
-// global offsets per operation.
+// global offsets per operation. It lives on runWindow's stack, not in the
+// fleet, which keeps a fleet of one small: a short routed sequence run is
+// mostly construction.
 type cioqView struct {
 	f        *CIOQFleet
 	k        int
@@ -134,10 +136,19 @@ type cioqView struct {
 func (v *cioqView) bind(f *CIOQFleet, k int) {
 	v.f = f
 	v.k = k
+	v.n, v.m, v.nm = f.n, f.m, f.nm
+	v.icap, v.ocap = f.icap, f.ocap
+	v.icapM, v.ocapM = int32(f.icap-1), int32(f.ocap-1)
+	v.inBuf, v.outBuf = f.inBuf, f.outBuf
+	v.speedup = f.cfg.Speedup
+	v.recLat, v.recSer = f.cfg.RecordLatency, f.cfg.RecordSeries
+	v.wantByOut, v.weighted = f.wantByOut, f.weighted
+	v.allIn = f.allIn
+	v.pend = f.pend
 	v.st = &f.st[k]
 	v.hm = &f.hot[k]
 	if f.cfg.RecordLatency {
-		v.lat = &f.ms[k]
+		v.lat = &f.res[k].M
 	}
 	v.voq = f.voq[k*f.n : (k+1)*f.n]
 	v.voqByOut = f.voqByOut[k*f.m : (k+1)*f.m]
@@ -194,18 +205,10 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 	f.iqHdr = make([]qhdr, batch*f.nm)
 	f.oq = make([]pkt, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
-	v := &f.view
-	v.n, v.m, v.nm = n, m, f.nm
-	v.icap, v.ocap = f.icap, f.ocap
-	v.icapM, v.ocapM = int32(f.icap-1), int32(f.ocap-1)
-	v.inBuf, v.outBuf = f.inBuf, f.outBuf
-	v.speedup = cfg.Speedup
-	v.recLat, v.recSer = cfg.RecordLatency, cfg.RecordSeries
-	v.wantByOut = kern.wantsVOQByOut() || cfg.Validate
-	v.allIn = f.allIn
-	v.pend = make([]pkt, m)
+	f.wantByOut = kern.wantsVOQByOut() || cfg.Validate
+	f.pend = make([]pkt, m)
 	if kern.weighted() {
-		v.weighted = true
+		f.weighted = true
 		f.iqID = make([]int64, batch*f.nm*f.icap)
 		f.oqID = make([]int64, batch*m*f.ocap)
 		f.iqHV = make([]int64, batch*f.nm)
@@ -236,7 +239,6 @@ func (f *CIOQFleet) Reset(seqs []packet.Sequence) error {
 	for k := range f.st {
 		f.st[k] = ports{outFree: allOnes(f.m)}
 	}
-	f.view.direct = 0
 	f.kern.reset(f)
 	return nil
 }
@@ -246,7 +248,7 @@ func (f *CIOQFleet) Reset(seqs []packet.Sequence) error {
 // sampling and the quiescent fast path, slot by slot, on the bound view.
 func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 	kk := int(k)
-	v := &f.view
+	v := &cioqView{}
 	v.bind(f, kk)
 	seq := f.seqs[kk]
 	nx := f.next[kk]
@@ -345,7 +347,7 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 		}
 
 		for c := 0; c < v.speedup; c++ {
-			f.kern.cycle(v, T, c)
+			f.cycle(v, T, c)
 		}
 		if f.err != nil {
 			// A weighted transfer hit an ineligible full destination (only
@@ -413,6 +415,8 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 						return instErr
 					}
 				}
+				f.jumps++
+				f.jumped += int64(jump)
 				T += jump
 			}
 		}
@@ -434,6 +438,22 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 			}
 			return instActive
 		}
+	}
+}
+
+// cycle runs one kernel cycle on the bound view. The kernel is called by
+// its concrete type, not through cioqKernel, so the view does not escape
+// runWindow's stack.
+func (f *CIOQFleet) cycle(v *cioqView, slot, cycle int) {
+	switch k := f.kern.(type) {
+	case *gmKernel:
+		k.cycle(v, slot, cycle)
+	case *rrKernel:
+		k.cycle(v, slot, cycle)
+	case *pgKernel:
+		k.cycle(v, slot, cycle)
+	default:
+		panic(fmt.Sprintf("fleet: kernel %T has no case in (*CIOQFleet).cycle", k))
 	}
 }
 

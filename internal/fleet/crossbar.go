@@ -53,11 +53,12 @@ type CrossbarFleet struct {
 	iqHV []int64
 	xqHV []int64
 
-	view crossbarView
+	weighted bool  // ByValue rings with ID lanes and preemption
+	pend     []pkt // the view's pass-through buffer, [j]
 }
 
-// crossbarView is the per-instance working set bound once per window; see
-// cioqView.
+// crossbarView is the per-instance working set bound once per window, on
+// runWindow's stack; see cioqView.
 type crossbarView struct {
 	f          *CrossbarFleet
 	k          int
@@ -102,10 +103,18 @@ type crossbarView struct {
 func (v *crossbarView) bind(f *CrossbarFleet, k int) {
 	v.f = f
 	v.k = k
+	v.n, v.m, v.nm = f.n, f.m, f.nm
+	v.icap, v.xcap, v.ocap = f.icap, f.xcap, f.ocap
+	v.icapM, v.xcapM, v.ocapM = int32(f.icap-1), int32(f.xcap-1), int32(f.ocap-1)
+	v.inBuf, v.crossBuf, v.outBuf = f.inBuf, f.crossBuf, f.outBuf
+	v.speedup = f.cfg.Speedup
+	v.recLat, v.recSer = f.cfg.RecordLatency, f.cfg.RecordSeries
+	v.weighted = f.weighted
+	v.pend = f.pend
 	v.st = &f.st[k]
 	v.hm = &f.hot[k]
 	if f.cfg.RecordLatency {
-		v.lat = &f.ms[k]
+		v.lat = &f.res[k].M
 	}
 	v.voq = f.voq[k*f.n : (k+1)*f.n]
 	v.xFree = f.xFree[k*f.n : (k+1)*f.n]
@@ -164,16 +173,9 @@ func NewCrossbarFleet(cfg switchsim.Config, factory func() switchsim.CrossbarPol
 	f.xqHdr = make([]qhdr, batch*f.nm)
 	f.oq = make([]pkt, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
-	v := &f.view
-	v.n, v.m, v.nm = n, m, f.nm
-	v.icap, v.xcap, v.ocap = f.icap, f.xcap, f.ocap
-	v.icapM, v.xcapM, v.ocapM = int32(f.icap-1), int32(f.xcap-1), int32(f.ocap-1)
-	v.inBuf, v.crossBuf, v.outBuf = f.inBuf, f.crossBuf, f.outBuf
-	v.speedup = cfg.Speedup
-	v.recLat, v.recSer = cfg.RecordLatency, cfg.RecordSeries
-	v.pend = make([]pkt, m)
+	f.pend = make([]pkt, m)
 	if kern.weighted() {
-		v.weighted = true
+		f.weighted = true
 		f.iqID = make([]int64, batch*f.nm*f.icap)
 		f.xqID = make([]int64, batch*f.nm*f.xcap)
 		f.oqID = make([]int64, batch*m*f.ocap)
@@ -202,13 +204,12 @@ func (f *CrossbarFleet) Reset(seqs []packet.Sequence) error {
 	for k := range f.st {
 		f.st[k] = ports{outFree: allOut}
 	}
-	f.view.direct = 0
 	return nil
 }
 
 func (f *CrossbarFleet) runWindow(k int32, end int) instStatus {
 	kk := int(k)
-	v := &f.view
+	v := &crossbarView{}
 	v.bind(f, kk)
 	seq := f.seqs[kk]
 	nx := f.next[kk]
@@ -297,7 +298,7 @@ func (f *CrossbarFleet) runWindow(k int32, end int) instStatus {
 		}
 
 		for c := 0; c < v.speedup; c++ {
-			f.kern.cycle(v, T, c)
+			f.cycle(v, T, c)
 		}
 		if f.err != nil {
 			// A weighted transfer hit an ineligible full destination; see
@@ -359,6 +360,8 @@ func (f *CrossbarFleet) runWindow(k int32, end int) instStatus {
 						return instErr
 					}
 				}
+				f.jumps++
+				f.jumped += int64(jump)
 				T += jump
 			}
 		}
@@ -537,6 +540,20 @@ func (v *crossbarView) wOutputTransfer(i, j int) {
 		st.outFree &^= 1 << uint(j)
 	}
 	v.hm.transferredCross++
+}
+
+// cycle runs one kernel cycle on the bound view, calling the kernel by
+// its concrete type so the view stays on runWindow's stack; see
+// (*CIOQFleet).cycle.
+func (f *CrossbarFleet) cycle(v *crossbarView, slot, cycle int) {
+	switch k := f.kern.(type) {
+	case *cguKernel:
+		k.cycle(v, slot, cycle)
+	case *cpgKernel:
+		k.cycle(v, slot, cycle)
+	default:
+		panic(fmt.Sprintf("fleet: kernel %T has no case in (*CrossbarFleet).cycle", k))
+	}
 }
 
 // quiesce advances the bound instance across `jump` arrival-free

@@ -94,4 +94,14 @@
 // beyond 512 ports fall back to per-instance scalar runs behind the same
 // CIOQRunner/CrossbarRunner entry points, so callers need not
 // special-case batchability.
+//
+// # Sequence runs
+//
+// The package's init registers a batch-of-one runner per model with
+// switchsim (switchsim.RegisterKernels): in any binary that links it,
+// switchsim.RunCIOQ and RunCrossbar run a sequence on a fresh fleet of one
+// when routesCIOQ or BatchableCrossbar accepts it, with the Result and
+// engine-probe tallies the slot loop would give. Kernels are matched on
+// concrete policy types, so a struct embedding the policy forces the slot
+// loop: the differential tests' oracle.
 package fleet

@@ -45,6 +45,7 @@ type fleetEngine interface {
 	Results() ([]*switchsim.Result, error)
 	batchCap() int
 	passes() int64
+	jumpTally() (jumped, jumps int64)
 }
 
 // runner is the state both runners share: the columnar fleet reused
@@ -128,13 +129,17 @@ func NewCIOQRunner(factory func() switchsim.CIOQPolicy) *CIOQRunner {
 // next Run.
 func (r *CIOQRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switchsim.Result, error) {
 	return r.run(cfg, seqs, BatchableCIOQ(cfg, r.factory),
-		func(batch int) (fleetEngine, error) {
-			if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
-				return NewCIOQFleet(cfg, r.factory, batch)
-			}
-			return newWideCIOQFleet(cfg, r.factory, batch)
-		},
+		func(batch int) (fleetEngine, error) { return newCIOQEngine(cfg, r.factory, batch) },
 		func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(cfg, r.factory(), seq) })
+}
+
+// newCIOQEngine builds the CIOQ engine for the geometry: the single-word
+// fleet up to maxPorts, the wide one above.
+func newCIOQEngine(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, batch int) (fleetEngine, error) {
+	if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
+		return NewCIOQFleet(cfg, factory, batch)
+	}
+	return newWideCIOQFleet(cfg, factory, batch)
 }
 
 // CrossbarRunner is CIOQRunner for buffered-crossbar policy families.

@@ -18,7 +18,9 @@ import (
 // switchsim runs of the same sequences — including latency histograms,
 // per-slot series and the unexported sample counters. This is the same
 // oracle pattern that gated the bitset index (reference_test.go) and the
-// event-driven engine (eventdriven_test.go).
+// event-driven engine (eventdriven_test.go). The scalar side wraps its
+// policy (refCIOQ, refCrossbar): switchsim.RunCIOQ would otherwise run a
+// bare batchable policy on this package's kernel.
 
 func fleetCIOQPolicies() map[string]func() switchsim.CIOQPolicy {
 	return map[string]func() switchsim.CIOQPolicy{
@@ -104,7 +106,7 @@ func TestFleetCIOQMatchesScalar(t *testing.T) {
 						t.Fatalf("%s/%s/%s seed %d fleet: %v", name, rc.name, gen.Name(), seed, err)
 					}
 					for k, seq := range seqs {
-						scalar, err := switchsim.RunCIOQ(rc.cfg, mk(), seq)
+						scalar, err := switchsim.RunCIOQ(rc.cfg, refCIOQ(mk()), seq)
 						if err != nil {
 							t.Fatalf("%s/%s/%s seed %d scalar[%d]: %v", name, rc.name, gen.Name(), seed, k, err)
 						}
@@ -141,7 +143,7 @@ func TestFleetCrossbarMatchesScalar(t *testing.T) {
 						t.Fatalf("%s/%s/%s seed %d fleet: %v", name, rc.name, gen.Name(), seed, err)
 					}
 					for k, seq := range seqs {
-						scalar, err := switchsim.RunCrossbar(rc.cfg, mk(), seq)
+						scalar, err := switchsim.RunCrossbar(rc.cfg, refCrossbar(mk()), seq)
 						if err != nil {
 							t.Fatalf("%s/%s/%s seed %d scalar[%d]: %v", name, rc.name, gen.Name(), seed, k, err)
 						}
@@ -197,7 +199,7 @@ func TestFleetFallbackUnportedPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, seq := range seqs {
-		scalar, err := switchsim.RunCIOQ(cfg, mk(), seq)
+		scalar, err := switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +217,7 @@ func TestFleetFallbackUnportedPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, seq := range seqs {
-		scalar, err := switchsim.RunCrossbar(cfg, mkX(), seq)
+		scalar, err := switchsim.RunCrossbar(cfg, refCrossbar(mkX()), seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +242,7 @@ func TestFleetGeometryFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := switchsim.RunCIOQ(cfg, mk(), seqs[0])
+	scalar, err := switchsim.RunCIOQ(cfg, refCIOQ(mk()), seqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +317,9 @@ func TestFleetWideMatchesScalar(t *testing.T) {
 				seqs := fleetSeqs(rc.cfg, gen, 7+int64(gi), batch, 150)
 				checkFleetPath(t, name+"/"+rc.name+"/"+gen.Name(), pg, seqs,
 					func() ([]*switchsim.Result, error) { return NewCIOQRunner(mk).Run(rc.cfg, seqs) },
-					func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(rc.cfg, mk(), seq) })
+					func(seq packet.Sequence) (*switchsim.Result, error) {
+						return switchsim.RunCIOQ(rc.cfg, refCIOQ(mk()), seq)
+					})
 			}
 		}
 	}
@@ -328,7 +332,9 @@ func TestFleetWideMatchesScalar(t *testing.T) {
 				seqs := fleetSeqs(rc.cfg, gen, 19+int64(gi), batch, 150)
 				checkFleetPath(t, name+"/"+rc.name+"/"+gen.Name(), false, seqs,
 					func() ([]*switchsim.Result, error) { return NewCrossbarRunner(mk).Run(rc.cfg, seqs) },
-					func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(rc.cfg, mk(), seq) })
+					func(seq packet.Sequence) (*switchsim.Result, error) {
+						return switchsim.RunCrossbar(rc.cfg, refCrossbar(mk()), seq)
+					})
 			}
 		}
 	}
@@ -349,7 +355,9 @@ func TestFleetWide256MatchesScalar(t *testing.T) {
 	} {
 		checkFleetPath(t, name, name == "pg", seqs,
 			func() ([]*switchsim.Result, error) { return NewCIOQRunner(mk).Run(cfg, seqs) },
-			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(cfg, mk(), seq) })
+			func(seq packet.Sequence) (*switchsim.Result, error) {
+				return switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
+			})
 	}
 	for name, mk := range map[string]func() switchsim.CrossbarPolicy{
 		"cgu": func() switchsim.CrossbarPolicy { return &core.CGU{} },
@@ -357,7 +365,9 @@ func TestFleetWide256MatchesScalar(t *testing.T) {
 	} {
 		checkFleetPath(t, name, false, seqs,
 			func() ([]*switchsim.Result, error) { return NewCrossbarRunner(mk).Run(cfg, seqs) },
-			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(cfg, mk(), seq) })
+			func(seq packet.Sequence) (*switchsim.Result, error) {
+				return switchsim.RunCrossbar(cfg, refCrossbar(mk()), seq)
+			})
 	}
 }
 
@@ -385,7 +395,7 @@ func TestFleetReuseAcrossResets(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k, seq := range seqs {
-			scalar, err := switchsim.RunCIOQ(cfg, mk(), seq)
+			scalar, err := switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -422,7 +432,7 @@ func TestRunnerReusesFleetAcrossShrinkingBatches(t *testing.T) {
 			t.Fatalf("got %d results for %d sequences", len(rs), len(chunk))
 		}
 		for k, seq := range chunk {
-			scalar, err := switchsim.RunCIOQ(cfg, mk(), seq)
+			scalar, err := switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -440,7 +450,7 @@ func TestRunnerReusesFleetAcrossShrinkingBatches(t *testing.T) {
 		t.Fatal("runner kept an undersized fleet for a larger batch")
 	}
 	for k, seq := range seqs {
-		scalar, err := switchsim.RunCIOQ(cfg, mk(), seq)
+		scalar, err := switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +474,7 @@ func TestCrossbarRunnerReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k, seq := range chunk {
-			scalar, err := switchsim.RunCrossbar(cfg, mk(), seq)
+			scalar, err := switchsim.RunCrossbar(cfg, refCrossbar(mk()), seq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -527,19 +537,29 @@ func TestFleetErrorsAndRecovery(t *testing.T) {
 	}{
 		{"narrow-gm", narrow,
 			func() (engine, error) { return NewCIOQFleet(narrow, gm, batch) },
-			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(narrow, gm(), seq) }},
+			func(seq packet.Sequence) (*switchsim.Result, error) {
+				return switchsim.RunCIOQ(narrow, refCIOQ(gm()), seq)
+			}},
 		{"narrow-pg", narrow,
 			func() (engine, error) { return NewCIOQFleet(narrow, pg, batch) },
-			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(narrow, pg(), seq) }},
+			func(seq packet.Sequence) (*switchsim.Result, error) {
+				return switchsim.RunCIOQ(narrow, refCIOQ(pg()), seq)
+			}},
 		{"crossbar-cgu", narrow,
 			func() (engine, error) { return NewCrossbarFleet(narrow, cgu, batch) },
-			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(narrow, cgu(), seq) }},
+			func(seq packet.Sequence) (*switchsim.Result, error) {
+				return switchsim.RunCrossbar(narrow, refCrossbar(cgu()), seq)
+			}},
 		{"crossbar-cpg", narrow,
 			func() (engine, error) { return NewCrossbarFleet(narrow, cpg, batch) },
-			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCrossbar(narrow, cpg(), seq) }},
+			func(seq packet.Sequence) (*switchsim.Result, error) {
+				return switchsim.RunCrossbar(narrow, refCrossbar(cpg()), seq)
+			}},
 		{"wide-pg", wide,
 			func() (engine, error) { return newWideCIOQFleet(wide, pg, batch) },
-			func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(wide, pg(), seq) }},
+			func(seq packet.Sequence) (*switchsim.Result, error) {
+				return switchsim.RunCIOQ(wide, refCIOQ(pg()), seq)
+			}},
 	} {
 		gen := packet.Bernoulli{Load: 0.9, Values: packet.UniformValues{Hi: 20}}
 		good := fleetSeqs(ec.cfg, gen, 41, batch, 50)

@@ -98,7 +98,7 @@ func FuzzFleetEquivalence(f *testing.F) {
 				t.Fatalf("fleet cioq %s: %v", name, err)
 			}
 			for k, seq := range seqs {
-				scalar, err := switchsim.RunCIOQ(cfg, mk(), seq)
+				scalar, err := switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
 				if err != nil {
 					t.Fatalf("scalar cioq %s[%d]: %v", name, k, err)
 				}
@@ -116,7 +116,7 @@ func FuzzFleetEquivalence(f *testing.F) {
 				t.Fatalf("fleet crossbar %s: %v", name, err)
 			}
 			for k, seq := range seqs {
-				scalar, err := switchsim.RunCrossbar(cfg, mkX(), seq)
+				scalar, err := switchsim.RunCrossbar(cfg, refCrossbar(mkX()), seq)
 				if err != nil {
 					t.Fatalf("scalar crossbar %s[%d]: %v", name, k, err)
 				}

@@ -17,10 +17,11 @@ import (
 // scalar engine would expose to the policy at the start of the cycle
 // (snapshot words where interleaved execution could otherwise leak into
 // later picks), and any slot-dependent state must be derivable from
-// (slot, cycle) so quiescent jumps need no per-policy hook.
+// (slot, cycle) so quiescent jumps need no per-policy hook. The engine
+// calls a kernel's cycle method by concrete type, in (*CIOQFleet).cycle,
+// so a new kernel needs a case there.
 type cioqKernel interface {
 	reset(f *CIOQFleet)
-	cycle(v *cioqView, slot, cycle int)
 	// wantsVOQByOut reports whether the kernel reads the transposed
 	// occupancy rows; when false (and Validate is off) the engine skips
 	// maintaining them, saving two index updates per packet move.
@@ -32,9 +33,9 @@ type cioqKernel interface {
 }
 
 // crossbarKernel is the batched counterpart of a scalar crossbar policy's
-// two subphases, under the same exactness contract as cioqKernel.
+// two subphases, under the same exactness contract as cioqKernel; its
+// cycle method is called by concrete type, in (*CrossbarFleet).cycle.
 type crossbarKernel interface {
-	cycle(v *crossbarView, slot, cycle int)
 	// weighted is as in cioqKernel.
 	weighted() bool
 }
@@ -101,11 +102,13 @@ func cpgParam(v, def float64) float64 {
 // whether or not any queue is occupied, so ticks == slot*Speedup + cycle.
 type gmKernel struct {
 	order core.EdgeOrder
+	sched *matching.WeightedScheduler // LongestFirst only
 }
 
 func (g *gmKernel) reset(f *CIOQFleet) {
 	if g.order == core.LongestFirst && cap(f.edges) < f.nm {
 		f.edges = make([]matching.Edge, 0, f.nm)
+		g.sched = new(matching.WeightedScheduler)
 	}
 }
 
@@ -152,7 +155,7 @@ func (g *gmKernel) cycle(v *cioqView, slot, cycle int) {
 				f.edges = append(f.edges, matching.Edge{U: i, V: j, W: int64(v.iqHdr[i*m+j].n)})
 			}
 		}
-		for _, e := range f.sched.GreedyMaximalWeighted(n, m, f.edges) {
+		for _, e := range g.sched.GreedyMaximalWeighted(n, m, f.edges) {
 			v.transfer(e.U, e.V)
 		}
 	default: // core.RowMajor
@@ -225,6 +228,8 @@ func (rrKernel) cycle(v *cioqView, slot, cycle int) {
 type pgKernel struct {
 	beta      float64
 	maxWeight bool // KRMWM: maximum-weight matching instead of greedy maximal
+	sched     matching.WeightedScheduler
+	hung      matching.HungarianSolver
 }
 
 // pgFastMaxW bounds the packed-key fast path of the greedy PG kernel; it
@@ -232,14 +237,28 @@ type pgKernel struct {
 // so the two paths cover exactly the same instances.
 const pgFastMaxW = 2048
 
+// reset sizes the greedy path's weight histogram to the largest value
+// the loaded sequences carry, capped at pgFastMaxW+1 buckets: no head
+// value can exceed it, so a tiny run does not pay for 2,049 buckets.
 func (g *pgKernel) reset(f *CIOQFleet) {
 	if cap(f.edges) < f.nm {
 		f.edges = make([]matching.Edge, 0, f.nm)
 	}
-	if !g.maxWeight && (len(f.wcnt) != pgFastMaxW+1 || cap(f.wsorted) < f.nm) {
+	if g.maxWeight {
+		return
+	}
+	if cap(f.wsorted) < f.nm {
 		f.wkeys = make([]uint32, 0, f.nm)
 		f.wsorted = make([]uint32, f.nm)
-		f.wcnt = make([]int32, pgFastMaxW+1)
+	}
+	maxV := int64(0)
+	for _, seq := range f.seqs {
+		for _, p := range seq {
+			maxV = max(maxV, p.Value)
+		}
+	}
+	if w := int(min(maxV, pgFastMaxW)) + 1; len(f.wcnt) < w {
+		f.wcnt = make([]int32, w)
 		f.wcntHi = 0
 	}
 }
@@ -371,9 +390,9 @@ func (g *pgKernel) genericCycle(v *cioqView) {
 	f.edges = edges
 	var matched []matching.Edge
 	if g.maxWeight {
-		matched = f.hung.MaxWeightMatching(v.n, v.m, edges)
+		matched = g.hung.MaxWeightMatching(v.n, v.m, edges)
 	} else {
-		matched = f.sched.GreedyMaximalWeighted(v.n, v.m, edges)
+		matched = g.sched.GreedyMaximalWeighted(v.n, v.m, edges)
 	}
 	for _, e := range matched {
 		v.wtransfer(e.U, e.V)

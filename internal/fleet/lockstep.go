@@ -66,10 +66,18 @@ type lockstep struct {
 	// across the fleet's lifetime; the runner diffs it around each batch
 	// to flush the fleet probes. The wide engine never parks.
 	passCount int64
+	// jumps and jumped tally quiescent jumps and the slots they covered
+	// across the fleet's lifetime; a batch-of-one run reports them to the
+	// engine probes as the reference loop would.
+	jumps, jumped int64
 
-	hot     []hotCtr // [k]
-	ms      []switchsim.Metrics
-	series  [][]int64
+	hot    []hotCtr // [k]
+	series [][]int64
+	// res holds the loaded instances' Results, their Metrics filled in as
+	// they run; each load allocates it afresh, so Results handed out by
+	// an earlier batch stay intact. results points into it as instances
+	// retire.
+	res     []switchsim.Result
 	results []*switchsim.Result
 
 	seqs    []packet.Sequence
@@ -90,7 +98,6 @@ func newLockstep(cfg switchsim.Config, policy string, batch int, eng windowRunne
 	return lockstep{
 		cfg: cfg, policy: policy, eng: eng, batch: batch, cur: batch,
 		hot:     make([]hotCtr, batch),
-		ms:      make([]switchsim.Metrics, batch),
 		series:  make([][]int64, batch),
 		results: make([]*switchsim.Result, batch),
 		next:    make([]int, batch),
@@ -116,10 +123,10 @@ func (l *lockstep) load(seqs []packet.Sequence) error {
 	l.slot = 0
 	l.live = l.cur
 	l.err = nil
+	l.res = make([]switchsim.Result, l.cur)
 	for k := 0; k < l.cur; k++ {
-		l.ms[k] = switchsim.Metrics{}
 		if l.cfg.RecordLatency && l.cfg.StreamMetrics {
-			l.ms[k].EnableLatencySketch()
+			l.res[k].M.EnableLatencySketch()
 		}
 		l.results[k] = nil
 		l.next[k] = 0
@@ -136,7 +143,6 @@ func (l *lockstep) load(seqs []packet.Sequence) error {
 	// idling on a short final chunk does not pin old Results and their
 	// latency/series storage.
 	for k := l.cur; k < l.batch; k++ {
-		l.ms[k] = switchsim.Metrics{}
 		l.results[k] = nil
 		l.series[k] = nil
 	}
@@ -189,7 +195,8 @@ func (l *lockstep) retire(k int32, residual int64) instStatus {
 		return instErr
 	}
 	hm := &l.hot[k]
-	m := &l.ms[k]
+	r := &l.res[k]
+	m := &r.M
 	m.Arrived, m.ArrivedValue = hm.arrived, hm.arrivedVal
 	m.Accepted, m.AcceptedValue = hm.accepted, hm.acceptedVal
 	m.Rejected, m.RejectedValue = hm.rejected, hm.rejectedVal
@@ -211,7 +218,8 @@ func (l *lockstep) retire(k int32, residual int64) instStatus {
 			return instErr
 		}
 	}
-	l.results[k] = &switchsim.Result{Policy: l.policy, Cfg: l.cfg, Slots: l.horizon[k], M: *m}
+	r.Policy, r.Cfg, r.Slots = l.policy, l.cfg, l.horizon[k]
+	l.results[k] = r
 	l.live--
 	return instRetired
 }
@@ -230,8 +238,9 @@ func (l *lockstep) Results() ([]*switchsim.Result, error) {
 	return l.results[:l.cur], nil
 }
 
-func (l *lockstep) batchCap() int { return l.batch }
-func (l *lockstep) passes() int64 { return l.passCount }
+func (l *lockstep) batchCap() int                    { return l.batch }
+func (l *lockstep) passes() int64                    { return l.passCount }
+func (l *lockstep) jumpTally() (jumped, jumps int64) { return l.jumped, l.jumps }
 
 // checkResidual detects malformed sequences at retirement: once an
 // instance reaches its horizon, every unconsumed packet must be due at or

@@ -61,15 +61,13 @@ type wideCIOQFleet struct {
 	iqID []int64
 	oqID []int64
 
-	view wideCIOQView
-
 	// Matching scratch.
 	edges []matching.Edge
 	sched matching.WeightedScheduler
 }
 
-// wideCIOQView is the per-instance working set of a wide CIOQ instance;
-// see cioqView.
+// wideCIOQView is the per-instance working set of a wide CIOQ instance,
+// bound on runWindow's stack; see cioqView.
 type wideCIOQView struct {
 	f       *wideCIOQFleet
 	st      *wideCtr
@@ -102,10 +100,17 @@ func (v *wideCIOQView) voqRow(i int) bitset.Mask {
 
 func (v *wideCIOQView) bind(f *wideCIOQFleet, k int) {
 	v.f = f
+	v.n, v.m, v.nm = f.n, f.m, f.nm
+	v.wm = f.wm
+	v.icap, v.ocap = f.icap, f.ocap
+	v.icapM, v.ocapM = int32(f.icap-1), int32(f.ocap-1)
+	v.inBuf, v.outBuf = f.inBuf, f.outBuf
+	v.speedup = f.cfg.Speedup
+	v.recLat, v.recSer = f.cfg.RecordLatency, f.cfg.RecordSeries
 	v.st = &f.st[k]
 	v.hm = &f.hot[k]
 	if f.cfg.RecordLatency {
-		v.lat = &f.ms[k]
+		v.lat = &f.res[k].M
 	}
 	v.voq = f.voq[k*f.n*f.wm : (k+1)*f.n*f.wm]
 	v.outFree = f.outFree[k*f.wm : (k+1)*f.wm]
@@ -156,14 +161,6 @@ func newWideCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy,
 	f.oqID = make([]int64, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
 	f.edges = make([]matching.Edge, 0, f.nm)
-	v := &f.view
-	v.n, v.m, v.nm = n, m, f.nm
-	v.wm = f.wm
-	v.icap, v.ocap = f.icap, f.ocap
-	v.icapM, v.ocapM = int32(f.icap-1), int32(f.ocap-1)
-	v.inBuf, v.outBuf = f.inBuf, f.outBuf
-	v.speedup = cfg.Speedup
-	v.recLat, v.recSer = cfg.RecordLatency, cfg.RecordSeries
 	return f, nil
 }
 
@@ -185,7 +182,7 @@ func (f *wideCIOQFleet) Reset(seqs []packet.Sequence) error {
 
 func (f *wideCIOQFleet) runWindow(k int32, end int) instStatus {
 	kk := int(k)
-	v := &f.view
+	v := &wideCIOQView{}
 	v.bind(f, kk)
 	seq := f.seqs[kk]
 	nx := f.next[kk]
@@ -304,6 +301,8 @@ func (f *wideCIOQFleet) runWindow(k int32, end int) instStatus {
 						return instErr
 					}
 				}
+				f.jumps++
+				f.jumped += int64(jump)
 				T += jump
 			}
 		}

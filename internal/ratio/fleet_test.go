@@ -17,6 +17,13 @@ import (
 // any (workers, batch) combination must produce byte-identical Estimates
 // — the batched columnar engine is bit-identical to the scalar engines,
 // and all three merge in seed order.
+//
+// This test binary links package fleet, so switchsim.RunCIOQ and
+// RunCrossbar run a bare GM, PG or CGU on the same columnar kernel the
+// fleet side uses. The scalar sides therefore wrap their policies
+// (struct{ *core.GM }): the wrapper hides the concrete type the kernel
+// lookup matches on, and the run takes the reference slot loop with
+// every method of the policy promoted.
 
 func backendCfg() switchsim.Config {
 	return switchsim.Config{
@@ -36,14 +43,15 @@ func TestRunFleetMatchesScalarBackends(t *testing.T) {
 	cfg := backendCfg()
 	gen := packet.Bernoulli{Load: 1.2}
 	factory := func() switchsim.CIOQPolicy { return &core.GM{} }
+	ref := func() switchsim.CIOQPolicy { return struct{ *core.GM }{&core.GM{}} }
 	const runs = 24
 
-	want, err := Run(context.Background(), cfg, CIOQAlg(factory), ExactUnitCIOQ, gen, 11, runs)
+	want, err := Run(context.Background(), cfg, CIOQAlg(ref), ExactUnitCIOQ, gen, 11, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8} {
-		par, err := RunParallel(context.Background(), cfg, CIOQAlg(factory), ExactUnitCIOQ, gen, 11, runs, workers)
+		par, err := RunParallel(context.Background(), cfg, CIOQAlg(ref), ExactUnitCIOQ, gen, 11, runs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,9 +70,10 @@ func TestRunFleetCrossbarMatchesScalarBackends(t *testing.T) {
 	cfg := backendCfg()
 	gen := packet.Hotspot{Load: 1.5, HotFrac: 0.8}
 	factory := func() switchsim.CrossbarPolicy { return &core.CGU{RotatePick: true} }
+	ref := func() switchsim.CrossbarPolicy { return struct{ *core.CGU }{&core.CGU{RotatePick: true}} }
 	const runs = 16
 
-	want, err := Run(context.Background(), cfg, CrossbarAlg(factory), ExactUnitCrossbar, gen, 5, runs)
+	want, err := Run(context.Background(), cfg, CrossbarAlg(ref), ExactUnitCrossbar, gen, 5, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +86,18 @@ func TestRunFleetCrossbarMatchesScalarBackends(t *testing.T) {
 	}
 }
 
-// TestRunFleetFallbackPolicy drives RunFleet with a weighted (unported)
-// policy family: the fleet layer falls back to per-instance scalar runs
-// and the estimate must still match the scalar backends byte for byte.
+// TestRunFleetFallbackPolicy drives RunFleet with a weighted policy
+// family, PG, whose values take the ByValue queues and preemption: the
+// estimate must still match the reference slot loop's byte for byte.
 func TestRunFleetFallbackPolicy(t *testing.T) {
 	cfg := backendCfg()
 	cfg.Slots = 4
 	gen := packet.Bernoulli{Load: 0.8, Values: packet.UniformValues{Hi: 20}}
 	factory := func() switchsim.CIOQPolicy { return &core.PG{} }
+	ref := func() switchsim.CIOQPolicy { return struct{ *core.PG }{&core.PG{}} }
 	const runs = 10
 
-	want, err := Run(context.Background(), cfg, CIOQAlg(factory), ExactWeightedCIOQ, gen, 3, runs)
+	want, err := Run(context.Background(), cfg, CIOQAlg(ref), ExactWeightedCIOQ, gen, 3, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +125,11 @@ func FuzzFleetChunksIdentity(f *testing.F) {
 		cfg.Slots = 4
 		nRuns := int(runs%40) + 1
 		gen := packet.Bernoulli{Load: float64(load%20+1) / 10}
-		alg, fleet, judge := CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} }),
+		// The scalar side wraps its policy; see the top of this file.
+		alg, fleet, judge := CIOQAlg(func() switchsim.CIOQPolicy { return struct{ *core.GM }{&core.GM{}} }),
 			CIOQFleetAlg(func() switchsim.CIOQPolicy { return &core.GM{} }), JudgeFactory(ExactUnitCIOQ)
 		if crossbar {
-			alg, fleet, judge = CrossbarAlg(func() switchsim.CrossbarPolicy { return &core.CGU{} }),
+			alg, fleet, judge = CrossbarAlg(func() switchsim.CrossbarPolicy { return struct{ *core.CGU }{&core.CGU{}} }),
 				CrossbarFleetAlg(func() switchsim.CrossbarPolicy { return &core.CGU{} }), ExactUnitCrossbar
 		}
 		if fail < 64 {

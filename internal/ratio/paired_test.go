@@ -27,9 +27,11 @@ func gmPair() []PairedPolicy {
 // skipped (OPT = 0) seeds.
 func TestPairedMarginalsMatchIndependentRun(t *testing.T) {
 	ctx := context.Background()
+	// The independent runs wrap their policies so they take the
+	// reference slot loop (see fleet_test.go).
 	algs := []Alg{
-		CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} }),
-		CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{Order: core.ColMajor} }),
+		CIOQAlg(func() switchsim.CIOQPolicy { return struct{ *core.GM }{&core.GM{}} }),
+		CIOQAlg(func() switchsim.CIOQPolicy { return struct{ *core.GM }{&core.GM{Order: core.ColMajor}} }),
 	}
 	for _, tc := range []struct {
 		name string

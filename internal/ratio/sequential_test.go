@@ -18,8 +18,10 @@ import (
 
 // seqBackends returns one ChunkEvaluator per backend engine, all
 // evaluating the same (cfg, gm, exact-unit judge, gen, baseSeed) stream.
+// The scalar one wraps GM so it runs on the reference slot loop (see
+// fleet_test.go).
 func seqBackends(cfg switchsim.Config, gen packet.Generator, baseSeed int64) map[string]func() ChunkEvaluator {
-	alg := CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
+	alg := CIOQAlg(func() switchsim.CIOQPolicy { return struct{ *core.GM }{&core.GM{}} })
 	fleet := CIOQFleetAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
 	return map[string]func() ChunkEvaluator{
 		"scalar": func() ChunkEvaluator { return ScalarChunks(cfg, alg, ExactUnitCIOQ, gen, baseSeed) },

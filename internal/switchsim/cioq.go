@@ -528,7 +528,10 @@ func (e *cioqEngine) result(slots int) (*Result, error) {
 }
 
 // RunCIOQ simulates the policy on the sequence and returns the result.
-// The sequence must be valid for the configured geometry.
+// The sequence must be valid for the configured geometry. Once validated
+// it runs on a registered columnar kernel if one serves the policy's
+// concrete type and the geometry (see RegisterKernels), and on the
+// reference slot loop otherwise, with DeepEqual Results either way.
 func RunCIOQ(cfg Config, pol CIOQPolicy, seq packet.Sequence) (*Result, error) {
 	if err := cfg.Check(false); err != nil {
 		return nil, err
@@ -538,6 +541,9 @@ func RunCIOQ(cfg Config, pol CIOQPolicy, seq packet.Sequence) (*Result, error) {
 	arr, err := seqArrivals(cfg, seq)
 	if err != nil {
 		return nil, err
+	}
+	if res, ok, err := runKernel(cioqKernel, cfg, pol, seq); ok {
+		return res, err
 	}
 	e := newCIOQEngine(cfg, pol)
 	return e.run(&arr)

@@ -604,7 +604,9 @@ func (e *crossbarEngine) result(slots int) (*Result, error) {
 	return &Result{Policy: e.pol.Name(), Cfg: sw.Cfg, Slots: slots, M: sw.M}, nil
 }
 
-// RunCrossbar simulates a crossbar policy on the sequence.
+// RunCrossbar simulates a crossbar policy on the sequence, on a registered
+// columnar kernel when one serves the policy and geometry and on the
+// reference slot loop otherwise; see RunCIOQ.
 func RunCrossbar(cfg Config, pol CrossbarPolicy, seq packet.Sequence) (*Result, error) {
 	if err := cfg.Check(true); err != nil {
 		return nil, err
@@ -612,6 +614,9 @@ func RunCrossbar(cfg Config, pol CrossbarPolicy, seq packet.Sequence) (*Result, 
 	arr, err := seqArrivals(cfg, seq)
 	if err != nil {
 		return nil, err
+	}
+	if res, ok, err := runKernel(crossbarKernel, cfg, pol, seq); ok {
+		return res, err
 	}
 	e := newCrossbarEngine(cfg, pol)
 	return e.run(&arr)

@@ -84,6 +84,9 @@
 //   - RunCIOQ and RunCrossbar take a materialized packet.Sequence. It is
 //     validated up front (so a malformed packet anywhere fails the run
 //     before the policy is consulted) and then read in place by index.
+//     A columnar kernel registered for the policy and geometry
+//     (RegisterKernels; package fleet's) runs it instead when one serves,
+//     with a DeepEqual Result and the same probe tallies.
 //
 //   - RunCIOQStream and RunCrossbarStream take a packet.ArrivalStream.
 //     The cursor pulls exactly one packet ahead, checks each pulled packet
@@ -100,6 +103,10 @@
 //     their caller (StepSlot), which is what lets an adaptive adversary
 //     choose them after looking at the switch; StepIdle and Finish take
 //     the same quiescent jumps.
+//
+// The loop is the reference engine: it runs everything no kernel serves,
+// including any policy behind a wrapper type, since kernels are matched
+// on concrete policy types; that is how the differential tests force it.
 //
 // All three produce deeply equal Metrics for the same arrivals, asserted
 // by the front-end tables, the fuzz target and the allocation pins in
