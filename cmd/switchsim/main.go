@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"qswitch"
 	"qswitch/internal/obs/wire"
@@ -20,10 +21,15 @@ import (
 	"qswitch/internal/packet"
 )
 
+// policyUsage is the -policy help text: the grammar and the names of the
+// policy table.
+var policyUsage = "scheduling policy: name or name(key=value,...), e.g. pg(beta=2); cioq: " +
+	strings.Join(qswitch.CIOQPolicyNames(), ", ") + "; crossbar: " + strings.Join(qswitch.CrossbarPolicyNames(), ", ")
+
 func main() {
 	var (
 		model   = flag.String("model", "cioq", "switch model: cioq, crossbar or oq")
-		policy  = flag.String("policy", "gm", "scheduling policy name")
+		policy  = flag.String("policy", "gm", policyUsage)
 		n       = flag.Int("n", 8, "input ports")
 		m       = flag.Int("m", 0, "output ports (defaults to -n)")
 		bin     = flag.Int("bin", 4, "input queue capacity B(Q_ij)")

@@ -71,8 +71,8 @@ func (c *CPG) Disciplines() (queue.Discipline, queue.Discipline, queue.Disciplin
 // Reset implements switchsim.CrossbarPolicy.
 func (c *CPG) Reset(cfg switchsim.Config) {
 	c.cfg = cfg
-	c.beta = betaOrDefault(c.Beta, DefaultBetaCPG())
-	c.alpha = betaOrDefault(c.Alpha, DefaultAlphaCPG())
+	c.beta = Threshold(c.Beta, DefaultBetaCPG())
+	c.alpha = Threshold(c.Alpha, DefaultAlphaCPG())
 	c.transfers = c.transfers[:0]
 }
 

@@ -5,7 +5,9 @@
 // β=α parameterization of CPG (Kesselman et al.), FIFO-queue baselines in
 // the Azar–Richter and Kesselman–Kogan–Segal lines, a naive non-preemptive
 // first-fit policy, an iSLIP-like round-robin matcher, and a randomized GM
-// variant probing the paper's open problem.
+// variant probing the paper's open problem. registry.go names each of
+// them once, in the policy table every caller resolves spec strings
+// through.
 //
 // # Invariants
 //

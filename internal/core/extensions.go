@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 
@@ -121,7 +120,7 @@ func (a *ARFIFO) Disciplines() (queue.Discipline, queue.Discipline) {
 // Reset implements switchsim.CIOQPolicy.
 func (a *ARFIFO) Reset(cfg switchsim.Config) {
 	a.cfg = cfg
-	a.beta = betaOrDefault(a.Beta, 2)
+	a.beta = Threshold(a.Beta, 2)
 	a.edges = a.edges[:0]
 	a.transfers = a.transfers[:0]
 }
@@ -172,37 +171,4 @@ func (a *ARFIFO) Schedule(sw *switchsim.CIOQ, slot, cycle int) []switchsim.Trans
 		a.transfers = append(a.transfers, switchsim.Transfer{In: e.U, Out: e.V, PreemptMinIfFull: true})
 	}
 	return a.transfers
-}
-
-// Describe returns a short human-readable description of any policy the
-// registry knows, used by CLIs.
-func Describe(name string) string {
-	switch name {
-	case "gm":
-		return "Greedy Matching (paper; unit values, 3-competitive, greedy maximal matching)"
-	case "pg":
-		return "Preemptive Greedy (paper; weighted, 3+2sqrt(2)-competitive at beta=1+sqrt(2))"
-	case "cgu":
-		return "Crossbar Greedy Unit (paper; unit values, 3-competitive)"
-	case "cpg":
-		return "Crossbar Preemptive Greedy (paper; weighted, ~14.83-competitive)"
-	case "kr-maxmatch":
-		return "maximum-matching baseline (Hopcroft-Karp per cycle; prior work)"
-	case "kr-maxweight":
-		return "maximum-weight-matching baseline (Hungarian per cycle; prior work)"
-	case "gm-random":
-		return "GM with a random scan order per cycle (open-problem probe)"
-	case "ar-fifo":
-		return "FIFO-queue baseline in the Azar-Richter line of related work"
-	case "naive-fifo":
-		return "non-preemptive value-blind first-fit baseline"
-	case "roundrobin":
-		return "iSLIP-style round-robin matching (practical baseline)"
-	case "crossbar-naive":
-		return "non-preemptive first-fit crossbar baseline"
-	case "kks-fifo":
-		return "FIFO-queue crossbar baseline in the Kesselman-Kogan-Segal line"
-	default:
-		return fmt.Sprintf("policy %q", name)
-	}
 }

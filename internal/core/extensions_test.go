@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"qswitch/internal/offline"
@@ -109,18 +108,5 @@ func TestARFIFOSurvivesStress(t *testing.T) {
 		seq := packet.Hotspot{Load: 2.0, HotFrac: 0.7, Values: packet.ZipfValues{Hi: 200, S: 1.2}}.
 			Generate(rng, 4, 4, 20)
 		mustRunCIOQ(t, cfg, &ARFIFO{}, seq)
-	}
-}
-
-func TestDescribeCoversRegistry(t *testing.T) {
-	for _, name := range []string{"gm", "pg", "cgu", "cpg", "kr-maxmatch",
-		"kr-maxweight", "gm-random", "ar-fifo", "naive-fifo", "roundrobin",
-		"crossbar-naive"} {
-		if d := Describe(name); d == "" || strings.HasPrefix(d, "policy ") {
-			t.Errorf("Describe(%q) = %q", name, d)
-		}
-	}
-	if !strings.Contains(Describe("whatever"), "whatever") {
-		t.Error("unknown policy description should echo the name")
 	}
 }

@@ -38,7 +38,7 @@ func (k *KKSFIFO) Disciplines() (queue.Discipline, queue.Discipline, queue.Disci
 // Reset implements switchsim.CrossbarPolicy.
 func (k *KKSFIFO) Reset(cfg switchsim.Config) {
 	k.cfg = cfg
-	k.beta = betaOrDefault(k.Beta, 2)
+	k.beta = Threshold(k.Beta, 2)
 	k.transfers = k.transfers[:0]
 }
 

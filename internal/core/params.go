@@ -7,6 +7,21 @@ import "math"
 // ≈ 5.8284 (Theorem 2).
 func DefaultBetaPG() float64 { return 1 + math.Sqrt2 }
 
+// Threshold resolves a preemption-threshold parameter — PG's β, CPG's β
+// and α, the FIFO baselines' β: zero selects def, and any other value
+// that is not at least 1, NaN included, reads as 1. The scalar policies
+// and the fleet kernels both resolve through it, so the two engines make
+// the same decisions for every parameter value.
+func Threshold(v, def float64) float64 {
+	if v == 0 {
+		return def
+	}
+	if !(v >= 1) {
+		return 1
+	}
+	return v
+}
+
 // PGRatio evaluates PG's competitive-ratio bound β + 2β/(β-1) for a given
 // β > 1 (the bound proven in Section 2.2: the β term covers packets the
 // optimum sends from output queues, the 2β/(β-1) term covers privileged

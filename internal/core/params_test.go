@@ -2,7 +2,12 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
+
+	"qswitch/internal/packet"
+	"qswitch/internal/switchsim"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -103,5 +108,39 @@ func TestGoldenSectionFindsParabolaMinimum(t *testing.T) {
 	got := goldenSection(func(x float64) float64 { return (x - 3.7) * (x - 3.7) }, 0, 10)
 	if !almost(got, 3.7, 1e-6) {
 		t.Errorf("golden section min %v, want 3.7", got)
+	}
+}
+
+// TestThresholdOutOfRangeReadsOne: every threshold parameter resolves
+// through Threshold, so a β or α below 1, negative or NaN runs exactly
+// as 1 does — KR-MWM included, whose sub-1 β used to make the engine
+// reject its transfers.
+func TestThresholdOutOfRangeReadsOne(t *testing.T) {
+	if got := Threshold(0, 7); got != 7 {
+		t.Errorf("Threshold(0, 7) = %v, want the default", got)
+	}
+	if got := Threshold(math.Inf(1), 7); !math.IsInf(got, 1) {
+		t.Errorf("Threshold(+Inf, 7) = %v, want +Inf", got)
+	}
+	cfg := switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 1, CrossBuf: 1, Speedup: 2}
+	seq := packet.Bernoulli{Load: 1.5, Values: packet.UniformValues{Hi: 100}}.Generate(rand.New(rand.NewSource(3)), 4, 4, 50)
+	for _, v := range []float64{0.5, -3, math.NaN()} {
+		for _, c := range []struct{ got, want switchsim.CIOQPolicy }{
+			{&PG{Beta: v}, &PG{Beta: 1}},
+			{&KRMWM{Beta: v}, &KRMWM{Beta: 1}},
+			{&ARFIFO{Beta: v}, &ARFIFO{Beta: 1}},
+		} {
+			if got, want := mustRunCIOQ(t, cfg, c.got, seq), mustRunCIOQ(t, cfg, c.want, seq); !reflect.DeepEqual(got.M, want.M) {
+				t.Errorf("%T at %v ran unlike at 1", c.got, v)
+			}
+		}
+		for _, c := range []struct{ got, want switchsim.CrossbarPolicy }{
+			{&CPG{Beta: v, Alpha: v}, &CPG{Beta: 1, Alpha: 1}},
+			{&KKSFIFO{Beta: v}, &KKSFIFO{Beta: 1}},
+		} {
+			if got, want := mustRunXbar(t, cfg, c.got, seq), mustRunXbar(t, cfg, c.want, seq); !reflect.DeepEqual(got.M, want.M) {
+				t.Errorf("%T at %v ran unlike at 1", c.got, v)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"qswitch/internal/matching"
@@ -60,13 +59,7 @@ func (g *PG) Disciplines() (queue.Discipline, queue.Discipline) {
 // Reset implements switchsim.CIOQPolicy.
 func (g *PG) Reset(cfg switchsim.Config) {
 	g.cfg = cfg
-	g.beta = g.Beta
-	if g.beta == 0 {
-		g.beta = DefaultBetaPG()
-	}
-	if g.beta < 1 {
-		g.beta = 1
-	}
+	g.beta = Threshold(g.Beta, DefaultBetaPG())
 	g.edges = g.edges[:0]
 	g.transfers = g.transfers[:0]
 }
@@ -169,7 +162,8 @@ func eligibleOutput(q *queue.Queue, v int64, beta float64) bool {
 // greedy maximal one, in the spirit of Kesselman–Rosén's 6-competitive
 // algorithm (whose analysis optimizes at β = 2).
 type KRMWM struct {
-	// Beta defaults to 2, the parameter of the 6-competitive analysis.
+	// Beta defaults to 2, the parameter of the 6-competitive analysis,
+	// and resolves through Threshold like PG's.
 	Beta float64
 
 	cfg       switchsim.Config
@@ -190,10 +184,7 @@ func (k *KRMWM) Disciplines() (queue.Discipline, queue.Discipline) {
 // Reset implements switchsim.CIOQPolicy.
 func (k *KRMWM) Reset(cfg switchsim.Config) {
 	k.cfg = cfg
-	k.beta = k.Beta
-	if k.beta == 0 {
-		k.beta = 2
-	}
+	k.beta = Threshold(k.Beta, 2)
 	k.edges = k.edges[:0]
 }
 
@@ -226,12 +217,4 @@ func (k *KRMWM) Schedule(sw *switchsim.CIOQ, slot, cycle int) []switchsim.Transf
 	}
 	k.transfers = appendTransfers(k.transfers[:0], k.hung.MaxWeightMatching(n, m, k.edges), true)
 	return k.transfers
-}
-
-// betaOrDefault resolves a possibly-zero β parameter.
-func betaOrDefault(beta, def float64) float64 {
-	if beta == 0 {
-		return def
-	}
-	return math.Max(beta, 1)
 }

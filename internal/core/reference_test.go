@@ -185,10 +185,7 @@ func (k *refKRMWM) Disciplines() (queue.Discipline, queue.Discipline) {
 }
 func (k *refKRMWM) Reset(cfg switchsim.Config) {
 	k.cfg = cfg
-	k.beta = k.Beta
-	if k.beta == 0 {
-		k.beta = 2
-	}
+	k.beta = Threshold(k.Beta, 2)
 	k.edges = k.edges[:0]
 }
 func (k *refKRMWM) Admit(_ *switchsim.CIOQ, _ packet.Packet) switchsim.AdmitAction {
@@ -272,7 +269,7 @@ func (a *refARFIFO) Disciplines() (queue.Discipline, queue.Discipline) {
 }
 func (a *refARFIFO) Reset(cfg switchsim.Config) {
 	a.cfg = cfg
-	a.beta = betaOrDefault(a.Beta, 2)
+	a.beta = Threshold(a.Beta, 2)
 	a.edges = a.edges[:0]
 }
 func (a *refARFIFO) Admit(sw *switchsim.CIOQ, p packet.Packet) switchsim.AdmitAction {
@@ -475,8 +472,8 @@ func (c *refCPG) Disciplines() (queue.Discipline, queue.Discipline, queue.Discip
 }
 func (c *refCPG) Reset(cfg switchsim.Config) {
 	c.cfg = cfg
-	c.beta = betaOrDefault(c.Beta, DefaultBetaCPG())
-	c.alpha = betaOrDefault(c.Alpha, DefaultAlphaCPG())
+	c.beta = Threshold(c.Beta, DefaultBetaCPG())
+	c.alpha = Threshold(c.Alpha, DefaultAlphaCPG())
 }
 func (c *refCPG) Admit(_ *switchsim.Crossbar, _ packet.Packet) switchsim.AdmitAction {
 	return switchsim.AcceptPreempt
@@ -543,7 +540,7 @@ func (k *refKKSFIFO) Disciplines() (queue.Discipline, queue.Discipline, queue.Di
 }
 func (k *refKKSFIFO) Reset(cfg switchsim.Config) {
 	k.cfg = cfg
-	k.beta = betaOrDefault(k.Beta, 2)
+	k.beta = Threshold(k.Beta, 2)
 }
 func (k *refKKSFIFO) eligible(q *queue.Queue, v int64) bool {
 	if !q.Full() {

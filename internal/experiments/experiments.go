@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strconv"
 
+	"qswitch/internal/core"
 	"qswitch/internal/obs"
 	"qswitch/internal/packet"
 	"qswitch/internal/ratio"
@@ -148,13 +149,22 @@ type policyRef struct {
 	fleet    ratio.FleetAlgFactory
 }
 
-// cioqRef is the policyRef of a CIOQ policy family.
-func cioqRef(spec string, f func() switchsim.CIOQPolicy) policyRef {
+// cioqRef is the policyRef of a CIOQ policy spec from core's table. The
+// experiments write their specs as constants, so a bad one is a bug.
+func cioqRef(spec string) policyRef {
+	f, err := core.CIOQFactory(spec)
+	if err != nil {
+		panic(err)
+	}
 	return policyRef{spec: spec, alg: ratio.CIOQAlg(f), fleet: ratio.CIOQFleetAlg(f)}
 }
 
-// crossbarRef is the policyRef of a buffered-crossbar policy family.
-func crossbarRef(spec string, f func() switchsim.CrossbarPolicy) policyRef {
+// crossbarRef is cioqRef for a buffered-crossbar policy spec.
+func crossbarRef(spec string) policyRef {
+	f, err := core.CrossbarFactory(spec)
+	if err != nil {
+		panic(err)
+	}
 	return policyRef{spec: spec, crossbar: true, alg: ratio.CrossbarAlg(f), fleet: ratio.CrossbarFleetAlg(f)}
 }
 

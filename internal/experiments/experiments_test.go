@@ -119,7 +119,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 type refChunks struct{ calls *atomic.Int64 }
 
 func (s refChunks) RatioChunk(ctx context.Context, req ratio.ChunkRequest) ([]ratio.SeedOutcome, error) {
-	name, p, err := shard.ParsePolicySpec(req.Policy)
+	name, p, err := core.ParseSpec(req.Policy)
 	if err != nil {
 		return nil, err
 	}

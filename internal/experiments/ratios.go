@@ -26,7 +26,7 @@ func E1GMRatio(opts Options) ([]*stats.Table, error) {
 		packet.Hotspot{Load: 1.5, HotFrac: 0.8},
 		packet.Bursty{OnLoad: 1.0, POnOff: 0.4, POffOn: 0.4},
 	}
-	alg := cioqRef("gm", func() switchsim.CIOQPolicy { return &core.GM{} })
+	alg := cioqRef("gm")
 	cfgs := []switchsim.Config{microCfg(opts, slots)}
 	{
 		c := microCfg(opts, slots)
@@ -68,7 +68,7 @@ func E2PGRatio(opts Options) ([]*stats.Table, error) {
 		packet.Bursty{OnLoad: 0.8, POnOff: 0.3, POffOn: 0.3, Values: packet.ZipfValues{Hi: 100, S: 1.2}},
 	}
 	cfg := microCfg(opts, slots)
-	alg := cioqRef("pg", func() switchsim.CIOQPolicy { return &core.PG{} })
+	alg := cioqRef("pg")
 	for gi, gen := range gens {
 		est, err := opts.estimate(cfg, alg, judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gen,
 			opts.Seed+int64(100*gi), runs)
@@ -99,9 +99,7 @@ func E2PGRatio(opts Options) ([]*stats.Table, error) {
 	gen := packet.Hotspot{Load: 1.2, HotFrac: 0.8, Values: packet.GeometricValues{P: 0.35, Hi: 64}}
 	pols := make([]policyRef, len(betas))
 	for i, beta := range betas {
-		b := beta
-		pols[i] = cioqRef(fmt.Sprintf("pg(beta=%s)", fmtParam(b)),
-			func() switchsim.CIOQPolicy { return &core.PG{Beta: b} })
+		pols[i] = cioqRef(fmt.Sprintf("pg(beta=%s)", fmtParam(beta)))
 	}
 	ests, err := opts.betaSweepEstimates(cfgB, pols, gen, opts.Seed+7, runs)
 	if err != nil {
@@ -181,7 +179,7 @@ func E3CGURatio(opts Options) ([]*stats.Table, error) {
 		packet.Hotspot{Load: 1.5, HotFrac: 0.8},
 		packet.Bursty{OnLoad: 1.0, POnOff: 0.4, POffOn: 0.4},
 	}
-	alg := crossbarRef("cgu", func() switchsim.CrossbarPolicy { return &core.CGU{} })
+	alg := crossbarRef("cgu")
 	cfgs := []switchsim.Config{microCfg(opts, slots)}
 	{
 		c := microCfg(opts, slots)
@@ -238,13 +236,8 @@ func E4CPGParams(opts Options) ([]*stats.Table, error) {
 		pol   policyRef
 		bound float64
 	}{
-		{"cpg (beta*, alpha*)",
-			crossbarRef("cpg", func() switchsim.CrossbarPolicy { return &core.CPG{} }),
-			core.CPGRatioClosedForm()},
-		{"cpg (beta=alpha)",
-			crossbarRef(fmt.Sprintf("cpg(beta=%s,alpha=%s)", fmtParam(bEq), fmtParam(bEq)),
-				func() switchsim.CrossbarPolicy { return core.CPGEqualParams() }),
-			rEq},
+		{"cpg (beta*, alpha*)", crossbarRef("cpg"), core.CPGRatioClosedForm()},
+		{"cpg (beta=alpha)", crossbarRef(fmt.Sprintf("cpg(beta=%s,alpha=%s)", fmtParam(bEq), fmtParam(bEq))), rEq},
 	}
 	for vi, v := range variants {
 		est, err := opts.estimate(cfg, v.pol, judgeRef{"exactweighted", ratio.ExactWeightedCrossbar},

@@ -350,9 +350,9 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 			f.cycle(v, T, c)
 		}
 		if f.err != nil {
-			// A weighted transfer hit an ineligible full destination (only
-			// possible with a sub-1 user beta, where the scalar engine
-			// errors identically).
+			// A weighted transfer hit an ineligible full destination,
+			// which a beta >= 1 rules out; the scalar engine errors
+			// identically.
 			return instErr
 		}
 
@@ -600,10 +600,9 @@ func (v *cioqView) iqInsert(q int, p pkt, id int64) {
 // head — into output queue j on the bound instance, preempting the
 // output's least valuable packet when it is full, exactly as the scalar
 // engine's executeTransfers does with PreemptIfFull set. Kernels only
-// produce transfers the eligibility rule admits, which with beta >= 1
-// guarantees the preemption is profitable; a sub-1 beta can produce an
-// unprofitable transfer, which errors here as it does in the scalar
-// engine.
+// produce transfers the eligibility rule admits, which with the beta >= 1
+// of core.Threshold guarantees the preemption is profitable; an
+// unprofitable transfer errors here as it does in the scalar engine.
 func (v *cioqView) wtransfer(i, j int) {
 	q := i*v.m + j
 	h := &v.iqHdr[q]

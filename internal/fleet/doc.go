@@ -66,8 +66,8 @@
 // derivable from the slot clock (GM and CGU rotating-scan ticks). The
 // weighted family adds the preemptive disciplines: ByValue rings,
 // preempt-the-minimum admission, preemptive transfers and weighted
-// matchings (greedy for PG/CPG, Hungarian for KRMWM), whose quiescent
-// drains are value-ordered but still policy-independent.
+// greedy matchings (PG, CPG), whose quiescent drains are value-ordered
+// but still policy-independent.
 //
 // Coverage matrix (policy × geometry; ✓ is a batched kernel, — the
 // scalar fallback):
@@ -76,7 +76,6 @@
 //	GM (all four edge orders)     ✓            —              —
 //	RoundRobin, NaiveFIFO         ✓            —              —
 //	PG (incl. custom beta)        ✓            ✓              —
-//	KRMWM (maximum-weight)        ✓            —              —
 //	CGU (plain and rotating)      —            —              ✓
 //	CPG (incl. custom α/β)        —            —              ✓
 //
@@ -89,11 +88,12 @@
 // determinism tests gate this the same way reference_test.go and
 // eventdriven_test.go gated PR 1–3.
 //
-// Policies without a kernel (randomized GM, the FIFO-discipline
-// variants, ...), every family but PG above 64 ports, and every geometry
-// beyond 512 ports fall back to per-instance scalar runs behind the same
-// CIOQRunner/CrossbarRunner entry points, so callers need not
-// special-case batchability.
+// Policies without a kernel (randomized GM, the maximum-matching
+// baselines KRMM and KRMWM, the FIFO-discipline variants, ...), every
+// family but PG above 64 ports, and every geometry beyond 512 ports fall
+// back to per-instance scalar runs behind the same CIOQRunner/
+// CrossbarRunner entry points, so callers need not special-case
+// batchability.
 //
 // # Sequence runs
 //

@@ -32,7 +32,6 @@ func fleetCIOQPolicies() map[string]func() switchsim.CIOQPolicy {
 		"roundrobin":      func() switchsim.CIOQPolicy { return &core.RoundRobin{} },
 		"pg":              func() switchsim.CIOQPolicy { return &core.PG{} },
 		"pg-beta3":        func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} },
-		"krmwm":           func() switchsim.CIOQPolicy { return &core.KRMWM{} },
 	}
 }
 
@@ -342,8 +341,7 @@ func TestFleetWideMatchesScalar(t *testing.T) {
 
 // TestFleetWide256MatchesScalar spot-checks the batched-matching regime
 // (n = 256: four-word rows, counting-sort weight buckets) and the fallback
-// families at the same size against scalar. The Hungarian policy is left
-// to the 65–96-port tier above: its scalar run is cubic in ports.
+// families at the same size against scalar.
 func TestFleetWide256MatchesScalar(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 256, Outputs: 256, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}
 	gen := packet.Bernoulli{Load: 0.6, Values: packet.UniformValues{Hi: 30}}

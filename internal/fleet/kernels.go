@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math"
 	"math/bits"
 
 	"qswitch/internal/core"
@@ -53,22 +52,7 @@ func cioqKernelFor(pol switchsim.CIOQPolicy) cioqKernel {
 	case *core.RoundRobin:
 		return &rrKernel{}
 	case *core.PG:
-		// Replicates (*core.PG).Reset's beta resolution.
-		beta := p.Beta
-		if beta == 0 {
-			beta = core.DefaultBetaPG()
-		} else if beta < 1 {
-			beta = 1
-		}
-		return &pgKernel{beta: beta}
-	case *core.KRMWM:
-		// Replicates (*core.KRMWM).Reset: zero defaults to 2, and unlike
-		// PG there is no >=1 clamp.
-		beta := p.Beta
-		if beta == 0 {
-			beta = 2
-		}
-		return &pgKernel{beta: beta, maxWeight: true}
+		return &pgKernel{beta: core.Threshold(p.Beta, core.DefaultBetaPG())}
 	}
 	return nil
 }
@@ -79,20 +63,9 @@ func crossbarKernelFor(pol switchsim.CrossbarPolicy) crossbarKernel {
 	case *core.CGU:
 		return &cguKernel{rotate: p.RotatePick}
 	case *core.CPG:
-		// Replicates (*core.CPG).Reset's parameter resolution (zero means
-		// the paper default, anything else clamps to >= 1).
-		return &cpgKernel{beta: cpgParam(p.Beta, core.DefaultBetaCPG()), alpha: cpgParam(p.Alpha, core.DefaultAlphaCPG())}
+		return &cpgKernel{beta: core.Threshold(p.Beta, core.DefaultBetaCPG()), alpha: core.Threshold(p.Alpha, core.DefaultAlphaCPG())}
 	}
 	return nil
-}
-
-// cpgParam mirrors core's betaOrDefault: zero picks the default, other
-// values clamp to at least 1.
-func cpgParam(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return math.Max(v, 1)
 }
 
 // gmKernel is the batched GM (and NaiveFIFO) scheduler: a greedy maximal
@@ -218,18 +191,15 @@ func (rrKernel) cycle(v *cioqView, slot, cycle int) {
 	}
 }
 
-// pgKernel is the batched PG / KRMWM scheduler: enumerate the eligible
-// VOQ-head edges (destination open, or the head beats beta times the
-// destination's least valuable packet), match — greedy maximal for PG,
-// maximum-weight Hungarian for KRMWM — and execute each transfer with
-// output-side preemption. Both scalar policies resolve their beta in
-// Reset; the kernel bakes the resolved value in at construction. Neither
-// policy has slot-dependent state, so no idle hook is needed.
+// pgKernel is the batched PG scheduler: enumerate the eligible VOQ-head
+// edges (destination open, or the head beats beta times the
+// destination's least valuable packet), match greedy maximal, and execute
+// each transfer with output-side preemption. The kernel bakes in the beta
+// core.Threshold resolves, as the scalar policy's Reset does. PG has no
+// slot-dependent state, so no idle hook is needed.
 type pgKernel struct {
-	beta      float64
-	maxWeight bool // KRMWM: maximum-weight matching instead of greedy maximal
-	sched     matching.WeightedScheduler
-	hung      matching.HungarianSolver
+	beta  float64
+	sched matching.WeightedScheduler
 }
 
 // pgFastMaxW bounds the packed-key fast path of the greedy PG kernel; it
@@ -243,9 +213,6 @@ const pgFastMaxW = 2048
 func (g *pgKernel) reset(f *CIOQFleet) {
 	if cap(f.edges) < f.nm {
 		f.edges = make([]matching.Edge, 0, f.nm)
-	}
-	if g.maxWeight {
-		return
 	}
 	if cap(f.wsorted) < f.nm {
 		f.wkeys = make([]uint32, 0, f.nm)
@@ -268,7 +235,7 @@ func (g *pgKernel) wantsVOQByOut() bool { return false }
 func (g *pgKernel) weighted() bool { return true }
 
 func (g *pgKernel) cycle(v *cioqView, slot, cycle int) {
-	if !g.maxWeight && g.fastCycle(v) {
+	if g.fastCycle(v) {
 		return
 	}
 	g.genericCycle(v)
@@ -363,9 +330,8 @@ func (g *pgKernel) fastCycle(v *cioqView) bool {
 }
 
 // genericCycle enumerates eligible edges as matching.Edge values and
-// defers to the shared matchers: Hungarian for KRMWM, the weighted
-// scheduler (with its own counting/radix fast paths) for greedy PG edges
-// whose values overflow the packed fast path.
+// defers to the weighted scheduler (with its own counting/radix fast
+// paths) when a head value overflows the packed fast path.
 func (g *pgKernel) genericCycle(v *cioqView) {
 	f := v.f
 	edges := f.edges[:0]
@@ -388,13 +354,7 @@ func (g *pgKernel) genericCycle(v *cioqView) {
 		}
 	}
 	f.edges = edges
-	var matched []matching.Edge
-	if g.maxWeight {
-		matched = g.hung.MaxWeightMatching(v.n, v.m, edges)
-	} else {
-		matched = g.sched.GreedyMaximalWeighted(v.n, v.m, edges)
-	}
-	for _, e := range matched {
+	for _, e := range g.sched.GreedyMaximalWeighted(v.n, v.m, edges) {
 		v.wtransfer(e.U, e.V)
 	}
 }

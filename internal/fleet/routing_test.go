@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -79,8 +80,8 @@ func probedRun(t *testing.T, run func() (*switchsim.Result, error)) (*switchsim.
 // TestSequenceRoutingTakesKernels pins which engine a sequence run takes,
 // through the fleet's kernel counter: bare batchable policies take a
 // kernel (PG up to 16 ports and the wide one from 65 to 512), while
-// wrapped ones, KRMWM, PG at 17–64 ports and policies without a kernel
-// take the reference loop.
+// wrapped ones, PG at 17–64 ports and policies without a kernel (KRMM,
+// KRMWM, crossbar-naive) take the reference loop.
 func TestSequenceRoutingTakesKernels(t *testing.T) {
 	cfg := func(ports int) switchsim.Config {
 		return switchsim.Config{Inputs: ports, Outputs: ports, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}
@@ -156,6 +157,11 @@ var routingCIOQ = []func() switchsim.CIOQPolicy{
 	func() switchsim.CIOQPolicy { return &core.RoundRobin{} },
 	func() switchsim.CIOQPolicy { return &core.PG{} },
 	func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} },
+	// Parameters core.Threshold clamps or passes through: both engines
+	// must resolve them alike.
+	func() switchsim.CIOQPolicy { return &core.PG{Beta: math.NaN()} },
+	func() switchsim.CIOQPolicy { return &core.PG{Beta: math.Inf(1)} },
+	func() switchsim.CIOQPolicy { return &core.PG{Beta: 0.5} },
 }
 
 var routingCrossbar = []func() switchsim.CrossbarPolicy{
@@ -163,6 +169,9 @@ var routingCrossbar = []func() switchsim.CrossbarPolicy{
 	func() switchsim.CrossbarPolicy { return &core.CGU{RotatePick: true} },
 	func() switchsim.CrossbarPolicy { return &core.CPG{} },
 	func() switchsim.CrossbarPolicy { return core.CPGEqualParams() },
+	func() switchsim.CrossbarPolicy { return &core.CPG{Beta: math.NaN(), Alpha: math.NaN()} },
+	func() switchsim.CrossbarPolicy { return &core.CPG{Beta: math.Inf(1), Alpha: 0.5} },
+	func() switchsim.CrossbarPolicy { return &core.CPG{Beta: -3, Alpha: math.Inf(1)} },
 }
 
 // FuzzSequenceRouting: a routed sequence run and the same run forced onto

@@ -15,13 +15,10 @@ func init() { switchsim.RegisterKernels(runCIOQ, runCrossbar) }
 const pgRouteMaxPorts = 16
 
 // routesCIOQ reports whether a sequence run of pol takes a kernel: every
-// batchable policy and geometry but those whose kernel is no faster than
-// the slot loop at batch one, KRMWM and PG at 17–64 ports (ROADMAP 2(0)).
+// batchable policy and geometry but PG at 17–64 ports, where its kernel
+// is no faster than the slot loop at batch one (ROADMAP 2(0)).
 func routesCIOQ(cfg switchsim.Config, pol switchsim.CIOQPolicy) bool {
-	switch pol.(type) {
-	case *core.KRMWM:
-		return false
-	case *core.PG:
+	if _, ok := pol.(*core.PG); ok {
 		if ports := max(cfg.Inputs, cfg.Outputs); ports > pgRouteMaxPorts && ports <= maxPorts {
 			return false
 		}

@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
-	"sort"
-	"strconv"
-	"strings"
 
 	"qswitch/internal/core"
 	"qswitch/internal/packet"
@@ -19,183 +16,66 @@ import (
 // strings are the only way algorithms cross the process boundary: the
 // coordinator ships the string, the worker resolves it here, and because
 // the same resolver backs the coordinator's in-process fallback, local and
-// remote execution are behaviorally identical by construction.
-//
-// The grammar is name or name(key=value,...), keys lowercase, values
-// floats formatted with strconv 'g'/-1 so they round-trip exactly.
-
-// ParsePolicySpec splits a spec string into its name and parameter map.
-func ParsePolicySpec(spec string) (string, map[string]float64, error) {
-	name, rest, found := strings.Cut(spec, "(")
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return "", nil, fmt.Errorf("shard: empty spec %q", spec)
-	}
-	if !found {
-		return name, nil, nil
-	}
-	body, ok := strings.CutSuffix(rest, ")")
-	if !ok {
-		return "", nil, fmt.Errorf("shard: unterminated parameter list in spec %q", spec)
-	}
-	params := map[string]float64{}
-	for _, kv := range strings.Split(body, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return "", nil, fmt.Errorf("shard: bad parameter %q in spec %q (want key=value)", kv, spec)
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return "", nil, fmt.Errorf("shard: bad value for %q in spec %q: %v", k, spec, err)
-		}
-		params[strings.TrimSpace(k)] = f
-	}
-	return name, params, nil
-}
-
-// take pops a parameter, returning def when absent.
-func take(params map[string]float64, key string, def float64) float64 {
-	if v, ok := params[key]; ok {
-		delete(params, key)
-		return v
-	}
-	return def
-}
-
-// leftover rejects unknown parameters so typos fail loudly instead of
-// silently running the default parameterization.
-func leftover(spec string, params map[string]float64) error {
-	if len(params) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return fmt.Errorf("shard: unknown parameters %v in spec %q", keys, spec)
-}
+// remote execution are behaviorally identical by construction. Policies
+// resolve through core's policy table, judges and the test hooks below
+// through the same grammar (core.ParseSpec).
 
 // ResolvePolicy resolves a policy spec for the given switch model,
 // returning both the scalar Alg and the batched FleetAlgFactory so every
 // execution backend can be driven from one resolution.
 func ResolvePolicy(spec string, crossbar bool) (ratio.Alg, ratio.FleetAlgFactory, error) {
-	name, params, err := ParsePolicySpec(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if name == "failpolicy" {
-		fp := uint64(take(params, "fp", 0))
-		if err := leftover(spec, params); err != nil {
+	if name, params, err := core.ParseSpec(spec); err == nil && name == "failpolicy" {
+		fp, err := core.SpecValues(spec, params, "fp")
+		if err != nil {
 			return nil, nil, err
 		}
-		alg, fleet := failPolicy(fp, crossbar)
+		alg, fleet := failPolicy(uint64(fp[0]), crossbar)
 		return alg, fleet, nil
 	}
 	if crossbar {
-		f, err := crossbarFactory(name, spec, params)
+		f, err := core.CrossbarFactory(spec)
 		if err != nil {
 			return nil, nil, err
 		}
 		return ratio.CrossbarAlg(f), ratio.CrossbarFleetAlg(f), nil
 	}
-	f, err := cioqFactory(name, spec, params)
+	f, err := core.CIOQFactory(spec)
 	if err != nil {
 		return nil, nil, err
 	}
 	return ratio.CIOQAlg(f), ratio.CIOQFleetAlg(f), nil
 }
 
-// cioqFactory resolves the CIOQ policy families.
-func cioqFactory(name, spec string, params map[string]float64) (func() switchsim.CIOQPolicy, error) {
-	var f func() switchsim.CIOQPolicy
-	switch name {
-	case "gm":
-		f = func() switchsim.CIOQPolicy { return &core.GM{} }
-	case "gm-colmajor":
-		f = func() switchsim.CIOQPolicy { return &core.GM{Order: core.ColMajor} }
-	case "gm-rotating":
-		f = func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} }
-	case "gm-longestfirst":
-		f = func() switchsim.CIOQPolicy { return &core.GM{Order: core.LongestFirst} }
-	case "pg":
-		beta := take(params, "beta", 0)
-		f = func() switchsim.CIOQPolicy { return &core.PG{Beta: beta} }
-	case "krmwm":
-		beta := take(params, "beta", 0)
-		f = func() switchsim.CIOQPolicy { return &core.KRMWM{Beta: beta} }
-	case "roundrobin":
-		f = func() switchsim.CIOQPolicy { return &core.RoundRobin{} }
-	case "naivefifo":
-		f = func() switchsim.CIOQPolicy { return &core.NaiveFIFO{} }
-	default:
-		return nil, fmt.Errorf("shard: unknown CIOQ policy spec %q", spec)
-	}
-	return f, leftover(spec, params)
-}
-
-// crossbarFactory resolves the buffered-crossbar policy families.
-func crossbarFactory(name, spec string, params map[string]float64) (func() switchsim.CrossbarPolicy, error) {
-	var f func() switchsim.CrossbarPolicy
-	switch name {
-	case "cgu":
-		f = func() switchsim.CrossbarPolicy { return &core.CGU{} }
-	case "cgu-rotating":
-		f = func() switchsim.CrossbarPolicy { return &core.CGU{RotatePick: true} }
-	case "cpg":
-		beta := take(params, "beta", 0)
-		alpha := take(params, "alpha", 0)
-		f = func() switchsim.CrossbarPolicy { return &core.CPG{Beta: beta, Alpha: alpha} }
-	case "kksfifo":
-		f = func() switchsim.CrossbarPolicy { return &core.KKSFIFO{} }
-	case "crossbar-naive":
-		f = func() switchsim.CrossbarPolicy { return &core.CrossbarNaive{} }
-	default:
-		return nil, fmt.Errorf("shard: unknown crossbar policy spec %q", spec)
-	}
-	return f, leftover(spec, params)
-}
-
 // ResolveJudge resolves a judge spec for the given switch model.
 func ResolveJudge(spec string, crossbar bool) (ratio.JudgeFactory, error) {
-	name, params, err := ParsePolicySpec(spec)
+	name, params, err := core.ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
+	var cioq, xbar ratio.JudgeFactory
 	switch name {
 	case "exactunit":
-		if err := leftover(spec, params); err != nil {
-			return nil, err
-		}
-		if crossbar {
-			return ratio.ExactUnitCrossbar, nil
-		}
-		return ratio.ExactUnitCIOQ, nil
+		cioq, xbar = ratio.ExactUnitCIOQ, ratio.ExactUnitCrossbar
 	case "exactweighted":
-		if err := leftover(spec, params); err != nil {
-			return nil, err
-		}
-		if crossbar {
-			return ratio.ExactWeightedCrossbar, nil
-		}
-		return ratio.ExactWeightedCIOQ, nil
+		cioq, xbar = ratio.ExactWeightedCIOQ, ratio.ExactWeightedCrossbar
 	case "upperbound":
-		if err := leftover(spec, params); err != nil {
-			return nil, err
-		}
-		if crossbar {
-			return ratio.UpperBoundCrossbar, nil
-		}
-		return ratio.UpperBoundCIOQ, nil
+		cioq, xbar = ratio.UpperBoundCIOQ, ratio.UpperBoundCrossbar
 	case "failjudge":
-		fp := uint64(take(params, "fp", 0))
-		if err := leftover(spec, params); err != nil {
+		fp, err := core.SpecValues(spec, params, "fp")
+		if err != nil {
 			return nil, err
 		}
-		return failJudge(fp, crossbar), nil
+		return failJudge(uint64(fp[0]), crossbar), nil
 	default:
 		return nil, fmt.Errorf("shard: unknown judge spec %q", spec)
 	}
+	if _, err := core.SpecValues(spec, params); err != nil {
+		return nil, err
+	}
+	if crossbar {
+		return xbar, nil
+	}
+	return cioq, nil
 }
 
 // SequenceFingerprint names a sequence content-addressably: a CRC64 over

@@ -7,61 +7,19 @@ import (
 	"qswitch/internal/packet"
 )
 
-func TestParsePolicySpec(t *testing.T) {
-	cases := []struct {
-		spec   string
-		name   string
-		params map[string]float64
-		bad    bool
-	}{
-		{spec: "gm", name: "gm"},
-		{spec: " gm ", name: "gm"},
-		{spec: "pg(beta=2.41)", name: "pg", params: map[string]float64{"beta": 2.41}},
-		{spec: "cpg(beta=13.8, alpha=15.9)", name: "cpg", params: map[string]float64{"beta": 13.8, "alpha": 15.9}},
-		{spec: "", bad: true},
-		{spec: "pg(beta=2.41", bad: true},
-		{spec: "pg(beta)", bad: true},
-		{spec: "pg(beta=abc)", bad: true},
-	}
-	for _, tc := range cases {
-		name, params, err := ParsePolicySpec(tc.spec)
-		if tc.bad {
-			if err == nil {
-				t.Errorf("ParsePolicySpec(%q) succeeded, want error", tc.spec)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParsePolicySpec(%q): %v", tc.spec, err)
-			continue
-		}
-		if name != tc.name {
-			t.Errorf("ParsePolicySpec(%q) name = %q, want %q", tc.spec, name, tc.name)
-		}
-		if len(params) != len(tc.params) {
-			t.Errorf("ParsePolicySpec(%q) params = %v, want %v", tc.spec, params, tc.params)
-			continue
-		}
-		for k, v := range tc.params {
-			if params[k] != v {
-				t.Errorf("ParsePolicySpec(%q) params[%q] = %v, want %v", tc.spec, k, params[k], v)
-			}
-		}
-	}
-}
-
 // TestResolveAllKnownSpecs: every spec string the experiments and CLI use
 // must resolve in its model.
 func TestResolveAllKnownSpecs(t *testing.T) {
-	cioq := []string{"gm", "gm-colmajor", "gm-rotating", "gm-longestfirst",
-		"pg(beta=2.41)", "krmwm(beta=3)", "roundrobin", "naivefifo", "failpolicy(fp=7)"}
+	cioq := []string{"gm", "gm-colmajor", "gm-rotating", "gm-longestfirst", "gm-longest", "gm-random",
+		"kr-maxmatch", "pg(beta=2.41)", "krmwm(beta=3)", "kr-maxweight", "ar-fifo", "roundrobin",
+		"naivefifo", "naive-fifo", "failpolicy(fp=7)"}
 	for _, spec := range cioq {
 		if _, _, err := ResolvePolicy(spec, false); err != nil {
 			t.Errorf("ResolvePolicy(%q, cioq): %v", spec, err)
 		}
 	}
-	crossbar := []string{"cgu", "cgu-rotating", "cpg(beta=13.8,alpha=15.9)",
-		"kksfifo", "crossbar-naive", "failpolicy(fp=7)"}
+	crossbar := []string{"cgu", "cgu-rotating", "cpg(beta=13.8,alpha=15.9)", "cpg-equal",
+		"kksfifo", "kks-fifo", "crossbar-naive", "failpolicy(fp=7)"}
 	for _, spec := range crossbar {
 		if _, _, err := ResolvePolicy(spec, true); err != nil {
 			t.Errorf("ResolvePolicy(%q, crossbar): %v", spec, err)

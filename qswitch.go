@@ -45,7 +45,6 @@ package qswitch
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"qswitch/internal/core"
 	"qswitch/internal/obs"
@@ -122,98 +121,45 @@ func EnableObservability() (*MetricsRegistry, func()) {
 	return reg, wire.Down
 }
 
-// NewCIOQPolicy constructs a CIOQ policy by name:
-//
-//	gm            — Greedy Matching (paper, unit values, 3-competitive)
-//	gm-rotating   — GM with a rotating edge scan
-//	gm-colmajor   — GM with column-major scan
-//	gm-longest    — GM preferring longest queues
-//	gm-random     — GM with a random scan per cycle (open-problem probe)
-//	kr-maxmatch   — maximum-matching baseline (Hopcroft–Karp)
-//	pg            — Preemptive Greedy (paper, weighted, 5.83-competitive)
-//	kr-maxweight  — maximum-weight-matching baseline (Hungarian, β=2)
-//	ar-fifo       — FIFO-queue related-work baseline (Azar–Richter line)
-//	naive-fifo    — non-preemptive first-fit baseline
-//	roundrobin    — iSLIP-style round-robin matching
+// NewCIOQPolicy constructs a CIOQ policy from a spec of core's policy
+// table: a name from CIOQPolicyNames (the paper's gm and pg, GM's scan
+// orders, and the baselines they are compared with), an older shard
+// spelling such as "krmwm", or a parameterized form such as
+// "pg(beta=2.41)" or "kr-maxweight(beta=3)".
 func NewCIOQPolicy(name string) (CIOQPolicy, error) {
-	switch name {
-	case "gm":
-		return &core.GM{}, nil
-	case "gm-rotating":
-		return &core.GM{Order: core.Rotating}, nil
-	case "gm-colmajor":
-		return &core.GM{Order: core.ColMajor}, nil
-	case "gm-longest":
-		return &core.GM{Order: core.LongestFirst}, nil
-	case "kr-maxmatch":
-		return &core.KRMM{}, nil
-	case "pg":
-		return &core.PG{}, nil
-	case "kr-maxweight":
-		return &core.KRMWM{}, nil
-	case "naive-fifo":
-		return &core.NaiveFIFO{}, nil
-	case "roundrobin":
-		return &core.RoundRobin{}, nil
-	case "gm-random":
-		return &core.RandomizedGM{}, nil
-	case "ar-fifo":
-		return &core.ARFIFO{}, nil
-	default:
-		return nil, fmt.Errorf("qswitch: unknown CIOQ policy %q (have %v)", name, CIOQPolicyNames())
+	f, err := core.CIOQFactory(name)
+	if err != nil {
+		return nil, err
 	}
+	return f(), nil
 }
 
 // NewPG constructs the Preemptive Greedy policy with an explicit β
 // (DefaultBetaPG when 0).
 func NewPG(beta float64) CIOQPolicy { return &core.PG{Beta: beta} }
 
-// NewCrossbarPolicy constructs a buffered-crossbar policy by name:
-//
-//	cgu           — Crossbar Greedy Unit (paper, 3-competitive)
-//	cgu-rotating  — CGU with rotating picks
-//	cpg           — Crossbar Preemptive Greedy (paper, 14.83-competitive)
-//	cpg-equal     — CPG with β=α (Kesselman et al.'s parameterization)
-//	crossbar-naive— non-preemptive first-fit baseline
-//	kks-fifo      — FIFO-queue related-work baseline (KKS line)
+// NewCrossbarPolicy constructs a buffered-crossbar policy from a spec of
+// core's policy table: a name from CrossbarPolicyNames (the paper's cgu
+// and cpg and their baselines), an older shard spelling such as
+// "kksfifo", or a parameterized form such as "cpg(beta=13.8,alpha=15.9)".
 func NewCrossbarPolicy(name string) (CrossbarPolicy, error) {
-	switch name {
-	case "cgu":
-		return &core.CGU{}, nil
-	case "cgu-rotating":
-		return &core.CGU{RotatePick: true}, nil
-	case "cpg":
-		return &core.CPG{}, nil
-	case "cpg-equal":
-		return core.CPGEqualParams(), nil
-	case "crossbar-naive":
-		return &core.CrossbarNaive{}, nil
-	case "kks-fifo":
-		return &core.KKSFIFO{}, nil
-	default:
-		return nil, fmt.Errorf("qswitch: unknown crossbar policy %q (have %v)", name, CrossbarPolicyNames())
+	f, err := core.CrossbarFactory(name)
+	if err != nil {
+		return nil, err
 	}
+	return f(), nil
 }
 
 // NewCPG constructs the Crossbar Preemptive Greedy policy with explicit
 // parameters (paper defaults when 0).
 func NewCPG(beta, alpha float64) CrossbarPolicy { return &core.CPG{Beta: beta, Alpha: alpha} }
 
-// CIOQPolicyNames lists the names accepted by NewCIOQPolicy.
-func CIOQPolicyNames() []string {
-	names := []string{"gm", "gm-rotating", "gm-colmajor", "gm-longest",
-		"gm-random", "kr-maxmatch", "pg", "kr-maxweight", "ar-fifo",
-		"naive-fifo", "roundrobin"}
-	sort.Strings(names)
-	return names
-}
+// CIOQPolicyNames lists the canonical CIOQ names of core's policy table.
+func CIOQPolicyNames() []string { return core.PolicyNames(false) }
 
-// CrossbarPolicyNames lists the names accepted by NewCrossbarPolicy.
-func CrossbarPolicyNames() []string {
-	names := []string{"cgu", "cgu-rotating", "cpg", "cpg-equal", "crossbar-naive", "kks-fifo"}
-	sort.Strings(names)
-	return names
-}
+// CrossbarPolicyNames lists the canonical crossbar names of core's policy
+// table.
+func CrossbarPolicyNames() []string { return core.PolicyNames(true) }
 
 // SimulateCIOQ runs the named (or given) policy on a CIOQ switch.
 // policy may be a string accepted by NewCIOQPolicy or a CIOQPolicy value.
@@ -376,23 +322,11 @@ func ExactOptimum(cfg Config, seq Sequence, crossbar bool) (int64, error) {
 // optimum when tractable (exact=true) or by the combined output- and
 // input-side upper bound otherwise.
 func MeasureRatioCIOQ(cfg Config, policyName string, gen Generator, exact bool, seed int64, runs int) (RatioEstimate, error) {
-	pol, err := byName(policyName, NewCIOQPolicy)
+	pol, err := core.CIOQFactory(policyName)
 	if err != nil {
 		return RatioEstimate{}, err
 	}
 	return ratio.Run(context.Background(), cfg, ratio.CIOQAlg(pol), ratioJudge(exact, false), gen, seed, runs)
-}
-
-// byName validates a policy name once and returns a constructor for it,
-// so every evaluation gets a fresh policy instance.
-func byName[P any](name string, newPolicy func(string) (P, error)) (func() P, error) {
-	if _, err := newPolicy(name); err != nil {
-		return nil, err
-	}
-	return func() P {
-		p, _ := newPolicy(name) // the name resolved above, and resolving is pure
-		return p
-	}, nil
 }
 
 // ratioJudge picks the ratio judge: the exact optimum (ExactOptimum) or
@@ -415,7 +349,7 @@ func ratioJudge(exact, crossbar bool) ratio.JudgeFactory {
 // measurements spread over a worker pool (workers <= 0 selects
 // GOMAXPROCS). Results are bit-identical to the sequential version.
 func MeasureRatioCIOQParallel(cfg Config, policyName string, gen Generator, exact bool, seed int64, runs, workers int) (RatioEstimate, error) {
-	pol, err := byName(policyName, NewCIOQPolicy)
+	pol, err := core.CIOQFactory(policyName)
 	if err != nil {
 		return RatioEstimate{}, err
 	}
@@ -430,7 +364,7 @@ func MeasureRatioCIOQParallel(cfg Config, policyName string, gen Generator, exac
 // target the stopped seed count depends only on (seed, chunk).
 func MeasureRatioCIOQSequential(cfg Config, policyName string, gen Generator, exact bool,
 	seed int64, target PrecisionTarget, chunk, maxRuns int) (RatioEstimate, RatioReport, error) {
-	pol, err := byName(policyName, NewCIOQPolicy)
+	pol, err := core.CIOQFactory(policyName)
 	if err != nil {
 		return RatioEstimate{}, RatioReport{}, err
 	}
@@ -452,7 +386,7 @@ func CompareRatioCIOQPaired(cfg Config, policyNames []string, gen Generator, exa
 	seed int64, target PrecisionTarget, maxRuns int) (PairedEstimate, error) {
 	pols := make([]ratio.PairedPolicy, len(policyNames))
 	for i, name := range policyNames {
-		pol, err := byName(name, NewCIOQPolicy)
+		pol, err := core.CIOQFactory(name)
 		if err != nil {
 			return PairedEstimate{}, err
 		}
@@ -465,7 +399,7 @@ func CompareRatioCIOQPaired(cfg Config, policyNames []string, gen Generator, exa
 // MeasureRatioCrossbar is the buffered-crossbar analogue of
 // MeasureRatioCIOQ.
 func MeasureRatioCrossbar(cfg Config, policyName string, gen Generator, exact bool, seed int64, runs int) (RatioEstimate, error) {
-	pol, err := byName(policyName, NewCrossbarPolicy)
+	pol, err := core.CrossbarFactory(policyName)
 	if err != nil {
 		return RatioEstimate{}, err
 	}
