@@ -637,9 +637,9 @@ func BenchmarkFleetCrossbarCGU16B256(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Weighted and wide fleet benchmarks: the weighted kernels (PG/CPG/KRMWM,
-// ByValue rings, preemptive transfers) at n=64, and the multi-word wide PG
-// engine at n=256 (occupancy rows spanning four words, batched
-// counting-sort matching). Run KRMWM with -benchtime 1x: its Hungarian
+// ByValue rings, preemptive transfers) at n=64, and PG at n=256 on the
+// CIOQ engine's multi-word rows (occupancy rows spanning four words,
+// batched counting-sort matching). Run KRMWM with -benchtime 1x: its Hungarian
 // matching is cubic in ports.
 // ---------------------------------------------------------------------------
 
@@ -661,8 +661,8 @@ func benchFleetWeightedCIOQ(b *testing.B, n, batch int, mk func() switchsim.CIOQ
 	}
 	seqs := fleetWeightedBenchSeqs(batch, n, slots)
 	b.ReportAllocs()
-	// The runner dispatches to the narrow engine at n <= 64 and the wide
-	// engine beyond, reusing the fleet across iterations.
+	// The runner reuses one fleet across iterations; at n > 64 its rows
+	// span several words.
 	r := fleet.NewCIOQRunner(mk)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -162,10 +162,10 @@ func TestFleetWeightedStepZeroAllocsWithProbes(t *testing.T) {
 	}
 }
 
-// TestFleetWideStepZeroAllocs pins the wide PG engine's batched Step at
-// zero allocations in steady state — multi-word mask scans, the weighted
-// scheduler's counting buckets and the ByValue rings all run on storage
-// owned by the fleet.
+// TestFleetWideStepZeroAllocs pins PG's batched Step on multi-word rows
+// (80 ports, two words) at zero allocations in steady state — multi-word
+// mask scans, the weighted scheduler's counting buckets and the ByValue
+// rings all run on storage owned by the fleet.
 func TestFleetWideStepZeroAllocs(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 80, Outputs: 80, InputBuf: 2, OutputBuf: 2, Speedup: 1, RecordLatency: true}
 	const batch, slots = 4, 8000
@@ -173,7 +173,7 @@ func TestFleetWideStepZeroAllocs(t *testing.T) {
 		"pg":       func() switchsim.CIOQPolicy { return &core.PG{} },
 		"pg-beta3": func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} },
 	} {
-		f, err := newWideCIOQFleet(cfg, mk, batch)
+		f, err := NewCIOQFleet(cfg, mk, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"qswitch/internal/bitset"
 	"qswitch/internal/matching"
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
@@ -24,12 +25,10 @@ type qhdr struct {
 	head, n int32
 }
 
-// ports is the per-instance port-occupancy summary: single-word output
-// masks and layer counters, packed so a slot touches one cache line.
-type ports struct {
-	outFree, outBusy              uint64
-	inCount, crossCount, outCount int32
-	_                             int32
+// ioCount is a CIOQ instance's layer counters: the packets it holds on
+// the input side and on the output side.
+type ioCount struct {
+	in, out int32
 }
 
 // CIOQFleet is a batch of B independent CIOQ switch instances sharing one
@@ -37,11 +36,18 @@ type ports struct {
 // global slot clock. All switch state is columnar (see the package
 // documentation); storage is sized once at construction and reused across
 // Reset, so steady-state stepping never allocates.
+//
+// Output-indexed occupancy rows (voq, outFree, outBusy) are wm =
+// bitset.Words(Outputs) words long: one word up to 64 outputs, where
+// every kernel runs, and up to eight for PG at 512 ports. The unit
+// kernels and PG's packed fast path read one-word rows directly; the
+// engine's slot body and PG's edge scan walk the rows word by word.
 type CIOQFleet struct {
 	lockstep
 	kern   cioqKernel
 	n, m   int
 	nm     int
+	wm     int // words per output-indexed row
 	icap   int // input-queue ring size (power of two)
 	ocap   int // output-queue ring size (power of two)
 	inBuf  int32
@@ -49,13 +55,15 @@ type CIOQFleet struct {
 	allIn  uint64 // mask of all n input ports
 
 	// Columnar switch state: per-instance blocks inside flat arrays.
-	voq      []uint64 // [k*n+i]: outputs j with IQ(k,i,j) non-empty
-	voqByOut []uint64 // [k*m+j]: inputs i with IQ(k,i,j) non-empty
-	st       []ports  // [k]
-	iq       []pkt    // [(k*nm + i*m + j)*icap + pos]
-	iqHdr    []qhdr   // [k*nm + i*m + j]
-	oq       []pkt    // [(k*m + j)*ocap + pos]
-	oqHdr    []qhdr   // [k*m + j]
+	voq      []uint64  // [(k*n+i)*wm + w]: outputs j with IQ(k,i,j) non-empty
+	voqByOut []uint64  // [k*m+j]: inputs i with IQ(k,i,j) non-empty (kept when wantByOut)
+	outFree  []uint64  // [k*wm + w]: outputs whose queue has room
+	outBusy  []uint64  // [k*wm + w]: outputs whose queue is non-empty
+	cnt      []ioCount // [k]
+	iq       []pkt     // [(k*nm + i*m + j)*icap + pos]
+	iqHdr    []qhdr    // [k*nm + i*m + j]
+	oq       []pkt     // [(k*m + j)*ocap + pos]
+	oqHdr    []qhdr    // [k*m + j]
 
 	// ID lanes, allocated only for weighted kernels: the ByValue queue
 	// discipline breaks value ties on packet ID, so weighted rings carry
@@ -70,7 +78,9 @@ type CIOQFleet struct {
 	// changes and are read only under a set voq bit.
 	iqHV []int64
 
-	wantByOut bool  // the kernel reads voqByOut, or Validate checks it
+	// wantByOut: the kernel reads voqByOut, or Validate checks it. The
+	// transposed rows are one word, so they are kept only up to 64 inputs.
+	wantByOut bool
 	weighted  bool  // ByValue rings with ID lanes and preemption
 	pend      []pkt // the view's pass-through buffer, [j]
 
@@ -92,28 +102,28 @@ type CIOQFleet struct {
 // fleet, which keeps a fleet of one small: a short routed sequence run is
 // mostly construction.
 type cioqView struct {
-	f        *CIOQFleet
-	k        int
-	st       *ports
-	hm       *hotCtr
-	lat      *switchsim.Metrics // nil unless RecordLatency
-	voq      []uint64
-	voqByOut []uint64
-	iqHdr    []qhdr
-	iq       []pkt
-	oqHdr    []qhdr
-	oq       []pkt
-	series   []int64
-	rrG, rrA []int32
-	iqHV     []int64
+	f                *CIOQFleet
+	cnt              *ioCount
+	hm               *hotCtr
+	lat              *switchsim.Metrics // nil unless RecordLatency
+	voq              []uint64           // n rows of wm words
+	voqByOut         []uint64
+	outFree, outBusy []uint64 // wm words each
+	iqHdr            []qhdr
+	iq               []pkt
+	oqHdr            []qhdr
+	oq               []pkt
+	series           []int64
+	rrG, rrA         []int32
+	iqHV             []int64
 
-	n, m, nm       int
+	n, m, nm, wm   int
 	icapM, ocapM   int32 // ring index masks (capacity-1)
 	icap, ocap     int
 	inBuf, outBuf  int32
 	speedup        int
 	recLat, recSer bool
-	wantByOut      bool // kernel reads voqByOut; maintain it
+	wantByOut      bool // maintain voqByOut
 	weighted       bool // ByValue rings with ID lanes and preemption
 	allIn          uint64
 
@@ -125,9 +135,10 @@ type cioqView struct {
 	// output queue is necessarily that slot's transmit head, so its
 	// payload parks in pend[j] (direct bit set) instead of doing a ring
 	// store/load round-trip; the header still advances as if it had been
-	// written, keeping ring geometry consistent at any speedup. Weighted
-	// kernels never use it: a ByValue insertion can land anywhere in the
-	// ring, so their transfers always do the ring store.
+	// written, keeping ring geometry consistent at any speedup. Only the
+	// unit kernels park, and they run on one-word rows, so direct is one
+	// word. Weighted kernels never use it: a ByValue insertion can land
+	// anywhere in the ring, so their transfers always do the ring store.
 	direct uint64
 	pend   []pkt
 }
@@ -135,8 +146,7 @@ type cioqView struct {
 // bind points the view at instance k.
 func (v *cioqView) bind(f *CIOQFleet, k int) {
 	v.f = f
-	v.k = k
-	v.n, v.m, v.nm = f.n, f.m, f.nm
+	v.n, v.m, v.nm, v.wm = f.n, f.m, f.nm, f.wm
 	v.icap, v.ocap = f.icap, f.ocap
 	v.icapM, v.ocapM = int32(f.icap-1), int32(f.ocap-1)
 	v.inBuf, v.outBuf = f.inBuf, f.outBuf
@@ -145,13 +155,15 @@ func (v *cioqView) bind(f *CIOQFleet, k int) {
 	v.wantByOut, v.weighted = f.wantByOut, f.weighted
 	v.allIn = f.allIn
 	v.pend = f.pend
-	v.st = &f.st[k]
+	v.cnt = &f.cnt[k]
 	v.hm = &f.hot[k]
 	if f.cfg.RecordLatency {
 		v.lat = &f.res[k].M
 	}
-	v.voq = f.voq[k*f.n : (k+1)*f.n]
+	v.voq = f.voq[k*f.n*f.wm : (k+1)*f.n*f.wm]
 	v.voqByOut = f.voqByOut[k*f.m : (k+1)*f.m]
+	v.outFree = f.outFree[k*f.wm : (k+1)*f.wm]
+	v.outBusy = f.outBusy[k*f.wm : (k+1)*f.wm]
 	v.iqHdr = f.iqHdr[k*f.nm : (k+1)*f.nm]
 	v.iq = f.iq[k*f.nm*f.icap : (k+1)*f.nm*f.icap]
 	v.oqHdr = f.oqHdr[k*f.m : (k+1)*f.m]
@@ -173,8 +185,8 @@ func (v *cioqView) bind(f *CIOQFleet, k int) {
 // NewCIOQFleet sizes a fleet of `batch` instances for the configuration
 // and policy family produced by factory. It returns ErrUnsupported
 // (possibly wrapped) when the policy has no batched kernel or the
-// geometry exceeds the columnar engine's 64-port limit; callers wanting
-// transparent fallback use a CIOQRunner instead.
+// geometry exceeds the kernel's port limit (64 ports, 512 for PG);
+// callers wanting transparent fallback use a CIOQRunner instead.
 func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, batch int) (*CIOQFleet, error) {
 	if err := cfg.Check(false); err != nil {
 		return nil, err
@@ -187,25 +199,27 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 	if kern == nil {
 		return nil, fmt.Errorf("fleet: policy %q: %w", pol.Name(), ErrUnsupported)
 	}
-	if cfg.Inputs > maxPorts || cfg.Outputs > maxPorts {
-		return nil, fmt.Errorf("fleet: geometry %dx%d exceeds %d ports: %w", cfg.Inputs, cfg.Outputs, maxPorts, ErrUnsupported)
+	if lim := kern.portLimit(); cfg.Inputs > lim || cfg.Outputs > lim {
+		return nil, fmt.Errorf("fleet: geometry %dx%d exceeds %d ports: %w", cfg.Inputs, cfg.Outputs, lim, ErrUnsupported)
 	}
 	n, m := cfg.Inputs, cfg.Outputs
 	f := &CIOQFleet{
-		kern: kern, n: n, m: m, nm: n * m,
+		kern: kern, n: n, m: m, nm: n * m, wm: bitset.Words(m),
 		icap: ceilPow2(cfg.InputBuf), ocap: ceilPow2(cfg.OutputBuf),
 		inBuf: int32(cfg.InputBuf), outBuf: int32(cfg.OutputBuf),
 		allIn: allOnes(n),
 	}
 	f.lockstep = newLockstep(cfg, pol.Name(), batch, f)
-	f.voq = make([]uint64, batch*n)
+	f.voq = make([]uint64, batch*n*f.wm)
 	f.voqByOut = make([]uint64, batch*m)
-	f.st = make([]ports, batch)
+	f.outFree = make([]uint64, batch*f.wm)
+	f.outBusy = make([]uint64, batch*f.wm)
+	f.cnt = make([]ioCount, batch)
 	f.iq = make([]pkt, batch*f.nm*f.icap)
 	f.iqHdr = make([]qhdr, batch*f.nm)
 	f.oq = make([]pkt, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
-	f.wantByOut = kern.wantsVOQByOut() || cfg.Validate
+	f.wantByOut = kern.wantsVOQByOut() || cfg.Validate && n <= maxPorts
 	f.pend = make([]pkt, m)
 	if kern.weighted() {
 		f.weighted = true
@@ -234,10 +248,12 @@ func (f *CIOQFleet) Reset(seqs []packet.Sequence) error {
 	}
 	clear(f.voq)
 	clear(f.voqByOut)
+	clear(f.outBusy)
+	clear(f.cnt)
 	clear(f.iqHdr)
 	clear(f.oqHdr)
-	for k := range f.st {
-		f.st[k] = ports{outFree: allOnes(f.m)}
+	for k := 0; k < f.batch; k++ {
+		bitset.Mask(f.outFree[k*f.wm : (k+1)*f.wm]).Fill(f.m)
 	}
 	f.kern.reset(f)
 	return nil
@@ -253,7 +269,7 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 	seq := f.seqs[kk]
 	nx := f.next[kk]
 	horizon := f.horizon[kk]
-	st := v.st
+	cnt := v.cnt
 	hm := v.hm
 	T := f.at[kk]
 	// Window-local metric accumulators: the per-packet counters are
@@ -328,6 +344,7 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 					aPreV += preV
 					continue
 				}
+				v.voq[p.In*v.wm+p.Out>>6] |= 1 << uint(p.Out&63)
 			} else {
 				if h.n >= v.inBuf {
 					aRej++
@@ -336,12 +353,12 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 				}
 				v.iq[q*v.icap+int((h.head+h.n)&v.icapM)] = pkt{v: p.Value, a: int32(p.Arrival)}
 				h.n++
+				v.voq[p.In] |= 1 << uint(p.Out) // unit kernels: one-word rows
 			}
-			v.voq[p.In] |= 1 << uint(p.Out)
 			if v.wantByOut {
 				v.voqByOut[p.Out] |= 1 << uint(p.In)
 			}
-			st.inCount++
+			cnt.in++
 			aAcc++
 			aAccV += p.Value
 		}
@@ -357,37 +374,40 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 		}
 
 		// Transmission: every non-empty output queue sends its head.
-		w := st.outBusy
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &= w - 1
-			h := &v.oqHdr[j]
-			var p pkt
-			if v.direct&(1<<uint(j)) != 0 {
-				p = v.pend[j]
-				v.direct &^= 1 << uint(j)
-			} else {
-				p = v.oq[j*v.ocap+int(h.head)]
-			}
-			h.head = (h.head + 1) & v.ocapM
-			h.n--
-			st.outCount--
-			st.outFree |= 1 << uint(j)
-			if h.n == 0 {
-				st.outBusy &^= 1 << uint(j)
-			}
-			tSent++
-			tBen += p.v
-			if v.recLat {
-				v.lat.RecordLatency(T - int(p.a))
-			}
-			if v.recSer {
-				v.series[T] += p.v
+		busy, free := v.outBusy, v.outFree[:len(v.outBusy)]
+		for wdx, w := range busy {
+			for ; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				bit := uint64(1) << uint(b)
+				j := wdx<<6 | b
+				h := &v.oqHdr[j]
+				var p pkt
+				if v.direct&bit != 0 { // only ever set on one-word rows
+					p = v.pend[j]
+					v.direct &^= bit
+				} else {
+					p = v.oq[j*v.ocap+int(h.head)]
+				}
+				h.head = (h.head + 1) & v.ocapM
+				h.n--
+				cnt.out--
+				free[wdx] |= bit
+				if h.n == 0 {
+					busy[wdx] &^= bit
+				}
+				tSent++
+				tBen += p.v
+				if v.recLat {
+					v.lat.RecordLatency(T - int(p.a))
+				}
+				if v.recSer {
+					v.series[T] += p.v
+				}
 			}
 		}
 
-		oIn += int64(st.inCount)
-		oOut += int64(st.outCount)
+		oIn += int64(cnt.in)
+		oOut += int64(cnt.out)
 		oSamp++
 
 		if f.cfg.Validate {
@@ -402,7 +422,7 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 		// pure output drain advanced in closed form. The ported kernels'
 		// only slot-dependent state is derived from the clock (see
 		// kernels.go), so no per-policy idle hook is needed.
-		if !f.cfg.Dense && st.inCount == 0 {
+		if !f.cfg.Dense && cnt.in == 0 {
 			to := horizon
 			if nx < len(seq) && seq[nx].Arrival < to {
 				to = seq[nx].Arrival
@@ -424,7 +444,7 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 		if T >= horizon {
 			flush()
 			f.next[kk] = nx
-			return f.retire(k, int64(st.inCount)+int64(st.outCount))
+			return f.retire(k, int64(cnt.in)+int64(cnt.out))
 		}
 		if T >= end {
 			flush()
@@ -460,7 +480,8 @@ func (f *CIOQFleet) cycle(v *cioqView, slot, cycle int) {
 // transfer moves the head packet of IQ(i,j) to OQ(j) on the bound
 // instance, updating the occupancy index exactly as the scalar engine's
 // executeTransfers does. Kernels only produce transfers whose destination
-// has room.
+// has room. Its callers, the unit kernels, run on one-word rows: row i is
+// voq[i] and the output masks are word 0.
 func (v *cioqView) transfer(i, j int) {
 	q := i*v.m + j
 	h := &v.iqHdr[q]
@@ -484,13 +505,12 @@ func (v *cioqView) transfer(i, j int) {
 		v.oq[j*v.ocap+int((ho.head+ho.n)&v.ocapM)] = p
 	}
 	ho.n++
-	st := v.st
-	st.inCount--
-	st.outBusy |= 1 << uint(j)
+	v.cnt.in--
+	v.cnt.out++
+	v.outBusy[0] |= 1 << uint(j)
 	if ho.n >= v.outBuf {
-		st.outFree &^= 1 << uint(j)
+		v.outFree[0] &^= 1 << uint(j)
 	}
-	st.outCount++
 	v.hm.transferred++
 }
 
@@ -612,17 +632,17 @@ func (v *cioqView) wtransfer(i, j int) {
 	h.head = (h.head + 1) & v.icapM
 	h.n--
 	if h.n == 0 {
-		v.voq[i] &^= 1 << uint(j)
+		v.voq[i*v.wm+j>>6] &^= 1 << uint(j&63)
 		if v.wantByOut {
 			v.voqByOut[j] &^= 1 << uint(i)
 		}
 	} else {
 		v.iqHV[q] = v.iq[q*v.icap+int(h.head)].v
 	}
-	st := v.st
-	st.inCount--
+	v.cnt.in--
 	ho := &v.oqHdr[j]
 	base := j * v.ocap
+	wdx, bit := j>>6, uint64(1)<<uint(j&63)
 	if ho.n >= v.outBuf {
 		ti := base + int((ho.head+ho.n-1)&v.ocapM)
 		tv := v.oq[ti].v
@@ -634,8 +654,8 @@ func (v *cioqView) wtransfer(i, j int) {
 		v.hm.preemptedOut++
 		v.hm.preemptedOutVal += tv
 	} else {
-		st.outBusy |= 1 << uint(j)
-		st.outCount++
+		v.outBusy[wdx] |= bit
+		v.cnt.out++
 	}
 	if ho.n == 0 {
 		ringInsert0(v.oq, v.oqID, ho, base, p, id)
@@ -645,7 +665,7 @@ func (v *cioqView) wtransfer(i, j int) {
 	// A preempting insert leaves the queue full; re-clearing the bit is
 	// idempotent, so the fullness check is shared by both branches.
 	if ho.n >= v.outBuf {
-		st.outFree &^= 1 << uint(j)
+		v.outFree[wdx] &^= bit
 	}
 	v.hm.transferred++
 }
@@ -654,13 +674,15 @@ func (v *cioqView) wtransfer(i, j int) {
 // drain-only slots in closed form, mirroring (*switchsim.CIOQ).quiesce:
 // each non-empty output queue drains its head packets (see drain).
 func (v *cioqView) quiesce(T, jump int) {
-	st := v.st
-	for w := st.outBusy; w != 0; w &= w - 1 {
-		j := bits.TrailingZeros64(w)
-		h := &v.oqHdr[j]
-		st.outCount -= drain(v.oq[j*v.ocap:], h, v.ocapM, v.hm, v.lat, v.series, T, jump)
-		if h.n == 0 {
-			st.outBusy &^= 1 << uint(j)
+	for wdx, w := range v.outBusy {
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			j := wdx<<6 | b
+			h := &v.oqHdr[j]
+			v.cnt.out -= drain(v.oq[j*v.ocap:], h, v.ocapM, v.hm, v.lat, v.series, T, jump)
+			if h.n == 0 {
+				v.outBusy[wdx] &^= 1 << uint(b)
+			}
 		}
 	}
 	v.hm.sampled += int64(jump)
@@ -670,22 +692,25 @@ func (v *cioqView) quiesce(T, jump int) {
 // the ring contents (full rescan; Validate mode only).
 func (f *CIOQFleet) validate(k, T int) error {
 	var in, out int32
-	st := &f.st[k]
+	c := f.cnt[k]
+	outFree := bitset.Mask(f.outFree[k*f.wm : (k+1)*f.wm])
+	outBusy := bitset.Mask(f.outBusy[k*f.wm : (k+1)*f.wm])
 	for i := 0; i < f.n; i++ {
-		row := f.voq[k*f.n+i]
+		row := bitset.Mask(f.voq[(k*f.n+i)*f.wm : (k*f.n+i+1)*f.wm])
 		for j := 0; j < f.m; j++ {
-			l := f.iqHdr[k*f.nm+i*f.m+j].n
+			q := k*f.nm + i*f.m + j
+			l := f.iqHdr[q].n
 			in += l
 			if l < 0 || l > f.inBuf {
 				return fmt.Errorf("fleet: slot %d instance %d: IQ[%d][%d] length %d out of range", T, k, i, j, l)
 			}
-			if got, want := row&(1<<uint(j)) != 0, l > 0; got != want {
+			if got, want := row.Test(j), l > 0; got != want {
 				return fmt.Errorf("fleet: slot %d instance %d: VOQ[%d] bit %d = %v, len=%d", T, k, i, j, got, l)
 			}
-			if got, want := f.voqByOut[k*f.m+j]&(1<<uint(i)) != 0, l > 0; got != want {
+			if got, want := f.voqByOut[k*f.m+j]&(1<<uint(i)) != 0, l > 0; f.wantByOut && got != want {
 				return fmt.Errorf("fleet: slot %d instance %d: VOQByOut[%d] bit %d = %v, len=%d", T, k, j, i, got, l)
 			}
-			if f.iqID != nil && !ringOrdered(f.iq, f.iqID, f.iqHdr[k*f.nm+i*f.m+j], (k*f.nm+i*f.m+j)*f.icap, int32(f.icap-1)) {
+			if f.iqID != nil && !ringOrdered(f.iq, f.iqID, f.iqHdr[q], q*f.icap, int32(f.icap-1)) {
 				return fmt.Errorf("fleet: slot %d instance %d: IQ[%d][%d] not in ByValue order", T, k, i, j)
 			}
 		}
@@ -699,16 +724,16 @@ func (f *CIOQFleet) validate(k, T int) error {
 		if f.oqID != nil && !ringOrdered(f.oq, f.oqID, f.oqHdr[k*f.m+j], (k*f.m+j)*f.ocap, int32(f.ocap-1)) {
 			return fmt.Errorf("fleet: slot %d instance %d: OQ[%d] not in ByValue order", T, k, j)
 		}
-		if got, want := st.outFree&(1<<uint(j)) != 0, l < f.outBuf; got != want {
+		if got, want := outFree.Test(j), l < f.outBuf; got != want {
 			return fmt.Errorf("fleet: slot %d instance %d: OutFree bit %d = %v, len=%d", T, k, j, got, l)
 		}
-		if got, want := st.outBusy&(1<<uint(j)) != 0, l > 0; got != want {
+		if got, want := outBusy.Test(j), l > 0; got != want {
 			return fmt.Errorf("fleet: slot %d instance %d: OutBusy bit %d = %v, len=%d", T, k, j, got, l)
 		}
 	}
-	if in != st.inCount || out != st.outCount {
+	if in != c.in || out != c.out {
 		return fmt.Errorf("fleet: slot %d instance %d: counters (in=%d,out=%d) but queues hold (%d,%d)",
-			T, k, st.inCount, st.outCount, in, out)
+			T, k, c.in, c.out, in, out)
 	}
 	return nil
 }

@@ -8,6 +8,14 @@ import (
 	"qswitch/internal/switchsim"
 )
 
+// ports is a crossbar instance's port-occupancy summary: single-word
+// output masks and layer counters, packed so a slot touches one cache line.
+type ports struct {
+	outFree, outBusy              uint64
+	inCount, crossCount, outCount int32
+	_                             int32
+}
+
 // CrossbarFleet is the buffered-crossbar counterpart of CIOQFleet: B
 // independent crossbar instances in columnar layout, stepped in lockstep
 // windows with per-instance quiescent jumps. Quiescence requires both the

@@ -11,8 +11,9 @@
 //
 // A fleet holds B instances of one geometry in struct-of-arrays form:
 // every piece of per-switch state becomes a flat lane indexed by
-// instance. Occupancy masks are uint64 words (voq[k*n+i] is instance k's
-// non-empty-VOQ mask for input i), queue contents are flat power-of-two
+// instance. Occupancy masks are rows of uint64 words (CIOQ's
+// voq[(k*n+i)*wm:] is instance k's non-empty-VOQ row for input i, wm
+// words long), queue contents are flat power-of-two
 // rings of (value, arrival) pairs — plus a parallel ID lane in the
 // weighted family, where rings are kept in ByValue order and admissions
 // and transfers may preempt the ring minimum — and the per-slot metric
@@ -20,19 +21,20 @@
 // lanes. The per-slot loop therefore touches dense arrays with no pointer
 // chasing, no interface dispatch per queue operation, and no allocation —
 // the zero-allocs-per-batched-slot invariant is pinned by alloc_test.go
-// for the unit, weighted and wide engines alike.
+// for the unit and weighted kernels, on one-word and multi-word rows.
 //
-// Two engine widths share this design. The narrow engines (Inputs,
-// Outputs ≤ 64) keep every occupancy row in a single word and serve every
-// ported policy family. The wide engine is weighted CIOQ PG at
-// 65 ≤ ports ≤ 512: it stores each row as a multi-word internal/bitset
-// span, iterates it word by word, and enumerates its eligible edges in
+// Occupancy rows are as wide as the geometry needs. The CIOQ engine
+// stores each output-indexed row (voq, and the per-instance outFree and
+// outBusy) as bitset.Words(Outputs) words: one word up to 64 outputs,
+// where every ported family runs, and up to eight for PG at 512 ports,
+// the one kernel past 64 ports. The unit kernels and PG's packed fast
+// path read one-word rows directly; the slot body and PG's multi-word
+// edge scan walk the rows word by word, enumerating eligible edges in
 // (input, output) order for matching.WeightedScheduler's counting-sort
-// path, one scheduler shared across the batch. Everything else above 64
-// ports falls back to scalar runs. The runner picks the engine per
-// configuration.
+// path. The crossbar engine keeps one word per row and serves up to 64
+// ports. Everything else above 64 ports falls back to scalar runs.
 //
-// All three engines embed one lockstep core (lockstep.go): the batch
+// Both engines embed one lockstep core (lockstep.go): the batch
 // bookkeeping, Step's window loop, retirement into switchsim.Metrics, and
 // Results. Each engine supplies only its columns, its Reset of them, and
 // runWindow — the per-slot body of admissions, kernel cycles,
@@ -84,7 +86,7 @@
 // exposes to policies — so fleet Metrics are reflect.DeepEqual to
 // per-instance switchsim runs, including latency histograms and per-slot
 // series. The differential suite, a fuzz target over batch size, weighted
-// tie-breaks, wide geometries and sequence shape, and the ratio-backend
+// tie-breaks, multi-word geometries and sequence shape, and the ratio-backend
 // determinism tests gate this the same way reference_test.go and
 // eventdriven_test.go gated PR 1–3.
 //

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/bits"
 
-	"qswitch/internal/core"
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
 )
@@ -14,21 +13,20 @@ import (
 // scalar runs instead of surfacing it.
 var ErrUnsupported = errors.New("fleet: not batchable")
 
-// maxPorts is the single-word engines' port limit: their occupancy rows
-// are single uint64 words. Above it only PG rides a columnar engine (the
-// multi-word wide engine, up to maxWidePorts).
+// maxPorts is the port limit of every kernel that reads one-word
+// occupancy rows: all crossbar kernels and every CIOQ kernel but PG.
 const maxPorts = 64
 
-// BatchableCIOQ reports whether the policy produced by factory rides a
-// columnar engine for this configuration: any policy with a batched kernel
-// up to maxPorts, and PG alone up to maxWidePorts.
+// maxWidePorts is PG's port limit: the CIOQ engine's occupancy rows are
+// then up to 8 words long. Beyond it the runners fall back to scalar runs.
+const maxWidePorts = 512
+
+// BatchableCIOQ reports whether the policy produced by factory rides the
+// columnar engine for this configuration: any policy with a batched
+// kernel up to maxPorts, and PG up to maxWidePorts.
 func BatchableCIOQ(cfg switchsim.Config, factory func() switchsim.CIOQPolicy) bool {
-	pol := factory()
-	if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
-		return cioqKernelFor(pol) != nil
-	}
-	_, pg := pol.(*core.PG)
-	return pg && cfg.Inputs <= maxWidePorts && cfg.Outputs <= maxWidePorts
+	kern := cioqKernelFor(factory())
+	return kern != nil && cfg.Inputs <= kern.portLimit() && cfg.Outputs <= kern.portLimit()
 }
 
 // BatchableCrossbar is BatchableCIOQ for crossbar policies, which batch
@@ -37,8 +35,8 @@ func BatchableCrossbar(cfg switchsim.Config, factory func() switchsim.CrossbarPo
 	return crossbarKernelFor(factory()) != nil && cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts
 }
 
-// fleetEngine is the runner-facing surface of the three engines; all but
-// Reset come from the embedded lockstep.
+// fleetEngine is the runner-facing surface of the CIOQ and the crossbar
+// engine; all but Reset come from the embedded lockstep.
 type fleetEngine interface {
 	Reset(seqs []packet.Sequence) error
 	Step() bool
@@ -129,17 +127,8 @@ func NewCIOQRunner(factory func() switchsim.CIOQPolicy) *CIOQRunner {
 // next Run.
 func (r *CIOQRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switchsim.Result, error) {
 	return r.run(cfg, seqs, BatchableCIOQ(cfg, r.factory),
-		func(batch int) (fleetEngine, error) { return newCIOQEngine(cfg, r.factory, batch) },
+		func(batch int) (fleetEngine, error) { return NewCIOQFleet(cfg, r.factory, batch) },
 		func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(cfg, r.factory(), seq) })
-}
-
-// newCIOQEngine builds the CIOQ engine for the geometry: the single-word
-// fleet up to maxPorts, the wide one above.
-func newCIOQEngine(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, batch int) (fleetEngine, error) {
-	if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
-		return NewCIOQFleet(cfg, factory, batch)
-	}
-	return newWideCIOQFleet(cfg, factory, batch)
 }
 
 // CrossbarRunner is CIOQRunner for buffered-crossbar policy families.

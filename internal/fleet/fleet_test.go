@@ -226,8 +226,8 @@ func TestFleetFallbackUnportedPolicy(t *testing.T) {
 	}
 }
 
-// TestFleetGeometryFallback checks that geometries beyond the wide
-// engine's limit take the scalar path rather than erroring, even for PG.
+// TestFleetGeometryFallback checks that geometries beyond PG's 512-port
+// limit take the scalar path rather than erroring.
 func TestFleetGeometryFallback(t *testing.T) {
 	const ports = maxWidePorts + 1
 	cfg := switchsim.Config{Inputs: ports, Outputs: ports, InputBuf: 1, OutputBuf: 1, Speedup: 1}
@@ -251,9 +251,8 @@ func TestFleetGeometryFallback(t *testing.T) {
 }
 
 // wideFleetConfigs are geometries past the single-word limit (including a
-// non-square case whose input- and output-indexed rows have different
-// word counts). PG rides the multi-word wide engine there; every other
-// policy family takes the scalar fallback.
+// non-square one). PG rides the CIOQ engine's multi-word rows there; every
+// other policy family takes the scalar fallback.
 func wideFleetConfigs() []fleetConfig {
 	return []fleetConfig{
 		{"65x65", switchsim.Config{Inputs: 65, Outputs: 65, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}},
@@ -298,8 +297,7 @@ func checkFleetPath(t *testing.T, label string, kernel bool, seqs []packet.Seque
 
 // TestFleetWideMatchesScalar is the differential suite above 64 ports:
 // every ported policy family must stay bit-identical to per-instance
-// scalar runs, PG through the wide engine and the rest through the
-// fallback.
+// scalar runs, PG on multi-word rows and the rest through the fallback.
 func TestFleetWideMatchesScalar(t *testing.T) {
 	const batch = 3
 	gens := []packet.Generator{
@@ -336,6 +334,66 @@ func TestFleetWideMatchesScalar(t *testing.T) {
 					})
 			}
 		}
+	}
+}
+
+// TestFleetWidePortShift checks the engine against itself across the
+// word boundary. PG's decisions depend only on the relative order of
+// ports, so shifting every packet's input and output by k on an
+// (n+k)-port switch must leave the metrics unchanged. At n = 64 the
+// unshifted run takes the one-word fast path and every shifted one the
+// multi-word edge scan (two words from k = 1); at n = 40, k = 24 keeps
+// both runs on one word and k = 25 straddles bits 63/64. Speedup 2 into
+// one-packet output queues makes output preemption, and so β, decide
+// transfers.
+func TestFleetWidePortShift(t *testing.T) {
+	const batch, slots = 3, 120
+	gens := []packet.Generator{
+		packet.Bernoulli{Load: 0.9, Values: packet.UniformValues{Hi: 20}},
+		packet.PoissonBurst{OffMean: 40, BurstMean: 3, Values: packet.ZipfValues{Hi: 50, S: 1.3}},
+	}
+	var preempted int64
+	for _, c := range []struct{ n, k int }{{64, 1}, {64, 24}, {64, 64}, {40, 24}, {40, 25}} {
+		base := switchsim.Config{Inputs: c.n, Outputs: c.n, InputBuf: 2, OutputBuf: 1, Speedup: 2, Validate: true, RecordLatency: true}
+		wide := base
+		wide.Inputs, wide.Outputs = c.n+c.k, c.n+c.k
+		for name, mk := range map[string]func() switchsim.CIOQPolicy{
+			"pg":       func() switchsim.CIOQPolicy { return &core.PG{} },
+			"pg-beta3": func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} },
+		} {
+			if !BatchableCIOQ(base, mk) || !BatchableCIOQ(wide, mk) {
+				t.Fatalf("%s at %d and %d ports: want both batchable", name, c.n, c.n+c.k)
+			}
+			for gi, gen := range gens {
+				label := fmt.Sprintf("%s/n=%d/k=%d/%s", name, c.n, c.k, gen.Name())
+				seqs := fleetSeqs(base, gen, 5+int64(gi), batch, slots)
+				shifted := make([]packet.Sequence, len(seqs))
+				for b, seq := range seqs {
+					shifted[b] = append(packet.Sequence(nil), seq...)
+					for x := range shifted[b] {
+						shifted[b][x].In += c.k
+						shifted[b][x].Out += c.k
+					}
+				}
+				want, err := NewCIOQRunner(mk).Run(base, seqs)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got, err := NewCIOQRunner(mk).Run(wide, shifted)
+				if err != nil {
+					t.Fatalf("%s shifted: %v", label, err)
+				}
+				for b := range seqs {
+					preempted += want[b].M.PreemptedOutput
+					if !reflect.DeepEqual(want[b].M, got[b].M) {
+						t.Errorf("%s instance %d: shifted run diverged:\nunshifted: %+v\nshifted:   %+v", label, b, want[b].M, got[b].M)
+					}
+				}
+			}
+		}
+	}
+	if preempted == 0 {
+		t.Error("no output preemption in any run: the traffic does not exercise PG's eligibility rule")
 	}
 }
 
@@ -554,7 +612,7 @@ func TestFleetErrorsAndRecovery(t *testing.T) {
 				return switchsim.RunCrossbar(narrow, refCrossbar(cpg()), seq)
 			}},
 		{"wide-pg", wide,
-			func() (engine, error) { return newWideCIOQFleet(wide, pg, batch) },
+			func() (engine, error) { return NewCIOQFleet(wide, pg, batch) },
 			func(seq packet.Sequence) (*switchsim.Result, error) {
 				return switchsim.RunCIOQ(wide, refCIOQ(pg()), seq)
 			}},

@@ -39,8 +39,9 @@ func fuzzBatch(raw []byte, batch, inputs, outputs int) []packet.Sequence {
 // jump — and asserts fleet == scalar bit for bit, per instance, for CIOQ
 // and crossbar kernels in both the unit and the weighted families. The
 // high bit of each port byte flips that side of the geometry into the
-// 65..72-port range, where PG runs on the multi-word wide engine and
-// every other family on the scalar fallback.
+// 65..72-port range, where PG runs on multi-word rows (or, with only the
+// inputs wide, on its multi-word edge scan over one-word rows) and every
+// other family on the scalar fallback.
 func FuzzFleetEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(2), uint8(2), uint8(1), uint8(1))
 	f.Add([]byte{255, 1, 2, 90, 200, 0, 1, 3, 0, 1, 1, 60}, uint8(3), uint8(3), uint8(2), uint8(2), uint8(3))

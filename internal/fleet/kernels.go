@@ -29,6 +29,9 @@ type cioqKernel interface {
 	// ByValue queue discipline; the engine then allocates ID lanes and
 	// switches admission and transfers to preemptive ByValue insertion.
 	weighted() bool
+	// portLimit is the widest geometry the kernel batches: maxPorts for
+	// the kernels that read one-word rows, maxWidePorts for PG.
+	portLimit() int
 }
 
 // crossbarKernel is the batched counterpart of a scalar crossbar policy's
@@ -89,12 +92,14 @@ func (g *gmKernel) wantsVOQByOut() bool { return g.order == core.ColMajor }
 
 func (g *gmKernel) weighted() bool { return false }
 
+func (g *gmKernel) portLimit() int { return maxPorts }
+
 func (g *gmKernel) cycle(v *cioqView, slot, cycle int) {
 	n, m := v.n, v.m
 	switch g.order {
 	case core.ColMajor:
 		availIn := v.allIn
-		of := v.st.outFree
+		of := v.outFree[0]
 		for j := 0; j < m; j++ {
 			if of&(1<<uint(j)) == 0 {
 				continue
@@ -108,7 +113,7 @@ func (g *gmKernel) cycle(v *cioqView, slot, cycle int) {
 	case core.Rotating:
 		ticks := slot*v.speedup + cycle
 		oi, oj := ticks%n, ticks%m
-		avail := v.st.outFree
+		avail := v.outFree[0]
 		for di := 0; di < n; di++ {
 			i := (oi + di) % n
 			if j := firstFrom(v.voq[i]&avail, oj); j >= 0 {
@@ -119,7 +124,7 @@ func (g *gmKernel) cycle(v *cioqView, slot, cycle int) {
 	case core.LongestFirst:
 		f := v.f
 		f.edges = f.edges[:0]
-		of := v.st.outFree
+		of := v.outFree[0]
 		for i := 0; i < n; i++ {
 			w := v.voq[i] & of
 			for w != 0 {
@@ -132,7 +137,7 @@ func (g *gmKernel) cycle(v *cioqView, slot, cycle int) {
 			v.transfer(e.U, e.V)
 		}
 	default: // core.RowMajor
-		avail := v.st.outFree
+		avail := v.outFree[0]
 		for i := 0; i < n; i++ {
 			if w := v.voq[i] & avail; w != 0 {
 				j := bits.TrailingZeros64(w)
@@ -153,6 +158,8 @@ func (rrKernel) wantsVOQByOut() bool { return true }
 
 func (rrKernel) weighted() bool { return false }
 
+func (rrKernel) portLimit() int { return maxPorts }
+
 func (rrKernel) reset(f *CIOQFleet) {
 	if len(f.rrGrant) != f.batch*f.m {
 		f.rrGrant = make([]int32, f.batch*f.m)
@@ -171,7 +178,7 @@ func (rrKernel) cycle(v *cioqView, slot, cycle int) {
 	}
 	// Grant: each open output grants the first requesting input at or
 	// after its grant pointer.
-	of := v.st.outFree
+	of := v.outFree[0]
 	for j := 0; j < m; j++ {
 		if of&(1<<uint(j)) == 0 {
 			continue
@@ -196,9 +203,12 @@ func (rrKernel) cycle(v *cioqView, slot, cycle int) {
 // destination's least valuable packet), match greedy maximal, and execute
 // each transfer with output-side preemption. The kernel bakes in the beta
 // core.Threshold resolves, as the scalar policy's Reset does. PG has no
-// slot-dependent state, so no idle hook is needed.
+// slot-dependent state, so no idle hook is needed. It is the one kernel
+// past 64 ports: above one-word geometries every cycle takes the
+// multi-word edge scan.
 type pgKernel struct {
 	beta  float64
+	fast  bool // fastCycle applies: both sides ≤ 64 ports
 	sched matching.WeightedScheduler
 }
 
@@ -210,9 +220,13 @@ const pgFastMaxW = 2048
 // reset sizes the greedy path's weight histogram to the largest value
 // the loaded sequences carry, capped at pgFastMaxW+1 buckets: no head
 // value can exceed it, so a tiny run does not pay for 2,049 buckets.
+// Wider geometries never take the fast path and size no histogram.
 func (g *pgKernel) reset(f *CIOQFleet) {
 	if cap(f.edges) < f.nm {
 		f.edges = make([]matching.Edge, 0, f.nm)
+	}
+	if g.fast = f.n <= maxPorts && f.m <= maxPorts; !g.fast {
+		return
 	}
 	if cap(f.wsorted) < f.nm {
 		f.wkeys = make([]uint32, 0, f.nm)
@@ -234,16 +248,18 @@ func (g *pgKernel) wantsVOQByOut() bool { return false }
 
 func (g *pgKernel) weighted() bool { return true }
 
+func (g *pgKernel) portLimit() int { return maxWidePorts }
+
 func (g *pgKernel) cycle(v *cioqView, slot, cycle int) {
-	if g.fastCycle(v) {
+	if g.fast && g.fastCycle(v) {
 		return
 	}
 	g.genericCycle(v)
 }
 
 // fastCycle is the greedy-PG hot path: eligible VOQ-head edges are packed
-// into uint32 keys (weight<<12 | input<<6 | output, valid because narrow
-// ports fit 6 bits and the fast path requires weight <= pgFastMaxW), a
+// into uint32 keys (weight<<12 | input<<6 | output, valid because it runs
+// only when ports fit 6 bits and requires weight <= pgFastMaxW), a
 // stable counting scatter by weight descending reproduces the scheduler's
 // contract order (weight desc, ties input asc then output asc — the
 // enumeration itself is (input, output)-ascending), and the greedy accept
@@ -257,7 +273,7 @@ func (g *pgKernel) fastCycle(v *cioqView) bool {
 	clear(cnt[:f.wcntHi])
 	keys := f.wkeys[:0]
 	maxW := int32(0)
-	of := v.st.outFree
+	of := v.outFree[0]
 	// A full output's tail value (and its beta multiple) is shared by
 	// every input's eligibility test, so hoist both out of the edge scan
 	// and compute them once per cycle.
@@ -329,28 +345,31 @@ func (g *pgKernel) fastCycle(v *cioqView) bool {
 	return true
 }
 
-// genericCycle enumerates eligible edges as matching.Edge values and
-// defers to the weighted scheduler (with its own counting/radix fast
-// paths) when a head value overflows the packed fast path.
+// genericCycle is the multi-word edge scan: it enumerates the eligible
+// edges word by word along each input's occupancy row, in (input, output)
+// order as the scheduler's counting-sort path requires, and defers to the
+// weighted scheduler. It serves every cycle past 64 ports and the cycles
+// whose head values overflow fastCycle's packed range.
 func (g *pgKernel) genericCycle(v *cioqView) {
 	f := v.f
 	edges := f.edges[:0]
-	of := v.st.outFree
 	for i := 0; i < v.n; i++ {
-		w := v.voq[i]
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &= w - 1
-			q := i*v.m + j
-			hv := v.iqHV[q]
-			if of&(1<<uint(j)) == 0 {
-				ho := &v.oqHdr[j]
-				tv := v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v
-				if float64(hv) <= g.beta*float64(tv) {
-					continue
+		for wdx, w := range v.voq[i*v.wm : (i+1)*v.wm] {
+			of := v.outFree[wdx]
+			for ; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				j := wdx<<6 | b
+				q := i*v.m + j
+				hv := v.iqHV[q]
+				if of&(1<<uint(b)) == 0 {
+					ho := &v.oqHdr[j]
+					tv := v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v
+					if float64(hv) <= g.beta*float64(tv) {
+						continue
+					}
 				}
+				edges = append(edges, matching.Edge{U: i, V: j, W: hv})
 			}
-			edges = append(edges, matching.Edge{U: i, V: j, W: hv})
 		}
 	}
 	f.edges = edges

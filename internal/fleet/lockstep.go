@@ -64,7 +64,7 @@ type lockstep struct {
 
 	// passCount tallies pass-through deliveries (pend-buffer parks)
 	// across the fleet's lifetime; the runner diffs it around each batch
-	// to flush the fleet probes. The wide engine never parks.
+	// to flush the fleet probes. Only the unit kernels park.
 	passCount int64
 	// jumps and jumped tally quiescent jumps and the slots they covered
 	// across the fleet's lifetime; a batch-of-one run reports them to the

@@ -79,7 +79,7 @@ func probedRun(t *testing.T, run func() (*switchsim.Result, error)) (*switchsim.
 
 // TestSequenceRoutingTakesKernels pins which engine a sequence run takes,
 // through the fleet's kernel counter: bare batchable policies take a
-// kernel (PG up to 16 ports and the wide one from 65 to 512), while
+// kernel (PG up to 16 ports and again from 65 to 512), while
 // wrapped ones, PG at 17–64 ports and policies without a kernel (KRMM,
 // KRMWM, crossbar-naive) take the reference loop.
 func TestSequenceRoutingTakesKernels(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 func init() { switchsim.RegisterKernels(runCIOQ, runCrossbar) }
 
 // pgRouteMaxPorts is the widest geometry whose PG sequence runs take the
-// single-word kernel; from 65 ports the wide engine takes them again.
+// one-word fast path; from 65 ports the multi-word edge scan takes them
+// again.
 const pgRouteMaxPorts = 16
 
 // routesCIOQ reports whether a sequence run of pol takes a kernel: every
@@ -32,7 +33,7 @@ func runCIOQ(cfg switchsim.Config, pol switchsim.CIOQPolicy, seq packet.Sequence
 		return nil, 0, 0, nil
 	}
 	return runOne(cfg, seq, func(batch int) (fleetEngine, error) {
-		return newCIOQEngine(cfg, func() switchsim.CIOQPolicy { return pol }, batch)
+		return NewCIOQFleet(cfg, func() switchsim.CIOQPolicy { return pol }, batch)
 	})
 }
 

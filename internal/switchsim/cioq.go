@@ -304,7 +304,7 @@ func (sw *CIOQ) executeTransfers(ts []Transfer) error {
 				victim, preempted, accepted = dst.PushPreempt(p)
 			}
 			if !accepted {
-				return fmt.Errorf("switchsim: transfer of %v into OQ[%d] rejected (victim %v not worse)", p, t.Out, victim)
+				return fmt.Errorf("switchsim: transfer of %v into OQ[%d] rejected (blocker %v not worse)", p, t.Out, blocker(dst, t))
 			}
 			if preempted {
 				// Replacement: the queue stays full and non-empty.
@@ -323,6 +323,20 @@ func (sw *CIOQ) executeTransfers(ts []Transfer) error {
 		sw.M.Transferred++
 	}
 	return nil
+}
+
+// blocker returns the packet that made the full queue dst reject a
+// preemptive transfer t: the least valuable packet under PreemptMinIfFull,
+// the tail otherwise. A rejected push leaves dst untouched, so the packet
+// read after the push is the one the push compared against.
+func blocker(dst *queue.Queue, t Transfer) packet.Packet {
+	var b packet.Packet
+	if t.PreemptMinIfFull {
+		b, _ = dst.MinValue()
+	} else {
+		b, _ = dst.Tail()
+	}
+	return b
 }
 
 // transmit performs the transmission phase of slot `slot`, visiting only

@@ -331,7 +331,7 @@ func (sw *Crossbar) executeInputSubphase(ts []Transfer) error {
 				victim, preempted, accepted = dst.PushPreempt(p)
 			}
 			if !accepted {
-				return fmt.Errorf("switchsim: transfer of %v into C[%d][%d] rejected", p, t.In, t.Out)
+				return fmt.Errorf("switchsim: transfer of %v into C[%d][%d] rejected (blocker %v not worse)", p, t.In, t.Out, blocker(dst, t))
 			}
 			if preempted {
 				// Replacement: the crosspoint stays full and non-empty.
@@ -392,7 +392,7 @@ func (sw *Crossbar) executeOutputSubphase(ts []Transfer) error {
 				victim, preempted, accepted = dst.PushPreempt(p)
 			}
 			if !accepted {
-				return fmt.Errorf("switchsim: transfer of %v into OQ[%d] rejected", p, t.Out)
+				return fmt.Errorf("switchsim: transfer of %v into OQ[%d] rejected (blocker %v not worse)", p, t.Out, blocker(dst, t))
 			}
 			if preempted {
 				sw.M.PreemptedOutput++

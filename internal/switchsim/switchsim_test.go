@@ -383,3 +383,95 @@ func TestLatencyHistogram(t *testing.T) {
 		t.Errorf("mean latency %f, want > 0 (second packet waits)", res.M.MeanLatency())
 	}
 }
+
+// TestRejectedPreemptionNamesBlocker drives a preemptive transfer into a
+// full queue whose blocking packet is not worse, on every engine site that
+// can reject one: CIOQ's output queue under PreemptIfFull and under
+// PreemptMinIfFull (where the blocker is the least valuable packet, not
+// the tail), and the crossbar's crosspoint and output queue. Each error
+// must name the packet that blocked the move.
+func TestRejectedPreemptionNamesBlocker(t *testing.T) {
+	cioqCase := func(name string, cfg Config, outDisc queue.Discipline, seq packet.Sequence, moves [][]Transfer, blocker packet.Packet) {
+		t.Run(name, func(t *testing.T) {
+			pol := &passPolicy{inDisc: queue.ByValue, outDisc: outDisc, sched: func(sw *CIOQ, slot, cycle int) []Transfer {
+				if slot == 0 {
+					return moves[cycle]
+				}
+				return nil
+			}}
+			_, err := RunCIOQ(cfg, pol, seq)
+			if err == nil || !strings.Contains(err.Error(), blocker.String()) {
+				t.Errorf("err = %v, want one naming %v", err, blocker)
+			}
+		})
+	}
+	// OQ[0] holds one packet of value 9; a value-5 move may not evict it.
+	cfg := baseCfg()
+	cfg.OutputBuf, cfg.Speedup = 1, 2
+	seq := seqOf(
+		packet.Packet{ID: 0, Arrival: 0, In: 0, Out: 0, Value: 5},
+		packet.Packet{ID: 1, Arrival: 0, In: 1, Out: 0, Value: 9},
+	)
+	cioqCase("cioq-tail", cfg, queue.ByValue, seq,
+		[][]Transfer{{{In: 1, Out: 0}}, {{In: 0, Out: 0, PreemptIfFull: true}}}, seq[1])
+	// A FIFO OQ[0] holds values 4 then 8: a value-3 move is blocked by the
+	// value-4 head, its least valuable packet.
+	cfg = baseCfg()
+	cfg.Inputs, cfg.Speedup = 3, 3
+	seq = seqOf(
+		packet.Packet{ID: 0, Arrival: 0, In: 0, Out: 0, Value: 3},
+		packet.Packet{ID: 1, Arrival: 0, In: 1, Out: 0, Value: 4},
+		packet.Packet{ID: 2, Arrival: 0, In: 2, Out: 0, Value: 8},
+	)
+	cioqCase("cioq-min", cfg, queue.FIFO, seq,
+		[][]Transfer{{{In: 1, Out: 0}}, {{In: 2, Out: 0}}, {{In: 0, Out: 0, PreemptMinIfFull: true}}}, seq[1])
+
+	// Crossbar: C[0][0] holds the value-9 packet and the value-5 packet
+	// behind it in IQ[0][0] may not evict it (IQ[1][1]'s packet only keeps
+	// the blocker's ID off zero).
+	cfg = baseCfg()
+	cfg.CrossBuf, cfg.Speedup = 1, 2
+	seq = seqOf(
+		packet.Packet{ID: 0, Arrival: 0, In: 1, Out: 1, Value: 1},
+		packet.Packet{ID: 1, Arrival: 0, In: 0, Out: 0, Value: 9},
+		packet.Packet{ID: 2, Arrival: 0, In: 0, Out: 0, Value: 5},
+	)
+	t.Run("crossbar-crosspoint", func(t *testing.T) {
+		pol := &xbarPolicy{
+			inSub: func(sw *Crossbar, slot, cycle int) []Transfer {
+				if slot > 0 {
+					return nil
+				}
+				return []Transfer{{In: 0, Out: 0, PreemptIfFull: cycle == 1}}
+			},
+			outSub: func(*Crossbar, int, int) []Transfer { return nil },
+		}
+		_, err := RunCrossbar(cfg, pol, seq)
+		if err == nil || !strings.Contains(err.Error(), seq[1].String()) {
+			t.Errorf("err = %v, want one naming %v", err, seq[1])
+		}
+	})
+	// Crossbar: OQ[0] holds the value-9 packet from C[1][0]; the value-5
+	// packet in C[0][0] may not evict it.
+	cfg = baseCfg()
+	cfg.OutputBuf, cfg.Speedup = 1, 2
+	seq = seqOf(
+		packet.Packet{ID: 0, Arrival: 0, In: 0, Out: 0, Value: 5},
+		packet.Packet{ID: 1, Arrival: 0, In: 1, Out: 0, Value: 9},
+	)
+	t.Run("crossbar-output", func(t *testing.T) {
+		pol := &xbarPolicy{outSub: func(sw *Crossbar, slot, cycle int) []Transfer {
+			if slot > 0 {
+				return nil
+			}
+			if cycle == 0 {
+				return []Transfer{{In: 1, Out: 0}}
+			}
+			return []Transfer{{In: 0, Out: 0, PreemptIfFull: true}}
+		}}
+		_, err := RunCrossbar(cfg, pol, seq)
+		if err == nil || !strings.Contains(err.Error(), seq[1].String()) {
+			t.Errorf("err = %v, want one naming %v", err, seq[1])
+		}
+	})
+}

@@ -46,6 +46,7 @@ run "$bin/switchsim" -model oq -values uniform -load 1.3 -slots 200 -seed 12
 run "$bin/switchsim" -model cioq -compare -ub -values zipf -load 1.1 -slots 200
 run "$bin/switchsim" -model crossbar -compare -ub -values uniform -load 1.2 -slots 200
 run "$bin/switchsim" -model crossbar -compare -n 128 -slots 50 -load 0.5
+run "$bin/switchsim" -model cioq -compare -n 128 -values uniform -load 1.3 -slots 50
 run "$bin/switchsim" -model cioq -traffic flowmix -values zipf -stream -latency -n 16 -slots 20000
 run "$bin/tracegen" -traffic bursty -values zipf -n 8 -slots 400 -o "$work/trace.bin"
 run "$bin/tracegen" -inspect "$work/trace.bin"
