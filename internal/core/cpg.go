@@ -36,10 +36,6 @@ type CPG struct {
 	beta      float64
 	alpha     float64
 	transfers []switchsim.Transfer
-	// Output-subphase picks on an indexed switch: output j takes input
-	// pick[j]'s crosspoint for every j in picked.
-	picked uint64
-	pick   [64]uint8
 }
 
 // CPGEqualParams returns the β=α parameterization of CPG — the algorithm
@@ -122,30 +118,10 @@ func (c *CPG) InputSubphase(sw *switchsim.Crossbar, slot, cycle int) []switchsim
 // OutputSubphase implements switchsim.CrossbarPolicy: each output picks
 // its crosspoint with the most valuable head (ties to the lower packet
 // ID), then transfers it if the output queue has room or the head beats
-// α times the output's least valuable packet. The picks come from the
-// switch's per-output value buckets when its crosspoint index is ready,
-// and from a scan of the output's busy crosspoints in the head-value lane
-// otherwise.
+// α times the output's least valuable packet. Candidates are the output's
+// busy crosspoints, valued from the switch's transposed head-value lane,
+// where one output's crosspoints are adjacent.
 func (c *CPG) OutputSubphase(sw *switchsim.Crossbar, slot, cycle int) []switchsim.Transfer {
-	if sw.XIndex.Ready() {
-		return c.outputIndexed(sw)
-	}
-	return c.outputScan(sw)
-}
-
-// outputIndexed is OutputSubphase on the crosspoint index.
-func (c *CPG) outputIndexed(sw *switchsim.Crossbar) []switchsim.Transfer {
-	c.transfers = c.transfers[:0]
-	c.pickIndexed(sw)
-	for w := c.picked; w != 0; w &= w - 1 {
-		j := bits.TrailingZeros64(w)
-		c.emitOutput(sw, int(c.pick[j]), j)
-	}
-	return c.transfers
-}
-
-// outputScan is OutputSubphase on the head-value lane alone.
-func (c *CPG) outputScan(sw *switchsim.Crossbar) []switchsim.Transfer {
 	c.transfers = c.transfers[:0]
 	n := c.cfg.Inputs
 	for j := 0; j < c.cfg.Outputs; j++ {
@@ -167,30 +143,6 @@ func (c *CPG) outputScan(sw *switchsim.Crossbar) []switchsim.Transfer {
 		}
 	}
 	return c.transfers
-}
-
-// pickIndexed walks the crosspoint index's head values in descending order
-// and gives each output with a busy crosspoint the first value at which it
-// appears: c.picked is the set of such outputs, c.pick[j] the input whose
-// crosspoint output j takes.
-func (c *CPG) pickIndexed(sw *switchsim.Crossbar) {
-	x := &sw.XIndex
-	c.picked = x.Live()
-	pending := c.picked
-	for v := x.Top(); v > 0 && pending != 0; v = x.Below(v) {
-		for outs := x.Rows(v) & pending; outs != 0; outs &= outs - 1 {
-			j := bits.TrailingZeros64(outs)
-			cands := x.Cols(v, j)
-			i := bits.TrailingZeros64(cands)
-			for rest := cands & (cands - 1); rest != 0; rest &= rest - 1 {
-				if k := bits.TrailingZeros64(rest); headID(sw.XQ[k][j]) < headID(sw.XQ[i][j]) {
-					i = k
-				}
-			}
-			c.pick[j] = uint8(i)
-			pending &^= 1 << uint(j)
-		}
-	}
 }
 
 // emitOutput appends the transfer C_ij -> Q_j when Q_j has room or C_ij's

@@ -55,34 +55,6 @@ func (p *pgBothPaths) Schedule(sw *switchsim.CIOQ, slot, cycle int) []switchsim.
 	return got
 }
 
-// cpgBothPaths is CPG whose output subphase, whenever the crosspoint index
-// is ready, also picks from the head-value lane and fails unless the two
-// transfer lists are equal, in order.
-type cpgBothPaths struct {
-	CPG
-	t    *testing.T
-	scan CPG
-	n    pathCount
-}
-
-func (c *cpgBothPaths) Reset(cfg switchsim.Config) {
-	c.CPG.Reset(cfg)
-	c.scan.Beta, c.scan.Alpha = c.Beta, c.Alpha
-	c.scan.Reset(cfg)
-}
-
-func (c *cpgBothPaths) OutputSubphase(sw *switchsim.Crossbar, slot, cycle int) []switchsim.Transfer {
-	c.n.note(sw.XIndex.Ready())
-	if !sw.XIndex.Ready() {
-		return c.CPG.OutputSubphase(sw, slot, cycle)
-	}
-	got, want := c.outputIndexed(sw), c.scan.outputScan(sw)
-	if !slices.Equal(got, want) {
-		c.t.Fatalf("slot %d cycle %d: indexed picks %v, lane picks %v", slot, cycle, got, want)
-	}
-	return got
-}
-
 // indexWorkloads are the reference suite's cells plus its boundary cells,
 // three seeds each.
 func indexWorkloads(t *testing.T, run func(name string, cfg switchsim.Config, seq packet.Sequence)) {
@@ -99,9 +71,8 @@ func indexWorkloads(t *testing.T, run func(name string, cfg switchsim.Config, se
 }
 
 // TestIndexedPathsMatchScans checks PG's indexed matching against its edge
-// matching, and CPG's indexed output picks against its lane scan, on every
-// cycle the index serves. The value mix straddling 2048 must move each
-// run between the two paths and back.
+// matching on every cycle the index serves. The value mix straddling 2048
+// must move each run between the two paths and back.
 func TestIndexedPathsMatchScans(t *testing.T) {
 	counts := map[string]*pathCount{}
 	tally := func(key string, c pathCount) {
@@ -122,26 +93,17 @@ func TestIndexedPathsMatchScans(t *testing.T) {
 			}
 			tally("pg/"+name, pg.n)
 		}
-		for _, mk := range []func() CPG{func() CPG { return CPG{} }, func() CPG { return *CPGEqualParams() }} {
-			cpg := &cpgBothPaths{CPG: mk(), t: t}
-			mustRunXbar(t, cfg, cpg, seq)
-			tally("cpg/"+name, cpg.n)
-		}
 	})
-	for _, key := range []string{"pg/square", "pg/64x64", "cpg/square", "cpg/64x64"} {
+	for _, key := range []string{"pg/square", "pg/64x64"} {
 		if c := counts[key]; c.indexed == 0 || c.scanned != 0 {
 			t.Errorf("%s: %d indexed and %d scanned calls, want only indexed", key, c.indexed, c.scanned)
 		}
 	}
-	for _, key := range []string{"pg/wide", "cpg/wide"} {
-		if c := counts[key]; c.indexed != 0 {
-			t.Errorf("%s: %d indexed calls on a 66-port switch", key, c.indexed)
-		}
+	if c := counts["pg/wide"]; c.indexed != 0 {
+		t.Errorf("pg/wide: %d indexed calls on a 66-port switch", c.indexed)
 	}
-	for _, key := range []string{"pg/above2048", "cpg/above2048"} {
-		if c := counts[key]; c.indexed == 0 || c.scanned == 0 || c.switches < 2 {
-			t.Errorf("%s: %d indexed, %d scanned calls, %d path switches; want both paths and a switch there and back",
-				key, c.indexed, c.scanned, c.switches)
-		}
+	if c := counts["pg/above2048"]; c.indexed == 0 || c.scanned == 0 || c.switches < 2 {
+		t.Errorf("pg/above2048: %d indexed, %d scanned calls, %d path switches; want both paths and a switch there and back",
+			c.indexed, c.scanned, c.switches)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"qswitch/internal/packet"
@@ -106,5 +108,61 @@ func TestGMValueBlindness(t *testing.T) {
 			t.Errorf("seed %d: GM sent %d weighted vs %d unit — value leakage",
 				seed, weighted.M.Sent, unit.M.Sent)
 		}
+	}
+}
+
+// relabelPorts returns seq with its inputs sent through in and its
+// outputs through out; packet IDs and order are kept.
+func relabelPorts(seq packet.Sequence, in, out []int) packet.Sequence {
+	moved := seq.Clone()
+	for x := range moved {
+		moved[x].In, moved[x].Out = in[moved[x].In], out[moved[x].Out]
+	}
+	return moved
+}
+
+// TestCPGPortRelabelling checks that CPG on the crossbar slot loop does not
+// depend on port names: permuting the inputs and the outputs, and embedding
+// the switch into a wider one whose extra ports see no traffic, leaves
+// every metric unchanged. CPG breaks ties by packet ID, never by port, and
+// Metrics sums over ports. Small values make ties common; values up to
+// 4096 cross MaxIndexedValue; 40+25 ports cross the one-word row; speedup
+// 2 lets hotspot outputs fill, so both thresholds preempt.
+func TestCPGPortRelabelling(t *testing.T) {
+	policies := []struct {
+		name string
+		mk   func() *CPG
+	}{
+		{"cpg", func() *CPG { return &CPG{} }},
+		{"cpg-equal", CPGEqualParams},
+	}
+	var crossPreempted, outPreempted int64
+	seed := int64(0)
+	for _, c := range []struct{ n, k, slots int }{{2, 25, 200}, {16, 0, 60}, {40, 25, 8}, {64, 0, 8}} {
+		base := switchsim.Config{Inputs: c.n, Outputs: c.n, InputBuf: 2, OutputBuf: 3, CrossBuf: 1,
+			Speedup: 2, Validate: true, RecordLatency: true}
+		wide := base
+		wide.Inputs, wide.Outputs = c.n+c.k, c.n+c.k
+		for _, hi := range []int64{4, 4096} {
+			seed++
+			rng := rand.New(rand.NewSource(seed))
+			gen := packet.Hotspot{Load: 1.5, HotFrac: 0.5, Values: packet.UniformValues{Hi: hi}}
+			seq := gen.Generate(rng, c.n, c.n, c.slots)
+			moved := relabelPorts(seq, rng.Perm(c.n+c.k), rng.Perm(c.n+c.k))
+			for _, p := range policies {
+				label := fmt.Sprintf("%s/n=%d/k=%d/values=[1,%d]", p.name, c.n, c.k, hi)
+				want := mustRunXbar(t, base, p.mk(), seq)
+				got := mustRunXbar(t, wide, p.mk(), moved)
+				crossPreempted += want.M.PreemptedCross
+				outPreempted += want.M.PreemptedOutput
+				if !reflect.DeepEqual(want.M, got.M) {
+					t.Errorf("%s: relabelled run diverged:\noriginal:   %+v\nrelabelled: %+v", label, want.M, got.M)
+				}
+			}
+		}
+	}
+	if crossPreempted == 0 || outPreempted == 0 {
+		t.Errorf("%d crosspoint and %d output preemptions: the traffic does not exercise both of CPG's thresholds",
+			crossPreempted, outPreempted)
 	}
 }

@@ -96,9 +96,9 @@ func writeFrame(w io.Writer, ft frameType, payload []byte) error {
 // readFrame reads and verifies one frame, returning its type, payload and
 // total encoded size. io.EOF is returned verbatim when the stream ends
 // cleanly on a frame boundary; any other failure (short read, bad magic,
-// version skew, oversized length, CRC mismatch) is an error that poisons
-// the stream — framing cannot be resynchronized, so callers must tear the
-// connection down.
+// version skew, non-zero reserved bytes, oversized length, CRC mismatch)
+// is an error that poisons the stream — framing cannot be resynchronized,
+// so callers must tear the connection down.
 func readFrame(r io.Reader) (frameType, []byte, int, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -112,6 +112,9 @@ func readFrame(r io.Reader) (frameType, []byte, int, error) {
 	}
 	if hdr[4] < MinProtocolVersion || hdr[4] > ProtocolVersion {
 		return 0, nil, 0, fmt.Errorf("shard: protocol version %d, want %d..%d", hdr[4], MinProtocolVersion, ProtocolVersion)
+	}
+	if hdr[6] != 0 || hdr[7] != 0 {
+		return 0, nil, 0, fmt.Errorf("shard: frame reserved bytes %x, want 0000", hdr[6:8])
 	}
 	n := binary.BigEndian.Uint32(hdr[8:12])
 	if n > maxFramePayload {

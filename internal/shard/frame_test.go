@@ -2,6 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc64"
 	"io"
 	"strings"
 	"testing"
@@ -78,4 +81,66 @@ func TestFrameRejectsOversizedLength(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("err = %v, want payload limit error", err)
 	}
+}
+
+// TestFrameRejectsReservedBytes: a frame whose reserved bytes are not zero
+// is rejected even under a matching CRC, since it could not re-encode
+// identically.
+func TestFrameRejectsReservedBytes(t *testing.T) {
+	for _, reserved := range [][2]byte{{0, 1}, {0x80, 0}, {0xff, 0xff}} {
+		frame := appendFrame(nil, ftResult, []byte(`{}`))
+		frame[6], frame[7] = reserved[0], reserved[1]
+		body := frame[:len(frame)-frameTrailerLen]
+		frame = binary.BigEndian.AppendUint64(body, crc64.Checksum(body, crcTable))
+		_, _, _, err := readFrame(bytes.NewReader(frame))
+		want := fmt.Sprintf("reserved bytes %02x%02x", reserved[0], reserved[1])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("reserved %x: err = %v, want it to contain %q", reserved, err, want)
+		}
+	}
+}
+
+// FuzzReadFrame feeds raw bytes to the frame decoder: it must either fail
+// or return a frame that re-encodes to exactly the bytes it consumed. Each
+// input is decoded as given and once more with a valid CRC written where
+// its length field puts the trailer, so mutated headers get past the
+// checksum.
+func FuzzReadFrame(f *testing.F) {
+	result := appendFrame(nil, ftResult, []byte(`{"seeds":[{"seed":7,"ratio":1.5}]}`))
+	f.Add(result)
+	f.Add(appendFrameV(nil, 1, ftHello, []byte(`{"version":1}`)))
+	f.Add(appendFrameV(nil, 2, ftCheckpoint, []byte(`{}`)))
+	f.Add(appendFrame(nil, ftHeartbeat, nil))
+	// One bit flip in each header field, the payload and the CRC, and cuts
+	// at the field boundaries, as in the bit-flip and truncation tests.
+	for _, bit := range []int{0, 37, 44, 50, 70, 100, len(result)*8 - 1} {
+		mut := bytes.Clone(result)
+		mut[bit/8] ^= 1 << (bit % 8)
+		f.Add(mut)
+	}
+	for _, cut := range []int{1, frameHeaderLen - 1, frameHeaderLen, len(result) - frameTrailerLen, len(result) - 1} {
+		f.Add(bytes.Clone(result[:cut]))
+	}
+	decode := func(t *testing.T, data []byte) {
+		ft, payload, n, err := readFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if got := appendFrameV(nil, data[4], ft, payload); !bytes.Equal(got, data[:n]) {
+			t.Fatalf("frame re-encodes as %x, consumed %x", got, data[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decode(t, data)
+		if len(data) < frameHeaderLen {
+			return
+		}
+		body := frameHeaderLen + int(binary.BigEndian.Uint32(data[8:12]))
+		if body > len(data)-frameTrailerLen {
+			return
+		}
+		sealed := bytes.Clone(data)
+		binary.BigEndian.PutUint64(sealed[body:], crc64.Checksum(sealed[:body], crcTable))
+		decode(t, sealed)
+	})
 }

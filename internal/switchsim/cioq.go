@@ -185,7 +185,7 @@ func (sw *CIOQ) checkIndex() error {
 	}); err != nil {
 		return err
 	}
-	return sw.IQIndex.check("IQ", sw.IQHead, n, m, false)
+	return sw.IQIndex.check("IQ", sw.IQHead, n, m)
 }
 
 // admit executes an admission decision, updating metrics and the index.

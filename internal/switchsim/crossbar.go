@@ -39,8 +39,7 @@ type CrossbarPolicy interface {
 // Like CIOQ it maintains an incrementally-updated occupancy index over
 // its three queue layers, so subphase policies touch only occupied
 // queues. Value-ordered input and crosspoint queues also get head-value
-// lanes, and for up to 64×64 ports the crosspoints are filed by head
-// value per output (XIndex). Policies must treat the index as read-only.
+// lanes. Policies must treat the index and the lanes as read-only.
 type Crossbar struct {
 	Cfg Config
 	// IQ[i][j]: input queue at port i for output j.
@@ -68,9 +67,6 @@ type Crossbar struct {
 	// transposed so that one output's crosspoints are adjacent; 0 when
 	// empty, nil unless the crosspoint queues are ByValue.
 	XHead []int64
-	// XIndex files XQ[i][j] under the value XHead[j*Inputs+i], row j,
-	// column i; kept when XHead is and both port counts are at most 64.
-	XIndex HeadIndex
 
 	inCount    int64 // packets across all input queues
 	crossCount int64 // packets across all crosspoint queues
@@ -123,9 +119,6 @@ func NewCrossbar(cfg Config, inDisc, crossDisc, outDisc queue.Discipline) *Cross
 	}
 	if crossDisc == queue.ByValue {
 		sw.XHead = lanes[n*m:]
-		if indexable(m, n) {
-			sw.XIndex.init(m)
-		}
 	}
 	return sw
 }
@@ -218,13 +211,10 @@ func (sw *Crossbar) checkIndex() error {
 	if sw.XHead == nil {
 		return nil
 	}
-	if err := checkHeadLane("XQ", sw.XHead, m, n, true, func(j, i int) int64 {
+	return checkHeadLane("XQ", sw.XHead, m, n, true, func(j, i int) int64 {
 		h, _ := sw.XQ[i][j].Head()
 		return h.Value
-	}); err != nil {
-		return err
-	}
-	return sw.XIndex.check("XQ", sw.XHead, m, n, true)
+	})
 }
 
 func (sw *Crossbar) admit(p packet.Packet, action AdmitAction) error {
@@ -285,16 +275,11 @@ func (sw *Crossbar) noteIQHead(i, j int) {
 	}
 }
 
-// noteXHead refreshes XQ[i][j]'s entry in the head-value lane and index
-// after the queue changed. Only ByValue crosspoints keep them; callers
-// test XHead first.
+// noteXHead refreshes XQ[i][j]'s head-value lane entry after the queue
+// changed. Only ByValue crosspoints keep a lane; callers test XHead first.
 func (sw *Crossbar) noteXHead(i, j int) {
 	h, _ := sw.XQ[i][j].Head()
-	k := j*sw.Cfg.Inputs + i
-	if old := sw.XHead[k]; old != h.Value {
-		sw.XHead[k] = h.Value
-		sw.XIndex.move(j, i, old, h.Value)
-	}
+	sw.XHead[j*sw.Cfg.Inputs+i] = h.Value
 }
 
 // executeInputSubphase moves head packets Q_ij -> C_ij with at most one

@@ -183,9 +183,9 @@ func queueAt(r, c int, transposed bool) (i, j int) {
 }
 
 // check compares an index with the lane it files (full rescan;
-// validation mode only); see checkHeadLane for the lane's layout. It is a
-// no-op on a grid that is not indexed.
-func (x *HeadIndex) check(grid string, lane []int64, rows, cols int, transposed bool) error {
+// validation mode only): lane[r*cols+c] is the head value of grid[r][c].
+// It is a no-op on a grid that is not indexed.
+func (x *HeadIndex) check(grid string, lane []int64, rows, cols int) error {
 	if x.rows == 0 {
 		return nil
 	}
@@ -199,8 +199,7 @@ func (x *HeadIndex) check(grid string, lane []int64, rows, cols int, transposed 
 			case v < 1 || v > MaxIndexedValue:
 				over++
 			case x.Cols(v, r)&(1<<uint(c)) == 0:
-				i, j := queueAt(r, c, transposed)
-				return fmt.Errorf("index: value index misses %s[%d][%d] under head value %d", grid, i, j, v)
+				return fmt.Errorf("index: value index misses %s[%d][%d] under head value %d", grid, r, c, v)
 			default:
 				n++
 			}
@@ -221,8 +220,7 @@ func (x *HeadIndex) check(grid string, lane []int64, rows, cols int, transposed 
 			for w := x.cols[k*x.rows+r]; w != 0; w &= w - 1 {
 				c := bits.TrailingZeros64(w)
 				if c >= cols || lane[r*cols+c] != int64(k+1) {
-					i, j := queueAt(r, c, transposed)
-					return fmt.Errorf("index: value index files %s[%d][%d] under head value %d", grid, i, j, k+1)
+					return fmt.Errorf("index: value index files %s[%d][%d] under head value %d", grid, r, c, k+1)
 				}
 				rowsAt |= 1 << uint(r)
 			}

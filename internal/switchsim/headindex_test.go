@@ -192,13 +192,13 @@ func TestHeadIndexKeptOnlyForValueOrderedGrids(t *testing.T) {
 	}
 	xbar := NewCrossbar(Config{Inputs: 2, Outputs: 65, InputBuf: 1, OutputBuf: 1, CrossBuf: 1, Speedup: 1},
 		queue.ByValue, queue.ByValue, queue.ByValue)
-	if xbar.IQHead == nil || xbar.XHead == nil || xbar.XIndex.Ready() {
-		t.Error("65 outputs: want both head lanes but no crosspoint index")
+	if xbar.IQHead == nil || xbar.XHead == nil {
+		t.Error("65 outputs: want both head lanes")
 	}
 	mixed := NewCrossbar(Config{Inputs: 2, Outputs: 2, InputBuf: 1, OutputBuf: 1, CrossBuf: 1, Speedup: 1},
 		queue.FIFO, queue.ByValue, queue.FIFO)
-	if mixed.IQHead != nil || mixed.XHead == nil || !mixed.XIndex.Ready() {
-		t.Error("FIFO inputs, ByValue crosspoints: want only the crosspoint lane and index")
+	if mixed.IQHead != nil || mixed.XHead == nil {
+		t.Error("FIFO inputs, ByValue crosspoints: want only the crosspoint lane")
 	}
 }
 

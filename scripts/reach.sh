@@ -4,8 +4,9 @@
 # It builds every cmd/ binary with coverage instrumentation over the whole
 # module, drives them through a fixed argv matrix (the experiment suite
 # plain and on the fleet backend, the simulator's comparison tables on
-# every model, a streamed FlowMix run, a trace round trip, and sharded
-# experiments, a checkpoint resume and two hunts over worker processes),
+# every model, streamed FlowMix runs on CIOQ and the crossbar, a trace
+# round trip, and sharded experiments, a checkpoint resume and two hunts
+# over worker processes),
 # and prints every internal/ function that executed no statement.
 # GOCOVERDIR is exported, so worker subprocesses report too. Functions with
 # no statements (empty IdleAdvance bodies) are left out: they always read
@@ -48,6 +49,7 @@ run "$bin/switchsim" -model crossbar -compare -ub -values uniform -load 1.2 -slo
 run "$bin/switchsim" -model crossbar -compare -n 128 -slots 50 -load 0.5
 run "$bin/switchsim" -model cioq -compare -n 128 -values uniform -load 1.3 -slots 50
 run "$bin/switchsim" -model cioq -traffic flowmix -values zipf -stream -latency -n 16 -slots 20000
+run "$bin/switchsim" -model crossbar -policy cpg -traffic flowmix -values zipf -stream -latency -n 16 -slots 20000
 run "$bin/tracegen" -traffic bursty -values zipf -n 8 -slots 400 -o "$work/trace.bin"
 run "$bin/tracegen" -inspect "$work/trace.bin"
 run "$bin/tracegen" -convert "$work/trace.bin" -json "$work/trace.json"
