@@ -34,8 +34,6 @@ func main() {
 		run    = flag.String("run", "", "comma-separated experiment ids to run (e.g. e1,e5)")
 		all    = flag.Bool("all", false, "run every experiment")
 		quick  = flag.Bool("quick", false, "reduced workloads (seconds instead of minutes)")
-		dense  = flag.Bool("dense", false, "opt out of the event-driven simulator fast path and simulate every slot (bit-identical results, slower)")
-		fleet  = flag.Bool("fleet", false, "route Monte-Carlo ratio estimations through the columnar batched fleet engine (byte-identical results)")
 		ciTgt  = flag.Float64("ci-target", 0, "sequential stopping: stop each ratio estimation once the Student-t CI half-width on the mean ratio is <= this (0 disables; seed budget still caps)")
 		conf   = flag.Float64("confidence", 0.95, "confidence level for CI columns and -ci-target stopping")
 		chunk  = flag.Int("ci-chunk", 0, "seeds per sequential stopping decision (0 selects the default)")
@@ -94,7 +92,7 @@ func main() {
 	}
 
 	opts := experiments.Options{
-		Quick: *quick, Seed: *seed, Dense: *dense, Fleet: *fleet,
+		Quick: *quick, Seed: *seed,
 		CITarget: stats.Target{AbsWidth: *ciTgt, Confidence: *conf},
 		SeqChunk: *chunk, Paired: *paired, Probes: sess.Reg,
 	}

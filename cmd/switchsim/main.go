@@ -41,7 +41,6 @@ func main() {
 		traffic = flag.String("traffic", "uniform", "traffic: uniform, bursty, hotspot, diagonal, permutation, poissonburst, diurnal, heavytail, burstblock, crossdrain, flowmix")
 		values  = flag.String("values", "unit", "values: unit, two, uniform, zipf, geometric")
 		load    = flag.Float64("load", 0.9, "offered load per input per slot")
-		dense   = flag.Bool("dense", false, "opt out of the event-driven engine and simulate every slot (bit-identical metrics, much slower on sparse traces)")
 		seed    = flag.Int64("seed", 1, "RNG seed")
 		trace   = flag.String("trace", "", "binary trace file to replay instead of generating")
 		stream  = flag.Bool("stream", false, "pull arrivals lazily (generated or decoded on demand) instead of materializing the sequence: bounded memory on huge traces/horizons, bit-identical metrics")
@@ -66,7 +65,6 @@ func main() {
 		InputBuf: *bin, OutputBuf: *bout, CrossBuf: *bx,
 		Speedup: *speedup, Slots: *horizon,
 		RecordLatency: *lat,
-		Dense:         *dense,
 	}
 
 	if *stream {

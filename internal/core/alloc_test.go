@@ -308,8 +308,8 @@ func TestMicroRunAllocations(t *testing.T) {
 		if _, err := switchsim.RunCIOQ(cfg, &PG{}, seq); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 33 {
-		t.Errorf("RunCIOQ PG micro run: %v allocs, want <= 33", allocs)
+	}); allocs > 22 {
+		t.Errorf("RunCIOQ PG micro run: %v allocs, want <= 22", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		if _, err := switchsim.RunCrossbar(cfg, &CPG{}, seq); err != nil {

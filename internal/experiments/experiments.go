@@ -15,7 +15,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 
@@ -30,10 +29,9 @@ import (
 // Options controls experiment scale and the backend the Monte-Carlo
 // ratio estimations (E1-E4) run on. The backend levers never change a
 // table — every estimate is byte-identical on each backend — and they
-// resolve in one order: Shard, when set, wins over Fleet, and Fleet over
-// the scalar engine; CITarget adds sequential stopping on whichever of
-// the three is chosen; Paired reroutes only the E2b beta sweep, and only
-// when Shard is unset.
+// resolve in one order: Shard, when set, wins over the in-process fleet
+// evaluator; CITarget adds sequential stopping on either; Paired reroutes
+// only the E2b beta sweep, and only when Shard is unset.
 type Options struct {
 	// Quick shrinks workloads by roughly an order of magnitude so every
 	// experiment finishes in well under a second (used by tests and
@@ -42,18 +40,6 @@ type Options struct {
 	// Seed is the base RNG seed; all experiments are deterministic
 	// given a seed.
 	Seed int64
-	// Dense opts every simulation OUT of the event-driven engine fast
-	// path (switchsim.Config.Dense); by default experiments run
-	// event-driven, which matters for the adversarial workloads (E8, E14)
-	// whose burst/drain/idle shape is exactly what the quiescent jump
-	// accelerates. Results are bit-identical either way; it is purely a
-	// wall-clock lever.
-	Dense bool
-	// Fleet routes the ratio estimations through the columnar batched
-	// engine (ratio.FleetChunks over internal/fleet): batchable policy
-	// families amortize one policy loop across a whole batch of seeded
-	// instances, everything else falls back to scalar runs.
-	Fleet bool
 	// Shard routes the ratio estimations through an out-of-process chunk
 	// service — typically a shard.Coordinator fanning seed-range chunks
 	// over qswitchd worker processes with retries and checkpointing.
@@ -75,9 +61,10 @@ type Options struct {
 	// beta steps identical arrival sequences via the fleet engine with
 	// ONE offline-optimum solve per seed (instead of one per beta), and
 	// the sweep's paired-difference columns come from the same
-	// ratio.PairedDiff fold either way — so the table is byte-identical
-	// to the independent path and this is purely a
-	// wall-clock/sample-efficiency lever.
+	// ratio.PairedDiff fold either way — so on a fixed budget the table is
+	// byte-identical to the independent path. Under a CITarget it is a
+	// stopping rule too: the paired run stops once every paired difference
+	// meets the target, not each beta's marginal.
 	Paired bool
 	// Probes, when set, is the observability registry the process's
 	// probe bundles flush into (see internal/obs/wire.Up). Experiments
@@ -94,41 +81,35 @@ type Options struct {
 // experiment.
 func (o Options) ProbeSnapshot() map[string]float64 { return o.Probes.Snapshot() }
 
-// fleetBatch is the batch size Options.Fleet hands to ratio.FleetChunks.
+// fleetBatch is the batch size estimate hands to ratio.FleetChunks.
 const fleetBatch = 64
 
 // estimate measures OPT/ALG for one policy family over `runs` seeded
-// workloads on the backend the options select (see Options). On the scalar
-// and fleet engines it runs on GOMAXPROCS workers, each with its own
+// workloads on the backend the options select (see Options). In process
+// it runs ratio.FleetChunks on GOMAXPROCS workers, each with its own
 // evaluator — its own judge, seed generator and fleet storage — so
 // GOMAXPROCS=1 is one worker on the caller's goroutine. A fixed budget is
-// cut into about four chunks a worker on the scalar engine and into fleet
-// batches on the fleet; a CI target decides at every SeqChunk seeds. A
+// cut into fleet batches; a CI target decides at every SeqChunk seeds. A
 // fixed budget on a shard puts every chunk in flight at once, and a target
 // on a shard issues its chunks one at a time. The seed-ordered merge makes
 // every estimate byte-identical at any worker count and chunk size.
 func (o Options) estimate(cfg switchsim.Config, pol policyRef, judge judgeRef, gen packet.Generator,
 	seed int64, runs int) (ratio.Estimate, error) {
-	req := ratio.ChunkRequest{Cfg: cfg, Crossbar: pol.crossbar, Policy: pol.spec, Judge: judge.spec, Gen: gen, BaseSeed: seed}
 	seq := ratio.SequentialOptions{Target: o.CITarget, Chunk: o.SeqChunk, MaxRuns: runs}
-	mint := func() ratio.ChunkEvaluator { return ratio.ScalarChunks(cfg, pol.alg, judge.factory, gen, seed) }
-	chunk := max(1, runs/(4*runtime.GOMAXPROCS(0)))
-	switch {
-	case o.Shard != nil && !o.CITarget.Enabled():
-		return ratio.RunSharded(o.ctx(), o.Shard, req, runs, o.ShardChunk)
-	case o.Shard != nil:
+	if o.Shard != nil {
+		req := ratio.ChunkRequest{Cfg: cfg, Crossbar: pol.crossbar, Policy: pol.spec, Judge: judge.spec, Gen: gen, BaseSeed: seed}
+		if !o.CITarget.Enabled() {
+			return ratio.RunSharded(o.ctx(), o.Shard, req, runs, o.ShardChunk)
+		}
 		est, _, err := ratio.RunSequential(o.ctx(), ratio.ShardedChunks(o.Shard, req), seq)
 		return est, err
-	case o.Fleet:
-		mint = func() ratio.ChunkEvaluator {
-			return ratio.FleetChunks(cfg, pol.fleet, judge.factory, gen, seed, fleetBatch)
-		}
-		chunk = fleetBatch
 	}
 	if !o.CITarget.Enabled() {
-		seq.Chunk = chunk
+		seq.Chunk = fleetBatch
 	}
-	est, _, err := ratio.RunSequentialPool(o.ctx(), mint, seq)
+	est, _, err := ratio.RunSequentialPool(o.ctx(), func() ratio.ChunkEvaluator {
+		return ratio.FleetChunks(cfg, pol.fleet, judge.factory, gen, seed, fleetBatch)
+	}, seq)
 	return est, err
 }
 
@@ -145,7 +126,6 @@ func (o Options) confidence() float64 { return o.CITarget.ConfidenceLevel() }
 type policyRef struct {
 	spec     string
 	crossbar bool
-	alg      ratio.Alg
 	fleet    ratio.FleetAlgFactory
 }
 
@@ -156,7 +136,7 @@ func cioqRef(spec string) policyRef {
 	if err != nil {
 		panic(err)
 	}
-	return policyRef{spec: spec, alg: ratio.CIOQAlg(f), fleet: ratio.CIOQFleetAlg(f)}
+	return policyRef{spec: spec, fleet: ratio.CIOQFleetAlg(f)}
 }
 
 // crossbarRef is cioqRef for a buffered-crossbar policy spec.
@@ -165,7 +145,7 @@ func crossbarRef(spec string) policyRef {
 	if err != nil {
 		panic(err)
 	}
-	return policyRef{spec: spec, crossbar: true, alg: ratio.CrossbarAlg(f), fleet: ratio.CrossbarFleetAlg(f)}
+	return policyRef{spec: spec, crossbar: true, fleet: ratio.CrossbarFleetAlg(f)}
 }
 
 // judgeRef couples a judge factory with its registry spec string.
@@ -177,12 +157,6 @@ type judgeRef struct {
 // fmtParam renders a float policy parameter so it round-trips exactly
 // through a registry spec string.
 func fmtParam(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// cfg applies the experiment-wide simulation options to a config.
-func (o Options) cfg(c switchsim.Config) switchsim.Config {
-	c.Dense = o.Dense
-	return c
-}
 
 // pick returns quick or full depending on the mode.
 func (o Options) pick(quick, full int) int {
@@ -251,12 +225,12 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // microCfg is the shared geometry for exact-optimum experiments.
-func microCfg(o Options, slots int) switchsim.Config {
-	return o.cfg(switchsim.Config{
+func microCfg(slots int) switchsim.Config {
+	return switchsim.Config{
 		Inputs: 2, Outputs: 2,
 		InputBuf: 2, OutputBuf: 2, CrossBuf: 1,
 		Speedup: 1, Slots: slots,
-	})
+	}
 }
 
 func boolMark(ok bool) string {

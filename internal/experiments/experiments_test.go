@@ -147,12 +147,12 @@ func (s refChunks) RatioChunk(ctx context.Context, req ratio.ChunkRequest) ([]ra
 }
 
 // TestFleetOptionBitIdentical renders the ratio experiments on the
-// reference slot loop (through refChunks), on the default scalar backend
-// and with Options.Fleet, and requires byte-identical tables: the
-// columnar kernels, at batch one under switchsim.RunCIOQ/RunCrossbar and
-// batched in the fleet, change wall-clock only, never a number. Full mode
-// (about 0.1 s for all three) because quick E2's and E4's tables do not
-// change when the seeds shift or PG's beta moves by one.
+// reference slot loop (through refChunks) and on the default in-process
+// fleet evaluator, and requires byte-identical tables: the columnar
+// kernels, at batch one under switchsim.RunCIOQ/RunCrossbar and batched in
+// the fleet, change wall-clock only, never a number. Full mode (about
+// 0.1 s for both) because quick E2's and E4's tables do not change when
+// the seeds shift or PG's beta moves by one.
 func TestFleetOptionBitIdentical(t *testing.T) {
 	render := func(tables []*stats.Table) string {
 		var b bytes.Buffer
@@ -174,21 +174,12 @@ func TestFleetOptionBitIdentical(t *testing.T) {
 		if calls.Load() == 0 {
 			t.Fatalf("%s: no estimate ran on the reference loop", id)
 		}
-		want := render(ref)
-		for _, o := range []struct {
-			name string
-			opts Options
-		}{
-			{"scalar", Options{Seed: 5}},
-			{"fleet", Options{Seed: 5, Fleet: true}},
-		} {
-			tables, err := e.Run(o.opts)
-			if err != nil {
-				t.Fatalf("%s %s: %v", id, o.name, err)
-			}
-			if got := render(tables); got != want {
-				t.Errorf("%s: the %s backend changed results:\nreference loop:\n%s\n%s:\n%s", id, o.name, want, o.name, got)
-			}
+		tables, err := e.Run(Options{Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got, want := render(tables), render(ref); got != want {
+			t.Errorf("%s: the fleet evaluator changed results:\nreference loop:\n%s\nfleet:\n%s", id, want, got)
 		}
 	}
 }

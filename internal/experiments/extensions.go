@@ -38,8 +38,8 @@ func E13EdgeOrder(opts Options) ([]*stats.Table, error) {
 		packet.Hotspot{Load: 1.1, HotFrac: 0.5},
 		packet.Diagonal{Load: 1.0, OffFrac: 0.1},
 	}
-	cfg := opts.cfg(switchsim.Config{Inputs: n, Outputs: n, InputBuf: 2, OutputBuf: 2,
-		CrossBuf: 1, Speedup: 1, Slots: slots})
+	cfg := switchsim.Config{Inputs: n, Outputs: n, InputBuf: 2, OutputBuf: 2,
+		CrossBuf: 1, Speedup: 1, Slots: slots}
 	for gi, gen := range gens {
 		for _, ord := range orders {
 			var thr, loss stats.Acc
@@ -88,7 +88,7 @@ func E14Randomization(opts Options) ([]*stats.Table, error) {
 		{"gm-random", func() switchsim.CIOQPolicy { return &core.RandomizedGM{Seed: opts.Seed + 5} }},
 	}
 	for _, m := range []int{4, 6, 8} {
-		cfg := opts.cfg(adversary.IQLowerBoundCfg(m))
+		cfg := adversary.IQLowerBoundCfg(m)
 		for _, pol := range policies {
 			seq, benefit, err := adversary.AdaptiveAntiGreedy(cfg, pol.mk(), phases)
 			if err != nil {
@@ -110,7 +110,7 @@ func E14Randomization(opts Options) ([]*stats.Table, error) {
 		"m", "policy", "mean_benefit", "exact_opt", "ratio", "deterministic_lb")
 	trials := opts.pick(5, 20)
 	for _, m := range []int{4, 6, 8} {
-		cfg := opts.cfg(adversary.IQLowerBoundCfg(m))
+		cfg := adversary.IQLowerBoundCfg(m)
 		seq := adversary.IQLowerBound(m, phases)
 		opt, err := offline.ExactUnitCIOQ(cfg, seq)
 		if err != nil {
@@ -151,8 +151,8 @@ func E15FIFOComparison(opts Options) ([]*stats.Table, error) {
 	seeds := opts.pick(3, 8)
 	tb := stats.NewTable("E15: non-FIFO (paper) vs FIFO (related work) queues",
 		"traffic", "policy", "mean_benefit", "mean_frac_of_ub", "mean_latency")
-	cfg := opts.cfg(switchsim.Config{Inputs: n, Outputs: n, InputBuf: 3, OutputBuf: 3,
-		CrossBuf: 1, Speedup: 1, Slots: slots, RecordLatency: true})
+	cfg := switchsim.Config{Inputs: n, Outputs: n, InputBuf: 3, OutputBuf: 3,
+		CrossBuf: 1, Speedup: 1, Slots: slots, RecordLatency: true}
 	gens := []packet.Generator{
 		packet.Hotspot{Load: 1.5, HotFrac: 0.6, Values: packet.ZipfValues{Hi: 500, S: 1.1}},
 		packet.Bursty{OnLoad: 1.0, POnOff: 0.2, POffOn: 0.15, Values: packet.UniformValues{Hi: 50}},

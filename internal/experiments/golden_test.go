@@ -82,43 +82,24 @@ func TestGoldenExperimentCSVs(t *testing.T) {
 	}
 }
 
-// TestGoldenIdentityUnderLevers renders every golden experiment with the
-// fleet backend and with the event-driven fast path off, and E1-E4, whose
-// ratio estimations run on GOMAXPROCS workers, on the scalar and the fleet
-// engine at 1, 2 and 4 workers: all are wall-clock levers only, so each
-// must reproduce the golden byte for byte. A one-core runner never takes
-// the pooled path without the worker counts.
+// TestGoldenIdentityUnderLevers renders E1-E4, whose ratio estimations
+// run on GOMAXPROCS workers, at 1, 2 and 4 workers: the worker count is a
+// wall-clock lever only, so each must reproduce the golden byte for byte.
+// A one-core runner never takes the pooled path without the worker counts.
 func TestGoldenIdentityUnderLevers(t *testing.T) {
 	if *update {
 		t.Skip("goldens are being rewritten")
 	}
-	type lever struct {
-		name  string
-		opts  Options
-		procs int // GOMAXPROCS; 0 keeps the runner's
-		ids   []string
-	}
-	levers := []lever{
-		{"fleet", Options{Quick: true, Seed: 5, Fleet: true}, 0, goldenIDs()},
-		{"dense", Options{Quick: true, Seed: 5, Dense: true}, 0, goldenIDs()},
-	}
-	for _, procs := range []int{1, 2, 4} {
-		levers = append(levers,
-			lever{fmt.Sprintf("%d workers", procs), Options{Quick: true, Seed: 5}, procs, ratioIDs},
-			lever{fmt.Sprintf("fleet, %d workers", procs), Options{Quick: true, Seed: 5, Fleet: true}, procs, ratioIDs})
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, l := range levers {
-		if l.procs > 0 {
-			runtime.GOMAXPROCS(l.procs)
-		}
-		for _, id := range l.ids {
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, id := range ratioIDs {
 			want, err := os.ReadFile(goldenPath(id))
 			if err != nil {
 				t.Fatalf("%s: reading golden: %v", id, err)
 			}
-			if got := renderCSVs(t, id, l.opts); !bytes.Equal(got, want) {
-				t.Errorf("%s under %s: CSV output diverged from golden:\n got:\n%s\nwant:\n%s", id, l.name, got, want)
+			if got := renderCSVs(t, id, Options{Quick: true, Seed: 5}); !bytes.Equal(got, want) {
+				t.Errorf("%s on %d workers: CSV output diverged from golden:\n got:\n%s\nwant:\n%s", id, procs, got, want)
 			}
 		}
 	}
@@ -184,8 +165,8 @@ var ratioIDs = []string{"e1", "e2", "e3", "e4"}
 // TestEstimatesIdenticalAcrossWorkerCounts runs E1-E4 under a CI target on
 // 1, 2 and 4 estimation workers (GOMAXPROCS): an unreachable target must
 // reproduce the golden byte for byte, and a reachable one must stop every
-// estimation where one worker stops it, on the scalar and the fleet
-// engine. TestGoldenIdentityUnderLevers covers the fixed budgets.
+// estimation where one worker stops it. TestGoldenIdentityUnderLevers
+// covers the fixed budgets.
 func TestEstimatesIdenticalAcrossWorkerCounts(t *testing.T) {
 	if *update {
 		t.Skip("goldens are being rewritten")
@@ -210,7 +191,6 @@ func TestEstimatesIdenticalAcrossWorkerCounts(t *testing.T) {
 			}{
 				{"unreachable target", Options{Quick: true, Seed: 5, CITarget: stats.Target{AbsWidth: 1e-12}, SeqChunk: 3}, want},
 				{"reachable target", reachable, stopped[id]},
-				{"reachable target, fleet", withFleet(reachable), stopped[id]},
 			} {
 				if got := renderCSVs(t, id, lever.opts); !bytes.Equal(got, lever.want) {
 					t.Errorf("%s, %s, %d workers: CSV output diverged:\n got:\n%s\nwant:\n%s", id, lever.name, procs, got, lever.want)
@@ -218,10 +198,4 @@ func TestEstimatesIdenticalAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
-}
-
-// withFleet returns o on the fleet engine.
-func withFleet(o Options) Options {
-	o.Fleet = true
-	return o
 }

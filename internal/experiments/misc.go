@@ -58,8 +58,8 @@ func E8Adversarial(opts Options) ([]*stats.Table, error) {
 	tbB := stats.NewTable("E8b: adversarial local search (fuzzer)",
 		"target", "judge", "iterations", "best_ratio", "improve_bound", "proven_bound", "within")
 	iters := opts.pick(60, 1500)
-	cfg := opts.cfg(switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 1, OutputBuf: 1,
-		CrossBuf: 1, Speedup: 1})
+	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 1, OutputBuf: 1,
+		CrossBuf: 1, Speedup: 1}
 	gmJudge := ratio.ExactUnitCIOQ()
 	gmEval := adversary.Memo(func(seq packet.Sequence) (float64, bool) {
 		r, ok, err := ratio.Single(cfg,
@@ -105,8 +105,8 @@ func E8Adversarial(opts Options) ([]*stats.Table, error) {
 	{
 		// Speedup 2 with a unit output buffer is the regime where the
 		// beta gate (and hence output preemption) actually binds.
-		cfgW := opts.cfg(switchsim.Config{Inputs: 2, Outputs: 1, InputBuf: 1, OutputBuf: 1,
-			CrossBuf: 1, Speedup: 2})
+		cfgW := switchsim.Config{Inputs: 2, Outputs: 1, InputBuf: 1, OutputBuf: 1,
+			CrossBuf: 1, Speedup: 2}
 		seq := adversary.PreemptionChains(2, core.DefaultBetaPG(), 3, 2)
 		r, ok, err := ratio.Single(cfgW,
 			ratio.CIOQAlg(func() switchsim.CIOQPolicy { return &core.PG{} }),
@@ -121,8 +121,8 @@ func E8Adversarial(opts Options) ([]*stats.Table, error) {
 	}
 	{
 		n := opts.pick(4, 8)
-		cfgF := opts.cfg(switchsim.Config{Inputs: n, Outputs: n, InputBuf: 2, OutputBuf: 2,
-			CrossBuf: 1, Speedup: 1})
+		cfgF := switchsim.Config{Inputs: n, Outputs: n, InputBuf: 2, OutputBuf: 2,
+			CrossBuf: 1, Speedup: 1}
 		seq := adversary.DiagonalFlip(n, 6, opts.pick(3, 8))
 		ubJudge := ratio.UpperBoundCIOQ()
 		r, ok, err := ratio.Single(cfgF,
@@ -163,8 +163,8 @@ func E10ValueDists(opts Options) ([]*stats.Table, error) {
 		packet.ZipfValues{Hi: 1000, S: 1.2},
 		packet.GeometricValues{P: 0.2, Hi: 256},
 	}
-	cfg := opts.cfg(switchsim.Config{Inputs: n, Outputs: n, InputBuf: 2, OutputBuf: 2,
-		CrossBuf: 2, Speedup: 1, Slots: slots})
+	cfg := switchsim.Config{Inputs: n, Outputs: n, InputBuf: 2, OutputBuf: 2,
+		CrossBuf: 2, Speedup: 1, Slots: slots}
 	for di, dist := range dists {
 		seq := packet.Hotspot{Load: 1.4, HotFrac: 0.5, Values: dist}.Generate(rng.New(opts.Seed+int64(di)), n, n, slots/2)
 		ub, err := offline.OQUpperBound(cfg, seq, false)
@@ -234,8 +234,8 @@ func E11Rect(opts Options) ([]*stats.Table, error) {
 	geoms := [][2]int{{2, 8}, {8, 2}, {4, 16}}
 	for gi, g := range geoms {
 		n, m := g[0], g[1]
-		cfg := opts.cfg(switchsim.Config{Inputs: n, Outputs: m, InputBuf: 2, OutputBuf: 2,
-			CrossBuf: 2, Speedup: 1, Slots: slots})
+		cfg := switchsim.Config{Inputs: n, Outputs: m, InputBuf: 2, OutputBuf: 2,
+			CrossBuf: 2, Speedup: 1, Slots: slots}
 		seq := packet.Bernoulli{Load: 1.0, Values: packet.UniformValues{Hi: 10}}.
 			Generate(rng.New(opts.Seed+int64(gi)), n, m, slots/2)
 		ub, err := offline.OQUpperBound(cfg, seq, false)
@@ -278,8 +278,8 @@ func E12MaximalVsMaximum(opts Options) ([]*stats.Table, error) {
 		packet.Hotspot{Load: 1.3, HotFrac: 0.6, Values: packet.UniformValues{Hi: 20}},
 		packet.Bursty{OnLoad: 1.0, POnOff: 0.25, POffOn: 0.25, Values: packet.UniformValues{Hi: 20}},
 	}
-	cfg := opts.cfg(switchsim.Config{Inputs: n, Outputs: n, InputBuf: 3, OutputBuf: 3,
-		CrossBuf: 1, Speedup: 1, Slots: slots})
+	cfg := switchsim.Config{Inputs: n, Outputs: n, InputBuf: 3, OutputBuf: 3,
+		CrossBuf: 1, Speedup: 1, Slots: slots}
 	for gi, gen := range gens {
 		var accGM, accPG stats.Acc
 		for s := 0; s < seeds; s++ {

@@ -96,10 +96,10 @@ func E6Speedup(opts Options) ([]*stats.Table, error) {
 	}
 	for gi, gen := range gens {
 		for speedup := 1; speedup <= 4; speedup++ {
-			cfg := opts.cfg(switchsim.Config{
+			cfg := switchsim.Config{
 				Inputs: n, Outputs: n, InputBuf: 4, OutputBuf: 4, CrossBuf: 2,
 				Speedup: speedup, Slots: slots,
-			})
+			}
 			seq := gen.Generate(rng.New(opts.Seed+int64(gi)), n, n, slots*3/4)
 			for _, pol := range []switchsim.CIOQPolicy{&core.GM{}, &core.PG{}} {
 				res, err := switchsim.RunCIOQ(cfg, pol, seq)
@@ -136,10 +136,10 @@ func E7Buffers(opts Options) ([]*stats.Table, error) {
 		"buffer", "policy", "model", "throughput", "loss_pct", "mean_latency")
 	gen := packet.Bursty{OnLoad: 1.0, POnOff: 0.25, POffOn: 0.25, Values: packet.UniformValues{Hi: 20}}
 	for _, b := range bufs {
-		cfg := opts.cfg(switchsim.Config{
+		cfg := switchsim.Config{
 			Inputs: n, Outputs: n, InputBuf: b, OutputBuf: b, CrossBuf: b,
 			Speedup: 1, Slots: slots, RecordLatency: true,
-		})
+		}
 		seq := gen.Generate(rng.New(opts.Seed), n, n, slots*3/4)
 		for _, pol := range []switchsim.CIOQPolicy{&core.GM{}, &core.PG{}} {
 			res, err := switchsim.RunCIOQ(cfg, pol, seq)
@@ -180,10 +180,10 @@ func E9CIOQvsCrossbar(opts Options) ([]*stats.Table, error) {
 		"N", "policy", "model", "benefit", "throughput", "sim_ns_per_slot")
 	gen := packet.Hotspot{Load: 1.0, HotFrac: 0.4, Values: packet.UniformValues{Hi: 20}}
 	for _, n := range sizes {
-		cfg := opts.cfg(switchsim.Config{
+		cfg := switchsim.Config{
 			Inputs: n, Outputs: n, InputBuf: 4, OutputBuf: 4, CrossBuf: 2,
 			Speedup: 1, Slots: slots,
-		})
+		}
 		seq := gen.Generate(rng.New(opts.Seed+int64(n)), n, n, slots*3/4)
 		type runner struct {
 			name, model string

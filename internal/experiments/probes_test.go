@@ -50,17 +50,10 @@ func TestProbesDecisionNeutral(t *testing.T) {
 		name string
 		opts func(t *testing.T) Options
 	}{
-		{"scalar", func(t *testing.T) Options { return base }},
-		{"fleet", func(t *testing.T) Options { o := base; o.Fleet = true; return o }},
+		{"fleet", func(t *testing.T) Options { return base }},
 		{"shard", func(t *testing.T) Options { o := base; o.Shard = localShard(t); return o }},
 		{"sequential", func(t *testing.T) Options {
 			o := base
-			o.CITarget = stats.Target{AbsWidth: 0.02, Confidence: 0.95}
-			return o
-		}},
-		{"sequential-fleet", func(t *testing.T) Options {
-			o := base
-			o.Fleet = true
 			o.CITarget = stats.Target{AbsWidth: 0.02, Confidence: 0.95}
 			return o
 		}},
@@ -90,15 +83,13 @@ func TestProbesDecisionNeutral(t *testing.T) {
 			if delta[obs.MetricJudgeSolves] == 0 && delta[obs.MetricJudgeExactSolves] == 0 {
 				t.Errorf("judge probes never fired; delta: %v", delta)
 			}
-			switch v.name {
-			case "fleet", "sequential-fleet":
-				if delta[obs.MetricFleetKernel] == 0 && delta[obs.MetricFleetFallback] == 0 {
-					t.Errorf("fleet probes never fired; delta: %v", delta)
-				}
-			case "sequential":
-				if delta[obs.MetricSeqChunks] == 0 {
-					t.Errorf("sequential probes never fired; delta: %v", delta)
-				}
+			// Every variant estimates on fleet lanes: in process by default,
+			// in the coordinator's local executor on the shard.
+			if delta[obs.MetricFleetKernel] == 0 && delta[obs.MetricFleetFallback] == 0 {
+				t.Errorf("fleet probes never fired; delta: %v", delta)
+			}
+			if v.name == "sequential" && delta[obs.MetricSeqChunks] == 0 {
+				t.Errorf("sequential probes never fired; delta: %v", delta)
 			}
 		})
 	}

@@ -27,12 +27,12 @@ func E1GMRatio(opts Options) ([]*stats.Table, error) {
 		packet.Bursty{OnLoad: 1.0, POnOff: 0.4, POffOn: 0.4},
 	}
 	alg := cioqRef("gm")
-	cfgs := []switchsim.Config{microCfg(opts, slots)}
+	cfgs := []switchsim.Config{microCfg(slots)}
 	{
-		c := microCfg(opts, slots)
+		c := microCfg(slots)
 		c.InputBuf, c.OutputBuf = 1, 1
 		cfgs = append(cfgs, c)
-		c2 := microCfg(opts, slots)
+		c2 := microCfg(slots)
 		c2.Speedup = 2
 		cfgs = append(cfgs, c2)
 	}
@@ -67,7 +67,7 @@ func E2PGRatio(opts Options) ([]*stats.Table, error) {
 		packet.Hotspot{Load: 0.9, HotFrac: 0.9, Values: packet.GeometricValues{P: 0.3, Hi: 64}},
 		packet.Bursty{OnLoad: 0.8, POnOff: 0.3, POffOn: 0.3, Values: packet.ZipfValues{Hi: 100, S: 1.2}},
 	}
-	cfg := microCfg(opts, slots)
+	cfg := microCfg(slots)
 	alg := cioqRef("pg")
 	for gi, gen := range gens {
 		est, err := opts.estimate(cfg, alg, judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gen,
@@ -180,9 +180,9 @@ func E3CGURatio(opts Options) ([]*stats.Table, error) {
 		packet.Bursty{OnLoad: 1.0, POnOff: 0.4, POffOn: 0.4},
 	}
 	alg := crossbarRef("cgu")
-	cfgs := []switchsim.Config{microCfg(opts, slots)}
+	cfgs := []switchsim.Config{microCfg(slots)}
 	{
-		c := microCfg(opts, slots)
+		c := microCfg(slots)
 		c.Speedup = 2
 		cfgs = append(cfgs, c)
 	}
@@ -227,7 +227,7 @@ func E4CPGParams(opts Options) ([]*stats.Table, error) {
 
 	runs := opts.pick(4, 30)
 	slots := opts.pick(3, 3)
-	cfg := microCfg(opts, slots)
+	cfg := microCfg(slots)
 	gen := packet.Bernoulli{Load: 0.7, Values: packet.UniformValues{Hi: 16}}
 	tbC := stats.NewTable("E4c: empirical ratio vs exact OPT (micro instances)",
 		"variant", "runs", "max_ratio", "mean_ratio", "ci_hw", "bound", "within")

@@ -7,13 +7,13 @@
 //
 // Every entry point is a wrapper over one unexported driver. It issues
 // seed chunks [0,c), [c,2c), ... in order to ChunkEvaluators minted one
-// per worker — ScalarChunks, FleetChunks and ShardedChunks wrap the
-// scalar, columnar-fleet and out-of-process engines — and folds their
-// per-seed SeedOutcomes in seed order. It stops issuing chunks past the
-// lowest chunk with a failed seed, past a cancelled context or an
-// evaluator error, and past the first seed-ordered prefix that meets a
-// precision target; chunks evaluated past the stop are discarded. The
-// caller's goroutine is always one of the workers.
+// per worker — FleetChunks (ScalarChunks is its batch of one) and
+// ShardedChunks wrap the in-process lanes and out-of-process workers —
+// and folds their per-seed SeedOutcomes in seed order. It stops issuing
+// chunks past the lowest chunk with a failed seed, past a cancelled
+// context or an evaluator error, and past the first seed-ordered prefix
+// that meets a precision target; chunks evaluated past the stop are
+// discarded. The caller's goroutine is always one of the workers.
 //
 //   - Run: ScalarChunks, all seeds in one chunk, one worker.
 //   - RunParallel: ScalarChunks, one seed per chunk, a worker pool.
@@ -39,13 +39,13 @@
 //   - Policy instances are created per evaluation through the Alg
 //     factory, never shared, so concurrent or repeated evaluations cannot
 //     leak mutable policy state.
-//   - Each evaluator holds its judges (and fleets) for its whole seed
-//     stream — one of each for ScalarChunks, one per lane for a fleet
-//     evaluator, whose two lanes draw, step and judge the two halves of
-//     every batch concurrently. Judging is deterministic (same value for
-//     the same sequence regardless of call history), and a lane's
-//     outcomes join the other's in seed order, so scratch reuse and the
-//     lane split never change an Estimate, only wall-clock.
+//   - Each evaluator holds one judge (and fleet) per lane for its whole
+//     seed stream. Its two lanes step, then judge, the two halves of every
+//     batch concurrently; a batch of one runs on lane 0 alone. Judging is
+//     deterministic (same value for the same sequence regardless of call
+//     history), and a lane's outcomes join the other's in seed order, so
+//     scratch reuse and the lane split never change an Estimate, only
+//     wall-clock.
 //   - A sequence passed to a Judge, an Alg or a FleetAlg is valid only
 //     for that call. Evaluators draw every seed into storage they keep
 //     (packet.GenerateInto), so the next seed overwrites it: an

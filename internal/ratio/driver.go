@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 )
 
 // ChunkEvaluator evaluates the seed indices [k0, k1) of an estimation and
-// returns one SeedOutcome per seed, in seed order. It is the pluggable
+// returns one SeedOutcome per seed, in seed order; the in-process
+// evaluators stop early after a failed seed. It is the pluggable
 // backend of the estimation driver: every engine — scalar, columnar fleet,
 // out-of-process shards — adapts to it, and because outcomes are pure per
 // seed, any evaluator yields identical outcomes for the same indices.
@@ -26,32 +28,26 @@ import (
 // valid only for that call.
 type ChunkEvaluator func(ctx context.Context, k0, k1 int) ([]SeedOutcome, error)
 
-// ScalarChunks adapts the sequential scalar engine (one policy run and
-// one judge call per seed) to the ChunkEvaluator interface. One judge, one
-// seed generator and one sequence buffer are minted up front and reused
-// across all chunks: every seed is drawn into the same storage. A seed's
-// error text matches EvalChunk's, so attribution is identical across
-// backends.
+// ScalarChunks adapts a per-sequence policy run to the ChunkEvaluator
+// interface: FleetChunks at batch one over a FleetAlg that runs alg on
+// each sequence, so its outcomes and error texts come from the one lane
+// body, and no batch splits onto a second goroutine.
 func ScalarChunks(cfg switchsim.Config, alg Alg, judge JudgeFactory, gen packet.Generator, baseSeed int64) ChunkEvaluator {
-	j, r := judge(), newSeedRand()
-	var buf packet.Sequence
-	return func(ctx context.Context, k0, k1 int) ([]SeedOutcome, error) {
-		out := make([]SeedOutcome, 0, k1-k0)
-		for k := k0; k < k1; k++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	perSeq := func() FleetAlg {
+		var out []int64
+		return func(cfg switchsim.Config, seqs []packet.Sequence) ([]int64, error) {
+			out = out[:0]
+			for _, seq := range seqs {
+				b, err := alg(cfg, seq)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, b)
 			}
-			seed := baseSeed + int64(k)
-			buf = generateSeq(cfg, gen, r, seed, buf)
-			ratio, ok, err := Single(cfg, alg, j, buf)
-			o := SeedOutcome{Seed: seed, Ratio: ratio, Skipped: !ok && err == nil, Err: err}
-			out = append(out, o)
-			if o.Err != nil {
-				break // the merge reports it; later seeds are moot
-			}
+			return out, nil
 		}
-		return out, nil
 	}
+	return armChunks(cfg, NewLanes(judge, perSeq), gen, baseSeed, 1)
 }
 
 // FleetChunks adapts the columnar fleet engine: one pair of lanes
@@ -66,7 +62,8 @@ func FleetChunks(cfg switchsim.Config, alg FleetAlgFactory, judge JudgeFactory, 
 
 // armChunks is FleetChunks over lanes of k arms that share every generated
 // sequence and judge call: each chunk's outcomes are seed-major, k per
-// seed. batch <= 0 selects 64.
+// seed, and end with the first batch that holds a failed seed. batch <= 0
+// selects 64.
 func armChunks(cfg switchsim.Config, l *Lanes, gen packet.Generator, baseSeed int64, batch int) ChunkEvaluator {
 	if batch <= 0 {
 		batch = 64
@@ -78,7 +75,11 @@ func armChunks(cfg switchsim.Config, l *Lanes, gen packet.Generator, baseSeed in
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
+			n := len(out)
 			out = l.eval(cfg, gen, baseSeed, b0, min(k1, b0+batch), out)
+			if slices.ContainsFunc(out[n:], func(o SeedOutcome) bool { return o.Err != nil }) {
+				break // the merge reports it; later seeds are moot
+			}
 		}
 		return out, nil
 	}

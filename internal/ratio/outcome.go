@@ -88,17 +88,16 @@ func generateSeq(cfg switchsim.Config, gen packet.Generator, r *rand.Rand, seed 
 // runs the lower half through lane 0, and the halves' outcomes join in
 // seed order.
 //
-// Error attribution matches the scalar backends exactly: judge errors are
-// recorded at their own seed, and when a lane's batched policy call fails
-// that lane re-runs each eligible sequence alone to locate the seeds that
-// actually fail (per-seed results are deterministic, so the re-run
-// reproduces the error at its true seed). Only if no seed of the batch
-// fails alone — a batch-level fault with no per-seed witness — is the
-// fault attributed to the batch's first eligible seed. That is decided
-// once both lanes have returned, over the whole batch, with lane 0's
-// error if its call failed and lane 1's otherwise. A lane calls each
-// FleetAlg on its half, so a fault that needs more sequences than a half
-// holds does not occur.
+// Judge errors are recorded at their own seed, and when a lane's batched
+// policy call fails that lane re-runs each eligible sequence alone to
+// locate the seeds that actually fail (per-seed results are deterministic,
+// so the re-run reproduces the error at its true seed). Only if no seed of
+// the batch fails alone — a batch-level fault with no per-seed witness — is
+// the fault attributed to the batch's first eligible seed. That is decided
+// once both lanes have returned, over the whole batch, with lane 0's error
+// if its call failed and lane 1's otherwise. A lane calls each FleetAlg on
+// its half, so a fault that needs more sequences than a half holds does not
+// occur.
 func EvalChunk(cfg switchsim.Config, l *Lanes, gen packet.Generator,
 	baseSeed int64, k0, k1 int, out []SeedOutcome) []SeedOutcome {
 	return l.eval(cfg, gen, baseSeed, k0, k1, out[:0])

@@ -2,10 +2,10 @@
 # reach.sh lists the internal/ functions that no shipped entry point runs.
 #
 # It builds every cmd/ binary with coverage instrumentation over the whole
-# module, drives them through a fixed argv matrix (the experiment suite
-# plain and on the fleet backend, the simulator's comparison tables on
-# every model, streamed FlowMix runs on CIOQ and the crossbar, a trace
-# round trip, and sharded experiments, a checkpoint resume and two hunts
+# module, drives them through a fixed argv matrix (the experiment suite,
+# E2's beta sweep paired, the simulator's comparison tables on every model,
+# streamed FlowMix runs on CIOQ and the crossbar, a trace round trip, and
+# sharded experiments, a checkpoint resume, a CI-target run and two hunts
 # over worker processes),
 # and prints every internal/ function that executed no statement.
 # GOCOVERDIR is exported, so worker subprocesses report too. Functions with
@@ -39,7 +39,7 @@ run() {
 }
 
 run "$bin/switchbench" -all -quick -csv "$work/csv"
-run "$bin/switchbench" -all -quick -fleet
+run "$bin/switchbench" -run e2 -quick -paired
 for model in cioq crossbar; do
 	run "$bin/switchsim" -model "$model" -compare -values uniform -load 1.3 -slots 200 -seed 12
 done
@@ -58,6 +58,7 @@ run "$bin/switchsim" -model crossbar -policy cpg -trace "$work/trace.bin" -laten
 run "$bin/qswitchd" </dev/null
 run "$bin/qswitchctl" -workers 2 -run e1,e2,e3,e4 -quick -checkpoint "$work/ckpt"
 run "$bin/qswitchctl" -workers 2 -run e1,e2,e3,e4 -quick -checkpoint "$work/ckpt"
+run "$bin/qswitchctl" -workers 2 -run e1 -quick -ci-target 0.05
 run "$bin/qswitchctl" -workers 2 -hunt gm -restarts 4 -iterations 60
 run "$bin/qswitchctl" -workers 2 -hunt cgu -crossbar -restarts 4 -iterations 60
 unset GOCOVERDIR
