@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"qswitch/internal/obs"
@@ -46,17 +47,20 @@ func TestProbesDecisionNeutral(t *testing.T) {
 		return c
 	}
 	base := Options{Quick: true, Seed: 5}
+	// The scalar rows estimate through refChunks, the reference slot loop
+	// behind ratio.ScalarChunks; the fleet rows take the default in-process
+	// fleet evaluator.
+	scalar := func(o Options) Options { o.Shard = refChunks{new(atomic.Int64)}; return o }
+	seq := stats.Target{AbsWidth: 0.02, Confidence: 0.95}
 	variants := []struct {
 		name string
 		opts func(t *testing.T) Options
 	}{
+		{"scalar", func(t *testing.T) Options { return scalar(base) }},
 		{"fleet", func(t *testing.T) Options { return base }},
 		{"shard", func(t *testing.T) Options { o := base; o.Shard = localShard(t); return o }},
-		{"sequential", func(t *testing.T) Options {
-			o := base
-			o.CITarget = stats.Target{AbsWidth: 0.02, Confidence: 0.95}
-			return o
-		}},
+		{"sequential", func(t *testing.T) Options { o := scalar(base); o.CITarget = seq; return o }},
+		{"sequential-fleet", func(t *testing.T) Options { o := base; o.CITarget = seq; return o }},
 	}
 	for _, v := range variants {
 		v := v
@@ -83,12 +87,21 @@ func TestProbesDecisionNeutral(t *testing.T) {
 			if delta[obs.MetricJudgeSolves] == 0 && delta[obs.MetricJudgeExactSolves] == 0 {
 				t.Errorf("judge probes never fired; delta: %v", delta)
 			}
-			// Every variant estimates on fleet lanes: in process by default,
-			// in the coordinator's local executor on the shard.
-			if delta[obs.MetricFleetKernel] == 0 && delta[obs.MetricFleetFallback] == 0 {
-				t.Errorf("fleet probes never fired; delta: %v", delta)
+			switch v.name {
+			case "scalar", "sequential":
+				// refChunks hides the policy types from the kernel lookup,
+				// so every run steps the reference engine.
+				if delta[obs.MetricEngineRuns] == 0 {
+					t.Errorf("engine probes never fired; delta: %v", delta)
+				}
+			default:
+				// In process by default, in the coordinator's local
+				// executor on the shard.
+				if delta[obs.MetricFleetKernel] == 0 && delta[obs.MetricFleetFallback] == 0 {
+					t.Errorf("fleet probes never fired; delta: %v", delta)
+				}
 			}
-			if v.name == "sequential" && delta[obs.MetricSeqChunks] == 0 {
+			if (v.name == "sequential" || v.name == "sequential-fleet") && delta[obs.MetricSeqChunks] == 0 {
 				t.Errorf("sequential probes never fired; delta: %v", delta)
 			}
 		})
