@@ -5,17 +5,23 @@ import (
 	"math"
 
 	"qswitch/internal/adversary"
+	"qswitch/internal/core"
 	"qswitch/internal/iq"
 	"qswitch/internal/packet"
 	"qswitch/internal/rng"
 	"qswitch/internal/stats"
+	"qswitch/internal/switchsim"
 )
 
 // E16IQModel grounds the paper's Section 1.2/4 claims about the IQ model:
 //
-//   - GM and PG collapse to the classical IQ algorithms on the reduction
-//     (verified exactly by the test suite; here the measured ratios of
-//     the IQ policies against the exact optimum are reported),
+//   - GM and PG collapse to the classical IQ algorithms on the reduction,
+//     a CIOQ switch with one input and speedup 1, so every row runs on
+//     switchsim.RunCIOQ over iq.Reduction. The tests pin the four rows to
+//     an independent IQ simulator, and PG to iq.LargestHead{ByValue: true}
+//     when values are pairwise distinct (PG breaks equal heads by queue
+//     index); here the measured ratios against the exact optimum are
+//     reported,
 //   - the known IQ bounds frame everything: any greedy is 2-competitive
 //     with a (2 - 1/B) greedy lower bound, TLH is 3-competitive, and the
 //     e/(e-1) ≈ 1.58 randomized lower bound applies to ALL policies —
@@ -29,16 +35,15 @@ func E16IQModel(opts Options) ([]*stats.Table, error) {
 	runs := opts.pick(5, 30)
 	tbA := stats.NewTable("E16a: IQ policies vs exact flow OPT",
 		"m", "B", "policy", "runs", "max_ratio", "mean_ratio", "bound")
-	type polSpec struct {
+	pols := []struct {
 		name  string
-		mk    func() iq.Policy
+		pol   switchsim.CIOQPolicy
 		bound float64
-	}
-	pols := []polSpec{
-		{"iq-greedy-longest", func() iq.Policy { return &iq.Greedy{} }, 2},
-		{"iq-greedy-first", func() iq.Policy { return &iq.Greedy{Order: iq.FirstNonEmpty} }, 2},
-		{"iq-tlh", func() iq.Policy { return &iq.TLH{} }, 3},
-		{"iq-maxhead", func() iq.Policy { return &iq.MaxHead{} }, 3},
+	}{
+		{"iq-greedy-longest", &core.GM{Order: core.LongestFirst}, 2},
+		{"iq-greedy-first", &core.GM{}, 2},
+		{"iq-tlh", &iq.LargestHead{}, 3},
+		{"iq-maxhead", &iq.LargestHead{ByValue: true}, 3},
 	}
 	geoms := [][2]int{{4, 2}, {16, 4}}
 	if !opts.Quick {
@@ -58,21 +63,15 @@ func E16IQModel(opts Options) ([]*stats.Table, error) {
 			{packet.UnitValues{}, 2},
 			{packet.UniformValues{Hi: 50}, 3},
 		} {
-			// One exact OPT per workload, shared by the class's
-			// policies.
-			type sample struct {
-				seq packet.Sequence
-				opt int64
-			}
-			samples := make([]sample, runs)
-			for r := range samples {
-				seq := packet.Bernoulli{Load: 1.8, Values: valueClass.values}.
+			// One exact OPT per workload, shared by the class's policies.
+			seqs, opt := make([]packet.Sequence, runs), make([]int64, runs)
+			for r := range seqs {
+				seqs[r] = packet.Bernoulli{Load: 1.8, Values: valueClass.values}.
 					Generate(rng.New(opts.Seed+int64(r)), 1, m, slots)
-				opt, err := iq.ExactOPT(m, b, seq, horizon)
-				if err != nil {
+				var err error
+				if opt[r], err = iq.ExactOPT(m, b, seqs[r], horizon); err != nil {
 					return nil, fmt.Errorf("e16a: %w", err)
 				}
-				samples[r] = sample{seq, opt}
 			}
 			for _, ps := range pols {
 				if ps.bound != valueClass.bound {
@@ -80,15 +79,15 @@ func E16IQModel(opts Options) ([]*stats.Table, error) {
 				}
 				var acc stats.Acc
 				maxRatio := 0.0
-				for _, s := range samples {
-					if s.opt == 0 {
+				for r, seq := range seqs {
+					if opt[r] == 0 {
 						continue
 					}
-					res, err := iq.Run(m, b, ps.mk(), s.seq, horizon)
+					res, err := switchsim.RunCIOQ(iq.Reduction(m, b, horizon), ps.pol, seq)
 					if err != nil {
 						return nil, fmt.Errorf("e16a: %w", err)
 					}
-					ratio := float64(s.opt) / float64(res.Benefit)
+					ratio := float64(opt[r]) / float64(res.M.Benefit)
 					acc.Add(ratio)
 					maxRatio = math.Max(maxRatio, ratio)
 				}
@@ -104,16 +103,17 @@ func E16IQModel(opts Options) ([]*stats.Table, error) {
 	phases := opts.pick(2, 5)
 	for _, m := range []int{2, 4, 8, 16, 32} {
 		seq := adversary.IQLowerBound(m, phases)
-		opt, err := iq.ExactOPT(m, 1, seq, seq.MaxSlot()+2*m)
+		horizon := seq.MaxSlot() + 2*m
+		opt, err := iq.ExactOPT(m, 1, seq, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("e16b: %w", err)
 		}
-		res, err := iq.Run(m, 1, &iq.Greedy{Order: iq.FirstNonEmpty}, seq, seq.MaxSlot()+2*m)
+		res, err := switchsim.RunCIOQ(iq.Reduction(m, 1, horizon), &core.GM{}, seq)
 		if err != nil {
 			return nil, fmt.Errorf("e16b: %w", err)
 		}
-		tbB.AddRow(m, res.Benefit, opt,
-			float64(opt)/float64(res.Benefit), 2-1/float64(m), math.E/(math.E-1))
+		tbB.AddRow(m, res.M.Benefit, opt,
+			float64(opt)/float64(res.M.Benefit), 2-1/float64(m), math.E/(math.E-1))
 	}
 	return []*stats.Table{tbA, tbB}, nil
 }

@@ -1,129 +1,96 @@
-// Package iq implements the input-queued (IQ) switch model of the
-// related work the paper builds on (Section 1.2): m bounded queues
-// sharing a single output link, one transmission per time slot.
+// Package iq holds the input-queued (IQ) switch model of the related work
+// the paper builds on (Section 1.2): m bounded queues sharing one output
+// link, one transmission per slot. Packets carry the queue index in Out.
 //
-// The paper's conclusion observes that on this model — a CIOQ switch with
-// one input port and speedup 1 — GM and PG become the classical
-// algorithms of Azar–Richter [6] and the Transmit-Largest-Head algorithm
-// [5], and that every IQ lower bound carries over to CIOQ and buffered
-// crossbar switches. This package makes those statements executable: it
-// provides the IQ algorithms, an EXACT offline optimum (a greedy by value
-// that is exact at any scale, since the IQ model has no matching coupling),
-// and cross-model equivalence checks against the CIOQ simulator.
-//
-// Packets use their Out field as the queue index; In is ignored.
+// The paper's conclusion observes that this model is a CIOQ switch with
+// one input port and speedup 1, on which GM and PG become the classical
+// algorithms of Azar–Richter [6] and Transmit-Largest-Head [5], and that
+// every IQ lower bound carries over to CIOQ and buffered crossbar
+// switches. So the model runs on switchsim.RunCIOQ over Reduction, with
+// core.GM as its greedy policies. This package owns the rest: LargestHead
+// and an EXACT offline optimum, a greedy by value that is exact at any
+// scale since the model has no matching coupling.
 package iq
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
 	"qswitch/internal/packet"
 	"qswitch/internal/queue"
+	"qswitch/internal/switchsim"
 )
 
-// Policy decides admission and service for the IQ model.
-type Policy interface {
-	// Name identifies the policy.
-	Name() string
-	// Discipline selects the queue ordering (FIFO for the classical
-	// unit-value policies, ByValue for value-greedy ones).
-	Discipline() queue.Discipline
-	// Reset prepares for a run on m queues of capacity b.
-	Reset(m, b int)
-	// Admit decides the fate of packet p arriving to queue p.Out.
-	Admit(qs []*queue.Queue, p packet.Packet) AdmitDecision
-	// Serve returns the queue to transmit from this slot (-1 = idle).
-	// Work-conserving policies never return -1 when a queue is
-	// non-empty.
-	Serve(qs []*queue.Queue, slot int) int
+// Reduction is the IQ model with m queues of capacity b as a CIOQ switch:
+// one input port, m outputs holding the one packet a slot sends, and
+// speedup 1. slots is the horizon (0 derives it from the sequence).
+func Reduction(m, b, slots int) switchsim.Config {
+	return switchsim.Config{Inputs: 1, Outputs: m, InputBuf: b, OutputBuf: 1, Speedup: 1, Slots: slots}
 }
 
-// AdmitDecision mirrors the switchsim admission actions.
-type AdmitDecision int
+// LargestHead is the Transmit-Largest-Head policy of Azar–Richter [5] on
+// the IQ reduction: a full queue admits an arrival by preempting its least
+// valuable packet if strictly worse, and each slot the queue whose head is
+// first in packet.Less order (largest value, ties to the lower packet ID)
+// transmits. FIFO queues make it TLH, 3-competitive (3 - 1/α for values in
+// [1, α], Itoh–Takahashi); ByValue ones send the switch's most valuable
+// packet. It schedules input 0 only and never checks an output for room:
+// each output sends its packet in the slot it arrives.
+type LargestHead struct {
+	// ByValue selects value-ordered queues instead of FIFO ones.
+	ByValue bool
 
-const (
-	// Reject drops the arrival.
-	Reject AdmitDecision = iota
-	// Accept enqueues; error if full.
-	Accept
-	// AcceptPreemptMin enqueues, preempting the queue minimum if full
-	// and strictly worse.
-	AcceptPreemptMin
-)
-
-// Result carries the outcome of an IQ simulation.
-type Result struct {
-	Policy    string
-	Slots     int
-	Arrived   int64
-	Accepted  int64
-	Rejected  int64
-	Preempted int64
-	Sent      int64
-	Benefit   int64
+	transfer [1]switchsim.Transfer
 }
 
-// Run simulates the policy over the sequence on m queues of capacity b.
-// The horizon is seq.Horizon() unless slots > 0.
-func Run(m, b int, pol Policy, seq packet.Sequence, slots int) (*Result, error) {
-	if m < 1 || b < 1 {
-		return nil, fmt.Errorf("iq: need m >= 1 queues of capacity >= 1, got m=%d b=%d", m, b)
+// Name implements switchsim.CIOQPolicy.
+func (l *LargestHead) Name() string {
+	if l.ByValue {
+		return "iq-maxhead"
 	}
-	if err := seq.Validate(1, m); err != nil {
-		// Queue index is carried in Out; In must be 0.
-		return nil, fmt.Errorf("iq: bad sequence: %w", err)
+	return "iq-tlh"
+}
+
+// Disciplines implements switchsim.CIOQPolicy.
+func (l *LargestHead) Disciplines() (queue.Discipline, queue.Discipline) {
+	if l.ByValue {
+		return queue.ByValue, queue.ByValue
 	}
-	if slots <= 0 {
-		slots = seq.Horizon()
-	}
-	qs := make([]*queue.Queue, m)
-	for j := range qs {
-		qs[j] = queue.New(b, pol.Discipline())
-	}
-	pol.Reset(m, b)
-	res := &Result{Policy: pol.Name(), Slots: slots}
-	arrivals := seq.BySlot(slots)
-	for t := 0; t < slots; t++ {
-		for _, p := range arrivals[t] {
-			res.Arrived++
-			q := qs[p.Out]
-			switch pol.Admit(qs, p) {
-			case Reject:
-				res.Rejected++
-			case Accept:
-				if err := q.Push(p); err != nil {
-					return nil, fmt.Errorf("iq: policy accepted %v into full queue %d", p, p.Out)
-				}
-				res.Accepted++
-			case AcceptPreemptMin:
-				_, preempted, accepted := q.PushPreemptMin(p)
-				if !accepted {
-					res.Rejected++
-					continue
-				}
-				res.Accepted++
-				if preempted {
-					res.Preempted++
-				}
+	return queue.FIFO, queue.FIFO
+}
+
+// Reset implements switchsim.CIOQPolicy; the policy keeps no state.
+func (l *LargestHead) Reset(switchsim.Config) {}
+
+// IdleAdvance implements switchsim.IdleAdvancer: nothing runs free.
+func (l *LargestHead) IdleAdvance(int) {}
+
+// Admit implements switchsim.CIOQPolicy.
+func (l *LargestHead) Admit(*switchsim.CIOQ, packet.Packet) switchsim.AdmitAction {
+	return switchsim.AcceptPreemptMin
+}
+
+// Schedule implements switchsim.CIOQPolicy: transfer the largest head
+// among input 0's non-empty queues.
+func (l *LargestHead) Schedule(sw *switchsim.CIOQ, slot, cycle int) []switchsim.Transfer {
+	best := -1
+	var bestHead packet.Packet
+	for w, word := range sw.VOQ.Row(0) {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			if head, _ := sw.IQ[0][j].Head(); best < 0 || packet.Less(head, bestHead) {
+				best, bestHead = j, head
 			}
 		}
-		j := pol.Serve(qs, t)
-		if j >= 0 {
-			if j >= m {
-				return nil, fmt.Errorf("iq: policy served out-of-range queue %d", j)
-			}
-			p, ok := qs[j].PopHead()
-			if !ok {
-				return nil, fmt.Errorf("iq: policy served empty queue %d", j)
-			}
-			res.Sent++
-			res.Benefit += p.Value
-		}
 	}
-	return res, nil
+	if best < 0 {
+		return nil
+	}
+	l.transfer[0] = switchsim.Transfer{Out: best}
+	return l.transfer[:]
 }
 
 // ExactOPT computes the exact offline optimum for the IQ model. The packet

@@ -8,6 +8,7 @@ import (
 	"qswitch/internal/core"
 	"qswitch/internal/offline"
 	"qswitch/internal/packet"
+	"qswitch/internal/queue"
 	"qswitch/internal/switchsim"
 )
 
@@ -19,31 +20,6 @@ func iqSeq(seed int64, m, slots int, load float64, hi int64) packet.Sequence {
 	}
 	// Single input port: reuse the Bernoulli generator with 1 input.
 	return packet.Bernoulli{Load: load, Values: vd}.Generate(rng, 1, m, slots)
-}
-
-func TestRunBasics(t *testing.T) {
-	seq := packet.Sequence{
-		{ID: 0, Arrival: 0, Out: 0, Value: 1},
-		{ID: 1, Arrival: 0, Out: 1, Value: 1},
-		{ID: 2, Arrival: 1, Out: 0, Value: 1},
-	}
-	res, err := Run(2, 2, &Greedy{}, seq, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent != 3 || res.Benefit != 3 {
-		t.Errorf("sent=%d benefit=%d, want 3,3", res.Sent, res.Benefit)
-	}
-}
-
-func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := Run(0, 1, &Greedy{}, nil, 0); err == nil {
-		t.Error("m=0 accepted")
-	}
-	bad := packet.Sequence{{ID: 0, Out: 5, Value: 1}}
-	if _, err := Run(2, 1, &Greedy{}, bad, 0); err == nil {
-		t.Error("out-of-range queue accepted")
-	}
 }
 
 func TestExactOPTKnownCases(t *testing.T) {
@@ -116,6 +92,57 @@ func TestExactOPTAgainstCIOQDP(t *testing.T) {
 	}
 }
 
+// TestExactOPTRejectsBadInput: no queues, no room, or a packet at an
+// input other than 0 or a queue out of range is an error.
+func TestExactOPTRejectsBadInput(t *testing.T) {
+	ok := packet.Sequence{{ID: 0, Out: 1, Value: 1}}
+	for _, c := range []iqCase{
+		{m: 0, b: 1, seq: ok},
+		{m: 2, b: 0, seq: ok},
+		{m: 2, b: 1, seq: packet.Sequence{{ID: 0, Out: 2, Value: 1}}},
+		{m: 2, b: 1, seq: packet.Sequence{{ID: 0, In: 1, Value: 1}}},
+	} {
+		if _, err := ExactOPT(c.m, c.b, c.seq, 0); err == nil {
+			t.Errorf("m=%d b=%d seq=%v accepted", c.m, c.b, c.seq)
+		}
+	}
+}
+
+// TestLargestHeadIdleCycle: a cycle with no eligible queue transfers
+// nothing.
+func TestLargestHeadIdleCycle(t *testing.T) {
+	sw := switchsim.NewCIOQ(Reduction(3, 1, 0), queue.FIFO, queue.FIFO)
+	if ts := (&LargestHead{}).Schedule(sw, 0, 0); len(ts) != 0 {
+		t.Errorf("empty switch: transfers %v", ts)
+	}
+}
+
+// runReduction runs pol on the IQ model's CIOQ reduction with validation
+// on and returns the counters the reference simulator keeps.
+func runReduction(t *testing.T, m, b int, pol switchsim.CIOQPolicy, seq packet.Sequence, slots int) refResult {
+	t.Helper()
+	cfg := Reduction(m, b, slots)
+	cfg.Validate = true
+	res, err := switchsim.RunCIOQ(cfg, pol, seq)
+	if err != nil {
+		t.Fatalf("%s on m=%d b=%d: %v", pol.Name(), m, b, err)
+	}
+	return refResult{res.M.Arrived, res.M.Accepted, res.M.Rejected, res.M.PreemptedInput, res.M.Sent, res.M.Benefit}
+}
+
+// runRef runs pol on the reference IQ simulator.
+func runRef(t *testing.T, m, b int, pol refPolicy, seq packet.Sequence, slots int) refResult {
+	t.Helper()
+	res, err := refRun(m, b, pol, seq, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *res
+}
+
+// e16Shapes are E16's (m, B) geometries.
+var e16Shapes = [][2]int{{4, 2}, {16, 4}, {32, 8}}
+
 // TestGMReductionEquivalence is the paper's conclusion made executable:
 // on a 1-input CIOQ switch with speedup 1, GM (row-major) collapses to
 // the IQ first-non-empty greedy policy — benefits must match exactly.
@@ -123,27 +150,91 @@ func TestGMReductionEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		m := 2 + int(seed%3)
 		seq := iqSeq(seed, m, 8, 1.8, 1)
-		iqRes, err := Run(m, 1, &Greedy{Order: FirstNonEmpty}, seq, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := switchsim.Config{Inputs: 1, Outputs: m, InputBuf: 1, OutputBuf: 1,
-			CrossBuf: 1, Speedup: 1, Validate: true}
-		gmRes, err := switchsim.RunCIOQ(cfg, &core.GM{}, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iqRes.Benefit != gmRes.M.Benefit {
-			t.Errorf("seed %d m=%d: IQ greedy %d != GM %d",
-				seed, m, iqRes.Benefit, gmRes.M.Benefit)
+		want := runRef(t, m, 1, &refGreedy{firstNonEmpty: true}, seq, 0)
+		if got := runReduction(t, m, 1, &core.GM{}, seq, 0); got.Benefit != want.Benefit {
+			t.Errorf("seed %d m=%d: IQ greedy %d != GM %d", seed, m, want.Benefit, got.Benefit)
 		}
 	}
 }
 
-// TestGreedyIsTwoCompetitive fuzzes the classical bound: any greedy
-// serve order stays within factor 2 of the exact optimum on unit values.
+// TestReductionMatchesIQOracle runs E16's four policies on the reduction
+// and on the reference IQ simulator over E16's shapes, its load and unit,
+// uniform and zipf values: every counter must agree. Equal heads are
+// common under all three value classes, so it catches a LargestHead that
+// breaks their ties by queue index instead of packet ID.
+func TestReductionMatchesIQOracle(t *testing.T) {
+	pairs := []struct {
+		pol switchsim.CIOQPolicy
+		ref refPolicy
+	}{
+		{&core.GM{Order: core.LongestFirst}, &refGreedy{}},
+		{&core.GM{}, &refGreedy{firstNonEmpty: true}},
+		{&LargestHead{}, &refLargestHead{queue.FIFO}},
+		{&LargestHead{ByValue: true}, &refLargestHead{queue.ByValue}},
+	}
+	const slots = 200
+	for _, geom := range e16Shapes {
+		m, b := geom[0], geom[1]
+		for _, vd := range []packet.ValueDist{packet.UnitValues{}, packet.UniformValues{Hi: 50}, packet.ZipfValues{Hi: 50, S: 1.2}} {
+			for seed := int64(1); seed <= 4; seed++ {
+				seq := packet.Bernoulli{Load: 1.8, Values: vd}.Generate(rand.New(rand.NewSource(seed)), 1, m, slots)
+				for _, pr := range pairs {
+					want := runRef(t, m, b, pr.ref, seq, slots+2*m)
+					if got := runReduction(t, m, b, pr.pol, seq, slots+2*m); got != want {
+						t.Errorf("%s m=%d b=%d %s seed %d: reduction %+v, IQ reference %+v",
+							pr.pol.Name(), m, b, vd.Name(), seed, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPGReductionEquivalence states when PG collapses to the value-ordered
+// LargestHead on the reduction: with pairwise distinct values both send
+// the most valuable packet in the switch every slot. Equal heads part
+// them, since PG breaks the tie by queue index and LargestHead by packet
+// ID.
+func TestPGReductionEquivalence(t *testing.T) {
+	t.Run("distinct values", func(t *testing.T) {
+		const slots = 60
+		for _, geom := range e16Shapes {
+			m, b := geom[0], geom[1]
+			for seed := int64(1); seed <= 10; seed++ {
+				r := rand.New(rand.NewSource(seed))
+				seq := packet.Bernoulli{Load: 1.8, Values: packet.UnitValues{}}.Generate(r, 1, m, slots)
+				for k, v := range r.Perm(len(seq)) {
+					seq[k].Value = int64(1 + v)
+				}
+				pg := runReduction(t, m, b, &core.PG{}, seq, slots+2*m)
+				if lh := runReduction(t, m, b, &LargestHead{ByValue: true}, seq, slots+2*m); pg != lh {
+					t.Errorf("m=%d b=%d seed %d: PG %+v, LargestHead %+v", m, b, seed, pg, lh)
+				}
+			}
+		}
+	})
+	t.Run("equal heads", func(t *testing.T) {
+		// Two value-5 heads at slot 0: PG sends queue 0's (packet 1),
+		// LargestHead packet 0 from queue 1. A value-9 arrival to queue 1
+		// then preempts PG's waiting 5 but finds room under LargestHead.
+		seq := packet.Sequence{
+			{ID: 0, Arrival: 0, Out: 1, Value: 5},
+			{ID: 1, Arrival: 0, Out: 0, Value: 5},
+			{ID: 2, Arrival: 1, Out: 1, Value: 9},
+		}
+		pg := runReduction(t, 2, 1, &core.PG{}, seq, 0)
+		lh := runReduction(t, 2, 1, &LargestHead{ByValue: true}, seq, 0)
+		if pg.Benefit != 14 || lh.Benefit != 19 {
+			t.Errorf("benefits PG %d, LargestHead %d; want 14 and 19", pg.Benefit, lh.Benefit)
+		}
+	})
+}
+
+// TestGreedyIsTwoCompetitive fuzzes the classical bound: GM on the
+// reduction, in any serve order, stays within factor 2 of the exact
+// optimum on unit values.
 func TestGreedyIsTwoCompetitive(t *testing.T) {
-	orders := []ServeOrder{LongestFirst, FirstNonEmpty, RoundRobinOrder}
+	orders := []core.EdgeOrder{core.LongestFirst, core.RowMajor, core.Rotating}
 	for seed := int64(0); seed < 40; seed++ {
 		m := 2 + int(seed%3)
 		b := 1 + int(seed%3)
@@ -156,10 +247,7 @@ func TestGreedyIsTwoCompetitive(t *testing.T) {
 			continue
 		}
 		for _, ord := range orders {
-			res, err := Run(m, b, &Greedy{Order: ord}, seq, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runReduction(t, m, b, &core.GM{Order: ord}, seq, 0)
 			if float64(opt) > 2*float64(res.Benefit)+1e-9 {
 				t.Errorf("seed %d order %v: ratio %.3f exceeds 2",
 					seed, ord, float64(opt)/float64(res.Benefit))
@@ -182,10 +270,7 @@ func TestTLHIsThreeCompetitive(t *testing.T) {
 		if opt == 0 {
 			continue
 		}
-		res, err := Run(m, b, &TLH{}, seq, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runReduction(t, m, b, &LargestHead{}, seq, 0)
 		if float64(opt) > 3*float64(res.Benefit)+1e-9 {
 			t.Errorf("seed %d: TLH ratio %.3f exceeds 3",
 				seed, float64(opt)/float64(res.Benefit))
@@ -199,16 +284,8 @@ func TestMaxHeadDominatesTLHOnAverage(t *testing.T) {
 	var tlhTotal, maxTotal int64
 	for seed := int64(0); seed < 30; seed++ {
 		seq := iqSeq(seed, 3, 10, 1.8, 50)
-		tlh, err := Run(3, 2, &TLH{}, seq, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mh, err := Run(3, 2, &MaxHead{}, seq, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tlhTotal += tlh.Benefit
-		maxTotal += mh.Benefit
+		tlhTotal += runReduction(t, 3, 2, &LargestHead{}, seq, 0).Benefit
+		maxTotal += runReduction(t, 3, 2, &LargestHead{ByValue: true}, seq, 0).Benefit
 	}
 	if maxTotal < tlhTotal {
 		t.Errorf("MaxHead total %d below TLH total %d", maxTotal, tlhTotal)
@@ -229,12 +306,8 @@ func TestExactOPTSandwich(t *testing.T) {
 		if opt > seq.TotalValue() {
 			return false
 		}
-		for _, pol := range []Policy{&Greedy{}, &TLH{}, &MaxHead{}} {
-			res, err := Run(m, b, pol, seq, 0)
-			if err != nil {
-				return false
-			}
-			if res.Benefit > opt {
+		for _, pol := range []switchsim.CIOQPolicy{&core.GM{Order: core.LongestFirst}, &LargestHead{}, &LargestHead{ByValue: true}} {
+			if runReduction(t, m, b, pol, seq, 0).Benefit > opt {
 				return false
 			}
 		}
@@ -242,18 +315,5 @@ func TestExactOPTSandwich(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	names := map[string]bool{}
-	for _, pol := range []Policy{
-		&Greedy{}, &Greedy{Order: FirstNonEmpty}, &Greedy{Order: RoundRobinOrder},
-		&TLH{}, &MaxHead{},
-	} {
-		if pol.Name() == "" || names[pol.Name()] {
-			t.Errorf("bad or duplicate name %q", pol.Name())
-		}
-		names[pol.Name()] = true
 	}
 }

@@ -197,9 +197,93 @@ func baseName(name string) string {
 // checkName panics on malformed metric names: metric registration is
 // programmer-controlled, so a bad name is a bug, not an input error.
 func checkName(name string) {
-	if err := validateSampleName(name); err != nil {
+	if err := ValidateName(name); err != nil {
 		panic(fmt.Sprintf("obs: bad metric name %q: %v", name, err))
 	}
+}
+
+// validateBaseName checks a bare metric name against the Prometheus data
+// model ([a-zA-Z_:][a-zA-Z0-9_:]*).
+func validateBaseName(name string) error {
+	if name == "" {
+		return fmt.Errorf("empty metric name")
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
+		case c >= '0' && c <= '9':
+			if i == 0 {
+				return fmt.Errorf("metric name %q starts with a digit", name)
+			}
+		default:
+			return fmt.Errorf("metric name %q has invalid character %q", name, c)
+		}
+	}
+	return nil
+}
+
+// ValidateName checks a full sample name against the Prometheus data
+// model: a base name optionally followed by one well-formed
+// {key="value",...} label block. Registration panics on a name it
+// rejects.
+func ValidateName(name string) error {
+	i := strings.IndexByte(name, '{')
+	if i < 0 {
+		return validateBaseName(name)
+	}
+	if err := validateBaseName(name[:i]); err != nil {
+		return err
+	}
+	rest := name[i+1:]
+	if !strings.HasSuffix(rest, "}") {
+		return fmt.Errorf("unterminated label block in %q", name)
+	}
+	rest = strings.TrimSuffix(rest, "}")
+	if strings.ContainsAny(rest, "{}") {
+		return fmt.Errorf("nested label block in %q", name)
+	}
+	if rest == "" {
+		return nil
+	}
+	for len(rest) > 0 {
+		eq := strings.IndexByte(rest, '=')
+		if eq < 0 {
+			return fmt.Errorf("label without value in %q", name)
+		}
+		if err := validateBaseName(rest[:eq]); err != nil {
+			return fmt.Errorf("bad label name in %q: %w", name, err)
+		}
+		rest = rest[eq+1:]
+		if len(rest) < 2 || rest[0] != '"' {
+			return fmt.Errorf("unquoted label value in %q", name)
+		}
+		rest = rest[1:]
+		end := -1
+		for j := 0; j < len(rest); j++ {
+			switch rest[j] {
+			case '\\':
+				j++ // escaped character
+			case '"':
+				end = j
+			}
+			if end >= 0 {
+				break
+			}
+		}
+		if end < 0 {
+			return fmt.Errorf("unterminated label value in %q", name)
+		}
+		rest = rest[end+1:]
+		if rest == "" {
+			return nil
+		}
+		if rest[0] != ',' {
+			return fmt.Errorf("malformed label separator in %q", name)
+		}
+		rest = rest[1:]
+	}
+	return fmt.Errorf("trailing label separator in %q", name)
 }
 
 // register reserves name under kind, panicking on cross-kind collisions.

@@ -1,4 +1,8 @@
-package obs
+// Package promcheck is a strict parser of the Prometheus text exposition
+// format, the validator that obs's and shard's tests and CI's live
+// /metrics scrape check run over the registry's output. Only test files
+// import it, so it links into no binary.
+package promcheck
 
 import (
 	"bufio"
@@ -7,16 +11,18 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"qswitch/internal/obs"
 )
 
-// ParsePrometheus strictly parses Prometheus text exposition format
+// Parse strictly parses Prometheus text exposition format
 // (version 0.0.4) and returns every sample keyed by its full name
 // (including the label block, _bucket/_sum/_count suffixes and all). It
 // is the validator behind the CI /metrics scrape check: malformed names,
 // label syntax, values, duplicate samples, unknown TYPE keywords and
 // samples typed inconsistently with their family's TYPE line are all
 // errors.
-func ParsePrometheus(r io.Reader) (map[string]float64, error) {
+func Parse(r io.Reader) (map[string]float64, error) {
 	samples := map[string]float64{}
 	types := map[string]string{}
 	sc := bufio.NewScanner(r)
@@ -64,7 +70,7 @@ func parseComment(line string, types map[string]string) error {
 			return fmt.Errorf("malformed TYPE line %q", line)
 		}
 		name, typ := fields[2], fields[3]
-		if err := validateBaseName(name); err != nil {
+		if err := validateFamilyName(name); err != nil {
 			return fmt.Errorf("TYPE line: %w", err)
 		}
 		switch typ {
@@ -80,7 +86,7 @@ func parseComment(line string, types map[string]string) error {
 		if len(fields) < 3 {
 			return fmt.Errorf("malformed HELP line %q", line)
 		}
-		if err := validateBaseName(fields[2]); err != nil {
+		if err := validateFamilyName(fields[2]); err != nil {
 			return fmt.Errorf("HELP line: %w", err)
 		}
 	}
@@ -101,7 +107,7 @@ func parseSample(line string) (string, float64, error) {
 	} else if i := strings.IndexAny(line, " \t"); i >= 0 {
 		name, rest = line[:i], line[i:]
 	}
-	if err := validateSampleName(name); err != nil {
+	if err := obs.ValidateName(name); err != nil {
 		return "", 0, err
 	}
 	fields := strings.Fields(rest)
@@ -140,7 +146,7 @@ func parsePromValue(s string) (float64, error) {
 // when one was declared; undeclared families are allowed (TYPE lines are
 // optional in the format), mismatched histogram/summary series are not.
 func checkSampleFamily(name string, types map[string]string) error {
-	base := baseName(name)
+	base, _, _ := strings.Cut(name, "{")
 	if typ, ok := types[base]; ok {
 		if typ == "histogram" || typ == "summary" {
 			return fmt.Errorf("sample %q collides with declared %s family %q", name, typ, base)
@@ -162,84 +168,11 @@ func checkSampleFamily(name string, types map[string]string) error {
 	return nil
 }
 
-// validateBaseName checks a bare metric name against the Prometheus data
-// model ([a-zA-Z_:][a-zA-Z0-9_:]*).
-func validateBaseName(name string) error {
-	if name == "" {
-		return fmt.Errorf("empty metric name")
+// validateFamilyName checks a TYPE or HELP line's metric name: a base name
+// with no label block.
+func validateFamilyName(name string) error {
+	if strings.ContainsAny(name, "{}") {
+		return fmt.Errorf("metric name %q has a label block", name)
 	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return fmt.Errorf("metric name %q starts with a digit", name)
-			}
-		default:
-			return fmt.Errorf("metric name %q has invalid character %q", name, c)
-		}
-	}
-	return nil
-}
-
-// validateSampleName checks a full sample name: a base name optionally
-// followed by one well-formed {key="value",...} label block.
-func validateSampleName(name string) error {
-	i := strings.IndexByte(name, '{')
-	if i < 0 {
-		return validateBaseName(name)
-	}
-	if err := validateBaseName(name[:i]); err != nil {
-		return err
-	}
-	rest := name[i+1:]
-	if !strings.HasSuffix(rest, "}") {
-		return fmt.Errorf("unterminated label block in %q", name)
-	}
-	rest = strings.TrimSuffix(rest, "}")
-	if strings.ContainsAny(rest, "{}") {
-		return fmt.Errorf("nested label block in %q", name)
-	}
-	if rest == "" {
-		return nil
-	}
-	for len(rest) > 0 {
-		eq := strings.IndexByte(rest, '=')
-		if eq < 0 {
-			return fmt.Errorf("label without value in %q", name)
-		}
-		if err := validateBaseName(rest[:eq]); err != nil {
-			return fmt.Errorf("bad label name in %q: %w", name, err)
-		}
-		rest = rest[eq+1:]
-		if len(rest) < 2 || rest[0] != '"' {
-			return fmt.Errorf("unquoted label value in %q", name)
-		}
-		rest = rest[1:]
-		end := -1
-		for j := 0; j < len(rest); j++ {
-			switch rest[j] {
-			case '\\':
-				j++ // escaped character
-			case '"':
-				end = j
-			}
-			if end >= 0 {
-				break
-			}
-		}
-		if end < 0 {
-			return fmt.Errorf("unterminated label value in %q", name)
-		}
-		rest = rest[end+1:]
-		if rest == "" {
-			return nil
-		}
-		if rest[0] != ',' {
-			return fmt.Errorf("malformed label separator in %q", name)
-		}
-		rest = rest[1:]
-	}
-	return fmt.Errorf("trailing label separator in %q", name)
+	return obs.ValidateName(name)
 }

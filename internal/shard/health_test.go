@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"qswitch/internal/obs"
+	"qswitch/internal/obs/promcheck"
 	"qswitch/internal/ratio"
 )
 
@@ -238,7 +239,7 @@ func TestCoordinatorHealthAndMetrics(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ParsePrometheus(&buf); err != nil {
+	if _, err := promcheck.Parse(&buf); err != nil {
 		t.Fatalf("coordinator registry is not parseable: %v", err)
 	}
 }
