@@ -112,36 +112,13 @@ func (g *PG) scheduleEdges(sw *switchsim.CIOQ) []switchsim.Transfer {
 }
 
 // scheduleIndexed is Schedule's greedy matching walked directly on the
-// head-value index: head values in descending order; within a value, the
-// unmatched inputs in ascending order, each taking its lowest unmatched
-// output that is eligible at that value. That is the (weight desc, input
-// asc, output asc) order of matching.WeightedScheduler, so the transfers
-// are the same and come in the same order. A full output that rejects
-// value v rejects every lower value too, so it is dropped for the rest of
-// the walk, which ends once every input with a queued packet or every
-// output is matched.
+// head-value index (switchsim.HeadIndex.Greedy), reading a full output's
+// tail only when the walk reaches it. It returns the transfers
+// scheduleEdges would, in the same order.
 func (g *PG) scheduleIndexed(sw *switchsim.CIOQ) []switchsim.Transfer {
-	x := &sw.IQIndex
-	g.transfers = g.transfers[:0]
-	in := x.Live()
-	avail := ^uint64(0) >> uint(64-g.cfg.Outputs)
-	free := sw.OutFree[0]
-	for v := x.Top(); v > 0 && in != 0 && avail != 0; v = x.Below(v) {
-		for rows := x.Rows(v) & in; rows != 0; rows &= rows - 1 {
-			i := bits.TrailingZeros64(rows)
-			for cand := x.Cols(v, i) & avail; cand != 0; cand &= cand - 1 {
-				j := bits.TrailingZeros64(cand)
-				if free&(1<<uint(j)) == 0 && !eligibleOutput(sw.OQ[j], v, g.beta) {
-					avail &^= 1 << uint(j)
-					continue
-				}
-				g.transfers = append(g.transfers, switchsim.Transfer{In: i, Out: j, PreemptIfFull: true})
-				in &^= 1 << uint(i)
-				avail &^= 1 << uint(j)
-				break
-			}
-		}
-	}
+	g.transfers = sw.IQIndex.Greedy(g.transfers[:0], g.cfg.Outputs, sw.OutFree[0], func(j int, v int64) bool {
+		return eligibleOutput(sw.OQ[j], v, g.beta)
+	})
 	return g.transfers
 }
 

@@ -162,26 +162,44 @@ func TestFleetWeightedStepZeroAllocsWithProbes(t *testing.T) {
 	}
 }
 
-// TestFleetWideStepZeroAllocs pins PG's batched Step on multi-word rows
-// (80 ports, two words) at zero allocations in steady state — multi-word
-// mask scans, the weighted scheduler's counting buckets and the ByValue
-// rings all run on storage owned by the fleet.
+// TestFleetWideStepZeroAllocs pins PG's batched Step at zero allocations
+// in steady state on its two paths: multi-word rows (80 ports, two words),
+// where the multi-word mask scans, the weighted scheduler's counting
+// buckets and the ByValue rings run on storage owned by the fleet, and 64
+// ports, where each instance walks its head-value index. The fleet first
+// runs a short batch, so the measured steps follow a Reset that keeps the
+// indexes' storage.
 func TestFleetWideStepZeroAllocs(t *testing.T) {
-	cfg := switchsim.Config{Inputs: 80, Outputs: 80, InputBuf: 2, OutputBuf: 2, Speedup: 1, RecordLatency: true}
+	wide := switchsim.Config{Inputs: 80, Outputs: 80, InputBuf: 2, OutputBuf: 2, Speedup: 1, RecordLatency: true}
+	indexed := wide
+	indexed.Inputs, indexed.Outputs = 64, 64
 	const batch, slots = 4, 8000
-	for name, mk := range map[string]func() switchsim.CIOQPolicy{
-		"pg":       func() switchsim.CIOQPolicy { return &core.PG{} },
-		"pg-beta3": func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} },
+	for _, c := range []struct {
+		name string
+		cfg  switchsim.Config
+		mk   func() switchsim.CIOQPolicy
+	}{
+		{"wide pg", wide, func() switchsim.CIOQPolicy { return &core.PG{} }},
+		{"wide pg-beta3", wide, func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} }},
+		{"64-port pg", indexed, func() switchsim.CIOQPolicy { return &core.PG{} }},
 	} {
-		f, err := NewCIOQFleet(cfg, mk, batch)
+		f, err := NewCIOQFleet(c.cfg, c.mk, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Reset(allocSeqs(cfg, batch, slots)); err != nil {
+		if err := f.Reset(allocSeqs(c.cfg, batch, 100)); err != nil {
+			t.Fatal(err)
+		}
+		for f.Step() {
+		}
+		if _, err := f.Results(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Reset(allocSeqs(c.cfg, batch, slots)); err != nil {
 			t.Fatal(err)
 		}
 		if allocs := measureStepAllocs(t, f.Step); allocs != 0 {
-			t.Errorf("wide %s: %v allocs per batched step in steady state, want 0", name, allocs)
+			t.Errorf("%s: %v allocs per batched step in steady state, want 0", c.name, allocs)
 		}
 	}
 }

@@ -40,8 +40,8 @@ type ioCount struct {
 // Output-indexed occupancy rows (voq, outFree, outBusy) are wm =
 // bitset.Words(Outputs) words long: one word up to 64 outputs, where
 // every kernel runs, and up to eight for PG at 512 ports. The unit
-// kernels and PG's packed fast path read one-word rows directly; the
-// engine's slot body and PG's edge scan walk the rows word by word.
+// kernels and PG's index walk read one-word rows directly; the engine's
+// slot body and PG's edge scan walk the rows word by word.
 type CIOQFleet struct {
 	lockstep
 	kern   cioqKernel
@@ -56,7 +56,7 @@ type CIOQFleet struct {
 
 	// Columnar switch state: per-instance blocks inside flat arrays.
 	voq      []uint64  // [(k*n+i)*wm + w]: outputs j with IQ(k,i,j) non-empty
-	voqByOut []uint64  // [k*m+j]: inputs i with IQ(k,i,j) non-empty (kept when wantByOut)
+	voqByOut []uint64  // [k*m+j]: inputs i with IQ(k,i,j) non-empty (only when wantByOut)
 	outFree  []uint64  // [k*wm + w]: outputs whose queue has room
 	outBusy  []uint64  // [k*wm + w]: outputs whose queue is non-empty
 	cnt      []ioCount // [k]
@@ -71,12 +71,14 @@ type CIOQFleet struct {
 	iqID []int64
 	oqID []int64
 
-	// iqHV caches each input ring's head value ([k*nm + q], weighted
-	// kernels only): the schedulers scan every occupied VOQ head per
-	// cycle, and the flat lane replaces the dependent header+ring load
-	// pair on that path. Entries are refreshed wherever the ring head
-	// changes and are read only under a set voq bit.
+	// iqHV caches each input ring's head value, 0 for an empty ring
+	// ([k*nm + q], weighted kernels only): the schedulers read occupied
+	// VOQ heads every cycle, and the flat lane replaces the dependent
+	// header+ring load pair on that path. idx[k] files instance k's
+	// rings under their iqHV entry (PG up to 64 ports); both are
+	// refreshed wherever a ring head changes.
 	iqHV []int64
+	idx  []switchsim.HeadIndex
 
 	// wantByOut: the kernel reads voqByOut, or Validate checks it. The
 	// transposed rows are one word, so they are kept only up to 64 inputs.
@@ -84,15 +86,7 @@ type CIOQFleet struct {
 	weighted  bool  // ByValue rings with ID lanes and preemption
 	pend      []pkt // the view's pass-through buffer, [j]
 
-	// Kernel state and scratch.
-	rrGrant  []int32 // [k*m+j]: RoundRobin per-output grant pointer
-	rrAccept []int32 // [k*n+i]: RoundRobin per-input accept pointer
-	grants   []uint64
-	edges    []matching.Edge
-	wkeys    []uint32 // packed (w<<12|i<<6|j) eligible edges, (i,j)-ascending
-	wsorted  []uint32 // counting-scatter output, weight-descending
-	wcnt     []int32  // per-weight bucket counts/offsets
-	wcntHi   int32    // dirty prefix of wcnt to clear next cycle
+	edges []matching.Edge // kernel scratch: GM's LongestFirst and PG's edge scan
 }
 
 // cioqView is the per-instance working set bound once per window: small
@@ -116,6 +110,7 @@ type cioqView struct {
 	series           []int64
 	rrG, rrA         []int32
 	iqHV             []int64
+	idx              *switchsim.HeadIndex // nil unless the instance keeps one
 
 	n, m, nm, wm   int
 	icapM, ocapM   int32 // ring index masks (capacity-1)
@@ -161,7 +156,9 @@ func (v *cioqView) bind(f *CIOQFleet, k int) {
 		v.lat = &f.res[k].M
 	}
 	v.voq = f.voq[k*f.n*f.wm : (k+1)*f.n*f.wm]
-	v.voqByOut = f.voqByOut[k*f.m : (k+1)*f.m]
+	if f.wantByOut {
+		v.voqByOut = f.voqByOut[k*f.m : (k+1)*f.m]
+	}
 	v.outFree = f.outFree[k*f.wm : (k+1)*f.wm]
 	v.outBusy = f.outBusy[k*f.wm : (k+1)*f.wm]
 	v.iqHdr = f.iqHdr[k*f.nm : (k+1)*f.nm]
@@ -171,14 +168,17 @@ func (v *cioqView) bind(f *CIOQFleet, k int) {
 	if f.cfg.RecordSeries {
 		v.series = f.series[k]
 	}
-	if f.rrGrant != nil {
-		v.rrG = f.rrGrant[k*f.m : (k+1)*f.m]
-		v.rrA = f.rrAccept[k*f.n : (k+1)*f.n]
+	if rr, ok := f.kern.(*rrKernel); ok {
+		v.rrG = rr.grant[k*f.m : (k+1)*f.m]
+		v.rrA = rr.accept[k*f.n : (k+1)*f.n]
 	}
 	if f.iqID != nil {
 		v.iqID = f.iqID[k*f.nm*f.icap : (k+1)*f.nm*f.icap]
 		v.oqID = f.oqID[k*f.m*f.ocap : (k+1)*f.m*f.ocap]
 		v.iqHV = f.iqHV[k*f.nm : (k+1)*f.nm]
+	}
+	if f.idx != nil {
+		v.idx = &f.idx[k]
 	}
 }
 
@@ -211,7 +211,6 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 	}
 	f.lockstep = newLockstep(cfg, pol.Name(), batch, f)
 	f.voq = make([]uint64, batch*n*f.wm)
-	f.voqByOut = make([]uint64, batch*m)
 	f.outFree = make([]uint64, batch*f.wm)
 	f.outBusy = make([]uint64, batch*f.wm)
 	f.cnt = make([]ioCount, batch)
@@ -220,12 +219,19 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 	f.oq = make([]pkt, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
 	f.wantByOut = kern.wantsVOQByOut() || cfg.Validate && n <= maxPorts
-	f.pend = make([]pkt, m)
+	if f.wantByOut {
+		f.voqByOut = make([]uint64, batch*m)
+	}
 	if kern.weighted() {
 		f.weighted = true
 		f.iqID = make([]int64, batch*f.nm*f.icap)
 		f.oqID = make([]int64, batch*m*f.ocap)
 		f.iqHV = make([]int64, batch*f.nm)
+		if n <= maxPorts && m <= maxPorts {
+			f.idx = make([]switchsim.HeadIndex, batch)
+		}
+	} else {
+		f.pend = make([]pkt, m)
 	}
 	kern.reset(f)
 	return f, nil
@@ -234,17 +240,23 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 // Reset loads a new batch of arrival sequences (one per instance; the
 // slice length may be anything up to the construction batch size, so one
 // fleet serves a chunk stream whose final chunk runs short) and rewinds
-// every loaded instance to slot 0. Switch storage is reused.
+// every loaded instance to slot 0. Switch storage is reused; the head-value
+// indexes keep their buckets and clear only what is still filed.
 //
-// Sequences are validated lazily rather than with an up-front pass: port
-// and value violations surface as errors when the packet is admitted, and
-// an unsorted sequence is detected at the instance's retirement (see
-// checkResidual). ID monotonicity — which the FIFO unit-value family
-// never observes — is the caller's responsibility, as with every
-// generator-produced sequence.
+// There is no up-front validation pass: each instance feeds every packet
+// to its packet.Validator as it admits it, and the packets past its
+// horizon at retirement, so a malformed sequence fails the batch with
+// Sequence.Validate's error text at the packet that breaks it (see
+// lockstep.load).
 func (f *CIOQFleet) Reset(seqs []packet.Sequence) error {
 	if err := f.load(seqs); err != nil {
 		return err
+	}
+	clear(f.iqHV)
+	if f.idx != nil {
+		for k := range f.cur {
+			f.idx[k].Reset(f.n)
+		}
 	}
 	clear(f.voq)
 	clear(f.voqByOut)
@@ -271,6 +283,7 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 	horizon := f.horizon[kk]
 	cnt := v.cnt
 	hm := v.hm
+	chk := &f.check[kk]
 	T := f.at[kk]
 	// Window-local metric accumulators: the per-packet counters are
 	// register adds here and a single flush into hm at every exit (all
@@ -296,14 +309,15 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 		// room; the weighted (ByValue) families additionally preempt the
 		// queue's least valuable packet when it is full and strictly worse
 		// (queue.Ring.PushPreempt semantics — occupancy is unchanged by a
-		// preempting admission, so the index bits stay put).
-		for nx < len(seq) && seq[nx].Arrival == T {
+		// preempting admission, so the index bits stay put). A packet due
+		// before T is out of order, which the validator refuses.
+		for nx < len(seq) && seq[nx].Arrival <= T {
 			p := &seq[nx]
-			nx++
-			if uint(p.In) >= uint(v.n) || uint(p.Out) >= uint(v.m) || p.Value < 1 {
-				f.err = fmt.Errorf("fleet: instance %d: bad packet %v", kk, *p)
+			if !chk.Accept(p) {
+				f.err = switchsim.BadSequence(chk.Reject(p))
 				return instErr
 			}
+			nx++
 			aArr++
 			aArrV += p.Value
 			q := p.In*v.m + p.Out
@@ -326,16 +340,23 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 				// both are inlined here and yield the new head value
 				// without reloading the ring.
 				np := pkt{v: p.Value, a: int32(p.Arrival)}
+				var hv int64
 				switch h.n {
 				case 0:
 					ringInsert0(v.iq, v.iqID, h, q*v.icap, np, p.ID)
-					v.iqHV[q] = np.v
+					hv = np.v
 				case 1:
 					b := q * v.icap
-					v.iqHV[q] = ringInsert1(v.iq[b:], v.iqID[b:], h, v.icapM, np, p.ID)
+					hv = ringInsert1(v.iq[b:], v.iqID[b:], h, v.icapM, np, p.ID)
 				default:
 					v.iqInsert(q, np, p.ID)
-					v.iqHV[q] = v.iq[q*v.icap+int(h.head)].v
+					hv = v.iq[q*v.icap+int(h.head)].v
+				}
+				if old := v.iqHV[q]; hv != old {
+					v.iqHV[q] = hv
+					if v.idx != nil {
+						v.idx.Move(p.In, p.Out, old, hv)
+					}
 				}
 				if pre {
 					aAcc++
@@ -631,13 +652,20 @@ func (v *cioqView) wtransfer(i, j int) {
 	id := v.iqID[x]
 	h.head = (h.head + 1) & v.icapM
 	h.n--
+	var hv int64
 	if h.n == 0 {
 		v.voq[i*v.wm+j>>6] &^= 1 << uint(j&63)
 		if v.wantByOut {
 			v.voqByOut[j] &^= 1 << uint(i)
 		}
 	} else {
-		v.iqHV[q] = v.iq[q*v.icap+int(h.head)].v
+		hv = v.iq[q*v.icap+int(h.head)].v
+	}
+	if hv != p.v {
+		v.iqHV[q] = hv
+		if v.idx != nil {
+			v.idx.Move(i, j, p.v, hv)
+		}
 	}
 	v.cnt.in--
 	ho := &v.oqHdr[j]
@@ -707,8 +735,10 @@ func (f *CIOQFleet) validate(k, T int) error {
 			if got, want := row.Test(j), l > 0; got != want {
 				return fmt.Errorf("fleet: slot %d instance %d: VOQ[%d] bit %d = %v, len=%d", T, k, i, j, got, l)
 			}
-			if got, want := f.voqByOut[k*f.m+j]&(1<<uint(i)) != 0, l > 0; f.wantByOut && got != want {
-				return fmt.Errorf("fleet: slot %d instance %d: VOQByOut[%d] bit %d = %v, len=%d", T, k, j, i, got, l)
+			if f.wantByOut {
+				if got, want := f.voqByOut[k*f.m+j]&(1<<uint(i)) != 0, l > 0; got != want {
+					return fmt.Errorf("fleet: slot %d instance %d: VOQByOut[%d] bit %d = %v, len=%d", T, k, j, i, got, l)
+				}
 			}
 			if f.iqID != nil && !ringOrdered(f.iq, f.iqID, f.iqHdr[q], q*f.icap, int32(f.icap-1)) {
 				return fmt.Errorf("fleet: slot %d instance %d: IQ[%d][%d] not in ByValue order", T, k, i, j)
@@ -734,6 +764,20 @@ func (f *CIOQFleet) validate(k, T int) error {
 	if in != c.in || out != c.out {
 		return fmt.Errorf("fleet: slot %d instance %d: counters (in=%d,out=%d) but queues hold (%d,%d)",
 			T, k, c.in, c.out, in, out)
+	}
+	for q := k * f.nm; f.iqHV != nil && q < (k+1)*f.nm; q++ {
+		want, h := int64(0), f.iqHdr[q]
+		if h.n > 0 {
+			want = f.iq[q*f.icap+int(h.head)].v
+		}
+		if f.iqHV[q] != want {
+			return fmt.Errorf("fleet: slot %d instance %d: head lane for IQ[%d][%d] = %d, queue head value %d", T, k, q%f.nm/f.m, q%f.m, f.iqHV[q], want)
+		}
+	}
+	if f.idx != nil {
+		if err := f.idx[k].Check("IQ", f.iqHV[k*f.nm:(k+1)*f.nm], f.n, f.m); err != nil {
+			return fmt.Errorf("fleet: slot %d instance %d: %w", T, k, err)
+		}
 	}
 	return nil
 }

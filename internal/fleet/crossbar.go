@@ -195,7 +195,8 @@ func NewCrossbarFleet(cfg switchsim.Config, factory func() switchsim.CrossbarPol
 
 // Reset loads a new batch of arrival sequences (up to the construction
 // batch size) and rewinds every loaded instance to slot 0, reusing the
-// fleet's storage. Sequences are validated lazily; see (*CIOQFleet).Reset.
+// fleet's storage. Sequences are validated as they are admitted; see
+// (*CIOQFleet).Reset.
 func (f *CrossbarFleet) Reset(seqs []packet.Sequence) error {
 	if err := f.load(seqs); err != nil {
 		return err
@@ -224,6 +225,7 @@ func (f *CrossbarFleet) runWindow(k int32, end int) instStatus {
 	horizon := f.horizon[kk]
 	st := v.st
 	hm := v.hm
+	chk := &f.check[kk]
 	T := f.at[kk]
 	// Window-local metric accumulators; see (*CIOQFleet).runWindow.
 	var aArr, aArrV, aAcc, aAccV, aRej, aRejV, aPre, aPreV, tSent, tBen, oIn, oX, oOut, oSamp int64
@@ -244,13 +246,14 @@ func (f *CrossbarFleet) runWindow(k int32, end int) instStatus {
 		hm.sampled += oSamp
 	}
 	for {
-		for nx < len(seq) && seq[nx].Arrival == T {
+		// Admissions, validated as in (*CIOQFleet).runWindow.
+		for nx < len(seq) && seq[nx].Arrival <= T {
 			p := &seq[nx]
-			nx++
-			if uint(p.In) >= uint(v.n) || uint(p.Out) >= uint(v.m) || p.Value < 1 {
-				f.err = fmt.Errorf("fleet: instance %d: bad packet %v", kk, *p)
+			if !chk.Accept(p) {
+				f.err = switchsim.BadSequence(chk.Reject(p))
 				return instErr
 			}
+			nx++
 			aArr++
 			aArrV += p.Value
 			q := p.In*v.m + p.Out

@@ -27,11 +27,11 @@
 // stores each output-indexed row (voq, and the per-instance outFree and
 // outBusy) as bitset.Words(Outputs) words: one word up to 64 outputs,
 // where every ported family runs, and up to eight for PG at 512 ports,
-// the one kernel past 64 ports. The unit kernels and PG's packed fast
-// path read one-word rows directly; the slot body and PG's multi-word
-// edge scan walk the rows word by word, enumerating eligible edges in
-// (input, output) order for matching.WeightedScheduler's counting-sort
-// path. The crossbar engine keeps one word per row and serves up to 64
+// the one kernel past 64 ports. The unit kernels and PG's walk of its
+// per-instance switchsim.HeadIndex read one-word rows directly; the slot
+// body and PG's multi-word edge scan walk the rows word by word,
+// enumerating eligible edges in (input, output) order for
+// matching.WeightedScheduler's counting-sort path. The crossbar engine keeps one word per row and serves up to 64
 // ports. Everything else above 64 ports falls back to scalar runs.
 //
 // Both engines embed one lockstep core (lockstep.go): the batch
@@ -102,8 +102,9 @@
 // The package's init registers a batch-of-one runner per model with
 // switchsim (switchsim.RegisterKernels): in any binary that links it,
 // switchsim.RunCIOQ and RunCrossbar run a sequence on a fresh fleet of one
-// when routesCIOQ or BatchableCrossbar accepts it, with the Result and
-// engine-probe tallies the slot loop would give. Kernels are matched on
+// when BatchableCIOQ or BatchableCrossbar accepts it, with the Result,
+// engine-probe tallies and malformed-sequence errors the slot loop would
+// give. Kernels are matched on
 // concrete policy types, so a struct embedding the policy forces the slot
 // loop: the differential tests' oracle.
 package fleet

@@ -397,6 +397,78 @@ func TestFleetWidePortShift(t *testing.T) {
 	}
 }
 
+// pathTally is PG for the reference slot loop that tallies the cycles
+// its head-value index serves and the switches between the index walk
+// and the edge scan. A fleet instance's index is in the same state every
+// cycle, so it takes the same paths.
+type pathTally struct {
+	*core.PG
+	walks, scans, switches int
+	last                   bool
+}
+
+func (p *pathTally) Schedule(sw *switchsim.CIOQ, slot, cycle int) []switchsim.Transfer {
+	ready := sw.IQIndex.Ready()
+	if p.walks+p.scans > 0 && ready != p.last {
+		p.switches++
+	}
+	p.last = ready
+	if ready {
+		p.walks++
+	} else {
+		p.scans++
+	}
+	return p.PG.Schedule(sw, slot, cycle)
+}
+
+// TestFleetHeadIndexMatchesScalar is the differential suite of PG's index
+// walk at 17–64 ports: every instance must match its scalar run bit for
+// bit on values straddling switchsim.MaxIndexedValue. Converging bursts
+// park heads above it for a while, so the cycles move between the walk
+// and the edge scan mid-run; a hotspot into one-packet output queues at
+// speedup 2 makes output preemption, and so β, decide transfers.
+// Validate checks every instance's index against its head lane each slot.
+func TestFleetHeadIndexMatchesScalar(t *testing.T) {
+	const batch, slots = 2, 100
+	gens := []packet.Generator{
+		packet.BurstyBlocking{OffMean: 20, Burst: 8, Values: packet.BimodalValues{LowHi: 40, HighLo: 2000, HighHi: 2100, PHigh: 0.2}},
+		packet.Hotspot{Load: 0.8, HotFrac: 0.5, Values: packet.BimodalValues{LowHi: 40, HighLo: 2000, HighHi: 2100, PHigh: 0.01}},
+	}
+	var preempted int64
+	for _, ports := range [][2]int{{17, 17}, {40, 33}, {64, 64}} {
+		cfg := switchsim.Config{Inputs: ports[0], Outputs: ports[1], InputBuf: 2, OutputBuf: 1, Speedup: 2, Validate: true, RecordLatency: true}
+		for _, beta := range []float64{0, 3} {
+			mk := func() switchsim.CIOQPolicy { return &core.PG{Beta: beta} }
+			for _, gen := range gens {
+				label := fmt.Sprintf("beta=%g/%dx%d/%s", beta, ports[0], ports[1], gen.Name())
+				seqs := fleetSeqs(cfg, gen, int64(ports[0]), batch, slots)
+				rs, err := NewCIOQRunner(mk).Run(cfg, seqs)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				tally := &pathTally{PG: &core.PG{Beta: beta}}
+				for k, seq := range seqs {
+					want, err := switchsim.RunCIOQ(cfg, tally, seq)
+					if err != nil {
+						t.Fatalf("%s scalar[%d]: %v", label, k, err)
+					}
+					preempted += want.M.PreemptedOutput
+					if !reflect.DeepEqual(want.M, rs[k].M) {
+						t.Errorf("%s instance %d: fleet diverged from scalar:\nscalar: %+v\nfleet:  %+v", label, k, want.M, rs[k].M)
+					}
+				}
+				if tally.walks == 0 || tally.scans == 0 || tally.switches < 2 {
+					t.Errorf("%s: %d walks, %d scans and %d switches between them, want both and a switch there and back",
+						label, tally.walks, tally.scans, tally.switches)
+				}
+			}
+		}
+	}
+	if preempted == 0 {
+		t.Error("no output preemption in any run: the traffic does not exercise PG's eligibility rule")
+	}
+}
+
 // TestFleetWide256MatchesScalar spot-checks the batched-matching regime
 // (n = 256: four-word rows, counting-sort weight buckets) and the fallback
 // families at the same size against scalar.
@@ -619,15 +691,6 @@ func TestFleetErrorsAndRecovery(t *testing.T) {
 	} {
 		gen := packet.Bernoulli{Load: 0.9, Values: packet.UniformValues{Hi: 20}}
 		good := fleetSeqs(ec.cfg, gen, 41, batch, 50)
-		// An extra packet due at slot 0 after the last arrival: the
-		// cursor passes it by, so retirement must flag the ordering.
-		unsorted := append([]packet.Sequence(nil), good...)
-		last := good[1][len(good[1])-1]
-		unsorted[1] = append(append(packet.Sequence(nil), good[1]...),
-			packet.Packet{ID: last.ID + 1, Arrival: 0, In: 0, Out: 0, Value: 1})
-		badPort := append([]packet.Sequence(nil), good...)
-		badPort[2] = append(packet.Sequence(nil), good[2]...)
-		badPort[2][0].In = ec.cfg.Inputs
 
 		f, err := ec.build()
 		if err != nil {
@@ -665,21 +728,57 @@ func TestFleetErrorsAndRecovery(t *testing.T) {
 				t.Errorf("%s %s: error %v, want one containing %q", ec.name, label, err, want)
 			}
 		}
+		// Each malformed sequence replaces one instance of the good batch
+		// and must fail the batch with exactly the slot loop's error, which
+		// is Sequence.Validate's refusal of the same packet.
+		n := len(good[1])
+		// A packet out of order is admitted in the slot after its
+		// predecessor's, so the batch fails in that window (Step returns
+		// false) rather than at the horizon.
+		early := good[1][n/2-1].Arrival/windowSlots + 1
 		for _, bad := range []struct {
 			label string
-			seqs  []packet.Sequence
-			want  string
+			k     int
+			edit  func(packet.Sequence) packet.Sequence
+			steps int // the Step that fails the batch, 0 for any
 		}{
-			{"unsorted", unsorted, "not sorted by arrival"},
-			{"bad port", badPort, "bad packet"},
+			// Due at slot 0 after the last arrival: it is admitted at once
+			// and refused as out of order at its own index.
+			{"unsorted", 1, func(s packet.Sequence) packet.Sequence {
+				return append(s, packet.Packet{ID: s[n-1].ID + 1, Arrival: 0, In: 0, Out: 0, Value: 1})
+			}, 0},
+			{"unsorted mid", 1, func(s packet.Sequence) packet.Sequence { s[n/2].Arrival = 0; return s }, early},
+			{"bad port", 2, func(s packet.Sequence) packet.Sequence { s[0].In = ec.cfg.Inputs; return s }, 1},
+			{"value 0", 0, func(s packet.Sequence) packet.Sequence { s[n/2].Value = 0; return s }, 0},
+			{"repeated id", 1, func(s packet.Sequence) packet.Sequence { s[n/2].ID = s[n/2-1].ID; return s }, 0},
+			// Past the fixed horizon, behind a good packet there: no engine
+			// admits either, so only the check at the end of the run sees it.
+			{"bad past horizon", 1, func(s packet.Sequence) packet.Sequence {
+				id, t := s[n-1].ID, ec.cfg.Slots
+				return append(s, packet.Packet{ID: id + 1, Arrival: t + 5, In: 0, Out: 0, Value: 1},
+					packet.Packet{ID: id + 2, Arrival: t + 6, In: 0, Out: ec.cfg.Outputs, Value: 1})
+			}, 0},
 		} {
-			if err := f.Reset(bad.seqs); err != nil {
+			seqs := append([]packet.Sequence(nil), good...)
+			seqs[bad.k] = bad.edit(append(packet.Sequence(nil), good[bad.k]...))
+			valid := seqs[bad.k].Validate(ec.cfg.Inputs, ec.cfg.Outputs)
+			_, want := ec.scalar(seqs[bad.k])
+			if valid == nil || want == nil || want.Error() != switchsim.BadSequence(valid).Error() {
+				t.Fatalf("%s %s: slot loop error %v, Sequence.Validate %v", ec.name, bad.label, want, valid)
+			}
+			if err := f.Reset(seqs); err != nil {
 				t.Fatalf("%s %s: Reset: %v", ec.name, bad.label, err)
 			}
+			steps := 1
 			for f.Step() {
+				steps++
 			}
-			_, err := f.Results()
-			wantErr(bad.label, err, bad.want)
+			if _, err := f.Results(); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s %s: error %v, want %q", ec.name, bad.label, err, want)
+			}
+			if bad.steps > 0 && steps != bad.steps {
+				t.Errorf("%s %s: the batch failed at Step %d, want %d", ec.name, bad.label, steps, bad.steps)
+			}
 			recoverGood(bad.label)
 		}
 		for _, n := range []int{0, batch + 1} {

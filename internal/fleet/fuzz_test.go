@@ -37,11 +37,12 @@ func fuzzBatch(raw []byte, batch, inputs, outputs int) []packet.Sequence {
 // columnar engine with Validate on — so the occupancy index, counters and
 // conservation are cross-checked every slot and after every quiescent
 // jump — and asserts fleet == scalar bit for bit, per instance, for CIOQ
-// and crossbar kernels in both the unit and the weighted families. The
-// high bit of each port byte flips that side of the geometry into the
-// 65..72-port range, where PG runs on multi-word rows (or, with only the
-// inputs wide, on its multi-word edge scan over one-word rows) and every
-// other family on the scalar fallback.
+// and crossbar kernels in both the unit and the weighted families. Each
+// port byte picks its side of the geometry: 1..4 ports by default; with
+// bit 6 set, 17..64 ports, where PG walks its head-value index; with the
+// high bit set, 65..72 ports, where PG runs on multi-word rows (or, with
+// only the inputs wide, on its multi-word edge scan over one-word rows)
+// and every other family on the scalar fallback.
 func FuzzFleetEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(2), uint8(2), uint8(1), uint8(1))
 	f.Add([]byte{255, 1, 2, 90, 200, 0, 1, 3, 0, 1, 1, 60}, uint8(3), uint8(3), uint8(2), uint8(2), uint8(3))
@@ -62,16 +63,22 @@ func FuzzFleetEquivalence(f *testing.F) {
 	// queues (and weighted preemption) common.
 	f.Add([]byte{0, 9, 0, 80, 0, 70, 0, 70, 0, 30, 1, 70, 0, 2, 0, 90, 0, 64, 1, 95, 1, 5, 0, 50},
 		uint8(3), uint8(135), uint8(2), uint8(1), uint8(1))
+	// 17..64 ports, exactly 64 on the output side: PG's index walk over
+	// full one-word rows, against its scalar walk.
+	f.Add([]byte{0, 1, 63, 80, 0, 16, 63, 70, 0, 16, 1, 70, 0, 2, 63, 9, 1, 40, 0, 9, 0, 3, 62, 50, 0, 16, 63, 95},
+		uint8(2), uint8(64), uint8(95), uint8(2), uint8(1))
 	f.Fuzz(func(t *testing.T, raw []byte, nBatch, nIn, nOut, speedup, outBuf uint8) {
 		batch := int(nBatch)%8 + 1
-		inputs := int(nIn)%4 + 1
-		if nIn&0x80 != 0 {
-			inputs = 65 + int(nIn)%8
+		ports := func(b uint8) int {
+			switch {
+			case b&0x80 != 0:
+				return 65 + int(b)%8
+			case b&0x40 != 0:
+				return 17 + int(b)%48
+			}
+			return int(b)%4 + 1
 		}
-		outputs := int(nOut)%4 + 1
-		if nOut&0x80 != 0 {
-			outputs = 65 + int(nOut)%8
-		}
+		inputs, outputs := ports(nIn), ports(nOut)
 		cfg := switchsim.Config{
 			Inputs: inputs, Outputs: outputs,
 			InputBuf: 2, OutputBuf: int(outBuf)%16 + 1, CrossBuf: 1,

@@ -152,27 +152,31 @@ func (g *gmKernel) cycle(v *cioqView, slot, cycle int) {
 // grant/accept round with per-output grant and per-input accept pointers
 // that advance only on acceptance, so quiescent stretches leave them
 // untouched and no idle hook is needed.
-type rrKernel struct{}
-
-func (rrKernel) wantsVOQByOut() bool { return true }
-
-func (rrKernel) weighted() bool { return false }
-
-func (rrKernel) portLimit() int { return maxPorts }
-
-func (rrKernel) reset(f *CIOQFleet) {
-	if len(f.rrGrant) != f.batch*f.m {
-		f.rrGrant = make([]int32, f.batch*f.m)
-		f.rrAccept = make([]int32, f.batch*f.n)
-		f.grants = make([]uint64, f.n)
-	}
-	clear(f.rrGrant)
-	clear(f.rrAccept)
+type rrKernel struct {
+	grant  []int32 // [k*m+j]: per-output grant pointer
+	accept []int32 // [k*n+i]: per-input accept pointer
+	grants []uint64
 }
 
-func (rrKernel) cycle(v *cioqView, slot, cycle int) {
+func (r *rrKernel) wantsVOQByOut() bool { return true }
+
+func (r *rrKernel) weighted() bool { return false }
+
+func (r *rrKernel) portLimit() int { return maxPorts }
+
+func (r *rrKernel) reset(f *CIOQFleet) {
+	if len(r.grant) != f.batch*f.m {
+		r.grant = make([]int32, f.batch*f.m)
+		r.accept = make([]int32, f.batch*f.n)
+		r.grants = make([]uint64, f.n)
+	}
+	clear(r.grant)
+	clear(r.accept)
+}
+
+func (r *rrKernel) cycle(v *cioqView, slot, cycle int) {
 	n, m := v.n, v.m
-	grants := v.f.grants[:n]
+	grants := r.grants[:n]
 	for i := range grants {
 		grants[i] = 0
 	}
@@ -198,49 +202,27 @@ func (rrKernel) cycle(v *cioqView, slot, cycle int) {
 	}
 }
 
-// pgKernel is the batched PG scheduler: enumerate the eligible VOQ-head
-// edges (destination open, or the head beats beta times the
-// destination's least valuable packet), match greedy maximal, and execute
-// each transfer with output-side preemption. The kernel bakes in the beta
+// pgKernel is the batched PG scheduler: a greedy maximal matching by head
+// value over the eligible VOQ heads (destination open, or the head beats
+// beta times the destination's least valuable packet), each transfer
+// executed with output-side preemption. The kernel bakes in the beta
 // core.Threshold resolves, as the scalar policy's Reset does. PG has no
-// slot-dependent state, so no idle hook is needed. It is the one kernel
-// past 64 ports: above one-word geometries every cycle takes the
-// multi-word edge scan.
+// slot-dependent state, so no idle hook is needed. Up to 64 ports a cycle
+// walks the instance's head-value index, as the scalar policy does; past
+// 64 ports, and in any cycle with a head outside [1,
+// switchsim.MaxIndexedValue], it takes the multi-word edge scan.
 type pgKernel struct {
 	beta  float64
-	fast  bool // fastCycle applies: both sides ≤ 64 ports
-	sched matching.WeightedScheduler
+	xfers []switchsim.Transfer // the walk's matching
+	sched *matching.WeightedScheduler
 }
 
-// pgFastMaxW bounds the packed-key fast path of the greedy PG kernel; it
-// matches the counting-sort weight bound inside matching.WeightedScheduler
-// so the two paths cover exactly the same instances.
-const pgFastMaxW = 2048
-
-// reset sizes the greedy path's weight histogram to the largest value
-// the loaded sequences carry, capped at pgFastMaxW+1 buckets: no head
-// value can exceed it, so a tiny run does not pay for 2,049 buckets.
-// Wider geometries never take the fast path and size no histogram.
+// reset sizes the walk's scratch when the fleet keeps indexes; the edge
+// scan's is sized at its first cycle, which a run whose heads all stay in
+// the index's range never reaches.
 func (g *pgKernel) reset(f *CIOQFleet) {
-	if cap(f.edges) < f.nm {
-		f.edges = make([]matching.Edge, 0, f.nm)
-	}
-	if g.fast = f.n <= maxPorts && f.m <= maxPorts; !g.fast {
-		return
-	}
-	if cap(f.wsorted) < f.nm {
-		f.wkeys = make([]uint32, 0, f.nm)
-		f.wsorted = make([]uint32, f.nm)
-	}
-	maxV := int64(0)
-	for _, seq := range f.seqs {
-		for _, p := range seq {
-			maxV = max(maxV, p.Value)
-		}
-	}
-	if w := int(min(maxV, pgFastMaxW)) + 1; len(f.wcnt) < w {
-		f.wcnt = make([]int32, w)
-		f.wcntHi = 0
+	if f.idx != nil && g.xfers == nil {
+		g.xfers = make([]switchsim.Transfer, 0, min(f.n, f.m))
 	}
 }
 
@@ -251,107 +233,40 @@ func (g *pgKernel) weighted() bool { return true }
 func (g *pgKernel) portLimit() int { return maxWidePorts }
 
 func (g *pgKernel) cycle(v *cioqView, slot, cycle int) {
-	if g.fast && g.fastCycle(v) {
+	if x := v.idx; x != nil && x.Ready() {
+		g.walk(v, x)
 		return
 	}
 	g.genericCycle(v)
 }
 
-// fastCycle is the greedy-PG hot path: eligible VOQ-head edges are packed
-// into uint32 keys (weight<<12 | input<<6 | output, valid because it runs
-// only when ports fit 6 bits and requires weight <= pgFastMaxW), a
-// stable counting scatter by weight descending reproduces the scheduler's
-// contract order (weight desc, ties input asc then output asc — the
-// enumeration itself is (input, output)-ascending), and the greedy accept
-// runs on two uint64 used-port masks, executing each accepted transfer
-// immediately. Decisions are identical to the matching-package path;
-// reports false without transferring anything when a head value exceeds
-// the packed range, so the caller can rerun the generic path.
-func (g *pgKernel) fastCycle(v *cioqView) bool {
-	f := v.f
-	cnt := f.wcnt
-	clear(cnt[:f.wcntHi])
-	keys := f.wkeys[:0]
-	maxW := int32(0)
-	of := v.outFree[0]
-	// A full output's tail value (and its beta multiple) is shared by
-	// every input's eligibility test, so hoist both out of the edge scan
-	// and compute them once per cycle.
-	var tailV [64]int64
-	var tailB [64]float64
-	for w := allOnes(v.m) &^ of; w != 0; w &= w - 1 {
-		j := bits.TrailingZeros64(w)
+// walk is the cycle on the instance's head-value index
+// (switchsim.HeadIndex.Greedy, the scalar PG's walk). The matching is
+// taken before any transfer runs, so the transfers' index updates cannot
+// feed back into it.
+func (g *pgKernel) walk(v *cioqView, x *switchsim.HeadIndex) {
+	g.xfers = x.Greedy(g.xfers[:0], v.m, v.outFree[0], func(j int, hv int64) bool {
 		ho := &v.oqHdr[j]
-		tv := v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v
-		tailV[j] = tv
-		tailB[j] = g.beta * float64(tv)
+		return float64(hv) > g.beta*float64(v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v)
+	})
+	for _, t := range g.xfers {
+		v.wtransfer(t.In, t.Out)
 	}
-	for i := 0; i < v.n; i++ {
-		w := v.voq[i]
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &= w - 1
-			q := i*v.m + j
-			hv := v.iqHV[q]
-			if of&(1<<uint(j)) == 0 {
-				// beta >= 1, so hv <= tail already fails eligibility;
-				// the integer compare keeps the float math off the
-				// common rejected path.
-				if hv <= tailV[j] || float64(hv) <= tailB[j] {
-					continue
-				}
-			}
-			if hv > pgFastMaxW {
-				// Out-of-range value: record the partially counted cnt
-				// range (the offending head was never counted) so the
-				// next clear wipes it.
-				f.wcntHi = maxW + 1
-				return false
-			}
-			cnt[hv]++
-			maxW = max(maxW, int32(hv))
-			keys = append(keys, uint32(hv)<<12|uint32(i)<<6|uint32(j))
-		}
-	}
-	f.wkeys = keys
-	f.wcntHi = maxW + 1
-	if len(keys) == 0 {
-		return true
-	}
-	// Prefix offsets with heavier weights first, then stable scatter.
-	total := int32(0)
-	for w := maxW; w >= 1; w-- {
-		c := cnt[w]
-		cnt[w] = total
-		total += c
-	}
-	sorted := f.wsorted[:len(keys)]
-	for _, k := range keys {
-		w := k >> 12
-		sorted[cnt[w]] = k
-		cnt[w]++
-	}
-	var usedU, usedV uint64
-	for _, k := range sorted {
-		i := int(k>>6) & 63
-		j := int(k) & 63
-		bi, bj := uint64(1)<<uint(i), uint64(1)<<uint(j)
-		if usedU&bi == 0 && usedV&bj == 0 {
-			usedU |= bi
-			usedV |= bj
-			v.wtransfer(i, j)
-		}
-	}
-	return true
 }
 
 // genericCycle is the multi-word edge scan: it enumerates the eligible
 // edges word by word along each input's occupancy row, in (input, output)
 // order as the scheduler's counting-sort path requires, and defers to the
 // weighted scheduler. It serves every cycle past 64 ports and the cycles
-// whose head values overflow fastCycle's packed range.
+// whose index is not Ready.
 func (g *pgKernel) genericCycle(v *cioqView) {
 	f := v.f
+	if g.sched == nil {
+		g.sched = new(matching.WeightedScheduler)
+		if cap(f.edges) < f.nm {
+			f.edges = make([]matching.Edge, 0, f.nm)
+		}
+	}
 	edges := f.edges[:0]
 	for i := 0; i < v.n; i++ {
 		for wdx, w := range v.voq[i*v.wm : (i+1)*v.wm] {

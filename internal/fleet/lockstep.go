@@ -83,7 +83,8 @@ type lockstep struct {
 	seqs    []packet.Sequence
 	next    []int
 	horizon []int
-	at      []int // per-instance next slot to simulate
+	at      []int              // per-instance next slot to simulate
+	check   []packet.Validator // per-instance, fed each packet as it is admitted
 
 	// Lockstep scheduling state.
 	active []int32
@@ -95,22 +96,29 @@ type lockstep struct {
 
 // newLockstep sizes the bookkeeping of a `batch`-instance engine.
 func newLockstep(cfg switchsim.Config, policy string, batch int, eng windowRunner) lockstep {
-	return lockstep{
+	l := lockstep{
 		cfg: cfg, policy: policy, eng: eng, batch: batch, cur: batch,
 		hot:     make([]hotCtr, batch),
-		series:  make([][]int64, batch),
 		results: make([]*switchsim.Result, batch),
 		next:    make([]int, batch),
 		horizon: make([]int, batch),
 		at:      make([]int, batch),
+		check:   make([]packet.Validator, batch),
 		active:  make([]int32, 0, batch),
 		sleep:   make([]sleeper, 0, batch),
 	}
+	if cfg.RecordSeries {
+		l.series = make([][]int64, batch)
+	}
+	return l
 }
 
 // load is the engine-independent half of Reset: it checks the batch size,
-// takes the sequences and rewinds every loaded instance's cursor, metrics
-// and result to slot 0; the engine then clears its own columns.
+// takes the sequences and rewinds every loaded instance's cursor,
+// validator, metrics and result to slot 0; the engine then clears its own
+// columns. The engines admit every packet with Arrival <= T, so a packet
+// out of order reaches its validator at its own index instead of being
+// passed by.
 func (l *lockstep) load(seqs []packet.Sequence) error {
 	if len(seqs) < 1 || len(seqs) > l.batch {
 		return fmt.Errorf("fleet: got %d sequences for a batch of %d", len(seqs), l.batch)
@@ -131,11 +139,10 @@ func (l *lockstep) load(seqs []packet.Sequence) error {
 		l.results[k] = nil
 		l.next[k] = 0
 		l.at[k] = 0
+		l.check[k] = packet.NewValidator(l.cfg.Inputs, l.cfg.Outputs)
 		l.horizon[k] = l.cfg.HorizonFor(seqs[k])
 		if l.cfg.RecordSeries {
 			l.series[k] = make([]int64, l.horizon[k])
-		} else {
-			l.series[k] = nil
 		}
 		l.active = append(l.active, int32(k))
 	}
@@ -144,7 +151,9 @@ func (l *lockstep) load(seqs []packet.Sequence) error {
 	// latency/series storage.
 	for k := l.cur; k < l.batch; k++ {
 		l.results[k] = nil
-		l.series[k] = nil
+		if l.series != nil {
+			l.series[k] = nil
+		}
 	}
 	return nil
 }
@@ -185,13 +194,13 @@ func (l *lockstep) Step() bool {
 	return l.live > 0 && l.err == nil
 }
 
-// retire folds instance k's metric accumulators into its Metrics and
-// records the final Result. residual is the number of packets the
-// instance still holds at its horizon, which the Validate-mode
-// conservation check accounts for.
+// retire validates the packets past instance k's horizon, folds its
+// metric accumulators into its Metrics and records the final Result.
+// residual is the number of packets the instance still holds at its
+// horizon, which the Validate-mode conservation check accounts for.
 func (l *lockstep) retire(k int32, residual int64) instStatus {
-	if err := checkResidual(int(k), l.seqs[k], l.next[k], l.horizon[k]); err != nil {
-		l.err = err
+	if err := l.check[k].AcceptAll(l.seqs[k][l.next[k]:]); err != nil {
+		l.err = switchsim.BadSequence(err)
 		return instErr
 	}
 	hm := &l.hot[k]
@@ -241,20 +250,6 @@ func (l *lockstep) Results() ([]*switchsim.Result, error) {
 func (l *lockstep) batchCap() int                    { return l.batch }
 func (l *lockstep) passes() int64                    { return l.passCount }
 func (l *lockstep) jumpTally() (jumped, jumps int64) { return l.jumped, l.jumps }
-
-// checkResidual detects malformed sequences at retirement: once an
-// instance reaches its horizon, every unconsumed packet must be due at or
-// beyond it — a remaining packet due earlier means the sequence was not
-// sorted by arrival (the cursor skipped it), which the streaming
-// admission loop cannot see up front without a separate validation pass.
-func checkResidual(k int, seq packet.Sequence, next, horizon int) error {
-	for x := next; x < len(seq); x++ {
-		if seq[x].Arrival < horizon {
-			return fmt.Errorf("fleet: instance %d: packet %d due at slot %d was never admitted: sequence not sorted by arrival", k, x, seq[x].Arrival)
-		}
-	}
-	return nil
-}
 
 // drain advances one output ring across `jump` arrival-free drain-only
 // slots after slot T in closed form, mirroring the scalar engines'

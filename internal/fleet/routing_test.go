@@ -79,9 +79,8 @@ func probedRun(t *testing.T, run func() (*switchsim.Result, error)) (*switchsim.
 
 // TestSequenceRoutingTakesKernels pins which engine a sequence run takes,
 // through the fleet's kernel counter: bare batchable policies take a
-// kernel (PG up to 16 ports and again from 65 to 512), while
-// wrapped ones, PG at 17–64 ports and policies without a kernel (KRMM,
-// KRMWM, crossbar-naive) take the reference loop.
+// kernel (PG up to 512 ports), while wrapped ones and policies without a
+// kernel (KRMM, KRMWM, crossbar-naive) take the reference loop.
 func TestSequenceRoutingTakesKernels(t *testing.T) {
 	cfg := func(ports int) switchsim.Config {
 		return switchsim.Config{Inputs: ports, Outputs: ports, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}
@@ -106,8 +105,8 @@ func TestSequenceRoutingTakesKernels(t *testing.T) {
 		{"krmm-64", cioq(64, &core.KRMM{}), false},
 		{"krmwm-8", cioq(8, &core.KRMWM{}), false},
 		{"pg-16", cioq(16, &core.PG{}), true},
-		{"pg-17", cioq(17, &core.PG{}), false},
-		{"pg-64", cioq(64, &core.PG{}), false},
+		{"pg-17", cioq(17, &core.PG{}), true},
+		{"pg-64", cioq(64, &core.PG{}), true},
 		{"pg-65", cioq(65, &core.PG{}), true},
 		{"pg-512", cioq(512, &core.PG{}), true},
 		{"pg-513", cioq(513, &core.PG{}), false},
@@ -125,7 +124,7 @@ func TestSequenceRoutingTakesKernels(t *testing.T) {
 			t.Errorf("%s: %v engine runs recorded, want 1", c.name, engine[obs.MetricEngineRuns])
 		}
 	}
-	// A sequence is validated before any engine sees it, so a bad one
+	// Either engine validates the sequence as it admits it, so a bad one
 	// fails with the same text either way.
 	bad := packet.Sequence{{ID: 1, Arrival: 0, In: 4, Out: 0, Value: 1}}
 	_, got := switchsim.RunCIOQ(cfg(4), &core.GM{}, bad)
@@ -138,8 +137,8 @@ func TestSequenceRoutingTakesKernels(t *testing.T) {
 // routingGens are the traffic shapes FuzzSequenceRouting draws from:
 // saturating, converging bursts, crosspoint fill-and-drain, and staged
 // flows — dense stepping, quiescent drains and idle jumps all run. The
-// second draws values past the greedy PG kernel's packed fast path
-// (pgFastMaxW).
+// second draws values past switchsim.MaxIndexedValue, so PG's cycles move
+// between the index walk and the edge scan.
 var routingGens = []packet.Generator{
 	packet.Bernoulli{Load: 0.9, Values: packet.UniformValues{Hi: 300}},
 	packet.BurstyBlocking{OffMean: 25, Burst: 4, Values: packet.ZipfValues{Hi: 3000, S: 1.1}},
@@ -179,8 +178,10 @@ var routingCrossbar = []func() switchsim.CrossbarPolicy{
 // identically, for every routed policy, under every recording and
 // validation mode. flags bit 0 sets Dense, bit 1 RecordLatency with
 // StreamMetrics, bit 2 RecordSeries, bit 3 Validate, bit 4 RecordLatency
-// alone, bit 5 a fixed horizon that cuts the sequence short; bit 6 widens
-// the geometry to 65–72 ports, where only PG keeps a kernel.
+// alone, bit 5 a fixed horizon that cuts the sequence short. Bits 6 and 7
+// pick the geometry: 1–6 ports by default; bit 6 alone widens it to 65–72
+// ports, where only PG keeps a kernel; bit 7 alone takes 17–64 ports, and
+// both take exactly 64×64.
 func FuzzSequenceRouting(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(3), uint8(3), uint8(0), uint8(1))
 	f.Add(int64(2), uint8(6), uint8(1), uint8(0b1110), uint8(4), uint8(2), uint8(1), uint8(3))
@@ -188,10 +189,17 @@ func FuzzSequenceRouting(f *testing.F) {
 	f.Add(int64(4), uint8(0x83), uint8(3), uint8(0b110100), uint8(3), uint8(4), uint8(0), uint8(6))
 	f.Add(int64(5), uint8(8), uint8(1), uint8(0b11000), uint8(6), uint8(6), uint8(1), uint8(2))
 	f.Add(int64(6), uint8(6), uint8(0), uint8(0b1000110), uint8(1), uint8(2), uint8(0), uint8(1))
+	f.Add(int64(7), uint8(6), uint8(1), uint8(0b10001000), uint8(30), uint8(47), uint8(1), uint8(0))
+	f.Add(int64(8), uint8(7), uint8(1), uint8(0b11101000), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, polSel, genSel, flags, nIn, nOut, speedup, outBuf uint8) {
 		inputs, outputs := int(nIn)%6+1, int(nOut)%6+1
-		if flags&0x40 != 0 {
+		switch flags >> 6 {
+		case 1:
 			inputs, outputs = inputs+64, outputs+66
+		case 2:
+			inputs, outputs = int(nIn)%48+17, int(nOut)%48+17
+		case 3:
+			inputs, outputs = 64, 64
 		}
 		cfg := switchsim.Config{
 			Inputs: inputs, Outputs: outputs,
@@ -211,7 +219,7 @@ func FuzzSequenceRouting(f *testing.F) {
 		var onKernel bool
 		if polSel&0x80 == 0 {
 			mk := routingCIOQ[int(polSel)%len(routingCIOQ)]
-			onKernel = routesCIOQ(cfg, mk())
+			onKernel = BatchableCIOQ(cfg, mk)
 			routed = func() (*switchsim.Result, error) { return switchsim.RunCIOQ(cfg, mk(), seq) }
 			ref = func() (*switchsim.Result, error) { return switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq) }
 		} else {

@@ -40,12 +40,7 @@ type Sequence []Packet
 // and strictly positive values.
 func (s Sequence) Validate(inputs, outputs int) error {
 	v := NewValidator(inputs, outputs)
-	for k := range s {
-		if !v.Accept(&s[k]) {
-			return v.Reject(&s[k])
-		}
-	}
-	return nil
+	return v.AcceptAll(s)
 }
 
 // Validator is Sequence.Validate in incremental form: it checks packets
@@ -91,6 +86,18 @@ func (v Validator) Reject(p *Packet) error {
 	default:
 		return fmt.Errorf("packet %d: value %d < 1", k, p.Value)
 	}
+}
+
+// AcceptAll accepts the packets of s in order and returns the refusal of
+// the first malformed one, or nil: Sequence.Validate continued from the
+// packets accepted so far.
+func (v *Validator) AcceptAll(s Sequence) error {
+	for k := range s {
+		if !v.Accept(&s[k]) {
+			return v.Reject(&s[k])
+		}
+	}
+	return nil
 }
 
 // Horizon is Sequence.Horizon of the packets accepted so far: last arrival

@@ -41,7 +41,8 @@
 //     leak mutable policy state.
 //   - Each evaluator holds one judge (and fleet) per lane for its whole
 //     seed stream. Its two lanes step, then judge, the two halves of every
-//     batch concurrently; a batch of one runs on lane 0 alone. Judging is
+//     batch concurrently; a batch of one runs on lane 0 alone, and lane 1
+//     is minted only when a batch first splits. Judging is
 //     deterministic (same value for the same sequence regardless of call
 //     history), and a lane's outcomes join the other's in seed order, so
 //     scratch reuse and the lane split never change an Estimate, only

@@ -51,8 +51,8 @@ func ScalarChunks(cfg switchsim.Config, alg Alg, judge JudgeFactory, gen packet.
 }
 
 // FleetChunks adapts the columnar fleet engine: one pair of lanes
-// (NewLanes), each with its own FleetAlg and judge, is minted up front and
-// reused across all chunks (fleet storage, judge scratch and sequence
+// (NewLanes), each with its own FleetAlg and judge, is minted as first
+// needed and reused across all chunks (fleet storage, judge scratch and sequence
 // buffers stay warm for the whole run), and each chunk is evaluated in
 // sub-batches of `batch` sequences (<= 0 selects 64) via EvalChunk, which
 // splits every batch between the two lanes.

@@ -21,8 +21,8 @@ import (
 type FleetAlg func(cfg switchsim.Config, seqs []packet.Sequence) ([]int64, error)
 
 // FleetAlgFactory mints independent FleetAlgs — a fleet evaluator calls it
-// once per lane (NewLanes), so each lane's fleet storage is constructed
-// once and reused across its whole chunk stream.
+// once per lane it mints (NewLanes), so each lane's fleet storage is
+// constructed once and reused across its whole chunk stream.
 type FleetAlgFactory func() FleetAlg
 
 // CIOQFleetAlg adapts a CIOQ policy factory to the FleetAlgFactory

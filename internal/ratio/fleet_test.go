@@ -175,3 +175,38 @@ func failingOn(bad packet.Sequence, alg Alg, fleet FleetAlgFactory) (Alg, FleetA
 			}
 		}
 }
+
+// TestLanesMintedAsSplit counts the judges and FleetAlgs an evaluator
+// mints: Run's batches of one never split, so it mints lane 0 alone; a
+// fleet evaluator mints lane 1 with the first batch that splits.
+func TestLanesMintedAsSplit(t *testing.T) {
+	cfg := backendCfg()
+	gen := packet.Bernoulli{Load: 1.2}
+	var judges, fleets int
+	judge := func() Judge { judges++; return ExactUnitCIOQ() }
+	if _, err := Run(context.Background(), cfg, CIOQAlg(func() switchsim.CIOQPolicy { return &core.GM{} }), judge, gen, 3, 6); err != nil {
+		t.Fatal(err)
+	}
+	if judges != 1 {
+		t.Errorf("Run minted %d judges, want 1", judges)
+	}
+	judges = 0
+	alg := CIOQFleetAlg(func() switchsim.CIOQPolicy { return &core.GM{} })
+	counted := func() FleetAlg { fleets++; return alg() }
+	eval := FleetChunks(cfg, counted, judge, gen, 3, 1)
+	if _, err := eval(context.Background(), 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if judges != 1 || fleets != 1 {
+		t.Errorf("batches of one minted %d judges and %d fleets, want 1 and 1", judges, fleets)
+	}
+	eval = FleetChunks(cfg, counted, judge, gen, 3, 4)
+	for range 2 {
+		if _, err := eval(context.Background(), 0, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if judges != 3 || fleets != 3 {
+		t.Errorf("after a second evaluator's split batches: %d judges and %d fleets minted, want 3 and 3", judges, fleets)
+	}
+}

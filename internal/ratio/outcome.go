@@ -84,9 +84,9 @@ func generateSeq(cfg switchsim.Config, gen packet.Generator, r *rand.Rand, seed 
 // EvalChunk evaluates seeds [k0, k1) as one batch through l's two lanes,
 // appending k outcomes per seed (one per arm of l, seed-major) to out,
 // which is reset first. The batch splits at k0 + ⌈n/2⌉: the upper half
-// runs on a side goroutine through lane 1 while the caller's goroutine
-// runs the lower half through lane 0, and the halves' outcomes join in
-// seed order.
+// runs on a side goroutine through lane 1 (minted at the first split)
+// while the caller's goroutine runs the lower half through lane 0, and
+// the halves' outcomes join in seed order.
 //
 // Judge errors are recorded at their own seed, and when a lane's batched
 // policy call fails that lane re-runs each eligible sequence alone to
@@ -108,26 +108,36 @@ func EvalChunk(cfg switchsim.Config, l *Lanes, gen packet.Generator,
 // into, all kept across batches, so a warm evaluator allocates nothing
 // that scales with the workload. A Lanes is not safe for concurrent use.
 type Lanes struct {
-	lane [2]lane
+	lane   [2]lane
+	minted int // lanes minted so far: lane 1 waits for the first split batch
+	judge  JudgeFactory
+	algs   []FleetAlgFactory
 }
 
-// NewLanes mints the two lanes of one evaluator: each lane gets its own
-// judge and one FleetAlg from each factory, its arms in factory order.
+// NewLanes returns the lanes of one evaluator and mints lane 0; lane 1 is
+// minted when a batch first splits, so an evaluator whose batches never
+// split (batch one) builds one judge and one FleetAlg per factory. Each
+// lane gets its own judge and one FleetAlg from each factory, its arms in
+// factory order.
 func NewLanes(judge JudgeFactory, algs ...FleetAlgFactory) *Lanes {
-	l, k := &Lanes{}, len(algs)
-	for i := range l.lane {
-		ln := &l.lane[i]
-		for _, a := range algs {
-			ln.arms = append(ln.arms, a())
-		}
-		ln.j = judge()
-		ln.sc.benefits, ln.sc.errs, ln.sc.witnessed = make([][]int64, k), make([]error, k), make([]bool, k)
-	}
+	l := &Lanes{judge: judge, algs: algs}
+	l.mint()
 	return l
 }
 
+// mint fills the next unminted lane.
+func (l *Lanes) mint() {
+	ln, k := &l.lane[l.minted], len(l.algs)
+	for _, a := range l.algs {
+		ln.arms = append(ln.arms, a())
+	}
+	ln.j = l.judge()
+	ln.sc.benefits, ln.sc.errs, ln.sc.witnessed = make([][]int64, k), make([]error, k), make([]bool, k)
+	l.minted++
+}
+
 // tally sums what both lanes have done: the arrival spans of the
-// sequences they drew and their judge calls.
+// sequences they drew and their judge calls (none for an unminted lane).
 func (l *Lanes) tally() (spans, judged int64) {
 	for i := range l.lane {
 		spans += l.lane[i].sc.spans
@@ -147,6 +157,9 @@ func (l *Lanes) eval(cfg switchsim.Config, gen packet.Generator, baseSeed int64,
 	ran := l.lane[:1]
 	var done chan struct{}
 	if mid < b1 {
+		if l.minted < 2 {
+			l.mint()
+		}
 		ran = l.lane[:2]
 		l1 := &l.lane[1]
 		done = make(chan struct{})

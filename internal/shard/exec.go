@@ -12,7 +12,7 @@ import (
 // Executor evaluates decoded chunk specs. It is the one execution engine
 // behind both qswitchd workers and the coordinator's in-process fallback,
 // so "execute remotely" and "execute locally" are the same code path fed
-// the same decoded spec. One pair of evaluator lanes (ratio.NewLanes) is
+// the same decoded spec. One evaluator's lanes (ratio.NewLanes) are
 // cached per (policy, judge, architecture), so a worker's fleet storage,
 // judge scratch and sequence buffers stay warm across its whole chunk
 // stream. An Executor is not safe for concurrent use; callers serialize

@@ -104,8 +104,8 @@ func NewCIOQ(cfg Config, inDisc, outDisc queue.Discipline) *CIOQ {
 	sw.usedOut = make([]int, cfg.Outputs)
 	if inDisc == queue.ByValue {
 		sw.IQHead = make([]int64, n*m)
-		if indexable(n, m) {
-			sw.IQIndex.init(n)
+		if n <= maxIndexedPorts && m <= maxIndexedPorts {
+			sw.IQIndex.Reset(n)
 		}
 	}
 	return sw
@@ -185,7 +185,7 @@ func (sw *CIOQ) checkIndex() error {
 	}); err != nil {
 		return err
 	}
-	return sw.IQIndex.check("IQ", sw.IQHead, n, m)
+	return sw.IQIndex.Check("IQ", sw.IQHead, n, m)
 }
 
 // admit executes an admission decision, updating metrics and the index.
@@ -264,7 +264,7 @@ func (sw *CIOQ) noteIQHead(i, j int) {
 	k := i*sw.Cfg.Outputs + j
 	if old := sw.IQHead[k]; old != h.Value {
 		sw.IQHead[k] = h.Value
-		sw.IQIndex.move(i, j, old, h.Value)
+		sw.IQIndex.Move(i, j, old, h.Value)
 	}
 }
 
@@ -519,6 +519,9 @@ func (e *cioqEngine) run(arr *arrivals) (*Result, error) {
 			}
 		}
 	}
+	if err := arr.finish(); err != nil {
+		return nil, err
+	}
 	slots := arr.horizon()
 	if sw.Cfg.RecordSeries {
 		growSeries(&sw.M, slots)
@@ -542,22 +545,23 @@ func (e *cioqEngine) result(slots int) (*Result, error) {
 }
 
 // RunCIOQ simulates the policy on the sequence and returns the result.
-// The sequence must be valid for the configured geometry. Once validated
-// it runs on a registered columnar kernel if one serves the policy's
+// It runs on a registered columnar kernel if one serves the policy's
 // concrete type and the geometry (see RegisterKernels), and on the
-// reference slot loop otherwise, with DeepEqual Results either way.
+// reference slot loop otherwise, with DeepEqual Results either way. The
+// sequence must be valid for the configured geometry. Either engine
+// validates each packet as it admits it, and the packets past the horizon
+// at the end, so a malformed sequence fails with Sequence.Validate's error
+// text (wrapped by BadSequence) without a separate pass over it.
 func RunCIOQ(cfg Config, pol CIOQPolicy, seq packet.Sequence) (*Result, error) {
 	if err := cfg.Check(false); err != nil {
 		return nil, err
 	}
-	// Validation streams the whole sequence through the cache, so it runs
-	// before the switch is built rather than evicting it.
+	if res, ok, err := runKernel(cioqKernel, cfg, pol, seq); ok {
+		return res, err
+	}
 	arr, err := seqArrivals(cfg, seq)
 	if err != nil {
 		return nil, err
-	}
-	if res, ok, err := runKernel(cioqKernel, cfg, pol, seq); ok {
-		return res, err
 	}
 	e := newCIOQEngine(cfg, pol)
 	return e.run(&arr)

@@ -53,9 +53,9 @@ type Config struct {
 	// and transmission).
 	RecordLatency bool
 
-	// StreamMetrics swaps the latency histogram for a constant-memory P²
-	// quantile sketch (Metrics.LatencySketch), so RecordLatency stays
-	// bounded on unbounded streaming runs. It changes only the latency
+	// StreamMetrics swaps the latency histogram (a fixed 256 buckets,
+	// bounded either way) for a constant-memory P² quantile sketch
+	// (Metrics.LatencySketch). It changes only the latency
 	// *representation* — sum, max and every other metric stay exact —
 	// and it is honored identically by every front end (sequence, stream
 	// and stepper), so differential runs still compare with DeepEqual.

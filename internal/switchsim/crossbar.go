@@ -567,6 +567,9 @@ func (e *crossbarEngine) run(arr *arrivals) (*Result, error) {
 			}
 		}
 	}
+	if err := arr.finish(); err != nil {
+		return nil, err
+	}
 	slots := arr.horizon()
 	if sw.Cfg.RecordSeries {
 		growSeries(&sw.M, slots)
@@ -596,12 +599,12 @@ func RunCrossbar(cfg Config, pol CrossbarPolicy, seq packet.Sequence) (*Result, 
 	if err := cfg.Check(true); err != nil {
 		return nil, err
 	}
+	if res, ok, err := runKernel(crossbarKernel, cfg, pol, seq); ok {
+		return res, err
+	}
 	arr, err := seqArrivals(cfg, seq)
 	if err != nil {
 		return nil, err
-	}
-	if res, ok, err := runKernel(crossbarKernel, cfg, pol, seq); ok {
-		return res, err
 	}
 	e := newCrossbarEngine(cfg, pol)
 	return e.run(&arr)

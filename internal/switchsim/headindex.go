@@ -6,9 +6,9 @@ import (
 )
 
 // MaxIndexedValue is the largest head value a HeadIndex files under its
-// value. It is the weight cap of package matching's counting-sort path and
-// of the columnar fleet's PG fast path; a head above it (or below 1) is
-// only counted, and while any such head is queued the index is not Ready.
+// value. It is the weight cap of package matching's counting-sort path; a
+// head above it (or below 1) is only counted, and while any such head is
+// queued the index is not Ready.
 const MaxIndexedValue = 2048
 
 // maxIndexedPorts bounds both sides of an indexed grid, so that a row of
@@ -16,8 +16,10 @@ const MaxIndexedValue = 2048
 const maxIndexedPorts = 64
 
 // HeadIndex files the queues of one value-ordered queue grid under the
-// value of their head packet. The engine keeps it exact at every push, pop
-// and preemption, in O(1) per change, and policies treat it as read-only.
+// value of their head packet. Its owner (the slot loop's CIOQ, or one
+// instance of the columnar fleet) keeps it exact at every push, pop and
+// preemption through Move, in O(1) per change; policies treat it as
+// read-only.
 //
 // A grid is indexed by rows and columns of at most 64 each: for each head
 // value v in [1, MaxIndexedValue] it keeps a column mask per row (the
@@ -43,57 +45,65 @@ type HeadIndex struct {
 // filed, so the index alone answers for the whole grid.
 func (x *HeadIndex) Ready() bool { return x.rows > 0 && x.over == 0 }
 
-// Live returns the mask of rows holding at least one filed head. When the
-// index is Ready these are exactly the rows with a non-empty queue.
-func (x *HeadIndex) Live() uint64 { return x.live }
-
-// Top returns the largest filed head value, or 0 when nothing is filed.
-func (x *HeadIndex) Top() int64 { return x.Below(int64(x.vcap) + 1) }
-
-// Below returns the largest filed head value smaller than v, or 0.
-func (x *HeadIndex) Below(v int64) int64 {
-	if v <= 1 {
-		return 0
-	}
-	k := int(min(v-1, int64(x.vcap))) // bits [0, k) stand for values 1..k
-	w := k >> 6
-	if w < len(x.present) {
-		if word := x.present[w] & (1<<uint(k&63) - 1); word != 0 {
-			return int64(w<<6 + 64 - bits.LeadingZeros64(word))
+// Greedy appends PG's greedy maximal matching over the filed heads to dst,
+// each transfer with PreemptIfFull set: head values descending; within a
+// value, the unmatched rows (inputs) ascending, each taking its lowest
+// unmatched column (output) of the first cols that is open or admits(c, v).
+// A column that admits refuses at v is dropped for the rest of the walk,
+// since it would refuse every lower value too. On a Ready index that is
+// matching.WeightedScheduler's (weight desc, input asc, output asc) pick
+// from the eligible edges, in the same order.
+func (x *HeadIndex) Greedy(dst []Transfer, cols int, open uint64, admits func(c int, v int64) bool) []Transfer {
+	in := x.live
+	avail := ^uint64(0) >> uint(64-cols)
+	for w := len(x.present) - 1; w >= 0; w-- {
+		for word := x.present[w]; word != 0; {
+			if in == 0 || avail == 0 {
+				return dst
+			}
+			b := 63 - bits.LeadingZeros64(word)
+			word &^= 1 << uint(b)
+			k := w<<6 | b
+			v := int64(k + 1)
+			for rows := x.byVal[k] & in; rows != 0; rows &= rows - 1 {
+				r := bits.TrailingZeros64(rows)
+				for cand := x.cols[k*x.rows+r] & avail; cand != 0; cand &= cand - 1 {
+					c := bits.TrailingZeros64(cand)
+					if open&(1<<uint(c)) == 0 && !admits(c, v) {
+						avail &^= 1 << uint(c)
+						continue
+					}
+					dst = append(dst, Transfer{In: r, Out: c, PreemptIfFull: true})
+					in &^= 1 << uint(r)
+					avail &^= 1 << uint(c)
+					break
+				}
+			}
 		}
 	}
-	for w--; w >= 0; w-- {
-		if word := x.present[w]; word != 0 {
-			return int64(w<<6 + 64 - bits.LeadingZeros64(word))
+	return dst
+}
+
+// Reset empties the index and prepares it for a grid of `rows` rows. An
+// index already laid out for that many rows keeps its value buckets and
+// clears only the values still filed; otherwise nothing is allocated until
+// a head is filed.
+func (x *HeadIndex) Reset(rows int) {
+	if rows != x.rows {
+		*x = HeadIndex{rows: rows}
+		return
+	}
+	for w, word := range x.present {
+		for ; word != 0; word &= word - 1 {
+			k := w<<6 | bits.TrailingZeros64(word)
+			clear(x.cols[k*rows : (k+1)*rows])
+			x.byVal[k] = 0
 		}
 	}
-	return 0
+	clear(x.present)
+	clear(x.count)
+	x.over, x.live = 0, 0
 }
-
-// Rows returns the mask of rows with a head worth v.
-func (x *HeadIndex) Rows(v int64) uint64 {
-	if v < 1 || v > int64(x.vcap) {
-		return 0
-	}
-	return x.byVal[v-1]
-}
-
-// Cols returns the mask of row r's columns whose head is worth v.
-func (x *HeadIndex) Cols(v int64, r int) uint64 {
-	if v < 1 || v > int64(x.vcap) {
-		return 0
-	}
-	return x.cols[int(v-1)*x.rows+r]
-}
-
-// indexable reports whether a rows×cols grid gets a value index.
-func indexable(rows, cols int) bool {
-	return rows <= maxIndexedPorts && cols <= maxIndexedPorts
-}
-
-// init prepares an empty index over `rows` rows; nothing is allocated
-// until a head is filed.
-func (x *HeadIndex) init(rows int) { *x = HeadIndex{rows: rows} }
 
 // resize re-lays the buffer for values 1..vcap, keeping what is filed.
 func (x *HeadIndex) resize(vcap int) {
@@ -110,9 +120,9 @@ func (x *HeadIndex) resize(vcap int) {
 	x.count, x.present, x.byVal, x.cols = count, present, byVal, cols
 }
 
-// move refiles the queue at (r, c) from head value old to head value now;
+// Move refiles the queue at (r, c) from head value old to head value now;
 // 0 stands for an empty queue. It is a no-op on a grid that is not indexed.
-func (x *HeadIndex) move(r, c int, old, now int64) {
+func (x *HeadIndex) Move(r, c int, old, now int64) {
 	if x.rows == 0 {
 		return
 	}
@@ -182,10 +192,10 @@ func queueAt(r, c int, transposed bool) (i, j int) {
 	return r, c
 }
 
-// check compares an index with the lane it files (full rescan;
-// validation mode only): lane[r*cols+c] is the head value of grid[r][c].
-// It is a no-op on a grid that is not indexed.
-func (x *HeadIndex) check(grid string, lane []int64, rows, cols int) error {
+// Check compares an index with the lane it files (full rescan;
+// validation mode only): lane[r*cols+c] is the head value of grid[r][c],
+// 0 for an empty queue. It is a no-op on a grid that is not indexed.
+func (x *HeadIndex) Check(grid string, lane []int64, rows, cols int) error {
 	if x.rows == 0 {
 		return nil
 	}
@@ -198,7 +208,7 @@ func (x *HeadIndex) check(grid string, lane []int64, rows, cols int) error {
 			case v == 0:
 			case v < 1 || v > MaxIndexedValue:
 				over++
-			case x.Cols(v, r)&(1<<uint(c)) == 0:
+			case int(v) > x.vcap || x.cols[int(v-1)*x.rows+r]&(1<<uint(c)) == 0:
 				return fmt.Errorf("index: value index misses %s[%d][%d] under head value %d", grid, r, c, v)
 			default:
 				n++

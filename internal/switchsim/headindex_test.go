@@ -11,10 +11,28 @@ import (
 // filedValues lists the head values an index files, top down.
 func filedValues(x *HeadIndex) []int64 {
 	var vs []int64
-	for v := x.Top(); v > 0; v = x.Below(v) {
-		vs = append(vs, v)
+	for k := x.vcap - 1; k >= 0; k-- {
+		if x.present[k>>6]>>uint(k&63)&1 == 1 {
+			vs = append(vs, int64(k+1))
+		}
 	}
 	return vs
+}
+
+// colsOf returns the mask of row r's columns whose head is worth v.
+func colsOf(x *HeadIndex, v int64, r int) uint64 {
+	if v < 1 || v > int64(x.vcap) {
+		return 0
+	}
+	return x.cols[int(v-1)*x.rows+r]
+}
+
+// rowsOf returns the mask of rows with a head worth v.
+func rowsOf(x *HeadIndex, v int64) uint64 {
+	if v < 1 || v > int64(x.vcap) {
+		return 0
+	}
+	return x.byVal[v-1]
 }
 
 func equalValues(a, b []int64) bool {
@@ -47,8 +65,8 @@ func TestHeadIndexAddRemovePreempt(t *testing.T) {
 	cfg := Config{Inputs: 2, Outputs: 3, InputBuf: 2, OutputBuf: 2, Speedup: 1, Validate: true}
 	sw := NewCIOQ(cfg, queue.ByValue, queue.ByValue)
 	x := &sw.IQIndex
-	if !x.Ready() || x.Top() != 0 || x.Live() != 0 {
-		t.Fatalf("empty switch: ready=%v top=%d live=%#x", x.Ready(), x.Top(), x.Live())
+	if !x.Ready() || len(filedValues(x)) != 0 || x.live != 0 {
+		t.Fatalf("empty switch: ready=%v filed %v live=%#x", x.Ready(), filedValues(x), x.live)
 	}
 	admitAll(t, sw, Accept,
 		packet.Packet{ID: 0, In: 0, Out: 1, Value: 5},
@@ -62,12 +80,12 @@ func TestHeadIndexAddRemovePreempt(t *testing.T) {
 	if got := filedValues(x); !equalValues(got, []int64{70, 5}) {
 		t.Errorf("filed values %v, want [70 5]", got)
 	}
-	if x.Rows(5) != 0b11 || x.Cols(5, 0) != 1<<1 || x.Cols(5, 1) != 1<<2 || x.Rows(70) != 0b10 {
+	if rowsOf(x, 5) != 0b11 || colsOf(x, 5, 0) != 1<<1 || colsOf(x, 5, 1) != 1<<2 || rowsOf(x, 70) != 0b10 {
 		t.Errorf("buckets: Rows(5)=%#b Cols(5,0)=%#b Cols(5,1)=%#b Rows(70)=%#b",
-			x.Rows(5), x.Cols(5, 0), x.Cols(5, 1), x.Rows(70))
+			rowsOf(x, 5), colsOf(x, 5, 0), colsOf(x, 5, 1), rowsOf(x, 70))
 	}
-	if x.Live() != 0b11 || x.Rows(3) != 0 || x.Rows(0) != 0 || x.Cols(9999, 0) != 0 {
-		t.Errorf("live=%#b Rows(3)=%#b", x.Live(), x.Rows(3))
+	if x.live != 0b11 || rowsOf(x, 3) != 0 || rowsOf(x, 0) != 0 || colsOf(x, 9999, 0) != 0 {
+		t.Errorf("live=%#b Rows(3)=%#b", x.live, rowsOf(x, 3))
 	}
 
 	// Preemption on a full queue: the newcomer displaces the tail (3) and
@@ -93,8 +111,8 @@ func TestHeadIndexAddRemovePreempt(t *testing.T) {
 			t.Errorf("after pop IQHead for IQ[0][1] = %d, want %d", got, want)
 		}
 	}
-	if x.Live() != 0b10 || x.Rows(5) != 0b10 {
-		t.Errorf("after draining input 0: live=%#b Rows(5)=%#b", x.Live(), x.Rows(5))
+	if x.live != 0b10 || rowsOf(x, 5) != 0b10 {
+		t.Errorf("after draining input 0: live=%#b Rows(5)=%#b", x.live, rowsOf(x, 5))
 	}
 }
 
@@ -113,27 +131,27 @@ func TestHeadIndexPreemptsSingleSlotQueue(t *testing.T) {
 
 func TestHeadIndexGrowsLazily(t *testing.T) {
 	var x HeadIndex
-	x.init(2)
-	if x.vcap != 0 || x.cols != nil || x.Top() != 0 {
+	x.Reset(2)
+	if x.vcap != 0 || x.cols != nil || len(filedValues(&x)) != 0 {
 		t.Fatalf("empty index holds buckets for %d values", x.vcap)
 	}
-	x.move(0, 0, 0, 50)
+	x.Move(0, 0, 0, 50)
 	if x.vcap != 64 {
 		t.Errorf("value 50: capacity %d, want 64 (rounded up to 16)", x.vcap)
 	}
-	x.move(0, 0, 50, 64)
+	x.Move(0, 0, 50, 64)
 	if x.vcap != 64 {
 		t.Errorf("value 64 grew the index to %d", x.vcap)
 	}
-	x.move(0, 1, 0, 65)
+	x.Move(0, 1, 0, 65)
 	if x.vcap != 128 {
 		t.Errorf("value 65: capacity %d, want 128 (doubling)", x.vcap)
 	}
-	x.move(1, 3, 0, 1000)
+	x.Move(1, 3, 0, 1000)
 	if x.vcap != 1008 {
 		t.Errorf("value 1000: capacity %d, want 1008 (rounded up past doubling)", x.vcap)
 	}
-	x.move(1, 3, 1000, MaxIndexedValue)
+	x.Move(1, 3, 1000, MaxIndexedValue)
 	if x.vcap != MaxIndexedValue || !x.Ready() {
 		t.Errorf("value %d: capacity %d ready=%v, want %d true", MaxIndexedValue, x.vcap, x.Ready(), MaxIndexedValue)
 	}
@@ -141,11 +159,8 @@ func TestHeadIndexGrowsLazily(t *testing.T) {
 	if got := filedValues(&x); !equalValues(got, []int64{MaxIndexedValue, 65, 64}) {
 		t.Errorf("filed values %v", got)
 	}
-	if x.Cols(64, 0) != 1 || x.Cols(65, 0) != 2 || x.Cols(MaxIndexedValue, 1) != 1<<3 || x.Live() != 0b11 {
-		t.Errorf("buckets lost in growth: %#b %#b %#b live %#b", x.Cols(64, 0), x.Cols(65, 0), x.Cols(MaxIndexedValue, 1), x.Live())
-	}
-	if x.Below(65) != 64 || x.Below(64) != 0 || x.Below(1) != 0 || x.Below(-5) != 0 {
-		t.Errorf("Below: %d %d %d %d", x.Below(65), x.Below(64), x.Below(1), x.Below(-5))
+	if colsOf(&x, 64, 0) != 1 || colsOf(&x, 65, 0) != 2 || colsOf(&x, MaxIndexedValue, 1) != 1<<3 || x.live != 0b11 {
+		t.Errorf("buckets lost in growth: %#b %#b %#b live %#b", colsOf(&x, 64, 0), colsOf(&x, 65, 0), colsOf(&x, MaxIndexedValue, 1), x.live)
 	}
 }
 
@@ -166,8 +181,8 @@ func TestHeadIndexOverflowAndReturn(t *testing.T) {
 	}
 	// The overflowing head is counted, not filed; the queue's old head left
 	// its bucket.
-	if got := filedValues(x); !equalValues(got, []int64{MaxIndexedValue}) || x.Live() != 0b10 {
-		t.Errorf("filed values %v live %#b", got, x.Live())
+	if got := filedValues(x); !equalValues(got, []int64{MaxIndexedValue}) || x.live != 0b10 {
+		t.Errorf("filed values %v live %#b", got, x.live)
 	}
 	// Popping it refiles the queue under the head below the cap.
 	if err := sw.executeTransfers([]Transfer{{In: 0, Out: 0}}); err != nil {

@@ -12,9 +12,10 @@ import (
 // admitted, and the slot of the next pending arrival is known without
 // consuming it:
 //
-//   - a Sequence (RunCIOQ, RunCrossbar): the caller's slice, validated up
-//     front and then read by index — no per-packet interface call, no copy
-//     beyond the one admission makes, no allocation;
+//   - a Sequence (RunCIOQ, RunCrossbar): the caller's slice, read by index
+//     and validated as the cursor reaches each packet — no per-packet
+//     interface call, no copy beyond the one admission makes, no
+//     allocation — and past a fixed horizon by finish;
 //   - an ArrivalStream (RunCIOQStream, RunCrossbarStream): pulled with
 //     exactly one packet of look-ahead and validated as pulled, so memory
 //     is the producer's window and nothing past the horizon is ever pulled.
@@ -26,9 +27,9 @@ type arrivals struct {
 	pos int // seq[pos] is the next pending packet
 
 	src   packet.ArrivalStream // nil when sequence-backed
-	check packet.Validator
-	head  packet.Packet // the next pending packet of src
-	ok    bool          // head is valid; false once src is drained
+	check packet.Validator     // has accepted every packet up to the pending one
+	head  packet.Packet        // the next pending packet of src
+	ok    bool                 // head is valid; false once src is drained
 
 	// slots is the fixed horizon (Config.HorizonFor). Zero — only possible
 	// stream-backed with Config.Slots == 0 — means last arrival + 1 + packet
@@ -36,12 +37,35 @@ type arrivals struct {
 	slots int
 }
 
-// seqArrivals validates seq and wraps it.
+// BadSequence wraps a packet.Validator's refusal into the error of the
+// run: the one text of a malformed sequence on every front end and engine.
+func BadSequence(err error) error { return fmt.Errorf("switchsim: bad sequence: %w", err) }
+
+// seqArrivals wraps seq and validates its first packet.
 func seqArrivals(cfg Config, seq packet.Sequence) (arrivals, error) {
-	if err := seq.Validate(cfg.Inputs, cfg.Outputs); err != nil {
-		return arrivals{}, fmt.Errorf("switchsim: bad sequence: %w", err)
+	a := arrivals{seq: seq, check: packet.NewValidator(cfg.Inputs, cfg.Outputs), slots: cfg.HorizonFor(seq)}
+	err := a.accept()
+	return a, err
+}
+
+// accept validates the sequence packet at the cursor, if any.
+func (a *arrivals) accept() error {
+	if a.pos < len(a.seq) && !a.check.Accept(&a.seq[a.pos]) {
+		return BadSequence(a.check.Reject(&a.seq[a.pos]))
 	}
-	return arrivals{seq: seq, slots: cfg.HorizonFor(seq)}, nil
+	return nil
+}
+
+// finish validates the sequence packets past the horizon, which the run
+// never reached, so a sequence-backed run fails exactly when
+// Sequence.Validate does. A stream is never pulled past the horizon.
+func (a *arrivals) finish() error {
+	if a.pos+1 < len(a.seq) {
+		if err := a.check.AcceptAll(a.seq[a.pos+1:]); err != nil {
+			return BadSequence(err)
+		}
+	}
+	return nil
 }
 
 // streamArrivals wraps src and pulls its first packet.
@@ -62,7 +86,7 @@ func (a *arrivals) pull() error {
 		return nil
 	}
 	if !a.check.Accept(&a.head) {
-		return fmt.Errorf("switchsim: bad sequence: %w", a.check.Reject(&a.head))
+		return BadSequence(a.check.Reject(&a.head))
 	}
 	return nil
 }
@@ -90,7 +114,7 @@ func (a *arrivals) advance() error {
 		return a.pull()
 	}
 	a.pos++
-	return nil
+	return a.accept()
 }
 
 // horizon is the number of slots the run simulates; with slots == 0 it is
