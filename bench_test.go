@@ -199,8 +199,9 @@ func BenchmarkMatchingGreedy64(b *testing.B) {
 	})
 }
 func BenchmarkMatchingGreedyWeighted64(b *testing.B) {
+	var weighted matching.WeightedScheduler
 	benchMatchingEngine(b, 64, func(e []matching.Edge, _ [][]int, _ [][]int64) {
-		matching.GreedyMaximalWeighted(64, 64, e)
+		weighted.GreedyMaximalWeighted(64, 64, e)
 	})
 }
 func BenchmarkMatchingHopcroftKarp64(b *testing.B) {

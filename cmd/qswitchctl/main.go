@@ -1,34 +1,51 @@
-// Command qswitchctl is the sharded experiment service's coordinator: it
+// Command qswitchctl is the sharded experiment service: its coordinator
 // fans the Monte-Carlo experiments (E1–E4) and adversary hunts out over a
-// fleet of qswitchd workers with retries, supervision and crash-safe
+// fleet of workers with retries, supervision and crash-safe
 // checkpointing, and merges results that are byte-identical to a
-// single-process run.
+// single-process run; with -serve it is one of those workers.
 //
 // Usage:
 //
 //	qswitchctl -workers 4 -run e1,e2 -quick            # spawn 4 local workers
-//	qswitchctl -connect :7410,:7411 -run e3            # use running qswitchd -listen workers
+//	qswitchctl -connect :7410,:7411 -run e3            # use running qswitchctl -serve -listen workers
 //	qswitchctl -workers 4 -run e1 -checkpoint e1.ckpt  # kill it, rerun: resumes
 //	qswitchctl -workers 2 -chaos seed=7,kill=0.1 -run e1
 //	qswitchctl -workers 4 -hunt "pg" -huntjudge exactweighted -maxvalue 8 -restarts 16
+//	qswitchctl -serve -listen 127.0.0.1:7410 -v        # a TCP worker for -connect
 //
 // With -workers N the coordinator re-executes its own binary in worker
-// mode (the hidden -serve flag), so no separate qswitchd binary is
-// needed on PATH; -chaos applies to the spawned workers. A run with a
+// mode (-serve plus -chaos, nothing else), so no other binary is needed
+// on PATH; -chaos applies to the spawned workers. A run with a
 // -checkpoint file can be killed at any point and rerun with the same
 // arguments: completed chunks are replayed from the log, only the rest
 // execute.
+//
+// A worker (-serve) executes the chunk specs a coordinator sends it —
+// seed-range slices of ratio estimations, restart-range slices of hunts —
+// over stdio, or over TCP with -listen, heartbeating every -heartbeat
+// while it computes. Its -chaos flag enables deterministic fault
+// injection (see internal/shard/faultinject): per chunk request the
+// worker may crash, hang silently, delay its reply, or flip a bit in its
+// response frame after the checksum is computed. Chunks are deterministic
+// and retried, so chaos never changes merged results. The observability
+// flags (-metrics-addr, -cpuprofile, -memprofile, -trace) expose either
+// mode's engine probes, chunk counters and pprof endpoints while it runs;
+// see internal/obs.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"qswitch/internal/adversary"
@@ -43,15 +60,17 @@ import (
 
 func main() {
 	var (
-		serve      = flag.Bool("serve", false, "worker mode: serve the shard protocol on stdio (used internally by -workers)")
+		serve      = flag.Bool("serve", false, "worker mode: serve the shard protocol on stdio, or on TCP with -listen (what -workers spawns)")
+		listen     = flag.String("listen", "", "with -serve: TCP address to serve on (default: serve stdin/stdout)")
+		heartbeat  = flag.Duration("heartbeat", 0, "with -serve: heartbeat period while executing a chunk (default 250ms)")
 		workers    = flag.Int("workers", 0, "spawn this many local worker processes")
-		connect    = flag.String("connect", "", "comma-separated TCP addresses of running qswitchd -listen workers")
+		connect    = flag.String("connect", "", "comma-separated TCP addresses of running qswitchctl -serve -listen workers")
 		run        = flag.String("run", "", "comma-separated experiment ids to run sharded (of e1,e2,e3,e4)")
 		quick      = flag.Bool("quick", false, "reduced workloads")
 		seed       = flag.Int64("seed", 1, "base RNG seed")
 		chunk      = flag.Int("chunk", 0, "seeds per chunk (0 selects the default)")
 		checkpoint = flag.String("checkpoint", "", "checkpoint log path; completed chunks survive coordinator crashes")
-		chaos      = flag.String("chaos", "", "fault-injection spec passed to spawned workers")
+		chaos      = flag.String("chaos", "", "fault-injection spec for spawned workers (with -serve: for this worker), e.g. seed=7,kill=0.05,hang=0.02,delay=0.2,corrupt=0.1,maxdelayms=20")
 		timeout    = flag.Duration("chunk-timeout", 0, "per-chunk attempt deadline (default 2m)")
 		hbTimeout  = flag.Duration("heartbeat-timeout", 0, "max silence before a worker is presumed dead (default 10s)")
 		ciTarget   = flag.Float64("ci-target", 0, "sequential sweeps: stop each ratio estimation once the Student-t CI half-width on the mean ratio is <= this (0 disables); seed chunks keep flowing through the shard service until then")
@@ -62,22 +81,20 @@ func main() {
 		restarts   = flag.Int("restarts", 8, "hunt restarts (sharded across workers)")
 		iterations = flag.Int("iterations", 400, "hunt hill-climb iterations per restart")
 		maxValue   = flag.Int64("maxvalue", 1, "hunt max packet value (1 = unit)")
-		verbose    = flag.Bool("v", false, "log supervision events to stderr")
+		verbose    = flag.Bool("v", false, "log supervision events to stderr (with -serve: connection errors and chaos events)")
 		status     = flag.Bool("status", false, "print a live per-worker health table to stderr while running")
 		events     = flag.String("events", "", "append structured JSONL run events to this file")
 	)
-	obsCLI := wire.Flags(flag.CommandLine, true, "trace")
+	obsCLI := wire.Flags(flag.CommandLine, "trace")
 	flag.Parse()
 
 	if *serve {
-		inj, err := faultinject.ParseSpec(*chaos)
-		if err != nil {
-			fatal(err)
-		}
-		if err := shard.ServeStdio(shard.ServeOptions{Chaos: inj}); err != nil {
-			fatal(err)
-		}
+		serveWorker(obsCLI, *listen, *chaos, *heartbeat, *verbose)
 		return
+	}
+	if *listen != "" || *heartbeat != 0 {
+		fmt.Fprintln(os.Stderr, "qswitchctl: -listen and -heartbeat need -serve")
+		os.Exit(2)
 	}
 
 	sess, err := obsCLI.Start()
@@ -158,6 +175,46 @@ func main() {
 		st.ChunksExecuted, st.CheckpointHits, st.LocalChunks, st.Retries, st.Respawns, st.Excluded)
 	if runLog != nil {
 		obs.LogSnapshot(runLog, "run complete", sess.Reg)
+	}
+}
+
+// serveWorker is worker mode: it serves chunk requests on stdio, or on
+// TCP when listen is set, until the coordinator hangs up.
+func serveWorker(obsCLI *wire.CLI, listen, chaos string, heartbeat time.Duration, verbose bool) {
+	inj, err := faultinject.ParseSpec(chaos)
+	if err != nil {
+		fatal(err)
+	}
+	obsCLI.Progress = nil // a worker has no foreground run to report on
+	sess, err := obsCLI.Start()
+	if err != nil {
+		fatal(err)
+	}
+	opts := shard.ServeOptions{Chaos: inj, HeartbeatEvery: heartbeat, Metrics: sess.Reg}
+	if verbose {
+		logger := log.New(os.Stderr, fmt.Sprintf("qswitchctl[%d]: ", os.Getpid()), log.Ltime|log.Lmicroseconds)
+		opts.Logf = logger.Printf
+	}
+	if listen == "" {
+		err = shard.ServeStdio(opts)
+	} else if ln, lerr := net.Listen("tcp", listen); lerr != nil {
+		err = lerr
+	} else {
+		fmt.Fprintf(os.Stderr, "qswitchctl: serving on %s\n", ln.Addr())
+		// SIGINT or SIGTERM closes the listener, so that the session below
+		// still writes the profiles.
+		stop := make(chan os.Signal, 1)
+		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+		go func() { <-stop; ln.Close() }()
+		if err = shard.ServeTCP(ln, opts); errors.Is(err, net.ErrClosed) {
+			err = nil
+		}
+	}
+	if cerr := sess.Close(); cerr != nil {
+		fmt.Fprintf(os.Stderr, "qswitchctl: %v\n", cerr)
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 

@@ -44,7 +44,7 @@ func main() {
 		par    = flag.Int("parallel", 1, "run up to this many experiments concurrently (output stays ordered); the ratio estimations inside an experiment already use every core (GOMAXPROCS)")
 		events = flag.String("events", "", "append structured JSONL run events to this file")
 	)
-	obsCLI := wire.Flags(flag.CommandLine, true, "trace")
+	obsCLI := wire.Flags(flag.CommandLine, "trace")
 	flag.Parse()
 
 	if *list {

@@ -50,7 +50,7 @@ func main() {
 	)
 	// -trace already means "replay this trace file" here, so the runtime
 	// execution-trace profile flag is spelled -exectrace.
-	obsCLI := wire.Flags(flag.CommandLine, true, "exectrace")
+	obsCLI := wire.Flags(flag.CommandLine, "exectrace")
 	flag.Parse()
 	sess, err := obsCLI.Start()
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 	"qswitch/internal/stats"
 )
 
-// HuntResult is the best adversarial instance found by a Hunt, plus enough
+// HuntResult is the best adversarial instance found by a hunt, plus enough
 // provenance (the winning restart index) to make merging deterministic.
 type HuntResult struct {
 	// Seq is the best sequence found.
@@ -24,24 +24,15 @@ type HuntResult struct {
 	Tried int
 }
 
-// Hunt is Search with per-restart seeding: restart r hill-climbs with its
-// own rand.Rand seeded opts.Seed + r, so restarts are independent of one
-// another and of how they are batched. That independence is what makes
-// hunts shardable — HuntRange chunks merged with MergeHunts reproduce
-// Hunt's result byte-for-byte regardless of chunk boundaries, worker
-// counts or retry history, which Search (one rng threaded through all
-// restarts) cannot offer.
-func Hunt(opts SearchOptions, eval Ratio) HuntResult {
-	r1 := opts.Restarts
-	if r1 < 1 {
-		r1 = 1
-	}
-	return HuntRange(opts, eval, 0, r1)
-}
-
 // HuntRange runs the restarts [r0, r1) of the hunt named by opts and
-// returns their best instance. Splitting [0, Restarts) into ranges and
-// folding the results with MergeHunts yields exactly Hunt's result.
+// returns their best instance. Restart r hill-climbs with its own
+// rand.Rand seeded opts.Seed + r, so restarts are independent of one
+// another and of how they are batched. That independence is what makes
+// hunts shardable: splitting [0, Restarts) into ranges and folding the
+// results with MergeHunts reproduces HuntRange(opts, eval, 0, Restarts)
+// byte-for-byte regardless of chunk boundaries, worker counts or retry
+// history, which Search (one rng threaded through all restarts) cannot
+// offer.
 func HuntRange(opts SearchOptions, eval Ratio, r0, r1 int) HuntResult {
 	if opts.MaxValue < 1 {
 		opts.MaxValue = 1

@@ -30,10 +30,10 @@ func huntOpts() SearchOptions {
 
 // TestHuntRangeChunksMergeToHunt is the shardability property the service
 // tier rests on: any chunking of the restart range, folded with
-// MergeHunts, must reproduce Hunt exactly.
+// MergeHunts, must reproduce the whole range [0, Restarts) exactly.
 func TestHuntRangeChunksMergeToHunt(t *testing.T) {
 	opts := huntOpts()
-	want := Hunt(opts, huntEval)
+	want := HuntRange(opts, huntEval, 0, max(1, opts.Restarts))
 	if want.Restart < 0 || want.Ratio <= 0 {
 		t.Fatalf("degenerate hunt baseline: %+v", want)
 	}
@@ -56,7 +56,7 @@ func TestHuntRangeChunksMergeToHunt(t *testing.T) {
 // the same result, so retried and out-of-order chunks cannot skew a hunt.
 func TestHuntRangeMergeOrderIndependent(t *testing.T) {
 	opts := huntOpts()
-	want := Hunt(opts, huntEval)
+	want := HuntRange(opts, huntEval, 0, max(1, opts.Restarts))
 	chunks := []HuntResult{
 		HuntRange(opts, huntEval, 4, 6),
 		HuntRange(opts, huntEval, 0, 2),
@@ -100,7 +100,7 @@ func TestMergeHuntsEmptyIdentity(t *testing.T) {
 // contribution exactly.
 func TestHuntRestartsIndependent(t *testing.T) {
 	opts := huntOpts()
-	whole := Hunt(opts, huntEval)
+	whole := HuntRange(opts, huntEval, 0, max(1, opts.Restarts))
 	lone := HuntRange(opts, huntEval, whole.Restart, whole.Restart+1)
 	if lone.Ratio != whole.Ratio {
 		t.Errorf("winning restart re-run alone scored %v, hunt scored %v", lone.Ratio, whole.Ratio)

@@ -21,22 +21,6 @@ func (m Mask) Clear(i int) { m[i>>6] &^= 1 << uint(i&63) }
 // Test reports whether i is in the set.
 func (m Mask) Test(i int) bool { return m[i>>6]&(1<<uint(i&63)) != 0 }
 
-// SetTo adds i when v is true and removes it otherwise.
-func (m Mask) SetTo(i int, v bool) {
-	if v {
-		m.Set(i)
-	} else {
-		m.Clear(i)
-	}
-}
-
-// Zero empties the set.
-func (m Mask) Zero() {
-	for k := range m {
-		m[k] = 0
-	}
-}
-
 // Fill sets every bit in [0, n). n must match the width the mask was
 // created with (the trailing partial word stays clean).
 func (m Mask) Fill(n int) {
@@ -50,25 +34,6 @@ func (m Mask) Fill(n int) {
 
 // Copy overwrites m with src. The masks must have equal width.
 func (m Mask) Copy(src Mask) { copy(m, src) }
-
-// Count returns the number of elements in the set.
-func (m Mask) Count() int {
-	c := 0
-	for _, w := range m {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Empty reports whether no bit is set.
-func (m Mask) Empty() bool {
-	for _, w := range m {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // First returns the smallest element, or -1 if the set is empty.
 func (m Mask) First() int {
@@ -171,13 +136,3 @@ func NewMatrix(rows, width int) Matrix {
 
 // Row returns the mask of row r (shared storage, not a copy).
 func (mx Matrix) Row(r int) Mask { return mx.rows[r] }
-
-// Rows returns the number of rows.
-func (mx Matrix) Rows() int { return len(mx.rows) }
-
-// Zero empties every row.
-func (mx Matrix) Zero() {
-	for _, r := range mx.rows {
-		r.Zero()
-	}
-}

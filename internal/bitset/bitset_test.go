@@ -47,29 +47,24 @@ func (r reference) and(b reference) reference {
 func TestMaskBasics(t *testing.T) {
 	for _, n := range []int{1, 7, 63, 64, 65, 128, 200} {
 		m := New(n)
-		if !m.Empty() || m.Count() != 0 || m.First() != -1 || m.Last() != -1 {
+		if m.First() != -1 || m.Last() != -1 {
 			t.Fatalf("n=%d: new mask not empty", n)
 		}
 		m.Fill(n)
-		if m.Count() != n {
-			t.Fatalf("n=%d: Fill set %d bits", n, m.Count())
-		}
 		for i := 0; i < n; i++ {
 			if !m.Test(i) {
 				t.Fatalf("n=%d: bit %d unset after Fill", n, i)
 			}
 		}
-		m.Zero()
-		if !m.Empty() {
-			t.Fatalf("n=%d: Zero left bits set", n)
+		for i := 0; i < n-1; i++ {
+			m.Clear(i)
 		}
-		m.Set(n - 1)
-		if m.First() != n-1 || m.Last() != n-1 || m.Count() != 1 {
-			t.Fatalf("n=%d: Set(n-1) misbehaved", n)
+		if m.First() != n-1 || m.Last() != n-1 {
+			t.Fatalf("n=%d: Clear left bits below n-1", n)
 		}
-		m.SetTo(n-1, false)
-		if !m.Empty() {
-			t.Fatalf("n=%d: SetTo false left bit", n)
+		m.Clear(n - 1)
+		if m.First() != -1 {
+			t.Fatalf("n=%d: Clear(n-1) left a bit", n)
 		}
 	}
 }
@@ -116,41 +111,19 @@ func TestMaskVsReference(t *testing.T) {
 			if got, want := m.FirstAndFrom(b, start), rm.and(rb).firstFrom(start); got != want {
 				t.Fatalf("n=%d step %d: FirstAndFrom(%d)=%d want %d", n, step, start, got, want)
 			}
-			if got, want := m.Count(), countRef(rm); got != want {
-				t.Fatalf("n=%d step %d: Count=%d want %d", n, step, got, want)
-			}
 		}
 	}
-}
-
-func countRef(r reference) int {
-	c := 0
-	for _, v := range r {
-		if v {
-			c++
-		}
-	}
-	return c
 }
 
 func TestMatrix(t *testing.T) {
 	mx := NewMatrix(3, 70)
 	mx.Row(0).Set(69)
 	mx.Row(2).Set(0)
-	if mx.Row(1).Count() != 0 {
+	if mx.Row(1).First() != -1 {
 		t.Fatal("row 1 polluted by neighbors")
 	}
 	if mx.Row(0).First() != 69 || mx.Row(2).First() != 0 {
 		t.Fatal("row contents wrong")
-	}
-	if mx.Rows() != 3 {
-		t.Fatalf("Rows=%d", mx.Rows())
-	}
-	mx.Zero()
-	for r := 0; r < 3; r++ {
-		if !mx.Row(r).Empty() {
-			t.Fatalf("row %d not cleared", r)
-		}
 	}
 }
 

@@ -15,7 +15,7 @@
 //   - Bits at positions >= n are always zero: every operation (including
 //     Fill, which cleans the trailing partial word) preserves this, so
 //     word-wise iteration never reports phantom members and
-//     Count/First/FirstAnd need no edge handling.
+//     First/Last/FirstAnd need no edge handling.
 //   - A mask's width is fixed at New; Set/Clear/Test outside [0, n) fail
 //     via the natural slice bounds check rather than silently growing.
 //   - Masks of equal width may be combined word-wise (Copy, FirstAnd,

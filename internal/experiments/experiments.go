@@ -42,7 +42,8 @@ type Options struct {
 	Seed int64
 	// Shard routes the ratio estimations through an out-of-process chunk
 	// service — typically a shard.Coordinator fanning seed-range chunks
-	// over qswitchd worker processes with retries and checkpointing.
+	// over qswitchctl -serve worker processes with retries and
+	// checkpointing.
 	Shard ratio.ChunkService
 	// ShardChunk is the seeds-per-chunk granularity handed to
 	// ratio.RunSharded when Shard is set (<= 0 selects the default).

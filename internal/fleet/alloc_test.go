@@ -203,3 +203,46 @@ func TestFleetWideStepZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRunnerJudgesOncePerConfig pins the runners' cached batchable
+// verdict: a warm Run under an unchanged configuration builds no policy
+// (the factory is not called) and allocates one object for a warm 2×2 PG
+// batch of 16; a changed configuration is judged afresh.
+func TestRunnerJudgesOncePerConfig(t *testing.T) {
+	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1}
+	seqs := fleetSeqs(cfg, packet.Bernoulli{Load: 0.9, Values: packet.UniformValues{Hi: 8}}, 5, 16, 40)
+	calls := 0
+	cioq := NewCIOQRunner(func() switchsim.CIOQPolicy { calls++; return &core.PG{} })
+	xbar := NewCrossbarRunner(func() switchsim.CrossbarPolicy { calls++; return &core.CPG{} })
+	runs := map[string]func(switchsim.Config) error{
+		"cioq":     func(c switchsim.Config) error { _, err := cioq.Run(c, seqs); return err },
+		"crossbar": func(c switchsim.Config) error { _, err := xbar.Run(c, seqs); return err },
+	}
+	for name, run := range runs {
+		if err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		calls = 0
+		if err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 0 {
+			t.Errorf("%s: warm Run called the factory %d times, want 0", name, calls)
+		}
+		wider := cfg
+		wider.OutputBuf++
+		if err := run(wider); err != nil {
+			t.Fatal(err)
+		}
+		if calls == 0 {
+			t.Errorf("%s: Run under a new configuration did not judge it", name)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := runs["cioq"](cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("warm 2x2 PG Run over 16 sequences: %v allocs, want <= 1", allocs)
+	}
+}

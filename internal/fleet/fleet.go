@@ -46,24 +46,31 @@ type fleetEngine interface {
 	jumpTally() (jumped, jumps int64)
 }
 
-// runner is the state both runners share: the columnar fleet reused
-// across calls and the configuration it was built for.
+// runner is the state both runners share: the configuration of the last
+// Run, whether the family batches under it, and the columnar fleet built
+// for it, reused across calls.
 type runner struct {
-	cfg switchsim.Config
-	f   fleetEngine
+	cfg       switchsim.Config
+	judged    bool // batchable holds the verdict for cfg
+	batchable bool
+	f         fleetEngine
 }
 
 // run simulates every sequence under cfg and returns one Result per
-// sequence, in order. Batchable families run on the fleet, which build
+// sequence, in order. The batchable verdict is asked for only when the
+// configuration changes. Batchable families run on the fleet, which build
 // constructs only when the configuration changes or a batch outgrows the
 // current storage; everything else loops scalar over the sequences with a
 // fresh policy per run. Results are bit-identical between the two paths.
-func (r *runner) run(cfg switchsim.Config, seqs []packet.Sequence, batchable bool,
+func (r *runner) run(cfg switchsim.Config, seqs []packet.Sequence, batchable func() bool,
 	build func(batch int) (fleetEngine, error), scalar func(packet.Sequence) (*switchsim.Result, error)) ([]*switchsim.Result, error) {
 	if len(seqs) == 0 {
 		return nil, nil
 	}
-	if !batchable {
+	if !r.judged || r.cfg != cfg {
+		r.cfg, r.judged, r.batchable, r.f = cfg, true, batchable(), nil
+	}
+	if !r.batchable {
 		out := make([]*switchsim.Result, len(seqs))
 		for k, seq := range seqs {
 			res, err := scalar(seq)
@@ -75,12 +82,12 @@ func (r *runner) run(cfg switchsim.Config, seqs []packet.Sequence, batchable boo
 		fleetProbes.Load().RecordFallback(int64(len(seqs)))
 		return out, nil
 	}
-	if r.f == nil || r.cfg != cfg || r.f.batchCap() < len(seqs) {
+	if r.f == nil || r.f.batchCap() < len(seqs) {
 		f, err := build(len(seqs))
 		if err != nil {
 			return nil, err
 		}
-		r.f, r.cfg = f, cfg
+		r.f = f
 	}
 	if err := r.f.Reset(seqs); err != nil {
 		return nil, err
@@ -126,7 +133,7 @@ func NewCIOQRunner(factory func() switchsim.CIOQPolicy) *CIOQRunner {
 // sequence, in order. The returned slice and Results are valid until the
 // next Run.
 func (r *CIOQRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switchsim.Result, error) {
-	return r.run(cfg, seqs, BatchableCIOQ(cfg, r.factory),
+	return r.run(cfg, seqs, func() bool { return BatchableCIOQ(cfg, r.factory) },
 		func(batch int) (fleetEngine, error) { return NewCIOQFleet(cfg, r.factory, batch) },
 		func(seq packet.Sequence) (*switchsim.Result, error) { return switchsim.RunCIOQ(cfg, r.factory(), seq) })
 }
@@ -146,7 +153,7 @@ func NewCrossbarRunner(factory func() switchsim.CrossbarPolicy) *CrossbarRunner 
 // Run simulates every sequence under cfg and returns one Result per
 // sequence, in order, as (*CIOQRunner).Run does.
 func (r *CrossbarRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switchsim.Result, error) {
-	return r.run(cfg, seqs, BatchableCrossbar(cfg, r.factory),
+	return r.run(cfg, seqs, func() bool { return BatchableCrossbar(cfg, r.factory) },
 		func(batch int) (fleetEngine, error) { return NewCrossbarFleet(cfg, r.factory, batch) },
 		func(seq packet.Sequence) (*switchsim.Result, error) {
 			return switchsim.RunCrossbar(cfg, r.factory(), seq)

@@ -34,8 +34,8 @@ func runOne(cfg switchsim.Config, seq packet.Sequence, f fleetEngine, err error)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	r := runner{cfg: cfg, f: f}
-	out, err := r.run(cfg, []packet.Sequence{seq}, true, nil, nil)
+	r := runner{cfg: cfg, judged: true, batchable: true, f: f}
+	out, err := r.run(cfg, []packet.Sequence{seq}, nil, nil, nil)
 	if err != nil {
 		return nil, 0, 0, err
 	}

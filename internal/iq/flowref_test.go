@@ -3,8 +3,8 @@ package iq
 import (
 	"fmt"
 
-	"qswitch/internal/flow"
 	"qswitch/internal/packet"
+	"qswitch/internal/testkit/flow"
 )
 
 // exactOPTFlow is the IQ optimum as a single min-cost max-flow on the

@@ -7,7 +7,8 @@
 // compute. This package implements both families so the claim can be
 // benchmarked head-to-head:
 //
-//   - GreedyMaximal / GreedyMaximalWeighted — the paper's engines,
+//   - GreedyMaximal / WeightedScheduler.GreedyMaximalWeighted — the
+//     paper's engines,
 //   - HopcroftKarp — maximum-cardinality matching (Kesselman–Rosén style),
 //   - Hungarian — maximum-weight matching (for the 6-competitive baseline).
 //

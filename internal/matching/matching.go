@@ -59,18 +59,6 @@ func (mt *Matcher) GreedyMaximal(nU, nV int, edges []Edge) []Edge {
 	return mt.out
 }
 
-// GreedyMaximalWeighted sorts the edges by weight descending (ties: smaller
-// U, then smaller V first — a fixed, deterministic order) and then greedily
-// adds non-conflicting edges. This is the engine of the paper's PG
-// algorithm. The classical guarantee is that the result has at least half
-// the weight of a maximum-weight matching. Complexity O(E log E).
-//
-// The input slice is not modified.
-func GreedyMaximalWeighted(nU, nV int, edges []Edge) []Edge {
-	var s WeightedScheduler
-	return s.GreedyMaximalWeighted(nU, nV, edges)
-}
-
 // WeightedScheduler is a reusable greedy-maximal-weighted matcher. It
 // keeps the radix-sort scratch buffers alive across scheduling cycles, the
 // way a real switch scheduler would, so the per-cycle cost is a pure
@@ -86,9 +74,12 @@ type WeightedScheduler struct {
 	mt        Matcher
 }
 
-// GreedyMaximalWeighted computes the greedy maximal matching by
-// descending weight. The returned slice is scratch, valid until the next
-// call.
+// GreedyMaximalWeighted sorts the edges by weight descending (ties: smaller
+// U, then smaller V first — a fixed, deterministic order) and then greedily
+// adds non-conflicting edges. This is the engine of the paper's PG
+// algorithm. The classical guarantee is that the result has at least half
+// the weight of a maximum-weight matching. The input slice is not
+// modified; the returned slice is scratch, valid until the next call.
 func (s *WeightedScheduler) GreedyMaximalWeighted(nU, nV int, edges []Edge) []Edge {
 	if sorted, ok := s.countingSortEdges(edges); ok {
 		return s.mt.GreedyMaximal(nU, nV, sorted)
@@ -242,12 +233,3 @@ func (e edgesByWeight) Less(a, b int) bool {
 	return e[a].V < e[b].V
 }
 func (e edgesByWeight) Swap(a, b int) { e[a], e[b] = e[b], e[a] }
-
-// Weight sums the edge weights of a matching.
-func Weight(m []Edge) int64 {
-	var w int64
-	for _, e := range m {
-		w += e.W
-	}
-	return w
-}

@@ -84,7 +84,7 @@ func TestGreedyWeightedSortsDescending(t *testing.T) {
 		{U: 1, V: 1, W: 5},
 		{U: 1, V: 0, W: 7},
 	}
-	m := GreedyMaximalWeighted(2, 2, edges)
+	m := new(WeightedScheduler).GreedyMaximalWeighted(2, 2, edges)
 	if Weight(m) != 17 { // picks (0,1,10) then (1,0,7)
 		t.Fatalf("weighted greedy weight %d, want 17: %v", Weight(m), m)
 	}
@@ -101,7 +101,7 @@ func TestGreedyWeightedDeterministicTieBreak(t *testing.T) {
 		{U: 0, V: 0, W: 5},
 		{U: 1, V: 1, W: 5},
 	}
-	a := GreedyMaximalWeighted(2, 2, edges)
+	a := new(WeightedScheduler).GreedyMaximalWeighted(2, 2, edges)
 	// Ties break by (U asc, V asc): (0,0) first, then (1,1).
 	if len(a) != 2 || a[0].U != 0 || a[0].V != 0 || a[1].U != 1 || a[1].V != 1 {
 		t.Errorf("tie-break order wrong: %v", a)
@@ -115,7 +115,7 @@ func TestGreedyWeightedAtLeastHalfOptimal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nU, nV := rng.Intn(5)+1, rng.Intn(5)+1
 		edges := randGraph(rng, nU, nV, 12, 50)
-		m := GreedyMaximalWeighted(nU, nV, edges)
+		m := new(WeightedScheduler).GreedyMaximalWeighted(nU, nV, edges)
 		opt := bruteForceMaxWeight(nU, nV, edges)
 		return 2*Weight(m) >= opt
 	}
@@ -235,6 +235,15 @@ func TestMaxWeightMatchingEmpty(t *testing.T) {
 	if m := maxWeightMatching(3, 3, nil); len(m) != 0 {
 		t.Errorf("empty graph produced %v", m)
 	}
+}
+
+// Weight sums the edge weights of a matching.
+func Weight(m []Edge) int64 {
+	var w int64
+	for _, e := range m {
+		w += e.W
+	}
+	return w
 }
 
 func TestWeight(t *testing.T) {

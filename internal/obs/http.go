@@ -38,8 +38,8 @@ type Server struct {
 
 // StartServer listens on addr (e.g. "127.0.0.1:9410", or ":0" for an
 // ephemeral port) and serves NewHandler(reg) until Close. It is the
-// -metrics-addr implementation shared by qswitchd, qswitchctl,
-// switchbench and switchsim.
+// -metrics-addr implementation shared by qswitchctl (coordinator and
+// worker), switchbench and switchsim.
 func StartServer(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

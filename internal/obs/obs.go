@@ -50,13 +50,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add shifts the gauge's value by n.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Value returns the current value (zero on a nil receiver).
 func (g *Gauge) Value() int64 {
 	if g == nil {

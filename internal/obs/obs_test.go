@@ -24,7 +24,7 @@ func TestRegistryMetrics(t *testing.T) {
 
 	g := r.Gauge("test_depth")
 	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
@@ -86,7 +86,6 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Add(1)
 	fg.Set(2)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || fg.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -104,7 +103,7 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	fp.RecordKernel(1, 1, 1)
 	fp.RecordFallback(1)
 	var jp *JudgeProbes
-	jp.RecordSolve(1, 1)
+	jp.RecordSolves(1, 1, 1)
 	jp.RecordExactSolve()
 	var sp *SeqProbes
 	sp.StartRun(1, 0.1)
@@ -141,7 +140,7 @@ func TestProbeBundles(t *testing.T) {
 	NewEngineProbes(r).RecordRun(100, 80, 5)
 	NewFleetProbes(r).RecordKernel(64, 6400, 300)
 	NewFleetProbes(r).RecordFallback(3)
-	NewJudgeProbes(r).RecordSolve(20, 4)
+	NewJudgeProbes(r).RecordSolves(1, 20, 4)
 	NewJudgeProbes(r).RecordExactSolve()
 	sp := NewSeqProbes(r)
 	sp.StartRun(4096, 0.05)

@@ -140,7 +140,7 @@ func (p *FleetProbes) RecordFallback(instances int64) {
 // horizon-independent. The zero and nil values are no-ops.
 type JudgeProbes struct {
 	// Solves counts single-queue solves: one per relaxed port of every
-	// upper-bound judge call, one per QueueOPTSolver.Solve.
+	// upper-bound judge call.
 	Solves *Counter
 	// Packets counts packets fed to those solves.
 	Packets *Counter
@@ -161,12 +161,6 @@ func NewJudgeProbes(r *Registry) *JudgeProbes {
 		Epochs:      r.Counter(MetricJudgeEpochs),
 		ExactSolves: r.Counter(MetricJudgeExactSolves),
 	}
-}
-
-// RecordSolve flushes one single-queue solve over `packets` packets
-// arriving in `epochs` distinct slots. Safe on a nil receiver.
-func (p *JudgeProbes) RecordSolve(packets, epochs int64) {
-	p.RecordSolves(1, packets, epochs)
 }
 
 // RecordSolves flushes the `solves` single-queue solves of one bound call

@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"qswitch/internal/obs"
-	"qswitch/internal/obs/promcheck"
+	"qswitch/internal/testkit/promcheck"
 )
 
 // The tests that read the registry's output back through the strict
@@ -146,7 +146,8 @@ func TestHTTPEndpoints(t *testing.T) {
 }
 
 // TestPromFile validates an externally captured Prometheus exposition
-// (e.g. CI's curl of a live qswitchd /metrics) with the strict parser.
+// (e.g. CI's curl of a live qswitchctl -serve worker's /metrics) with
+// the strict parser.
 // It is a no-op unless QSWITCH_PROMFILE points at a scrape to check.
 func TestPromFile(t *testing.T) {
 	path := os.Getenv("QSWITCH_PROMFILE")

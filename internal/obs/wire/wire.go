@@ -1,7 +1,7 @@
 // Package wire connects the obs metrics core to every instrumented
 // layer: Up installs one registry's probe bundles into switchsim, fleet,
 // offline and ratio process-wide, Down removes them, and CLI/Session
-// give the four CLIs one shared implementation of the
+// give the three CLIs one shared implementation of the
 // -progress/-metrics-addr/-cpuprofile/-memprofile/-trace flag surface.
 // It lives below cmd/ and the test suites but above the instrumented
 // packages, which only ever see their own probe bundle.
@@ -42,7 +42,8 @@ func Down() {
 // CLI holds the parsed observability flags (see Flags).
 type CLI struct {
 	// Progress forces the throttled stderr progress line even when
-	// stderr is not a TTY; nil when the flag was not registered.
+	// stderr is not a TTY; setting it to nil before Start turns the line
+	// off (a shard worker has no foreground run to report on).
 	Progress *bool
 	// MetricsAddr serves /metrics, /debug/vars and /debug/pprof on this
 	// address while the process runs ("" disables).
@@ -54,22 +55,17 @@ type CLI struct {
 	Trace      *string
 }
 
-// Flags registers the shared observability flags on fs. withProgress
-// controls whether -progress is offered (qswitchd has no foreground run
-// to report on); traceFlag names the execution-trace flag, letting
-// switchsim keep its preexisting -trace (trace replay) flag and expose
-// the profiler as -exectrace instead.
-func Flags(fs *flag.FlagSet, withProgress bool, traceFlag string) *CLI {
-	c := &CLI{
+// Flags registers the shared observability flags on fs. traceFlag names
+// the execution-trace flag, letting switchsim keep its preexisting -trace
+// (trace replay) flag and expose the profiler as -exectrace instead.
+func Flags(fs *flag.FlagSet, traceFlag string) *CLI {
+	return &CLI{
+		Progress:    fs.Bool("progress", false, "force the throttled stderr progress line (default: only when stderr is a TTY)"),
 		MetricsAddr: fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running (e.g. 127.0.0.1:9410)"),
 		CPUProfile:  fs.String("cpuprofile", "", "write a pprof CPU profile to this file"),
 		MemProfile:  fs.String("memprofile", "", "write a pprof heap profile to this file at exit"),
 		Trace:       fs.String(traceFlag, "", "write a runtime execution trace to this file"),
 	}
-	if withProgress {
-		c.Progress = fs.Bool("progress", false, "force the throttled stderr progress line (default: only when stderr is a TTY)")
-	}
-	return c
 }
 
 // Session is the per-process observability state Start wires up from the

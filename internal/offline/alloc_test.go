@@ -5,9 +5,9 @@ import (
 	"slices"
 	"testing"
 
-	"qswitch/internal/flow"
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
+	"qswitch/internal/testkit/flow"
 )
 
 // Steady-state allocation regression tests for the judge layer, matching

@@ -16,18 +16,6 @@ func OQUpperBound(cfg switchsim.Config, seq packet.Sequence, crossbar bool) (int
 	return s.OQUpperBound(cfg, seq, crossbar)
 }
 
-// InputUpperBound is the input-side counterpart of OQUpperBound: each
-// input port i is relaxed to a single time-expanded queue holding all of
-// its virtual output queues (capacity M·B_in [+ M·B_x]), drained at the
-// fabric rate of ŝ transfers per slot, with transferred value counting as
-// delivered (outputs fully relaxed). Any feasible schedule maps into this
-// relaxation, so it is another valid upper bound — tight when the fabric,
-// not the output links, is the bottleneck.
-func InputUpperBound(cfg switchsim.Config, seq packet.Sequence, crossbar bool) (int64, error) {
-	var s UpperBoundSolver
-	return s.InputUpperBound(cfg, seq, crossbar)
-}
-
 // CombinedUpperBound returns the tighter of the output-side and
 // input-side relaxations. Both dominate every feasible schedule, so their
 // minimum is still a valid upper bound on OPT. The sequence is validated
@@ -42,8 +30,8 @@ func CombinedUpperBound(cfg switchsim.Config, seq packet.Sequence, crossbar bool
 // reusable scratch: the queues' heaps survive across calls, so a judge
 // that evaluates one sequence after another allocates nothing in steady
 // state. The zero value is ready to use. Solvers are not safe for
-// concurrent use; the package functions (OQUpperBound, InputUpperBound,
-// CombinedUpperBound) are one-shot sweeps on a fresh solver.
+// concurrent use; the package functions OQUpperBound and
+// CombinedUpperBound are one-shot sweeps on a fresh solver.
 //
 // The pass starts with every queue in counter form and stays there while
 // each packet due before the horizon has value 1, as every unit workload
@@ -83,12 +71,6 @@ func growQueues(qs []sweepQueue, n int) []sweepQueue {
 func (s *UpperBoundSolver) OQUpperBound(cfg switchsim.Config, seq packet.Sequence, crossbar bool) (int64, error) {
 	out, _, err := s.sweep(cfg, seq, crossbar, true, false)
 	return out, err
-}
-
-// InputUpperBound is the input-side relaxation; see the package function.
-func (s *UpperBoundSolver) InputUpperBound(cfg switchsim.Config, seq packet.Sequence, crossbar bool) (int64, error) {
-	_, in, err := s.sweep(cfg, seq, crossbar, false, true)
-	return in, err
 }
 
 // CombinedUpperBound is min(output-side, input-side) from one pass; see
@@ -204,16 +186,4 @@ func (s *UpperBoundSolver) reset(cfg switchsim.Config, outSide, inSide bool) (si
 		sides++
 	}
 	return sides
-}
-
-// SingleQueueOPT computes the exact offline optimum of the bounded-buffer
-// single-queue problem: packets arrive at given slots, the buffer holds at
-// most bufCap packets at any time, one packet is transmitted per slot, and
-// preemption (discarding buffered packets) is free. This is exactly the
-// offline problem faced by one output port of an ideal OQ switch, solved
-// by one forward sweep (see sweepQueue); the tests hold it exact-equal to a
-// min-cost-flow reference on every instance.
-func SingleQueueOPT(pkts []packet.Packet, slots int, bufCap int64) int64 {
-	var q QueueOPTSolver
-	return q.Solve(pkts, slots, bufCap, 1)
 }

@@ -9,6 +9,24 @@ import (
 	"qswitch/internal/switchsim"
 )
 
+// InputUpperBound is the input-side counterpart of OQUpperBound: each
+// input port i is relaxed to a single time-expanded queue holding all of
+// its virtual output queues (capacity M·B_in [+ M·B_x]), drained at the
+// fabric rate of ŝ transfers per slot, with transferred value counting as
+// delivered (outputs fully relaxed). Any feasible schedule maps into this
+// relaxation, so it is another valid upper bound — tight when the fabric,
+// not the output links, is the bottleneck.
+func InputUpperBound(cfg switchsim.Config, seq packet.Sequence, crossbar bool) (int64, error) {
+	var s UpperBoundSolver
+	return s.InputUpperBound(cfg, seq, crossbar)
+}
+
+// InputUpperBound is the input-side relaxation; see the package function.
+func (s *UpperBoundSolver) InputUpperBound(cfg switchsim.Config, seq packet.Sequence, crossbar bool) (int64, error) {
+	_, in, err := s.sweep(cfg, seq, crossbar, false, true)
+	return in, err
+}
+
 func TestInputUpperBoundDominatesExact(t *testing.T) {
 	cfg := microCfg()
 	for seed := int64(0); seed < 20; seed++ {

@@ -16,12 +16,14 @@
 //     using the paper's exchange arguments (A1–A3: transfer/send maxima,
 //     preempt minima) to keep branching on admissions and matchings only.
 //
-//   - OQUpperBound / InputUpperBound / CombinedUpperBound: polynomial
-//     upper bounds for arbitrary instances. Each relaxes the fabric to a
-//     family of independent bounded-buffer single queues (one per output,
-//     or one per input drained at the fabric rate); any feasible
-//     CIOQ/crossbar schedule maps to a feasible schedule of the
-//     relaxation, so its optimum upper-bounds OPT.
+//   - OQUpperBound / CombinedUpperBound: polynomial upper bounds for
+//     arbitrary instances. Each relaxes the fabric to a family of
+//     independent bounded-buffer single queues (one per output, and for
+//     CombinedUpperBound also one per input drained at the fabric rate);
+//     any feasible CIOQ/crossbar schedule maps to a feasible schedule of
+//     the relaxation, so its optimum upper-bounds OPT. The input side
+//     alone (InputUpperBound) and one relaxed queue alone
+//     (SingleQueueOPT) are test references in the package's tests.
 //
 // The single-queue relaxations are solved by one forward sweep over the
 // sequence (sweepQueue): a relaxed queue has no FIFO constraint, so keeping
@@ -34,10 +36,10 @@
 // live in reference_test.go as the oracles of the differential suite,
 // FuzzSingleQueueOPT and FuzzCombinedUpperBound, pinned exact-equal:
 // min-cost flow on the time-expanded line graph, two nodes per slot
-// (SingleQueueOPTFlow / CombinedUpperBoundFlow over internal/flow), and
+// (SingleQueueOPTFlow / CombinedUpperBoundFlow over internal/testkit/flow), and
 // the value-ordered greedy on the compressed arrival-epoch axis with two
 // lazy segment trees (refQueueOPTSolver). The production package does not
-// depend on internal/flow.
+// depend on internal/testkit/flow.
 //
 // The exact solvers keep a whole switch state in one machine word (queue
 // lengths as bit fields; for weighted instances, which queue holds each

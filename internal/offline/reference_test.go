@@ -8,10 +8,10 @@ import (
 	"sort"
 	"sync"
 
-	"qswitch/internal/flow"
 	"qswitch/internal/packet"
 	"qswitch/internal/scratch"
 	"qswitch/internal/switchsim"
+	"qswitch/internal/testkit/flow"
 )
 
 // The exact solvers as they stood before the packed-word rewrite: queue
@@ -803,7 +803,7 @@ type qoptCand struct {
 // after the horizon, and packets of non-positive value, never contribute.
 func (s *refQueueOPTSolver) Solve(pkts []packet.Packet, slots int, bufCap, sendCap int64) int64 {
 	if len(pkts) == 0 || slots <= 0 || bufCap <= 0 || sendCap <= 0 {
-		judgeProbes.Load().RecordSolve(int64(len(pkts)), 0)
+		judgeProbes.Load().RecordSolves(1, int64(len(pkts)), 0)
 		return 0
 	}
 	// One admissibility pass: collect candidates with raw arrivals, build
@@ -818,13 +818,13 @@ func (s *refQueueOPTSolver) Solve(pkts []packet.Packet, slots int, bufCap, sendC
 		s.cands = append(s.cands, qoptCand{v: p.Value, e: p.Arrival})
 	}
 	if len(s.epochs) == 0 {
-		judgeProbes.Load().RecordSolve(int64(len(pkts)), 0)
+		judgeProbes.Load().RecordSolves(1, int64(len(pkts)), 0)
 		return 0
 	}
 	slices.Sort(s.epochs)
 	s.epochs = slices.Compact(s.epochs)
 	m := len(s.epochs)
-	judgeProbes.Load().RecordSolve(int64(len(pkts)), int64(m))
+	judgeProbes.Load().RecordSolves(1, int64(len(pkts)), int64(m))
 	for k := range s.cands {
 		e, _ := slices.BinarySearch(s.epochs, s.cands[k].e)
 		s.cands[k].e = e
@@ -970,7 +970,7 @@ func (t *epochTree) minRec(node, lo, hi, l, r int) int64 {
 
 // The min-cost-flow formulation of the relaxation bounds, the judges'
 // first implementation: every relaxed queue is a time-expanded line graph
-// solved by internal/flow. Kept test-only as the second oracle of the
+// solved by internal/testkit/flow. Kept test-only as the second oracle of the
 // differential suite, FuzzSingleQueueOPT and FuzzCombinedUpperBound.
 
 // check validates the configuration and sequence once per call.

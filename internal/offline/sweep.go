@@ -1,11 +1,7 @@
 package offline
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
-
-	"qswitch/internal/packet"
 )
 
 // sweepQueue is one bounded-buffer relaxed queue read forward in time:
@@ -199,38 +195,4 @@ func (h minMaxHeap) trickleDown(i int, lo bool) {
 		}
 		i = m
 	}
-}
-
-// QueueOPTSolver is the reusable engine for the bounded-buffer
-// single-queue offline optimum (see SingleQueueOPT, sweepQueue). The zero
-// value is ready to use; all scratch is reused across solves, so repeated
-// solves allocate nothing once warm.
-type QueueOPTSolver struct {
-	q      sweepQueue
-	sorted []packet.Packet // arrival-ordered copy, only for unordered input
-}
-
-// Solve returns the optimum delivered value. The packet order is free (an
-// input out of arrival order is swept from a sorted scratch copy); packets
-// arriving at or after the horizon, and packets of non-positive value,
-// never contribute.
-func (s *QueueOPTSolver) Solve(pkts []packet.Packet, slots int, bufCap, sendCap int64) int64 {
-	if slots <= 0 || bufCap <= 0 || sendCap <= 0 {
-		judgeProbes.Load().RecordSolve(int64(len(pkts)), 0)
-		return 0
-	}
-	byArrival := func(a, b packet.Packet) int { return cmp.Compare(a.Arrival, b.Arrival) }
-	if !slices.IsSortedFunc(pkts, byArrival) {
-		s.sorted = append(s.sorted[:0], pkts...)
-		slices.SortFunc(s.sorted, byArrival)
-		pkts = s.sorted
-	}
-	s.q.reset()
-	for k := range pkts {
-		if p := &pkts[k]; p.Arrival < slots && p.Value > 0 {
-			s.q.arrive(p.Arrival, p.Value, bufCap, sendCap)
-		}
-	}
-	judgeProbes.Load().RecordSolve(int64(len(pkts)), s.q.epochs)
-	return s.q.settle(slots, sendCap)
 }

@@ -14,8 +14,6 @@ type ValueDist interface {
 	Name() string
 	// Sample draws one value.
 	Sample(rng *rand.Rand) int64
-	// Max returns an upper bound on values this distribution can produce.
-	Max() int64
 }
 
 // UnitValues is the unit-value case: every packet has value 1.
@@ -26,9 +24,6 @@ func (UnitValues) Name() string { return "unit" }
 
 // Sample implements ValueDist.
 func (UnitValues) Sample(*rand.Rand) int64 { return 1 }
-
-// Max implements ValueDist.
-func (UnitValues) Max() int64 { return 1 }
 
 // TwoValued produces value 1 with probability 1-PHigh and Alpha otherwise.
 // This is the {1, α} model studied for FIFO switches in the related work
@@ -49,9 +44,6 @@ func (d TwoValued) Sample(rng *rand.Rand) int64 {
 	return 1
 }
 
-// Max implements ValueDist.
-func (d TwoValued) Max() int64 { return d.Alpha }
-
 // UniformValues draws uniformly from [1, Hi].
 type UniformValues struct {
 	Hi int64
@@ -67,9 +59,6 @@ func (d UniformValues) Sample(rng *rand.Rand) int64 {
 	}
 	return 1 + rng.Int63n(d.Hi)
 }
-
-// Max implements ValueDist.
-func (d UniformValues) Max() int64 { return d.Hi }
 
 // ZipfValues draws from a truncated Zipf-like distribution on [1, Hi]:
 // P(v) ∝ 1/v^S. Heavy-tailed values model a small number of high-priority
@@ -115,9 +104,6 @@ func (d ZipfValues) Sample(rng *rand.Rand) int64 {
 	return iv
 }
 
-// Max implements ValueDist.
-func (d ZipfValues) Max() int64 { return d.Hi }
-
 // GeometricValues draws 1 + Geometric(P) capped at Hi: value v has
 // probability ∝ (1-P)^(v-1). Models exponential-ish value decay.
 type GeometricValues struct {
@@ -136,9 +122,6 @@ func (d GeometricValues) Sample(rng *rand.Rand) int64 {
 	}
 	return v
 }
-
-// Max implements ValueDist.
-func (d GeometricValues) Max() int64 { return d.Hi }
 
 // BimodalValues mixes two uniform bands: [1, LowHi] with probability
 // 1-PHigh and [HighLo, HighHi] with probability PHigh. It models a strict
@@ -169,9 +152,6 @@ func (d BimodalValues) Sample(rng *rand.Rand) int64 {
 	}
 	return 1 + rng.Int63n(d.LowHi)
 }
-
-// Max implements ValueDist.
-func (d BimodalValues) Max() int64 { return d.HighHi }
 
 // GeometricChain returns the deterministic geometric value β^k rounded to
 // integers, scaled so that the first element is `base`. It is used by

@@ -7,27 +7,30 @@ import (
 )
 
 func TestValueDistsRespectBounds(t *testing.T) {
-	dists := []ValueDist{
-		UnitValues{},
-		TwoValued{Alpha: 16, PHigh: 0.3},
-		UniformValues{Hi: 40},
-		UniformValues{Hi: 1},
-		ZipfValues{Hi: 100, S: 1.0},
-		ZipfValues{Hi: 100, S: 1.5},
-		ZipfValues{Hi: 1, S: 2},
-		GeometricValues{P: 0.4, Hi: 20},
-		BimodalValues{LowHi: 5, HighLo: 50, HighHi: 60, PHigh: 0.2},
+	dists := []struct {
+		d   ValueDist
+		max int64
+	}{
+		{UnitValues{}, 1},
+		{TwoValued{Alpha: 16, PHigh: 0.3}, 16},
+		{UniformValues{Hi: 40}, 40},
+		{UniformValues{Hi: 1}, 1},
+		{ZipfValues{Hi: 100, S: 1.0}, 100},
+		{ZipfValues{Hi: 100, S: 1.5}, 100},
+		{ZipfValues{Hi: 1, S: 2}, 1},
+		{GeometricValues{P: 0.4, Hi: 20}, 20},
+		{BimodalValues{LowHi: 5, HighLo: 50, HighHi: 60, PHigh: 0.2}, 60},
 	}
-	for _, d := range dists {
-		t.Run(d.Name(), func(t *testing.T) {
+	for _, tc := range dists {
+		t.Run(tc.d.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
 			for k := 0; k < 5000; k++ {
-				v := d.Sample(rng)
+				v := tc.d.Sample(rng)
 				if v < 1 {
 					t.Fatalf("sample %d < 1", v)
 				}
-				if v > d.Max() {
-					t.Fatalf("sample %d exceeds Max()=%d", v, d.Max())
+				if v > tc.max {
+					t.Fatalf("sample %d exceeds the bound %d", v, tc.max)
 				}
 			}
 		})

@@ -87,9 +87,6 @@ func NewBatch(k, capacity int, d Discipline) []Queue {
 	return qs
 }
 
-// Cap returns the queue capacity B(Q).
-func (q *Queue) Cap() int { return q.capacity }
-
 // Len returns the number of packets currently stored.
 func (q *Queue) Len() int { return q.n }
 
@@ -98,9 +95,6 @@ func (q *Queue) Empty() bool { return q.n == 0 }
 
 // Full reports whether the queue is at capacity.
 func (q *Queue) Full() bool { return q.n >= q.capacity }
-
-// Discipline returns the queue's ordering discipline.
-func (q *Queue) Discipline() Discipline { return q.disc }
 
 // idx maps queue position k (0 = head) to a ring index.
 func (q *Queue) idx(k int) int { return (q.head + k) & (len(q.buf) - 1) }
@@ -121,14 +115,6 @@ func (q *Queue) Tail() (packet.Packet, bool) {
 		return packet.Packet{}, false
 	}
 	return q.buf[q.idx(q.n-1)], true
-}
-
-// At returns the packet at position k (0-based; position 0 is the head).
-func (q *Queue) At(k int) packet.Packet {
-	if k < 0 || k >= q.n {
-		panic(fmt.Sprintf("queue: At(%d) out of range [0,%d)", k, q.n))
-	}
-	return q.buf[q.idx(k)]
 }
 
 // Push inserts p, returning ErrFull if there is no room. Under ByValue the
@@ -218,15 +204,6 @@ func (q *Queue) PopHead() (packet.Packet, bool) {
 	q.head = q.idx(1)
 	q.n--
 	return p, true
-}
-
-// TotalValue returns the sum of values of all stored packets.
-func (q *Queue) TotalValue() int64 {
-	var t int64
-	for k := 0; k < q.n; k++ {
-		t += q.buf[q.idx(k)].Value
-	}
-	return t
 }
 
 // Reset empties the queue.

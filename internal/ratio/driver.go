@@ -86,7 +86,7 @@ func armChunks(cfg switchsim.Config, l *Lanes, gen packet.Generator, baseSeed in
 }
 
 // ShardedChunks adapts a chunk service (typically a shard coordinator
-// fanning work over qswitchd worker processes): each requested range is
+// fanning work over worker processes): each requested range is
 // forwarded as one ChunkRequest with K0/K1 overwritten. req.BaseSeed is
 // the evaluator's base seed. The evaluator is stateless and safe for
 // concurrent use.

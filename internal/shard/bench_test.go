@@ -12,7 +12,7 @@ import (
 
 // The BenchmarkShardedRatio* family measures what the service tier costs:
 // an upper-bound-judged Monte-Carlo ratio estimation run through a
-// coordinator with N live qswitchd-style worker processes, every chunk
+// coordinator with N live worker processes, every chunk
 // travelling the full encode -> stdio -> worker -> decode -> merge loop.
 // Worker processes are spawned once per benchmark, outside the timed
 // region, so the numbers are steady-state dispatch + serialization +

@@ -28,12 +28,13 @@ var ErrClosed = errors.New("shard: coordinator closed")
 // and Addr must be set.
 type WorkerSpec struct {
 	// Cmd spawns a worker subprocess speaking the stdio protocol, e.g.
-	// {"qswitchd"} or {"qswitchd", "-chaos", "seed=1,kill=0.1"}.
+	// {"qswitchctl", "-serve"} or
+	// {"qswitchctl", "-serve", "-chaos", "seed=1,kill=0.1"}.
 	Cmd []string
 	// Env appends extra environment variables ("K=V") to a spawned
 	// worker's inherited environment.
 	Env []string
-	// Addr dials an already-running qswitchd -listen worker.
+	// Addr dials an already-running qswitchctl -serve -listen worker.
 	Addr string
 }
 
@@ -131,7 +132,7 @@ type CoordinatorStats struct {
 }
 
 // Coordinator shards ratio estimations and adversary hunts over a fleet
-// of qswitchd workers, surviving worker crashes, hangs and corrupted
+// of workers, surviving worker crashes, hangs and corrupted
 // responses (bounded-backoff retries against deterministic chunks), its
 // own crashes (fsync'd checkpoint log), and total worker loss (in-process
 // fallback). It implements ratio.ChunkService, so ratio.RunSharded and
@@ -236,25 +237,6 @@ func (c *Coordinator) Health() []WorkerHealth {
 	return out
 }
 
-// WaitReady blocks until every configured worker slot has settled for the
-// first time — finished its handshake and is serving, or spent its respawn
-// budget and is excluded — so that the chunks submitted next are spread
-// over the whole fleet instead of racing the slower handshakes. It returns
-// ctx's error if ctx ends first and ErrClosed if the coordinator is closed
-// first; with no workers configured it returns at once.
-func (c *Coordinator) WaitReady(ctx context.Context) error {
-	for _, hs := range c.health {
-		select {
-		case <-hs.settled:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-c.done:
-			return ErrClosed
-		}
-	}
-	return nil
-}
-
 // Close stops supervision, tears down spawned workers and closes the
 // checkpoint log. In-flight chunks receive ErrClosed.
 func (c *Coordinator) Close() error {
@@ -318,8 +300,8 @@ type HuntRequest struct {
 
 // Hunt runs the hunt's restarts in chunks of `chunk` (<= 0 selects 4)
 // across the workers and merges the per-chunk bests deterministically;
-// the result is byte-identical to adversary.Hunt with the same options
-// run in one process, regardless of chunking, worker count or faults.
+// the result is byte-identical to adversary.HuntRange over all restarts
+// in one process, regardless of chunking, worker count or faults.
 func (c *Coordinator) Hunt(ctx context.Context, req HuntRequest, chunk int) (adversary.HuntResult, error) {
 	restarts := req.Search.Restarts
 	if restarts < 1 {

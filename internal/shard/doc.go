@@ -1,6 +1,6 @@
 // Package shard is the crash-tolerant sharded experiment service: it
 // distributes Monte-Carlo ratio estimations and adversary hunts over a
-// fleet of qswitchd worker processes while guaranteeing results that are
+// fleet of worker processes while guaranteeing results that are
 // byte-identical to a single-process run, no matter what fails.
 //
 // The package has three tiers:
@@ -12,12 +12,12 @@
 //     a chunk executes identically wherever and whenever it runs; the
 //     encoded spec doubles as the chunk's checkpoint key.
 //
-//   - A worker (worker.go, Executor in exec.go): qswitchd serves chunk
-//     specs over stdio or TCP, heartbeating while it computes and caching
-//     resolved policy fleets and judges per spec across its chunk stream.
-//     Fault injection (qswitchd -chaos, internal/shard/faultinject) can
-//     deterministically kill, hang, delay or bit-corrupt the worker per
-//     request.
+//   - A worker (worker.go, Executor in exec.go): qswitchctl -serve
+//     serves chunk specs over stdio or TCP, heartbeating while it computes
+//     and caching resolved policy fleets and judges per spec across its
+//     chunk stream. Fault injection (its -chaos flag,
+//     internal/shard/faultinject) can deterministically kill, hang, delay
+//     or bit-corrupt the worker per request.
 //
 //   - A coordinator (coordinator.go): shards work over the fleet with
 //     per-chunk deadlines and heartbeat supervision, retries transport

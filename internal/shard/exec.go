@@ -10,7 +10,7 @@ import (
 )
 
 // Executor evaluates decoded chunk specs. It is the one execution engine
-// behind both qswitchd workers and the coordinator's in-process fallback,
+// behind both worker processes and the coordinator's in-process fallback,
 // so "execute remotely" and "execute locally" are the same code path fed
 // the same decoded spec. One evaluator's lanes (ratio.NewLanes) are
 // cached per (policy, judge, architecture), so a worker's fleet storage,
@@ -120,7 +120,7 @@ func (e *Executor) lanesFor(policy, judge string, crossbar bool) (*ratio.Lanes, 
 // judge) triple: OPT/ALG on valid sequences, with invalid or failing
 // candidates discarded, behind an adversary.Memo so that a candidate the
 // closure has already judged is not judged again. Every hunt backend —
-// adversary.Hunt in process, chunked hunts on workers — evaluates
+// adversary.HuntRange in process, chunked hunts on workers — evaluates
 // candidates through exactly this closure, which is what makes sharded
 // hunts byte-identical to local ones.
 func HuntEval(cfg switchsim.Config, crossbar bool, policy, judge string) (adversary.Ratio, error) {

@@ -1,5 +1,5 @@
 // Package faultinject supplies the deterministic chaos schedule behind
-// qswitchd's -chaos flag: given a seed and per-fault probabilities, it
+// qswitchctl's -chaos flag: given a seed and per-fault probabilities, it
 // decides — reproducibly, per chunk request — whether the worker should
 // crash, hang, delay its reply or bit-corrupt its response frame. The
 // schedule is a pure function of (seed, request index), so a chaotic run
@@ -35,24 +35,6 @@ const (
 	// computed, so the receiver's CRC check must catch it.
 	Corrupt
 )
-
-// String implements fmt.Stringer.
-func (a Action) String() string {
-	switch a {
-	case None:
-		return "none"
-	case Kill:
-		return "kill"
-	case Hang:
-		return "hang"
-	case Delay:
-		return "delay"
-	case Corrupt:
-		return "corrupt"
-	default:
-		return fmt.Sprintf("action(%d)", int(a))
-	}
-}
 
 // Plan is one request's fault decision.
 type Plan struct {

@@ -88,19 +88,6 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-func TestActionString(t *testing.T) {
-	for a, want := range map[Action]string{
-		None: "none", Kill: "kill", Hang: "hang", Delay: "delay", Corrupt: "corrupt",
-	} {
-		if a.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(a), a.String(), want)
-		}
-	}
-	if Action(99).String() == "" {
-		t.Error("out-of-range action has empty String")
-	}
-}
-
 // TestDelayBounded: delay plans respect the configured cap.
 func TestDelayBounded(t *testing.T) {
 	in := New(3, 0, 0, 1, 0)

@@ -84,15 +84,6 @@ func appendFrameV(dst []byte, version byte, ft frameType, payload []byte) []byte
 	return binary.BigEndian.AppendUint64(dst, crc)
 }
 
-// writeFrame encodes and writes one frame.
-func writeFrame(w io.Writer, ft frameType, payload []byte) error {
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("shard: frame payload %d bytes exceeds limit %d", len(payload), maxFramePayload)
-	}
-	_, err := w.Write(appendFrame(nil, ft, payload))
-	return err
-}
-
 // readFrame reads and verifies one frame, returning its type, payload and
 // total encoded size. io.EOF is returned verbatim when the stream ends
 // cleanly on a frame boundary; any other failure (short read, bad magic,

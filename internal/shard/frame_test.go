@@ -10,6 +10,15 @@ import (
 	"testing"
 )
 
+// writeFrame encodes and writes one frame.
+func writeFrame(w io.Writer, ft frameType, payload []byte) error {
+	if len(payload) > maxFramePayload {
+		return fmt.Errorf("shard: frame payload %d bytes exceeds limit %d", len(payload), maxFramePayload)
+	}
+	_, err := w.Write(appendFrame(nil, ft, payload))
+	return err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte(`{"a":1}`), nil, bytes.Repeat([]byte("x"), 4096)}

@@ -6,7 +6,7 @@ import (
 )
 
 // Shard-tier metric names. The worker-side family is registered by a
-// qswitchd serving with ServeOptions.Metrics; the per-slot family is
+// worker serving with ServeOptions.Metrics; the per-slot family is
 // registered (with a worker="i" label) by a coordinator created with
 // CoordinatorOptions.Metrics.
 const (

@@ -13,9 +13,28 @@ import (
 	"time"
 
 	"qswitch/internal/obs"
-	"qswitch/internal/obs/promcheck"
 	"qswitch/internal/ratio"
+	"qswitch/internal/testkit/promcheck"
 )
+
+// WaitReady blocks until every configured worker slot has settled for the
+// first time — finished its handshake and is serving, or spent its respawn
+// budget and is excluded — so that the chunks submitted next are spread
+// over the whole fleet instead of racing the slower handshakes. It returns
+// ctx's error if ctx ends first and ErrClosed if the coordinator is closed
+// first; with no workers configured it returns at once.
+func (c *Coordinator) WaitReady(ctx context.Context) error {
+	for _, hs := range c.health {
+		select {
+		case <-hs.settled:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-c.done:
+			return ErrClosed
+		}
+	}
+	return nil
+}
 
 func TestFrameVersionRange(t *testing.T) {
 	// Both live protocol versions roundtrip through the codec.
@@ -234,7 +253,7 @@ func TestCoordinatorHealthAndMetrics(t *testing.T) {
 		t.Errorf("labeled chunk counters sum to %v, want 6; snapshot: %v", counted, snap)
 	}
 	// The registry must render as strictly parseable Prometheus text —
-	// the same validation CI runs against a live qswitchd scrape.
+	// the same validation CI runs against a live worker's scrape.
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

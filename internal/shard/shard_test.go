@@ -1,8 +1,8 @@
 package shard
 
 // The integration tests here exercise the whole service tier with real
-// worker subprocesses: the test binary re-execs itself as a qswitchd-style
-// worker when QSWITCH_SHARD_WORKER=1 (see TestMain), so every test runs
+// worker subprocesses: the test binary re-execs itself as a worker when
+// QSWITCH_SHARD_WORKER=1 (see TestMain), so every test runs
 // chunks across genuine process boundaries, under fault injection, exactly
 // as the CLI deployment does — in ordinary `go test`, no external binaries
 // needed.
@@ -152,7 +152,7 @@ func TestShardedRatioMatchesRun(t *testing.T) {
 }
 
 // TestShardedExperimentsMatchSingleProcess is the PR's acceptance test:
-// E1–E4 sharded across two qswitchd worker processes must render the
+// E1–E4 sharded across two worker processes must render the
 // byte-identical tables a single-process run produces.
 func TestShardedExperimentsMatchSingleProcess(t *testing.T) {
 	c := newTestCoordinator(t, CoordinatorOptions{Workers: workerSpecs(t, "", "")})
@@ -286,8 +286,8 @@ func TestLocalFallbackIdentity(t *testing.T) {
 	want := microBaseline(t, runs)
 	c := newTestCoordinator(t, CoordinatorOptions{
 		Workers: []WorkerSpec{
-			{Cmd: []string{"/nonexistent/qswitchd-for-shard-test"}},
-			{Cmd: []string{"/nonexistent/qswitchd-for-shard-test"}},
+			{Cmd: []string{"/nonexistent/worker-for-shard-test"}},
+			{Cmd: []string{"/nonexistent/worker-for-shard-test"}},
 		},
 		MaxRespawns: 1,
 	})
@@ -349,7 +349,7 @@ func TestShardedTCPWorkers(t *testing.T) {
 }
 
 // TestShardedHuntMatchesHunt: a hunt sharded over two worker processes
-// must reproduce adversary.Hunt byte-for-byte, including the winning
+// must reproduce adversary.HuntRange byte-for-byte, including the winning
 // sequence and its provenance.
 func TestShardedHuntMatchesHunt(t *testing.T) {
 	req := HuntRequest{
@@ -364,7 +364,7 @@ func TestShardedHuntMatchesHunt(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HuntEval: %v", err)
 	}
-	want := adversary.Hunt(req.Search, eval)
+	want := adversary.HuntRange(req.Search, eval, 0, max(1, req.Search.Restarts))
 
 	c := newTestCoordinator(t, CoordinatorOptions{Workers: workerSpecs(t, "", "")})
 	got, err := c.Hunt(context.Background(), req, 2)
@@ -372,7 +372,7 @@ func TestShardedHuntMatchesHunt(t *testing.T) {
 		t.Fatalf("Hunt: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded hunt differs from adversary.Hunt:\n got  %+v\n want %+v", got, want)
+		t.Errorf("sharded hunt differs from adversary.HuntRange:\n got  %+v\n want %+v", got, want)
 	}
 }
 
@@ -504,7 +504,7 @@ func TestCoordinatorRejectsBadWorkerSpec(t *testing.T) {
 // and chunks are stuck in retry loops.
 func TestContextCancelPromptlyAborts(t *testing.T) {
 	c := newTestCoordinator(t, CoordinatorOptions{
-		Workers:     []WorkerSpec{{Cmd: []string{"/nonexistent/qswitchd-for-shard-test"}}},
+		Workers:     []WorkerSpec{{Cmd: []string{"/nonexistent/worker-for-shard-test"}}},
 		MaxRespawns: 1000, // keep the slot retrying so nothing ever executes
 		RetryBase:   time.Second,
 		RetryMax:    time.Second,

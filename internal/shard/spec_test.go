@@ -77,7 +77,6 @@ type oddDist struct{}
 
 func (oddDist) Name() string              { return "odd" }
 func (oddDist) Sample(_ *rand.Rand) int64 { return 1 }
-func (oddDist) Max() int64                { return 1 }
 
 // TestEncodeRatioChunkFailsFast: a generator that cannot cross the
 // process boundary must be rejected before any dispatch.

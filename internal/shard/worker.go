@@ -33,7 +33,7 @@ type ServeOptions struct {
 	Logf func(format string, args ...any)
 	// Metrics, when set, receives the worker-side counters
 	// (qswitch_worker_chunks_total, _units_total, _chunk_seconds) — the
-	// registry a qswitchd -metrics-addr endpoint serves.
+	// registry a qswitchctl -serve -metrics-addr endpoint serves.
 	Metrics *obs.Registry
 }
 
@@ -66,7 +66,7 @@ func (o ServeOptions) logf(format string, args ...any) {
 }
 
 // ServeStdio serves the worker protocol over stdin/stdout — the transport
-// a coordinator-spawned qswitchd uses.
+// a coordinator-spawned worker (qswitchctl -serve) uses.
 func ServeStdio(opts ServeOptions) error {
 	return Serve(os.Stdin, os.Stdout, opts)
 }

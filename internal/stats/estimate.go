@@ -29,13 +29,6 @@ func (e *Estimator) HalfWidth(confidence float64) float64 {
 	return TCrit(n-1, confidence) * e.Std() / math.Sqrt(float64(n))
 }
 
-// Interval returns the two-sided Student-t confidence interval for the
-// mean at the given confidence level.
-func (e *Estimator) Interval(confidence float64) (lo, hi float64) {
-	hw := e.HalfWidth(confidence)
-	return e.Mean() - hw, e.Mean() + hw
-}
-
 // Target is a precision target for a sequential estimation: keep sampling
 // until the Student-t CI half-width on the mean clears the absolute
 // and/or relative width, then stop. The zero value is disabled (sampling

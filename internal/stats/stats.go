@@ -2,12 +2,10 @@
 // benchmark harness: streaming moments (Welford), quantiles (exact and
 // the constant-space P² sketch), confidence intervals (normal CI95 and
 // exact Student-t via Estimator/TCrit), sequential precision Targets,
-// rule-of-three exceedance bounds, histograms, and ASCII/CSV table
-// rendering.
+// rule-of-three exceedance bounds, and ASCII/CSV table rendering.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -80,24 +78,10 @@ func (a *Acc) CI95() float64 {
 	return 1.96 * a.Std() / math.Sqrt(float64(a.n))
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
-//
-// Each call copies and sorts xs; callers extracting several quantiles
-// from the same data should use Quantiles, which sorts once.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-// Quantiles returns the quantiles of xs at each probability in qs, using
-// the same interpolation as Quantile but copying and sorting xs only
-// once — per-call cost O(n log n + |qs|) instead of |qs|·O(n log n).
-// xs is not modified.
+// Quantiles returns the quantiles of xs at each probability in qs
+// (0 <= q <= 1), using linear interpolation between order statistics. It
+// copies and sorts xs once, so the cost is O(n log n + |qs|). xs is not
+// modified.
 func Quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if len(xs) == 0 {
@@ -126,49 +110,4 @@ func quantileSorted(s []float64, q float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Histogram bins observations into equal-width buckets over [lo, hi].
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int64
-	Under   int64
-	Over    int64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram range [%g,%g)", lo, hi))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n)}
-}
-
-// Add bins one observation.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi {
-		h.Over++
-		return
-	}
-	k := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if k == len(h.Buckets) {
-		k--
-	}
-	h.Buckets[k]++
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int64 {
-	t := h.Under + h.Over
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
 }

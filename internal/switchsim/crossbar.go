@@ -126,17 +126,6 @@ func NewCrossbar(cfg Config, inDisc, crossDisc, outDisc queue.Discipline) *Cross
 // QueuedPackets returns the number of packets currently stored anywhere.
 func (sw *Crossbar) QueuedPackets() int64 { return sw.inCount + sw.crossCount + sw.outCount }
 
-// InputQueued returns the number of packets currently stored in the input
-// virtual output queues.
-func (sw *Crossbar) InputQueued() int64 { return sw.inCount }
-
-// CrossQueued returns the number of packets currently stored in the
-// crosspoint queues. The crossbar is quiescent — no subphase can move a
-// packet — exactly when both InputQueued and CrossQueued are zero; while
-// crosspoints hold packets the output subphase still makes policy-specific
-// choices, so those slots are always simulated densely.
-func (sw *Crossbar) CrossQueued() int64 { return sw.crossCount }
-
 // OutputBacklog returns the length of the longest output queue — the
 // number of drain-only slots needed to empty the switch once the input
 // and crosspoint layers are empty and no further arrivals occur.

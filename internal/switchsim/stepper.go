@@ -123,6 +123,3 @@ func (st *CIOQStepper) Finish(maxDrain int) (*Result, error) {
 	st.done = true
 	return st.e.result(st.slot)
 }
-
-// Benefit returns the value transmitted so far.
-func (st *CIOQStepper) Benefit() int64 { return st.e.sw.M.Benefit }

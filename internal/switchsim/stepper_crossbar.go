@@ -33,9 +33,6 @@ func (st *CrossbarStepper) Slot() int { return st.slot }
 // Switch exposes the live switch state for adaptive callers.
 func (st *CrossbarStepper) Switch() *Crossbar { return st.e.sw }
 
-// Benefit returns the value transmitted so far.
-func (st *CrossbarStepper) Benefit() int64 { return st.e.sw.M.Benefit }
-
 // StepSlot runs one full time slot with the given arrivals (ports and
 // values; Arrival and ID are assigned by the stepper).
 func (st *CrossbarStepper) StepSlot(arrivals []packet.Packet) error {

@@ -49,8 +49,8 @@ func TestCrossbarStepperLifecycle(t *testing.T) {
 	if err := st.StepSlot([]packet.Packet{{In: 0, Out: 0, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Slot() != 1 || st.Benefit() != 1 {
-		t.Errorf("slot=%d benefit=%d after one step", st.Slot(), st.Benefit())
+	if st.Slot() != 1 || st.Switch().M.Benefit != 1 {
+		t.Errorf("slot=%d benefit=%d after one step", st.Slot(), st.Switch().M.Benefit)
 	}
 	if st.Switch() == nil {
 		t.Error("no switch exposed")

@@ -71,8 +71,8 @@ func TestStepperLifecycle(t *testing.T) {
 	if st.Slot() != 1 {
 		t.Errorf("after one step at slot %d", st.Slot())
 	}
-	if st.Benefit() != 1 {
-		t.Errorf("benefit %d after first slot (packet should flow through)", st.Benefit())
+	if b := st.Switch().M.Benefit; b != 1 {
+		t.Errorf("benefit %d after first slot (packet should flow through)", b)
 	}
 	if _, err := st.Finish(10); err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package promcheck
+package testkit
 
 import (
 	"go/parser"
@@ -10,11 +10,12 @@ import (
 	"testing"
 )
 
-// TestPromcheckIsTestOnly keeps the parser out of every binary: no non-test
-// file of the module, the bench/ suite included, may import this package.
-func TestPromcheckIsTestOnly(t *testing.T) {
-	const self = "qswitch/internal/obs/promcheck"
-	root := filepath.Join("..", "..", "..")
+// TestTestkitIsTestOnly keeps testkit out of every binary: no non-test
+// file of the module outside internal/testkit, the bench/ suite included,
+// may import it or any of its subpackages.
+func TestTestkitIsTestOnly(t *testing.T) {
+	const self = "qswitch/internal/testkit"
+	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	checked := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -22,7 +23,9 @@ func TestPromcheckIsTestOnly(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != root {
+			rel, _ := filepath.Rel(root, path)
+			if rel == filepath.Join("internal", "testkit") || d.Name() == "testdata" ||
+				strings.HasPrefix(d.Name(), ".") && rel != "." {
 				return filepath.SkipDir
 			}
 			return nil
@@ -36,8 +39,8 @@ func TestPromcheckIsTestOnly(t *testing.T) {
 		}
 		checked++
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == self {
-				t.Errorf("%s: imports %s, a test-only parser", fset.Position(imp.Pos()), self)
+			if p, _ := strconv.Unquote(imp.Path.Value); p == self || strings.HasPrefix(p, self+"/") {
+				t.Errorf("%s: imports %s, which is test-only", fset.Position(imp.Pos()), p)
 			}
 		}
 		return nil

@@ -55,7 +55,7 @@ run "$bin/tracegen" -inspect "$work/trace.bin"
 run "$bin/tracegen" -convert "$work/trace.bin" -json "$work/trace.json"
 run "$bin/switchsim" -model cioq -policy pg -trace "$work/trace.bin" -stream
 run "$bin/switchsim" -model crossbar -policy cpg -trace "$work/trace.bin" -latency
-run "$bin/qswitchd" </dev/null
+run "$bin/qswitchctl" -serve </dev/null
 run "$bin/qswitchctl" -workers 2 -run e1,e2,e3,e4 -quick -checkpoint "$work/ckpt"
 run "$bin/qswitchctl" -workers 2 -run e1,e2,e3,e4 -quick -checkpoint "$work/ckpt"
 run "$bin/qswitchctl" -workers 2 -run e1 -quick -ci-target 0.05
