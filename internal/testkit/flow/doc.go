@@ -1,7 +1,7 @@
 // Package flow implements a min-cost max-flow solver: successive shortest
 // augmenting paths with Johnson potentials, on integer capacities and
 // costs, so the optimum is exact. It is a test-only reference oracle that
-// no production package imports (testkit.TestTestkitIsTestOnly):
+// no production package imports (TestFlowIsTestOnly):
 // internal/iq's tests solve the input-queued optimum as one flow to check
 // iq.ExactOPT's greedy, and internal/offline's tests build the flow
 // references for its judges.

@@ -1,54 +1,9 @@
 package testkit
 
-import (
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestTestkitIsTestOnly keeps testkit out of every binary: no non-test
-// file of the module outside internal/testkit, the bench/ suite included,
-// may import it or any of its subpackages.
+// file outside internal/testkit may import it or any of its subpackages.
 func TestTestkitIsTestOnly(t *testing.T) {
-	const self = "qswitch/internal/testkit"
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-	checked := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			rel, _ := filepath.Rel(root, path)
-			if rel == filepath.Join("internal", "testkit") || d.Name() == "testdata" ||
-				strings.HasPrefix(d.Name(), ".") && rel != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		checked++
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == self || strings.HasPrefix(p, self+"/") {
-				t.Errorf("%s: imports %s, which is test-only", fset.Position(imp.Pos()), p)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if checked < 100 {
-		t.Fatalf("checked only %d files; is the module root at %s?", checked, root)
-	}
+	CheckTestOnly(t, "qswitch/internal/testkit")
 }
