@@ -102,11 +102,17 @@ func main() {
 		fatal(err)
 	}
 	defer sess.Close()
+	// fatal skips the deferred closes; fail closes the session first, so a
+	// failed run still writes its profiles.
+	fail := func(err error) {
+		sess.Close()
+		fatal(err)
+	}
 	var runLog *slog.Logger
 	if *events != "" {
 		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fatal(err)
+			fail(err)
 		}
 		defer f.Close()
 		runLog = obs.NewRunLog(f)
@@ -125,12 +131,12 @@ func main() {
 	}
 	exe, err := os.Executable()
 	if err != nil {
-		fatal(fmt.Errorf("cannot locate own binary for -workers: %w", err))
+		fail(fmt.Errorf("cannot locate own binary for -workers: %w", err))
 	}
 	if *chaos != "" {
 		// Fail fast on a bad spec here rather than in every worker.
 		if _, err := faultinject.ParseSpec(*chaos); err != nil {
-			fatal(err)
+			fail(err)
 		}
 	}
 	for i := 0; i < *workers; i++ {
@@ -148,7 +154,7 @@ func main() {
 
 	coord, err := shard.NewCoordinator(opts)
 	if err != nil {
-		fatal(err)
+		fail(err)
 	}
 	defer coord.Close()
 
@@ -161,13 +167,17 @@ func main() {
 	start := time.Now()
 	switch {
 	case *hunt != "":
-		runHunt(coord, *hunt, *huntJudge, *crossbar, *restarts, *iterations, *maxValue, *seed, *chunk, *confidence)
+		err = runHunt(coord, *hunt, *huntJudge, *crossbar, *restarts, *iterations, *maxValue, *seed, *chunk, *confidence)
 	case *run != "":
-		runExperiments(coord, sess.Reg, *run, *quick, *seed, *chunk, *ciTarget, *confidence)
+		err = runExperiments(coord, sess.Reg, *run, *quick, *seed, *chunk, *ciTarget, *confidence)
 	default:
 		fmt.Fprintln(os.Stderr, "qswitchctl: nothing to do; use -run or -hunt")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err != nil {
+		coord.Close() // and with it the checkpoint log
+		fail(err)
 	}
 	st := coord.Stats()
 	fmt.Printf("\n%s elapsed — chunks: %d executed, %d from checkpoint, %d local; retries: %d, respawns: %d, excluded workers: %d\n",
@@ -246,7 +256,7 @@ func statusLoop(coord *shard.Coordinator, stop <-chan struct{}) {
 // ciTarget makes each estimation sequential, issuing seed chunks to the
 // workers only until its CI half-width clears the target.
 func runExperiments(coord *shard.Coordinator, reg *obs.Registry, ids string, quick bool, seed int64, chunk int,
-	ciTarget, confidence float64) {
+	ciTarget, confidence float64) error {
 	opts := experiments.Options{
 		Quick: quick, Seed: seed, Shard: coord, ShardChunk: chunk,
 		CITarget: stats.Target{AbsWidth: ciTarget, Confidence: confidence},
@@ -255,23 +265,24 @@ func runExperiments(coord *shard.Coordinator, reg *obs.Registry, ids string, qui
 	for _, id := range strings.Split(ids, ",") {
 		exp, ok := experiments.ByID(strings.TrimSpace(id))
 		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q", id))
+			return fmt.Errorf("unknown experiment %q", id)
 		}
 		tables, err := exp.Run(opts)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", exp.ID, err))
+			return fmt.Errorf("%s: %w", exp.ID, err)
 		}
 		for _, tb := range tables {
 			fmt.Println()
 			tb.Render(os.Stdout)
 		}
 	}
+	return nil
 }
 
 // runHunt shards an adversary hunt's restarts across the workers and
 // prints a confidence-annotated verdict alongside the witness.
 func runHunt(coord *shard.Coordinator, policy, judge string, crossbar bool,
-	restarts, iterations int, maxValue, seed int64, chunk int, confidence float64) {
+	restarts, iterations int, maxValue, seed int64, chunk int, confidence float64) error {
 	cfg := switchsim.Config{Inputs: 2, Outputs: 2, InputBuf: 1, OutputBuf: 1, CrossBuf: 1, Speedup: 1}
 	req := shard.HuntRequest{
 		Cfg: cfg, Crossbar: crossbar, Policy: policy, Judge: judge,
@@ -282,7 +293,7 @@ func runHunt(coord *shard.Coordinator, policy, judge string, crossbar bool,
 	}
 	res, err := coord.Hunt(context.Background(), req, chunk)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("hunt %s vs %s: best ratio %.4f (restart %d, %d accepted, %d tried)\n",
 		policy, judge, res.Ratio, res.Restart, res.Accepted, res.Tried)
@@ -290,6 +301,7 @@ func runHunt(coord *shard.Coordinator, policy, judge string, crossbar bool,
 	for _, p := range res.Seq {
 		fmt.Printf("  t=%d in=%d out=%d v=%d\n", p.Arrival, p.In, p.Out, p.Value)
 	}
+	return nil
 }
 
 // perWorkerChaos offsets the spec's seed by the worker index, so spawned

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"qswitch/internal/core"
 	"qswitch/internal/obs"
@@ -86,32 +87,69 @@ func (o Options) ProbeSnapshot() map[string]float64 { return o.Probes.Snapshot()
 const fleetBatch = 64
 
 // estimate measures OPT/ALG for one policy family over `runs` seeded
-// workloads on the backend the options select (see Options). In process
-// it runs ratio.FleetChunks on GOMAXPROCS workers, each with its own
-// evaluator — its own judge, seed generator and fleet storage — so
-// GOMAXPROCS=1 is one worker on the caller's goroutine. A fixed budget is
-// cut into fleet batches; a CI target decides at every SeqChunk seeds. A
-// fixed budget on a shard puts every chunk in flight at once, and a target
-// on a shard issues its chunks one at a time. The seed-ordered merge makes
-// every estimate byte-identical at any worker count and chunk size.
-func (o Options) estimate(cfg switchsim.Config, pol policyRef, judge judgeRef, gen packet.Generator,
+// workloads on the backend the options select (see Options), under ctx.
+// In process it runs ratio.FleetChunks on min(GOMAXPROCS, chunks)
+// workers, each with its own evaluator — its own judge, seed generator
+// and fleet storage — so GOMAXPROCS=1 is one worker on the caller's
+// goroutine. A fixed budget is cut into fleet batches; a CI target decides
+// at every SeqChunk seeds. A fixed budget on a shard puts every chunk in
+// flight at once, and a target on a shard issues its chunks one at a time.
+// The seed-ordered merge makes every estimate byte-identical at any worker
+// count and chunk size. A table's rows call it through estimateRows, so
+// every row of the table is in flight at once.
+func (o Options) estimate(ctx context.Context, cfg switchsim.Config, pol policyRef, judge judgeRef, gen packet.Generator,
 	seed int64, runs int) (ratio.Estimate, error) {
 	seq := ratio.SequentialOptions{Target: o.CITarget, Chunk: o.SeqChunk, MaxRuns: runs}
 	if o.Shard != nil {
 		req := ratio.ChunkRequest{Cfg: cfg, Crossbar: pol.crossbar, Policy: pol.spec, Judge: judge.spec, Gen: gen, BaseSeed: seed}
 		if !o.CITarget.Enabled() {
-			return ratio.RunSharded(o.ctx(), o.Shard, req, runs, o.ShardChunk)
+			return ratio.RunSharded(ctx, o.Shard, req, runs, o.ShardChunk)
 		}
-		est, _, err := ratio.RunSequential(o.ctx(), ratio.ShardedChunks(o.Shard, req), seq)
+		est, _, err := ratio.RunSequential(ctx, ratio.ShardedChunks(o.Shard, req), seq)
 		return est, err
 	}
 	if !o.CITarget.Enabled() {
 		seq.Chunk = fleetBatch
 	}
-	est, _, err := ratio.RunSequentialPool(o.ctx(), func() ratio.ChunkEvaluator {
+	est, _, err := ratio.RunSequentialPool(ctx, func() ratio.ChunkEvaluator {
 		return ratio.FleetChunks(cfg, pol.fleet, judge.factory, gen, seed, fleetBatch)
 	}, seq)
 	return est, err
+}
+
+// estimateRows runs row(ctx, i) for the n rows of one table, each on its
+// own goroutine, and returns the estimates in row order. The error is the
+// lowest failing row's, as row returned it: a failed row cancels the rows
+// after it, while the rows before it run to completion, so the reported
+// row is the one a serial loop would have stopped at.
+func (o Options) estimateRows(n int, row func(ctx context.Context, i int) (ratio.Estimate, error)) ([]ratio.Estimate, error) {
+	ests := make([]ratio.Estimate, n)
+	errs := make([]error, n)
+	ctxs := make([]context.Context, n)
+	cancels := make([]context.CancelFunc, n)
+	for i := range n {
+		ctxs[i], cancels[i] = context.WithCancel(o.ctx())
+		defer cancels[i]()
+	}
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if ests[i], errs[i] = row(ctxs[i], i); errs[i] != nil {
+				for _, cancel := range cancels[i+1:] {
+					cancel()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ests, nil
 }
 
 // ctx is the context experiment runs execute under; experiments are

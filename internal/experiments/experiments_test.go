@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"qswitch/internal/core"
 	"qswitch/internal/ratio"
@@ -181,5 +184,109 @@ func TestFleetOptionBitIdentical(t *testing.T) {
 		if got, want := render(tables), render(ref); got != want {
 			t.Errorf("%s: the fleet evaluator changed results:\nreference loop:\n%s\nfleet:\n%s", id, want, got)
 		}
+	}
+}
+
+// failRows is a ratio.ChunkService that fails every chunk of the rows
+// whose base seed is in fail and answers the rest through inner.
+type failRows struct {
+	inner ratio.ChunkService
+	fail  map[int64]bool
+}
+
+func (s failRows) RatioChunk(ctx context.Context, req ratio.ChunkRequest) ([]ratio.SeedOutcome, error) {
+	if s.fail[req.BaseSeed] {
+		return nil, fmt.Errorf("injected failure at base seed %d", req.BaseSeed)
+	}
+	return s.inner.RatioChunk(ctx, req)
+}
+
+// TestEstimateRowsErrorParity: with E1's rows in flight at once, a failed
+// row reports the error a serial row loop reports — the lowest failing
+// row's, wrapped as before — on a fixed budget (RunSharded, several chunks
+// a row) and under a CI target (one chunk at a time).
+func TestEstimateRowsErrorParity(t *testing.T) {
+	// Quick E1 row i sits at base seed 1000*(i/4) + 100*(i%4): row 1 is
+	// seed 100, row 10 seed 2200.
+	cases := []struct {
+		name string
+		fail []int64
+		opts Options
+		want string
+	}{
+		{"fixed two rows", []int64{100, 2200}, Options{ShardChunk: 2},
+			"e1: shard chunk 0: injected failure at base seed 100"},
+		{"fixed later row", []int64{2200}, Options{ShardChunk: 2},
+			"e1: shard chunk 0: injected failure at base seed 2200"},
+		{"target two rows", []int64{100, 2200}, Options{CITarget: stats.Target{AbsWidth: 1e-9}, SeqChunk: 2},
+			"e1: injected failure at base seed 100"},
+		{"target later row", []int64{2200}, Options{CITarget: stats.Target{AbsWidth: 1e-9}, SeqChunk: 2},
+			"e1: injected failure at base seed 2200"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fail := map[int64]bool{}
+			for _, s := range c.fail {
+				fail[s] = true
+			}
+			opts := c.opts
+			opts.Quick = true
+			opts.Shard = failRows{inner: refChunks{new(atomic.Int64)}, fail: fail}
+			_, err := E1GMRatio(opts)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("E1 error = %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
+// holdFirstRow is a ratio.ChunkService that holds row 0's first chunk
+// until a chunk of another row has arrived, or fails it once wait runs
+// out; every other chunk goes to inner.
+type holdFirstRow struct {
+	inner    ratio.ChunkService
+	row0     int64
+	wait     time.Duration
+	other    chan struct{}
+	sawOther *sync.Once
+}
+
+func (s holdFirstRow) RatioChunk(ctx context.Context, req ratio.ChunkRequest) ([]ratio.SeedOutcome, error) {
+	if req.BaseSeed != s.row0 {
+		s.sawOther.Do(func() { close(s.other) })
+	} else if req.K0 == 0 {
+		select {
+		case <-s.other:
+		case <-time.After(s.wait):
+			return nil, errors.New("no other row's chunk arrived while row 0's first chunk was held: rows ran one after another")
+		}
+	}
+	return s.inner.RatioChunk(ctx, req)
+}
+
+// TestEstimateRowsOverlap: E1's rows are in flight together, so a chunk
+// of another row reaches the service while row 0's first chunk is still
+// outstanding. A serial row loop fails it once the wait, bounded by the
+// test deadline, runs out.
+func TestEstimateRowsOverlap(t *testing.T) {
+	wait := 30 * time.Second
+	if d, ok := t.Deadline(); ok {
+		wait = min(wait, time.Until(d)/2)
+	}
+	svc := holdFirstRow{inner: refChunks{new(atomic.Int64)}, row0: 3, wait: wait,
+		other: make(chan struct{}), sawOther: new(sync.Once)}
+	tables, err := E1GMRatio(Options{Quick: true, Seed: 3, Shard: svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := E1GMRatio(Options{Quick: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, ref bytes.Buffer
+	tables[0].RenderCSV(&got)
+	want[0].RenderCSV(&ref)
+	if got.String() != ref.String() {
+		t.Errorf("held-row table differs:\n%s\nwant:\n%s", got.String(), ref.String())
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -36,16 +37,17 @@ func E1GMRatio(opts Options) ([]*stats.Table, error) {
 		c2.Speedup = 2
 		cfgs = append(cfgs, c2)
 	}
-	for ci, cfg := range cfgs {
-		for gi, gen := range gens {
-			est, err := opts.estimate(cfg, alg, judgeRef{"exactunit", ratio.ExactUnitCIOQ}, gen,
-				opts.Seed+int64(1000*ci+100*gi), runs)
-			if err != nil {
-				return nil, fmt.Errorf("e1: %w", err)
-			}
-			tb.AddRow(fmtCfg(cfg), gen.Name(), est.Runs, est.Max, est.Mean,
-				est.HalfWidth(opts.confidence()), 3.0, boolMark(est.Max <= 3.0+1e-9))
-		}
+	ests, err := opts.estimateRows(len(cfgs)*len(gens), func(ctx context.Context, i int) (ratio.Estimate, error) {
+		ci, gi := i/len(gens), i%len(gens)
+		return opts.estimate(ctx, cfgs[ci], alg, judgeRef{"exactunit", ratio.ExactUnitCIOQ}, gens[gi],
+			opts.Seed+int64(1000*ci+100*gi), runs)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("e1: %w", err)
+	}
+	for i, est := range ests {
+		tb.AddRow(fmtCfg(cfgs[i/len(gens)]), gens[i%len(gens)].Name(), est.Runs, est.Max, est.Mean,
+			est.HalfWidth(opts.confidence()), 3.0, boolMark(est.Max <= 3.0+1e-9))
 	}
 	return []*stats.Table{tb}, nil
 }
@@ -69,13 +71,15 @@ func E2PGRatio(opts Options) ([]*stats.Table, error) {
 	}
 	cfg := microCfg(slots)
 	alg := cioqRef("pg")
-	for gi, gen := range gens {
-		est, err := opts.estimate(cfg, alg, judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gen,
+	estsA, err := opts.estimateRows(len(gens), func(ctx context.Context, gi int) (ratio.Estimate, error) {
+		return opts.estimate(ctx, cfg, alg, judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gens[gi],
 			opts.Seed+int64(100*gi), runs)
-		if err != nil {
-			return nil, fmt.Errorf("e2a: %w", err)
-		}
-		tbA.AddRow(gen.Name(), est.Runs, est.Max, est.Mean,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("e2a: %w", err)
+	}
+	for gi, est := range estsA {
+		tbA.AddRow(gens[gi].Name(), est.Runs, est.Max, est.Mean,
 			est.HalfWidth(opts.confidence()), bound, boolMark(est.Max <= bound+1e-9))
 	}
 
@@ -121,10 +125,10 @@ func E2PGRatio(opts Options) ([]*stats.Table, error) {
 }
 
 // betaSweepEstimates measures every point of a policy family over the
-// same seed stream: independently through estimate, or — with
-// Options.Paired and no shard — through ratio.RunPaired, which steps all
-// points on shared sequences with one judge call per seed. Marginal
-// estimates are byte-identical either way.
+// same seed stream: independently, every point in flight at once through
+// estimateRows, or — with Options.Paired and no shard — through
+// ratio.RunPaired, which steps all points on shared sequences with one
+// judge call per seed. Marginal estimates are byte-identical either way.
 func (o Options) betaSweepEstimates(cfg switchsim.Config, pols []policyRef,
 	gen packet.Generator, seed int64, runs int) ([]ratio.Estimate, error) {
 	if o.Paired && o.Shard == nil {
@@ -139,15 +143,13 @@ func (o Options) betaSweepEstimates(cfg switchsim.Config, pols []policyRef,
 		}
 		return pe.Marginals, nil
 	}
-	ests := make([]ratio.Estimate, len(pols))
-	for i, pol := range pols {
-		est, err := o.estimate(cfg, pol, judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gen, seed, runs)
+	return o.estimateRows(len(pols), func(ctx context.Context, i int) (ratio.Estimate, error) {
+		est, err := o.estimate(ctx, cfg, pols[i], judgeRef{"exactweighted", ratio.ExactWeightedCIOQ}, gen, seed, runs)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", pol.spec, err)
+			return est, fmt.Errorf("%s: %w", pols[i].spec, err)
 		}
-		ests[i] = est
-	}
-	return ests, nil
+		return est, nil
+	})
 }
 
 // prefixDiff is ratio.PairedDiff over the aligned sample prefix: two
@@ -186,16 +188,17 @@ func E3CGURatio(opts Options) ([]*stats.Table, error) {
 		c.Speedup = 2
 		cfgs = append(cfgs, c)
 	}
-	for ci, cfg := range cfgs {
-		for gi, gen := range gens {
-			est, err := opts.estimate(cfg, alg, judgeRef{"exactunit", ratio.ExactUnitCrossbar}, gen,
-				opts.Seed+int64(1000*ci+100*gi), runs)
-			if err != nil {
-				return nil, fmt.Errorf("e3: %w", err)
-			}
-			tb.AddRow(fmtCfg(cfg), gen.Name(), est.Runs, est.Max, est.Mean,
-				est.HalfWidth(opts.confidence()), 3.0, boolMark(est.Max <= 3.0+1e-9))
-		}
+	ests, err := opts.estimateRows(len(cfgs)*len(gens), func(ctx context.Context, i int) (ratio.Estimate, error) {
+		ci, gi := i/len(gens), i%len(gens)
+		return opts.estimate(ctx, cfgs[ci], alg, judgeRef{"exactunit", ratio.ExactUnitCrossbar}, gens[gi],
+			opts.Seed+int64(1000*ci+100*gi), runs)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("e3: %w", err)
+	}
+	for i, est := range ests {
+		tb.AddRow(fmtCfg(cfgs[i/len(gens)]), gens[i%len(gens)].Name(), est.Runs, est.Max, est.Mean,
+			est.HalfWidth(opts.confidence()), 3.0, boolMark(est.Max <= 3.0+1e-9))
 	}
 	return []*stats.Table{tb}, nil
 }
@@ -239,12 +242,15 @@ func E4CPGParams(opts Options) ([]*stats.Table, error) {
 		{"cpg (beta*, alpha*)", crossbarRef("cpg"), core.CPGRatioClosedForm()},
 		{"cpg (beta=alpha)", crossbarRef(fmt.Sprintf("cpg(beta=%s,alpha=%s)", fmtParam(bEq), fmtParam(bEq))), rEq},
 	}
-	for vi, v := range variants {
-		est, err := opts.estimate(cfg, v.pol, judgeRef{"exactweighted", ratio.ExactWeightedCrossbar},
+	ests, err := opts.estimateRows(len(variants), func(ctx context.Context, vi int) (ratio.Estimate, error) {
+		return opts.estimate(ctx, cfg, variants[vi].pol, judgeRef{"exactweighted", ratio.ExactWeightedCrossbar},
 			gen, opts.Seed+int64(100*vi), runs)
-		if err != nil {
-			return nil, fmt.Errorf("e4c: %w", err)
-		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("e4c: %w", err)
+	}
+	for vi, v := range variants {
+		est := ests[vi]
 		tbC.AddRow(v.name, est.Runs, est.Max, est.Mean,
 			est.HalfWidth(opts.confidence()), v.bound,
 			boolMark(est.Max <= v.bound+1e-9))

@@ -187,7 +187,10 @@ func (p *JudgeProbes) RecordExactSolve() {
 // SeqProbes is the ratio-estimation probe bundle: chunk latencies and
 // the half-width trajectory every estimation walks toward its precision
 // target (or its fixed budget), plus the seed counters the progress tracker derives rates and
-// ETA from. The zero and nil values are no-ops.
+// ETA from. The zero and nil values are no-ops. The counters and the
+// histogram sum over every estimation; the per-run gauges (Seeds, Budget,
+// HalfWidth, Target) hold whichever estimation flushed last, which, with
+// the rows of an experiment table in flight at once, may be any of them.
 type SeqProbes struct {
 	// Runs counts estimation runs.
 	Runs *Counter

@@ -11,9 +11,13 @@ import (
 )
 
 // The checkpoint log is an append-only file of CRC-framed records, one per
-// completed chunk, written with an fsync per append so a completed chunk
-// survives a coordinator crash. A record maps a chunk's canonical spec
-// bytes (its checkpoint key) to its verified result bytes. Loading
+// completed chunk, fsync'd before its append returns so a completed chunk
+// survives a coordinator crash. Appends are group-committed: records that
+// arrive while a write and fsync are in flight queue up, and the next
+// leader writes them all with one write and covers them with one fsync,
+// so concurrent chunks share fsyncs without weakening the contract. A
+// record maps a chunk's canonical spec bytes (its checkpoint key) to its
+// verified result bytes. Loading
 // tolerates a torn tail — a crash mid-append leaves a final partial frame,
 // which is detected by the frame CRC and truncated away — so a restarted
 // coordinator resumes from exactly the set of chunks that fully committed,
@@ -29,11 +33,32 @@ type checkpointRecord struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// checkpointLog appends records to the log file. Appends are serialized
-// and fsync'd before they are reported durable.
+// checkpointLog appends records to the log file by group commit: at most
+// one group is being written and synced at a time (flushing), and the
+// records that arrive meanwhile gather in the next group (fill), which the
+// first of its appenders to find no group in flight writes and syncs.
 type checkpointLog struct {
-	mu sync.Mutex
-	f  *os.File
+	f        logFile
+	mu       sync.Mutex
+	cond     sync.Cond // signalled when a group completes
+	fill     *ckptGroup
+	flushing bool
+	closed   bool
+}
+
+// logFile is what the log needs of its file; *os.File implements it.
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// ckptGroup is one group commit: the frames of its records, written and
+// synced together, and the outcome every one of them returns.
+type ckptGroup struct {
+	buf  []byte
+	done bool
+	err  error
 }
 
 // ckptKey builds the in-memory cache key for a chunk: the request frame
@@ -81,17 +106,52 @@ func openCheckpointLog(path string) (*checkpointLog, map[string][]byte, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("shard: seek checkpoint log: %w", err)
 	}
-	return &checkpointLog{f: f}, cache, nil
+	return newCheckpointLog(f), cache, nil
 }
 
-// append commits one record: frame, write, fsync. The record is durable
-// when append returns.
+// newCheckpointLog wraps a file positioned for appending.
+func newCheckpointLog(f logFile) *checkpointLog {
+	l := &checkpointLog{f: f}
+	l.cond.L = &l.mu
+	return l
+}
+
+// append commits one record: it joins the filling group and returns once
+// that group is written and fsync'd, so the record is durable when append
+// returns. A failed write or fsync fails every record of its group; the
+// next group tries again.
 func (l *checkpointLog) append(ft frameType, key, result []byte) error {
 	payload := marshalMsg(checkpointRecord{Type: uint8(ft), Key: key, Result: result})
 	frame := appendFrame(nil, ftCheckpoint, payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.f.Write(frame); err != nil {
+	if l.closed {
+		return fmt.Errorf("shard: append checkpoint: %w", os.ErrClosed)
+	}
+	if l.fill == nil {
+		l.fill = &ckptGroup{}
+	}
+	g := l.fill
+	g.buf = append(g.buf, frame...)
+	for l.flushing && !g.done {
+		l.cond.Wait()
+	}
+	if g.done {
+		return g.err
+	}
+	// No group is in flight and g is still filling: lead it.
+	l.fill, l.flushing = nil, true
+	l.mu.Unlock()
+	err := l.commit(g.buf)
+	l.mu.Lock()
+	g.done, g.err, l.flushing = true, err, false
+	l.cond.Broadcast()
+	return err
+}
+
+// commit writes one group's frames and fsyncs them.
+func (l *checkpointLog) commit(frames []byte) error {
+	if _, err := l.f.Write(frames); err != nil {
 		return fmt.Errorf("shard: append checkpoint: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
@@ -100,9 +160,17 @@ func (l *checkpointLog) append(ft frameType, key, result []byte) error {
 	return nil
 }
 
-// close closes the log file.
+// close waits until every queued record is committed, then closes the
+// log file; later appends fail.
 func (l *checkpointLog) close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.flushing || l.fill != nil {
+		l.cond.Wait()
+	}
+	if l.closed {
+		return os.ErrClosed
+	}
+	l.closed = true
 	return l.f.Close()
 }

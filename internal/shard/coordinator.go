@@ -60,8 +60,10 @@ type CoordinatorOptions struct {
 	// connection failures before the slot is excluded (default 3).
 	MaxRespawns int
 	// CheckpointPath enables the crash-safe completion log: completed
-	// chunks are appended (fsync'd) and never re-executed, including by a
-	// coordinator restarted over the same path.
+	// chunks are appended, fsync'd before the chunk is reported done, and
+	// never re-executed, including by a coordinator restarted over the
+	// same path. Chunks that complete while an fsync is in flight are
+	// group-committed: one write and one fsync cover them all.
 	CheckpointPath string
 	// Logf receives supervision diagnostics; nil discards them.
 	Logf func(format string, args ...any)

@@ -25,9 +25,11 @@
 //     so retries are always safe), respawns or excludes crashed workers,
 //     falls back to in-process execution when no worker is reachable, and
 //     appends completed chunks to a crash-safe fsync'd checkpoint log so a
-//     killed coordinator resumes without recomputing. Corrupted responses
-//     never reach a merge: the frame CRC rejects them and the chunk is
-//     retried.
+//     killed coordinator resumes without recomputing. The log
+//     group-commits: chunks completing together share one write and one
+//     fsync, and none is reported done before an fsync covers its record.
+//     Corrupted responses never reach a merge: the frame CRC rejects them
+//     and the chunk is retried.
 //
 // Determinism is the load-bearing property: per-seed outcomes are pure
 // functions of the chunk spec, merges are seed-ordered (ratio.RunSharded)

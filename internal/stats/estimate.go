@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Estimator is a streaming mean estimator with Student-t confidence
@@ -101,7 +102,9 @@ func (t Target) String() string {
 // TCrit returns the two-sided Student-t critical value for the given
 // degrees of freedom and confidence level: the t with
 // P(|T_df| <= t) = confidence. Large df converge to the normal critical
-// value (1.9600 at 95%).
+// value (1.9600 at 95%). Results are memoized per (df, confidence) in a
+// fixed-size table, so repeated keys cost one bisection; TCrit is safe
+// for concurrent use.
 func TCrit(df int64, confidence float64) float64 {
 	if df < 1 {
 		df = 1
@@ -112,6 +115,40 @@ func TCrit(df int64, confidence float64) float64 {
 	if confidence >= 1 {
 		return math.Inf(1)
 	}
+	cb := math.Float64bits(confidence)
+	slot := &tcritMemo[tcritSlot(df, cb)]
+	if e := slot.Load(); e != nil && e.df == df && e.conf == cb {
+		return e.t
+	}
+	t := tcritBisect(df, confidence)
+	slot.Store(&tcritEntry{df: df, conf: cb, t: t})
+	return t
+}
+
+// tcritBits sizes the TCrit memo at 1<<tcritBits entries.
+const tcritBits = 8
+
+// tcritMemo is TCrit's direct-mapped memo: each slot holds the last key
+// that hashed to it with its exact result, and a colliding key replaces
+// it, so a long run of distinct keys (a sequential estimation's growing
+// df) cannot grow it. Entries are immutable once stored.
+var tcritMemo [1 << tcritBits]atomic.Pointer[tcritEntry]
+
+// tcritEntry is one memoized TCrit result; conf holds the confidence's
+// bits so the key compares exactly.
+type tcritEntry struct {
+	df   int64
+	conf uint64
+	t    float64
+}
+
+// tcritSlot hashes a (df, confidence bits) key to its memo slot.
+func tcritSlot(df int64, cb uint64) int {
+	return int(((uint64(df) ^ cb) * 0x9e3779b97f4a7c15) >> (64 - tcritBits))
+}
+
+// tcritBisect computes TCrit for df >= 1 and 0 < confidence < 1.
+func tcritBisect(df int64, confidence float64) float64 {
 	// P(|T| <= t) = 1 - I_{df/(df+t^2)}(df/2, 1/2), monotone increasing in
 	// t, so bisection on the CDF is exact to float precision and needs no
 	// special-cased quantile series.

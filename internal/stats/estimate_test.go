@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -271,5 +272,80 @@ func TestRegIncBetaEdges(t *testing.T) {
 	// Symmetry: I_x(a,b) + I_{1-x}(b,a) = 1.
 	if got := regIncBeta(3, 5, 0.3) + regIncBeta(5, 3, 0.7); math.Abs(got-1) > 1e-12 {
 		t.Errorf("symmetry sum = %v, want 1", got)
+	}
+}
+
+// TestTCritMemoBitIdentical: the memoized TCrit equals the bisection bit
+// for bit on every key, on a first call and on a repeat, and a key evicted
+// by a colliding key is recomputed to the same bits.
+func TestTCritMemoBitIdentical(t *testing.T) {
+	type key struct {
+		df   int64
+		conf float64
+	}
+	want := map[key]float64{}
+	check := func(k key) {
+		t.Helper()
+		if got := TCrit(k.df, k.conf); math.Float64bits(got) != math.Float64bits(want[k]) {
+			t.Fatalf("TCrit(%d, %v) = %v, bisection %v", k.df, k.conf, got, want[k])
+		}
+	}
+	bySlot := map[int][]key{}
+	for _, conf := range []float64{0.90, 0.95, 0.99} {
+		for df := int64(1); df <= 5000; df++ {
+			k := key{df, conf}
+			want[k] = tcritBisect(df, conf)
+			check(k)
+			check(k)
+			s := tcritSlot(df, math.Float64bits(conf))
+			bySlot[s] = append(bySlot[s], k)
+		}
+	}
+	collided := 0
+	for _, keys := range bySlot {
+		if len(keys) < 2 {
+			continue
+		}
+		collided++
+		a, b := keys[0], keys[len(keys)-1]
+		check(a)
+		check(b) // evicts a
+		check(a)
+		check(b)
+	}
+	if collided == 0 {
+		t.Fatal("no two keys share a memo slot; the eviction path went untested")
+	}
+}
+
+// TestTCritMemoConcurrent races callers over keys that share memo slots;
+// every answer must still be the bisection's.
+func TestTCritMemoConcurrent(t *testing.T) {
+	const workers, dfs = 8, 600
+	want := map[[2]float64]uint64{}
+	confs := []float64{0.90, 0.95, 0.99}
+	for _, conf := range confs {
+		for df := int64(1); df <= dfs; df++ {
+			want[[2]float64{float64(df), conf}] = math.Float64bits(tcritBisect(df, conf))
+		}
+	}
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			bad := ""
+			for i := 0; i < 3*dfs && bad == ""; i++ {
+				df := int64(1 + (i*7+w*131)%dfs)
+				conf := confs[(i+w)%len(confs)]
+				if got := math.Float64bits(TCrit(df, conf)); got != want[[2]float64{float64(df), conf}] {
+					bad = fmt.Sprintf("TCrit(%d, %v) bits %x, want %x", df, conf, got, want[[2]float64{float64(df), conf}])
+				}
+			}
+			errs <- bad
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if e := <-errs; e != "" {
+			t.Error(e)
+		}
 	}
 }
