@@ -620,12 +620,6 @@ func BenchmarkFleetCIOQGM16B64(b *testing.B) {
 func BenchmarkFleetCIOQGM16B256(b *testing.B) {
 	benchFleetCIOQ(b, 256, func() switchsim.CIOQPolicy { return &core.GM{} })
 }
-func BenchmarkFleetCIOQGMRotating16B256(b *testing.B) {
-	benchFleetCIOQ(b, 256, func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} })
-}
-func BenchmarkFleetCIOQRoundRobin16B256(b *testing.B) {
-	benchFleetCIOQ(b, 256, func() switchsim.CIOQPolicy { return &core.RoundRobin{} })
-}
 func BenchmarkFleetCrossbarCGU16B16(b *testing.B) {
 	benchFleetCrossbar(b, 16, func() switchsim.CrossbarPolicy { return &core.CGU{} })
 }

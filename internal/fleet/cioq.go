@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"qswitch/internal/bitset"
-	"qswitch/internal/matching"
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
 )
@@ -52,18 +51,16 @@ type CIOQFleet struct {
 	ocap   int // output-queue ring size (power of two)
 	inBuf  int32
 	outBuf int32
-	allIn  uint64 // mask of all n input ports
 
 	// Columnar switch state: per-instance blocks inside flat arrays.
-	voq      []uint64  // [(k*n+i)*wm + w]: outputs j with IQ(k,i,j) non-empty
-	voqByOut []uint64  // [k*m+j]: inputs i with IQ(k,i,j) non-empty (only when wantByOut)
-	outFree  []uint64  // [k*wm + w]: outputs whose queue has room
-	outBusy  []uint64  // [k*wm + w]: outputs whose queue is non-empty
-	cnt      []ioCount // [k]
-	iq       []pkt     // [(k*nm + i*m + j)*icap + pos]
-	iqHdr    []qhdr    // [k*nm + i*m + j]
-	oq       []pkt     // [(k*m + j)*ocap + pos]
-	oqHdr    []qhdr    // [k*m + j]
+	voq     []uint64  // [(k*n+i)*wm + w]: outputs j with IQ(k,i,j) non-empty
+	outFree []uint64  // [k*wm + w]: outputs whose queue has room
+	outBusy []uint64  // [k*wm + w]: outputs whose queue is non-empty
+	cnt     []ioCount // [k]
+	iq      []pkt     // [(k*nm + i*m + j)*icap + pos]
+	iqHdr   []qhdr    // [k*nm + i*m + j]
+	oq      []pkt     // [(k*m + j)*ocap + pos]
+	oqHdr   []qhdr    // [k*m + j]
 
 	// ID lanes, allocated only for weighted kernels: the ByValue queue
 	// discipline breaks value ties on packet ID, so weighted rings carry
@@ -80,13 +77,8 @@ type CIOQFleet struct {
 	iqHV []int64
 	idx  []switchsim.HeadIndex
 
-	// wantByOut: the kernel reads voqByOut, or Validate checks it. The
-	// transposed rows are one word, so they are kept only up to 64 inputs.
-	wantByOut bool
-	weighted  bool  // ByValue rings with ID lanes and preemption
-	pend      []pkt // the view's pass-through buffer, [j]
-
-	edges []matching.Edge // kernel scratch: GM's LongestFirst and PG's edge scan
+	weighted bool  // ByValue rings with ID lanes and preemption
+	pend     []pkt // the view's pass-through buffer, [j]
 }
 
 // cioqView is the per-instance working set bound once per window: small
@@ -101,14 +93,12 @@ type cioqView struct {
 	hm               *hotCtr
 	lat              *switchsim.Metrics // nil unless RecordLatency
 	voq              []uint64           // n rows of wm words
-	voqByOut         []uint64
-	outFree, outBusy []uint64 // wm words each
+	outFree, outBusy []uint64           // wm words each
 	iqHdr            []qhdr
 	iq               []pkt
 	oqHdr            []qhdr
 	oq               []pkt
 	series           []int64
-	rrG, rrA         []int32
 	iqHV             []int64
 	idx              *switchsim.HeadIndex // nil unless the instance keeps one
 
@@ -118,9 +108,7 @@ type cioqView struct {
 	inBuf, outBuf  int32
 	speedup        int
 	recLat, recSer bool
-	wantByOut      bool // maintain voqByOut
 	weighted       bool // ByValue rings with ID lanes and preemption
-	allIn          uint64
 
 	// ID lanes (weighted kernels only); same indexing as iq/oq.
 	iqID []int64
@@ -147,8 +135,7 @@ func (v *cioqView) bind(f *CIOQFleet, k int) {
 	v.inBuf, v.outBuf = f.inBuf, f.outBuf
 	v.speedup = f.cfg.Speedup
 	v.recLat, v.recSer = f.cfg.RecordLatency, f.cfg.RecordSeries
-	v.wantByOut, v.weighted = f.wantByOut, f.weighted
-	v.allIn = f.allIn
+	v.weighted = f.weighted
 	v.pend = f.pend
 	v.cnt = &f.cnt[k]
 	v.hm = &f.hot[k]
@@ -156,9 +143,6 @@ func (v *cioqView) bind(f *CIOQFleet, k int) {
 		v.lat = &f.res[k].M
 	}
 	v.voq = f.voq[k*f.n*f.wm : (k+1)*f.n*f.wm]
-	if f.wantByOut {
-		v.voqByOut = f.voqByOut[k*f.m : (k+1)*f.m]
-	}
 	v.outFree = f.outFree[k*f.wm : (k+1)*f.wm]
 	v.outBusy = f.outBusy[k*f.wm : (k+1)*f.wm]
 	v.iqHdr = f.iqHdr[k*f.nm : (k+1)*f.nm]
@@ -167,10 +151,6 @@ func (v *cioqView) bind(f *CIOQFleet, k int) {
 	v.oq = f.oq[k*f.m*f.ocap : (k+1)*f.m*f.ocap]
 	if f.cfg.RecordSeries {
 		v.series = f.series[k]
-	}
-	if rr, ok := f.kern.(*rrKernel); ok {
-		v.rrG = rr.grant[k*f.m : (k+1)*f.m]
-		v.rrA = rr.accept[k*f.n : (k+1)*f.n]
 	}
 	if f.iqID != nil {
 		v.iqID = f.iqID[k*f.nm*f.icap : (k+1)*f.nm*f.icap]
@@ -207,7 +187,6 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 		kern: kern, n: n, m: m, nm: n * m, wm: bitset.Words(m),
 		icap: ceilPow2(cfg.InputBuf), ocap: ceilPow2(cfg.OutputBuf),
 		inBuf: int32(cfg.InputBuf), outBuf: int32(cfg.OutputBuf),
-		allIn: allOnes(n),
 	}
 	f.lockstep = newLockstep(cfg, pol.Name(), batch, f)
 	f.voq = make([]uint64, batch*n*f.wm)
@@ -218,10 +197,6 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 	f.iqHdr = make([]qhdr, batch*f.nm)
 	f.oq = make([]pkt, batch*m*f.ocap)
 	f.oqHdr = make([]qhdr, batch*m)
-	f.wantByOut = kern.wantsVOQByOut() || cfg.Validate && n <= maxPorts
-	if f.wantByOut {
-		f.voqByOut = make([]uint64, batch*m)
-	}
 	if kern.weighted() {
 		f.weighted = true
 		f.iqID = make([]int64, batch*f.nm*f.icap)
@@ -259,7 +234,6 @@ func (f *CIOQFleet) Reset(seqs []packet.Sequence) error {
 		}
 	}
 	clear(f.voq)
-	clear(f.voqByOut)
 	clear(f.outBusy)
 	clear(f.cnt)
 	clear(f.iqHdr)
@@ -374,10 +348,7 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 				}
 				v.iq[q*v.icap+int((h.head+h.n)&v.icapM)] = pkt{v: p.Value, a: int32(p.Arrival)}
 				h.n++
-				v.voq[p.In] |= 1 << uint(p.Out) // unit kernels: one-word rows
-			}
-			if v.wantByOut {
-				v.voqByOut[p.Out] |= 1 << uint(p.In)
+				v.voq[p.In] |= 1 << uint(p.Out) // GM: one-word rows
 			}
 			cnt.in++
 			aAcc++
@@ -385,7 +356,7 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 		}
 
 		for c := 0; c < v.speedup; c++ {
-			f.cycle(v, T, c)
+			f.cycle(v)
 		}
 		if f.err != nil {
 			// A weighted transfer hit an ineligible full destination,
@@ -440,9 +411,9 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 
 		// Quiescent fast path: with no input-side packets no kernel cycle
 		// can produce a transfer, so the stretch until the next arrival is
-		// pure output drain advanced in closed form. The ported kernels'
-		// only slot-dependent state is derived from the clock (see
-		// kernels.go), so no per-policy idle hook is needed.
+		// pure output drain advanced in closed form. No kernel keeps
+		// slot-dependent state (see kernels.go), so no per-policy idle
+		// hook is needed.
 		if !f.cfg.Dense && cnt.in == 0 {
 			to := horizon
 			if nx < len(seq) && seq[nx].Arrival < to {
@@ -485,14 +456,12 @@ func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
 // cycle runs one kernel cycle on the bound view. The kernel is called by
 // its concrete type, not through cioqKernel, so the view does not escape
 // runWindow's stack.
-func (f *CIOQFleet) cycle(v *cioqView, slot, cycle int) {
+func (f *CIOQFleet) cycle(v *cioqView) {
 	switch k := f.kern.(type) {
 	case *gmKernel:
-		k.cycle(v, slot, cycle)
-	case *rrKernel:
-		k.cycle(v, slot, cycle)
+		k.cycle(v)
 	case *pgKernel:
-		k.cycle(v, slot, cycle)
+		k.cycle(v)
 	default:
 		panic(fmt.Sprintf("fleet: kernel %T has no case in (*CIOQFleet).cycle", k))
 	}
@@ -501,7 +470,7 @@ func (f *CIOQFleet) cycle(v *cioqView, slot, cycle int) {
 // transfer moves the head packet of IQ(i,j) to OQ(j) on the bound
 // instance, updating the occupancy index exactly as the scalar engine's
 // executeTransfers does. Kernels only produce transfers whose destination
-// has room. Its callers, the unit kernels, run on one-word rows: row i is
+// has room. Its caller, the GM kernel, runs on one-word rows: row i is
 // voq[i] and the output masks are word 0.
 func (v *cioqView) transfer(i, j int) {
 	q := i*v.m + j
@@ -511,9 +480,6 @@ func (v *cioqView) transfer(i, j int) {
 	h.n--
 	if h.n == 0 {
 		v.voq[i] &^= 1 << uint(j)
-		if v.wantByOut {
-			v.voqByOut[j] &^= 1 << uint(i)
-		}
 	}
 	ho := &v.oqHdr[j]
 	if ho.n == 0 {
@@ -655,9 +621,6 @@ func (v *cioqView) wtransfer(i, j int) {
 	var hv int64
 	if h.n == 0 {
 		v.voq[i*v.wm+j>>6] &^= 1 << uint(j&63)
-		if v.wantByOut {
-			v.voqByOut[j] &^= 1 << uint(i)
-		}
 	} else {
 		hv = v.iq[q*v.icap+int(h.head)].v
 	}
@@ -734,11 +697,6 @@ func (f *CIOQFleet) validate(k, T int) error {
 			}
 			if got, want := row.Test(j), l > 0; got != want {
 				return fmt.Errorf("fleet: slot %d instance %d: VOQ[%d] bit %d = %v, len=%d", T, k, i, j, got, l)
-			}
-			if f.wantByOut {
-				if got, want := f.voqByOut[k*f.m+j]&(1<<uint(i)) != 0, l > 0; got != want {
-					return fmt.Errorf("fleet: slot %d instance %d: VOQByOut[%d] bit %d = %v, len=%d", T, k, j, i, got, l)
-				}
 			}
 			if f.iqID != nil && !ringOrdered(f.iq, f.iqID, f.iqHdr[q], q*f.icap, int32(f.icap-1)) {
 				return fmt.Errorf("fleet: slot %d instance %d: IQ[%d][%d] not in ByValue order", T, k, i, j)

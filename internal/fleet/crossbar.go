@@ -309,7 +309,7 @@ func (f *CrossbarFleet) runWindow(k int32, end int) instStatus {
 		}
 
 		for c := 0; c < v.speedup; c++ {
-			f.cycle(v, T, c)
+			f.cycle(v)
 		}
 		if f.err != nil {
 			// A weighted transfer hit an ineligible full destination; see
@@ -556,12 +556,12 @@ func (v *crossbarView) wOutputTransfer(i, j int) {
 // cycle runs one kernel cycle on the bound view, calling the kernel by
 // its concrete type so the view stays on runWindow's stack; see
 // (*CIOQFleet).cycle.
-func (f *CrossbarFleet) cycle(v *crossbarView, slot, cycle int) {
+func (f *CrossbarFleet) cycle(v *crossbarView) {
 	switch k := f.kern.(type) {
 	case *cguKernel:
-		k.cycle(v, slot, cycle)
+		k.cycle(v)
 	case *cpgKernel:
-		k.cycle(v, slot, cycle)
+		k.cycle(v)
 	default:
 		panic(fmt.Sprintf("fleet: kernel %T has no case in (*CrossbarFleet).cycle", k))
 	}

@@ -61,24 +61,23 @@
 //
 // # Kernels and bit-identical semantics
 //
-// A kernel is the batched counterpart of a scalar policy. Two families
-// are ported. The unit family is the policies whose admission rule is
-// "accept iff the input queue has room" and whose quiescent-state
-// evolution is either frozen (RoundRobin pointers, NaiveFIFO) or
-// derivable from the slot clock (GM and CGU rotating-scan ticks). The
-// weighted family adds the preemptive disciplines: ByValue rings,
-// preempt-the-minimum admission, preemptive transfers and weighted
+// A kernel is the batched counterpart of a scalar policy, and only the
+// paper's four algorithms have one. Two families are ported. The unit
+// family is GM (row-major) and CGU (plain): admission is "accept iff the
+// input queue has room", and each cycle reads nothing but the occupancy
+// words. The weighted family adds the preemptive disciplines: ByValue
+// rings, preempt-the-minimum admission, preemptive transfers and weighted
 // greedy matchings (PG, CPG), whose quiescent drains are value-ordered
-// but still policy-independent.
+// but still policy-independent. No kernel keeps state that depends on the
+// slot, so quiescent jumps need no per-policy hook.
 //
 // Coverage matrix (policy × geometry; ✓ is a batched kernel, — the
 // scalar fallback):
 //
 //	policy                     CIOQ ≤ 64   CIOQ 65–512   crossbar ≤ 64
-//	GM (all four edge orders)     ✓            —              —
-//	RoundRobin, NaiveFIFO         ✓            —              —
+//	GM (row-major)                ✓            —              —
 //	PG (incl. custom beta)        ✓            ✓              —
-//	CGU (plain and rotating)      —            —              ✓
+//	CGU (plain)                   —            —              ✓
 //	CPG (incl. custom α/β)        —            —              ✓
 //
 // Every kernel reproduces its scalar policy's decisions exactly —
@@ -90,8 +89,9 @@
 // determinism tests gate this the same way reference_test.go and
 // eventdriven_test.go gated PR 1–3.
 //
-// Policies without a kernel (randomized GM, the maximum-matching
-// baselines KRMM and KRMWM, the FIFO-discipline variants, ...), every
+// Policies without a kernel (GM's other edge orders, rotating CGU,
+// RoundRobin, NaiveFIFO, randomized GM, the maximum-matching baselines
+// KRMM and KRMWM, the FIFO-discipline variants, ...), every
 // family but PG above 64 ports, and every geometry beyond 512 ports fall
 // back to per-instance scalar runs behind the same CIOQRunner/
 // CrossbarRunner entry points, so callers need not special-case

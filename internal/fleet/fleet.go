@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"math/bits"
 
 	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
@@ -158,21 +157,6 @@ func (r *CrossbarRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*s
 		func(seq packet.Sequence) (*switchsim.Result, error) {
 			return switchsim.RunCrossbar(cfg, r.factory(), seq)
 		})
-}
-
-// firstFrom returns the smallest set bit of w in rotated order starting
-// at `start` (the smallest bit >= start if any, else the smallest bit
-// overall), or -1 when w is zero. It is bitset.Mask.FirstFrom specialized
-// to the fleet's single-word masks; start must be in [0, 64).
-func firstFrom(w uint64, start int) int {
-	lowMask := uint64(1)<<uint(start) - 1
-	if x := w &^ lowMask; x != 0 {
-		return bits.TrailingZeros64(x)
-	}
-	if x := w & lowMask; x != 0 {
-		return bits.TrailingZeros64(x)
-	}
-	return -1
 }
 
 // allOnes returns the mask with bits [0, n) set; n in [1, 64].

@@ -24,21 +24,15 @@ import (
 
 func fleetCIOQPolicies() map[string]func() switchsim.CIOQPolicy {
 	return map[string]func() switchsim.CIOQPolicy{
-		"gm":              func() switchsim.CIOQPolicy { return &core.GM{} },
-		"gm-colmajor":     func() switchsim.CIOQPolicy { return &core.GM{Order: core.ColMajor} },
-		"gm-rotating":     func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} },
-		"gm-longestfirst": func() switchsim.CIOQPolicy { return &core.GM{Order: core.LongestFirst} },
-		"naive-fifo":      func() switchsim.CIOQPolicy { return &core.NaiveFIFO{} },
-		"roundrobin":      func() switchsim.CIOQPolicy { return &core.RoundRobin{} },
-		"pg":              func() switchsim.CIOQPolicy { return &core.PG{} },
-		"pg-beta3":        func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} },
+		"gm":       func() switchsim.CIOQPolicy { return &core.GM{} },
+		"pg":       func() switchsim.CIOQPolicy { return &core.PG{} },
+		"pg-beta3": func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} },
 	}
 }
 
 func fleetCrossbarPolicies() map[string]func() switchsim.CrossbarPolicy {
 	return map[string]func() switchsim.CrossbarPolicy{
 		"cgu":             func() switchsim.CrossbarPolicy { return &core.CGU{} },
-		"cgu-rotating":    func() switchsim.CrossbarPolicy { return &core.CGU{RotatePick: true} },
 		"cpg":             func() switchsim.CrossbarPolicy { return &core.CPG{} },
 		"cpg-equalparams": func() switchsim.CrossbarPolicy { return core.CPGEqualParams() },
 	}
@@ -52,9 +46,7 @@ type fleetConfig struct {
 func fleetConfigs() []fleetConfig {
 	return []fleetConfig{
 		{"4x4", switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}},
-		// Validate off: covers the production path where the transposed
-		// occupancy rows are maintained lazily (only for kernels that
-		// read them).
+		// Validate off: the production path, with no per-slot rescan.
 		{"4x4-novalidate", switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 3, CrossBuf: 1, Speedup: 2, RecordLatency: true}},
 		{"5x3-speedup2-latency", switchsim.Config{Inputs: 5, Outputs: 3, InputBuf: 3, OutputBuf: 2, CrossBuf: 2, Speedup: 2, Validate: true, RecordLatency: true}},
 		{"8x8-speedup3-series", switchsim.Config{Inputs: 8, Outputs: 8, InputBuf: 4, OutputBuf: 8, CrossBuf: 1, Speedup: 3, Validate: true, RecordSeries: true}},
@@ -164,13 +156,13 @@ func TestFleetDenseMatchesJumping(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 8, Speedup: 2, Validate: true, RecordLatency: true}
 	gen := packet.BurstyBlocking{OffMean: 120, Burst: 5, Values: packet.UniformValues{Hi: 10}}
 	seqs := fleetSeqs(cfg, gen, 9, 4, 1200)
-	fast, err := NewCIOQRunner(func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} }).Run(cfg, seqs)
+	fast, err := NewCIOQRunner(func() switchsim.CIOQPolicy { return &core.GM{} }).Run(cfg, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	denseCfg := cfg
 	denseCfg.Dense = true
-	dense, err := NewCIOQRunner(func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} }).Run(denseCfg, seqs)
+	dense, err := NewCIOQRunner(func() switchsim.CIOQPolicy { return &core.GM{} }).Run(denseCfg, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,48 +173,45 @@ func TestFleetDenseMatchesJumping(t *testing.T) {
 	}
 }
 
-// TestFleetFallbackUnportedPolicy routes a policy with no batched kernel
-// (randomized GM, whose per-cycle shuffles have no columnar port) through
-// the fleet entry points and checks the scalar fallback is taken and
-// bit-identical.
+// TestFleetFallbackUnportedPolicy routes policies with no batched kernel
+// through the fleet entry points and checks the scalar fallback is taken,
+// counted and bit-identical: randomized GM, whose per-cycle shuffles have
+// no columnar port, and every policy outside the paper's four algorithms
+// (GM's other edge orders, NaiveFIFO, RoundRobin, rotating CGU and the
+// naive crossbar).
 func TestFleetFallbackUnportedPolicy(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 2, Validate: true}
-	mk := func() switchsim.CIOQPolicy { return &core.RandomizedGM{} }
-	if BatchableCIOQ(cfg, mk) {
-		t.Fatal("RandomizedGM unexpectedly reported batchable")
-	}
 	gen := packet.Bernoulli{Load: 1.0, Values: packet.UniformValues{Hi: 20}}
 	seqs := fleetSeqs(cfg, gen, 3, 3, 60)
-	rs, err := NewCIOQRunner(mk).Run(cfg, seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, seq := range seqs {
-		scalar, err := switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
-		if err != nil {
-			t.Fatal(err)
+	for name, mk := range map[string]func() switchsim.CIOQPolicy{
+		"randomized-gm": func() switchsim.CIOQPolicy { return &core.RandomizedGM{} },
+		"gm-colmajor":   func() switchsim.CIOQPolicy { return &core.GM{Order: core.ColMajor} },
+		"gm-rotating":   func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} },
+		"gm-longest":    func() switchsim.CIOQPolicy { return &core.GM{Order: core.LongestFirst} },
+		"naive-fifo":    func() switchsim.CIOQPolicy { return &core.NaiveFIFO{} },
+		"roundrobin":    func() switchsim.CIOQPolicy { return &core.RoundRobin{} },
+	} {
+		if BatchableCIOQ(cfg, mk) {
+			t.Fatalf("%s unexpectedly reported batchable", name)
 		}
-		if !reflect.DeepEqual(scalar.M, rs[k].M) {
-			t.Errorf("instance %d: fallback diverged:\nscalar: %+v\nfleet:  %+v", k, scalar.M, rs[k].M)
-		}
+		checkFleetPath(t, name, false, seqs,
+			func() ([]*switchsim.Result, error) { return NewCIOQRunner(mk).Run(cfg, seqs) },
+			func(seq packet.Sequence) (*switchsim.Result, error) {
+				return switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
+			})
 	}
-
-	mkX := func() switchsim.CrossbarPolicy { return &core.CrossbarNaive{} }
-	if BatchableCrossbar(cfg, mkX) {
-		t.Fatal("CrossbarNaive unexpectedly reported batchable")
-	}
-	rsX, err := NewCrossbarRunner(mkX).Run(cfg, seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, seq := range seqs {
-		scalar, err := switchsim.RunCrossbar(cfg, refCrossbar(mkX()), seq)
-		if err != nil {
-			t.Fatal(err)
+	for name, mk := range map[string]func() switchsim.CrossbarPolicy{
+		"crossbar-naive": func() switchsim.CrossbarPolicy { return &core.CrossbarNaive{} },
+		"cgu-rotating":   func() switchsim.CrossbarPolicy { return &core.CGU{RotatePick: true} },
+	} {
+		if BatchableCrossbar(cfg, mk) {
+			t.Fatalf("%s unexpectedly reported batchable", name)
 		}
-		if !reflect.DeepEqual(scalar.M, rsX[k].M) {
-			t.Errorf("instance %d: crossbar fallback diverged", k)
-		}
+		checkFleetPath(t, name, false, seqs,
+			func() ([]*switchsim.Result, error) { return NewCrossbarRunner(mk).Run(cfg, seqs) },
+			func(seq packet.Sequence) (*switchsim.Result, error) {
+				return switchsim.RunCrossbar(cfg, refCrossbar(mk()), seq)
+			})
 	}
 }
 
@@ -500,35 +489,41 @@ func TestFleetWide256MatchesScalar(t *testing.T) {
 }
 
 // TestFleetReuseAcrossResets runs two different batches through one fleet
-// and checks the second is unpolluted by the first (storage reuse).
+// and checks the second is unpolluted by the first (storage reuse),
+// for GM's occupancy words and pass-through buffer and for PG's head
+// lane, head-value index and edge-scan scratch.
 func TestFleetReuseAcrossResets(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 2, OutputBuf: 4, Speedup: 2, Validate: true, RecordLatency: true}
-	mk := func() switchsim.CIOQPolicy { return &core.RoundRobin{} }
-	f, err := NewCIOQFleet(cfg, mk, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genA := packet.Bernoulli{Load: 1.2}
-	genB := packet.BurstyBlocking{OffMean: 60, Burst: 4}
+	genA := packet.Bernoulli{Load: 1.2, Values: packet.UniformValues{Hi: 9}}
+	genB := packet.BurstyBlocking{OffMean: 60, Burst: 4, Values: packet.ZipfValues{Hi: 3000, S: 1.1}}
 	seqsA := fleetSeqs(cfg, genA, 5, 3, 200)
 	seqsB := fleetSeqs(cfg, genB, 11, 3, 500)
-	for _, seqs := range [][]packet.Sequence{seqsA, seqsB, seqsA} {
-		if err := f.Reset(seqs); err != nil {
-			t.Fatal(err)
-		}
-		for f.Step() {
-		}
-		rs, err := f.Results()
+	for name, mk := range map[string]func() switchsim.CIOQPolicy{
+		"gm": func() switchsim.CIOQPolicy { return &core.GM{} },
+		"pg": func() switchsim.CIOQPolicy { return &core.PG{} },
+	} {
+		f, err := NewCIOQFleet(cfg, mk, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, seq := range seqs {
-			scalar, err := switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
+		for _, seqs := range [][]packet.Sequence{seqsA, seqsB, seqsA} {
+			if err := f.Reset(seqs); err != nil {
+				t.Fatal(err)
+			}
+			for f.Step() {
+			}
+			rs, err := f.Results()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(scalar.M, rs[k].M) {
-				t.Errorf("instance %d after reset: fleet diverged from scalar:\nscalar: %+v\nfleet:  %+v", k, scalar.M, rs[k].M)
+			for k, seq := range seqs {
+				scalar, err := switchsim.RunCIOQ(cfg, refCIOQ(mk()), seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(scalar.M, rs[k].M) {
+					t.Errorf("%s instance %d after reset: fleet diverged from scalar:\nscalar: %+v\nfleet:  %+v", name, k, scalar.M, rs[k].M)
+				}
 			}
 		}
 	}
@@ -617,7 +612,7 @@ func TestCrossbarRunnerReuse(t *testing.T) {
 // metrics whatever batch it is embedded in.
 func TestFleetBatchSizeInvariance(t *testing.T) {
 	cfg := switchsim.Config{Inputs: 6, Outputs: 6, InputBuf: 3, OutputBuf: 6, Speedup: 2, Validate: true, RecordLatency: true}
-	mk := func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} }
+	mk := func() switchsim.CIOQPolicy { return &core.GM{} }
 	gen := packet.PoissonBurst{OffMean: 50, BurstMean: 5, Values: packet.UniformValues{Hi: 9}}
 	seqs := fleetSeqs(cfg, gen, 21, 16, 600)
 	whole, err := NewCIOQRunner(mk).Run(cfg, seqs)

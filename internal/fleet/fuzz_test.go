@@ -92,14 +92,12 @@ func FuzzFleetEquivalence(f *testing.F) {
 			}
 		}
 		for name, mk := range map[string]func() switchsim.CIOQPolicy{
-			// Rotating GM covers the clock-derived tick state; RoundRobin
-			// covers the only persistent cross-slot kernel state (grant and
-			// accept pointer lanes surviving quiescent sleep/wake cycles);
-			// PG covers the weighted family (ByValue rings, preemptive
-			// admission and transfers, greedy weighted matching).
-			"gm-rotating": func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} },
-			"roundrobin":  func() switchsim.CIOQPolicy { return &core.RoundRobin{} },
-			"pg":          func() switchsim.CIOQPolicy { return &core.PG{} },
+			// GM covers the unit family (pass-through delivery, one-word
+			// rows); PG covers the weighted family (ByValue rings,
+			// preemptive admission and transfers, the head-value index
+			// walk and the greedy weighted edge scan).
+			"gm": func() switchsim.CIOQPolicy { return &core.GM{} },
+			"pg": func() switchsim.CIOQPolicy { return &core.PG{} },
 		} {
 			rs, err := NewCIOQRunner(mk).Run(cfg, seqs)
 			if err != nil {
@@ -116,8 +114,8 @@ func FuzzFleetEquivalence(f *testing.F) {
 			}
 		}
 		for name, mkX := range map[string]func() switchsim.CrossbarPolicy{
-			"cgu-rotating": func() switchsim.CrossbarPolicy { return &core.CGU{RotatePick: true} },
-			"cpg":          func() switchsim.CrossbarPolicy { return &core.CPG{} },
+			"cgu": func() switchsim.CrossbarPolicy { return &core.CGU{} },
+			"cpg": func() switchsim.CrossbarPolicy { return &core.CPG{} },
 		} {
 			rsX, err := NewCrossbarRunner(mkX).Run(cfg, seqs)
 			if err != nil {

@@ -15,22 +15,18 @@ import (
 // policy's decisions exactly: eligibility is read from the state the
 // scalar engine would expose to the policy at the start of the cycle
 // (snapshot words where interleaved execution could otherwise leak into
-// later picks), and any slot-dependent state must be derivable from
-// (slot, cycle) so quiescent jumps need no per-policy hook. The engine
-// calls a kernel's cycle method by concrete type, in (*CIOQFleet).cycle,
-// so a new kernel needs a case there.
+// later picks). No kernel keeps state that depends on the slot or the
+// cycle, so a cycle reads only the view and quiescent jumps need no
+// per-policy hook. The engine calls a kernel's cycle method by concrete
+// type, in (*CIOQFleet).cycle, so a new kernel needs a case there.
 type cioqKernel interface {
 	reset(f *CIOQFleet)
-	// wantsVOQByOut reports whether the kernel reads the transposed
-	// occupancy rows; when false (and Validate is off) the engine skips
-	// maintaining them, saving two index updates per packet move.
-	wantsVOQByOut() bool
 	// weighted reports whether the kernel's policy family uses the
 	// ByValue queue discipline; the engine then allocates ID lanes and
 	// switches admission and transfers to preemptive ByValue insertion.
 	weighted() bool
 	// portLimit is the widest geometry the kernel batches: maxPorts for
-	// the kernels that read one-word rows, maxWidePorts for PG.
+	// GM, which reads one-word rows, maxWidePorts for PG.
 	portLimit() int
 }
 
@@ -43,161 +39,53 @@ type crossbarKernel interface {
 }
 
 // cioqKernelFor maps a scalar policy to its batched kernel, or nil when
-// the policy has none (the caller then falls back to the scalar engine).
-// Matching is by concrete type, so wrappers and subclasses safely miss.
+// the policy has none (the caller then falls back to the scalar engine):
+// row-major GM and PG. Matching is by concrete type, so wrappers and
+// subclasses safely miss.
 func cioqKernelFor(pol switchsim.CIOQPolicy) cioqKernel {
 	switch p := pol.(type) {
 	case *core.GM:
-		return &gmKernel{order: p.Order}
-	case *core.NaiveFIFO:
-		// NaiveFIFO's first-fit matching is exactly GM's row-major scan.
-		return &gmKernel{order: core.RowMajor}
-	case *core.RoundRobin:
-		return &rrKernel{}
+		if p.Order == core.RowMajor {
+			return &gmKernel{}
+		}
 	case *core.PG:
 		return &pgKernel{beta: core.Threshold(p.Beta, core.DefaultBetaPG())}
 	}
 	return nil
 }
 
-// crossbarKernelFor is cioqKernelFor for crossbar policies.
+// crossbarKernelFor is cioqKernelFor for crossbar policies: plain CGU and
+// CPG.
 func crossbarKernelFor(pol switchsim.CrossbarPolicy) crossbarKernel {
 	switch p := pol.(type) {
 	case *core.CGU:
-		return &cguKernel{rotate: p.RotatePick}
+		if !p.RotatePick {
+			return &cguKernel{}
+		}
 	case *core.CPG:
 		return &cpgKernel{beta: core.Threshold(p.Beta, core.DefaultBetaCPG()), alpha: core.Threshold(p.Alpha, core.DefaultAlphaCPG())}
 	}
 	return nil
 }
 
-// gmKernel is the batched GM (and NaiveFIFO) scheduler: a greedy maximal
-// matching over the eligibility words {voq row ∧ free outputs} in the
-// configured scan order. The Rotating order's tick counter is derived
-// from the clock — the scalar policy gains one tick per scheduling cycle
-// whether or not any queue is occupied, so ticks == slot*Speedup + cycle.
-type gmKernel struct {
-	order core.EdgeOrder
-	sched *matching.WeightedScheduler // LongestFirst only
-}
+// gmKernel is the batched row-major GM scheduler: a greedy maximal
+// matching over the eligibility words {voq row ∧ free outputs}, each
+// input in turn taking its lowest free output.
+type gmKernel struct{}
 
-func (g *gmKernel) reset(f *CIOQFleet) {
-	if g.order == core.LongestFirst && cap(f.edges) < f.nm {
-		f.edges = make([]matching.Edge, 0, f.nm)
-		g.sched = new(matching.WeightedScheduler)
-	}
-}
-
-func (g *gmKernel) wantsVOQByOut() bool { return g.order == core.ColMajor }
+func (g *gmKernel) reset(f *CIOQFleet) {}
 
 func (g *gmKernel) weighted() bool { return false }
 
 func (g *gmKernel) portLimit() int { return maxPorts }
 
-func (g *gmKernel) cycle(v *cioqView, slot, cycle int) {
-	n, m := v.n, v.m
-	switch g.order {
-	case core.ColMajor:
-		availIn := v.allIn
-		of := v.outFree[0]
-		for j := 0; j < m; j++ {
-			if of&(1<<uint(j)) == 0 {
-				continue
-			}
-			if w := v.voqByOut[j] & availIn; w != 0 {
-				i := bits.TrailingZeros64(w)
-				availIn &^= 1 << uint(i)
-				v.transfer(i, j)
-			}
-		}
-	case core.Rotating:
-		ticks := slot*v.speedup + cycle
-		oi, oj := ticks%n, ticks%m
-		avail := v.outFree[0]
-		for di := 0; di < n; di++ {
-			i := (oi + di) % n
-			if j := firstFrom(v.voq[i]&avail, oj); j >= 0 {
-				avail &^= 1 << uint(j)
-				v.transfer(i, j)
-			}
-		}
-	case core.LongestFirst:
-		f := v.f
-		f.edges = f.edges[:0]
-		of := v.outFree[0]
-		for i := 0; i < n; i++ {
-			w := v.voq[i] & of
-			for w != 0 {
-				j := bits.TrailingZeros64(w)
-				w &= w - 1
-				f.edges = append(f.edges, matching.Edge{U: i, V: j, W: int64(v.iqHdr[i*m+j].n)})
-			}
-		}
-		for _, e := range g.sched.GreedyMaximalWeighted(n, m, f.edges) {
-			v.transfer(e.U, e.V)
-		}
-	default: // core.RowMajor
-		avail := v.outFree[0]
-		for i := 0; i < n; i++ {
-			if w := v.voq[i] & avail; w != 0 {
-				j := bits.TrailingZeros64(w)
-				avail &^= 1 << uint(j)
-				v.transfer(i, j)
-			}
-		}
-	}
-}
-
-// rrKernel is the batched iSLIP-style RoundRobin scheduler: one
-// grant/accept round with per-output grant and per-input accept pointers
-// that advance only on acceptance, so quiescent stretches leave them
-// untouched and no idle hook is needed.
-type rrKernel struct {
-	grant  []int32 // [k*m+j]: per-output grant pointer
-	accept []int32 // [k*n+i]: per-input accept pointer
-	grants []uint64
-}
-
-func (r *rrKernel) wantsVOQByOut() bool { return true }
-
-func (r *rrKernel) weighted() bool { return false }
-
-func (r *rrKernel) portLimit() int { return maxPorts }
-
-func (r *rrKernel) reset(f *CIOQFleet) {
-	if len(r.grant) != f.batch*f.m {
-		r.grant = make([]int32, f.batch*f.m)
-		r.accept = make([]int32, f.batch*f.n)
-		r.grants = make([]uint64, f.n)
-	}
-	clear(r.grant)
-	clear(r.accept)
-}
-
-func (r *rrKernel) cycle(v *cioqView, slot, cycle int) {
-	n, m := v.n, v.m
-	grants := r.grants[:n]
-	for i := range grants {
-		grants[i] = 0
-	}
-	// Grant: each open output grants the first requesting input at or
-	// after its grant pointer.
-	of := v.outFree[0]
-	for j := 0; j < m; j++ {
-		if of&(1<<uint(j)) == 0 {
-			continue
-		}
-		if i := firstFrom(v.voqByOut[j], int(v.rrG[j])); i >= 0 {
-			grants[i] |= 1 << uint(j)
-		}
-	}
-	// Accept: each input accepts the first granting output at or after
-	// its accept pointer; pointers advance only on acceptance.
-	for i := 0; i < n; i++ {
-		if ch := firstFrom(grants[i], int(v.rrA[i])); ch >= 0 {
-			v.transfer(i, ch)
-			v.rrA[i] = int32((ch + 1) % m)
-			v.rrG[ch] = int32((i + 1) % n)
+func (g *gmKernel) cycle(v *cioqView) {
+	avail := v.outFree[0]
+	for i := 0; i < v.n; i++ {
+		if w := v.voq[i] & avail; w != 0 {
+			j := bits.TrailingZeros64(w)
+			avail &^= 1 << uint(j)
+			v.transfer(i, j)
 		}
 	}
 }
@@ -206,14 +94,15 @@ func (r *rrKernel) cycle(v *cioqView, slot, cycle int) {
 // value over the eligible VOQ heads (destination open, or the head beats
 // beta times the destination's least valuable packet), each transfer
 // executed with output-side preemption. The kernel bakes in the beta
-// core.Threshold resolves, as the scalar policy's Reset does. PG has no
-// slot-dependent state, so no idle hook is needed. Up to 64 ports a cycle
+// core.Threshold resolves, as the scalar policy's Reset does. Up to 64
+// ports a cycle
 // walks the instance's head-value index, as the scalar policy does; past
 // 64 ports, and in any cycle with a head outside [1,
 // switchsim.MaxIndexedValue], it takes the multi-word edge scan.
 type pgKernel struct {
 	beta  float64
 	xfers []switchsim.Transfer // the walk's matching
+	edges []matching.Edge      // the edge scan's eligible edges
 	sched *matching.WeightedScheduler
 }
 
@@ -226,13 +115,11 @@ func (g *pgKernel) reset(f *CIOQFleet) {
 	}
 }
 
-func (g *pgKernel) wantsVOQByOut() bool { return false }
-
 func (g *pgKernel) weighted() bool { return true }
 
 func (g *pgKernel) portLimit() int { return maxWidePorts }
 
-func (g *pgKernel) cycle(v *cioqView, slot, cycle int) {
+func (g *pgKernel) cycle(v *cioqView) {
 	if x := v.idx; x != nil && x.Ready() {
 		g.walk(v, x)
 		return
@@ -260,14 +147,11 @@ func (g *pgKernel) walk(v *cioqView, x *switchsim.HeadIndex) {
 // weighted scheduler. It serves every cycle past 64 ports and the cycles
 // whose index is not Ready.
 func (g *pgKernel) genericCycle(v *cioqView) {
-	f := v.f
 	if g.sched == nil {
 		g.sched = new(matching.WeightedScheduler)
-		if cap(f.edges) < f.nm {
-			f.edges = make([]matching.Edge, 0, f.nm)
-		}
+		g.edges = make([]matching.Edge, 0, v.nm)
 	}
-	edges := f.edges[:0]
+	edges := g.edges[:0]
 	for i := 0; i < v.n; i++ {
 		for wdx, w := range v.voq[i*v.wm : (i+1)*v.wm] {
 			of := v.outFree[wdx]
@@ -287,7 +171,7 @@ func (g *pgKernel) genericCycle(v *cioqView) {
 			}
 		}
 	}
-	f.edges = edges
+	g.edges = edges
 	for _, e := range g.sched.GreedyMaximalWeighted(v.n, v.m, edges) {
 		v.wtransfer(e.U, e.V)
 	}
@@ -308,7 +192,7 @@ type cpgKernel struct {
 
 func (c *cpgKernel) weighted() bool { return true }
 
-func (c *cpgKernel) cycle(v *crossbarView, slot, cycle int) {
+func (c *cpgKernel) cycle(v *crossbarView) {
 	for i := 0; i < v.n; i++ {
 		w := v.voq[i]
 		xfree := v.xFree[i]
@@ -397,32 +281,23 @@ func (c *cpgKernel) cycle(v *crossbarView, slot, cycle int) {
 
 // cguKernel is the batched CGU scheduler: per input, move the head of the
 // first non-empty VOQ whose crosspoint has room; per open output, pull
-// from the first non-empty crosspoint. The rotating variant's tick
-// counter is clock-derived exactly as GM's.
-type cguKernel struct {
-	rotate bool
-}
+// from the first non-empty crosspoint.
+type cguKernel struct{}
 
 func (c *cguKernel) weighted() bool { return false }
 
-func (c *cguKernel) cycle(v *crossbarView, slot, cycle int) {
-	n := v.n
-	ticks := slot*v.speedup + cycle
-	startJ, startI := 0, 0
-	if c.rotate {
-		startJ, startI = ticks%v.m, ticks%n
-	}
-	for i := 0; i < n; i++ {
-		if j := firstFrom(v.voq[i]&v.xFree[i], startJ); j >= 0 {
-			v.inputTransfer(i, j)
+func (c *cguKernel) cycle(v *crossbarView) {
+	for i := 0; i < v.n; i++ {
+		if w := v.voq[i] & v.xFree[i]; w != 0 {
+			v.inputTransfer(i, bits.TrailingZeros64(w))
 		}
 	}
 	ofw := v.st.outFree
 	for ofw != 0 {
 		j := bits.TrailingZeros64(ofw)
 		ofw &= ofw - 1
-		if i := firstFrom(v.xBusyByOut[j], startI); i >= 0 {
-			v.outputTransfer(i, j)
+		if w := v.xBusyByOut[j]; w != 0 {
+			v.outputTransfer(bits.TrailingZeros64(w), j)
 		}
 	}
 }

@@ -80,7 +80,9 @@ func probedRun(t *testing.T, run func() (*switchsim.Result, error)) (*switchsim.
 // TestSequenceRoutingTakesKernels pins which engine a sequence run takes,
 // through the fleet's kernel counter: bare batchable policies take a
 // kernel (PG up to 512 ports), while wrapped ones and policies without a
-// kernel (KRMM, KRMWM, crossbar-naive) take the reference loop.
+// kernel (KRMM, KRMWM, crossbar-naive, and every policy outside the
+// paper's four algorithms: GM's other edge orders, NaiveFIFO, RoundRobin,
+// rotating CGU) take the reference loop.
 func TestSequenceRoutingTakesKernels(t *testing.T) {
 	cfg := func(ports int) switchsim.Config {
 		return switchsim.Config{Inputs: ports, Outputs: ports, InputBuf: 2, OutputBuf: 2, CrossBuf: 1, Speedup: 1, Validate: true}
@@ -102,6 +104,11 @@ func TestSequenceRoutingTakesKernels(t *testing.T) {
 		{"gm-64", cioq(64, &core.GM{}), true},
 		{"gm-64-wrapped", cioq(64, refCIOQ(&core.GM{})), false},
 		{"gm-65", cioq(65, &core.GM{}), false},
+		{"gm-colmajor", cioq(8, &core.GM{Order: core.ColMajor}), false},
+		{"gm-rotating", cioq(8, &core.GM{Order: core.Rotating}), false},
+		{"gm-longest", cioq(8, &core.GM{Order: core.LongestFirst}), false},
+		{"naive-fifo", cioq(8, &core.NaiveFIFO{}), false},
+		{"roundrobin", cioq(8, &core.RoundRobin{}), false},
 		{"krmm-64", cioq(64, &core.KRMM{}), false},
 		{"krmwm-8", cioq(8, &core.KRMWM{}), false},
 		{"pg-16", cioq(16, &core.PG{}), true},
@@ -113,6 +120,7 @@ func TestSequenceRoutingTakesKernels(t *testing.T) {
 		{"pg-65-wrapped", cioq(65, refCIOQ(&core.PG{})), false},
 		{"cgu-64", xbar(64, &core.CGU{}), true},
 		{"cgu-64-wrapped", xbar(64, refCrossbar(&core.CGU{})), false},
+		{"cgu-rotating", xbar(8, &core.CGU{RotatePick: true}), false},
 		{"cpg-65", xbar(65, &core.CPG{}), false},
 		{"crossbar-naive", xbar(8, &core.CrossbarNaive{}), false},
 	} {
@@ -149,11 +157,6 @@ var routingGens = []packet.Generator{
 
 var routingCIOQ = []func() switchsim.CIOQPolicy{
 	func() switchsim.CIOQPolicy { return &core.GM{} },
-	func() switchsim.CIOQPolicy { return &core.GM{Order: core.ColMajor} },
-	func() switchsim.CIOQPolicy { return &core.GM{Order: core.Rotating} },
-	func() switchsim.CIOQPolicy { return &core.GM{Order: core.LongestFirst} },
-	func() switchsim.CIOQPolicy { return &core.NaiveFIFO{} },
-	func() switchsim.CIOQPolicy { return &core.RoundRobin{} },
 	func() switchsim.CIOQPolicy { return &core.PG{} },
 	func() switchsim.CIOQPolicy { return &core.PG{Beta: 3} },
 	// Parameters core.Threshold clamps or passes through: both engines
@@ -165,7 +168,6 @@ var routingCIOQ = []func() switchsim.CIOQPolicy{
 
 var routingCrossbar = []func() switchsim.CrossbarPolicy{
 	func() switchsim.CrossbarPolicy { return &core.CGU{} },
-	func() switchsim.CrossbarPolicy { return &core.CGU{RotatePick: true} },
 	func() switchsim.CrossbarPolicy { return &core.CPG{} },
 	func() switchsim.CrossbarPolicy { return core.CPGEqualParams() },
 	func() switchsim.CrossbarPolicy { return &core.CPG{Beta: math.NaN(), Alpha: math.NaN()} },

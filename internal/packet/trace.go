@@ -84,69 +84,27 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 	return err
 }
 
-// ReadBinary parses a binary trace, verifying magic and checksum. Errors
-// name the byte offset at which parsing failed, so a truncated or
-// corrupted trace is diagnosable without a hex dump.
+// ReadBinary parses a binary trace, verifying magic, every record and
+// the checksum: it drains a TraceStream over r, so it reports exactly the
+// stream's errors, which name the record and the byte offset at which
+// parsing failed, so a truncated or corrupted trace is diagnosable without
+// a hex dump.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	cr := &crcReader{r: r}
-	// The countingReader sits on the consumer side of the bufio buffer, so
-	// its offset is the logical parse position, unaffected by read-ahead.
-	nr := &countingReader{r: bufio.NewReader(cr)}
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(nr, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic at byte offset %d: %w", nr.off, err)
+	ts, err := newTraceStream(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	var inputs, outputs uint32
-	var count uint64
-	if err := binary.Read(nr, binary.LittleEndian, &inputs); err != nil {
-		return nil, fmt.Errorf("trace: reading header at byte offset %d: %w", nr.off, err)
-	}
-	if err := binary.Read(nr, binary.LittleEndian, &outputs); err != nil {
-		return nil, fmt.Errorf("trace: reading header at byte offset %d: %w", nr.off, err)
-	}
-	if err := binary.Read(nr, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("trace: reading header at byte offset %d: %w", nr.off, err)
-	}
-	if count > 1<<40 {
-		return nil, fmt.Errorf("trace: implausible packet count %d", count)
-	}
+	ts.verifyFirst = true
 	// The count is untrusted until the CRC trailer verifies, so cap the
 	// preallocation: a corrupted header must fail on a short read, not
 	// OOM the process. append grows honest large traces as needed.
-	capHint := count
-	if capHint > 1<<20 {
-		capHint = 1 << 20
+	tr := &Trace{Inputs: ts.Inputs, Outputs: ts.Outputs, Packets: make(Sequence, 0, min(ts.count, 1<<20))}
+	for ts.fill(); ts.pos < len(ts.buf); ts.fill() {
+		tr.Packets = append(tr.Packets, ts.buf...)
+		ts.pos = len(ts.buf)
 	}
-	tr := &Trace{Inputs: int(inputs), Outputs: int(outputs), Packets: make(Sequence, 0, capHint)}
-	var rec [traceRecordLen]byte
-	for k := uint64(0); k < count; k++ {
-		if _, err := io.ReadFull(nr, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d of %d at byte offset %d: %w", k, count, nr.off, err)
-		}
-		p, err := decodeRecord(rec[:], tr.Inputs, tr.Outputs)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading record %d of %d at byte offset %d: %w", k, count, nr.off, err)
-		}
-		tr.Packets = append(tr.Packets, p)
-	}
-	trailerOff := nr.off
-	var trailer [8]byte
-	if _, err := io.ReadFull(nr, trailer[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading checksum at byte offset %d: %w", nr.off, err)
-	}
-	// The trailer has now certainly passed through crcReader, so its sum
-	// covers exactly the bytes before the trailer.
-	want := cr.sum
-	got := binary.LittleEndian.Uint64(trailer[:])
-	if got != want {
-		return nil, fmt.Errorf("trace: checksum mismatch over bytes [0, %d): file has %#x, computed %#x",
-			trailerOff, got, want)
-	}
-	if err := tr.Packets.Validate(tr.Inputs, tr.Outputs); err != nil {
-		return nil, fmt.Errorf("trace: invalid sequence: %w", err)
+	if ts.err != nil {
+		return nil, ts.err
 	}
 	return tr, nil
 }

@@ -185,3 +185,90 @@ func TestTraceStreamTruncationMatchesReadBinary(t *testing.T) {
 		}
 	}
 }
+
+// TestBinaryRejectsDataAfterChecksum: a trace is a whole file, so a byte
+// behind the checksum fails both decoders. At 2,047 records the trace
+// ends exactly on a read-buffer boundary, where the checksum alone cannot
+// see the extra byte: it has not been read when the sum is taken.
+func TestBinaryRejectsDataAfterChecksum(t *testing.T) {
+	for _, n := range []int{2, 2047} {
+		tr := &Trace{Inputs: 4, Outputs: 4}
+		for k := 0; k < n; k++ {
+			tr.Packets = append(tr.Packets, Packet{ID: int64(k), Arrival: k / 4, In: k % 4, Out: k / 4 % 4, Value: int64(1 + k%7)})
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := append(buf.Bytes(), 0)
+		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+			t.Errorf("%d records: ReadBinary accepted a byte after the checksum", n)
+		}
+		ts, err := newTraceStream(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainAll(ts)
+		if ts.Err() == nil {
+			t.Errorf("%d records: TraceStream accepted a byte after the checksum", n)
+		}
+	}
+}
+
+// FuzzReadBinary feeds raw bytes to the binary trace decoder: it must
+// either fail or return a trace whose WriteBinary reproduces the input
+// byte for byte, and it must never panic. ReadBinary drains the same
+// decoder a TraceStream runs, so this covers the stream's record, order,
+// checksum and end-of-input checks too. The seeds are the truncation cuts
+// of TestTraceStreamTruncationMatchesReadBinary and every single-bit flip
+// of a two-packet trace.
+func FuzzReadBinary(f *testing.F) {
+	const headerLen = 8 + 4 + 4 + 8
+	var buf bytes.Buffer
+	tr := sampleTrace(7, 600)
+	if err := tr.WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	data := buf.Bytes()
+	count := len(tr.Packets)
+	for _, cut := range []int{
+		headerLen,
+		headerLen + 3*traceRecordLen + 10,
+		headerLen + 3*traceRecordLen,
+		headerLen + traceStreamWindow*traceRecordLen,
+		headerLen + traceStreamWindow*traceRecordLen + 1,
+		headerLen + (traceStreamWindow+188)*traceRecordLen + 31,
+		headerLen + 2*traceStreamWindow*traceRecordLen,
+		headerLen + count*traceRecordLen,
+		headerLen + count*traceRecordLen + 4,
+	} {
+		f.Add(data[:cut])
+	}
+	buf.Reset()
+	small := &Trace{Inputs: 3, Outputs: 2, Packets: Sequence{
+		{ID: 0, Arrival: 0, In: 2, Out: 1, Value: 5},
+		{ID: 4, Arrival: 3, In: 0, Out: 0, Value: 1},
+	}}
+	if err := small.WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for bit := 0; bit < 8*buf.Len(); bit++ {
+		flipped := bytes.Clone(buf.Bytes())
+		flipped[bit/8] ^= 1 << (bit % 8)
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		tr, err := ReadBinary(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := tr.WriteBinary(&out); err != nil {
+			t.Fatalf("decoded trace does not re-encode: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), raw) {
+			t.Fatalf("re-encoding differs from the input:\ninput:     %x\nre-encoded: %x", raw, out.Bytes())
+		}
+	})
+}

@@ -3,6 +3,7 @@ package packet
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,10 +25,10 @@ const (
 // window regardless of the trace size, so traces far larger than RAM
 // replay through RunCIOQStream/RunCrossbarStream.
 //
-// Every record passes the same checks a full ReadBinary load applies —
-// field range checks at decode time plus the sequence ordering invariants
-// (nondecreasing arrivals, strictly ascending IDs) checked incrementally —
-// and failures carry the record index and byte offset. One caveat is
+// Every record passes field range checks at decode time and then a
+// Validator, which holds the sequence ordering invariants (nondecreasing
+// arrivals, strictly ascending IDs); failures carry the record index and
+// byte offset. ReadBinary is this stream drained into memory. One caveat is
 // inherent to streaming: the checksum confirms the bytes *behind* the read
 // position, so a corrupted tail is only detected when reached, after
 // earlier records have already been handed out.
@@ -46,8 +47,13 @@ type TraceStream struct {
 	buf Sequence
 	pos int
 
-	prevArrival int
-	prevID      int64
+	chk Validator // the records decoded so far
+	// verifyFirst holds the first ordering refusal in bad until the
+	// checksum has verified, so a corrupted file reports the corruption
+	// rather than the disorder it caused. ReadBinary sets it: it hands out
+	// nothing before the end.
+	verifyFirst bool
+	bad         error
 
 	done bool // all records consumed and the trailer verified
 	err  error
@@ -99,9 +105,9 @@ func newTraceStream(r io.Reader) (*TraceStream, error) {
 	return &TraceStream{
 		Inputs: int(inputs), Outputs: int(outputs),
 		cr: cr, nr: nr, count: count,
-		raw:    make([]byte, traceStreamWindow*traceRecordLen),
-		buf:    make(Sequence, 0, traceStreamWindow),
-		prevID: -1,
+		raw: make([]byte, traceStreamWindow*traceRecordLen),
+		buf: make(Sequence, 0, traceStreamWindow),
+		chk: NewValidator(int(inputs), int(outputs)),
 	}, nil
 }
 
@@ -132,17 +138,13 @@ func (t *TraceStream) fill() {
 			t.err = fmt.Errorf("trace: reading record %d of %d at byte offset %d: %w", t.read, t.count, off, err)
 			return
 		}
-		if p.Arrival < t.prevArrival {
-			t.err = fmt.Errorf("trace: record %d at byte offset %d: arrival %d before previous %d",
-				t.read, off, p.Arrival, t.prevArrival)
-			return
+		if t.bad == nil && !t.chk.Accept(&p) {
+			t.bad = fmt.Errorf("trace: reading record %d of %d at byte offset %d: %w", t.read, t.count, off, t.chk.Reject(&p))
+			if !t.verifyFirst {
+				t.err = t.bad
+				return
+			}
 		}
-		if p.ID <= t.prevID {
-			t.err = fmt.Errorf("trace: record %d at byte offset %d: id %d not ascending (prev %d)",
-				t.read, off, p.ID, t.prevID)
-			return
-		}
-		t.prevArrival, t.prevID = p.Arrival, p.ID
 		t.buf = append(t.buf, p)
 		t.read++
 	}
@@ -160,8 +162,8 @@ func (t *TraceStream) fill() {
 	}
 }
 
-// finish reads the trailer and verifies the checksum over everything
-// before it.
+// finish reads the trailer, verifies the checksum over everything before
+// it and requires the end of the input behind it.
 func (t *TraceStream) finish() {
 	trailerOff := t.nr.off
 	var trailer [8]byte
@@ -176,7 +178,16 @@ func (t *TraceStream) finish() {
 			trailerOff, got, want)
 		return
 	}
-	t.done = true
+	// A trace is a whole file: nothing may follow its checksum.
+	if _, err := io.ReadFull(t.nr, trailer[:1]); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the checksum")
+		}
+		t.err = fmt.Errorf("trace: byte offset %d: %w", trailerOff+8, err)
+		return
+	}
+	t.err = t.bad
+	t.done = t.bad == nil
 }
 
 // Peek implements ArrivalStream.

@@ -112,6 +112,7 @@
 // by the front-end tables, the fuzz target and the allocation pins in
 // internal/core. With Config.StreamMetrics set, latency quantiles come
 // from a constant-space P² sketch (package internal/stats) instead of the
-// per-packet histogram; every front end honors the flag identically, as
-// does the OQ engine, so sketch-mode runs stay comparable.
+// latency histogram, whose fixed 256 buckets are bounded too, so the flag
+// changes only the representation; every front end honors it
+// identically, as does the OQ engine, so sketch-mode runs stay comparable.
 package switchsim

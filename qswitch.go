@@ -189,8 +189,9 @@ func SimulateOQ(cfg Config, seq Sequence) (*Result, error) {
 // SimulateCIOQStream runs the named (or given) policy on a CIOQ switch,
 // consuming arrivals from a stream instead of a materialized sequence.
 // Metrics are bit-identical to SimulateCIOQ on the same arrivals; memory
-// is bounded by the stream's window rather than the trace length (set
-// Config.StreamMetrics to keep latency recording bounded too).
+// is bounded by the stream's window rather than the trace length. Latency
+// recording is bounded either way: the histogram is a fixed 256 buckets,
+// and Config.StreamMetrics only swaps it for a P² sketch.
 func SimulateCIOQStream(cfg Config, policy interface{}, src ArrivalStream) (*Result, error) {
 	pol, err := resolveCIOQ(policy)
 	if err != nil {
