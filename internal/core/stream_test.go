@@ -343,44 +343,51 @@ func FuzzStreamEquivalence(f *testing.F) {
 }
 
 // TestStreamRunBoundedAllocations pins the bounded-memory claim: a
-// 10⁷-slot lazily-generated run allocates O(window + switch state), not
-// O(packets). The materialized equivalent would allocate hundreds of
-// megabytes for the sequence alone; the streamed run must stay under a
-// couple of megabytes and a few thousand allocations.
+// lazily generated run allocates O(window + switch state), not O(packets).
+// Rather than run a horizon long enough for that to show in absolute
+// terms, it runs two, and the longer, with twice the packets, must
+// allocate as much as the shorter up to a slack of 8 mallocs and 8 KiB:
+// the amortized growth of slices sized by a run's peaks (a FlowMix
+// input's open-flow list, the stream window), which a longer run can push
+// once or twice more. Anything per packet or per refill adds hundreds.
+// Both runs also stay under the ceilings a 10⁷-slot run was held to.
 func TestStreamRunBoundedAllocations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10⁷-slot run in -short mode")
-	}
-	const slots = 10_000_000
 	cfg := switchsim.Config{Inputs: 4, Outputs: 4, InputBuf: 4, OutputBuf: 8, Speedup: 2}
 	gen := packet.FlowMixForLoad(0.3, nil)
 
-	run := func() {
+	run := func(slots int) (bytes, mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		src := packet.StreamTraffic(gen, rand.New(rand.NewSource(12)), cfg.Inputs, cfg.Outputs, slots)
 		res, err := switchsim.RunCIOQStream(cfg, &GM{Order: Rotating}, src)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.M.Sent == 0 {
 			t.Fatal("streamed run sent nothing")
 		}
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	run() // warm-up so lazily initialized runtime state is excluded
+	run(100_000) // warm-up so lazily initialized runtime state is excluded
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-
-	totalAlloc := after.TotalAlloc - before.TotalAlloc
-	mallocs := after.Mallocs - before.Mallocs
-	// ~40 MB of Packet structs would be the materialized floor for this
-	// workload; the streamed run re-uses one window buffer.
-	if totalAlloc > 8<<20 {
-		t.Errorf("streamed 10⁷-slot run allocated %d bytes, want < 8 MiB", totalAlloc)
+	shortBytes, shortMallocs := run(100_000)
+	longBytes, longMallocs := run(200_000)
+	const streamSlackMallocs, streamSlackBytes = 8, 8 << 10
+	if longMallocs > shortMallocs+streamSlackMallocs || longBytes > shortBytes+streamSlackBytes {
+		t.Errorf("streamed runs allocate with their length: %d bytes in %d mallocs over 10⁵ slots, %d bytes in %d mallocs over 2·10⁵",
+			shortBytes, shortMallocs, longBytes, longMallocs)
 	}
-	if mallocs > 20_000 {
-		t.Errorf("streamed 10⁷-slot run made %d allocations, want < 20k", mallocs)
+	for _, c := range []struct {
+		slots          int
+		bytes, mallocs uint64
+	}{{100_000, shortBytes, shortMallocs}, {200_000, longBytes, longMallocs}} {
+		if c.bytes > 8<<20 {
+			t.Errorf("streamed %d-slot run allocated %d bytes, want < 8 MiB", c.slots, c.bytes)
+		}
+		if c.mallocs > 20_000 {
+			t.Errorf("streamed %d-slot run made %d allocations, want < 20k", c.slots, c.mallocs)
+		}
 	}
 }

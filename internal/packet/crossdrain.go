@@ -29,6 +29,10 @@ import (
 //
 // On a CIOQ switch the same trace is a benign all-to-all load, so it
 // also serves as a fabric-contrast workload between the two geometries.
+//
+// It draws event by event (an event's gap is drawn after its packets), so
+// it is not a SlotStreamer; its draw order is already (Arrival, ID) order,
+// and GenerateInto draws it into the caller's storage with no sort.
 type CrossDrain struct {
 	OffMean float64 // mean quiet gap between fill events in slots (>= 1)
 	Sweep   int     // distinct outputs each input visits per rotation; <= 0 or > outputs means all
@@ -44,6 +48,13 @@ func (g CrossDrain) Name() string {
 
 // Generate implements Generator.
 func (g CrossDrain) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
+	return g.drawInto(nil, rng, inputs, outputs, slots)
+}
+
+// drawInto draws slot by slot within an event and events in time order,
+// none overlapping the next, so draw order is already (Arrival, ID) order
+// and the IDs are the positions.
+func (g CrossDrain) drawInto(seq Sequence, rng *rand.Rand, inputs, outputs, slots int) Sequence {
 	vd := orUnit(g.Values)
 	off := math.Max(g.OffMean, 1)
 	sweep := g.Sweep
@@ -54,27 +65,22 @@ func (g CrossDrain) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequenc
 	if depth < 1 {
 		depth = 1
 	}
-	var seq Sequence
-	var id int64
 	t := geometricGap(rng, off, slots)
 	for t < slots {
 		// Random phase so the visited output set varies across events when
 		// sweep < outputs.
 		phase := rng.Intn(outputs)
-		for d := 0; d < depth; d++ {
-			for k := 0; k < sweep; k++ {
-				slot := t + d*sweep + k
-				if slot >= slots {
-					break
-				}
-				for i := 0; i < inputs; i++ {
-					seq = append(seq, Packet{ID: id, Arrival: slot, In: i,
-						Out: (phase + i + k) % outputs, Value: vd.Sample(rng)})
-					id++
-				}
+		// depth rotations through sweep outputs, cut at the horizon.
+		span := min(depth*sweep, slots-t)
+		seq = reserve(seq, span*inputs, t, slots)
+		for s := 0; s < span; s++ {
+			k := s % sweep
+			for i := 0; i < inputs; i++ {
+				seq = append(seq, Packet{ID: int64(len(seq)), Arrival: t + s, In: i,
+					Out: (phase + i + k) % outputs, Value: vd.Sample(rng)})
 			}
 		}
 		t += depth*sweep + geometricGap(rng, off, slots)
 	}
-	return seq.Normalize()
+	return seq
 }

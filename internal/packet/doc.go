@@ -10,9 +10,10 @@
 // # Invariants
 //
 //   - A Sequence is sorted by (Arrival, ID) with IDs unique and ascending;
-//     Normalize establishes this and every generator returns normalized
-//     output, so the engines consume arrivals with a single cursor and
-//     resolve the next arrival after any slot in O(1) (NextArrival).
+//     every generator returns it normalized (IDs 0..n-1), so the engines
+//     consume arrivals with a single cursor and resolve the next arrival
+//     after any slot in O(1) (NextArrival). Normalize establishes it for
+//     sequences assembled out of order.
 //   - Generators are pure functions of (rng, geometry, horizon): the same
 //     seed always yields the same trace, on any platform.
 //   - Trace serialization round-trips exactly; the binary format carries a
@@ -58,4 +59,18 @@
 // (the every-slot driver survives as the test oracle in reference_test.go)
 // while the cost of a sparse FlowMix or a Diurnal trough is per event, not
 // per slot of the horizon.
+//
+// # Materialization
+//
+// GenerateInto draws a whole sequence into the caller's storage, and
+// Generate is GenerateInto(nil, ...) for every generator here but Fixed,
+// so a sequence is written once: the synthesize loop numbers IDs and
+// checks that each packet carries the slot it was appended for, so a
+// slot-major draw needs no Normalize pass; CrossDrain and BurstyBlocking
+// write each packet at its (Arrival, ID) rank as they draw; only
+// PoissonBurst and HeavyTail, drawn input by input, sort (slices.SortFunc,
+// which reproduces sort.Slice's order exactly). Storage that does not fit
+// is sized once from the draw's rate so far rather than grown along
+// append's chain, and storage that fits is reused without an allocation
+// (the slot sources come from a pool).
 package packet

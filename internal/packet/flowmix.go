@@ -72,10 +72,9 @@ const (
 )
 
 // defaultStages rises to a midday plateau and falls back; its mean is
-// exactly 1 so the realized load tracks the requested FlowRate.
-func defaultStages() []float64 {
-	return []float64{0.5, 0.75, 1.0, 1.25, 1.5, 1.25, 1.0, 0.75, 0.5, 0.5}
-}
+// exactly 1 so the realized load tracks the requested FlowRate. It is
+// shared and never written.
+var defaultStages = []float64{0.5, 0.75, 1.0, 1.25, 1.5, 1.25, 1.0, 0.75, 0.5, 0.5}
 
 // Name implements Generator.
 func (g FlowMix) Name() string {
@@ -107,7 +106,7 @@ func (g FlowMix) elephantPackets() int {
 
 func (g FlowMix) stages() []float64 {
 	if len(g.Stages) == 0 {
-		return defaultStages()
+		return defaultStages
 	}
 	return g.Stages
 }
@@ -158,12 +157,23 @@ type flow struct {
 
 // Source implements SlotStreamer.
 func (g FlowMix) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
-	return &flowMixSource{
+	return g.source(new(scratch), rng, inputs, outputs)
+}
+
+// source keeps the scratch source's per-input flow lists, emptied.
+func (g FlowMix) source(sc *scratch, rng *rand.Rand, inputs, outputs int) SlotSource {
+	s := &sc.flowMix
+	active := resize(s.active, inputs)
+	for i := range active {
+		active[i] = active[i][:0]
+	}
+	*s = flowMixSource{
 		g: g, vd: orUnit(g.Values), rng: rng, outputs: outputs,
 		stages: g.stages(), stageSlots: g.stageSlots(), maxActive: g.maxActive(),
 		rat: g.ratPackets(), elephant: g.elephantPackets(), efrac: g.elephantFrac(),
-		active: make([][]flow, inputs), nextOpen: make([]int, inputs),
+		active: active, nextOpen: resize(s.nextOpen, inputs),
 	}
+	return s
 }
 
 type flowMixSource struct {

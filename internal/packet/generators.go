@@ -39,7 +39,12 @@ func (g Bernoulli) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence
 
 // Source implements SlotStreamer.
 func (g Bernoulli) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
-	return &bernoulliSource{g: g, vd: orUnit(g.Values), rng: rng, inputs: inputs, outputs: outputs}
+	return g.source(new(scratch), rng, inputs, outputs)
+}
+
+func (g Bernoulli) source(sc *scratch, rng *rand.Rand, inputs, outputs int) SlotSource {
+	sc.bernoulli = bernoulliSource{g: g, vd: orUnit(g.Values), rng: rng, inputs: inputs, outputs: outputs}
+	return &sc.bernoulli
 }
 
 type bernoulliSource struct {
@@ -88,7 +93,12 @@ func (g Hotspot) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
 
 // Source implements SlotStreamer.
 func (g Hotspot) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
-	return &hotspotSource{g: g, vd: orUnit(g.Values), rng: rng, inputs: inputs, outputs: outputs}
+	return g.source(new(scratch), rng, inputs, outputs)
+}
+
+func (g Hotspot) source(sc *scratch, rng *rand.Rand, inputs, outputs int) SlotSource {
+	sc.hotspot = hotspotSource{g: g, vd: orUnit(g.Values), rng: rng, inputs: inputs, outputs: outputs}
+	return &sc.hotspot
 }
 
 type hotspotSource struct {
@@ -137,7 +147,12 @@ func (g Diagonal) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence 
 
 // Source implements SlotStreamer.
 func (g Diagonal) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
-	return &diagonalSource{g: g, vd: orUnit(g.Values), rng: rng, inputs: inputs, outputs: outputs}
+	return g.source(new(scratch), rng, inputs, outputs)
+}
+
+func (g Diagonal) source(sc *scratch, rng *rand.Rand, inputs, outputs int) SlotSource {
+	sc.diagonal = diagonalSource{g: g, vd: orUnit(g.Values), rng: rng, inputs: inputs, outputs: outputs}
+	return &sc.diagonal
 }
 
 type diagonalSource struct {
@@ -193,8 +208,12 @@ func (g Bursty) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
 // their stationary distribution, drawn here so the construction-time RNG
 // consumption matches a materializing Generate exactly.
 func (g Bursty) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
-	on := make([]bool, inputs)
-	dest := make([]int, inputs)
+	return g.source(new(scratch), rng, inputs, outputs)
+}
+
+func (g Bursty) source(sc *scratch, rng *rand.Rand, inputs, outputs int) SlotSource {
+	on := resize(sc.bursty.on, inputs)
+	dest := resize(sc.bursty.dest, inputs)
 	for i := range on {
 		// Start in the stationary distribution of the chain.
 		pi := g.POffOn / (g.POffOn + g.POnOff)
@@ -204,7 +223,8 @@ func (g Bursty) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
 		on[i] = rng.Float64() < pi
 		dest[i] = rng.Intn(outputs)
 	}
-	return &burstySource{g: g, vd: orUnit(g.Values), rng: rng, outputs: outputs, on: on, dest: dest}
+	sc.bursty = burstySource{g: g, vd: orUnit(g.Values), rng: rng, outputs: outputs, on: on, dest: dest}
+	return &sc.bursty
 }
 
 type burstySource struct {
@@ -265,8 +285,21 @@ func (g Permutation) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequen
 // Source implements SlotStreamer. The permutation is drawn up front, as a
 // materializing Generate does.
 func (g Permutation) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
-	return &permutationSource{g: g, vd: orUnit(g.Values), rng: rng,
-		inputs: inputs, outputs: outputs, perm: rng.Perm(outputs)}
+	return g.source(new(scratch), rng, inputs, outputs)
+}
+
+// source draws the permutation as rng.Perm(outputs) does, draw for draw,
+// into the scratch source's slice.
+func (g Permutation) source(sc *scratch, rng *rand.Rand, inputs, outputs int) SlotSource {
+	perm := resize(sc.permutation.perm, outputs)
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	sc.permutation = permutationSource{g: g, vd: orUnit(g.Values), rng: rng,
+		inputs: inputs, outputs: outputs, perm: perm}
+	return &sc.permutation
 }
 
 type permutationSource struct {

@@ -2,9 +2,11 @@ package packet
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // refNormalize is Normalize as it was before the order check: an
@@ -92,7 +94,7 @@ var (
 )
 
 // FuzzGenerateInto holds GenerateInto to Generate for every registry
-// generator — the SlotStreamers and the materializing fallback — at a
+// generator — the SlotStreamers and the four renewal generators — at a
 // random geometry, horizon and seed, drawing into a dst that holds garbage
 // of random length and capacity: equal packets, and the RNG left in the
 // same state.
@@ -129,4 +131,86 @@ func FuzzGenerateInto(f *testing.F) {
 			t.Fatalf("%s/%s: GenerateInto left the RNG in a different state than Generate", name, vname)
 		}
 	})
+}
+
+// TestGenerateAllocatesOnce pins the materialized draw's sizing: Generate
+// of an N-packet sequence allocates at most 1.25·N packets' worth of bytes
+// in all, where growing along append's chain allocated several times N.
+// The shapes are dense_switch's Bernoulli draw at half its width and every
+// registry traffic whose rate is steady from the first 64th of the horizon
+// on. Diurnal and FlowMix follow a cycle (1,000 and 10,000 slots here)
+// that a short horizon's first 64th does not span, so their first estimate
+// misses by up to the swing of the cycle; they are held to 2·N.
+func TestGenerateAllocatesOnce(t *testing.T) {
+	type shape struct {
+		name       string
+		gen        Generator
+		n, slots   int
+		maxPerSize float64
+	}
+	shapes := []shape{{"dense_switch Bernoulli", Bernoulli{Load: 0.95, Values: UniformValues{Hi: 100}}, 32, 20_000, 1.25}}
+	for _, tc := range trafficCatalog {
+		gen, err := GeneratorByName(tc.name, "uniform", tc.okLoad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := 1.25
+		if tc.name == "diurnal" || tc.name == "flowmix" {
+			limit = 2
+		}
+		shapes = append(shapes, shape{tc.name, gen, 8, 50_000, limit})
+	}
+	for _, c := range shapes {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		seq := c.gen.Generate(rand.New(rand.NewSource(3)), c.n, c.n, c.slots)
+		runtime.ReadMemStats(&after)
+		packets := float64(len(seq)) * float64(unsafe.Sizeof(Packet{}))
+		if got := float64(after.TotalAlloc-before.TotalAlloc) / packets; got > c.maxPerSize {
+			t.Errorf("%s %dx%dx%d: Generate of %d packets allocated %.2f× their size, want <= %.2f×",
+				c.name, c.n, c.n, c.slots, len(seq), got, c.maxPerSize)
+		}
+	}
+}
+
+// TestGenerateIntoFitAllocatesNothing: drawing every registry traffic into
+// storage that already fits allocates nothing — no sequence, no source,
+// no per-input state — the four renewal generators included. The sources
+// come from a sync.Pool, which the race detector empties at random, so a
+// -race build skips the pin.
+func TestGenerateIntoFitAllocatesNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, tc := range trafficCatalog {
+		gen, err := GeneratorByName(tc.name, "zipf", tc.okLoad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(1))
+		dst := GenerateInto(nil, gen, r, 4, 4, 2000)
+		dst = slices.Grow(dst, len(dst))
+		if a := testing.AllocsPerRun(20, func() {
+			r.Seed(1)
+			dst = GenerateInto(dst, gen, r, 4, 4, 2000)
+		}); a != 0 {
+			t.Errorf("%s: GenerateInto into storage that fits allocates %.1f objects", tc.name, a)
+		}
+	}
+}
+
+// TestNormalizeUnsortedAllocatesNothing pins the sort: an input out of
+// (Arrival, ID) order is sorted in place without an allocation.
+func TestNormalizeUnsortedAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	shuffled := Bernoulli{Load: 0.9}.Generate(r, 8, 8, 100)
+	r.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+	work := shuffled.Clone()
+	if got := testing.AllocsPerRun(20, func() {
+		copy(work, shuffled)
+		work.Normalize()
+	}); got != 0 {
+		t.Fatalf("Normalize of an unsorted sequence allocates %.1f objects", got)
+	}
 }

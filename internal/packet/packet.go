@@ -1,8 +1,9 @@
 package packet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Packet is a fixed-size unit of traffic traversing the switch.
@@ -192,20 +193,18 @@ func (s Sequence) bySlotUnsorted(slots int) [][]Packet {
 }
 
 // Normalize sorts the sequence by (Arrival, ID) and reassigns IDs to be the
-// ascending sequence 0..len-1 in that order. It is used by generators that
-// assemble traffic from independent sub-streams. One pass first checks for
-// strictly ascending (Arrival, ID) order, which every slot-major source
-// emits; only a violation (an inversion, or two packets with equal Arrival
-// and ID) pays for the sort.
+// ascending sequence 0..len-1 in that order. Generators whose draw order is
+// not slot-major (PoissonBurst, HeavyTail) and the adversaries' mutations
+// use it; the slot-major paths are ordered as they are drawn and skip it.
+// One pass first checks for strictly ascending (Arrival, ID) order; only a
+// violation (an inversion, or two packets with equal Arrival and ID) pays
+// for the sort, slices.SortFunc: the typed pdqsort, which makes sort.Slice's
+// comparisons and swaps, so ties land where they always have, and
+// allocates nothing.
 func (s Sequence) Normalize() Sequence {
 	for i := 1; i < len(s); i++ {
-		if p, q := s[i-1], s[i]; p.Arrival > q.Arrival || p.Arrival == q.Arrival && p.ID >= q.ID {
-			sort.Slice(s, func(a, b int) bool {
-				if s[a].Arrival != s[b].Arrival {
-					return s[a].Arrival < s[b].Arrival
-				}
-				return s[a].ID < s[b].ID
-			})
+		if byArrivalID(s[i-1], s[i]) >= 0 {
+			slices.SortFunc(s, byArrivalID)
 			break
 		}
 	}
@@ -213,6 +212,14 @@ func (s Sequence) Normalize() Sequence {
 		s[i].ID = int64(i)
 	}
 	return s
+}
+
+// byArrivalID orders packets by Arrival, then ID.
+func byArrivalID(p, q Packet) int {
+	if p.Arrival != q.Arrival {
+		return cmp.Compare(p.Arrival, q.Arrival)
+	}
+	return cmp.Compare(p.ID, q.ID)
 }
 
 // Clone returns a deep copy of the sequence.

@@ -332,3 +332,182 @@ func TestGenStreamSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The four renewal generators as they were before they drew into the
+// caller's storage: each appends packets in draw order, numbering IDs as
+// it goes, and closes with the sort-based refNormalize. They exist only
+// here, as the oracles the production bodies are held to: the same
+// packets, and the RNG left in the same state.
+
+func refBurstyBlocking(g BurstyBlocking, rng *rand.Rand, inputs, outputs, slots int) Sequence {
+	vd := orUnit(g.Values)
+	off := math.Max(g.OffMean, 1)
+	burst := g.Burst
+	if burst < 1 {
+		burst = 1
+	}
+	fanin := g.Fanin
+	if fanin <= 0 || fanin > inputs {
+		fanin = inputs
+	}
+	var seq Sequence
+	var id int64
+	t := geometricGap(rng, off, slots)
+	for t < slots {
+		dest := rng.Intn(outputs)
+		base := rng.Intn(inputs)
+		for f := 0; f < fanin; f++ {
+			i := (base + f) % inputs
+			for k := 0; k < burst && t+k < slots; k++ {
+				seq = append(seq, Packet{ID: id, Arrival: t + k, In: i, Out: dest, Value: vd.Sample(rng)})
+				id++
+			}
+		}
+		t += burst + geometricGap(rng, off, slots)
+	}
+	return refNormalize(seq)
+}
+
+func refCrossDrain(g CrossDrain, rng *rand.Rand, inputs, outputs, slots int) Sequence {
+	vd := orUnit(g.Values)
+	off := math.Max(g.OffMean, 1)
+	sweep := g.Sweep
+	if sweep <= 0 || sweep > outputs {
+		sweep = outputs
+	}
+	depth := g.Depth
+	if depth < 1 {
+		depth = 1
+	}
+	var seq Sequence
+	var id int64
+	t := geometricGap(rng, off, slots)
+	for t < slots {
+		phase := rng.Intn(outputs)
+		for d := 0; d < depth; d++ {
+			for k := 0; k < sweep; k++ {
+				slot := t + d*sweep + k
+				if slot >= slots {
+					break
+				}
+				for i := 0; i < inputs; i++ {
+					seq = append(seq, Packet{ID: id, Arrival: slot, In: i,
+						Out: (phase + i + k) % outputs, Value: vd.Sample(rng)})
+					id++
+				}
+			}
+		}
+		t += depth*sweep + geometricGap(rng, off, slots)
+	}
+	return refNormalize(seq)
+}
+
+func refPoissonBurst(g PoissonBurst, rng *rand.Rand, inputs, outputs, slots int) Sequence {
+	vd := orUnit(g.Values)
+	off := math.Max(g.OffMean, 1)
+	var seq Sequence
+	var id int64
+	for i := 0; i < inputs; i++ {
+		t := geometricGap(rng, off, slots)
+		for t < slots {
+			n := poisson(rng, g.BurstMean)
+			if n < 1 {
+				n = 1
+			}
+			dest := rng.Intn(outputs)
+			for k := 0; k < n && t < slots; k++ {
+				seq = append(seq, Packet{ID: id, Arrival: t, In: i, Out: dest, Value: vd.Sample(rng)})
+				id++
+				t++
+			}
+			t += geometricGap(rng, off, slots)
+		}
+	}
+	return refNormalize(seq)
+}
+
+func refHeavyTail(g HeavyTail, rng *rand.Rand, inputs, outputs, slots int) Sequence {
+	vd := orUnit(g.Values)
+	alpha := g.Alpha
+	if alpha <= 0 {
+		alpha = 1.5
+	}
+	minGap := math.Max(g.MinGap, 1)
+	var seq Sequence
+	var id int64
+	for i := 0; i < inputs; i++ {
+		t := paretoGap(rng, alpha, minGap) - 1 // first arrival may be early
+		for t < slots {
+			seq = append(seq, Packet{ID: id, Arrival: t, In: i, Out: rng.Intn(outputs), Value: vd.Sample(rng)})
+			id++
+			t += paretoGap(rng, alpha, minGap)
+		}
+	}
+	return refNormalize(seq)
+}
+
+// fuzzRenewal decodes one of the four renewal generators, its reference
+// body and its parameters from fuzz input. The ranges reach every clamp
+// (OffMean below 1, Burst and Depth below 1, Fanin and Sweep out of range,
+// Alpha <= 0) and keep the reference cheap: bursts and rotations are short
+// and gaps are at least a slot.
+func fuzzRenewal(family uint8, a, b, c uint16) (Generator, func(*rand.Rand, int, int, int) Sequence) {
+	vd := []ValueDist{nil, UniformValues{Hi: 1 + int64(c%30)}, TwoValued{Alpha: 9, PHigh: 0.3}}[c%3]
+	off := float64(a%400) / 4 // 0 clamps to 1
+	switch family % 4 {
+	case 0:
+		g := BurstyBlocking{OffMean: off, Burst: int(b%20) - 1, Fanin: int(b>>5%12) - 2, Values: vd}
+		return g, func(r *rand.Rand, in, out, slots int) Sequence { return refBurstyBlocking(g, r, in, out, slots) }
+	case 1:
+		g := CrossDrain{OffMean: off, Sweep: int(b%12) - 2, Depth: int(b>>4%5) - 1, Values: vd}
+		return g, func(r *rand.Rand, in, out, slots int) Sequence { return refCrossDrain(g, r, in, out, slots) }
+	case 2:
+		g := PoissonBurst{OffMean: off, BurstMean: float64(b%400) / 10, Values: vd}
+		return g, func(r *rand.Rand, in, out, slots int) Sequence { return refPoissonBurst(g, r, in, out, slots) }
+	default:
+		g := HeavyTail{Alpha: float64(int(b%40)-5) / 10, MinGap: off / 8, Values: vd}
+		return g, func(r *rand.Rand, in, out, slots int) Sequence { return refHeavyTail(g, r, in, out, slots) }
+	}
+}
+
+// FuzzRenewalReference holds the renewal generators' production bodies to
+// their pre-change references, packet for packet and RNG state for RNG
+// state: Generate, and GenerateInto over storage holding garbage of random
+// length and capacity.
+func FuzzRenewalReference(f *testing.F) {
+	f.Add(uint8(0), uint16(40), uint16(16+4<<5), uint16(1), uint8(4), uint8(4), uint16(2000), int64(1), uint16(0))
+	f.Add(uint8(1), uint16(200), uint16(8+2<<4), uint16(2), uint8(5), uint8(3), uint16(1500), int64(2), uint16(900))
+	f.Add(uint8(2), uint16(16), uint16(45), uint16(0), uint8(3), uint8(6), uint16(3000), int64(3), uint16(7))
+	f.Add(uint8(3), uint16(8), uint16(20), uint16(4), uint8(6), uint8(2), uint16(2500), int64(4), uint16(4000))
+	f.Add(uint8(0), uint16(0), uint16(0), uint16(5), uint8(1), uint8(1), uint16(300), int64(5), uint16(3))
+	f.Add(uint8(1), uint16(1), uint16(0), uint16(0), uint8(7), uint8(8), uint16(77), int64(6), uint16(64))
+	f.Fuzz(func(t *testing.T, family uint8, a, b, c uint16, nIn, nOut uint8, horizon uint16, seed int64, dstLen uint16) {
+		gen, ref := fuzzRenewal(family, a, b, c)
+		inputs, outputs := int(nIn)%8+1, int(nOut)%8+1
+		slots := int(horizon) % 5001
+
+		refRNG := rand.New(rand.NewSource(seed))
+		want := ref(refRNG, inputs, outputs, slots)
+		next := refRNG.Int63()
+
+		genRNG := rand.New(rand.NewSource(seed))
+		got := gen.Generate(genRNG, inputs, outputs, slots)
+		intoRNG := rand.New(rand.NewSource(seed))
+		n := int(dstLen) % 4096
+		into := GenerateInto(garbage(n)[:n/2], gen, intoRNG, inputs, outputs, slots)
+
+		label := fmt.Sprintf("%s %dx%d slots=%d seed=%d", gen.Name(), inputs, outputs, slots, seed)
+		for _, way := range []struct {
+			name string
+			seq  Sequence
+			rng  *rand.Rand
+		}{{"Generate", got, genRNG}, {"GenerateInto", into, intoRNG}} {
+			if len(way.seq) != len(want) || (len(want) > 0 && !reflect.DeepEqual(way.seq, want)) {
+				t.Fatalf("%s: %s diverged from the reference (%d vs %d packets)", label, way.name, len(way.seq), len(want))
+			}
+			if way.rng.Int63() != next {
+				t.Fatalf("%s: %s left the RNG in a different state than the reference", label, way.name)
+			}
+		}
+	})
+}

@@ -20,7 +20,9 @@ import (
 // destination, modeling a flow's packet train arriving at line rate after
 // a long silence. The per-input offered load is roughly
 // BurstMean/(OffMean+BurstMean), so large OffMean values give arbitrarily
-// sparse traces.
+// sparse traces. Each input's timeline is drawn whole before the next
+// input's, so it is not a SlotStreamer; GenerateInto draws it into the
+// caller's storage and sorts it once across inputs.
 type PoissonBurst struct {
 	OffMean   float64 // mean idle gap in slots (>= 1)
 	BurstMean float64 // mean burst size in packets
@@ -34,10 +36,14 @@ func (g PoissonBurst) Name() string {
 
 // Generate implements Generator.
 func (g PoissonBurst) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
+	return g.drawInto(nil, rng, inputs, outputs, slots)
+}
+
+// drawInto draws input by input, numbering IDs in draw order, and sorts
+// once across inputs.
+func (g PoissonBurst) drawInto(seq Sequence, rng *rand.Rand, inputs, outputs, slots int) Sequence {
 	vd := orUnit(g.Values)
 	off := math.Max(g.OffMean, 1)
-	var seq Sequence
-	var id int64
 	for i := 0; i < inputs; i++ {
 		t := geometricGap(rng, off, slots)
 		for t < slots {
@@ -46,9 +52,10 @@ func (g PoissonBurst) Generate(rng *rand.Rand, inputs, outputs, slots int) Seque
 				n = 1
 			}
 			dest := rng.Intn(outputs)
-			for k := 0; k < n && t < slots; k++ {
-				seq = append(seq, Packet{ID: id, Arrival: t, In: i, Out: dest, Value: vd.Sample(rng)})
-				id++
+			n = min(n, slots-t)
+			seq = reserve(seq, n, i*slots+t, inputs*slots)
+			for k := 0; k < n; k++ {
+				seq = append(seq, Packet{ID: int64(len(seq)), Arrival: t, In: i, Out: dest, Value: vd.Sample(rng)})
 				t++
 			}
 			t += geometricGap(rng, off, slots)
@@ -83,23 +90,34 @@ func (g Diurnal) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
 // Silent trough slots consume no RNG draws at all, and NextBusy lets the
 // driver jump a whole trough in one step.
 func (g Diurnal) Source(rng *rand.Rand, inputs, outputs int) SlotSource {
+	return g.source(new(scratch), rng, inputs, outputs)
+}
+
+func (g Diurnal) source(sc *scratch, rng *rand.Rand, inputs, outputs int) SlotSource {
 	period := g.Period
 	if period < 2 {
 		period = 2
 	}
-	s := &diurnalSource{g: g, vd: orUnit(g.Values), rng: rng,
-		inputs: inputs, outputs: outputs, period: period}
+	s := &sc.diurnal
+	// A scratch source that last drew the same curve keeps its tables.
+	same := s.loads != nil && s.period == period && s.g.Load == g.Load && s.g.Amplitude == g.Amplitude
+	*s = diurnalSource{g: g, vd: orUnit(g.Values), rng: rng, inputs: inputs, outputs: outputs,
+		period: period, loads: s.loads, skip: s.skip}
 	// The load curve depends only on t mod period, so for sane periods it
 	// is precomputed once: on a 10⁸-slot streamed horizon the per-slot Sin
 	// would otherwise dominate the whole simulation. Identical values
 	// either way — the table is a cache, not an approximation.
-	if period <= 1<<20 {
-		s.loads = make([]float64, period)
+	switch {
+	case period > 1<<20:
+		s.loads, s.skip = nil, nil
+	case !same:
+		s.loads = resize(s.loads, period)
 		silent := false
 		for t := range s.loads {
 			s.loads[t] = s.loadAt(t)
 			silent = silent || s.loads[t] <= 0
 		}
+		s.skip = nil
 		if silent {
 			s.skip = troughSkips(s.loads)
 		}
@@ -183,7 +201,9 @@ func (s *diurnalSource) AppendSlot(dst Sequence, t int) Sequence {
 // distribution with shape Alpha and minimum gap MinGap: most gaps are
 // short, but the tail produces occasional very long silences — the
 // self-similar traffic profile classical Poisson models miss. Alpha in
-// (1,2] gives finite mean but wildly variable gaps.
+// (1,2] gives finite mean but wildly variable gaps. Like PoissonBurst it
+// draws input by input; GenerateInto draws it into the caller's storage
+// and sorts it once across inputs.
 type HeavyTail struct {
 	Alpha  float64 // Pareto shape (> 0); smaller = heavier tail
 	MinGap float64 // minimum interarrival gap in slots (>= 1)
@@ -197,19 +217,23 @@ func (g HeavyTail) Name() string {
 
 // Generate implements Generator.
 func (g HeavyTail) Generate(rng *rand.Rand, inputs, outputs, slots int) Sequence {
+	return g.drawInto(nil, rng, inputs, outputs, slots)
+}
+
+// drawInto draws input by input, numbering IDs in draw order, and sorts
+// once across inputs.
+func (g HeavyTail) drawInto(seq Sequence, rng *rand.Rand, inputs, outputs, slots int) Sequence {
 	vd := orUnit(g.Values)
 	alpha := g.Alpha
 	if alpha <= 0 {
 		alpha = 1.5
 	}
 	minGap := math.Max(g.MinGap, 1)
-	var seq Sequence
-	var id int64
 	for i := 0; i < inputs; i++ {
 		t := paretoGap(rng, alpha, minGap) - 1 // first arrival may be early
 		for t < slots {
-			seq = append(seq, Packet{ID: id, Arrival: t, In: i, Out: rng.Intn(outputs), Value: vd.Sample(rng)})
-			id++
+			seq = reserve(seq, 1, i*slots+t, inputs*slots)
+			seq = append(seq, Packet{ID: int64(len(seq)), Arrival: t, In: i, Out: rng.Intn(outputs), Value: vd.Sample(rng)})
 			t += paretoGap(rng, alpha, minGap)
 		}
 	}

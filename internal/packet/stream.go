@@ -1,6 +1,9 @@
 package packet
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // Arrival streams. A Sequence materializes a whole workload in memory; an
 // ArrivalStream hands it over one packet at a time, so unbounded traces
@@ -62,11 +65,14 @@ type SlotSource interface {
 // slot-major — the RNG draws for slot t happen before those for slot t+1 —
 // and can therefore synthesize arrivals incrementally. For these
 // generators, streaming via Source and materializing via Generate produce
-// bit-identical sequences (Generate is implemented on top of Source).
+// bit-identical sequences (Generate is GenerateInto(nil, ...), which runs
+// the same loop over a source).
 //
-// Per-input renewal generators (PoissonBurst, HeavyTail, BurstyBlocking)
-// draw one input's whole timeline before the next input's and do not
-// implement the interface; StreamTraffic falls back to materializing them.
+// Per-input renewal generators (PoissonBurst, HeavyTail) draw one input's
+// whole timeline before the next input's, and BurstyBlocking and CrossDrain
+// draw event by event; they do not implement the interface. GenerateInto
+// draws them into the caller's storage all the same, and StreamTraffic
+// materializes them.
 type SlotStreamer interface {
 	Generator
 	// Source binds the generator to an RNG and geometry, returning the
@@ -74,43 +80,128 @@ type SlotStreamer interface {
 	Source(rng *rand.Rand, inputs, outputs int) SlotSource
 }
 
+// scratch holds one source of each slot-major generator in this package.
+// GenerateInto takes one from scratchPool and rebinds the source it needs
+// in place, keeping its per-input slices, so a draw into storage that fits
+// allocates nothing; Source binds a fresh one.
+type scratch struct {
+	bernoulli   bernoulliSource
+	hotspot     hotspotSource
+	diagonal    diagonalSource
+	bursty      burstySource
+	permutation permutationSource
+	diurnal     diurnalSource
+	flowMix     flowMixSource
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// pooledStreamer is a SlotStreamer of this package: it binds its source in
+// a scratch.
+type pooledStreamer interface {
+	source(sc *scratch, rng *rand.Rand, inputs, outputs int) SlotSource
+}
+
+// drawer is a generator that is not slot-major but draws straight into the
+// caller's storage: the four renewal generators.
+type drawer interface {
+	drawInto(dst Sequence, rng *rand.Rand, inputs, outputs, slots int) Sequence
+}
+
+// resize returns s with length n, reusing its storage when it fits. The
+// contents are stale; callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // synthesize is the one loop that drives a SlotSource: it appends the
 // arrivals of the source's busy slots in [from, end) to dst, numbering IDs
 // from id in append order, and jumps every stretch the source reports idle.
-// It returns the extended slice, the next ID and the first busy slot >= end,
-// where the next call resumes.
-func synthesize(dst Sequence, src SlotSource, from, end int, id int64) (Sequence, int64, int) {
+// It returns the extended slice, the next ID, the first busy slot >= end,
+// where the next call resumes, and whether every packet appended for slot
+// t had Arrival t — the SlotSource contract, under which append order is
+// (Arrival, ID) order. Once dst holds 1,024 packets it keeps room for
+// twice the widest slot so far before each slot (reserve), so a long draw
+// grows by the rate of its span, not along append's chain; a short one
+// grows only if it overflows, as append would.
+func synthesize(dst Sequence, src SlotSource, from, end int, id int64) (Sequence, int64, int, bool) {
+	ordered, widest := true, 0
 	t := src.NextBusy(from)
 	for ; t < end; t = src.NextBusy(t + 1) {
+		if len(dst) >= 1024 && cap(dst)-len(dst) < 2*widest {
+			dst = reserve(dst, 2*widest, t-from, end-from)
+		}
 		n := len(dst)
 		dst = src.AppendSlot(dst, t)
+		widest = max(widest, len(dst)-n)
 		for k := n; k < len(dst); k++ {
+			if dst[k].Arrival != t {
+				ordered = false
+			}
 			dst[k].ID = id
 			id++
 		}
 	}
-	return dst, id, t
+	return dst, id, t, ordered
+}
+
+// reserve returns seq with room for need more packets, for a draw that is
+// done/total of the way through its span. New storage doubles until the
+// draw holds 1,024 packets and a 64th of its span; from then on it holds
+// the whole span extrapolated at the rate so far, plus a sixteenth, so a
+// long draw is copied about once instead of along append's growth chain.
+// A source whose rate falls later over-reserves by as much as it fell.
+func reserve(seq Sequence, need, done, total int) Sequence {
+	n := len(seq)
+	if cap(seq)-n >= need {
+		return seq
+	}
+	c := max(2*cap(seq), 64)
+	if frac := float64(done) / float64(total); n >= 1024 && frac >= 1.0/64 {
+		est := float64(n) / frac
+		c = int(min(est+est/16, 1<<40))
+	}
+	out := make(Sequence, n, max(c, n+need, n+n/8))
+	copy(out, seq)
+	return out
 }
 
 // GenerateInto is gen.Generate(rng, inputs, outputs, slots) drawn into
 // dst's storage: the result is bit-identical to Generate's and leaves rng
-// in the same state, whatever dst held. For a SlotStreamer it drives the
-// source across the horizon's busy slots into dst[:0], assigning IDs in
-// append order, so a caller that hands back the previous result draws a
-// whole seed stream without growing a slice per seed. Any other generator
-// falls back to gen.Generate and ignores dst. Every SlotStreamer's
-// Generate is GenerateInto(nil, ...).
+// in the same state, whatever dst held. A caller that hands back the
+// previous result draws a whole seed stream without allocating once the
+// storage fits, and Generate itself is GenerateInto(nil, ...) for every
+// generator of this package but Fixed.
 //
-// Slot-major append order is already sorted by (Arrival, ID), so the
-// closing Normalize only checks that order in one pass and renumbers; it
-// sorts only if a source broke the SlotSource contract.
+// A SlotStreamer's source, bound in pooled scratch, runs across the
+// horizon's busy slots: synthesize numbers the IDs and checks the slot
+// contract as it appends, so the result is already normalized, and it is
+// sorted only if a source broke the contract. The renewal generators
+// write each packet at its (Arrival, ID) rank where they can (CrossDrain,
+// BurstyBlocking) and sort once where their draw order is per input
+// (PoissonBurst, HeavyTail). Storage that does not fit is replaced once
+// the draw's rate is known (reserve). Any other generator (Fixed, or one
+// from outside the package) falls back to gen.Generate and ignores dst.
 func GenerateInto(dst Sequence, gen Generator, rng *rand.Rand, inputs, outputs, slots int) Sequence {
-	ss, ok := gen.(SlotStreamer)
-	if !ok {
+	var src SlotSource
+	switch g := gen.(type) {
+	case pooledStreamer:
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		src = g.source(sc, rng, inputs, outputs)
+	case drawer:
+		return g.drawInto(dst[:0], rng, inputs, outputs, slots)
+	default:
 		return gen.Generate(rng, inputs, outputs, slots)
 	}
-	seq, _, _ := synthesize(dst[:0], ss.Source(rng, inputs, outputs), 0, slots, 0)
-	return seq.Normalize()
+	seq, _, _, ordered := synthesize(dst[:0], src, 0, slots, 0)
+	if !ordered {
+		seq.Normalize()
+	}
+	return seq
 }
 
 // StreamTraffic returns an ArrivalStream of the generator's workload for
@@ -197,7 +288,7 @@ func (g *GenStream) fill() {
 		if end-first > streamWindow {
 			end = first + streamWindow
 		}
-		g.buf, g.id, g.t = synthesize(g.buf[:0], g.src, first, end, g.id)
+		g.buf, g.id, g.t, _ = synthesize(g.buf[:0], g.src, first, end, g.id)
 	}
 }
 

@@ -223,7 +223,9 @@ func encodeGen(g packet.Generator) (genSpec, error) {
 	}
 }
 
-// decodeGen rebuilds the generator a genSpec names.
+// decodeGen rebuilds the generator a genSpec names. An empty list decodes
+// as nil, as its canonical (omitted) encoding does, so a spec and its
+// canonical encoding name the same generator.
 func decodeGen(gs genSpec) (packet.Generator, error) {
 	vd, err := decodeValues(gs.Values)
 	if err != nil {
@@ -253,13 +255,21 @@ func decodeGen(gs genSpec) (packet.Generator, error) {
 		return packet.CrossDrain{OffMean: gs.OffMean, Sweep: gs.Sweep, Depth: gs.Depth, Values: vd}, nil
 	case "flowmix":
 		return packet.FlowMix{FlowRate: gs.FlowRate, ElephantFrac: gs.EFrac,
-			RatPackets: gs.RatPkts, ElephantPackets: gs.EPkts, Stages: gs.Stages,
+			RatPackets: gs.RatPkts, ElephantPackets: gs.EPkts, Stages: orNil(gs.Stages),
 			StageSlots: gs.StageLen, MaxActive: gs.MaxActive, Values: vd}, nil
 	case "fixed":
-		return packet.Fixed{Label: gs.Label, Seq: gs.Seq}, nil
+		return packet.Fixed{Label: gs.Label, Seq: orNil(gs.Seq)}, nil
 	default:
 		return nil, fmt.Errorf("shard: unknown generator spec %q", gs.Type)
 	}
+}
+
+// orNil returns s, or nil when s is empty.
+func orNil[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // encodeValues names a value distribution; nil stays nil (the generators
