@@ -72,5 +72,5 @@
 // which reproduces sort.Slice's order exactly). Storage that does not fit
 // is sized once from the draw's rate so far rather than grown along
 // append's chain, and storage that fits is reused without an allocation
-// (the slot sources come from a pool).
+// (the slot sources are kept between draws).
 package packet

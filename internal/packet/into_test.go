@@ -176,13 +176,8 @@ func TestGenerateAllocatesOnce(t *testing.T) {
 
 // TestGenerateIntoFitAllocatesNothing: drawing every registry traffic into
 // storage that already fits allocates nothing — no sequence, no source,
-// no per-input state — the four renewal generators included. The sources
-// come from a sync.Pool, which the race detector empties at random, so a
-// -race build skips the pin.
+// no per-input state — the four renewal generators included.
 func TestGenerateIntoFitAllocatesNothing(t *testing.T) {
-	if raceBuild {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	for _, tc := range trafficCatalog {
 		gen, err := GeneratorByName(tc.name, "zipf", tc.okLoad)
 		if err != nil {

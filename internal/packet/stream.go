@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 // Arrival streams. A Sequence materializes a whole workload in memory; an
 // ArrivalStream hands it over one packet at a time, so unbounded traces
@@ -81,8 +78,8 @@ type SlotStreamer interface {
 }
 
 // scratch holds one source of each slot-major generator in this package.
-// GenerateInto takes one from scratchPool and rebinds the source it needs
-// in place, keeping its per-input slices, so a draw into storage that fits
+// GenerateInto takes one from scratches and rebinds the source it needs in
+// place, keeping its per-input slices, so a draw into storage that fits
 // allocates nothing; Source binds a fresh one.
 type scratch struct {
 	bernoulli   bernoulliSource
@@ -94,11 +91,31 @@ type scratch struct {
 	flowMix     flowMixSource
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratches keeps scratch between draws: a bounded free list rather than a
+// sync.Pool, which may drop what is put back (at random under the race
+// detector), so the no-allocation guarantee holds in every build. A draw
+// that finds it empty makes a scratch; one that finds it full drops its own.
+var scratches = make(chan *scratch, 64)
 
-// pooledStreamer is a SlotStreamer of this package: it binds its source in
+func takeScratch() *scratch {
+	select {
+	case sc := <-scratches:
+		return sc
+	default:
+		return new(scratch)
+	}
+}
+
+func keepScratch(sc *scratch) {
+	select {
+	case scratches <- sc:
+	default:
+	}
+}
+
+// scratchStreamer is a SlotStreamer of this package: it binds its source in
 // a scratch.
-type pooledStreamer interface {
+type scratchStreamer interface {
 	source(sc *scratch, rng *rand.Rand, inputs, outputs int) SlotSource
 }
 
@@ -176,7 +193,7 @@ func reserve(seq Sequence, need, done, total int) Sequence {
 // storage fits, and Generate itself is GenerateInto(nil, ...) for every
 // generator of this package but Fixed.
 //
-// A SlotStreamer's source, bound in pooled scratch, runs across the
+// A SlotStreamer's source, bound in kept scratch, runs across the
 // horizon's busy slots: synthesize numbers the IDs and checks the slot
 // contract as it appends, so the result is already normalized, and it is
 // sorted only if a source broke the contract. The renewal generators
@@ -188,9 +205,9 @@ func reserve(seq Sequence, need, done, total int) Sequence {
 func GenerateInto(dst Sequence, gen Generator, rng *rand.Rand, inputs, outputs, slots int) Sequence {
 	var src SlotSource
 	switch g := gen.(type) {
-	case pooledStreamer:
-		sc := scratchPool.Get().(*scratch)
-		defer scratchPool.Put(sc)
+	case scratchStreamer:
+		sc := takeScratch()
+		defer keepScratch(sc)
 		src = g.source(sc, rng, inputs, outputs)
 	case drawer:
 		return g.drawInto(dst[:0], rng, inputs, outputs, slots)
